@@ -1,0 +1,156 @@
+"""Command line entry point.
+
+Exit codes: 0 clean, 1 findings (conflicts or rejected replays), 2 on
+usage, parse, or validation errors.  All output is deterministic for fixed
+inputs and flags.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+from .annotator import AnnotationConfig, AnnotationError, annotate
+from .checker import check_all
+from .dsl import ParseError, parse_domain_theory, parse_sc, parse_sd, print_sc
+from .report import annotation_bundle, check_bundle, export_dot, render_json, render_text
+from .synthesizer import ConflictedInputError, synthesize
+
+OK, FINDINGS, ERROR = 0, 1, 2
+
+
+def _no_loop_pair(text: str):
+    try:
+        i, j = text.split(":")
+        return frozenset((int(i), int(j)))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected i:j, got {text!r}") from None
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="scdebug",
+        description="Annotate scenarios against a domain theory, synthesize "
+        "statecharts, and check edited charts back against the scenarios.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("theory", help="domain theory file (.dt)")
+        p.add_argument("sds", nargs="+", help="sequence diagram files (.sd)")
+        p.add_argument(
+            "--no-loop",
+            action="append",
+            type=_no_loop_pair,
+            default=[],
+            metavar="i:j",
+            help="discard unification between messages i and j (repeatable)",
+        )
+
+    p_ann = sub.add_parser("annotate", help="annotate scenarios and report conflicts")
+    common(p_ann)
+    p_ann.add_argument("--json", action="store_true", help="machine-readable report")
+
+    p_syn = sub.add_parser("synth", help="synthesize one statechart per object")
+    common(p_syn)
+    p_syn.add_argument("-o", "--out", default=".", metavar="DIR", help="output directory")
+    p_syn.add_argument("--dot", metavar="DIR", help="also write GraphViz exports here")
+
+    p_chk = sub.add_parser("check", help="replay scenarios against charts and repair")
+    common(p_chk)
+    p_chk.add_argument("--charts", required=True, metavar="DIR", help="directory of .sc files")
+    p_chk.add_argument("--max-edits", type=int, default=4, metavar="N")
+    p_chk.add_argument("--strict-guards", action="store_true",
+                       help="undetermined cells fail guards instead of passing them")
+    p_chk.add_argument("--json", action="store_true")
+    return parser
+
+
+def _read(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
+def _load_inputs(args):
+    dt = parse_domain_theory(_read(args.theory), args.theory)
+    sds = [parse_sd(_read(p), p) for p in args.sds]
+    cfg = AnnotationConfig(discarded_unifiers=frozenset(args.no_loop))
+    return dt, sds, cfg
+
+
+def cmd_annotate(args) -> int:
+    dt, sds, cfg = _load_inputs(args)
+    results = [annotate(sd, dt, cfg) for sd in sds]
+    bundle = annotation_bundle(results)
+    sys.stdout.write(render_json(bundle) if args.json else render_text(bundle))
+    return FINDINGS if bundle.conflicts else OK
+
+
+def cmd_synth(args) -> int:
+    dt, sds, cfg = _load_inputs(args)
+    try:
+        charts, warnings = synthesize(dt, sds, cfg)
+    except ConflictedInputError:
+        results = [annotate(sd, dt, cfg) for sd in sds]
+        bundle = annotation_bundle(results)
+        sys.stdout.write(render_text(bundle))
+        sys.stdout.write("synthesis refused: fix the conflicts first\n")
+        return FINDINGS
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    dot_dir = Path(args.dot) if args.dot else None
+    if dot_dir:
+        dot_dir.mkdir(parents=True, exist_ok=True)
+    for obj, chart in charts.items():
+        (out_dir / f"{obj}.sc").write_text(print_sc(chart), encoding="utf-8")
+        sys.stdout.write(f"wrote {out_dir / (obj + '.sc')}\n")
+        if dot_dir:
+            (dot_dir / f"{obj}.dot").write_text(export_dot(chart), encoding="utf-8")
+            sys.stdout.write(f"wrote {dot_dir / (obj + '.dot')}\n")
+    for w in warnings:
+        sys.stdout.write(f"warning: {w}\n")
+    return OK
+
+
+def cmd_check(args) -> int:
+    dt, sds, cfg = _load_inputs(args)
+    chart_dir = Path(args.charts)
+    if not chart_dir.is_dir():
+        raise FileNotFoundError(f"chart directory {chart_dir} does not exist")
+    charts = {}
+    for path in sorted(chart_dir.glob("*.sc")):
+        chart = parse_sc(_read(path), str(path))
+        charts[chart.name] = chart
+    if args.max_edits < 0:
+        raise ValueError("--max-edits must be >= 0")
+    records = check_all(dt, charts, sds, args.max_edits, args.strict_guards, cfg)
+    bundle = check_bundle(records)
+    sys.stdout.write(render_json(bundle) if args.json else render_text(bundle))
+    return FINDINGS if any(not r.trace.accepted for r in records) else OK
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return ERROR if exc.code not in (0, None) else OK
+    try:
+        if args.command == "annotate":
+            return cmd_annotate(args)
+        if args.command == "synth":
+            return cmd_synth(args)
+        return cmd_check(args)
+    except ParseError as exc:
+        sys.stderr.write(f"parse error: {exc}\n")
+        return ERROR
+    except (AnnotationError, ValueError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return ERROR
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return ERROR
+
+
+if __name__ == "__main__":
+    sys.exit(main())

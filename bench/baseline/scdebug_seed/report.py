@@ -1,0 +1,285 @@
+"""Human- and machine-readable rendering of conflicts, checks, and charts.
+
+The conflict block follows the layout users of the tool know:
+
+    Conflict in SD1: Object Coffee-UI
+     statevector after  "Insert coin"       = <T,F,T,1,none> [Msg 2]
+     statevector before "Request Selection" = <T,F,F,1,none> [Msg 3]
+      conflict in variable "CoffeeTypeSelected"
+      conflict occurred as consequence of unification of
+       ...
+
+The JSON rendering is schema-versioned and byte-stable for identical input;
+see docs/report-schema.json.
+"""
+
+from __future__ import annotations
+
+import difflib
+import json
+from dataclasses import dataclass, field
+
+from .model import Conflict, SequenceDiagram, Statechart
+from .checker import CheckRecord
+
+SCHEMA = "scdebug-report/1"
+
+
+@dataclass
+class ReportBundle:
+    conflicts: list = field(default_factory=list)
+    annotations: list = field(default_factory=list)  # (sd, unification count)
+    checks: list = field(default_factory=list)  # CheckRecord
+    warnings: list = field(default_factory=list)
+    originals: dict = field(default_factory=dict)  # sd name -> SequenceDiagram
+
+
+def annotation_bundle(results, warnings=None) -> ReportBundle:
+    """Bundle from annotate() results: iterable of (AnnotatedSD, conflicts)."""
+    bundle = ReportBundle(warnings=list(warnings or []))
+    for asd, conflicts in results:
+        bundle.annotations.append((asd.sd, len(asd.events)))
+        bundle.conflicts.extend(conflicts)
+        for m in asd.sd.messages:
+            if asd.theory.spec_for(m.label) is None:
+                w = f"{asd.sd.name}: message {m.label!r} has no specification"
+                if w not in bundle.warnings:
+                    bundle.warnings.append(w)
+    return bundle
+
+
+def check_bundle(records, warnings=None) -> ReportBundle:
+    bundle = ReportBundle(warnings=list(warnings or []))
+    bundle.checks = list(records)
+    for rec in bundle.checks:
+        bundle.originals.setdefault(rec.sd.name, rec.sd)
+    return bundle
+
+
+# ---------------------------------------------------------------------------
+# Text rendering
+
+
+def _vector_lines(entries, indent: str) -> list[str]:
+    """Aligned ``statevector <which> "<label>" = <vec> [Msg i]`` lines."""
+    heads = [f'statevector {which:<6} "{label}"' for which, label, _, _ in entries]
+    width = max(len(h) for h in heads)
+    return [
+        f"{indent}{head:<{width}} = {vec} [Msg {mid}]"
+        for head, (_, _, vec, mid) in zip(heads, entries)
+    ]
+
+
+def _conflict_block(c: Conflict) -> list[str]:
+    out = [f"Conflict in {c.sd_name}: Object {c.object}"]
+    out.extend(
+        _vector_lines(
+            [
+                ("after", c.after_message.label, c.vector_after, c.after_message.id),
+                ("before", c.before_message.label, c.vector_before, c.before_message.id),
+            ],
+            " ",
+        )
+    )
+    out.append(f'  conflict in variable "{c.variable.name}"')
+    if c.unified_states:
+        out.append("  conflict occurred as consequence of unification of")
+        out.extend(
+            _vector_lines(
+                [
+                    ("after" if which == "post" else "before", msg.label, vec, msg.id)
+                    for msg, which, vec in c.unified_states
+                ],
+                "   ",
+            )
+        )
+    return out
+
+
+def _sd_lines(sd: SequenceDiagram) -> list[str]:
+    return [f"msg {m.id} {m.sender} -> {m.receiver} : {m.event()}" for m in sd.messages]
+
+
+def _edit_diff(original: SequenceDiagram, repaired: SequenceDiagram) -> list[str]:
+    # Ids renumber on every edit, so diff the id-less message lines.
+    def lines(sd):
+        return [f"msg {m.sender} -> {m.receiver} : {m.event()}" for m in sd.messages]
+
+    diff = difflib.ndiff(lines(original), lines(repaired))
+    return [line for line in diff if not line.startswith("? ")]
+
+
+def _check_lines(rec: CheckRecord, original: SequenceDiagram | None) -> list[str]:
+    head = f"Check {rec.sd.name}: Object {rec.object}: {rec.trace.verdict}"
+    if rec.trace.accepted:
+        return [head]
+    out = [head]
+    step = rec.trace.steps[-1]
+    what = step.message.event() if step.message else "(leading sends)"
+    out.append(f"  rejected at step {rec.trace.rejected_at + 1} on {what}: {step.mismatch}")
+    if rec.repair is not None:
+        out.append(f"  repair with {rec.repair.cost} edit(s):")
+        for e in rec.repair.edits:
+            out.append(f"    {e.describe()}")
+        base = original or rec.sd
+        for line in _edit_diff(base, rec.repair.repaired):
+            out.append(f"    {line}")
+    elif rec.failure:
+        out.append(f"  {rec.failure}")
+    return out
+
+
+def render_text(bundle: ReportBundle) -> str:
+    out: list[str] = []
+    for c in bundle.conflicts:
+        out.extend(_conflict_block(c))
+        out.append("")
+    for rec in bundle.checks:
+        out.extend(_check_lines(rec, bundle.originals.get(rec.sd.name)))
+    if bundle.checks:
+        out.append("")
+
+    if not bundle.conflicts and not any(not r.trace.accepted for r in bundle.checks):
+        out.insert(0, "No conflicts found.")
+
+    summary = []
+    if bundle.annotations:
+        summary.append(f"{len(bundle.annotations)} sequence diagram(s) annotated")
+        summary.append(f"{len(bundle.conflicts)} conflict(s)")
+    if bundle.checks:
+        accepted = sum(1 for r in bundle.checks if r.trace.accepted)
+        summary.append(f"{accepted}/{len(bundle.checks)} replay(s) accepted")
+        repaired = sum(1 for r in bundle.checks if r.repair is not None)
+        if repaired:
+            summary.append(f"{repaired} repair(s) found")
+    if summary:
+        out.append("Summary: " + ", ".join(summary) + ".")
+    for w in bundle.warnings:
+        out.append(f"warning: {w}")
+    return "\n".join(out).rstrip("\n") + "\n"
+
+
+# ---------------------------------------------------------------------------
+# JSON rendering
+
+
+def _conflict_json(c: Conflict) -> dict:
+    return {
+        "sd": c.sd_name,
+        "object": c.object,
+        "variable": c.variable.name,
+        "valueAfter": c.value_after,
+        "valueBefore": c.value_before,
+        "afterMsg": {
+            "id": c.after_message.id,
+            "label": c.after_message.label,
+            "vector": str(c.vector_after),
+        },
+        "beforeMsg": {
+            "id": c.before_message.id,
+            "label": c.before_message.label,
+            "vector": str(c.vector_before),
+        },
+        "derivation": [
+            {"id": msg.id, "label": msg.label, "which": which, "vector": str(vec)}
+            for msg, which, vec in c.unified_states
+        ],
+    }
+
+
+def _check_json(rec: CheckRecord) -> dict:
+    repair = None
+    if rec.repair is not None:
+        repair = {
+            "cost": rec.repair.cost,
+            "edits": [e.describe() for e in rec.repair.edits],
+            "messages": _sd_lines(rec.repair.repaired),
+        }
+    return {
+        "sd": rec.sd.name,
+        "object": rec.object,
+        "verdict": rec.trace.verdict,
+        "rejectedAt": rec.trace.rejected_at,
+        "reason": rec.trace.steps[-1].mismatch if not rec.trace.accepted else None,
+        "repair": repair,
+        "failure": rec.failure,
+    }
+
+
+def render_json(bundle: ReportBundle) -> str:
+    doc = {
+        "schema": SCHEMA,
+        "summary": {
+            "sds": len(bundle.annotations) or len({r.sd.name for r in bundle.checks}),
+            "conflicts": len(bundle.conflicts),
+            "checks": len(bundle.checks),
+            "accepted": sum(1 for r in bundle.checks if r.trace.accepted),
+        },
+        "conflicts": [_conflict_json(c) for c in bundle.conflicts],
+        "annotations": [
+            {
+                "sd": sd.name,
+                "objects": list(sd.objects),
+                "messages": len(sd.messages),
+                "unifications": events,
+            }
+            for sd, events in bundle.annotations
+        ],
+        "checks": [_check_json(r) for r in bundle.checks],
+        "warnings": list(bundle.warnings),
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# DOT export
+
+
+def _dot_quote(s: str) -> str:
+    return '"' + s.replace('"', '\\"') + '"'
+
+
+def _edge_label(t) -> str:
+    label = t.event
+    if t.guard is not None and t.guard.atoms:
+        atoms = " and ".join(f"{v} = {val}" for v, val in t.guard.atoms)
+        label += f" [{atoms}]"
+    if t.actions:
+        label += " / " + ", ".join(t.actions)
+    return label
+
+
+def export_dot(chart: Statechart) -> str:
+    """GraphViz rendering: composites become clusters, the initial node of
+    every level is marked with a point, edges carry event[guard]/action."""
+    out = [f"digraph {_dot_quote(chart.name)} {{", "  rankdir=LR;", "  compound=true;"]
+
+    def resolve_initial(sc: Statechart, name: str) -> str:
+        for n in sc.nodes:
+            if n.name == name and n.is_composite:
+                return resolve_initial(n.children, n.children.initial)
+        return name
+
+    def emit(sc: Statechart, scope: str, depth: int) -> None:
+        pad = "  " * (depth + 1)
+        init_point = f"__init_{scope}" if scope else "__init"
+        out.append(f"{pad}{_dot_quote(init_point)} [shape=point];")
+        out.append(f"{pad}{_dot_quote(init_point)} -> {_dot_quote(resolve_initial(sc, sc.initial))};")
+        for n in sc.nodes:
+            if n.is_composite:
+                out.append(f"{pad}subgraph {_dot_quote('cluster_' + n.name)} {{")
+                out.append(f"{pad}  label={_dot_quote(n.name)};")
+                emit(n.children, n.name, depth + 1)
+                out.append(f"{pad}}}")
+            else:
+                out.append(f"{pad}{_dot_quote(n.name)} [shape=box, style=rounded];")
+        for t in sc.transitions:
+            head = resolve_initial(sc, t.target)
+            attrs = [f"label={_dot_quote(_edge_label(t))}"]
+            if head != t.target:
+                attrs.append(f"lhead={_dot_quote('cluster_' + t.target)}")
+            out.append(f"{pad}{_dot_quote(t.source)} -> {_dot_quote(head)} [{', '.join(attrs)}];")
+
+    emit(chart, "", 0)
+    out.append("}")
+    return "\n".join(out) + "\n"
