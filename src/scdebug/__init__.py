@@ -2,7 +2,7 @@
 vectors, explain conflicts, synthesize statecharts, and check edited charts
 back against the scenarios."""
 
-from .annotator import AnnotationConfig, annotate
+from .annotator import annotate
 from .checker import NoRepairWithinBound, check_all, repair, replay
 from .dsl import (
     ParseError,
@@ -19,7 +19,6 @@ from .synthesizer import ConflictedInputError, synthesize
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnotationConfig",
     "ConflictedInputError",
     "NoRepairWithinBound",
     "ParseError",

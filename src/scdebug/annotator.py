@@ -52,20 +52,6 @@ class ArityMismatchError(AnnotationError):
     pass
 
 
-class NonTerminationError(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class AnnotationConfig:
-    discarded_unifiers: frozenset = frozenset()  # frozenset of frozenset({i, j}) message ids
-    max_unify_passes: int = 1000
-
-    def __post_init__(self):
-        if self.max_unify_passes < 1:
-            raise ValueError("max_unify_passes must be >= 1")
-
-
 def _parameter_binding(spec, msg: Message) -> dict:
     """Bind spec parameters to the message's ground arguments."""
     if len(msg.args) != len(spec.params):
@@ -132,7 +118,18 @@ def initialize_vectors(sd: SequenceDiagram, dt: DomainTheory) -> AnnotatedSD:
                     vec[j] = literal
                     provenance[(key, j)] = FromSpec(msg.id, which)
                 vectors[key] = vec
-    return AnnotatedSD(sd, dt, vectors, provenance, [], frozenset())
+    return AnnotatedSD(sd, dt, vectors, provenance, [])
+
+
+def missing_spec_warnings(sd: SequenceDiagram, dt: DomainTheory) -> list[str]:
+    """One warning per distinct message label the theory does not specify."""
+    out = []
+    for m in sd.messages:
+        if dt.spec_for(m.label) is None:
+            w = f"{sd.name}: message {m.label!r} has no specification"
+            if w not in out:
+                out.append(w)
+    return out
 
 
 def _ground(asd: AnnotatedSD, key: VectorKey, j: int, value: str, prov) -> None:
@@ -246,8 +243,9 @@ def _adjacent_messages(asd: AnnotatedSD, obj: str, cls: list[Gap]) -> frozenset[
     return frozenset(out)
 
 
-def _is_discarded(discarded, msgs_a: frozenset[int], msgs_b: frozenset[int]) -> bool:
-    for pair in discarded:
+def _is_discarded(no_loop, msgs_a, msgs_b) -> bool:
+    """True when some ``no_loop`` pair has one message in each set."""
+    for pair in no_loop:
         ids = tuple(pair)
         i, j = ids[0], ids[-1]
         if (i in msgs_a and j in msgs_b) or (j in msgs_a and i in msgs_b):
@@ -312,7 +310,7 @@ def identification_candidates(asd: AnnotatedSD) -> list[Identification]:
                     continue
                 msgs_a = _adjacent_messages(asd, obj, classes[a])
                 msgs_b = _adjacent_messages(asd, obj, classes[b])
-                if _is_discarded(asd.discarded, msgs_a, msgs_b):
+                if _is_discarded(asd.sd.no_loop, msgs_a, msgs_b):
                     continue
                 out.append(
                     Identification(obj, tuple(classes[a]), tuple(classes[b]), joined, grounds)
@@ -339,26 +337,6 @@ def apply_identification(asd: AnnotatedSD, cand: Identification) -> UnifyEvent:
     return event
 
 
-def _loop_unify_once(asd: AnnotatedSD) -> bool:
-    """Apply the first applicable state-class identification, if any."""
-    candidates = identification_candidates(asd)
-    if not candidates:
-        return False
-    apply_identification(asd, candidates[0])
-    return True
-
-
-def copy_annotation(asd: AnnotatedSD) -> AnnotatedSD:
-    return AnnotatedSD(
-        sd=asd.sd,
-        theory=asd.theory,
-        vectors={k: list(v) for k, v in asd.vectors.items()},
-        provenance=dict(asd.provenance),
-        events=list(asd.events),
-        discarded=asd.discarded,
-    )
-
-
 def _gap_joins_once(asd: AnnotatedSD) -> bool:
     """Reconcile compatible gap faces pointwise (the S2/S3-style unification).
 
@@ -372,8 +350,7 @@ def _gap_joins_once(asd: AnnotatedSD) -> bool:
         for gap in lifeline_gaps(asd, obj):
             if gap.left is None or gap.right is None:
                 continue
-            pair = frozenset((line[gap.index - 1].id, line[gap.index].id))
-            if any(pair == p for p in asd.discarded):
+            if _is_discarded(asd.sd.no_loop, {line[gap.index - 1].id}, {line[gap.index].id}):
                 continue
             left = asd.vectors[gap.left]
             right = asd.vectors[gap.right]
@@ -390,59 +367,45 @@ def _gap_joins_once(asd: AnnotatedSD) -> bool:
     return changed
 
 
-def unify_pass(asd: AnnotatedSD, cfg: AnnotationConfig) -> tuple[AnnotatedSD, list[UnifyEvent]]:
-    """Run unification alone to fixpoint; returns newly applied events."""
-    asd.discarded = frozenset(asd.discarded) | cfg.discarded_unifiers
-    before = len(asd.events)
-    for _ in range(cfg.max_unify_passes):
-        if _loop_unify_once(asd):
-            continue
-        if _gap_joins_once(asd):
-            continue
-        return asd, asd.events[before:]
-    raise NonTerminationError(f"unification did not settle in {cfg.max_unify_passes} passes")
-
-
-def annotate(
-    sd: SequenceDiagram,
-    dt: DomainTheory,
-    cfg: AnnotationConfig | None = None,
-) -> tuple[AnnotatedSD, list[Conflict]]:
+def annotate(sd: SequenceDiagram, dt: DomainTheory) -> tuple[AnnotatedSD, list[Conflict]]:
     """Full annotation: initialize, then frame propagation and unification
-    to their joint fixpoint, then conflict detection."""
-    cfg = cfg or AnnotationConfig()
+    to their joint fixpoint, then conflict detection.
+
+    Message pairs in ``sd.no_loop`` are never unified.
+    """
     asd = initialize_vectors(sd, dt)
-    asd.discarded = frozenset(sd.no_loop) | cfg.discarded_unifiers
-    for _ in range(cfg.max_unify_passes):
+    # Ends: every pass that continues grounds at least one cell, _ground
+    # never un-grounds one, and there are finitely many cells.
+    while True:
         frame_propagate(asd)
-        if _loop_unify_once(asd):
-            continue
-        if _gap_joins_once(asd):
-            continue
-        break
-    else:
-        raise NonTerminationError(f"annotation did not settle in {cfg.max_unify_passes} passes")
-    return asd, detect_conflicts(asd)
+        candidates = identification_candidates(asd)
+        if candidates:
+            apply_identification(asd, candidates[0])
+        elif not _gap_joins_once(asd):
+            return asd, detect_conflicts(asd)
 
 
 # ---------------------------------------------------------------------------
 # Conflicts and derivations
 
 
-def _trace(asd: AnnotatedSD, key: VectorKey, j: int, seen=None) -> list[DerivationStep]:
+def _trace(asd: AnnotatedSD, key: VectorKey, j: int) -> list[DerivationStep]:
     """Transitive provenance of one cell, oldest step first."""
-    seen = seen if seen is not None else set()
-    if (key, j) in seen:
-        raise AssertionError(f"cyclic provenance at {key}[{j}]")
-    seen.add((key, j))
-    prov = asd.provenance.get((key, j))
-    if prov is None:
-        return [DerivationStep(key, j, None)]
-    if isinstance(prov, FromSpec):
-        return [DerivationStep(key, j, prov)]
-    if isinstance(prov, Frame):
-        return _trace(asd, prov.source, prov.cell, seen) + [DerivationStep(key, j, prov)]
-    return _trace(asd, prov.contributor, j, seen) + [DerivationStep(key, j, prov)]
+    steps = []
+    seen = set()
+    while True:
+        if (key, j) in seen:
+            raise AssertionError(f"cyclic provenance at {key}[{j}]")
+        seen.add((key, j))
+        prov = asd.provenance.get((key, j))
+        steps.append(DerivationStep(key, j, prov))
+        if prov is None or isinstance(prov, FromSpec):
+            steps.reverse()
+            return steps
+        if isinstance(prov, Frame):
+            key, j = prov.source, prov.cell
+        else:
+            key = prov.contributor
 
 
 def conflict_events(asd: AnnotatedSD, steps) -> tuple[UnifyEvent, ...]:

@@ -26,9 +26,9 @@ from .model import (
     Transition,
     apply_edit,
 )
-from .annotator import AnnotationConfig, AnnotationError, annotate
+from .annotator import AnnotationError, annotate
 from .dsl import split_label_args
-from .synthesizer import COMPLETION, flatten
+from .synthesizer import COMPLETION, flatten, receive_projection
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
@@ -106,34 +106,12 @@ def _guard_holds(guard: Condition | None, vector, dt: DomainTheory, strict: bool
     return True
 
 
-def _projection(sd: SequenceDiagram, obj: str):
-    """(leading sends, [(received message, following sends), ...])."""
-    line = sd.lifeline(obj)
-    received = [i for i, m in enumerate(line) if m.receiver == obj]
-
-    def sends(start, stop):
-        return tuple(
-            line[i].event()
-            for i in range(start, stop)
-            if line[i].sender == obj and line[i].receiver != obj
-        )
-
-    if not received:
-        return sends(0, len(line)), []
-    steps = []
-    for n, i in enumerate(received):
-        stop = received[n + 1] if n + 1 < len(received) else len(line)
-        steps.append((line[i], sends(i + 1, stop)))
-    return sends(0, received[0]), steps
-
-
 def replay(
     sd: SequenceDiagram,
     obj: str,
     chart: Statechart,
     dt: DomainTheory,
     strict_guards: bool = False,
-    cfg: AnnotationConfig | None = None,
 ) -> ReplayTrace:
     """Walk the chart consuming the object's received messages in order.
 
@@ -148,21 +126,26 @@ def replay(
     has_guards = any(t.guard is not None and t.guard.atoms for t in flat.transitions)
     asd = None
     if has_guards:
-        asd, _ = annotate(sd, dt, cfg)
+        asd, _ = annotate(sd, dt)
 
     by_source: dict[str, list[Transition]] = {}
     for t in flat.transitions:
         by_source.setdefault(t.source, []).append(t)
 
-    leading, events = _projection(sd, obj)
+    line = sd.lifeline(obj)
+    leading, steps = receive_projection(line, obj)
     todo: list = []
     if leading:
         todo.append((None, COMPLETION, leading, None))
-    for msg, sends in events:
+    for i, sends in steps:
+        msg = line[i]
         vector = asd.vectors[(obj, msg.id, PRE)] if asd is not None else None
         todo.append((msg, msg.event(), sends, vector))
+    if not todo:
+        return ReplayTrace(sd.name, obj, (), ACCEPTED)
 
-    def matches(state: str, event: str, sends, vector):
+    def matches(state: str, idx: int):
+        _, event, sends, vector = todo[idx]
         for t in by_source.get(state, []):
             if t.event != event:
                 continue
@@ -176,31 +159,33 @@ def replay(
                     continue
             yield t
 
+    # Depth-first search over an explicit stack of [state, matching
+    # transitions not yet tried, any matched] frames.  path[k] is the step
+    # taken out of stack[k], so the top frame consumes todo[len(path)].
     best: list[ReplayStep] = []
-
-    def walk(state: str, idx: int, steps: list) -> tuple | None:
-        nonlocal best
-        if idx == len(todo):
-            return tuple(steps)
-        msg, event, sends, vector = todo[idx]
-        found_any = False
-        for t in matches(state, event, sends, vector):
-            found_any = True
-            steps.append(ReplayStep(msg, sends, state, t.target, t))
-            done = walk(t.target, idx + 1, steps)
-            if done is not None:
-                return done
-            steps.pop()
-        if not found_any and len(steps) + 1 > len(best):
+    path: list[ReplayStep] = []
+    stack = [[flat.initial, matches(flat.initial, 0), False]]
+    while stack:
+        top = stack[-1]
+        state = top[0]
+        t = next(top[1], None)
+        if t is not None:
+            top[2] = True
+            msg, _, sends, _ = todo[len(path)]
+            path.append(ReplayStep(msg, sends, state, t.target, t))
+            if len(path) == len(todo):
+                return ReplayTrace(sd.name, obj, tuple(path), ACCEPTED)
+            stack.append([t.target, matches(t.target, len(path)), False])
+            continue
+        stack.pop()
+        if not top[2] and len(path) + 1 > len(best):
+            msg, event, sends, _ = todo[len(path)]
             reason = _mismatch_reason(by_source.get(state, []), event, sends)
             if event == COMPLETION:
                 reason = "no completion transition covers the leading sends"
-            best = steps + [ReplayStep(msg, sends, state, None, None, reason)]
-        return None
-
-    accepted = walk(flat.initial, 0, [])
-    if accepted is not None:
-        return ReplayTrace(sd.name, obj, accepted, ACCEPTED)
+            best = path + [ReplayStep(msg, sends, state, None, None, reason)]
+        if path:
+            path.pop()
     return ReplayTrace(sd.name, obj, tuple(best), REJECTED, len(best) - 1)
 
 
@@ -251,12 +236,12 @@ def insert_candidates(dt: DomainTheory, chart: Statechart, sd: SequenceDiagram, 
     return [(label, args, sender) for label, args in out]
 
 
-def _ok(sd: SequenceDiagram, obj, chart, dt, strict_guards, cfg) -> bool:
-    trace = replay(sd, obj, chart, dt, strict_guards, cfg)
+def _ok(sd: SequenceDiagram, obj, chart, dt, strict_guards) -> bool:
+    trace = replay(sd, obj, chart, dt, strict_guards)
     if not trace.accepted:
         return False
     try:
-        _, conflicts = annotate(sd, dt, cfg)
+        _, conflicts = annotate(sd, dt)
     except AnnotationError:
         return False
     return not conflicts
@@ -269,7 +254,6 @@ def repair(
     dt: DomainTheory,
     max_edits: int = 4,
     strict_guards: bool = False,
-    cfg: AnnotationConfig | None = None,
 ) -> RepairResult:
     """Fewest-edit repair by iterative deepening; raises NoRepairWithinBound."""
     if max_edits < 0:
@@ -281,7 +265,7 @@ def repair(
         nonlocal explored
         if budget == 0:
             explored += 1
-            if _ok(current, obj, chart, dt, strict_guards, cfg):
+            if _ok(current, obj, chart, dt, strict_guards):
                 return RepairResult(tuple(edits), current, len(edits), True)
             return None
         for pos in range(1, len(current.messages) + 1):
@@ -302,7 +286,7 @@ def repair(
         found = attempt(sd, [], depth)
         if found:
             return found
-    trace = replay(sd, obj, chart, dt, strict_guards, cfg)
+    trace = replay(sd, obj, chart, dt, strict_guards)
     raise NoRepairWithinBound(sd.name, obj, max_edits, explored, trace)
 
 
@@ -321,7 +305,6 @@ def check_all(
     sds,
     max_edits: int = 4,
     strict_guards: bool = False,
-    cfg: AnnotationConfig | None = None,
 ) -> list[CheckRecord]:
     """Replay every (diagram, charted object) pair; repair the rejected ones."""
     records = []
@@ -329,12 +312,12 @@ def check_all(
         for obj in sd.objects:
             if obj not in chart_map:
                 continue
-            trace = replay(sd, obj, chart_map[obj], dt, strict_guards, cfg)
+            trace = replay(sd, obj, chart_map[obj], dt, strict_guards)
             if trace.accepted:
                 records.append(CheckRecord(sd, obj, trace))
                 continue
             try:
-                fix = repair(sd, obj, chart_map[obj], dt, max_edits, strict_guards, cfg)
+                fix = repair(sd, obj, chart_map[obj], dt, max_edits, strict_guards)
                 records.append(CheckRecord(sd, obj, trace, repair=fix))
             except NoRepairWithinBound as exc:
                 records.append(CheckRecord(sd, obj, trace, failure=str(exc)))

@@ -8,10 +8,11 @@ inputs and flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
-from .annotator import AnnotationConfig, AnnotationError, annotate
+from .annotator import AnnotationError, annotate
 from .checker import check_all
 from .dsl import ParseError, parse_domain_theory, parse_sc, parse_sd, print_sc
 from .report import annotation_bundle, check_bundle, export_dot, render_json, render_text
@@ -74,26 +75,24 @@ def _read(path: str) -> str:
 def _load_inputs(args):
     dt = parse_domain_theory(_read(args.theory), args.theory)
     sds = [parse_sd(_read(p), p) for p in args.sds]
-    cfg = AnnotationConfig(discarded_unifiers=frozenset(args.no_loop))
-    return dt, sds, cfg
+    pairs = frozenset(args.no_loop)
+    return dt, [dataclasses.replace(sd, no_loop=sd.no_loop | pairs) for sd in sds]
 
 
 def cmd_annotate(args) -> int:
-    dt, sds, cfg = _load_inputs(args)
-    results = [annotate(sd, dt, cfg) for sd in sds]
+    dt, sds = _load_inputs(args)
+    results = [annotate(sd, dt) for sd in sds]
     bundle = annotation_bundle(results)
     sys.stdout.write(render_json(bundle) if args.json else render_text(bundle))
     return FINDINGS if bundle.conflicts else OK
 
 
 def cmd_synth(args) -> int:
-    dt, sds, cfg = _load_inputs(args)
+    dt, sds = _load_inputs(args)
     try:
-        charts, warnings = synthesize(dt, sds, cfg)
-    except ConflictedInputError:
-        results = [annotate(sd, dt, cfg) for sd in sds]
-        bundle = annotation_bundle(results)
-        sys.stdout.write(render_text(bundle))
+        charts, warnings = synthesize(dt, sds)
+    except ConflictedInputError as exc:
+        sys.stdout.write(render_text(annotation_bundle(exc.results)))
         sys.stdout.write("synthesis refused: fix the conflicts first\n")
         return FINDINGS
     out_dir = Path(args.out)
@@ -113,7 +112,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_check(args) -> int:
-    dt, sds, cfg = _load_inputs(args)
+    dt, sds = _load_inputs(args)
     chart_dir = Path(args.charts)
     if not chart_dir.is_dir():
         raise FileNotFoundError(f"chart directory {chart_dir} does not exist")
@@ -123,7 +122,7 @@ def cmd_check(args) -> int:
         charts[chart.name] = chart
     if args.max_edits < 0:
         raise ValueError("--max-edits must be >= 0")
-    records = check_all(dt, charts, sds, args.max_edits, args.strict_guards, cfg)
+    records = check_all(dt, charts, sds, args.max_edits, args.strict_guards)
     bundle = check_bundle(records)
     sys.stdout.write(render_json(bundle) if args.json else render_text(bundle))
     return FINDINGS if any(not r.trace.accepted for r in records) else OK
@@ -149,6 +148,11 @@ def main(argv=None) -> int:
         return ERROR
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return ERROR
+    except Exception as exc:
+        # Exit 1 means findings, so a defect must never surface as a traceback.
+        detail = " ".join(str(exc).splitlines())
+        sys.stderr.write(f"error: internal: {type(exc).__name__}: {detail}\n")
         return ERROR
 
 

@@ -288,7 +288,6 @@ class AnnotatedSD:
     vectors: dict  # VectorKey -> list of cells (mutable during annotation)
     provenance: dict  # (VectorKey, cell index) -> Provenance
     events: list  # list[UnifyEvent]
-    discarded: frozenset  # frozenset of frozenset({msg_id, msg_id}) pairs
 
     def vector(self, obj: str, msg_id: int, which: str) -> StateVector:
         return StateVector(tuple(self.vectors[(obj, msg_id, which)]))

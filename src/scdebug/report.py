@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass, field
 
 from .model import Conflict, SequenceDiagram, Statechart
+from .annotator import missing_spec_warnings
 from .checker import CheckRecord
 
 SCHEMA = "scdebug-report/1"
@@ -40,11 +41,9 @@ def annotation_bundle(results, warnings=None) -> ReportBundle:
     for asd, conflicts in results:
         bundle.annotations.append((asd.sd, len(asd.events)))
         bundle.conflicts.extend(conflicts)
-        for m in asd.sd.messages:
-            if asd.theory.spec_for(m.label) is None:
-                w = f"{asd.sd.name}: message {m.label!r} has no specification"
-                if w not in bundle.warnings:
-                    bundle.warnings.append(w)
+        bundle.warnings.extend(
+            w for w in missing_spec_warnings(asd.sd, asd.theory) if w not in bundle.warnings
+        )
     return bundle
 
 

@@ -22,14 +22,18 @@ from .model import (
     format_vector,
     unify,
 )
-from .annotator import AnnotationConfig, annotate, lifeline_gaps
+from .annotator import annotate, lifeline_gaps, missing_spec_warnings
 
 COMPLETION = ""  # event label of a completion (triggerless) transition
 
 
 class ConflictedInputError(Exception):
-    def __init__(self, conflicts):
+    """``results`` holds the (AnnotatedSD, conflicts) pair of every diagram
+    when the conflicts come from annotating the input."""
+
+    def __init__(self, conflicts, results=()):
         self.conflicts = list(conflicts)
+        self.results = list(results)
         names = {(c.sd_name, c.object) for c in self.conflicts}
         super().__init__(f"cannot synthesize from conflicted input: {sorted(names)}")
 
@@ -72,6 +76,24 @@ def _gap_states(asd: AnnotatedSD, obj: str):
     return states
 
 
+def receive_projection(line, obj: str):
+    """Split a lifeline at the object's receives.
+
+    Returns (leading sends, [(lifeline index of a receive, sends until the
+    next receive), ...]); sends are the events of messages the object sends
+    to another object.
+    """
+    received = [i for i, m in enumerate(line) if m.receiver == obj]
+    stops = received + [len(line)]
+
+    def sends(start: int, stop: int):
+        return tuple(
+            line[i].event() for i in range(start, stop) if line[i].sender == obj and line[i].receiver != obj
+        )
+
+    return sends(0, stops[0]), [(i, sends(i + 1, stops[n + 1])) for n, i in enumerate(received)]
+
+
 def synth_object_chart(asd: AnnotatedSD, obj: str, conflicts=None) -> FlatChart:
     """Build the object's flat chart from one annotated diagram."""
     if conflicts:
@@ -81,8 +103,6 @@ def synth_object_chart(asd: AnnotatedSD, obj: str, conflicts=None) -> FlatChart:
 
     line = asd.sd.lifeline(obj)
     gaps = _gap_states(asd, obj)
-    received = [i for i, m in enumerate(line) if m.receiver == obj]
-    sends_after = {}  # receive index -> labels sent before the next receive
 
     state_order = []
 
@@ -94,26 +114,14 @@ def synth_object_chart(asd: AnnotatedSD, obj: str, conflicts=None) -> FlatChart:
     initial = intern(gaps[0])
     transitions = []
 
-    def sends_between(start: int, stop: int):
-        return tuple(
-            line[i].event() for i in range(start, stop) if line[i].sender == obj and line[i].receiver != obj
-        )
-
-    if received:
-        first = received[0]
-        leading = sends_between(0, first)
-        if leading:
-            transitions.append((initial, intern(gaps[first]), COMPLETION, leading))
-        for n, i in enumerate(received):
-            nxt = received[n + 1] if n + 1 < len(received) else None
-            src = intern(gaps[i])
-            dst = intern(gaps[nxt] if nxt is not None else gaps[len(line)])
-            actions = sends_between(i + 1, nxt if nxt is not None else len(line))
-            transitions.append((src, dst, line[i].event(), actions))
-    else:
-        trailing = sends_between(0, len(line))
-        if trailing:
-            transitions.append((initial, intern(gaps[len(line)]), COMPLETION, trailing))
+    leading, steps = receive_projection(line, obj)
+    stops = [i for i, _ in steps] + [len(line)]
+    if leading:
+        transitions.append((initial, intern(gaps[stops[0]]), COMPLETION, leading))
+    for n, (i, actions) in enumerate(steps):
+        src = intern(gaps[i])
+        dst = intern(gaps[stops[n + 1]])
+        transitions.append((src, dst, line[i].event(), actions))
 
     deduped = []
     for t in transitions:
@@ -393,31 +401,24 @@ def introduce_hierarchy(chart: FlatChart, name: str | None = None) -> Statechart
 # Pipeline
 
 
-def synthesize(
-    dt: DomainTheory,
-    sds,
-    cfg: AnnotationConfig | None = None,
-) -> tuple[dict, list]:
+def synthesize(dt: DomainTheory, sds) -> tuple[dict, list]:
     """Charts for every object across all diagrams, plus warnings.
 
-    Raises ConflictedInputError carrying every conflict when any diagram
-    conflicts with the theory: synthesis requires debugged scenarios.
+    Raises ConflictedInputError carrying every conflict, and every
+    diagram's annotation, when any diagram conflicts with the theory:
+    synthesis requires debugged scenarios.
     """
     sds = list(sds)
-    annotated = []
+    results = []
     all_conflicts = []
     warnings = []
     for sd in sds:
-        asd, conflicts = annotate(sd, dt, cfg)
-        annotated.append(asd)
+        asd, conflicts = annotate(sd, dt)
+        results.append((asd, conflicts))
         all_conflicts.extend(conflicts)
-        for m in sd.messages:
-            if dt.spec_for(m.label) is None:
-                w = f"{sd.name}: message {m.label!r} has no specification"
-                if w not in warnings:
-                    warnings.append(w)
+        warnings.extend(w for w in missing_spec_warnings(sd, dt) if w not in warnings)
     if all_conflicts:
-        raise ConflictedInputError(all_conflicts)
+        raise ConflictedInputError(all_conflicts, results)
 
     objects = []
     for sd in sds:
@@ -429,7 +430,7 @@ def synthesize(
     for obj in objects:
         parts = [
             synth_object_chart(asd, obj)
-            for asd in annotated
+            for asd, _ in results
             if obj in asd.sd.objects
         ]
         merged = merge_charts(parts)

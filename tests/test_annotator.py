@@ -1,20 +1,28 @@
+import dataclasses
 import random
 
 import pytest
 
 from scdebug.annotator import (
-    AnnotationConfig,
     ArityMismatchError,
     OutOfDomainLiteralError,
+    _gap_joins_once,
     annotate,
     apply_identification,
     frame_propagate,
     identification_candidates,
     initialize_vectors,
-    unify_pass,
 )
 from scdebug.dsl import parse_domain_theory, parse_sd
-from scdebug.model import Frame, FromSpec, SequenceDiagram, Unified, format_vector
+from scdebug.model import (
+    AnnotatedSD,
+    Frame,
+    FromSpec,
+    Message,
+    SequenceDiagram,
+    Unified,
+    format_vector,
+)
 
 from gen import conflict_free_pair
 
@@ -23,6 +31,16 @@ CUI = "Coffee-UI"
 
 def vec(asd, obj, mid, which):
     return format_vector(asd.vectors[(obj, mid, which)])
+
+
+def unify_to_fixpoint(asd):
+    """Identifications and gap joins alone, without frame propagation."""
+    while True:
+        candidates = identification_candidates(asd)
+        if candidates:
+            apply_identification(asd, candidates[0])
+        elif not _gap_joins_once(asd):
+            return asd
 
 
 class TestInitialize:
@@ -71,8 +89,7 @@ class TestUnifyPass:
         # On the first two messages alone: the empty post of message 1
         # takes Insert coin's precondition value via its gap partner.
         prefix = SequenceDiagram(sd1.name, sd1.objects, sd1.messages[:2])
-        asd = initialize_vectors(prefix, coffee_dt_unfixed)
-        asd, applied = unify_pass(asd, AnnotationConfig())
+        asd = unify_to_fixpoint(initialize_vectors(prefix, coffee_dt_unfixed))
         assert vec(asd, CUI, 1, "post") == "<F,?,?,?,?>"
         assert vec(asd, CUI, 2, "pre") == "<F,?,?,?,?>"
 
@@ -81,15 +98,14 @@ class TestUnifyPass:
             "sd S\nobject A\nobject B\n"
             "msg 1 A -> B : Insert coin\nmsg 2 A -> B : Insert coin"
         )
-        asd = initialize_vectors(sd, coffee_dt_unfixed)
-        asd, _ = unify_pass(asd, AnnotationConfig())
+        asd = unify_to_fixpoint(initialize_vectors(sd, coffee_dt_unfixed))
         # post of 1 has CoinInMachine=T, pre of 2 has F: incompatible faces stay
         assert asd.vectors[("B", 1, "post")][0] == "T"
         assert asd.vectors[("B", 2, "pre")][0] == "F"
 
     def test_discarded_pair_skipped(self, sd1, coffee_dt_unfixed):
-        cfg = AnnotationConfig(discarded_unifiers=frozenset({frozenset((1, 11))}))
-        asd, conflicts = annotate(sd1, coffee_dt_unfixed, cfg)
+        discarded = dataclasses.replace(sd1, no_loop=frozenset({frozenset((1, 11))}))
+        asd, conflicts = annotate(discarded, coffee_dt_unfixed)
         assert conflicts == []
         assert all(ev.object != CUI for ev in asd.events)
 
@@ -157,6 +173,25 @@ class TestConflicts:
         _, conflicts = annotate(sd1, coffee_dt)
         assert conflicts == []
 
+    def test_long_frame_chain(self):
+        # arm sets Flag, unspecified messages carry it by the frame axiom
+        # over 2000 messages, check expects it clear: one conflict per
+        # lifeline, each traced back through the whole chain.
+        dt = parse_domain_theory(
+            "Flag : Boolean\ncontext arm\n pre:\n post: Flag = T ;\n"
+            "context check\n pre: Flag = F ;\n post:"
+        )
+        n = 2000
+        msgs = [Message(1, "arm", (), "A", "B")]
+        msgs += [Message(i, "noop", (), *(("A", "B") if i % 2 else ("B", "A"))) for i in range(2, n)]
+        msgs.append(Message(n, "check", (), "B", "A"))
+        _, conflicts = annotate(SequenceDiagram("Chain", ("A", "B"), tuple(msgs)), dt)
+        assert [(c.object, c.after_message.id, c.before_message.id) for c in conflicts] == [
+            ("A", n - 1, n),
+            ("B", n - 1, n),
+        ]
+        assert all(isinstance(c.derivation[0].provenance, FromSpec) for c in conflicts)
+
     def test_empty_sd(self, coffee_dt):
         sd = parse_sd("sd S\nobject A")
         asd, conflicts = annotate(sd, coffee_dt)
@@ -222,8 +257,7 @@ class TestInvariants:
         everything = frozenset(
             frozenset((i, j)) for i in range(1, n + 1) for j in range(i, n + 1)
         )
-        cfg = AnnotationConfig(discarded_unifiers=everything)
-        asd, _ = annotate(sd1, coffee_dt_unfixed, cfg)
+        asd, _ = annotate(dataclasses.replace(sd1, no_loop=everything), coffee_dt_unfixed)
         assert asd.events == []
         assert not any(
             isinstance(p, Unified) for p in asd.provenance.values()
@@ -240,7 +274,14 @@ class TestInvariants:
         # On conflict-free diagrams the determined cells at the fixpoint do
         # not depend on the order identifications are applied in: explore
         # the application orders (bounded) and compare the outcomes.
-        from scdebug.annotator import _gap_joins_once, copy_annotation
+        def clone(asd):
+            return AnnotatedSD(
+                sd=asd.sd,
+                theory=asd.theory,
+                vectors={k: list(v) for k, v in asd.vectors.items()},
+                provenance=dict(asd.provenance),
+                events=list(asd.events),
+            )
 
         rng = random.Random(11)
         for _ in range(20):
@@ -262,9 +303,9 @@ class TestInvariants:
                         outcomes.add(frozenset(asd.known_cells().items()))
                         return
                 for i in range(len(cands)):
-                    clone = copy_annotation(asd)
-                    apply_identification(clone, identification_candidates(clone)[i])
-                    explore(clone)
+                    copy = clone(asd)
+                    apply_identification(copy, identification_candidates(copy)[i])
+                    explore(copy)
 
             explore(initialize_vectors(sd, dt))
             assert outcomes == {frozenset(baseline.known_cells().items())}, (

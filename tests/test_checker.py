@@ -11,7 +11,7 @@ from scdebug.checker import (
     replay,
 )
 from scdebug.dsl import parse_domain_theory, parse_sc, parse_sd
-from scdebug.model import Delete, Insert, Message, apply_edit
+from scdebug.model import Delete, Insert, Message, SequenceDiagram, apply_edit
 from scdebug.synthesizer import synth_object_chart, synthesize, to_statechart
 
 from conftest import read
@@ -97,6 +97,19 @@ class TestReplay:
             "sd S\nobject Env\nobject M\nmsg 1 Env -> M : e1\nmsg 2 Env -> M : e2"
         )
         assert replay(sd, "M", chart, stepper_dt).accepted
+
+    def test_long_ring_accepted(self, stepper_dt):
+        # 1000 received messages: the walk must not recurse per message.
+        k, n = 5, 1000
+        chart = parse_sc(
+            "statechart M\ninitial N0\n"
+            + "".join(f"state N{i}\n" for i in range(k))
+            + "".join(f"N{i} -> N{(i + 1) % k} : e{i}\n" for i in range(k))
+        )
+        msgs = [Message(i, f"e{(i - 1) % k}", (), "Env", "M") for i in range(1, n + 1)]
+        trace = replay(SequenceDiagram("Ring", ("Env", "M"), tuple(msgs)), "M", chart, stepper_dt)
+        assert trace.accepted
+        assert len(trace.steps) == n and trace.steps[-1].to_state == f"N{n % k}"
 
 
 class TestRepair:

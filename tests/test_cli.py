@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import scdebug.cli
 from scdebug.cli import main
 
 from conftest import FIXTURES
@@ -50,6 +51,16 @@ class TestAnnotate:
 
     def test_usage_error_exits_two(self, capsys):
         assert main(["annotate"]) == 2
+
+    def test_internal_error_exits_two_without_traceback(self, monkeypatch, capsys):
+        def broken(sd, dt):
+            raise RuntimeError("boom\non two lines")
+
+        monkeypatch.setattr(scdebug.cli, "annotate", broken)
+        assert main(["annotate", THEORY, SD1]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: internal: RuntimeError: boom on two lines\n"
+        assert "Traceback" not in captured.out + captured.err
 
     def test_json_output(self, capsys):
         assert main(["annotate", THEORY_UNFIXED, SD1, "--json"]) == 1
