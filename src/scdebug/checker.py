@@ -106,6 +106,13 @@ def _guard_holds(guard: Condition | None, vector, dt: DomainTheory, strict: bool
     return True
 
 
+def _flat(chart: Statechart) -> Statechart:
+    """The chart itself when it has no composite node, else its flattening."""
+    if any(n.is_composite for n in chart.nodes):
+        return flatten(chart)
+    return chart
+
+
 def replay(
     sd: SequenceDiagram,
     obj: str,
@@ -119,7 +126,7 @@ def replay(
     the walk backtracks; the diagram is accepted when any path consumes the
     whole projection.  A rejection reports the deepest prefix reached.
     """
-    flat = flatten(chart)
+    flat = _flat(chart)
     if obj not in sd.objects:
         return ReplayTrace(sd.name, obj, (), ACCEPTED)
 
@@ -226,7 +233,7 @@ def insert_candidates(dt: DomainTheory, chart: Statechart, sd: SequenceDiagram, 
 
                 for combo in itertools.product(*doms):
                     add(spec.name, tuple(combo))
-    for t in flatten(chart).transitions:
+    for t in _flat(chart).transitions:
         if t.event == COMPLETION:
             continue
         label, args = split_label_args(t.event)
@@ -258,6 +265,7 @@ def repair(
     """Fewest-edit repair by iterative deepening; raises NoRepairWithinBound."""
     if max_edits < 0:
         raise ValueError("max_edits must be >= 0")
+    chart = _flat(chart)
     candidates = insert_candidates(dt, chart, sd, obj)
     explored = 0
 
@@ -312,12 +320,13 @@ def check_all(
         for obj in sd.objects:
             if obj not in chart_map:
                 continue
-            trace = replay(sd, obj, chart_map[obj], dt, strict_guards)
+            chart = flatten(chart_map[obj])
+            trace = replay(sd, obj, chart, dt, strict_guards)
             if trace.accepted:
                 records.append(CheckRecord(sd, obj, trace))
                 continue
             try:
-                fix = repair(sd, obj, chart_map[obj], dt, max_edits, strict_guards)
+                fix = repair(sd, obj, chart, dt, max_edits, strict_guards)
                 records.append(CheckRecord(sd, obj, trace, repair=fix))
             except NoRepairWithinBound as exc:
                 records.append(CheckRecord(sd, obj, trace, failure=str(exc)))

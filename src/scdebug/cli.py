@@ -76,6 +76,10 @@ def _load_inputs(args):
     dt = parse_domain_theory(_read(args.theory), args.theory)
     sds = [parse_sd(_read(p), p) for p in args.sds]
     pairs = frozenset(args.no_loop)
+    for pair in sorted(pairs, key=sorted):
+        if not any(all(1 <= i <= len(sd.messages) for i in pair) for sd in sds):
+            i, j = min(pair), max(pair)
+            raise ValueError(f"--no-loop {i}:{j}: no diagram given has both messages")
     return dt, [dataclasses.replace(sd, no_loop=sd.no_loop | pairs) for sd in sds]
 
 

@@ -279,7 +279,7 @@ def parse_sd(text: str, filename: str = "<sd>") -> SequenceDiagram:
     name = None
     objects: list[str] = []
     messages: list[Message] = []
-    no_loop: set[frozenset[int]] = set()
+    no_loop: list[tuple[SourceSpan, frozenset[int]]] = []
 
     for no, body in _lines(text, filename):
         span = _span(filename, no, body)
@@ -296,7 +296,7 @@ def parse_sd(text: str, filename: str = "<sd>") -> SequenceDiagram:
             m = re.fullmatch(r"assume no-loop\s+(\d+)\s+(\d+)", body)
             if not m:
                 raise ParseError(span, "cannot parse directive", expected="assume no-loop i j")
-            no_loop.add(frozenset((int(m.group(1)), int(m.group(2)))))
+            no_loop.append((span, frozenset((int(m.group(1)), int(m.group(2))))))
         elif body.startswith("msg"):
             m = _MSG_RE.match(body)
             if not m:
@@ -316,7 +316,12 @@ def parse_sd(text: str, filename: str = "<sd>") -> SequenceDiagram:
 
     if name is None:
         raise ParseError(_span(filename, 1), "missing 'sd <name>' header")
-    return SequenceDiagram(name, tuple(objects), tuple(messages), frozenset(no_loop))
+    for span, pair in no_loop:
+        for i in sorted(pair):
+            if not 1 <= i <= len(messages):
+                raise ParseError(span, f"no-loop message {i} is not in 1..{len(messages)}")
+    return SequenceDiagram(name, tuple(objects), tuple(messages),
+                           frozenset(pair for _, pair in no_loop))
 
 
 def print_sd(sd: SequenceDiagram) -> str:

@@ -427,17 +427,24 @@ RepairEdit = Insert | Delete
 
 
 def apply_edit(sd: SequenceDiagram, edit: RepairEdit) -> SequenceDiagram:
+    """Renumber the messages 1..n after the edit.  ``no_loop`` pairs follow
+    their messages; a deleted message's pairs are dropped."""
     msgs = list(sd.messages)
+    no_loop = sd.no_loop
     if isinstance(edit, Delete):
         if not 1 <= edit.at <= len(msgs):
             raise ValueError(f"delete position {edit.at} out of range")
         del msgs[edit.at - 1]
+        no_loop = (
+            frozenset(i - (i > edit.at) for i in pair) for pair in no_loop if edit.at not in pair
+        )
     else:
         if not 1 <= edit.at <= len(msgs) + 1:
             raise ValueError(f"insert position {edit.at} out of range")
         msgs.insert(edit.at - 1, edit.message)
+        no_loop = (frozenset(i + (i >= edit.at) for i in pair) for pair in no_loop)
     renumbered = tuple(
         Message(i, m.label, m.args, m.sender, m.receiver)
         for i, m in enumerate(msgs, start=1)
     )
-    return SequenceDiagram(sd.name, sd.objects, renumbered, sd.no_loop)
+    return SequenceDiagram(sd.name, sd.objects, renumbered, frozenset(no_loop))

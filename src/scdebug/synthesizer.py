@@ -313,45 +313,140 @@ def flatten(chart: Statechart) -> Statechart:
     return Statechart(chart.name, tuple(nodes), initial, tuple(deduped))
 
 
-def _reachable(edges, start, allowed):
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        u = frontier.pop()
-        for a, b in edges:
-            if a == u and b in allowed and b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    return seen
+def _largest_region(names, edges, initial):
+    """The region ``introduce_hierarchy`` wraps next, or None.
 
+    A region is a set of at least two of the level's nodes, short of all of
+    them, with exactly one entry (a node with an edge from outside the set;
+    the level's initial node counts as entered), at most one exit (a node
+    with an edge leaving the set, where edges to names outside the level
+    leave), and every node reachable from the entry inside the set.  The
+    largest region wins, ties going to the first node combination in
+    declaration order.  Returns (region names in declaration order, entry,
+    exit or None).
 
-def _is_sese(names, edges, region, initial) -> tuple[bool, str | None, str | None]:
-    """Check the single-entry/single-exit conditions for a node subset."""
-    region = set(region)
-    entries = {v for u, v in edges if v in region and u not in region}
-    if initial in region:
-        entries.add(initial)
-    exits = {u for u, v in edges if u in region and v not in region}
-    if len(entries) != 1 or len(exits) > 1:
-        return False, None, None
-    entry = next(iter(entries))
-    if _reachable(edges, entry, region) != region:
-        return False, None, None
-    return True, entry, (next(iter(exits)) if exits else None)
+    The p - 1 node candidates are tried first, dropping the last node first.
+    Otherwise every (entry e, exit x) pair gives one largest region: the
+    regions with entry e and exits within {x} are closed under union, and
+    each is {e, x} plus whole connected components of the level without e
+    and x.  O(p^2 (p + m)) for p nodes and m edges.
+    """
+    p = len(names)
+    if p < 3:
+        return None
+    index = {n: i for i, n in enumerate(names)}
+    succ = [set() for _ in range(p)]
+    pred = [set() for _ in range(p)]
+    leaves = [False] * p  # has an edge to a name outside the level
+    for a, b in edges:
+        if b in index:
+            succ[index[a]].add(index[b])
+            pred[index[b]].add(index[a])
+        else:
+            leaves[index[a]] = True
+    near = [succ[u] | pred[u] for u in range(p)]
+    init = index[initial]
 
+    def reach(start, region):
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            for v in succ[frontier.pop()]:
+                if v in region and v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        return seen
 
-def _find_regions(names, edges, initial):
-    """All proper SESE regions, largest first; ties break on sorted names."""
-    import itertools
+    def answer(region, entry):
+        exits = [u for u in region if leaves[u] or not succ[u] <= region]
+        return (
+            tuple(names[i] for i in sorted(region)),
+            names[entry],
+            names[exits[0]] if exits else None,
+        )
 
-    out = []
-    pool = list(names)
-    for size in range(len(pool) - 1, 1, -1):
-        for combo in itertools.combinations(pool, size):
-            ok, entry, exit_ = _is_sese(pool, edges, combo, initial)
-            if ok:
-                out.append((tuple(sorted(combo)), entry, exit_))
-    return out
+    everything = set(range(p))
+    for q in range(p - 1, -1, -1):
+        region = everything - {q}
+        entries = [v for v in region if v == init or q in pred[v]]
+        exits = [u for u in region if leaves[u] or q in succ[u]]
+        if len(entries) == 1 and len(exits) <= 1 and len(reach(entries[0], region)) == p - 1:
+            return answer(region, entries[0])
+
+    def components(e, x):
+        """The connected components (edges taken undirected) of the level
+        without e and x that a region with entry e and exit x may take, as
+        (members, forced) pairs; None when it would have to take a barred
+        one.  Left out, a component holding a successor of e or a
+        predecessor of x would add an exit or an entry, so it is forced;
+        taken in, one holding the initial node or an edge out of the level
+        would, so it is barred."""
+        done = {e, x}
+        out = []
+        for s in range(p):
+            if s in done:
+                continue
+            members = {s}
+            done.add(s)
+            stack = [s]
+            while stack:
+                for v in near[stack.pop()]:
+                    if v not in done:
+                        done.add(v)
+                        members.add(v)
+                        stack.append(v)
+            forced = x != e and not (succ[e].isdisjoint(members) and pred[x].isdisjoint(members))
+            barred = init in members or any(leaves[v] for v in members)
+            if barred and forced:
+                return None
+            if not barred:
+                out.append((members, forced))
+        return out
+
+    def grow(e, x, comps):
+        """Largest {e, x} plus some of ``comps`` (members, forced) with every
+        node reachable from e; None when x or a forced component is lost."""
+        while True:
+            region = {e, x}.union(*(c for c, _ in comps))
+            seen = reach(e, region)
+            if x not in seen:
+                return None
+            lost = [forced for c, forced in comps if not c <= seen]
+            if not lost:
+                return region, comps
+            if any(lost):
+                return None
+            comps = [(c, forced) for c, forced in comps if c <= seen]
+
+    best = None
+    for e in range(p):
+        if e != init and not pred[e] - {e}:
+            continue  # never entered from outside any region
+        for x in range(p):
+            if x != e and (x == init or leaves[e]):
+                continue  # a second entry, or a second exit
+            comps = components(e, x)
+            grown = None if comps is None else grow(e, x, comps)
+            if grown is None:
+                continue
+            region, comps = grown
+            if len(region) < p and (e == init or not pred[e] <= region):
+                regions = [region]
+            else:
+                # One component must stay out: any, when the region is the
+                # whole level, else one holding a predecessor of e.
+                regions = []
+                for c, forced in comps:
+                    if forced or (e != init and pred[e].isdisjoint(c)):
+                        continue
+                    smaller = grow(e, x, [k for k in comps if k[0] is not c])
+                    if smaller is not None:
+                        regions.append(smaller[0])
+            for region in regions:
+                key = (-len(region), sorted(region))
+                if len(region) >= 2 and (best is None or key < best[0]):
+                    best = (key, region, e)
+    return None if best is None else answer(best[1], best[2])
 
 
 def introduce_hierarchy(chart: FlatChart, name: str | None = None) -> Statechart:
@@ -369,30 +464,31 @@ def introduce_hierarchy(chart: FlatChart, name: str | None = None) -> Statechart
         node_names = [n.name for n in sc.nodes]
         node_by_name = {n.name: n for n in sc.nodes}
         edges = [(t.source, t.target) for t in sc.transitions]
-        regions = _find_regions(node_names, edges, sc.initial)
-        for region, entry, exit_ in regions:
-            region_set = set(region)
-            counter[0] += 1
-            comp_name = f"G{counter[0]}"
-            inner_nodes = tuple(node_by_name[n] for n in node_names if n in region_set)
-            inner_ts, outer_ts = [], []
-            for t in sc.transitions:
-                if t.source in region_set:
-                    inner_ts.append(t)  # region-leaving edges stay on the exit node
-                elif t.target in region_set:
-                    outer_ts.append(Transition(t.source, comp_name, t.event, t.guard, t.actions))
-                else:
-                    outer_ts.append(t)
-            inner = group(Statechart(comp_name, inner_nodes, entry, tuple(inner_ts)))
-            # The composite takes the declaration slot of the region's entry.
-            outer_nodes = tuple(
-                Node(comp_name, children=inner) if n == entry else node_by_name[n]
-                for n in node_names
-                if n == entry or n not in region_set
-            )
-            initial = comp_name if sc.initial in region_set else sc.initial
-            return group(Statechart(sc.name, outer_nodes, initial, tuple(outer_ts)))
-        return sc
+        found = _largest_region(node_names, edges, sc.initial)
+        if found is None:
+            return sc
+        region, entry, _ = found
+        region_set = set(region)
+        counter[0] += 1
+        comp_name = f"G{counter[0]}"
+        inner_nodes = tuple(node_by_name[n] for n in region)
+        inner_ts, outer_ts = [], []
+        for t in sc.transitions:
+            if t.source in region_set:
+                inner_ts.append(t)  # region-leaving edges stay on the exit node
+            elif t.target in region_set:
+                outer_ts.append(Transition(t.source, comp_name, t.event, t.guard, t.actions))
+            else:
+                outer_ts.append(t)
+        inner = group(Statechart(comp_name, inner_nodes, entry, tuple(inner_ts)))
+        # The composite takes the declaration slot of the region's entry.
+        outer_nodes = tuple(
+            Node(comp_name, children=inner) if n == entry else node_by_name[n]
+            for n in node_names
+            if n == entry or n not in region_set
+        )
+        initial = comp_name if sc.initial in region_set else sc.initial
+        return group(Statechart(sc.name, outer_nodes, initial, tuple(outer_ts)))
 
     return group(flat)
 

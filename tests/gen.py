@@ -19,10 +19,11 @@ from scdebug.model import (
     SequenceDiagram,
     StateVariable,
 )
-from scdebug.synthesizer import synthesize
+from scdebug.synthesizer import COMPLETION, FlatChart, synthesize
 
 ENUM_POOL = ("red", "green", "blue", "amber")
 UNSPECIFIED = ("ping", "pong")
+CHART_EVENTS = ("a", "b", "c", COMPLETION)
 
 
 def gen_domain(rng: random.Random):
@@ -102,3 +103,24 @@ def mergeable_corpus(rng: random.Random, count=2, **kw):
         except ValueError:
             continue
         return dt, sds
+
+
+def gen_flat_chart(rng: random.Random, max_states=10) -> FlatChart:
+    """Random flat chart over any digraph: edge density varies from chart to
+    chart, so some states are unreachable; self-loops, parallel edges and
+    completion edges occur, the initial state is random, and sometimes a
+    ring through all states in a shuffled order underlies the edges."""
+    n = rng.randint(1, max_states)
+    states = tuple((f"s{i}",) for i in range(n))
+    density = rng.random() * 0.5
+    pairs = [(a, b) for a in states for b in states if rng.random() < density]
+    if rng.random() < 0.3:
+        order = rng.sample(states, k=n)
+        pairs += [(order[i], order[(i + 1) % n]) for i in range(n)]
+    transitions = []
+    for a, b in pairs:
+        quad = (a, b, rng.choice(CHART_EVENTS), rng.choice(((), ("x",))))
+        if quad not in transitions:
+            transitions.append(quad)
+    rng.shuffle(transitions)
+    return FlatChart("X", states, rng.choice(states), tuple(transitions))

@@ -45,3 +45,49 @@ def brute_force_min_cost(sd, obj, chart, dt, bound):
                     if edit_script_succeeds(candidate_sd, obj, chart, dt):
                         return total
     return None
+
+
+def _reachable(edges, start, allowed):
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        u = frontier.pop()
+        for a, b in edges:
+            if a == u and b in allowed and b not in seen:
+                seen.add(b)
+                frontier.append(b)
+    return seen
+
+
+def _is_sese(edges, region, initial):
+    """(entry, exit or None) when the node subset is single-entry/single-exit."""
+    region = set(region)
+    entries = {v for u, v in edges if v in region and u not in region}
+    if initial in region:
+        entries.add(initial)
+    exits = {u for u, v in edges if u in region and v not in region}
+    if len(entries) != 1 or len(exits) > 1:
+        return None
+    entry = next(iter(entries))
+    if _reachable(edges, entry, region) != region:
+        return None
+    return entry, (next(iter(exits)) if exits else None)
+
+
+def find_regions(names, edges, initial):
+    """Every proper SESE region by exhaustive subset enumeration: largest
+    first, then in node combination (declaration) order."""
+    out = []
+    pool = list(names)
+    for size in range(len(pool) - 1, 1, -1):
+        for combo in itertools.combinations(pool, size):
+            found = _is_sese(edges, combo, initial)
+            if found:
+                out.append((combo, *found))
+    return out
+
+
+def largest_region(names, edges, initial):
+    """The region hierarchy introduction wraps, found by enumeration."""
+    regions = find_regions(names, edges, initial)
+    return regions[0] if regions else None

@@ -39,6 +39,12 @@ class TestAnnotate:
     def test_no_loop_resolves(self, capsys):
         assert main(["annotate", THEORY_UNFIXED, SD1, "--no-loop", "1:11"]) == 0
 
+    def test_no_loop_outside_every_diagram_exits_two(self, capsys):
+        assert main(["annotate", THEORY_UNFIXED, SD1, SD2, "--no-loop", "1:99"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --no-loop 1:99: no diagram given has both messages\n"
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["annotate", THEORY, "nonexistent.sd"]) == 2
 

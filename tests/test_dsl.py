@@ -138,8 +138,17 @@ class TestSequenceDiagram:
         assert sd.messages == ()
 
     def test_no_loop_directive(self):
-        sd = parse_sd("sd S\nobject A\nobject B\nassume no-loop 1 11\nmsg 1 A -> B : x")
+        msgs = "".join(f"\nmsg {i} A -> B : x" for i in range(1, 12))
+        sd = parse_sd("sd S\nobject A\nobject B\nassume no-loop 1 11" + msgs)
         assert frozenset((1, 11)) in sd.no_loop
+
+    @pytest.mark.parametrize("pair", ["1 11", "7 0", "0 1", "2 2"])
+    def test_no_loop_out_of_range(self, pair):
+        text = f"sd S\nobject A\nobject B\n\nassume no-loop {pair}\nmsg 1 A -> B : x"
+        with pytest.raises(ParseError) as exc:
+            parse_sd(text, "s.sd")
+        assert exc.value.span.line == 5
+        assert "no-loop message" in str(exc.value)
 
     def test_fixture_roundtrip(self):
         sd = parse_sd(read("sd1.sd"))

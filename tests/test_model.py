@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scdebug.annotator import annotate
+from scdebug.dsl import parse_sd, print_sd
 from scdebug.model import (
     BoolDomain,
     Condition,
@@ -145,6 +147,26 @@ def test_apply_edit_renumbers():
     assert [m.id for m in longer.messages] == [1, 2, 3, 4]
     with pytest.raises(ValueError):
         apply_edit(sd, Delete(4))
+
+
+def test_apply_edit_renumbers_no_loop():
+    msgs = tuple(Message(i, f"m{i}", (), "A", "B") for i in range(1, 6))
+    pairs = frozenset({frozenset((1, 4)), frozenset((2, 5)), frozenset((3,))})
+    sd = SequenceDiagram("S", ("A", "B"), msgs, pairs)
+    assert apply_edit(sd, Delete(2)).no_loop == {frozenset((1, 3)), frozenset((2,))}
+    assert apply_edit(sd, Delete(5)).no_loop == {frozenset((1, 4)), frozenset((3,))}
+    inserted = apply_edit(sd, Insert(Message(3, "new", (), "B", "A"), 3))
+    assert inserted.no_loop == {frozenset((1, 5)), frozenset((2, 6)), frozenset((4,))}
+    appended = apply_edit(sd, Insert(Message(6, "new", (), "B", "A"), 6))
+    assert appended.no_loop == pairs
+
+
+def test_deleted_message_keeps_discard_on_sd1(sd1, coffee_dt_unfixed):
+    discarded = parse_sd(print_sd(sd1) + "assume no-loop 1 11\n")
+    edited = apply_edit(discarded, Delete(3))
+    assert edited.no_loop == {frozenset((1, 10))}
+    _, conflicts = annotate(edited, coffee_dt_unfixed)
+    assert conflicts == []
 
 
 def test_message_event_string():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import scdebug.synthesizer
 from scdebug.annotator import annotate
 from scdebug.dsl import parse_domain_theory, parse_sd, print_sc
 from scdebug.model import check_chart
@@ -16,7 +17,8 @@ from scdebug.synthesizer import (
     to_statechart,
 )
 
-from gen import conflict_free_pair, mergeable_corpus
+from gen import conflict_free_pair, gen_flat_chart, mergeable_corpus
+from oracles import largest_region
 
 
 def chart_for(sd, dt, obj):
@@ -160,6 +162,29 @@ class TestHierarchy:
                     n.name for n in reference.nodes
                 )
                 assert flat.initial == reference.initial
+
+    def test_matches_exhaustive_oracle(self, monkeypatch):
+        rng = random.Random(11)
+        charts = [gen_flat_chart(rng, max_states=10) for _ in range(2000)]
+        fast = [print_sc(introduce_hierarchy(c)) for c in charts]
+        monkeypatch.setattr(scdebug.synthesizer, "_largest_region", largest_region)
+        slow = [print_sc(introduce_hierarchy(c)) for c in charts]
+        assert sum("{" in text for text in fast) > 500  # many charts get composites
+        for chart, got, want in zip(charts, fast, slow):
+            assert got == want, chart
+
+    def test_long_ring_nests_one_composite_per_level(self):
+        states = tuple((f"s{i}",) for i in range(64))
+        ts = tuple((states[i], states[(i + 1) % 64], f"e{i}", ()) for i in range(64))
+        chart = self._flat(states, states[0], ts)
+        hier = introduce_hierarchy(chart)
+        check_chart(hier)
+        assert flatten(hier) == to_statechart(chart)
+        depth, level = 0, hier
+        while any(n.is_composite for n in level.nodes):
+            (level,) = [n.children for n in level.nodes if n.is_composite]
+            depth += 1
+        assert depth == 62
 
 
 class TestSynthesize:
