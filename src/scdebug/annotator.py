@@ -107,9 +107,6 @@ def initialize_vectors(sd: SequenceDiagram, dt: DomainTheory) -> AnnotatedSD:
             binding = _parameter_binding(spec, msg)
             pre_cells = _condition_cells(spec.pre, binding, dt, msg)
             post_cells = _condition_cells(spec.post, binding, dt, msg)
-        elif msg.args:
-            # No spec to check the arguments against; they stay opaque.
-            pass
         for obj in participants(msg):
             for which, cells in ((PRE, pre_cells), (POST, post_cells)):
                 key = (obj, msg.id, which)
@@ -145,102 +142,71 @@ def _ground(asd: AnnotatedSD, key: VectorKey, j: int, value: str, prov) -> None:
 
 
 def frame_propagate(asd: AnnotatedSD) -> bool:
-    """One forward frame sweep per lifeline, repeated to fixpoint.
+    """One forward frame sweep per lifeline; True when it grounded a cell.
 
     An undetermined precondition cell takes the previous postcondition's
     value, and an undetermined postcondition cell takes its own
     precondition's: values persist until a specification changes them.
-    Determined cells are never rewritten.
+    Determined cells are never rewritten.  A lifeline's vectors are read and
+    written only by its own sweep, front to back, so one sweep is a fixpoint.
     """
-    changed_any = False
-    while True:
-        changed = False
-        for obj in asd.sd.objects:
-            line = asd.sd.lifeline(obj)
-            for p, msg in enumerate(line):
-                pre_key = (obj, msg.id, PRE)
-                post_key = (obj, msg.id, POST)
-                if p > 0:
-                    src_key = (obj, line[p - 1].id, POST)
-                    src = asd.vectors[src_key]
-                    pre = asd.vectors[pre_key]
-                    for j, v in enumerate(src):
-                        if v is not None and pre[j] is None:
-                            _ground(asd, pre_key, j, v, Frame(src_key, j))
-                            changed = True
-                pre = asd.vectors[pre_key]
-                post = asd.vectors[post_key]
-                for j, v in enumerate(pre):
-                    if v is not None and post[j] is None:
-                        _ground(asd, post_key, j, v, Frame(pre_key, j))
+    changed = False
+    for obj in asd.sd.objects:
+        prev_post = None
+        for msg in asd.sd.lifeline(obj):
+            pre_key = (obj, msg.id, PRE)
+            post_key = (obj, msg.id, POST)
+            for src_key, dst_key in ((prev_post, pre_key), (pre_key, post_key)):
+                if src_key is None:
+                    continue
+                dst = asd.vectors[dst_key]
+                for j, v in enumerate(asd.vectors[src_key]):
+                    if v is not None and dst[j] is None:
+                        _ground(asd, dst_key, j, v, Frame(src_key, j))
                         changed = True
-        if not changed:
-            return changed_any
-        changed_any = True
+            prev_post = post_key
+    return changed
 
 
 # ---------------------------------------------------------------------------
 # Gaps and state classes
 
 
-@dataclass(frozen=True)
-class Gap:
-    index: int
-    left: VectorKey | None  # post of the preceding message
-    right: VectorKey | None  # pre of the following message
-
-    def faces(self) -> tuple[VectorKey, ...]:
-        return tuple(k for k in (self.left, self.right) if k is not None)
-
-
-def lifeline_gaps(asd: AnnotatedSD, obj: str) -> list[Gap]:
-    line = asd.sd.lifeline(obj)
-    gaps = []
-    for g in range(len(line) + 1):
-        left = (obj, line[g - 1].id, POST) if g > 0 else None
-        right = (obj, line[g].id, PRE) if g < len(line) else None
-        gaps.append(Gap(g, left, right))
-    return gaps
+def lifeline_gaps(asd: AnnotatedSD, obj: str) -> list[tuple[VectorKey, ...]]:
+    """The gaps of a lifeline as tuples of face keys:
+    ``[(pre m1), (post m1, pre m2), ..., (post mlast)]``."""
+    gaps = [[]]
+    for msg in asd.sd.lifeline(obj):
+        gaps[-1].append((obj, msg.id, PRE))
+        gaps.append([(obj, msg.id, POST)])
+    return [tuple(gap) for gap in gaps]
 
 
-def _preserves_state(asd: AnnotatedSD, msg: Message) -> bool:
-    """True when the message cannot change any state variable."""
-    spec = asd.theory.spec_for(msg.label)
-    return spec is None or spec.post.is_empty()
-
-
-def state_classes(asd: AnnotatedSD, obj: str) -> list[list[Gap]]:
-    """Runs of gaps joined by state-preserving messages, in lifeline order."""
-    line = asd.sd.lifeline(obj)
+def state_classes(asd: AnnotatedSD, obj: str) -> list[list[tuple[VectorKey, ...]]]:
+    """Runs of gaps joined by state-preserving messages (no specification or
+    an empty postcondition), in lifeline order."""
     gaps = lifeline_gaps(asd, obj)
-    classes: list[list[Gap]] = [[gaps[0]]]
-    for p, msg in enumerate(line):
-        if _preserves_state(asd, msg):
-            classes[-1].append(gaps[p + 1])
+    classes = [[gaps[0]]]
+    for gap in gaps[1:]:
+        # A later gap opens with the post face of the message before it.
+        spec = asd.theory.spec_for(asd.sd.messages[gap[0][1] - 1].label)
+        if spec is None or spec.post.is_empty():
+            classes[-1].append(gap)
         else:
-            classes.append([gaps[p + 1]])
+            classes.append([gap])
     return classes
 
 
-def _class_state(asd: AnnotatedSD, cls: list[Gap]):
+def _class_state(asd: AnnotatedSD, cls):
+    """(join of the class's faces, open) or None when two faces clash;
+    ``open`` is true when some face lacks a value the join determines."""
+    faces = [asd.vectors[key] for gap in cls for key in gap]
     state = tuple([None] * asd.theory.width)
-    for gap in cls:
-        for key in gap.faces():
-            state = unify(state, tuple(asd.vectors[key]))
-            if state is None:
-                return None
-    return state
-
-
-def _adjacent_messages(asd: AnnotatedSD, obj: str, cls: list[Gap]) -> frozenset[int]:
-    line = asd.sd.lifeline(obj)
-    out = set()
-    for gap in cls:
-        if gap.index > 0:
-            out.add(line[gap.index - 1].id)
-        if gap.index < len(line):
-            out.add(line[gap.index].id)
-    return frozenset(out)
+    for cells in faces:
+        state = unify(state, tuple(cells))
+        if state is None:
+            return None
+    return state, any(v is not None and cells[j] is None for cells in faces for j, v in enumerate(state))
 
 
 def _is_discarded(no_loop, msgs_a, msgs_b) -> bool:
@@ -253,87 +219,67 @@ def _is_discarded(no_loop, msgs_a, msgs_b) -> bool:
     return False
 
 
-def _event_faces(cls_a: list[Gap], cls_b: list[Gap]):
-    """Face order for an identification: earlier class ascending, partner
-    newest-first (the direction the recurrence was discovered in)."""
-    faces = []
-    after = []
-    for gap in cls_a:
-        for key in gap.faces():
-            faces.append(key)
-        if gap.left is not None:
-            after.append(gap.left)
-    for gap in reversed(cls_b):
-        for key in gap.faces():
-            faces.append(key)
-        if gap.left is not None:
-            after.append(gap.left)
-    return tuple(faces), tuple(after)
-
-
 @dataclass(frozen=True)
 class Identification:
     """A candidate state-class identification on one lifeline."""
 
     object: str
-    group_a: tuple
-    group_b: tuple
+    group_a: tuple  # gaps of the earlier class
+    group_b: tuple  # gaps of its partner
     joined: tuple
-    grounds: tuple  # (vector key, cell index) pairs the join would determine
 
 
 def identification_candidates(asd: AnnotatedSD) -> list[Identification]:
     """Applicable identifications in scan order: objects in declaration
     order, the earlier class first, its partner searched from the end of
-    the lifeline backwards (loops close against the latest recurrence)."""
+    the lifeline backwards (loops close against the latest recurrence).
+
+    Two compatible classes are a candidate when their join grounds some
+    face cell: when either class is open or their states differ.
+    """
     out = []
     for obj in asd.sd.objects:
         classes = state_classes(asd, obj)
         states = [_class_state(asd, cls) for cls in classes]
+        msgs = [{key[1] for gap in cls for key in gap} for cls in classes]
         for a in range(len(classes)):
             if states[a] is None:
                 continue
+            state_a, open_a = states[a]
             for b in range(len(classes) - 1, a, -1):
                 if states[b] is None:
                     continue
-                joined = unify(states[a], states[b])
-                if joined is None:
+                state_b, open_b = states[b]
+                joined = unify(state_a, state_b)
+                if joined is None or not (open_a or open_b or state_a != state_b):
                     continue
-                faces, _ = _event_faces(classes[a], classes[b])
-                grounds = tuple(
-                    (key, j)
-                    for key in faces
-                    for j, v in enumerate(joined)
-                    if v is not None and asd.vectors[key][j] is None
-                )
-                if not grounds:
+                if _is_discarded(asd.sd.no_loop, msgs[a], msgs[b]):
                     continue
-                msgs_a = _adjacent_messages(asd, obj, classes[a])
-                msgs_b = _adjacent_messages(asd, obj, classes[b])
-                if _is_discarded(asd.sd.no_loop, msgs_a, msgs_b):
-                    continue
-                out.append(
-                    Identification(obj, tuple(classes[a]), tuple(classes[b]), joined, grounds)
-                )
+                out.append(Identification(obj, tuple(classes[a]), tuple(classes[b]), joined))
     return out
 
 
 def apply_identification(asd: AnnotatedSD, cand: Identification) -> UnifyEvent:
-    faces, after = _event_faces(list(cand.group_a), list(cand.group_b))
+    """Ground both classes' faces to the join.
+
+    Faces are visited earlier class ascending, partner newest-first (the
+    direction the recurrence was discovered in), cells in order within a
+    face; each grounded cell credits the first face then holding its value.
+    """
+    faces = [key for gap in cand.group_a for key in gap]
+    faces += [key for gap in reversed(cand.group_b) for key in gap]
     event = UnifyEvent(
         index=len(asd.events),
         object=cand.object,
-        group_a=tuple(g.index for g in cand.group_a),
-        group_b=tuple(g.index for g in cand.group_b),
-        after_faces=after,
-        faces=faces,
-        messages_a=_adjacent_messages(asd, cand.object, list(cand.group_a)),
-        messages_b=_adjacent_messages(asd, cand.object, list(cand.group_b)),
+        after_faces=tuple(key for key in faces if key[2] == POST),
     )
     asd.events.append(event)
-    for key, j in cand.grounds:
-        contributor = next(k for k in faces if asd.vectors[k][j] == cand.joined[j])
-        _ground(asd, key, j, cand.joined[j], Unified(event.index, contributor))
+    for key in faces:
+        cells = asd.vectors[key]
+        for j, v in enumerate(cand.joined):
+            if v is not None and cells[j] is None:
+                contributor = next(k for k in faces if asd.vectors[k][j] == v)
+                _ground(asd, key, j, v, Unified(event.index, contributor))
     return event
 
 
@@ -346,21 +292,21 @@ def _gap_joins_once(asd: AnnotatedSD) -> bool:
     """
     changed = False
     for obj in asd.sd.objects:
-        line = asd.sd.lifeline(obj)
         for gap in lifeline_gaps(asd, obj):
-            if gap.left is None or gap.right is None:
+            if len(gap) != 2:
                 continue
-            if _is_discarded(asd.sd.no_loop, {line[gap.index - 1].id}, {line[gap.index].id}):
+            left_key, right_key = gap
+            if _is_discarded(asd.sd.no_loop, {left_key[1]}, {right_key[1]}):
                 continue
-            left = asd.vectors[gap.left]
-            right = asd.vectors[gap.right]
+            left = asd.vectors[left_key]
+            right = asd.vectors[right_key]
             joined = unify(tuple(left), tuple(right))
             if joined is None:
                 continue
             for j, v in enumerate(joined):
                 if v is None:
                     continue
-                for key, cells, other in ((gap.left, left, gap.right), (gap.right, right, gap.left)):
+                for key, cells, other in ((left_key, left, right_key), (right_key, right, left_key)):
                     if cells[j] is None:
                         _ground(asd, key, j, v, Unified(-1, other))
                         changed = True
@@ -419,7 +365,6 @@ def conflict_events(asd: AnnotatedSD, steps) -> tuple[UnifyEvent, ...]:
 
 
 def _unified_states(asd: AnnotatedSD, events) -> tuple:
-    by_msg = {m.id: m for m in asd.sd.messages}
     out = []
     seen = set()
     for ev in events:
@@ -427,7 +372,7 @@ def _unified_states(asd: AnnotatedSD, events) -> tuple:
             if (mid, which) in seen:
                 continue
             seen.add((mid, which))
-            out.append((by_msg[mid], which, StateVector(tuple(asd.vectors[(obj, mid, which)]))))
+            out.append((asd.sd.messages[mid - 1], which, StateVector(tuple(asd.vectors[(obj, mid, which)]))))
     return tuple(out)
 
 
@@ -436,23 +381,23 @@ def detect_conflicts(asd: AnnotatedSD) -> list[Conflict]:
     derivation chain of both cells."""
     conflicts = []
     for obj in asd.sd.objects:
-        line = asd.sd.lifeline(obj)
         for gap in lifeline_gaps(asd, obj):
-            if gap.left is None or gap.right is None:
+            if len(gap) != 2:
                 continue
-            left = asd.vectors[gap.left]
-            right = asd.vectors[gap.right]
+            left_key, right_key = gap
+            left = asd.vectors[left_key]
+            right = asd.vectors[right_key]
             for j, (x, y) in enumerate(zip(left, right)):
                 if x is None or y is None or x == y:
                     continue
-                steps = tuple(_trace(asd, gap.left, j) + _trace(asd, gap.right, j))
+                steps = tuple(_trace(asd, left_key, j) + _trace(asd, right_key, j))
                 events = conflict_events(asd, steps)
                 conflicts.append(
                     Conflict(
                         sd_name=asd.sd.name,
                         object=obj,
-                        after_message=line[gap.index - 1],
-                        before_message=line[gap.index],
+                        after_message=asd.sd.messages[left_key[1] - 1],
+                        before_message=asd.sd.messages[right_key[1] - 1],
                         variable=asd.theory.variables[j],
                         value_after=x,
                         value_before=y,

@@ -12,6 +12,7 @@ positions first, insert candidates in theory declaration order).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .model import (
@@ -106,13 +107,6 @@ def _guard_holds(guard: Condition | None, vector, dt: DomainTheory, strict: bool
     return True
 
 
-def _flat(chart: Statechart) -> Statechart:
-    """The chart itself when it has no composite node, else its flattening."""
-    if any(n.is_composite for n in chart.nodes):
-        return flatten(chart)
-    return chart
-
-
 def replay(
     sd: SequenceDiagram,
     obj: str,
@@ -126,7 +120,7 @@ def replay(
     the walk backtracks; the diagram is accepted when any path consumes the
     whole projection.  A rejection reports the deepest prefix reached.
     """
-    flat = _flat(chart)
+    flat = flatten(chart)
     if obj not in sd.objects:
         return ReplayTrace(sd.name, obj, (), ACCEPTED)
 
@@ -221,19 +215,9 @@ def insert_candidates(dt: DomainTheory, chart: Statechart, sd: SequenceDiagram, 
             out.append(key)
 
     for spec in dt.specs:
-        if not spec.params:
-            add(spec.name, ())
-        else:
-            doms = [dom.values() for _, dom in spec.params]
-            if len(doms) == 1:
-                for v in doms[0]:
-                    add(spec.name, (v,))
-            else:
-                import itertools
-
-                for combo in itertools.product(*doms):
-                    add(spec.name, tuple(combo))
-    for t in _flat(chart).transitions:
+        for combo in itertools.product(*(dom.values() for _, dom in spec.params)):
+            add(spec.name, combo)
+    for t in flatten(chart).transitions:
         if t.event == COMPLETION:
             continue
         label, args = split_label_args(t.event)
@@ -265,7 +249,7 @@ def repair(
     """Fewest-edit repair by iterative deepening; raises NoRepairWithinBound."""
     if max_edits < 0:
         raise ValueError("max_edits must be >= 0")
-    chart = _flat(chart)
+    chart = flatten(chart)
     candidates = insert_candidates(dt, chart, sd, obj)
     explored = 0
 

@@ -264,19 +264,13 @@ Provenance = FromSpec | Frame | Unified
 class UnifyEvent:
     """One applied unification on an object's lifeline.
 
-    ``group_a``/``group_b`` list the identified gap indices; ``after_faces``
-    are the post-side vector keys shown in conflict explanations, in the
-    order the identification was established.
+    ``after_faces`` are the post-side vector keys shown in conflict
+    explanations, in the order the identification was established.
     """
 
     index: int
     object: str
-    group_a: tuple[int, ...]
-    group_b: tuple[int, ...]
     after_faces: tuple[VectorKey, ...]
-    faces: tuple[VectorKey, ...]
-    messages_a: frozenset[int]
-    messages_b: frozenset[int]
 
 
 @dataclass

@@ -32,7 +32,6 @@ class ReportBundle:
     annotations: list = field(default_factory=list)  # (sd, unification count)
     checks: list = field(default_factory=list)  # CheckRecord
     warnings: list = field(default_factory=list)
-    originals: dict = field(default_factory=dict)  # sd name -> SequenceDiagram
 
 
 def annotation_bundle(results, warnings=None) -> ReportBundle:
@@ -48,11 +47,7 @@ def annotation_bundle(results, warnings=None) -> ReportBundle:
 
 
 def check_bundle(records, warnings=None) -> ReportBundle:
-    bundle = ReportBundle(warnings=list(warnings or []))
-    bundle.checks = list(records)
-    for rec in bundle.checks:
-        bundle.originals.setdefault(rec.sd.name, rec.sd)
-    return bundle
+    return ReportBundle(checks=list(records), warnings=list(warnings or []))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +103,7 @@ def _edit_diff(original: SequenceDiagram, repaired: SequenceDiagram) -> list[str
     return [line for line in diff if not line.startswith("? ")]
 
 
-def _check_lines(rec: CheckRecord, original: SequenceDiagram | None) -> list[str]:
+def _check_lines(rec: CheckRecord) -> list[str]:
     head = f"Check {rec.sd.name}: Object {rec.object}: {rec.trace.verdict}"
     if rec.trace.accepted:
         return [head]
@@ -120,8 +115,7 @@ def _check_lines(rec: CheckRecord, original: SequenceDiagram | None) -> list[str
         out.append(f"  repair with {rec.repair.cost} edit(s):")
         for e in rec.repair.edits:
             out.append(f"    {e.describe()}")
-        base = original or rec.sd
-        for line in _edit_diff(base, rec.repair.repaired):
+        for line in _edit_diff(rec.sd, rec.repair.repaired):
             out.append(f"    {line}")
     elif rec.failure:
         out.append(f"  {rec.failure}")
@@ -134,7 +128,7 @@ def render_text(bundle: ReportBundle) -> str:
         out.extend(_conflict_block(c))
         out.append("")
     for rec in bundle.checks:
-        out.extend(_check_lines(rec, bundle.originals.get(rec.sd.name)))
+        out.extend(_check_lines(rec))
     if bundle.checks:
         out.append("")
 

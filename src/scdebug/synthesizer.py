@@ -68,7 +68,7 @@ def _gap_states(asd: AnnotatedSD, obj: str):
     states = []
     for gap in lifeline_gaps(asd, obj):
         state = tuple([None] * width)
-        for key in gap.faces():
+        for key in gap:
             state = unify(state, tuple(asd.vectors[key]))
             if state is None:
                 raise ConflictedInputError([])
@@ -254,11 +254,13 @@ def to_statechart(chart: FlatChart, name: str | None = None) -> Statechart:
 
 
 def flatten(chart: Statechart) -> Statechart:
-    """Inline all composite nodes.
+    """Inline all composite nodes; a chart without one is returned as is.
 
     A transition into a composite enters at its initial node; a transition
     out of a composite is expanded to one transition per inner node.
     """
+    if not any(n.is_composite for n in chart.nodes):
+        return chart
     nodes: list[Node] = []
     transitions: list[Transition] = []
     entry: dict[str, str] = {}

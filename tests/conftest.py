@@ -1,10 +1,20 @@
+import os
 from pathlib import Path
 
 import pytest
 
+import scdebug
 from scdebug.dsl import parse_domain_theory, parse_sd
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# Environment for `python -m scdebug.cli` children: they import the same
+# scdebug as this session, installed or not.
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(Path(scdebug.__file__).parents[1]), os.environ.get("PYTHONPATH")))
+    ),
+}
 
 
 def read(name: str) -> str:

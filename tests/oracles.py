@@ -4,7 +4,7 @@ import itertools
 
 from scdebug.annotator import annotate
 from scdebug.checker import insert_candidates, replay
-from scdebug.model import Delete, Insert, Message, apply_edit
+from scdebug.model import POST, PRE, Delete, Insert, Message, apply_edit, unify
 
 
 def edit_script_succeeds(sd, obj, chart, dt) -> bool:
@@ -91,3 +91,63 @@ def largest_region(names, edges, initial):
     """The region hierarchy introduction wraps, found by enumeration."""
     regions = find_regions(names, edges, initial)
     return regions[0] if regions else None
+
+
+def identification_scan(asd):
+    """Every applicable identification as (object, message ids of the
+    earlier class, message ids of its partner, join), by the grounds-based
+    scan: two compatible state classes qualify when their join would
+    ground at least one face cell and no ``no_loop`` pair spans them."""
+    out = []
+    for obj in asd.sd.objects:
+        line = asd.sd.lifeline(obj)
+        # Gap g sits between line[g - 1] and line[g]; a message with no
+        # specification or an empty postcondition keeps its two gaps in one class.
+        classes = [[0]]
+        for g, msg in enumerate(line, start=1):
+            spec = asd.theory.spec_for(msg.label)
+            if spec is None or spec.post.is_empty():
+                classes[-1].append(g)
+            else:
+                classes.append([g])
+
+        def faces(cls):
+            keys = []
+            for g in cls:
+                if g > 0:
+                    keys.append((obj, line[g - 1].id, POST))
+                if g < len(line):
+                    keys.append((obj, line[g].id, PRE))
+            return keys
+
+        def state(cls):
+            joined = tuple([None] * asd.theory.width)
+            for key in faces(cls):
+                joined = unify(joined, tuple(asd.vectors[key]))
+                if joined is None:
+                    return None
+            return joined
+
+        states = [state(cls) for cls in classes]
+        for a in range(len(classes)):
+            for b in range(len(classes) - 1, a, -1):
+                if states[a] is None or states[b] is None:
+                    continue
+                joined = unify(states[a], states[b])
+                if joined is None:
+                    continue
+                grounds = [
+                    (key, j)
+                    for key in faces(classes[a]) + faces(classes[b])
+                    for j, v in enumerate(joined)
+                    if v is not None and asd.vectors[key][j] is None
+                ]
+                msgs_a = {key[1] for key in faces(classes[a])}
+                msgs_b = {key[1] for key in faces(classes[b])}
+                spanned = any(
+                    (min(p) in msgs_a and max(p) in msgs_b) or (max(p) in msgs_a and min(p) in msgs_b)
+                    for p in asd.sd.no_loop
+                )
+                if grounds and not spanned:
+                    out.append((obj, msgs_a, msgs_b, joined))
+    return out

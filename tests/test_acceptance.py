@@ -30,7 +30,7 @@ from scdebug.synthesizer import (
     to_statechart,
 )
 
-from conftest import FIXTURES
+from conftest import CLI_ENV, FIXTURES
 from gen import conflict_free_pair
 from oracles import brute_force_min_cost
 
@@ -230,7 +230,7 @@ def test_criterion_7_algorithm_invariants(sd1, coffee_dt_unfixed):
 def test_criterion_8_cli_determinism(tmp_path):
     def run(args):
         return subprocess.run(
-            [sys.executable, "-m", "scdebug.cli", *args], capture_output=True
+            [sys.executable, "-m", "scdebug.cli", *args], capture_output=True, env=CLI_ENV
         )
 
     commands = [
@@ -243,7 +243,7 @@ def test_criterion_8_cli_determinism(tmp_path):
     ]
     for args in commands:
         a, b = run(args), run(args)
-        assert a.stdout == b.stdout, f"nondeterministic output for {args}"
+        assert a.stdout and a.stdout == b.stdout, f"nondeterministic output for {args}"
         assert a.returncode == b.returncode
 
     outputs = []

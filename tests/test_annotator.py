@@ -24,7 +24,8 @@ from scdebug.model import (
     format_vector,
 )
 
-from gen import conflict_free_pair
+from gen import conflict_free_pair, gen_sd, gen_theory
+from oracles import identification_scan
 
 CUI = "Coffee-UI"
 
@@ -115,6 +116,46 @@ class TestUnifyPass:
         with_directive = parse_sd(print_sd(sd1) + "assume no-loop 1 11\n")
         _, conflicts = annotate(with_directive, coffee_dt_unfixed)
         assert conflicts == []
+
+
+    def test_candidates_match_grounds_scan(self):
+        # The closed-form candidate test (a class is open, or the two
+        # states differ) against the scan that lists the cells the join
+        # would ground, before and after the frame sweep of every step of
+        # the fixpoint (before it, a later class can be the only open one).
+        def candidates(asd):
+            cands = identification_candidates(asd)
+            got = [
+                (c.object, {key[1] for gap in c.group_a for key in gap},
+                 {key[1] for gap in c.group_b for key in gap}, c.joined)
+                for c in cands
+            ]
+            assert got == identification_scan(asd), f"step {len(asd.events)} of {asd.sd}"
+            return cands
+
+        rng = random.Random(23)
+        steps = 0
+        for k in range(300):
+            if k % 3 == 0:
+                dt, sd = conflict_free_pair(rng, max_msgs=8)
+            else:
+                dt = gen_theory(rng)
+                sd = gen_sd(rng, dt, max_msgs=rng.choice((6, 14)), max_objs=3)
+            if k % 2:
+                n = len(sd.messages)
+                pairs = {frozenset((rng.randint(1, n), rng.randint(1, n))) for _ in range(2)}
+                sd = dataclasses.replace(sd, no_loop=frozenset(pairs))
+            asd = initialize_vectors(sd, dt)
+            while True:
+                candidates(asd)
+                frame_propagate(asd)
+                cands = candidates(asd)
+                if cands:
+                    steps += 1
+                    apply_identification(asd, cands[0])
+                elif not _gap_joins_once(asd):
+                    break
+        assert steps > 200
 
 
 class TestFramePropagation:

@@ -7,7 +7,7 @@ import pytest
 import scdebug.cli
 from scdebug.cli import main
 
-from conftest import FIXTURES
+from conftest import CLI_ENV, FIXTURES
 
 THEORY = str(FIXTURES / "theory.dt")
 THEORY_UNFIXED = str(FIXTURES / "theory_unfixed.dt")
@@ -23,6 +23,7 @@ def run(args):
         [sys.executable, "-m", "scdebug.cli", *args],
         capture_output=True,
         text=True,
+        env=CLI_ENV,
     )
 
 
@@ -114,6 +115,19 @@ class TestCheck:
         assert "repair with 1 edit(s)" in out
         assert "+ msg Env -> M : e3" in out
 
+    def test_same_named_diagrams_diff_against_their_own_input(self, tmp_path, capsys):
+        # Both diagrams are called Stepper; the second needs its message 3 deleted.
+        second = tmp_path / "stepper2.sd"
+        second.write_text(
+            "sd Stepper\nobject Env\nobject M\n"
+            + "".join(f"msg {i} Env -> M : {e}\n" for i, e in enumerate(("e1", "e2", "e1", "e3", "e4", "e5"), 1))
+        )
+        assert main(["check", STEPPER_DT, STEPPER_SD, str(second), "--charts", REFINED]) == 1
+        block = capsys.readouterr().out.split("Check Stepper: Object M:")[2]
+        assert "delete message at position 3" in block
+        changed = [line.strip() for line in block.splitlines() if line.strip()[:2] in ("+ ", "- ")]
+        assert changed == ["- msg Env -> M : e1"]
+
     def test_max_edits_zero(self, capsys):
         assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", REFINED,
                      "--max-edits", "0"]) == 1
@@ -135,7 +149,7 @@ class TestDeterminism:
     )
     def test_byte_identical_runs(self, args):
         a, b = run(args), run(args)
-        assert a.stdout == b.stdout and a.returncode == b.returncode
+        assert a.stdout and a.stdout == b.stdout and a.returncode == b.returncode
 
     def test_synth_byte_identical(self, tmp_path):
         outs = []
