@@ -1,13 +1,14 @@
 """Reverse direction: replay scenarios against a (possibly edited) chart
 and search for a fewest-edit repair when they no longer fit.
 
-Replay projects a diagram onto one object's received messages and walks the
-flattened chart.  The messages the object sends before its next received
-one must appear, in order, among the matched transition's actions; missing
-sends are tolerated, alien sends are not.  Repair runs iterative deepening
-over message insertions and deletions, so the first solution found has
-minimal cost; tie-breaking is total (deletes before inserts, lower
-positions first, insert candidates in theory declaration order).
+Replay projects a diagram onto one object's received messages and follows
+every state of the flattened chart they can reach, one message at a time.
+The messages the object sends before its next received one must appear, in
+order, among the matched transition's actions; missing sends are tolerated,
+alien sends are not.  Repair runs iterative deepening over message
+insertions and deletions, so the first solution found has minimal cost;
+tie-breaking is total (deletes before inserts, lower positions first,
+insert candidates in theory declaration order).
 """
 
 from __future__ import annotations
@@ -117,8 +118,10 @@ def replay(
     """Walk the chart consuming the object's received messages in order.
 
     Merged charts may offer several matching transitions from one state, so
-    the walk backtracks; the diagram is accepted when any path consumes the
-    whole projection.  A rejection reports the deepest prefix reached.
+    the walk follows every chart state the projection can reach, one
+    message at a time.  The diagram is accepted when a path consumes the
+    whole projection; the trace is the first such path in transition order.
+    A rejection reports the deepest prefix reached.
     """
     flat = flatten(chart)
     if obj not in sd.objects:
@@ -160,34 +163,38 @@ def replay(
                     continue
             yield t
 
-    # Depth-first search over an explicit stack of [state, matching
-    # transitions not yet tried, any matched] frames.  path[k] is the step
-    # taken out of stack[k], so the top frame consumes todo[len(path)].
-    best: list[ReplayStep] = []
-    path: list[ReplayStep] = []
-    stack = [[flat.initial, matches(flat.initial, 0), False]]
-    while stack:
-        top = stack[-1]
-        state = top[0]
-        t = next(top[1], None)
-        if t is not None:
-            top[2] = True
-            msg, _, sends, _ = todo[len(path)]
-            path.append(ReplayStep(msg, sends, state, t.target, t))
-            if len(path) == len(todo):
-                return ReplayTrace(sd.name, obj, tuple(path), ACCEPTED)
-            stack.append([t.target, matches(t.target, len(path)), False])
-            continue
-        stack.pop()
-        if not top[2] and len(path) + 1 > len(best):
-            msg, event, sends, _ = todo[len(path)]
-            reason = _mismatch_reason(by_source.get(state, []), event, sends)
-            if event == COMPLETION:
-                reason = "no completion transition covers the leading sends"
-            best = path + [ReplayStep(msg, sends, state, None, None, reason)]
-        if path:
-            path.pop()
-    return ReplayTrace(sd.name, obj, tuple(best), REJECTED, len(best) - 1)
+    # levels[i] maps every state the first i steps can end in to the step
+    # that reached it first.  States and their transitions are taken in
+    # order, so each level's first entry ends the first path of its length
+    # in transition order, and the step into any state comes from that
+    # state's first path.
+    levels: list[dict] = [{flat.initial: None}]
+    while len(levels) <= len(todo) and levels[-1]:
+        msg, _, sends, _ = todo[len(levels) - 1]
+        level: dict[str, ReplayStep] = {}
+        for state in levels[-1]:
+            for t in matches(state, len(levels) - 1):
+                level.setdefault(t.target, ReplayStep(msg, sends, state, t.target, t))
+        levels.append(level)
+
+    accepted = bool(levels[-1])
+    if not accepted:
+        levels.pop()
+    state = next(iter(levels[-1]))
+    path = []
+    if not accepted:
+        msg, event, sends, _ = todo[len(levels) - 1]
+        reason = _mismatch_reason(by_source.get(state, []), event, sends)
+        if event == COMPLETION:
+            reason = "no completion transition covers the leading sends"
+        path.append(ReplayStep(msg, sends, state, None, None, reason))
+    for level in reversed(levels[1:]):
+        path.append(level[state])
+        state = path[-1].from_state
+    path.reverse()
+    if accepted:
+        return ReplayTrace(sd.name, obj, tuple(path), ACCEPTED)
+    return ReplayTrace(sd.name, obj, tuple(path), REJECTED, len(path) - 1)
 
 
 def _mismatch_reason(candidates, event: str, sends) -> str:

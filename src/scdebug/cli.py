@@ -127,7 +127,7 @@ def cmd_check(args) -> int:
     if args.max_edits < 0:
         raise ValueError("--max-edits must be >= 0")
     records = check_all(dt, charts, sds, args.max_edits, args.strict_guards)
-    bundle = check_bundle(records)
+    bundle = check_bundle(sds, records)
     sys.stdout.write(render_json(bundle) if args.json else render_text(bundle))
     return FINDINGS if any(not r.trace.accepted for r in records) else OK
 

@@ -59,7 +59,7 @@ def _strip_comment(line: str) -> str:
     return line if i < 0 else line[:i]
 
 
-def _lines(text: str, filename: str):
+def _lines(text: str):
     """Yield (lineno, stripped content) for non-blank, non-comment lines."""
     for no, raw in enumerate(text.splitlines(), start=1):
         body = _strip_comment(raw).rstrip()
@@ -98,10 +98,6 @@ def _parse_domain(text: str, span: SourceSpan) -> VarDomain:
         return EnumDomain(labels)
     raise ParseError(span, f"cannot parse domain {text!r}",
                      expected="Boolean, lo..hi or enum {...}")
-
-
-def _print_domain(dom: VarDomain) -> str:
-    return dom.describe()
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +142,7 @@ def parse_domain_theory(text: str, filename: str = "<dt>") -> DomainTheory:
     variables: dict[str, StateVariable] = {}
     specs: list[MessageSpec] = []
 
-    lines = list(_lines(text, filename))
+    lines = list(_lines(text))
     i = 0
     seen_context = False
     while i < len(lines):
@@ -221,21 +217,20 @@ def print_domain_theory(dt: DomainTheory) -> str:
         while j + 1 < len(vars_) and vars_[j + 1].domain == vars_[i].domain:
             j += 1
         names = ", ".join(v.name for v in vars_[i:j + 1])
-        out.append(f"{names} : {_print_domain(vars_[i].domain)}")
+        out.append(f"{names} : {vars_[i].domain.describe()}")
         i = j + 1
     for spec in dt.specs:
         out.append("")
         header = f"context {spec.name}"
         if spec.params:
             p, dom = spec.params[0]
-            header += f" ({p} : {_print_domain(dom)})"
+            header += f" ({p} : {dom.describe()})"
         out.append(header)
         for which, cond in (("pre", spec.pre), ("post", spec.post)):
             if cond.is_empty():
                 out.append(f"   {which}:")
             else:
-                atoms = " and ".join(f"{v} = {val}" for v, val in cond.atoms)
-                out.append(f"   {which}: {atoms} ;")
+                out.append(f"   {which}: {_conjunction(cond)} ;")
     return "\n".join(out) + "\n"
 
 
@@ -281,7 +276,7 @@ def parse_sd(text: str, filename: str = "<sd>") -> SequenceDiagram:
     messages: list[Message] = []
     no_loop: list[tuple[SourceSpan, frozenset[int]]] = []
 
-    for no, body in _lines(text, filename):
+    for no, body in _lines(text):
         span = _span(filename, no, body)
         if body.startswith("sd "):
             name = body[3:].strip()
@@ -356,7 +351,7 @@ def _parse_guard(text: str, span: SourceSpan) -> Condition:
 
 
 def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
-    lines = list(_lines(text, filename))
+    lines = list(_lines(text))
     pos = 0
 
     def parse_block(name: str, depth: int) -> Statechart:
@@ -432,6 +427,21 @@ def _validate_chart(chart: Statechart, filename: str) -> None:
         raise ParseError(_span(filename, 1), str(exc)) from None
 
 
+def _conjunction(cond: Condition) -> str:
+    return " and ".join(f"{v} = {val}" for v, val in cond.atoms)
+
+
+def transition_label(t: Transition) -> str:
+    """``event [a = v and ...] / x, y``, the guard and actions only when
+    present; a completion transition's label starts with the empty event."""
+    label = t.event
+    if t.guard is not None and t.guard.atoms:
+        label += f" [{_conjunction(t.guard)}]"
+    if t.actions:
+        label += " / " + ", ".join(t.actions)
+    return label
+
+
 def print_sc(chart: Statechart) -> str:
     out = [f"statechart {chart.name}"]
 
@@ -447,13 +457,7 @@ def print_sc(chart: Statechart) -> str:
                 suffix = f"   # {n.comment}" if n.comment else ""
                 out.append(f"{pad}state {n.name}{suffix}")
         for t in sc.transitions:
-            line = f"{pad}{t.source} -> {t.target} : {t.event}"
-            if t.guard is not None and t.guard.atoms:
-                atoms = " and ".join(f"{v} = {val}" for v, val in t.guard.atoms)
-                line += f" [{atoms}]"
-            if t.actions:
-                line += " / " + ", ".join(t.actions)
-            out.append(line)
+            out.append(f"{pad}{t.source} -> {t.target} : {transition_label(t)}")
 
     emit(chart, 0)
     return "\n".join(out) + "\n"

@@ -7,6 +7,7 @@ values are canonical literal tokens (``"T"``, ``"0"``, ``"Espresso"``);
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 
@@ -104,12 +105,6 @@ class MessageSpec:
     params: tuple[tuple[str, VarDomain], ...]
     pre: Condition
     post: Condition
-
-    def param_domain(self, name: str) -> VarDomain | None:
-        for p, dom in self.params:
-            if p == name:
-                return dom
-        return None
 
 
 @dataclass(frozen=True)
@@ -283,9 +278,6 @@ class AnnotatedSD:
     provenance: dict  # (VectorKey, cell index) -> Provenance
     events: list  # list[UnifyEvent]
 
-    def vector(self, obj: str, msg_id: int, which: str) -> StateVector:
-        return StateVector(tuple(self.vectors[(obj, msg_id, which)]))
-
     def known_cells(self) -> dict:
         return {
             (key, i): c
@@ -366,33 +358,26 @@ class Statechart:
         if self.initial not in local:
             raise ValueError(f"initial node {self.initial!r} not declared at this level")
 
-    def all_node_names(self) -> list[str]:
-        out = []
-        for n in self.nodes:
-            out.append(n.name)
-            if n.children is not None:
-                out.extend(n.children.all_node_names())
-        return out
-
-    def all_transitions(self) -> list[Transition]:
-        out = list(self.transitions)
-        for n in self.nodes:
-            if n.children is not None:
-                out.extend(n.children.all_transitions())
-        return out
-
 
 def check_chart(chart: Statechart) -> None:
     """Whole-chart validation: globally unique node names and resolvable
     transition endpoints.  Transitions may cross composite boundaries, so
     endpoints are checked against the full name set, not per level."""
-    names = chart.all_node_names()
-    dupes = sorted({n for n in names if names.count(n) > 1})
+    names: list[str] = []
+    transitions: list[Transition] = []
+    levels = [chart]  # popped level first, then its subcharts in node order
+    while levels:
+        sc = levels.pop()
+        names.extend(n.name for n in sc.nodes)
+        transitions.extend(sc.transitions)
+        levels.extend(n.children for n in reversed(sc.nodes) if n.children is not None)
+    dupes = sorted(n for n, k in Counter(names).items() if k > 1)
     if dupes:
         raise ValueError(f"node name used twice in chart {chart.name}: {dupes}")
-    for t in chart.all_transitions():
+    known = set(names)
+    for t in transitions:
         for end in (t.source, t.target):
-            if end not in names:
+            if end not in known:
                 raise ValueError(f"transition endpoint {end!r} does not exist")
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from .model import Conflict, SequenceDiagram, Statechart
 from .annotator import missing_spec_warnings
 from .checker import CheckRecord
+from .dsl import transition_label
 
 SCHEMA = "scdebug-report/1"
 
@@ -32,22 +33,25 @@ class ReportBundle:
     annotations: list = field(default_factory=list)  # (sd, unification count)
     checks: list = field(default_factory=list)  # CheckRecord
     warnings: list = field(default_factory=list)
+    sds: int = 0  # diagrams given
 
 
-def annotation_bundle(results, warnings=None) -> ReportBundle:
+def annotation_bundle(results) -> ReportBundle:
     """Bundle from annotate() results: iterable of (AnnotatedSD, conflicts)."""
-    bundle = ReportBundle(warnings=list(warnings or []))
+    bundle = ReportBundle()
     for asd, conflicts in results:
         bundle.annotations.append((asd.sd, len(asd.events)))
         bundle.conflicts.extend(conflicts)
         bundle.warnings.extend(
             w for w in missing_spec_warnings(asd.sd, asd.theory) if w not in bundle.warnings
         )
+    bundle.sds = len(bundle.annotations)
     return bundle
 
 
-def check_bundle(records, warnings=None) -> ReportBundle:
-    return ReportBundle(checks=list(records), warnings=list(warnings or []))
+def check_bundle(sds, records) -> ReportBundle:
+    """Bundle from the diagrams given and check_all() records."""
+    return ReportBundle(sds=len(sds), checks=list(records))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +207,7 @@ def render_json(bundle: ReportBundle) -> str:
     doc = {
         "schema": SCHEMA,
         "summary": {
-            "sds": len(bundle.annotations) or len({r.sd.name for r in bundle.checks}),
+            "sds": bundle.sds,
             "conflicts": len(bundle.conflicts),
             "checks": len(bundle.checks),
             "accepted": sum(1 for r in bundle.checks if r.trace.accepted),
@@ -232,16 +236,6 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace('"', '\\"') + '"'
 
 
-def _edge_label(t) -> str:
-    label = t.event
-    if t.guard is not None and t.guard.atoms:
-        atoms = " and ".join(f"{v} = {val}" for v, val in t.guard.atoms)
-        label += f" [{atoms}]"
-    if t.actions:
-        label += " / " + ", ".join(t.actions)
-    return label
-
-
 def export_dot(chart: Statechart) -> str:
     """GraphViz rendering: composites become clusters, the initial node of
     every level is marked with a point, edges carry event[guard]/action."""
@@ -268,7 +262,7 @@ def export_dot(chart: Statechart) -> str:
                 out.append(f"{pad}{_dot_quote(n.name)} [shape=box, style=rounded];")
         for t in sc.transitions:
             head = resolve_initial(sc, t.target)
-            attrs = [f"label={_dot_quote(_edge_label(t))}"]
+            attrs = [f"label={_dot_quote(transition_label(t))}"]
             if head != t.target:
                 attrs.append(f"lhead={_dot_quote('cluster_' + t.target)}")
             out.append(f"{pad}{_dot_quote(t.source)} -> {_dot_quote(head)} [{', '.join(attrs)}];")

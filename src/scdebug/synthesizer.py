@@ -103,31 +103,15 @@ def synth_object_chart(asd: AnnotatedSD, obj: str, conflicts=None) -> FlatChart:
 
     line = asd.sd.lifeline(obj)
     gaps = _gap_states(asd, obj)
-
-    state_order = []
-
-    def intern(key):
-        if key not in state_order:
-            state_order.append(key)
-        return key
-
-    initial = intern(gaps[0])
-    transitions = []
-
     leading, steps = receive_projection(line, obj)
     stops = [i for i, _ in steps] + [len(line)]
+    transitions = [
+        (gaps[i], gaps[stops[n + 1]], line[i].event(), actions) for n, (i, actions) in enumerate(steps)
+    ]
     if leading:
-        transitions.append((initial, intern(gaps[stops[0]]), COMPLETION, leading))
-    for n, (i, actions) in enumerate(steps):
-        src = intern(gaps[i])
-        dst = intern(gaps[stops[n + 1]])
-        transitions.append((src, dst, line[i].event(), actions))
-
-    deduped = []
-    for t in transitions:
-        if t not in deduped:
-            deduped.append(t)
-    return FlatChart(obj, tuple(state_order), initial, tuple(deduped))
+        transitions.insert(0, (gaps[0], gaps[stops[0]], COMPLETION, leading))
+    states = dict.fromkeys([gaps[0]] + [key for t in transitions for key in t[:2]])
+    return FlatChart(obj, tuple(states), gaps[0], tuple(dict.fromkeys(transitions)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,73 +136,41 @@ def merge_charts(charts) -> FlatChart:
 def _merge_two(c1: FlatChart, c2: FlatChart) -> FlatChart:
     if c1.object != c2.object:
         raise ValueError(f"cannot merge charts of {c1.object!r} and {c2.object!r}")
-    if not c2.states:
-        return c1
-
-    match: dict = {}  # c2 key -> c1 key
-    taken: set = set()
 
     init_join = unify(c1.initial, c2.initial)
     if init_join is None:
         raise ValueError(f"initial states of {c1.object!r} charts do not unify")
-    match[c2.initial] = c1.initial
-    taken.add(c1.initial)
+    # Each matched c1 state has one c2 partner and refines to their join.
+    match = {c2.initial: c1.initial}  # c2 key -> c1 key
+    refined = dict(zip(c1.states, c1.states))  # c1 key -> refined key
+    refined[c1.initial] = init_join
+    taken = {c1.initial}
 
     for s2 in c2.states:
-        if s2 in match:
-            continue
-        if s2 in c1.states and s2 not in taken:
+        if s2 not in match and s2 in refined and s2 not in taken:
             match[s2] = s2
             taken.add(s2)
     for s2 in c2.states:
         if s2 in match:
             continue
         for s1 in c1.states:
-            if s1 in taken:
-                continue
-            if unify(s1, s2) is not None:
+            join = None if s1 in taken else unify(s1, s2)
+            if join is not None:
                 match[s2] = s1
+                refined[s1] = join
                 taken.add(s1)
                 break
-
-    # Refined key for every matched c1 state, then appended c2-only states.
-    refined = {}
-    for s1 in c1.states:
-        partners = [s2 for s2, t in match.items() if t == s1]
-        key = s1
-        for s2 in partners:
-            key = unify(key, s2)
-        refined[s1] = key
-
-    def key1(s):
-        return refined[s]
 
     def key2(s):
         return refined[match[s]] if s in match else s
 
-    order = [key1(s) for s in c1.states]
-    for s2 in c2.states:
-        k = key2(s2)
-        if k not in order:
-            order.append(k)
-
     # Refinement can make two previously distinct keys coincide; collapse.
-    seen = []
-    for k in order:
-        if k not in seen:
-            seen.append(k)
-
-    transitions = []
-    for frm, to, event, actions in c1.transitions:
-        t = (key1(frm), key1(to), event, actions)
-        if t not in transitions:
-            transitions.append(t)
-    for frm, to, event, actions in c2.transitions:
-        t = (key2(frm), key2(to), event, actions)
-        if t not in transitions:
-            transitions.append(t)
-
-    return FlatChart(c1.object, tuple(seen), key1(c1.initial), tuple(transitions))
+    states = dict.fromkeys([*refined.values(), *map(key2, c2.states)])
+    transitions = dict.fromkeys(
+        [(refined[frm], refined[to], event, actions) for frm, to, event, actions in c1.transitions]
+        + [(key2(frm), key2(to), event, actions) for frm, to, event, actions in c2.transitions]
+    )
+    return FlatChart(c1.object, tuple(states), init_join, tuple(transitions))
 
 
 def nondeterminism_warnings(chart: FlatChart):
@@ -282,37 +234,16 @@ def flatten(chart: Statechart) -> Statechart:
         return inner_names
 
     walk(chart)
-    initial = chart.initial
-    while initial in entry:
-        initial = entry[initial]
-
-    expanded: list[Transition] = []
-    for t in transitions:
-        target = t.target
-        while target in entry:
-            target = entry[target]
-        expanded.append(Transition(t.source, target, t.event, t.guard, t.actions))
-
-    # A transition whose source is a composite fires from every inner node;
-    # expand until only simple sources remain.
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        for t in expanded:
-            if t.source in members:
-                changed = True
-                for src in members[t.source]:
-                    out.append(Transition(src, t.target, t.event, t.guard, t.actions))
-            else:
-                out.append(t)
-        expanded = out
-
-    deduped = []
-    for t in expanded:
-        if t not in deduped:
-            deduped.append(t)
-    return Statechart(chart.name, tuple(nodes), initial, tuple(deduped))
+    # walk sets a composite's entry after walking its children, so every
+    # entry is a simple node, and members hold only simple nodes: one
+    # lookup resolves a target, one expansion a source.
+    expanded = (
+        Transition(src, entry.get(t.target, t.target), t.event, t.guard, t.actions)
+        for t in transitions
+        for src in members.get(t.source, (t.source,))
+    )
+    return Statechart(chart.name, tuple(nodes), entry.get(chart.initial, chart.initial),
+                      tuple(dict.fromkeys(expanded)))
 
 
 def _largest_region(names, edges, initial):

@@ -16,14 +16,19 @@ from scdebug.model import (
     IntRangeDomain,
     Message,
     MessageSpec,
+    Node,
     SequenceDiagram,
+    Statechart,
     StateVariable,
+    Transition,
 )
 from scdebug.synthesizer import COMPLETION, FlatChart, synthesize
 
 ENUM_POOL = ("red", "green", "blue", "amber")
 UNSPECIFIED = ("ping", "pong")
 CHART_EVENTS = ("a", "b", "c", COMPLETION)
+REPLAY_EVENTS = ("e", "f", "g")
+REPLAY_SENDS = ("a", "b")
 
 
 def gen_domain(rng: random.Random):
@@ -124,3 +129,58 @@ def gen_flat_chart(rng: random.Random, max_states=10) -> FlatChart:
             transitions.append(quad)
     rng.shuffle(transitions)
     return FlatChart("X", states, rng.choice(states), tuple(transitions))
+
+
+def gen_replay_case(rng: random.Random, max_states=4, max_msgs=8):
+    """(theory, chart, diagram) for replaying object M.
+
+    The theory specifies the chart's events over Boolean variables.  The
+    flat chart has parallel same-event edges, guards (completion edges
+    included), completion edges and actions.  The diagram mixes receives
+    from Env, self-sends and sends to Env; half the time it follows a
+    random walk of the chart, so many replays go deep or are accepted.
+    """
+    variables = tuple(StateVariable(f"v{i}", BoolDomain(), i) for i in range(rng.randint(1, 3)))
+    dt = DomainTheory(
+        variables,
+        tuple(
+            MessageSpec(e, (), gen_condition(rng, variables), gen_condition(rng, variables))
+            for e in REPLAY_EVENTS
+            if rng.random() < 0.8
+        ),
+    )
+    names = [f"N{i}" for i in range(rng.randint(1, max_states))]
+    transitions = []
+    for _ in range(rng.randint(0, 3 * len(names))):
+        source, event = rng.choice(names), rng.choice(REPLAY_EVENTS + (COMPLETION,))
+        actions = tuple(rng.choices(REPLAY_SENDS, k=rng.randint(0, 2)))
+        for _ in range(1 + (rng.random() < 0.4)):  # sometimes a parallel edge
+            guard = gen_condition(rng, variables) if rng.random() < 0.3 else None
+            transitions.append(Transition(source, rng.choice(names), event, guard, actions))
+    chart = Statechart("M", tuple(Node(n) for n in names), rng.choice(names), tuple(transitions))
+
+    msgs = []
+
+    def add(label, sender, receiver):
+        msgs.append(Message(len(msgs) + 1, label, (), sender, receiver))
+
+    if rng.random() < 0.5:
+        state = chart.initial
+        for step in range(rng.randint(0, max_msgs)):
+            out = [t for t in transitions if t.source == state and (t.event == COMPLETION) == (step == 0)]
+            if not out:
+                if step == 0:
+                    continue
+                break
+            t = rng.choice(out)
+            if t.event != COMPLETION:
+                add(t.event, *rng.choice((("Env", "M"), ("M", "M"))))
+            for action in t.actions:
+                if rng.random() < 0.8:
+                    add(action, "M", "Env")
+            state = t.target
+    else:
+        for _ in range(rng.randint(0, max_msgs)):
+            sender, receiver = rng.choice((("Env", "M"), ("Env", "M"), ("M", "M"), ("M", "Env")))
+            add(rng.choice(REPLAY_SENDS if receiver == "Env" else REPLAY_EVENTS), sender, receiver)
+    return dt, chart, SequenceDiagram("S", ("Env", "M"), tuple(msgs))

@@ -3,8 +3,19 @@
 import itertools
 
 from scdebug.annotator import annotate
-from scdebug.checker import insert_candidates, replay
+from scdebug.checker import (
+    ACCEPTED,
+    REJECTED,
+    ReplayStep,
+    ReplayTrace,
+    _guard_holds,
+    _is_subsequence,
+    _mismatch_reason,
+    insert_candidates,
+    replay,
+)
 from scdebug.model import POST, PRE, Delete, Insert, Message, apply_edit, unify
+from scdebug.synthesizer import COMPLETION, flatten, receive_projection
 
 
 def edit_script_succeeds(sd, obj, chart, dt) -> bool:
@@ -45,6 +56,69 @@ def brute_force_min_cost(sd, obj, chart, dt, bound):
                     if edit_script_succeeds(candidate_sd, obj, chart, dt):
                         return total
     return None
+
+
+def replay_dfs(sd, obj, chart, dt, strict_guards=False):
+    """Replay by depth-first backtracking, trying matching transitions in
+    chart order: the first complete path found is accepted, else the first
+    dead end at the greatest depth is reported.  Exponential in the number
+    of received messages on nondeterministic charts."""
+    flat = flatten(chart)
+    if obj not in sd.objects:
+        return ReplayTrace(sd.name, obj, (), ACCEPTED)
+    asd = None
+    if any(t.guard is not None and t.guard.atoms for t in flat.transitions):
+        asd, _ = annotate(sd, dt)
+    by_source = {}
+    for t in flat.transitions:
+        by_source.setdefault(t.source, []).append(t)
+
+    line = sd.lifeline(obj)
+    leading, steps = receive_projection(line, obj)
+    todo = [(None, COMPLETION, leading, None)] if leading else []
+    for i, sends in steps:
+        msg = line[i]
+        vector = asd.vectors[(obj, msg.id, PRE)] if asd is not None else None
+        todo.append((msg, msg.event(), sends, vector))
+    if not todo:
+        return ReplayTrace(sd.name, obj, (), ACCEPTED)
+
+    def matches(state, idx):
+        _, event, sends, vector = todo[idx]
+        for t in by_source.get(state, []):
+            if t.event != event or not _is_subsequence(sends, t.actions):
+                continue
+            if t.guard is not None and t.guard.atoms:
+                if vector is None:
+                    if strict_guards:
+                        continue
+                elif not _guard_holds(t.guard, vector, dt, strict_guards):
+                    continue
+            yield t
+
+    best, path = [], []
+    stack = [[flat.initial, matches(flat.initial, 0), False]]
+    while stack:
+        top = stack[-1]
+        t = next(top[1], None)
+        if t is not None:
+            top[2] = True
+            msg, _, sends, _ = todo[len(path)]
+            path.append(ReplayStep(msg, sends, top[0], t.target, t))
+            if len(path) == len(todo):
+                return ReplayTrace(sd.name, obj, tuple(path), ACCEPTED)
+            stack.append([t.target, matches(t.target, len(path)), False])
+            continue
+        stack.pop()
+        if not top[2] and len(path) + 1 > len(best):
+            msg, event, sends, _ = todo[len(path)]
+            reason = _mismatch_reason(by_source.get(top[0], []), event, sends)
+            if event == COMPLETION:
+                reason = "no completion transition covers the leading sends"
+            best = path + [ReplayStep(msg, sends, top[0], None, None, reason)]
+        if path:
+            path.pop()
+    return ReplayTrace(sd.name, obj, tuple(best), REJECTED, len(best) - 1)
 
 
 def _reachable(edges, start, allowed):

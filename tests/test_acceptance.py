@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from scdebug.annotator import annotate, initialize_vectors
 from scdebug.checker import insert_candidates, repair, replay
@@ -219,10 +220,10 @@ def test_criterion_7_algorithm_invariants(sd1, coffee_dt_unfixed):
 
     # parser round-trip on the fixture corpus
     for path in (THEORY, THEORY_UNFIXED, STEPPER_DT):
-        dt = parse_domain_theory(open(path).read())
+        dt = parse_domain_theory(Path(path).read_text())
         assert parse_domain_theory(print_domain_theory(dt)) == dt
     for path in (SD1, SD2, STEPPER_SD):
-        sd = parse_sd(open(path).read())
+        sd = parse_sd(Path(path).read_text())
         assert parse_sd(print_sd(sd)) == sd
     passed(7, "idempotence, monotonicity, unify laws, and parser round-trips hold")
 

@@ -15,8 +15,8 @@ from scdebug.model import Delete, Insert, Message, SequenceDiagram, apply_edit
 from scdebug.synthesizer import synth_object_chart, synthesize, to_statechart
 
 from conftest import read
-from gen import conflict_free_pair
-from oracles import brute_force_min_cost
+from gen import conflict_free_pair, gen_replay_case
+from oracles import brute_force_min_cost, replay_dfs
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +110,34 @@ class TestReplay:
         trace = replay(SequenceDiagram("Ring", ("Env", "M"), tuple(msgs)), "M", chart, stepper_dt)
         assert trace.accepted
         assert len(trace.steps) == n and trace.steps[-1].to_state == f"N{n % k}"
+
+    def test_matches_depth_first_oracle(self):
+        # Whole traces, accepted path and deepest rejection alike, equal the
+        # backtracking walk's on charts with parallel same-event edges,
+        # guards, completion edges and self-sends, in both guard modes.
+        rng = random.Random(17)
+        verdicts = set()
+        for _ in range(1500):
+            dt, chart, sd = gen_replay_case(rng)
+            for strict in (False, True):
+                trace = replay(sd, "M", chart, dt, strict)
+                assert trace == replay_dfs(sd, "M", chart, dt, strict), (chart, sd, strict)
+                verdicts.add((trace.accepted, any(s.message is None for s in trace.steps)))
+        assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_nondeterministic_chain_is_not_exponential(self, stepper_dt):
+        # Two e transitions out of each state: backtracking tries 2^60 paths
+        # before it gives up on the final f.
+        chart = parse_sc(
+            "statechart M\ninitial A\nstate A\nstate B\n"
+            "A -> A : e\nA -> B : e\nB -> A : e\nB -> B : e"
+        )
+        msgs = [Message(i, "e", (), "Env", "M") for i in range(1, 61)] + [Message(61, "f", (), "Env", "M")]
+        trace = replay(SequenceDiagram("Chain", ("Env", "M"), tuple(msgs)), "M", chart, stepper_dt)
+        assert not trace.accepted
+        assert trace.rejected_at == 60
+        assert trace.steps[-1].mismatch == "no transition on event 'f'"
+        assert all(step.to_state == "A" for step in trace.steps[:-1])
 
 
 class TestRepair:

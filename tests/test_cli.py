@@ -128,6 +128,17 @@ class TestCheck:
         changed = [line.strip() for line in block.splitlines() if line.strip()[:2] in ("+ ", "- ")]
         assert changed == ["- msg Env -> M : e1"]
 
+    @pytest.mark.parametrize(
+        "args, sds",
+        [
+            ([STEPPER_DT, STEPPER_SD, STEPPER_SD, "--charts", REFINED], 2),  # same name twice
+            ([THEORY, SD1, "--charts", REFINED], 1),  # no charted object
+        ],
+    )
+    def test_json_counts_every_diagram_given(self, args, sds, capsys):
+        main(["check", *args, "--json"])
+        assert json.loads(capsys.readouterr().out)["summary"]["sds"] == sds
+
     def test_max_edits_zero(self, capsys):
         assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", REFINED,
                      "--max-edits", "0"]) == 1

@@ -68,7 +68,7 @@ class TestText:
     def test_repair_rendered_as_diff(self, stepper_sd, stepper_dt):
         chart = parse_sc(read("stepper_refined/M.sc"))
         records = check_all(stepper_dt, {"M": chart}, [stepper_sd])
-        text = render_text(check_bundle(records))
+        text = render_text(check_bundle([stepper_sd], records))
         assert "+ msg Env -> M : e3" in text
         assert "repair with 1 edit(s)" in text
 
@@ -98,7 +98,7 @@ class TestJson:
             (Path(__file__).parent.parent / "docs/report-schema.json").read_text()
         )
         chart = parse_sc(read("stepper_refined/M.sc"))
-        checked = check_bundle(check_all(stepper_dt, {"M": chart}, [stepper_sd]))
+        checked = check_bundle([stepper_sd], check_all(stepper_dt, {"M": chart}, [stepper_sd]))
         for bundle in (conflict_bundle, checked):
             doc = json.loads(render_json(bundle))
             _validate(doc, schema, schema)

@@ -4,7 +4,7 @@ import pytest
 
 import scdebug.synthesizer
 from scdebug.annotator import annotate
-from scdebug.dsl import parse_domain_theory, parse_sd, print_sc
+from scdebug.dsl import parse_domain_theory, parse_sc, parse_sd, print_sc
 from scdebug.model import check_chart
 from scdebug.synthesizer import (
     ConflictedInputError,
@@ -93,6 +93,16 @@ class TestMerge:
         assert set(ab.states) == set(ba.states)
         assert set(ab.transitions) == set(ba.transitions)
 
+    def test_refined_keys_collapse(self):
+        # c2's partial state W unifies with X, not with its exact twin Y;
+        # X then refines to Y's key and the two become one state.
+        i, x, y, w, xy = ("F", "F"), ("T", None), ("T", "F"), (None, "F"), ("T", "F")
+        c1 = FlatChart("O", (i, x, y), i, ((i, x, "a", ()), (i, y, "b", ())))
+        c2 = FlatChart("O", (i, w), i, ((i, w, "a", ()), (w, i, "c", ("s",))))
+        assert merge_charts([c1, c2]) == FlatChart(
+            "O", (i, xy), i, ((i, xy, "a", ()), (i, xy, "b", ()), (xy, i, "c", ("s",)))
+        )
+
     def test_associative_on_fixtures(self, sd1, sd2, coffee_dt):
         c1 = chart_for(sd1, coffee_dt, "Coffee-UI")
         c2 = chart_for(sd2, coffee_dt, "Coffee-UI")
@@ -172,6 +182,22 @@ class TestHierarchy:
         assert sum("{" in text for text in fast) > 500  # many charts get composites
         for chart, got, want in zip(charts, fast, slow):
             assert got == want, chart
+
+    def test_flatten_composite_source_and_nested_entry(self):
+        # G1 enters at G2, which enters at C; the transition out of G1 fires
+        # from every node inside it, and its copy from C is already there.
+        hier = parse_sc(
+            "statechart M\ninitial G1\nstate A\n"
+            "state G1 {\n initial G2\n"
+            " state G2 {\n  initial C\n  state C\n  state D\n  C -> D : y\n  C -> A : reset / r\n }\n"
+            " state B\n D -> B : z\n}\n"
+            "A -> G1 : go\nG1 -> A : reset / r\nB -> G2 : back [x = T]\n"
+        )
+        assert flatten(hier) == parse_sc(
+            "statechart M\ninitial C\nstate A\nstate C\nstate D\nstate B\n"
+            "C -> D : y\nC -> A : reset / r\nD -> B : z\nA -> C : go\n"
+            "D -> A : reset / r\nB -> A : reset / r\nB -> C : back [x = T]\n"
+        )
 
     def test_long_ring_nests_one_composite_per_level(self):
         states = tuple((f"s{i}",) for i in range(64))
