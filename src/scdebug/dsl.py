@@ -449,12 +449,12 @@ def print_sc(chart: Statechart) -> str:
         pad = "  " * indent
         out.append(f"{pad}initial {sc.initial}")
         for n in sc.nodes:
+            suffix = f"   # {n.comment}" if n.comment else ""
             if n.is_composite:
-                out.append(f"{pad}state {n.name} {{")
+                out.append(f"{pad}state {n.name} {{{suffix}")
                 emit(n.children, indent + 1)
                 out.append(f"{pad}}}")
             else:
-                suffix = f"   # {n.comment}" if n.comment else ""
                 out.append(f"{pad}state {n.name}{suffix}")
         for t in sc.transitions:
             out.append(f"{pad}{t.source} -> {t.target} : {transition_label(t)}")

@@ -278,14 +278,6 @@ class AnnotatedSD:
     provenance: dict  # (VectorKey, cell index) -> Provenance
     events: list  # list[UnifyEvent]
 
-    def known_cells(self) -> dict:
-        return {
-            (key, i): c
-            for key, cells in self.vectors.items()
-            for i, c in enumerate(cells)
-            if c is not None
-        }
-
 
 # ---------------------------------------------------------------------------
 # Conflicts

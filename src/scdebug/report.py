@@ -255,7 +255,8 @@ def export_dot(chart: Statechart) -> str:
         for n in sc.nodes:
             if n.is_composite:
                 out.append(f"{pad}subgraph {_dot_quote('cluster_' + n.name)} {{")
-                out.append(f"{pad}  label={_dot_quote(n.name)};")
+                label = f"{n.name} {n.comment}" if n.comment else n.name
+                out.append(f"{pad}  label={_dot_quote(label)};")
                 emit(n.children, n.name, depth + 1)
                 out.append(f"{pad}}}")
             else:

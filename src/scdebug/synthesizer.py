@@ -5,12 +5,17 @@ received messages become transition events, and the messages the object
 sends before the next received one become that transition's actions.
 Vectors made equal by unification collapse into a single state, which is
 exactly where loops appear.  Charts from several diagrams are merged by
-unifying state keys, and maximal single-entry/single-exit regions are then
-wrapped into composite nodes for readability.
+unifying state keys.  States are then nested by state variable: the first
+variable, in theory order, on which at least two states of a scope but not
+all of them agree splits it into one composite per shared value, and the
+split repeats inside each composite with the later variables.  A
+composite's comment is the partial vector of the values fixed on its path;
+every transition stays at the top level between simple states.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .model import (
@@ -246,184 +251,56 @@ def flatten(chart: Statechart) -> Statechart:
                       tuple(dict.fromkeys(expanded)))
 
 
-def _largest_region(names, edges, initial):
-    """The region ``introduce_hierarchy`` wraps next, or None.
-
-    A region is a set of at least two of the level's nodes, short of all of
-    them, with exactly one entry (a node with an edge from outside the set;
-    the level's initial node counts as entered), at most one exit (a node
-    with an edge leaving the set, where edges to names outside the level
-    leave), and every node reachable from the entry inside the set.  The
-    largest region wins, ties going to the first node combination in
-    declaration order.  Returns (region names in declaration order, entry,
-    exit or None).
-
-    The p - 1 node candidates are tried first, dropping the last node first.
-    Otherwise every (entry e, exit x) pair gives one largest region: the
-    regions with entry e and exits within {x} are closed under union, and
-    each is {e, x} plus whole connected components of the level without e
-    and x.  O(p^2 (p + m)) for p nodes and m edges.
-    """
-    p = len(names)
-    if p < 3:
-        return None
-    index = {n: i for i, n in enumerate(names)}
-    succ = [set() for _ in range(p)]
-    pred = [set() for _ in range(p)]
-    leaves = [False] * p  # has an edge to a name outside the level
-    for a, b in edges:
-        if b in index:
-            succ[index[a]].add(index[b])
-            pred[index[b]].add(index[a])
-        else:
-            leaves[index[a]] = True
-    near = [succ[u] | pred[u] for u in range(p)]
-    init = index[initial]
-
-    def reach(start, region):
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            for v in succ[frontier.pop()]:
-                if v in region and v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return seen
-
-    def answer(region, entry):
-        exits = [u for u in region if leaves[u] or not succ[u] <= region]
-        return (
-            tuple(names[i] for i in sorted(region)),
-            names[entry],
-            names[exits[0]] if exits else None,
-        )
-
-    everything = set(range(p))
-    for q in range(p - 1, -1, -1):
-        region = everything - {q}
-        entries = [v for v in region if v == init or q in pred[v]]
-        exits = [u for u in region if leaves[u] or q in succ[u]]
-        if len(entries) == 1 and len(exits) <= 1 and len(reach(entries[0], region)) == p - 1:
-            return answer(region, entries[0])
-
-    def components(e, x):
-        """The connected components (edges taken undirected) of the level
-        without e and x that a region with entry e and exit x may take, as
-        (members, forced) pairs; None when it would have to take a barred
-        one.  Left out, a component holding a successor of e or a
-        predecessor of x would add an exit or an entry, so it is forced;
-        taken in, one holding the initial node or an edge out of the level
-        would, so it is barred."""
-        done = {e, x}
-        out = []
-        for s in range(p):
-            if s in done:
-                continue
-            members = {s}
-            done.add(s)
-            stack = [s]
-            while stack:
-                for v in near[stack.pop()]:
-                    if v not in done:
-                        done.add(v)
-                        members.add(v)
-                        stack.append(v)
-            forced = x != e and not (succ[e].isdisjoint(members) and pred[x].isdisjoint(members))
-            barred = init in members or any(leaves[v] for v in members)
-            if barred and forced:
-                return None
-            if not barred:
-                out.append((members, forced))
-        return out
-
-    def grow(e, x, comps):
-        """Largest {e, x} plus some of ``comps`` (members, forced) with every
-        node reachable from e; None when x or a forced component is lost."""
-        while True:
-            region = {e, x}.union(*(c for c, _ in comps))
-            seen = reach(e, region)
-            if x not in seen:
-                return None
-            lost = [forced for c, forced in comps if not c <= seen]
-            if not lost:
-                return region, comps
-            if any(lost):
-                return None
-            comps = [(c, forced) for c, forced in comps if c <= seen]
-
-    best = None
-    for e in range(p):
-        if e != init and not pred[e] - {e}:
-            continue  # never entered from outside any region
-        for x in range(p):
-            if x != e and (x == init or leaves[e]):
-                continue  # a second entry, or a second exit
-            comps = components(e, x)
-            grown = None if comps is None else grow(e, x, comps)
-            if grown is None:
-                continue
-            region, comps = grown
-            if len(region) < p and (e == init or not pred[e] <= region):
-                regions = [region]
-            else:
-                # One component must stay out: any, when the region is the
-                # whole level, else one holding a predecessor of e.
-                regions = []
-                for c, forced in comps:
-                    if forced or (e != init and pred[e].isdisjoint(c)):
-                        continue
-                    smaller = grow(e, x, [k for k in comps if k[0] is not c])
-                    if smaller is not None:
-                        regions.append(smaller[0])
-            for region in regions:
-                key = (-len(region), sorted(region))
-                if len(region) >= 2 and (best is None or key < best[0]):
-                    best = (key, region, e)
-    return None if best is None else answer(best[1], best[2])
-
-
 def introduce_hierarchy(chart: FlatChart, name: str | None = None) -> Statechart:
-    """Wrap maximal single-entry/single-exit regions into composite nodes.
+    """Nest the named states into composites by shared state-variable values.
 
-    Transitions entering a region are redirected to the composite node
-    (whose initial node is the region's entry); transitions leaving it stay
-    on the exit node inside, referring to outer nodes by name.  Flattening
-    the result reproduces the input graph exactly.
+    A scope (at first every state, in first-visit order) is split on the
+    first variable, in theory order, for which at least two of its states
+    share a determined value and not all of them do; the split starts after
+    the variable of the enclosing composite.  Every such group becomes a
+    composite ``G<k>`` (numbered in pre-order) in the slot of its first
+    state and is split again inside; the other states stay in the scope.  A
+    composite enters at the node holding the chart's initial state, else at
+    its first node, and its comment is the vector of the values fixed on
+    its path.  Every transition stays at the top level between simple
+    states, so flattening the result gives back ``to_statechart(chart)``.
     """
     flat = to_statechart(chart, name)
-    counter = [0]
+    named = dict(zip(chart.states, flat.nodes))
+    counter = itertools.count(1)
 
-    def group(sc: Statechart) -> Statechart:
-        node_names = [n.name for n in sc.nodes]
-        node_by_name = {n.name: n for n in sc.nodes}
-        edges = [(t.source, t.target) for t in sc.transitions]
-        found = _largest_region(node_names, edges, sc.initial)
-        if found is None:
-            return sc
-        region, entry, _ = found
-        region_set = set(region)
-        counter[0] += 1
-        comp_name = f"G{counter[0]}"
-        inner_nodes = tuple(node_by_name[n] for n in region)
-        inner_ts, outer_ts = [], []
-        for t in sc.transitions:
-            if t.source in region_set:
-                inner_ts.append(t)  # region-leaving edges stay on the exit node
-            elif t.target in region_set:
-                outer_ts.append(Transition(t.source, comp_name, t.event, t.guard, t.actions))
+    def split(scope, start, fixed):
+        """(nodes, initial node name) of one scope."""
+        groups = {}  # first state of a group -> the group
+        for var in range(start, len(fixed)):
+            by_value = {}
+            for key in scope:
+                if key[var] is not None:
+                    by_value.setdefault(key[var], []).append(key)
+            groups = {g[0]: g for g in by_value.values() if 1 < len(g) < len(scope)}
+            if groups:
+                break
+        grouped = {key for g in groups.values() for key in g}
+        nodes, initial = [], None
+        for key in scope:
+            if key in groups:
+                comp_name = f"G{next(counter)}"
+                path = fixed[:var] + (key[var],) + fixed[var + 1:]
+                inner, inner_initial = split(groups[key], var + 1, path)
+                node = Node(comp_name, Statechart(comp_name, inner, inner_initial, ()),
+                            comment=format_vector(path))
+                holds = chart.initial in groups[key]
+            elif key in grouped:
+                continue
             else:
-                outer_ts.append(t)
-        inner = group(Statechart(comp_name, inner_nodes, entry, tuple(inner_ts)))
-        # The composite takes the declaration slot of the region's entry.
-        outer_nodes = tuple(
-            Node(comp_name, children=inner) if n == entry else node_by_name[n]
-            for n in node_names
-            if n == entry or n not in region_set
-        )
-        initial = comp_name if sc.initial in region_set else sc.initial
-        return group(Statechart(sc.name, outer_nodes, initial, tuple(outer_ts)))
+                node, holds = named[key], key == chart.initial
+            nodes.append(node)
+            if holds:
+                initial = node.name
+        return tuple(nodes), initial or nodes[0].name
 
-    return group(flat)
+    nodes, initial = split(chart.states, 0, (None,) * len(chart.initial))
+    return Statechart(flat.name, nodes, initial, flat.transitions)
 
 
 # ---------------------------------------------------------------------------

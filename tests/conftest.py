@@ -17,6 +17,16 @@ CLI_ENV = {
 }
 
 
+def known_cells(asd) -> dict:
+    """Every determined cell of an annotation, keyed by (vector key, index)."""
+    return {
+        (key, i): c
+        for key, cells in asd.vectors.items()
+        for i, c in enumerate(cells)
+        if c is not None
+    }
+
+
 def read(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 

@@ -111,12 +111,22 @@ def mergeable_corpus(rng: random.Random, count=2, **kw):
 
 
 def gen_flat_chart(rng: random.Random, max_states=10) -> FlatChart:
-    """Random flat chart over any digraph: edge density varies from chart to
-    chart, so some states are unreachable; self-loops, parallel edges and
-    completion edges occur, the initial state is random, and sometimes a
-    ring through all states in a shuffled order underlies the edges."""
-    n = rng.randint(1, max_states)
-    states = tuple((f"s{i}",) for i in range(n))
+    """Random flat chart whose states are distinct partial vectors over 1-4
+    variables with 2-3 values each, some cells ``?``.  The transitions form
+    any digraph: edge density varies from chart to chart, so some states are
+    unreachable; self-loops, parallel edges and completion edges occur, the
+    initial state is random, and sometimes a ring through all states in a
+    shuffled order underlies the edges."""
+    domains = [("0", "1", "2")[: rng.randint(2, 3)] for _ in range(rng.randint(1, 4))]
+    unknown = rng.random() * 0.4
+    keys = {}
+    target = rng.randint(1, max_states)
+    for _ in range(20 * target):
+        keys.setdefault(tuple(None if rng.random() < unknown else rng.choice(d) for d in domains))
+        if len(keys) == target:
+            break
+    states = tuple(keys)
+    n = len(states)
     density = rng.random() * 0.5
     pairs = [(a, b) for a in states for b in states if rng.random() < density]
     if rng.random() < 0.3:

@@ -24,6 +24,7 @@ from scdebug.model import (
     format_vector,
 )
 
+from conftest import known_cells
 from gen import conflict_free_pair, gen_sd, gen_theory
 from oracles import identification_scan
 
@@ -248,9 +249,9 @@ class TestInvariants:
         assert {k: list(v) for k, v in asd.vectors.items()} == before
 
     def test_monotonic_from_initialization(self, sd1, coffee_dt_unfixed):
-        initial = initialize_vectors(sd1, coffee_dt_unfixed).known_cells()
+        initial = known_cells(initialize_vectors(sd1, coffee_dt_unfixed))
         final_asd, _ = annotate(sd1, coffee_dt_unfixed)
-        final = final_asd.known_cells()
+        final = known_cells(final_asd)
         for cell, value in initial.items():
             assert final[cell] == value
 
@@ -258,9 +259,9 @@ class TestInvariants:
         rng = random.Random(7)
         for _ in range(25):
             dt, sd = conflict_free_pair(rng, max_msgs=6)
-            initial = initialize_vectors(sd, dt).known_cells()
+            initial = known_cells(initialize_vectors(sd, dt))
             final_asd, _ = annotate(sd, dt)
-            final = final_asd.known_cells()
+            final = known_cells(final_asd)
             assert set(initial) <= set(final)
             assert all(final[c] == v for c, v in initial.items())
 
@@ -341,7 +342,7 @@ class TestInvariants:
                         break
                     if not _gap_joins_once(asd):
                         budget[0] -= 1
-                        outcomes.add(frozenset(asd.known_cells().items()))
+                        outcomes.add(frozenset(known_cells(asd).items()))
                         return
                 for i in range(len(cands)):
                     copy = clone(asd)
@@ -349,6 +350,6 @@ class TestInvariants:
                     explore(copy)
 
             explore(initialize_vectors(sd, dt))
-            assert outcomes == {frozenset(baseline.known_cells().items())}, (
+            assert outcomes == {frozenset(known_cells(baseline).items())}, (
                 f"order-dependent fixpoint for {sd}"
             )

@@ -100,6 +100,22 @@ class TestSynth:
             "User.dot",
         ]
 
+    def test_thousand_state_ring(self, tmp_path, capsys):
+        k = 1000
+        theory = tmp_path / "ring.dt"
+        theory.write_text(f"S : 0..{k - 1}\n" + "".join(
+            f"context e{i}\n pre: S = {i} ;\n post: S = {(i + 1) % k} ;\n" for i in range(k)
+        ))
+        sd = tmp_path / "ring.sd"
+        sd.write_text("sd Ring\nobject Env\nobject M\n" + "".join(
+            f"msg {i + 1} Env -> M : e{i}\n" for i in range(k)
+        ))
+        out = tmp_path / "charts"
+        assert main(["synth", str(theory), str(sd), "-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        chart = (out / "M.sc").read_text()
+        assert chart.count("state N") == k and "{" not in chart
+
 
 class TestCheck:
     def test_synthesized_charts_accept_their_corpus(self, tmp_path, capsys):

@@ -1,8 +1,8 @@
 import random
+from collections import Counter
 
 import pytest
 
-import scdebug.synthesizer
 from scdebug.annotator import annotate
 from scdebug.dsl import parse_domain_theory, parse_sc, parse_sd, print_sc
 from scdebug.model import check_chart
@@ -18,7 +18,6 @@ from scdebug.synthesizer import (
 )
 
 from gen import conflict_free_pair, gen_flat_chart, mergeable_corpus
-from oracles import largest_region
 
 
 def chart_for(sd, dt, obj):
@@ -116,29 +115,9 @@ class TestHierarchy:
     def _flat(self, states, initial, transitions):
         return FlatChart("X", tuple(states), initial, tuple(transitions))
 
-    def test_linear_chain_becomes_composite(self):
-        # D -> A -> B -> C -> E with an external cycle E -> D: the chain
-        # A,B,C is single-entry (A) single-exit (C).
-        s = [("D",), ("A",), ("B",), ("C",), ("E",)]
-        ts = [
-            (("D",), ("A",), "in", ()),
-            (("A",), ("B",), "ab", ()),
-            (("B",), ("C",), "bc", ()),
-            (("C",), ("E",), "out", ()),
-            (("E",), ("D",), "back", ()),
-        ]
-        chart = introduce_hierarchy(self._flat(s, ("D",), ts))
-        composites = [n for n in chart.nodes if n.is_composite]
-        assert composites, print_sc(chart)
-        flat_again = flatten(chart)
-        original = to_statechart(self._flat(s, ("D",), ts))
-        assert set(flat_again.transitions) == set(original.transitions)
-        assert sorted(n.name for n in flat_again.nodes) == sorted(n.name for n in original.nodes)
-        assert flat_again.initial == original.initial
-
     def test_no_region_unchanged(self):
-        # Two nodes swapping control: every proper subset of size >= 2 is
-        # the whole graph, so nothing can be wrapped.
+        # Two states with different values: no value is shared by two
+        # states short of the whole scope, so nothing is nested.
         s = [("A",), ("B",)]
         ts = [(("A",), ("B",), "x", ()), (("B",), ("A",), "y", ())]
         chart = introduce_hierarchy(self._flat(s, ("A",), ts))
@@ -152,7 +131,7 @@ class TestHierarchy:
         check_chart(hier)
         flat = flatten(hier)
         reference = to_statechart(merged, "Coffee-UI")
-        assert set(flat.transitions) == set(reference.transitions)
+        assert flat.transitions == reference.transitions
         assert sorted(n.name for n in flat.nodes) == sorted(n.name for n in reference.nodes)
         assert flat.initial == reference.initial
 
@@ -167,21 +146,11 @@ class TestHierarchy:
                 check_chart(hier)
                 flat = flatten(hier)
                 reference = to_statechart(merged, obj)
-                assert set(flat.transitions) == set(reference.transitions)
+                assert flat.transitions == reference.transitions
                 assert sorted(n.name for n in flat.nodes) == sorted(
                     n.name for n in reference.nodes
                 )
                 assert flat.initial == reference.initial
-
-    def test_matches_exhaustive_oracle(self, monkeypatch):
-        rng = random.Random(11)
-        charts = [gen_flat_chart(rng, max_states=10) for _ in range(2000)]
-        fast = [print_sc(introduce_hierarchy(c)) for c in charts]
-        monkeypatch.setattr(scdebug.synthesizer, "_largest_region", largest_region)
-        slow = [print_sc(introduce_hierarchy(c)) for c in charts]
-        assert sum("{" in text for text in fast) > 500  # many charts get composites
-        for chart, got, want in zip(charts, fast, slow):
-            assert got == want, chart
 
     def test_flatten_composite_source_and_nested_entry(self):
         # G1 enters at G2, which enters at C; the transition out of G1 fires
@@ -199,18 +168,82 @@ class TestHierarchy:
             "D -> A : reset / r\nB -> A : reset / r\nB -> C : back [x = T]\n"
         )
 
-    def test_long_ring_nests_one_composite_per_level(self):
-        states = tuple((f"s{i}",) for i in range(64))
-        ts = tuple((states[i], states[(i + 1) % 64], f"e{i}", ()) for i in range(64))
-        chart = self._flat(states, states[0], ts)
-        hier = introduce_hierarchy(chart)
-        check_chart(hier)
-        assert flatten(hier) == to_statechart(chart)
-        depth, level = 0, hier
-        while any(n.is_composite for n in level.nodes):
-            (level,) = [n.children for n in level.nodes if n.is_composite]
-            depth += 1
-        assert depth == 62
+    def test_variable_split_on_random_charts(self):
+        rng = random.Random(11)
+        nested = deepest = 0
+        for _ in range(2000):
+            chart = gen_flat_chart(rng, max_states=10)
+            hier = introduce_hierarchy(chart)
+            check_chart(hier)
+            assert parse_sc(print_sc(hier)) == hier
+            flat, reference = flatten(hier), to_statechart(chart)
+            assert flat.transitions == reference.transitions
+            assert flat.initial == reference.initial
+            assert {n.name for n in flat.nodes} == {n.name for n in reference.nodes}
+            composites, depth = check_variable_split(chart, hier)
+            nested += composites > 0
+            deepest = max(deepest, depth)
+        assert nested >= 500
+        assert deepest >= 2
+
+
+def _vector(comment):
+    return tuple(None if c == "?" else c for c in comment.strip("<>").split(","))
+
+
+def _simple_names(sc):
+    names = []
+    for n in sc.nodes:
+        names.extend(_simple_names(n.children) if n.is_composite else [n.name])
+    return names
+
+
+def check_variable_split(chart, hier):
+    """Assert the variable-split rule level by level; returns (composite
+    count, nesting depth)."""
+    key = {f"N{i}": k for i, k in enumerate(chart.states, start=1)}
+    slot = {name: i for i, name in enumerate(key)}
+    initial = f"N{chart.states.index(chart.initial) + 1}"
+    width = len(chart.initial)
+    names, deepest = [], 0
+
+    def visit(sc, start, fixed, depth):
+        nonlocal deepest
+        deepest = max(deepest, depth)
+        scope = _simple_names(sc)
+        members = {n.name: _simple_names(n.children) if n.is_composite else [n.name] for n in sc.nodes}
+        firsts = [slot[members[n.name][0]] for n in sc.nodes]
+        assert firsts == sorted(firsts), "each node takes the slot of its first state"
+        holders = [n.name for n in sc.nodes if initial in members[n.name]]
+        assert sc.initial == (holders or [sc.nodes[0].name])[0]
+        split = width
+        for n in sc.nodes:
+            if not n.is_composite:
+                continue
+            names.append(n.name)
+            assert n.children.transitions == ()
+            assert 2 <= len(members[n.name]) < len(scope)
+            path = _vector(n.comment)
+            (var,) = [i for i in range(width) if path[i] != fixed[i]]
+            assert var >= start and path[var] is not None
+            assert split in (width, var), "one split variable per scope"
+            split = var
+            assert set(members[n.name]) == {s for s in scope if key[s][var] == path[var]}
+            for s in members[n.name]:
+                assert all(c is None or key[s][i] == c for i, c in enumerate(path))
+            visit(n.children, var + 1, path, depth + 1)
+        for var in range(start, split):
+            counts = Counter(key[s][var] for s in scope if key[s][var] is not None)
+            assert all(not 2 <= c < len(scope) for c in counts.values()), "an earlier variable qualifies"
+        if split < width:
+            left = [key[n.name][split] for n in sc.nodes if not n.is_composite]
+            left = [v for v in left if v is not None]
+            assert len(left) == len(set(left)), "two states left in a scope share a value"
+
+    visit(hier, 0, (None,) * width, 0)
+    assert names == [f"G{k}" for k in range(1, len(names) + 1)], "pre-order numbering"
+    assert deepest <= width
+    return len(names), deepest
 
 
 class TestSynthesize:
