@@ -144,27 +144,21 @@ def _ground(asd: AnnotatedSD, key: VectorKey, j: int, value: str, prov) -> None:
 def frame_propagate(asd: AnnotatedSD) -> bool:
     """One forward frame sweep per lifeline; True when it grounded a cell.
 
-    An undetermined precondition cell takes the previous postcondition's
-    value, and an undetermined postcondition cell takes its own
-    precondition's: values persist until a specification changes them.
-    Determined cells are never rewritten.  A lifeline's vectors are read and
-    written only by its own sweep, front to back, so one sweep is a fixpoint.
+    Each face in gap order (pre m1, post m1, pre m2, ...) takes every value
+    it lacks from the face before it, so values persist until a
+    specification changes them.  Determined cells are never rewritten.  A
+    lifeline's vectors are read and written only by its own sweep, front to
+    back, so one sweep is a fixpoint.
     """
     changed = False
     for obj in asd.sd.objects:
-        prev_post = None
-        for msg in asd.sd.lifeline(obj):
-            pre_key = (obj, msg.id, PRE)
-            post_key = (obj, msg.id, POST)
-            for src_key, dst_key in ((prev_post, pre_key), (pre_key, post_key)):
-                if src_key is None:
-                    continue
-                dst = asd.vectors[dst_key]
-                for j, v in enumerate(asd.vectors[src_key]):
-                    if v is not None and dst[j] is None:
-                        _ground(asd, dst_key, j, v, Frame(src_key, j))
-                        changed = True
-            prev_post = post_key
+        faces = [key for gap in lifeline_gaps(asd, obj) for key in gap]
+        for src_key, dst_key in zip(faces, faces[1:]):
+            dst = asd.vectors[dst_key]
+            for j, v in enumerate(asd.vectors[src_key]):
+                if v is not None and dst[j] is None:
+                    _ground(asd, dst_key, j, v, Frame(src_key, j))
+                    changed = True
     return changed
 
 
@@ -197,7 +191,7 @@ def state_classes(asd: AnnotatedSD, obj: str) -> list[list[tuple[VectorKey, ...]
     return classes
 
 
-def _class_state(asd: AnnotatedSD, cls):
+def class_state(asd: AnnotatedSD, cls):
     """(join of the class's faces, open) or None when two faces clash;
     ``open`` is true when some face lacks a value the join determines."""
     faces = [asd.vectors[key] for gap in cls for key in gap]
@@ -229,34 +223,37 @@ class Identification:
     joined: tuple
 
 
-def identification_candidates(asd: AnnotatedSD) -> list[Identification]:
-    """Applicable identifications in scan order: objects in declaration
-    order, the earlier class first, its partner searched from the end of
-    the lifeline backwards (loops close against the latest recurrence).
+def identification_candidates(asd: AnnotatedSD) -> Identification | None:
+    """The first applicable identification in scan order, or None: objects
+    in declaration order, the earlier class first, its partner searched
+    from the end of the lifeline backwards (loops close against the latest
+    recurrence).
 
     Two compatible classes are a candidate when their join grounds some
-    face cell: when either class is open or their states differ.
+    face cell: when either class is open or their states differ.  That
+    test depends only on the two classes' (state, open) pairs, so among the
+    partners of one earlier class, a pair that failed it is not tried
+    again; a partner refused only by ``no_loop`` is not remembered.
     """
-    out = []
     for obj in asd.sd.objects:
         classes = state_classes(asd, obj)
-        states = [_class_state(asd, cls) for cls in classes]
+        states = [class_state(asd, cls) for cls in classes]
         msgs = [{key[1] for gap in cls for key in gap} for cls in classes]
         for a in range(len(classes)):
             if states[a] is None:
                 continue
             state_a, open_a = states[a]
+            failed = {None}  # (state, open) pairs that fail against a; None clashes
             for b in range(len(classes) - 1, a, -1):
-                if states[b] is None:
+                if states[b] in failed:
                     continue
                 state_b, open_b = states[b]
                 joined = unify(state_a, state_b)
                 if joined is None or not (open_a or open_b or state_a != state_b):
-                    continue
-                if _is_discarded(asd.sd.no_loop, msgs[a], msgs[b]):
-                    continue
-                out.append(Identification(obj, tuple(classes[a]), tuple(classes[b]), joined))
-    return out
+                    failed.add(states[b])
+                elif not _is_discarded(asd.sd.no_loop, msgs[a], msgs[b]):
+                    return Identification(obj, tuple(classes[a]), tuple(classes[b]), joined)
+    return None
 
 
 def apply_identification(asd: AnnotatedSD, cand: Identification) -> UnifyEvent:
@@ -324,9 +321,9 @@ def annotate(sd: SequenceDiagram, dt: DomainTheory) -> tuple[AnnotatedSD, list[C
     # never un-grounds one, and there are finitely many cells.
     while True:
         frame_propagate(asd)
-        candidates = identification_candidates(asd)
-        if candidates:
-            apply_identification(asd, candidates[0])
+        cand = identification_candidates(asd)
+        if cand is not None:
+            apply_identification(asd, cand)
         elif not _gap_joins_once(asd):
             return asd, detect_conflicts(asd)
 

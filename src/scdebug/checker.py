@@ -145,8 +145,6 @@ def replay(
         msg = line[i]
         vector = asd.vectors[(obj, msg.id, PRE)] if asd is not None else None
         todo.append((msg, msg.event(), sends, vector))
-    if not todo:
-        return ReplayTrace(sd.name, obj, (), ACCEPTED)
 
     def matches(state: str, idx: int):
         _, event, sends, vector = todo[idx]

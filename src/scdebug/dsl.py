@@ -140,7 +140,7 @@ _CONTEXT_RE = re.compile(rf"context\s+(.+?)\s*(\(\s*({IDENT})\s*:\s*(.+?)\s*\))?
 
 def parse_domain_theory(text: str, filename: str = "<dt>") -> DomainTheory:
     variables: dict[str, StateVariable] = {}
-    specs: list[MessageSpec] = []
+    specs: dict[str, MessageSpec] = {}
 
     lines = list(_lines(text))
     i = 0
@@ -158,7 +158,7 @@ def parse_domain_theory(text: str, filename: str = "<dt>") -> DomainTheory:
             params: dict[str, VarDomain] = {}
             if m.group(2):
                 params[m.group(3)] = _parse_domain(m.group(4), span)
-            if any(s.name == name for s in specs):
+            if name in specs:
                 raise ParseError(span, f"duplicate context name {name!r}")
             i += 1
             conds = {"pre": Condition(), "post": Condition()}
@@ -183,7 +183,7 @@ def parse_domain_theory(text: str, filename: str = "<dt>") -> DomainTheory:
                 chunk = chunk.split(";")[0]
                 conds[which] = _parse_condition(chunk, _span(filename, no2, body2),
                                                 variables, params)
-            specs.append(MessageSpec(name, tuple(params.items()), conds["pre"], conds["post"]))
+            specs[name] = MessageSpec(name, tuple(params.items()), conds["pre"], conds["post"])
             continue
 
         if seen_context:
@@ -204,7 +204,7 @@ def parse_domain_theory(text: str, filename: str = "<dt>") -> DomainTheory:
             variables[name] = StateVariable(name, dom, len(variables))
         i += 1
 
-    return DomainTheory(tuple(variables.values()), tuple(specs))
+    return DomainTheory(tuple(variables.values()), tuple(specs.values()))
 
 
 def print_domain_theory(dt: DomainTheory) -> str:
@@ -356,7 +356,7 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
 
     def parse_block(name: str, depth: int) -> Statechart:
         nonlocal pos
-        nodes: list[Node] = []
+        nodes: dict[str, Node] = {}
         initial = None
         transitions: list[Transition] = []
         while pos < len(lines):
@@ -368,24 +368,19 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
                 pos += 1
                 break
             if body.startswith("initial "):
-                initial = body[len("initial "):].strip()
+                initial, initial_span = body[len("initial "):].strip(), span
                 pos += 1
             elif body.startswith("state "):
                 rest = body[len("state "):].strip()
-                if rest.endswith("{"):
-                    child_name = rest[:-1].strip()
-                    if not _IDENT_RE.match(child_name):
-                        raise ParseError(span, f"bad state name {child_name!r}")
-                    pos += 1
-                    child = parse_block(child_name, depth + 1)
-                    nodes.append(Node(child_name, children=child))
-                else:
-                    if not _IDENT_RE.match(rest):
-                        raise ParseError(span, f"bad state name {rest!r}")
-                    if any(n.name == rest for n in nodes):
-                        raise ParseError(span, f"duplicate node name {rest!r} in this scope")
-                    nodes.append(Node(rest))
-                    pos += 1
+                composite = rest.endswith("{")
+                node_name = rest[:-1].strip() if composite else rest
+                if not _IDENT_RE.match(node_name):
+                    raise ParseError(span, f"bad state name {node_name!r}")
+                if node_name in nodes:
+                    raise ParseError(span, f"duplicate node name {node_name!r} in this scope")
+                pos += 1
+                children = parse_block(node_name, depth + 1) if composite else None
+                nodes[node_name] = Node(node_name, children=children)
             elif "->" in body:
                 m = _TRANS_RE.match(body)
                 if not m:
@@ -407,7 +402,9 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
         if initial is None:
             raise ParseError(_span(filename, lines[pos - 1][0] if lines else 1),
                              f"missing initial node in {name!r}")
-        return Statechart(name, tuple(nodes), initial, tuple(transitions))
+        if initial not in nodes:
+            raise ParseError(initial_span, f"initial node {initial!r} not declared at this level")
+        return Statechart(name, tuple(nodes.values()), initial, tuple(transitions))
 
     if not lines or not lines[0][1].startswith("statechart "):
         raise ParseError(_span(filename, 1), "missing 'statechart <name>' header")

@@ -37,11 +37,14 @@ class IntRangeDomain:
             raise ValueError(f"empty integer range {self.lo}..{self.hi}")
 
     def contains(self, token: str) -> bool:
+        """In-range integers in canonical spelling only: a cell holding
+        ``01``, ``-0`` or ``1_0`` would never equal one holding ``1``, ``0``
+        or ``10``."""
         try:
             v = int(token)
         except ValueError:
             return False
-        return self.lo <= v <= self.hi
+        return str(v) == token and self.lo <= v <= self.hi
 
     def values(self) -> tuple[str, ...]:
         return tuple(str(v) for v in range(self.lo, self.hi + 1))

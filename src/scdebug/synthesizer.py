@@ -27,7 +27,7 @@ from .model import (
     format_vector,
     unify,
 )
-from .annotator import annotate, lifeline_gaps, missing_spec_warnings
+from .annotator import annotate, class_state, lifeline_gaps, missing_spec_warnings
 
 COMPLETION = ""  # event label of a completion (triggerless) transition
 
@@ -69,16 +69,10 @@ class FlatChart:
 
 def _gap_states(asd: AnnotatedSD, obj: str):
     """Joined face value per gap; conflict-free input keeps faces compatible."""
-    width = asd.theory.width
-    states = []
-    for gap in lifeline_gaps(asd, obj):
-        state = tuple([None] * width)
-        for key in gap:
-            state = unify(state, tuple(asd.vectors[key]))
-            if state is None:
-                raise ConflictedInputError([])
-        states.append(state)
-    return states
+    states = [class_state(asd, [gap]) for gap in lifeline_gaps(asd, obj)]
+    if None in states:
+        raise ConflictedInputError([])
+    return [state for state, _ in states]
 
 
 def receive_projection(line, obj: str):

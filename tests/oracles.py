@@ -2,7 +2,7 @@
 
 import itertools
 
-from scdebug.annotator import annotate
+from scdebug.annotator import Identification, annotate
 from scdebug.checker import (
     ACCEPTED,
     REJECTED,
@@ -122,10 +122,10 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
 
 
 def identification_scan(asd):
-    """Every applicable identification as (object, message ids of the
-    earlier class, message ids of its partner, join), by the grounds-based
-    scan: two compatible state classes qualify when their join would
-    ground at least one face cell and no ``no_loop`` pair spans them."""
+    """Every applicable identification, in the annotator's scan order, by
+    the grounds-based scan: two compatible state classes qualify when their
+    join would ground at least one face cell and no ``no_loop`` pair spans
+    them."""
     out = []
     for obj in asd.sd.objects:
         line = asd.sd.lifeline(obj)
@@ -139,14 +139,16 @@ def identification_scan(asd):
             else:
                 classes.append([g])
 
-        def faces(cls):
+        def gap(g):
             keys = []
-            for g in cls:
-                if g > 0:
-                    keys.append((obj, line[g - 1].id, POST))
-                if g < len(line):
-                    keys.append((obj, line[g].id, PRE))
-            return keys
+            if g > 0:
+                keys.append((obj, line[g - 1].id, POST))
+            if g < len(line):
+                keys.append((obj, line[g].id, PRE))
+            return tuple(keys)
+
+        def faces(cls):
+            return [key for g in cls for key in gap(g)]
 
         def state(cls):
             joined = tuple([None] * asd.theory.width)
@@ -177,5 +179,6 @@ def identification_scan(asd):
                     for p in asd.sd.no_loop
                 )
                 if grounds and not spanned:
-                    out.append((obj, msgs_a, msgs_b, joined))
+                    groups = [tuple(gap(g) for g in classes[c]) for c in (a, b)]
+                    out.append(Identification(obj, *groups, joined))
     return out

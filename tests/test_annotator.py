@@ -38,9 +38,9 @@ def vec(asd, obj, mid, which):
 def unify_to_fixpoint(asd):
     """Identifications and gap joins alone, without frame propagation."""
     while True:
-        candidates = identification_candidates(asd)
-        if candidates:
-            apply_identification(asd, candidates[0])
+        cand = identification_candidates(asd)
+        if cand is not None:
+            apply_identification(asd, cand)
         elif not _gap_joins_once(asd):
             return asd
 
@@ -121,18 +121,16 @@ class TestUnifyPass:
 
     def test_candidates_match_grounds_scan(self):
         # The closed-form candidate test (a class is open, or the two
-        # states differ) against the scan that lists the cells the join
-        # would ground, before and after the frame sweep of every step of
-        # the fixpoint (before it, a later class can be the only open one).
-        def candidates(asd):
-            cands = identification_candidates(asd)
-            got = [
-                (c.object, {key[1] for gap in c.group_a for key in gap},
-                 {key[1] for gap in c.group_b for key in gap}, c.joined)
-                for c in cands
-            ]
-            assert got == identification_scan(asd), f"step {len(asd.events)} of {asd.sd}"
-            return cands
+        # states differ) and the skipping of partner states already known
+        # to fail, against the scan that lists every candidate with the
+        # cells its join would ground: the first hit is the scan's first
+        # entry, before and after the frame sweep of every step of the
+        # fixpoint (before it, a later class can be the only open one).
+        def candidate(asd):
+            cand = identification_candidates(asd)
+            scan = identification_scan(asd)
+            assert cand == (scan[0] if scan else None), f"step {len(asd.events)} of {asd.sd}"
+            return cand
 
         rng = random.Random(23)
         steps = 0
@@ -148,15 +146,36 @@ class TestUnifyPass:
                 sd = dataclasses.replace(sd, no_loop=frozenset(pairs))
             asd = initialize_vectors(sd, dt)
             while True:
-                candidates(asd)
+                candidate(asd)
                 frame_propagate(asd)
-                cands = candidates(asd)
-                if cands:
+                cand = candidate(asd)
+                if cand is not None:
                     steps += 1
-                    apply_identification(asd, cands[0])
+                    apply_identification(asd, cand)
                 elif not _gap_joins_once(asd):
                     break
         assert steps > 200
+
+    def test_chain_of_one_context_skips_failed_partners(self, monkeypatch):
+        # Every class of a 1,000-message chain ends in the same closed
+        # state, so each earlier class tries one partner of that state
+        # instead of all of them.
+        from scdebug import annotator
+
+        dt = parse_domain_theory("X : Boolean\ncontext set\n pre:\n post: X = T ;")
+        msgs = "".join(f"\nmsg {i} A -> B : set" for i in range(1, 1001))
+        sd = parse_sd("sd Chain\nobject A\nobject B" + msgs)
+        calls = [0]
+        real = annotator.unify
+
+        def counting(a, b):
+            calls[0] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(annotator, "unify", counting)
+        _, conflicts = annotate(sd, dt)
+        assert conflicts == []
+        assert calls[0] < 50_000
 
 
 class TestFramePropagation:
@@ -245,7 +264,7 @@ class TestInvariants:
         asd, _ = annotate(sd1, coffee_dt_unfixed)
         before = {k: list(v) for k, v in asd.vectors.items()}
         assert frame_propagate(asd) is False
-        assert identification_candidates(asd) == []
+        assert identification_candidates(asd) is None
         assert {k: list(v) for k, v in asd.vectors.items()} == before
 
     def test_monotonic_from_initialization(self, sd1, coffee_dt_unfixed):
@@ -337,16 +356,16 @@ class TestInvariants:
                     return
                 while True:
                     frame_propagate(asd)
-                    cands = identification_candidates(asd)
+                    cands = identification_scan(asd)
                     if cands:
                         break
                     if not _gap_joins_once(asd):
                         budget[0] -= 1
                         outcomes.add(frozenset(known_cells(asd).items()))
                         return
-                for i in range(len(cands)):
+                for cand in cands:
                     copy = clone(asd)
-                    apply_identification(copy, identification_candidates(copy)[i])
+                    apply_identification(copy, cand)
                     explore(copy)
 
             explore(initialize_vectors(sd, dt))

@@ -114,6 +114,7 @@ class TestDomainTheory:
             ("x : Boolean\ncontext a\n pre:\n post:\ncontext a\n pre:\n post:", "duplicate context"),
             ("x : 2..1", "empty integer range"),
             ("x : Boolean\ncontext a\n pre: x = T and x = F ;\n post:", "repeated"),
+            ("x : 0..3\ncontext a\n pre: x = 01 ;\n post:", "literal '01' outside domain"),
         ],
     )
     def test_errors(self, text, fragment):
@@ -209,6 +210,9 @@ class TestStatechart:
             ("statechart M\nstate A", "missing initial"),
             ("statechart M\ninitial A\nstate A\nA -> B : e", "does not exist"),
             ("statechart M\ninitial A\nstate A\nstate A", "duplicate node"),
+            ("statechart M\ninitial X\nstate A", "<sc>:2:1: initial node 'X' not declared"),
+            ("statechart M\ninitial A\nstate A\nstate A {\n initial B\n state B\n}",
+             "<sc>:4:1: duplicate node name 'A'"),
         ],
     )
     def test_errors(self, text, fragment):
