@@ -6,14 +6,14 @@ every state of the flattened chart they can reach, one message at a time.
 The messages the object sends before its next received one must appear, in
 order, among the matched transition's actions; missing sends are tolerated,
 alien sends are not.  Repair runs iterative deepening over message
-insertions and deletions, so the first solution found has minimal cost;
-tie-breaking is total (deletes before inserts, lower positions first,
-insert candidates in theory declaration order).
+deletions and insertions of the events the chart receives, so the first
+solution found has minimal cost; tie-breaking is total (fewest edits,
+deletes before inserts, lower positions first, chart transition order,
+then sender order).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .model import (
@@ -29,7 +29,7 @@ from .model import (
     apply_edit,
 )
 from .annotator import AnnotationError, annotate
-from .dsl import split_label_args
+from .dsl import _conjunction, split_label_args
 from .synthesizer import COMPLETION, flatten, receive_projection
 
 ACCEPTED = "accepted"
@@ -63,21 +63,18 @@ class ReplayTrace:
 class RepairResult:
     edits: tuple
     repaired: SequenceDiagram
-    cost: int
-    annotation_ok: bool
 
-    def __post_init__(self):
-        if self.cost != len(self.edits):
-            raise ValueError("cost must equal the number of edits")
+    @property
+    def cost(self) -> int:
+        return len(self.edits)
 
 
 class NoRepairWithinBound(Exception):
-    def __init__(self, sd_name: str, obj: str, bound: int, explored: int, trace: ReplayTrace):
+    def __init__(self, sd_name: str, obj: str, bound: int, explored: int):
         self.sd_name = sd_name
         self.object = obj
         self.bound = bound
         self.explored = explored
-        self.trace = trace
         super().__init__(
             f"no repair of {sd_name!r} for {obj!r} within {bound} edit(s); "
             f"{explored} candidate(s) explored"
@@ -90,10 +87,12 @@ def _is_subsequence(needle, haystack) -> bool:
 
 
 def _guard_holds(guard: Condition | None, vector, dt: DomainTheory, strict: bool) -> bool:
-    """Three-valued guard check: undetermined cells satisfy any guard unless
-    strict mode is on."""
+    """Three-valued guard check: undetermined cells, and a missing vector,
+    satisfy any guard unless strict mode is on."""
     if guard is None or not guard.atoms:
         return True
+    if vector is None:
+        return not strict
     for var_name, value in guard.atoms:
         var = dt.variable(var_name)
         if var is None:
@@ -149,17 +148,9 @@ def replay(
     def matches(state: str, idx: int):
         _, event, sends, vector = todo[idx]
         for t in by_source.get(state, []):
-            if t.event != event:
-                continue
-            if not _is_subsequence(sends, t.actions):
-                continue
-            if t.guard is not None and t.guard.atoms:
-                if vector is None:
-                    if strict_guards:
-                        continue
-                elif not _guard_holds(t.guard, vector, dt, strict_guards):
-                    continue
-            yield t
+            if (t.event == event and _is_subsequence(sends, t.actions)
+                    and _guard_holds(t.guard, vector, dt, strict_guards)):
+                yield t
 
     # levels[i] maps every state the first i steps can end in to the step
     # that reached it first.  States and their transitions are taken in
@@ -183,8 +174,6 @@ def replay(
     if not accepted:
         msg, event, sends, _ = todo[len(levels) - 1]
         reason = _mismatch_reason(by_source.get(state, []), event, sends)
-        if event == COMPLETION:
-            reason = "no completion transition covers the leading sends"
         path.append(ReplayStep(msg, sends, state, None, None, reason))
     for level in reversed(levels[1:]):
         path.append(level[state])
@@ -196,7 +185,14 @@ def replay(
 
 
 def _mismatch_reason(candidates, event: str, sends) -> str:
+    """Why no transition out of a state takes a step.  A transition on the
+    event whose actions cover the sends failed only on its guard."""
     same_event = [t for t in candidates if t.event == event]
+    guards = [f"[{_conjunction(t.guard)}]" for t in same_event if _is_subsequence(sends, t.actions)]
+    if guards:
+        return f"guard {' or '.join(guards)} does not hold"
+    if event == COMPLETION:
+        return "no completion transition covers the leading sends"
     if not same_event:
         return f"no transition on event {event!r}"
     return f"sends {list(sends)} not covered by actions of any {event!r} transition"
@@ -207,29 +203,14 @@ def _mismatch_reason(candidates, event: str, sends) -> str:
 
 
 def insert_candidates(dt: DomainTheory, chart: Statechart, sd: SequenceDiagram, obj: str):
-    """Messages worth inserting: theory contexts first (declaration order,
-    ground arguments enumerated from their finite domains), then chart
-    transition events not already covered."""
-    out = []
-    seen = set()
-
-    def add(label: str, args: tuple):
-        key = (label, args)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-
-    for spec in dt.specs:
-        for combo in itertools.product(*(dom.values() for _, dom in spec.params)):
-            add(spec.name, combo)
-    for t in flatten(chart).transitions:
-        if t.event == COMPLETION:
-            continue
-        label, args = split_label_args(t.event)
-        add(label, args)
-
-    sender = next((o for o in sd.objects if o != obj), obj)
-    return [(label, args, sender) for label, args in out]
+    """Messages worth inserting: an inserted message is received by the
+    object, so only the chart's own events, each once in transition order,
+    sent by every other declared object in declaration order (by the object
+    itself when it is alone)."""
+    events = dict.fromkeys(split_label_args(t.event) for t in flatten(chart).transitions
+                           if t.event != COMPLETION)
+    senders = [o for o in sd.objects if o != obj] or [obj]
+    return [(label, args, sender) for label, args in events for sender in senders]
 
 
 def _ok(sd: SequenceDiagram, obj, chart, dt, strict_guards) -> bool:
@@ -263,7 +244,7 @@ def repair(
         if budget == 0:
             explored += 1
             if _ok(current, obj, chart, dt, strict_guards):
-                return RepairResult(tuple(edits), current, len(edits), True)
+                return RepairResult(tuple(edits), current)
             return None
         for pos in range(1, len(current.messages) + 1):
             edit = Delete(pos)
@@ -283,8 +264,7 @@ def repair(
         found = attempt(sd, [], depth)
         if found:
             return found
-    trace = replay(sd, obj, chart, dt, strict_guards)
-    raise NoRepairWithinBound(sd.name, obj, max_edits, explored, trace)
+    raise NoRepairWithinBound(sd.name, obj, max_edits, explored)
 
 
 @dataclass(frozen=True)

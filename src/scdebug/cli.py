@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .annotator import AnnotationError, annotate
 from .checker import check_all
-from .dsl import ParseError, parse_domain_theory, parse_sc, parse_sd, print_sc
+from .dsl import ParseError, parse_domain_theory, parse_sc, parse_sd, print_sc, transition_label
 from .report import annotation_bundle, check_bundle, export_dot, render_json, render_text
 from .synthesizer import ConflictedInputError, synthesize
 
@@ -115,6 +115,21 @@ def cmd_synth(args) -> int:
     return OK
 
 
+def _check_guards(chart, dt, path) -> None:
+    """Every guard atom must name a state variable and a value of its
+    domain; any other atom could never hold."""
+    scopes = [chart]
+    for sc in scopes:
+        scopes.extend(n.children for n in sc.nodes if n.is_composite)
+        for t in sc.transitions:
+            for name, value in t.guard.atoms if t.guard else ():
+                var = dt.variable(name)
+                if var is None or not var.domain.contains(value):
+                    why = "names no state variable" if var is None else f"is outside {var.domain.describe()}"
+                    raise ValueError(f"{path}: transition {t.source} -> {t.target} : "
+                                     f"{transition_label(t)}: guard atom {name} = {value} {why}")
+
+
 def cmd_check(args) -> int:
     dt, sds = _load_inputs(args)
     chart_dir = Path(args.charts)
@@ -123,6 +138,7 @@ def cmd_check(args) -> int:
     charts = {}
     for path in sorted(chart_dir.glob("*.sc")):
         chart = parse_sc(_read(path), str(path))
+        _check_guards(chart, dt, path)
         charts[chart.name] = chart
     if args.max_edits < 0:
         raise ValueError("--max-edits must be >= 0")

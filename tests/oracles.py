@@ -11,9 +11,9 @@ from scdebug.checker import (
     _guard_holds,
     _is_subsequence,
     _mismatch_reason,
-    insert_candidates,
     replay,
 )
+from scdebug.dsl import split_label_args
 from scdebug.model import POST, PRE, Delete, Insert, Message, apply_edit, unify
 from scdebug.synthesizer import COMPLETION, flatten, receive_projection
 
@@ -28,13 +28,35 @@ def edit_script_succeeds(sd, obj, chart, dt) -> bool:
     return not conflicts
 
 
+def theory_and_chart_messages(dt, chart):
+    """(label, args) of every theory context over its parameter domains, in
+    declaration order, then every chart event not already listed."""
+    out = [(spec.name, combo) for spec in dt.specs
+           for combo in itertools.product(*(dom.values() for _, dom in spec.params))]
+    out += [split_label_args(t.event) for t in flatten(chart).transitions if t.event != COMPLETION]
+    return list(dict.fromkeys(out))
+
+
+def mutation_candidates(dt, chart, sd, obj):
+    """Messages the mutation tests insert: theory_and_chart_messages, each
+    sent by the first other declared object.  Kept as the repair search once
+    listed its candidates, so seeded mutation cases stay the same."""
+    sender = next((o for o in sd.objects if o != obj), obj)
+    return [(label, args, sender) for label, args in theory_and_chart_messages(dt, chart)]
+
+
 def brute_force_min_cost(sd, obj, chart, dt, bound):
     """Smallest edit count with a working script, enumerated exhaustively.
 
     Scripts are canonicalized as deletions of original positions followed by
     insertions; any minimal mixed script has an equivalent of this shape.
+    Inserts range over theory_and_chart_messages, each sent by every other
+    declared object (by the object itself when it is alone): a superset of
+    what the repair search tries.
     """
-    candidates = insert_candidates(dt, chart, sd, obj)
+    senders = [o for o in sd.objects if o != obj] or [obj]
+    candidates = [(label, args, sender) for label, args in theory_and_chart_messages(dt, chart)
+                  for sender in senders]
 
     def inserts(base, count):
         if count == 0:
@@ -113,8 +135,6 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
         if not top[2] and len(path) + 1 > len(best):
             msg, event, sends, _ = todo[len(path)]
             reason = _mismatch_reason(by_source.get(top[0], []), event, sends)
-            if event == COMPLETION:
-                reason = "no completion transition covers the leading sends"
             best = path + [ReplayStep(msg, sends, top[0], None, None, reason)]
         if path:
             path.pop()

@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 from scdebug.annotator import annotate, initialize_vectors
-from scdebug.checker import insert_candidates, repair, replay
+from scdebug.checker import repair, replay
 from scdebug.cli import main
 from scdebug.dsl import parse_domain_theory, parse_sc, parse_sd, print_domain_theory, print_sd
 from scdebug.model import (
@@ -33,7 +33,7 @@ from scdebug.synthesizer import (
 
 from conftest import CLI_ENV, FIXTURES, known_cells
 from gen import conflict_free_pair
-from oracles import brute_force_min_cost
+from oracles import brute_force_min_cost, mutation_candidates
 
 THEORY = str(FIXTURES / "theory.dt")
 THEORY_UNFIXED = str(FIXTURES / "theory_unfixed.dt")
@@ -167,7 +167,7 @@ def test_criterion_6_repair_minimality(stepper_sd, stepper_dt):
         asd, conflicts = annotate(sd, dt)
         obj = max(sd.objects, key=lambda o: sum(1 for m in sd.messages if m.receiver == o))
         chart = to_statechart(synth_object_chart(asd, obj, conflicts), obj)
-        cands = insert_candidates(dt, chart, sd, obj)
+        cands = mutation_candidates(dt, chart, sd, obj)
         mutated = sd
         for _ in range(rng.randint(1, 3)):
             if mutated.messages and rng.random() < 0.5:

@@ -163,6 +163,24 @@ class TestCheck:
     def test_missing_chart_dir(self, capsys):
         assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", "missing-dir"]) == 2
 
+    @pytest.mark.parametrize(
+        "guard, why",
+        [
+            ("Stpe = 0", "names no state variable"),
+            ("Step = 9", "is outside 0..4"),
+        ],
+    )
+    def test_guard_atom_outside_the_theory_exits_two(self, guard, why, tmp_path, capsys):
+        # Such a guard never holds: the e1 transition would be dead.
+        chart = (FIXTURES / "stepper_refined" / "M.sc").read_text()
+        chart = chart.replace("N1 -> N2 : e1\n", f"N1 -> N2 : e1 [{guard}]\n")
+        (tmp_path / "M.sc").write_text(chart)
+        assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {tmp_path / 'M.sc'}: transition N1 -> N2 : "
+                                f"e1 [{guard}]: guard atom {guard} {why}\n")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -49,6 +49,8 @@ CASES = {
     "synth-refused": ["synth", _fx("theory_unfixed.dt"), _fx("sd1.sd"), "-o", "<tmp>/refused"],
     "check": ["check", *COFFEE, "--charts", "<tmp>/charts"],
     "check-json": ["check", *COFFEE, "--charts", "<tmp>/charts", "--json"],
+    "check-no-selection": ["check", _fx("theory.dt"), _fx("sd1_no_selection.sd"),
+                           "--charts", "<tmp>/charts", "--max-edits", "1"],
     "repair": REPAIR,
     "repair-json": REPAIR + ["--json"],
 }
