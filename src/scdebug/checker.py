@@ -10,14 +10,24 @@ deletions and insertions of the events the chart receives, so the first
 solution found has minimal cost; tie-breaking is total (fewest edits,
 deletes before inserts, lower positions first, chart transition order,
 then sender order).
+
+Each leaf one edit below a node is decided from the node's guard-blind
+replay state sets around the object's spans (the leading sends; each
+received message with the sends after it): an edit changes one span, or
+merges two, and only leaves that pass are built, annotated once and
+replayed.  Guards only remove transitions, so no repair is lost.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
+from itertools import accumulate, chain, product
 
 from .model import (
     PRE,
+    AnnotatedSD,
     Condition,
     DomainTheory,
     Delete,
@@ -86,6 +96,10 @@ def _is_subsequence(needle, haystack) -> bool:
     return all(x in it for x in needle)
 
 
+def _has_guards(flat: Statechart) -> bool:
+    return any(t.guard is not None and t.guard.atoms for t in flat.transitions)
+
+
 def _guard_holds(guard: Condition | None, vector, dt: DomainTheory, strict: bool) -> bool:
     """Three-valued guard check: undetermined cells, and a missing vector,
     satisfy any guard unless strict mode is on."""
@@ -113,6 +127,7 @@ def replay(
     chart: Statechart,
     dt: DomainTheory,
     strict_guards: bool = False,
+    asd: AnnotatedSD | None = None,
 ) -> ReplayTrace:
     """Walk the chart consuming the object's received messages in order.
 
@@ -120,15 +135,14 @@ def replay(
     the walk follows every chart state the projection can reach, one
     message at a time.  The diagram is accepted when a path consumes the
     whole projection; the trace is the first such path in transition order.
-    A rejection reports the deepest prefix reached.
+    A rejection reports the deepest prefix reached.  Guards are evaluated
+    on ``asd``, the diagram's annotation, made here when not given.
     """
     flat = flatten(chart)
     if obj not in sd.objects:
         return ReplayTrace(sd.name, obj, (), ACCEPTED)
 
-    has_guards = any(t.guard is not None and t.guard.atoms for t in flat.transitions)
-    asd = None
-    if has_guards:
+    if asd is None and _has_guards(flat):
         asd, _ = annotate(sd, dt)
 
     by_source: dict[str, list[Transition]] = {}
@@ -202,7 +216,7 @@ def _mismatch_reason(candidates, event: str, sends) -> str:
 # Repair search
 
 
-def insert_candidates(dt: DomainTheory, chart: Statechart, sd: SequenceDiagram, obj: str):
+def insert_candidates(chart: Statechart, sd: SequenceDiagram, obj: str):
     """Messages worth inserting: an inserted message is received by the
     object, so only the chart's own events, each once in transition order,
     sent by every other declared object in declaration order (by the object
@@ -211,17 +225,6 @@ def insert_candidates(dt: DomainTheory, chart: Statechart, sd: SequenceDiagram, 
                            if t.event != COMPLETION)
     senders = [o for o in sd.objects if o != obj] or [obj]
     return [(label, args, sender) for label, args in events for sender in senders]
-
-
-def _ok(sd: SequenceDiagram, obj, chart, dt, strict_guards) -> bool:
-    trace = replay(sd, obj, chart, dt, strict_guards)
-    if not trace.accepted:
-        return False
-    try:
-        _, conflicts = annotate(sd, dt)
-    except AnnotationError:
-        return False
-    return not conflicts
 
 
 def repair(
@@ -236,32 +239,86 @@ def repair(
     if max_edits < 0:
         raise ValueError("max_edits must be >= 0")
     chart = flatten(chart)
-    candidates = insert_candidates(dt, chart, sd, obj)
-    explored = 0
+    candidates = [(*c, Message(0, *c, obj).event()) for c in insert_candidates(chart, sd, obj)]
+    anywhere = {chart.initial, *(t.target for t in chart.transitions)}
 
-    def attempt(current: SequenceDiagram, edits: list, budget: int):
+    def step(states: set, event: str, sends, backward: bool = False) -> set:
+        # Where a span leads from states, or backward, from where into them.
+        if event == COMPLETION and not sends:  # an empty leading span
+            return states
+        return {t.source if backward else t.target for t in chart.transitions
+                if (t.target if backward else t.source) in states
+                and t.event == event and _is_subsequence(sends, t.actions)}
+
+    def leaf_test(current: SequenceDiagram):
+        """Guard-blind verdicts on current and on its one-edit changes."""
+        if obj not in current.objects:
+            return True, lambda pos, event: True  # replay accepts all of them
+        spans: list[tuple] = [(COMPLETION, [], [])]  # (event, send positions, sent events)
+        for pos, m in enumerate(current.messages, start=1):
+            if m.receiver == obj:
+                spans.append((m.event(), [], []))
+            elif m.sender == obj:
+                spans[-1][1].append(pos)
+                spans[-1][2].append(m.event())
+        # span_of[p - 1]: the object's receives before position p, so p's span
+        span_of = list(accumulate((m.receiver == obj for m in current.messages), initial=0))
+        fwd, back = [{chart.initial}], [anywhere]
+        for (event, _, sends), (b_event, _, b_sends) in zip(spans, reversed(spans)):
+            fwd.append(step(fwd[-1], event, sends))
+            back.insert(0, step(back[0], b_event, b_sends, backward=True))
+
+        def fits(a: int, end: int, *new) -> bool:
+            states = fwd[a]
+            for event, sends in new:
+                states = step(states, event, sends)
+            return not states.isdisjoint(back[end])
+
+        @cache
+        def test(pos: int, event: str | None) -> bool:
+            a = span_of[pos - 1]
+            received, positions, sends = spans[a]
+            cut = bisect_left(positions, pos)
+            if event is not None:
+                return fits(a, a + 1, (received, sends[:cut]), (event, sends[cut:]))
+            m = current.messages[pos - 1]
+            if m.receiver == obj:  # spans a and a + 1 merge
+                return fits(a, a + 2, (received, sends + spans[a + 1][2]))
+            return fits(a, a + 1, (received, sends[:cut] + sends[cut + (m.sender == obj):]))
+
+        return bool(fwd[-1]), test
+
+    def works(leaf: SequenceDiagram) -> bool:
+        try:
+            asd, conflicts = annotate(leaf, dt)
+        except AnnotationError:
+            return False
+        return not conflicts and replay(leaf, obj, chart, dt, strict_guards, asd).accepted
+
+    def attempt(current: SequenceDiagram, edits: tuple, budget: int):
         nonlocal explored
-        if budget == 0:
-            explored += 1
-            if _ok(current, obj, chart, dt, strict_guards):
-                return RepairResult(tuple(edits), current)
-            return None
-        for pos in range(1, len(current.messages) + 1):
-            edit = Delete(pos)
-            found = attempt(apply_edit(current, edit), edits + [edit], budget - 1)
+        decide = leaf_test(current)[1] if budget == 1 else None
+        n = len(current.messages)
+        for pos, cand in chain(product(range(1, n + 1), [None]), product(range(1, n + 2), candidates)):
+            if budget == 1:
+                explored += 1
+                if not decide(pos, cand and cand[3]):
+                    continue
+            edit = Delete(pos) if cand is None else Insert(Message(pos, *cand[:3], obj), pos)
+            child = apply_edit(current, edit)
+            if budget > 1:
+                found = attempt(child, edits + (edit,), budget - 1)
+            else:
+                found = RepairResult(edits + (edit,), child) if works(child) else None
             if found:
                 return found
-        for pos in range(1, len(current.messages) + 2):
-            for label, args, sender in candidates:
-                msg = Message(pos, label, args, sender, obj)
-                edit = Insert(msg, pos)
-                found = attempt(apply_edit(current, edit), edits + [edit], budget - 1)
-                if found:
-                    return found
         return None
 
-    for depth in range(max_edits + 1):
-        found = attempt(sd, [], depth)
+    explored = 1  # the diagram itself, at depth 0
+    if leaf_test(sd)[0] and works(sd):
+        return RepairResult((), sd)
+    for depth in range(1, max_edits + 1):
+        found = attempt(sd, (), depth)
         if found:
             return found
     raise NoRepairWithinBound(sd.name, obj, max_edits, explored)
@@ -286,11 +343,14 @@ def check_all(
     """Replay every (diagram, charted object) pair; repair the rejected ones."""
     records = []
     for sd in sds:
+        asd = None
         for obj in sd.objects:
             if obj not in chart_map:
                 continue
             chart = flatten(chart_map[obj])
-            trace = replay(sd, obj, chart, dt, strict_guards)
+            if asd is None and _has_guards(chart):
+                asd, _ = annotate(sd, dt)
+            trace = replay(sd, obj, chart, dt, strict_guards, asd)
             if trace.accepted:
                 records.append(CheckRecord(sd, obj, trace))
                 continue

@@ -2,15 +2,18 @@
 
 import itertools
 
-from scdebug.annotator import Identification, annotate
+from scdebug.annotator import AnnotationError, Identification, annotate
 from scdebug.checker import (
     ACCEPTED,
     REJECTED,
+    NoRepairWithinBound,
+    RepairResult,
     ReplayStep,
     ReplayTrace,
     _guard_holds,
     _is_subsequence,
     _mismatch_reason,
+    insert_candidates,
     replay,
 )
 from scdebug.dsl import split_label_args
@@ -78,6 +81,49 @@ def brute_force_min_cost(sd, obj, chart, dt, bound):
                     if edit_script_succeeds(candidate_sd, obj, chart, dt):
                         return total
     return None
+
+
+def repair_dfs(sd, obj, chart, dt, max_edits=4, strict_guards=False):
+    """Repair by iterative deepening that builds and replays every leaf:
+    deletes, then inserts, lower positions first, candidates in
+    insert_candidates order.  A leaf works when replay accepts it and it
+    annotates without error or conflict."""
+    chart = flatten(chart)
+    candidates = insert_candidates(chart, sd, obj)
+    explored = 0
+
+    def works(current):
+        try:
+            if not replay(current, obj, chart, dt, strict_guards).accepted:
+                return False
+            _, conflicts = annotate(current, dt)
+        except AnnotationError:
+            return False
+        return not conflicts
+
+    def attempt(current, edits, budget):
+        nonlocal explored
+        if budget == 0:
+            explored += 1
+            return RepairResult(tuple(edits), current) if works(current) else None
+        for pos in range(1, len(current.messages) + 1):
+            edit = Delete(pos)
+            found = attempt(apply_edit(current, edit), edits + [edit], budget - 1)
+            if found:
+                return found
+        for pos in range(1, len(current.messages) + 2):
+            for label, args, sender in candidates:
+                edit = Insert(Message(pos, label, args, sender, obj), pos)
+                found = attempt(apply_edit(current, edit), edits + [edit], budget - 1)
+                if found:
+                    return found
+        return None
+
+    for depth in range(max_edits + 1):
+        found = attempt(sd, [], depth)
+        if found:
+            return found
+    raise NoRepairWithinBound(sd.name, obj, max_edits, explored)
 
 
 def replay_dfs(sd, obj, chart, dt, strict_guards=False):

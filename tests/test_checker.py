@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+import scdebug.checker as checker
 from scdebug.annotator import annotate
 from scdebug.checker import (
     NoRepairWithinBound,
@@ -16,7 +18,7 @@ from scdebug.synthesizer import synth_object_chart, synthesize, to_statechart
 
 from conftest import read
 from gen import conflict_free_pair, gen_replay_case
-from oracles import brute_force_min_cost, mutation_candidates, replay_dfs
+from oracles import brute_force_min_cost, mutation_candidates, repair_dfs, replay_dfs
 
 
 @pytest.fixture(scope="module")
@@ -167,9 +169,7 @@ class TestRepair:
             if replay(sd, "M", refined_chart, stepper_dt).accepted:
                 working.append(("delete", pos))
         for pos in range(1, n + 2):
-            for label, args, sender in insert_candidates(
-                stepper_dt, refined_chart, stepper_sd, "M"
-            ):
+            for label, args, sender in insert_candidates(refined_chart, stepper_sd, "M"):
                 sd = apply_edit(stepper_sd, Insert(Message(pos, label, args, sender, "M"), pos))
                 if replay(sd, "M", refined_chart, stepper_dt).accepted:
                     _, conflicts = annotate(sd, stepper_dt)
@@ -209,8 +209,8 @@ class TestRepair:
         b = repair(stepper_sd, "M", refined_chart, stepper_dt)
         assert a == b
 
-    def test_insert_candidates_order(self, stepper_dt, refined_chart, stepper_sd):
-        cands = insert_candidates(stepper_dt, refined_chart, stepper_sd, "M")
+    def test_insert_candidates_order(self, refined_chart, stepper_sd):
+        cands = insert_candidates(refined_chart, stepper_sd, "M")
         # chart events in transition order, including e3, which no theory
         # context specifies
         assert cands == [(e, (), "Env") for e in ("e1", "e2", "e3", "e4", "e5")]
@@ -219,7 +219,7 @@ class TestRepair:
         # Only the argument the chart receives is tried, not the whole
         # domain; each event comes from every other object in turn.
         charts, _ = synthesize(coffee_dt, [sd1])
-        cands = insert_candidates(coffee_dt, charts["Coffee-UI"], sd1, "Coffee-UI")
+        cands = insert_candidates(charts["Coffee-UI"], sd1, "Coffee-UI")
         events = [("Display Ready Light", ()), ("Insert coin", ()),
                   ("Enter Selection", ("Espresso",)), ("Cancel", ()), ("Release coin", ())]
         assert cands == [(label, args, sender) for label, args in events
@@ -235,6 +235,67 @@ class TestRepair:
             "insert Enter Selection(Espresso) (User -> Coffee-UI) at position 4"
         ]
 
+    def test_matches_iterative_deepening_oracle(self, monkeypatch):
+        # Repairs and failures, explored counts included, equal those of the
+        # search that builds and replays every leaf, in both guard modes.
+        # Without guards the guard-blind leaf test is exact, so every leaf
+        # the search replays is accepted.
+        verdicts = []
+        monkeypatch.setattr(checker, "replay", _spy(verdicts, checker.replay))
+        rng = random.Random(23)
+        costs = Counter()
+        for _ in range(1500):
+            dt, chart, sd = gen_replay_case(rng, max_msgs=3)
+            guarded = any(t.guard is not None and t.guard.atoms for t in chart.transitions)
+            for strict in (False, True):
+                for bound in (0, 1, 2):
+                    verdicts.clear()
+                    found = _outcome(repair, sd, "M", chart, dt, bound, strict)
+                    assert found == _outcome(repair_dfs, sd, "M", chart, dt, bound, strict), (chart, sd)
+                    assert guarded or all(verdicts), (chart, sd)
+                    costs[getattr(found, "cost", None)] += 1
+        assert set(costs) == {0, 1, 2, None}
+
+    def test_single_deletions_match_oracle(self, coffee_dt, sd1, sd2):
+        charts, _ = synthesize(coffee_dt, [sd1, sd2])
+        rejected = 0
+        for sd in (sd1, sd2):
+            for pos in range(1, len(sd.messages) + 1):
+                mutated = apply_edit(sd, Delete(pos))
+                for obj in sd.objects:
+                    if replay(mutated, obj, charts[obj], coffee_dt).accepted:
+                        continue
+                    rejected += 1
+                    assert (_outcome(repair, mutated, obj, charts[obj], coffee_dt, 1)
+                            == _outcome(repair_dfs, mutated, obj, charts[obj], coffee_dt, 1))
+        assert rejected > 10
+
+    def test_leaves_are_decided_without_replaying_them(self, monkeypatch, coffee_dt, sd1, sd2):
+        # 9,137 leaves at depth 2; the search that replayed each one made
+        # 9,137 replay and 9,193 apply_edit calls.
+        charts, _ = synthesize(coffee_dt, [sd1, sd2])
+        sd = apply_edit(apply_edit(sd1, Delete(5)), Delete(4))
+        calls = Counter()
+        for name in ("replay", "apply_edit"):
+            monkeypatch.setattr(checker, name, _counting(calls, name, getattr(checker, name)))
+        found = repair(sd, "Coffee-UI", charts["Coffee-UI"], coffee_dt, max_edits=2)
+        assert [e.describe() for e in found.edits] == [
+            "insert Enter Selection(Espresso) (User -> Coffee-UI) at position 4",
+            "insert Cancel (Control -> Coffee-UI) at position 5",
+        ]
+        assert calls["replay"] <= 10 and calls["apply_edit"] <= 100
+
+    def test_annotates_each_built_leaf_once(self, monkeypatch, stepper_sd, stepper_dt):
+        # One edit deep every apply_edit call builds a leaf; replay reuses
+        # the leaf's annotation for the guard.
+        chart = parse_sc(read("stepper_refined/M.sc").replace("N1 -> N2 : e1\n", "N1 -> N2 : e1 [Step = 0]\n"))
+        calls = Counter()
+        for name in ("annotate", "apply_edit"):
+            monkeypatch.setattr(checker, name, _counting(calls, name, getattr(checker, name)))
+        found = repair(stepper_sd, "M", chart, stepper_dt, max_edits=1)
+        assert [e.describe() for e in found.edits] == ["insert e3 (Env -> M) at position 3"]
+        assert calls["annotate"] == calls["apply_edit"] > 0
+
 
 class TestCheckAll:
     def test_all_consistent(self, sd1, sd2, coffee_dt):
@@ -248,6 +309,17 @@ class TestCheckAll:
         (rec,) = records
         assert not rec.trace.accepted
         assert rec.repair is not None and rec.repair.cost == 1
+
+    def test_annotates_each_diagram_once(self, monkeypatch, stepper_sd, stepper_dt):
+        # Both charts have a guard; both replays use one annotation.
+        m = parse_sc("statechart M\ninitial N1\nstate N1\nstate N2\nstate N3\nstate N4\n"
+                     "N1 -> N2 : e1 [Step = 0]\nN2 -> N3 : e2\nN3 -> N4 : e4\nN4 -> N4 : e5")
+        env = parse_sc("statechart Env\ninitial A\nstate A\nstate B\nA -> B : [Step = 0] / e1, e2, e4, e5")
+        calls = Counter()
+        monkeypatch.setattr(checker, "annotate", _counting(calls, "annotate", checker.annotate))
+        records = check_all(stepper_dt, {"M": m, "Env": env}, [stepper_sd])
+        assert [r.trace.accepted for r in records] == [True, True]
+        assert calls["annotate"] == 1
 
     def test_unmapped_objects_skipped(self, stepper_sd, stepper_dt, stepper_charts):
         records = check_all(stepper_dt, {"M": stepper_charts["M"]}, [stepper_sd])
@@ -308,6 +380,28 @@ class TestMinimality:
         found = repair(mutated, "M", chart, dt, max_edits=2)
         assert [e.describe() for e in found.edits] == ["insert go (B -> M) at position 3"]
         assert brute_force_min_cost(mutated, "M", chart, dt, 2) == 1
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except NoRepairWithinBound as exc:
+        return str(exc)
+
+
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _spy(verdicts, replay_fn):
+    def wrapper(*args, **kwargs):
+        trace = replay_fn(*args, **kwargs)
+        verdicts.append(trace.accepted)
+        return trace
+    return wrapper
 
 
 def _mutate(rng, sd, dt, chart, obj, count):

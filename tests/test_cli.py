@@ -155,6 +155,25 @@ class TestCheck:
         main(["check", *args, "--json"])
         assert json.loads(capsys.readouterr().out)["summary"]["sds"] == sds
 
+    def test_guarded_chart_repairs_like_the_unguarded_one(self, tmp_path, capsys):
+        # Inserting e2(7) gives a diagram that does not annotate, since the
+        # e2 context takes no argument: with a guard or without, that leaf
+        # is rejected and the two deletions are reported.
+        sd = tmp_path / "stepper.sd"
+        sd.write_text("sd Stepper\nobject Env\nobject M\n"
+                      + "".join(f"msg {i} Env -> M : {e}\n" for i, e in enumerate(("e1", "e4", "e5"), 1)))
+        outs = []
+        for guard in (" [Step = 0]", ""):
+            charts = tmp_path / f"charts{len(outs)}"
+            charts.mkdir()
+            (charts / "M.sc").write_text(
+                "statechart M\ninitial N1\nstate N1\nstate N2\nstate N3\nstate N4\n"
+                f"N1 -> N2 : e1{guard}\nN2 -> N3 : e2(7)\nN3 -> N4 : e4\nN4 -> N4 : e5\n")
+            assert main(["check", STEPPER_DT, str(sd), "--charts", str(charts), "--max-edits", "2"]) == 1
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "repair with 2 edit(s):\n    delete message at position 2\n    delete message at position 2\n" in outs[0]
+
     def test_max_edits_zero(self, capsys):
         assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", REFINED,
                      "--max-edits", "0"]) == 1
