@@ -8,6 +8,12 @@ state-preserving messages (empty or missing postcondition) form one state
 class; unifying two classes identifies a potential loop.  Loop candidates
 are searched latest-first so a recurrence is always explained against the
 end of the scenario, which is where loops close.
+
+A fixpoint round is linear in the diagram: gaps are built once, a class's
+state is joined a cell column at a time, and the loop search walks each
+lifeline's distinct (state, open) keys, not its pairs of classes.  Rounds
+are few (one to three per diagram), so they are not narrowed to the
+classes that changed.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .model import (
     Unified,
     UnifyEvent,
     VectorKey,
+    participants,
     unify,
 )
 
@@ -83,12 +90,6 @@ def _condition_cells(cond: Condition, binding: dict, dt: DomainTheory, msg: Mess
     return cells
 
 
-def participants(msg: Message) -> tuple[str, ...]:
-    if msg.sender == msg.receiver:
-        return (msg.sender,)
-    return (msg.sender, msg.receiver)
-
-
 def initialize_vectors(sd: SequenceDiagram, dt: DomainTheory) -> AnnotatedSD:
     """Build initial pre/post vectors straight from the message specifications.
 
@@ -120,13 +121,10 @@ def initialize_vectors(sd: SequenceDiagram, dt: DomainTheory) -> AnnotatedSD:
 
 def missing_spec_warnings(sd: SequenceDiagram, dt: DomainTheory) -> list[str]:
     """One warning per distinct message label the theory does not specify."""
-    out = []
-    for m in sd.messages:
-        if dt.spec_for(m.label) is None:
-            w = f"{sd.name}: message {m.label!r} has no specification"
-            if w not in out:
-                out.append(w)
-    return out
+    return list(dict.fromkeys(
+        f"{sd.name}: message {m.label!r} has no specification"
+        for m in sd.messages if dt.spec_for(m.label) is None
+    ))
 
 
 def _ground(asd: AnnotatedSD, key: VectorKey, j: int, value: str, prov) -> None:
@@ -148,13 +146,15 @@ def frame_propagate(asd: AnnotatedSD) -> bool:
     it lacks from the face before it, so values persist until a
     specification changes them.  Determined cells are never rewritten.  A
     lifeline's vectors are read and written only by its own sweep, front to
-    back, so one sweep is a fixpoint.
+    back, so one sweep is a fixpoint.  Full faces take nothing and are skipped.
     """
     changed = False
     for obj in asd.sd.objects:
         faces = [key for gap in lifeline_gaps(asd, obj) for key in gap]
         for src_key, dst_key in zip(faces, faces[1:]):
             dst = asd.vectors[dst_key]
+            if None not in dst:
+                continue
             for j, v in enumerate(asd.vectors[src_key]):
                 if v is not None and dst[j] is None:
                     _ground(asd, dst_key, j, v, Frame(src_key, j))
@@ -169,11 +169,7 @@ def frame_propagate(asd: AnnotatedSD) -> bool:
 def lifeline_gaps(asd: AnnotatedSD, obj: str) -> list[tuple[VectorKey, ...]]:
     """The gaps of a lifeline as tuples of face keys:
     ``[(pre m1), (post m1, pre m2), ..., (post mlast)]``."""
-    gaps = [[]]
-    for msg in asd.sd.lifeline(obj):
-        gaps[-1].append((obj, msg.id, PRE))
-        gaps.append([(obj, msg.id, POST)])
-    return [tuple(gap) for gap in gaps]
+    return asd.gaps[obj]
 
 
 def state_classes(asd: AnnotatedSD, obj: str) -> list[list[tuple[VectorKey, ...]]]:
@@ -193,14 +189,20 @@ def state_classes(asd: AnnotatedSD, obj: str) -> list[list[tuple[VectorKey, ...]
 
 def class_state(asd: AnnotatedSD, cls):
     """(join of the class's faces, open) or None when two faces clash;
-    ``open`` is true when some face lacks a value the join determines."""
+    ``open`` is true when some face lacks a value the join determines.
+    The join is taken one column of cells at a time."""
     faces = [asd.vectors[key] for gap in cls for key in gap]
-    state = tuple([None] * asd.theory.width)
-    for cells in faces:
-        state = unify(state, tuple(cells))
-        if state is None:
+    state = []
+    is_open = False
+    for column in zip(*faces) if faces else [()] * asd.theory.width:
+        values = set(column)
+        lacking = None in values
+        values.discard(None)
+        if len(values) > 1:
             return None
-    return state, any(v is not None and cells[j] is None for cells in faces for j, v in enumerate(state))
+        state.append(values.pop() if values else None)
+        is_open = is_open or (lacking and state[-1] is not None)
+    return tuple(state), is_open
 
 
 def _is_discarded(no_loop, msgs_a, msgs_b) -> bool:
@@ -231,28 +233,42 @@ def identification_candidates(asd: AnnotatedSD) -> Identification | None:
 
     Two compatible classes are a candidate when their join grounds some
     face cell: when either class is open or their states differ.  That
-    test depends only on the two classes' (state, open) pairs, so among the
-    partners of one earlier class, a pair that failed it is not tried
-    again; a partner refused only by ``no_loop`` is not remembered.
+    test depends only on the two classes' (state, open) keys, so each
+    earlier class is tested once per distinct key, and the key's latest
+    class after it that ``no_loop`` does not refuse is its partner.  Two
+    closed, fully determined states are compatible only when equal, and
+    then ground nothing, so such a class tests only the keys that are open
+    or partly undetermined.
     """
+    no_loop = asd.sd.no_loop
     for obj in asd.sd.objects:
         classes = state_classes(asd, obj)
         states = [class_state(asd, cls) for cls in classes]
-        msgs = [{key[1] for gap in cls for key in gap} for cls in classes]
-        for a in range(len(classes)):
-            if states[a] is None:
+        by_key = {}  # (state, open) -> indices of the classes in it, ascending
+        for c, key in enumerate(states):
+            if key is not None:  # a clashing class has no partner
+                by_key.setdefault(key, []).append(c)
+        partial = {key: cs for key, cs in by_key.items() if key[1] or None in key[0]}
+        msgs = [{key[1] for gap in cls for key in gap} for cls in classes] if no_loop else None
+        for a, key_a in enumerate(states):
+            if key_a is None:
                 continue
-            state_a, open_a = states[a]
-            failed = {None}  # (state, open) pairs that fail against a; None clashes
-            for b in range(len(classes) - 1, a, -1):
-                if states[b] in failed:
+            state_a, open_a = key_a
+            b_max, found = a, None
+            for (state_b, open_b), cs in (by_key if open_a or None in state_a else partial).items():
+                if cs[-1] <= b_max:
                     continue
-                state_b, open_b = states[b]
                 joined = unify(state_a, state_b)
                 if joined is None or not (open_a or open_b or state_a != state_b):
-                    failed.add(states[b])
-                elif not _is_discarded(asd.sd.no_loop, msgs[a], msgs[b]):
-                    return Identification(obj, tuple(classes[a]), tuple(classes[b]), joined)
+                    continue
+                for b in reversed(cs):
+                    if b <= b_max:
+                        break
+                    if not (no_loop and _is_discarded(no_loop, msgs[a], msgs[b])):
+                        b_max, found = b, joined
+                        break
+            if found is not None:
+                return Identification(obj, tuple(classes[a]), tuple(classes[b_max]), found)
     return None
 
 
@@ -293,10 +309,12 @@ def _gap_joins_once(asd: AnnotatedSD) -> bool:
             if len(gap) != 2:
                 continue
             left_key, right_key = gap
-            if _is_discarded(asd.sd.no_loop, {left_key[1]}, {right_key[1]}):
-                continue
             left = asd.vectors[left_key]
             right = asd.vectors[right_key]
+            if None not in left and None not in right:
+                continue
+            if _is_discarded(asd.sd.no_loop, {left_key[1]}, {right_key[1]}):
+                continue
             joined = unify(tuple(left), tuple(right))
             if joined is None:
                 continue

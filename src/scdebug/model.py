@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 # ---------------------------------------------------------------------------
@@ -126,17 +127,19 @@ class DomainTheory:
         if len(set(ctx)) != len(ctx):
             raise ValueError(f"duplicate context name: {ctx}")
 
+    @cached_property
+    def _variable_index(self) -> dict:
+        return {v.name: v for v in self.variables}
+
+    @cached_property
+    def _spec_index(self) -> dict:
+        return {s.name: s for s in self.specs}
+
     def variable(self, name: str) -> StateVariable | None:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        return None
+        return self._variable_index.get(name)
 
     def spec_for(self, label: str) -> MessageSpec | None:
-        for s in self.specs:
-            if s.name == label:
-                return s
-        return None
+        return self._spec_index.get(label)
 
     @property
     def width(self) -> int:
@@ -160,6 +163,12 @@ class Message:
         if self.args:
             return f"{self.label}({','.join(self.args)})"
         return self.label
+
+
+def participants(msg: Message) -> tuple[str, ...]:
+    if msg.sender == msg.receiver:
+        return (msg.sender,)
+    return (msg.sender, msg.receiver)
 
 
 @dataclass(frozen=True)
@@ -280,6 +289,16 @@ class AnnotatedSD:
     vectors: dict  # VectorKey -> list of cells (mutable during annotation)
     provenance: dict  # (VectorKey, cell index) -> Provenance
     events: list  # list[UnifyEvent]
+
+    @cached_property
+    def gaps(self) -> dict:
+        """Each object's gaps (``annotator.lifeline_gaps``), in one pass."""
+        gaps = {obj: [[]] for obj in self.sd.objects}
+        for msg in self.sd.messages:
+            for obj in participants(msg):
+                gaps[obj][-1].append((obj, msg.id, PRE))
+                gaps[obj].append([(obj, msg.id, POST)])
+        return {obj: [tuple(gap) for gap in line] for obj, line in gaps.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -248,3 +248,26 @@ def identification_scan(asd):
                     groups = [tuple(gap(g) for g in classes[c]) for c in (a, b)]
                     out.append(Identification(obj, *groups, joined))
     return out
+
+
+def lifeline_gaps_by_lifeline(asd, obj):
+    """The gaps of one lifeline as tuples of face keys, built from that
+    object's own message list, as the annotator once rebuilt them for every
+    object on every use."""
+    gaps = [[]]
+    for msg in asd.sd.lifeline(obj):
+        gaps[-1].append((obj, msg.id, PRE))
+        gaps.append([(obj, msg.id, POST)])
+    return [tuple(gap) for gap in gaps]
+
+
+def class_state_by_faces(asd, cls):
+    """(join, open) of a class, or None on a clash, by unifying its faces
+    into the join one face at a time."""
+    faces = [asd.vectors[key] for gap in cls for key in gap]
+    state = tuple([None] * asd.theory.width)
+    for cells in faces:
+        state = unify(state, tuple(cells))
+        if state is None:
+            return None
+    return state, any(v is not None and cells[j] is None for cells in faces for j, v in enumerate(state))

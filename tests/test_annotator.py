@@ -9,9 +9,12 @@ from scdebug.annotator import (
     _gap_joins_once,
     annotate,
     apply_identification,
+    class_state,
     frame_propagate,
     identification_candidates,
     initialize_vectors,
+    lifeline_gaps,
+    state_classes,
 )
 from scdebug.dsl import parse_domain_theory, parse_sd
 from scdebug.model import (
@@ -26,13 +29,28 @@ from scdebug.model import (
 
 from conftest import known_cells
 from gen import conflict_free_pair, gen_sd, gen_theory
-from oracles import identification_scan
+from oracles import class_state_by_faces, identification_scan, lifeline_gaps_by_lifeline
 
 CUI = "Coffee-UI"
 
 
 def vec(asd, obj, mid, which):
     return format_vector(asd.vectors[(obj, mid, which)])
+
+
+def count_unify(monkeypatch):
+    """Count the annotator's ``unify`` calls; returns the one-cell counter."""
+    from scdebug import annotator
+
+    calls = [0]
+    real = annotator.unify
+
+    def counting(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(annotator, "unify", counting)
+    return calls
 
 
 def unify_to_fixpoint(asd):
@@ -126,7 +144,14 @@ class TestUnifyPass:
         # cells its join would ground: the first hit is the scan's first
         # entry, before and after the frame sweep of every step of the
         # fixpoint (before it, a later class can be the only open one).
+        # The gaps built once per annotation and the column-wise class
+        # states are checked at the same steps against the per-object gap
+        # construction and the face-by-face join.
         def candidate(asd):
+            for obj in asd.sd.objects:
+                assert lifeline_gaps(asd, obj) == lifeline_gaps_by_lifeline(asd, obj)
+                for cls in state_classes(asd, obj):
+                    assert class_state(asd, cls) == class_state_by_faces(asd, cls)
             cand = identification_candidates(asd)
             scan = identification_scan(asd)
             assert cand == (scan[0] if scan else None), f"step {len(asd.events)} of {asd.sd}"
@@ -157,25 +182,42 @@ class TestUnifyPass:
         assert steps > 200
 
     def test_chain_of_one_context_skips_failed_partners(self, monkeypatch):
-        # Every class of a 1,000-message chain ends in the same closed
-        # state, so each earlier class tries one partner of that state
-        # instead of all of them.
-        from scdebug import annotator
-
+        # Every class of a 4,000-message chain ends in the same closed
+        # state, so each earlier class tries that state once instead of
+        # every class in it.
         dt = parse_domain_theory("X : Boolean\ncontext set\n pre:\n post: X = T ;")
-        msgs = "".join(f"\nmsg {i} A -> B : set" for i in range(1, 1001))
+        msgs = "".join(f"\nmsg {i} A -> B : set" for i in range(1, 4001))
         sd = parse_sd("sd Chain\nobject A\nobject B" + msgs)
-        calls = [0]
-        real = annotator.unify
-
-        def counting(a, b):
-            calls[0] += 1
-            return real(a, b)
-
-        monkeypatch.setattr(annotator, "unify", counting)
+        calls = count_unify(monkeypatch)
         _, conflicts = annotate(sd, dt)
         assert conflicts == []
         assert calls[0] < 50_000
+
+    def test_ring_scans_states_not_pairs(self, monkeypatch):
+        # One lap of a 1,000-state ring: every class is closed, fully
+        # determined and unique but for the first and last (equal, so
+        # nothing to ground).  No class has a partner to test, where a walk
+        # over every pair of classes made about a million joins.
+        k = 1000
+        dt = parse_domain_theory(f"S : 0..{k - 1}" + "".join(
+            f"\ncontext e{i}\n pre: S = {i} ;\n post: S = {(i + 1) % k} ;" for i in range(k)
+        ))
+        msgs = "".join(f"\nmsg {i + 1} A -> B : e{i}" for i in range(k))
+        sd = parse_sd("sd Ring\nobject A\nobject B" + msgs)
+        calls = count_unify(monkeypatch)
+        asd, conflicts = annotate(sd, dt)
+        assert conflicts == [] and asd.events == []
+        assert calls[0] < 1_000
+
+    def test_empty_lifeline_state_is_undetermined(self):
+        # A lifeline with no messages is one gap with no faces; its class
+        # state is all undetermined, as the face-by-face join made it.
+        dt = parse_domain_theory("x : Boolean\ny : 0..2")
+        sd = parse_sd("sd S\nobject A\nobject B\nobject C\nmsg 1 A -> B : hello")
+        asd = initialize_vectors(sd, dt)
+        assert lifeline_gaps(asd, "C") == lifeline_gaps_by_lifeline(asd, "C") == [()]
+        [cls] = state_classes(asd, "C")
+        assert class_state(asd, cls) == class_state_by_faces(asd, cls) == ((None, None), False)
 
 
 class TestFramePropagation:
