@@ -14,6 +14,14 @@ state is joined a cell column at a time, and the loop search walks each
 lifeline's distinct (state, open) keys, not its pairs of classes.  Rounds
 are few (one to three per diagram), so they are not narrowed to the
 classes that changed.
+
+Only unification stores provenance: ``AnnotatedSD.provenance`` holds a
+``Unified`` record per cell an identification or gap join grounded.
+``provenance_of`` derives a cell's provenance when a conflict is explained,
+by the first rule that applies: the stored ``Unified`` record; ``FromSpec``
+when the message's specification fixes the cell (annotation never
+overwrites one); ``Frame`` from the face before it on the lifeline when
+the cell is determined (only the frame sweep grounds anything else); None.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .model import (
     Frame,
     FromSpec,
     Message,
+    Provenance,
     SequenceDiagram,
     StateVector,
     Unified,
@@ -74,8 +83,8 @@ def _parameter_binding(spec, msg: Message) -> dict:
     return {p: a for (p, _), a in zip(spec.params, msg.args)}
 
 
-def _condition_cells(cond: Condition, binding: dict, dt: DomainTheory, msg: Message) -> dict:
-    cells = {}
+def _condition_vector(cond: Condition, binding: dict, dt: DomainTheory, msg: Message) -> tuple:
+    cells = [None] * dt.width
     for var_name, value in cond.atoms:
         var = dt.variable(var_name)
         if var is None:
@@ -87,7 +96,7 @@ def _condition_cells(cond: Condition, binding: dict, dt: DomainTheory, msg: Mess
                 f"literal {literal!r} outside domain of {var_name} ({var.domain.describe()})",
             )
         cells[var.index] = literal
-    return cells
+    return tuple(cells)
 
 
 def initialize_vectors(sd: SequenceDiagram, dt: DomainTheory) -> AnnotatedSD:
@@ -96,27 +105,26 @@ def initialize_vectors(sd: SequenceDiagram, dt: DomainTheory) -> AnnotatedSD:
     Both endpoints of a message receive the same spec-derived cells: the
     conditions constrain the shared system state, not one object's view.
     Messages without a matching spec contribute all-undetermined vectors.
+    Spec vectors are built once per (label, arguments) into ``AnnotatedSD.spec_vectors``.
     """
     vectors: dict[VectorKey, list] = {}
-    provenance: dict = {}
-    width = dt.width
+    spec_vectors: dict = {}  # message id -> {PRE: vector, POST: vector}
+    by_event: dict = {}  # (label, args) -> the same, shared
     for msg in sd.messages:
-        spec = dt.spec_for(msg.label)
-        pre_cells: dict = {}
-        post_cells: dict = {}
-        if spec is not None:
-            binding = _parameter_binding(spec, msg)
-            pre_cells = _condition_cells(spec.pre, binding, dt, msg)
-            post_cells = _condition_cells(spec.post, binding, dt, msg)
+        fixed = by_event.get((msg.label, msg.args))
+        if fixed is None:
+            spec = dt.spec_for(msg.label)
+            binding = {} if spec is None else _parameter_binding(spec, msg)
+            pre, post = (Condition(), Condition()) if spec is None else (spec.pre, spec.post)
+            fixed = by_event[msg.label, msg.args] = {
+                PRE: _condition_vector(pre, binding, dt, msg),
+                POST: _condition_vector(post, binding, dt, msg),
+            }
+        spec_vectors[msg.id] = fixed
         for obj in participants(msg):
-            for which, cells in ((PRE, pre_cells), (POST, post_cells)):
-                key = (obj, msg.id, which)
-                vec = [None] * width
-                for j, literal in cells.items():
-                    vec[j] = literal
-                    provenance[(key, j)] = FromSpec(msg.id, which)
-                vectors[key] = vec
-    return AnnotatedSD(sd, dt, vectors, provenance, [])
+            for which, cells in fixed.items():
+                vectors[(obj, msg.id, which)] = list(cells)
+    return AnnotatedSD(sd, dt, vectors, {}, [], spec_vectors)
 
 
 def missing_spec_warnings(sd: SequenceDiagram, dt: DomainTheory) -> list[str]:
@@ -127,7 +135,7 @@ def missing_spec_warnings(sd: SequenceDiagram, dt: DomainTheory) -> list[str]:
     ))
 
 
-def _ground(asd: AnnotatedSD, key: VectorKey, j: int, value: str, prov) -> None:
+def _ground(asd: AnnotatedSD, key: VectorKey, j: int, value: str, prov: Unified) -> None:
     cells = asd.vectors[key]
     if cells[j] is not None:
         if cells[j] != value:
@@ -147,17 +155,16 @@ def frame_propagate(asd: AnnotatedSD) -> bool:
     specification changes them.  Determined cells are never rewritten.  A
     lifeline's vectors are read and written only by its own sweep, front to
     back, so one sweep is a fixpoint.  Full faces take nothing and are skipped.
+    Faces follow ``AnnotatedSD.previous_face``, as ``provenance_of``'s frame steps do.
     """
     changed = False
-    for obj in asd.sd.objects:
-        faces = [key for gap in lifeline_gaps(asd, obj) for key in gap]
-        for src_key, dst_key in zip(faces, faces[1:]):
-            dst = asd.vectors[dst_key]
-            if None not in dst:
-                continue
-            for j, v in enumerate(asd.vectors[src_key]):
-                if v is not None and dst[j] is None:
-                    _ground(asd, dst_key, j, v, Frame(src_key, j))
+    vectors = asd.vectors
+    for key, prev in asd.previous_face.items():
+        cells = vectors[key]
+        if None in cells:
+            for j, v in enumerate(vectors[prev]):
+                if v is not None and cells[j] is None:
+                    cells[j] = v
                     changed = True
     return changed
 
@@ -172,19 +179,10 @@ def lifeline_gaps(asd: AnnotatedSD, obj: str) -> list[tuple[VectorKey, ...]]:
     return asd.gaps[obj]
 
 
-def state_classes(asd: AnnotatedSD, obj: str) -> list[list[tuple[VectorKey, ...]]]:
+def state_classes(asd: AnnotatedSD, obj: str) -> list[tuple[tuple[VectorKey, ...], ...]]:
     """Runs of gaps joined by state-preserving messages (no specification or
     an empty postcondition), in lifeline order."""
-    gaps = lifeline_gaps(asd, obj)
-    classes = [[gaps[0]]]
-    for gap in gaps[1:]:
-        # A later gap opens with the post face of the message before it.
-        spec = asd.theory.spec_for(asd.sd.messages[gap[0][1] - 1].label)
-        if spec is None or spec.post.is_empty():
-            classes[-1].append(gap)
-        else:
-            classes.append([gap])
-    return classes
+    return asd.classes[obj]
 
 
 def class_state(asd: AnnotatedSD, cls):
@@ -268,7 +266,7 @@ def identification_candidates(asd: AnnotatedSD) -> Identification | None:
                         b_max, found = b, joined
                         break
             if found is not None:
-                return Identification(obj, tuple(classes[a]), tuple(classes[b_max]), found)
+                return Identification(obj, classes[a], classes[b_max], found)
     return None
 
 
@@ -350,6 +348,20 @@ def annotate(sd: SequenceDiagram, dt: DomainTheory) -> tuple[AnnotatedSD, list[C
 # Conflicts and derivations
 
 
+def provenance_of(asd: AnnotatedSD, key: VectorKey, j: int) -> Provenance | None:
+    """How cell ``j`` of face ``key`` got its value, by the first of the
+    rules in the module docstring that applies."""
+    prov = asd.provenance.get((key, j))
+    if prov is not None:
+        return prov
+    _, mid, which = key
+    if asd.spec_vectors[mid][which][j] is not None:
+        return FromSpec(mid, which)
+    if asd.vectors[key][j] is not None:
+        return Frame(asd.previous_face[key], j)
+    return None
+
+
 def _trace(asd: AnnotatedSD, key: VectorKey, j: int) -> list[DerivationStep]:
     """Transitive provenance of one cell, oldest step first."""
     steps = []
@@ -358,7 +370,7 @@ def _trace(asd: AnnotatedSD, key: VectorKey, j: int) -> list[DerivationStep]:
         if (key, j) in seen:
             raise AssertionError(f"cyclic provenance at {key}[{j}]")
         seen.add((key, j))
-        prov = asd.provenance.get((key, j))
+        prov = provenance_of(asd, key, j)
         steps.append(DerivationStep(key, j, prov))
         if prov is None or isinstance(prov, FromSpec):
             steps.reverse()

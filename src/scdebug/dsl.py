@@ -274,49 +274,52 @@ def parse_sd(text: str, filename: str = "<sd>") -> SequenceDiagram:
     name = None
     objects: list[str] = []
     messages: list[Message] = []
-    no_loop: list[tuple[SourceSpan, frozenset[int]]] = []
+    no_loop: list[tuple[int, str, frozenset[int]]] = []
+
+    def error(message: str, expected: str | None = None) -> ParseError:
+        # Spans the line in ``no``/``body``, built only for a line that fails.
+        return ParseError(_span(filename, no, body), message, expected)
 
     for no, body in _lines(text):
-        span = _span(filename, no, body)
         if body.startswith("sd "):
             name = body[3:].strip()
         elif body.startswith("object "):
             obj = body[len("object "):].strip()
             if not _IDENT_RE.match(obj):
-                raise ParseError(span, f"bad object name {obj!r}")
+                raise error(f"bad object name {obj!r}")
             if obj in objects:
-                raise ParseError(span, f"duplicate object {obj!r}")
+                raise error(f"duplicate object {obj!r}")
             objects.append(obj)
         elif body.startswith("assume no-loop"):
             m = re.fullmatch(r"assume no-loop\s+(\d+)\s+(\d+)", body)
             if not m:
-                raise ParseError(span, "cannot parse directive", expected="assume no-loop i j")
-            no_loop.append((span, frozenset((int(m.group(1)), int(m.group(2))))))
+                raise error("cannot parse directive", expected="assume no-loop i j")
+            no_loop.append((no, body, frozenset((int(m.group(1)), int(m.group(2))))))
         elif body.startswith("msg"):
             m = _MSG_RE.match(body)
             if not m:
-                raise ParseError(span, f"cannot parse message line {body!r}",
-                                 expected="msg <id> <sender> -> <receiver> : <label>")
+                raise error(f"cannot parse message line {body!r}",
+                            expected="msg <id> <sender> -> <receiver> : <label>")
             mid = int(m.group(1))
             sender, receiver = m.group(2), m.group(3)
             for obj in (sender, receiver):
                 if obj not in objects:
-                    raise ParseError(span, f"undeclared object {obj!r} in message {mid}")
+                    raise error(f"undeclared object {obj!r} in message {mid}")
             if mid != len(messages) + 1:
-                raise ParseError(span, f"message id {mid} out of order, expected {len(messages) + 1}")
+                raise error(f"message id {mid} out of order, expected {len(messages) + 1}")
             label, args = split_label_args(m.group(4))
             messages.append(Message(mid, label, args, sender, receiver))
         else:
-            raise ParseError(span, f"cannot parse line {body!r}")
+            raise error(f"cannot parse line {body!r}")
 
     if name is None:
         raise ParseError(_span(filename, 1), "missing 'sd <name>' header")
-    for span, pair in no_loop:
+    for no, body, pair in no_loop:
         for i in sorted(pair):
             if not 1 <= i <= len(messages):
-                raise ParseError(span, f"no-loop message {i} is not in 1..{len(messages)}")
+                raise error(f"no-loop message {i} is not in 1..{len(messages)}")
     return SequenceDiagram(name, tuple(objects), tuple(messages),
-                           frozenset(pair for _, pair in no_loop))
+                           frozenset(pair for _, _, pair in no_loop))
 
 
 def print_sd(sd: SequenceDiagram) -> str:

@@ -287,8 +287,9 @@ class AnnotatedSD:
     sd: SequenceDiagram
     theory: DomainTheory
     vectors: dict  # VectorKey -> list of cells (mutable during annotation)
-    provenance: dict  # (VectorKey, cell index) -> Provenance
+    provenance: dict  # (VectorKey, cell index) -> Unified; see annotator.provenance_of
     events: list  # list[UnifyEvent]
+    spec_vectors: dict  # message id -> {PRE: vector, POST: vector} its specification fixes
 
     @cached_property
     def gaps(self) -> dict:
@@ -299,6 +300,29 @@ class AnnotatedSD:
                 gaps[obj][-1].append((obj, msg.id, PRE))
                 gaps[obj].append([(obj, msg.id, POST)])
         return {obj: [tuple(gap) for gap in line] for obj, line in gaps.items()}
+
+    @cached_property
+    def classes(self) -> dict:
+        """Each object's state classes (``annotator.state_classes``)."""
+        out = {}
+        for obj, gaps in self.gaps.items():
+            classes = [[gaps[0]]]
+            for gap in gaps[1:]:
+                # A later gap opens with the post face of the message before it.
+                spec = self.theory.spec_for(self.sd.messages[gap[0][1] - 1].label)
+                if spec is None or spec.post.is_empty():
+                    classes[-1].append(gap)
+                else:
+                    classes.append([gap])
+            out[obj] = [tuple(cls) for cls in classes]
+        return out
+
+    @cached_property
+    def previous_face(self) -> dict:
+        """Each face key -> the face before it on its lifeline, lifeline by
+        lifeline, front to back (``pre m1, post m1, pre m2, ...``)."""
+        faces = [[key for gap in line for key in gap] for line in self.gaps.values()]
+        return {key: prev for line in faces for prev, key in zip(line, line[1:])}
 
 
 # ---------------------------------------------------------------------------

@@ -53,13 +53,14 @@ class FlatChart:
     transitions: tuple  # (from_key, to_key, event, actions)
 
     def __post_init__(self):
-        if self.initial not in self.states:
+        states = set(self.states)
+        if self.initial not in states:
             raise ValueError("initial state missing from state set")
-        if len(set(self.states)) != len(self.states):
+        if len(states) != len(self.states):
             raise ValueError("duplicate state keys")
         seen = set()
         for frm, to, event, actions in self.transitions:
-            if frm not in self.states or to not in self.states:
+            if frm not in states or to not in states:
                 raise ValueError("transition endpoint missing from state set")
             quad = (frm, to, event, actions)
             if quad in seen:

@@ -2,7 +2,18 @@
 
 import itertools
 
-from scdebug.annotator import AnnotationError, Identification, annotate
+from scdebug.annotator import (
+    AnnotationError,
+    Identification,
+    OutOfDomainLiteralError,
+    UnknownVariableError,
+    _gap_joins_once,
+    _parameter_binding,
+    annotate,
+    apply_identification,
+    detect_conflicts,
+    identification_candidates,
+)
 from scdebug.checker import (
     ACCEPTED,
     REJECTED,
@@ -17,7 +28,19 @@ from scdebug.checker import (
     replay,
 )
 from scdebug.dsl import split_label_args
-from scdebug.model import POST, PRE, Delete, Insert, Message, apply_edit, unify
+from scdebug.model import (
+    POST,
+    PRE,
+    AnnotatedSD,
+    Delete,
+    Frame,
+    FromSpec,
+    Insert,
+    Message,
+    apply_edit,
+    participants,
+    unify,
+)
 from scdebug.synthesizer import COMPLETION, flatten, receive_projection
 
 
@@ -271,3 +294,77 @@ def class_state_by_faces(asd, cls):
         if state is None:
             return None
     return state, any(v is not None and cells[j] is None for cells in faces for j, v in enumerate(state))
+
+
+def _condition_cells(cond, binding, dt, msg):
+    cells = {}
+    for var_name, value in cond.atoms:
+        var = dt.variable(var_name)
+        if var is None:
+            raise UnknownVariableError(msg.id, f"unknown state variable {var_name!r}")
+        literal = binding.get(value, value)
+        if not var.domain.contains(literal):
+            raise OutOfDomainLiteralError(
+                msg.id,
+                f"literal {literal!r} outside domain of {var_name} ({var.domain.describe()})",
+            )
+        cells[var.index] = literal
+    return cells
+
+
+def initialize_vectors_eager(sd, dt):
+    """Initial vectors with a stored ``FromSpec`` record for every spec cell
+    of every face, as the annotator once built them message by message."""
+    vectors = {}
+    provenance = {}
+    spec_vectors = {}
+    width = dt.width
+    for msg in sd.messages:
+        spec = dt.spec_for(msg.label)
+        pre_cells = {}
+        post_cells = {}
+        if spec is not None:
+            binding = _parameter_binding(spec, msg)
+            pre_cells = _condition_cells(spec.pre, binding, dt, msg)
+            post_cells = _condition_cells(spec.post, binding, dt, msg)
+        for which, cells in ((PRE, pre_cells), (POST, post_cells)):
+            spec_vectors.setdefault(msg.id, {})[which] = tuple(cells.get(j) for j in range(width))
+        for obj in participants(msg):
+            for which, cells in ((PRE, pre_cells), (POST, post_cells)):
+                key = (obj, msg.id, which)
+                vec = [None] * width
+                for j, literal in cells.items():
+                    vec[j] = literal
+                    provenance[(key, j)] = FromSpec(msg.id, which)
+                vectors[key] = vec
+    return AnnotatedSD(sd, dt, vectors, provenance, [], spec_vectors)
+
+
+def frame_propagate_eager(asd):
+    """The frame sweep that stores a ``Frame`` record for every cell it
+    grounds, naming the face before it on the lifeline."""
+    changed = False
+    for obj in asd.sd.objects:
+        faces = [key for gap in asd.gaps[obj] for key in gap]
+        for src_key, dst_key in zip(faces, faces[1:]):
+            dst = asd.vectors[dst_key]
+            for j, v in enumerate(asd.vectors[src_key]):
+                if v is not None and dst[j] is None:
+                    dst[j] = v
+                    asd.provenance[(dst_key, j)] = Frame(src_key, j)
+                    changed = True
+    return changed
+
+
+def annotate_eager(sd, dt):
+    """``annotate`` with every cell's provenance stored as it is grounded;
+    conflicts are traced through the stored records, which cover every
+    determined cell."""
+    asd = initialize_vectors_eager(sd, dt)
+    while True:
+        frame_propagate_eager(asd)
+        cand = identification_candidates(asd)
+        if cand is not None:
+            apply_identification(asd, cand)
+        elif not _gap_joins_once(asd):
+            return asd, detect_conflicts(asd)

@@ -1,9 +1,11 @@
 import dataclasses
 import random
+import re
 
 import pytest
 
 from scdebug.annotator import (
+    AnnotationError,
     ArityMismatchError,
     OutOfDomainLiteralError,
     _gap_joins_once,
@@ -14,11 +16,12 @@ from scdebug.annotator import (
     identification_candidates,
     initialize_vectors,
     lifeline_gaps,
+    provenance_of,
     state_classes,
 )
 from scdebug.dsl import parse_domain_theory, parse_sd
 from scdebug.model import (
-    AnnotatedSD,
+    DerivationStep,
     Frame,
     FromSpec,
     Message,
@@ -29,7 +32,12 @@ from scdebug.model import (
 
 from conftest import known_cells
 from gen import conflict_free_pair, gen_sd, gen_theory
-from oracles import class_state_by_faces, identification_scan, lifeline_gaps_by_lifeline
+from oracles import (
+    annotate_eager,
+    class_state_by_faces,
+    identification_scan,
+    lifeline_gaps_by_lifeline,
+)
 
 CUI = "Coffee-UI"
 
@@ -241,7 +249,10 @@ class TestFramePropagation:
         asd = initialize_vectors(sd, dt)
         frame_propagate(asd)
         assert asd.vectors[("A", 2, "pre")][0] == "T"
-        assert isinstance(asd.provenance[(("A", 2, "pre"), 0)], Frame)
+        assert provenance_of(asd, ("A", 2, "pre"), 0) == Frame(("A", 1, "post"), 0)
+        assert provenance_of(asd, ("A", 1, "post"), 0) == FromSpec(1, "post")
+        assert provenance_of(asd, ("A", 1, "pre"), 0) is None
+        assert asd.provenance == {}
 
 
 class TestConflicts:
@@ -271,6 +282,36 @@ class TestConflicts:
         assert any(isinstance(p, Frame) for p in kinds)
         # oldest first: the chain starts at a specification value
         assert isinstance(conflicts[0].derivation[0].provenance, FromSpec)
+
+    def test_worked_derivation_steps(self, sd1, coffee_dt_unfixed):
+        # The paper's conflict, step by step: Cappuchino's post value of
+        # CoffeeTypeSelected is carried by the frame axiom to the end of the
+        # loop, unified back to message 1 and carried into message 2's post.
+        _, [c] = annotate(sd1, coffee_dt_unfixed)
+        expected = [
+            (4, "post", FromSpec(4, "post")),
+            (5, "pre", Frame((CUI, 4, "post"), 2)),
+            (5, "post", Frame((CUI, 5, "pre"), 2)),
+            (6, "pre", Frame((CUI, 5, "post"), 2)),
+            (6, "post", Frame((CUI, 6, "pre"), 2)),
+            (7, "pre", Frame((CUI, 6, "post"), 2)),
+            (7, "post", Frame((CUI, 7, "pre"), 2)),
+            (8, "pre", Frame((CUI, 7, "post"), 2)),
+            (8, "post", Frame((CUI, 8, "pre"), 2)),
+            (9, "pre", Frame((CUI, 8, "post"), 2)),
+            (9, "post", Frame((CUI, 9, "pre"), 2)),
+            (10, "pre", Frame((CUI, 9, "post"), 2)),
+            (10, "post", Frame((CUI, 10, "pre"), 2)),
+            (11, "pre", Frame((CUI, 10, "post"), 2)),
+            (11, "post", Frame((CUI, 11, "pre"), 2)),
+            (1, "pre", Unified(0, (CUI, 11, "post"))),
+            (2, "pre", Unified(0, (CUI, 1, "pre"))),
+            (2, "post", Frame((CUI, 2, "pre"), 2)),
+            (3, "pre", FromSpec(3, "pre")),
+        ]
+        assert len(c.derivation) == 19
+        for step, (mid, which, prov) in zip(c.derivation, expected, strict=True):
+            assert step == DerivationStep((CUI, mid, which), 2, prov)
 
     def test_conflict_free(self, sd1, coffee_dt):
         _, conflicts = annotate(sd1, coffee_dt)
@@ -333,12 +374,13 @@ class TestInvariants:
         expected = {k: list(v) for k, v in asd.vectors.items()}
         stripped = [
             (key, j)
-            for (key, j), prov in asd.provenance.items()
-            if isinstance(prov, Frame)
+            for key, cells in asd.vectors.items()
+            for j in range(len(cells))
+            if isinstance(provenance_of(asd, key, j), Frame)
         ]
+        assert len(stripped) == 132
         for key, j in stripped:
             asd.vectors[key][j] = None
-            del asd.provenance[(key, j)]
         frame_propagate(asd)
         assert {k: list(v) for k, v in asd.vectors.items()} == expected
 
@@ -378,9 +420,8 @@ class TestInvariants:
         # not depend on the order identifications are applied in: explore
         # the application orders (bounded) and compare the outcomes.
         def clone(asd):
-            return AnnotatedSD(
-                sd=asd.sd,
-                theory=asd.theory,
+            return dataclasses.replace(
+                asd,
                 vectors={k: list(v) for k, v in asd.vectors.items()},
                 provenance=dict(asd.provenance),
                 events=list(asd.events),
@@ -414,3 +455,53 @@ class TestInvariants:
             assert outcomes == {frozenset(known_cells(baseline).items())}, (
                 f"order-dependent fixpoint for {sd}"
             )
+
+    def test_derived_provenance_matches_stored(self, coffee_dt_unfixed):
+        # The annotator stores only unification records and derives spec
+        # and frame steps; the eager oracle stores a record for every cell
+        # it grounds.  Vectors, events, every cell's provenance, conflicts
+        # with their derivations, and errors are the same.
+        rng = random.Random(41)
+        cells = errors = traced = 0
+        labels = [spec.name for spec in coffee_dt_unfixed.specs] + ["Cancel"]
+        drinks = ("Espresso", "Cappuchino", "Milk", "none") * 10 + ("Latte",)
+        for k in range(600):
+            if k % 5 == 4:  # coffee messages, some with arguments the theory refuses
+                dt = coffee_dt_unfixed
+                msgs = []
+                for i in range(1, rng.randint(2, 30)):
+                    label = rng.choice(labels)
+                    takes_drink = (label == "Enter Selection") != (rng.random() < 0.02)
+                    msgs.append(Message(i, label, (rng.choice(drinks),) if takes_drink else (),
+                                        *rng.sample(("User", "UI", "Control"), 2)))
+                sd = SequenceDiagram("Coffee", ("User", "UI", "Control"), tuple(msgs))
+            elif k % 3 == 0:
+                dt, sd = conflict_free_pair(rng, max_msgs=8)
+            else:
+                dt = gen_theory(rng)
+                sd = gen_sd(rng, dt, max_msgs=rng.choice((6, 14, 30)), max_objs=3)
+            if k % 2:
+                n = len(sd.messages)
+                pairs = {frozenset((rng.randint(1, n), rng.randint(1, n))) for _ in range(2)}
+                sd = dataclasses.replace(sd, no_loop=frozenset(pairs))
+            try:
+                eager, eager_conflicts = annotate_eager(sd, dt)
+            except AnnotationError as exc:
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    annotate(sd, dt)
+                errors += 1
+                continue
+            asd, conflicts = annotate(sd, dt)
+            assert asd.vectors == eager.vectors and asd.events == eager.events
+            determined = known_cells(eager)
+            assert set(eager.provenance) == set(determined)
+            for key, vector in eager.vectors.items():
+                for j in range(len(vector)):
+                    assert provenance_of(asd, key, j) == eager.provenance.get((key, j))
+            assert asd.provenance == {
+                cell: p for cell, p in eager.provenance.items() if isinstance(p, Unified)
+            }
+            assert conflicts == eager_conflicts
+            cells += len(determined)
+            traced += len(conflicts)
+        assert cells > 40_000 and errors > 10 and traced > 1_000
