@@ -170,19 +170,7 @@ def frame_propagate(asd: AnnotatedSD) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Gaps and state classes
-
-
-def lifeline_gaps(asd: AnnotatedSD, obj: str) -> list[tuple[VectorKey, ...]]:
-    """The gaps of a lifeline as tuples of face keys:
-    ``[(pre m1), (post m1, pre m2), ..., (post mlast)]``."""
-    return asd.gaps[obj]
-
-
-def state_classes(asd: AnnotatedSD, obj: str) -> list[tuple[tuple[VectorKey, ...], ...]]:
-    """Runs of gaps joined by state-preserving messages (no specification or
-    an empty postcondition), in lifeline order."""
-    return asd.classes[obj]
+# State classes
 
 
 def class_state(asd: AnnotatedSD, cls):
@@ -240,7 +228,7 @@ def identification_candidates(asd: AnnotatedSD) -> Identification | None:
     """
     no_loop = asd.sd.no_loop
     for obj in asd.sd.objects:
-        classes = state_classes(asd, obj)
+        classes = asd.classes[obj]
         states = [class_state(asd, cls) for cls in classes]
         by_key = {}  # (state, open) -> indices of the classes in it, ascending
         for c, key in enumerate(states):
@@ -303,7 +291,7 @@ def _gap_joins_once(asd: AnnotatedSD) -> bool:
     """
     changed = False
     for obj in asd.sd.objects:
-        for gap in lifeline_gaps(asd, obj):
+        for gap in asd.gaps[obj]:
             if len(gap) != 2:
                 continue
             left_key, right_key = gap
@@ -408,7 +396,7 @@ def detect_conflicts(asd: AnnotatedSD) -> list[Conflict]:
     derivation chain of both cells."""
     conflicts = []
     for obj in asd.sd.objects:
-        for gap in lifeline_gaps(asd, obj):
+        for gap in asd.gaps[obj]:
             if len(gap) != 2:
                 continue
             left_key, right_key = gap

@@ -1,21 +1,20 @@
 """Reverse direction: replay scenarios against a (possibly edited) chart
 and search for a fewest-edit repair when they no longer fit.
 
-Replay projects a diagram onto one object's received messages and follows
-every state of the flattened chart they can reach, one message at a time.
-The messages the object sends before its next received one must appear, in
-order, among the matched transition's actions; missing sends are tolerated,
-alien sends are not.  Repair runs iterative deepening over message
-deletions and insertions of the events the chart receives, so the first
-solution found has minimal cost; tie-breaking is total (fewest edits,
-deletes before inserts, lower positions first, chart transition order,
-then sender order).
+Replay cuts a diagram into the object's spans (``receive_spans``: the
+leading sends, then each received message with the sends after it) and
+follows every state of the flattened chart they can reach, one span at a
+time.  A transition takes a span on the span's event when the span's sends
+appear, in order, among its actions; missing sends are tolerated, alien
+sends are not.  Repair runs iterative deepening over message deletions and
+insertions of the events the chart receives, so the first solution found
+has minimal cost; tie-breaking is total (fewest edits, deletes before
+inserts, lower positions first, chart transition order, then sender order).
 
 Each leaf one edit below a node is decided from the node's guard-blind
-replay state sets around the object's spans (the leading sends; each
-received message with the sends after it): an edit changes one span, or
-merges two, and only leaves that pass are built, annotated once and
-replayed.  Guards only remove transitions, so no repair is lost.
+replay state sets around the spans: an edit changes one span, or merges
+two, and only leaves that pass are built, annotated once and replayed.
+Guards only remove transitions, so no repair is lost.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, product
+from itertools import chain, product
+from operator import attrgetter
 
 from .model import (
     PRE,
@@ -40,7 +40,7 @@ from .model import (
 )
 from .annotator import AnnotationError, annotate
 from .dsl import _conjunction, split_label_args
-from .synthesizer import COMPLETION, flatten, receive_projection
+from .synthesizer import COMPLETION, flatten, receive_spans, span_event
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
@@ -91,9 +91,11 @@ class NoRepairWithinBound(Exception):
         )
 
 
-def _is_subsequence(needle, haystack) -> bool:
-    it = iter(haystack)
-    return all(x in it for x in needle)
+def _takes(t: Transition, event: str, sends) -> bool:
+    """Whether t can consume a span: the same event, and the sends appear
+    in order among its actions."""
+    actions = iter(t.actions)
+    return t.event == event and all(x in actions for x in sends)
 
 
 def _has_guards(flat: Statechart) -> bool:
@@ -129,12 +131,13 @@ def replay(
     strict_guards: bool = False,
     asd: AnnotatedSD | None = None,
 ) -> ReplayTrace:
-    """Walk the chart consuming the object's received messages in order.
+    """Walk the chart one span of the object's lifeline (``receive_spans``)
+    at a time.
 
     Merged charts may offer several matching transitions from one state, so
-    the walk follows every chart state the projection can reach, one
-    message at a time.  The diagram is accepted when a path consumes the
-    whole projection; the trace is the first such path in transition order.
+    the walk follows every chart state the spans can reach.  The diagram is
+    accepted when a path consumes every span; the trace is the first such
+    path in transition order.
     A rejection reports the deepest prefix reached.  Guards are evaluated
     on ``asd``, the diagram's annotation, made here when not given.
     """
@@ -149,46 +152,36 @@ def replay(
     for t in flat.transitions:
         by_source.setdefault(t.source, []).append(t)
 
-    line = sd.lifeline(obj)
-    leading, steps = receive_projection(line, obj)
-    todo: list = []
-    if leading:
-        todo.append((None, COMPLETION, leading, None))
-    for i, sends in steps:
-        msg = line[i]
-        vector = asd.vectors[(obj, msg.id, PRE)] if asd is not None else None
-        todo.append((msg, msg.event(), sends, vector))
+    spans = [(received, span_event(received), tuple(m.event() for m in sends))
+             for received, sends in receive_spans(sd.messages, obj)
+             if received is not None or sends]  # an empty leading span takes no step
 
-    def matches(state: str, idx: int):
-        _, event, sends, vector = todo[idx]
-        for t in by_source.get(state, []):
-            if (t.event == event and _is_subsequence(sends, t.actions)
-                    and _guard_holds(t.guard, vector, dt, strict_guards)):
-                yield t
-
-    # levels[i] maps every state the first i steps can end in to the step
+    # levels[i] maps every state the first i spans can end in to the step
     # that reached it first.  States and their transitions are taken in
     # order, so each level's first entry ends the first path of its length
     # in transition order, and the step into any state comes from that
     # state's first path.
     levels: list[dict] = [{flat.initial: None}]
-    while len(levels) <= len(todo) and levels[-1]:
-        msg, _, sends, _ = todo[len(levels) - 1]
+    for received, event, sends in spans:
+        vector = None
+        if asd is not None and received is not None:
+            vector = asd.vectors[(obj, received.id, PRE)]
         level: dict[str, ReplayStep] = {}
         for state in levels[-1]:
-            for t in matches(state, len(levels) - 1):
-                level.setdefault(t.target, ReplayStep(msg, sends, state, t.target, t))
+            for t in by_source.get(state, ()):
+                if _takes(t, event, sends) and _guard_holds(t.guard, vector, dt, strict_guards):
+                    level.setdefault(t.target, ReplayStep(received, sends, state, t.target, t))
+        if not level:
+            break
         levels.append(level)
 
-    accepted = bool(levels[-1])
-    if not accepted:
-        levels.pop()
     state = next(iter(levels[-1]))
     path = []
+    accepted = len(levels) > len(spans)
     if not accepted:
-        msg, event, sends, _ = todo[len(levels) - 1]
+        received, event, sends = spans[len(levels) - 1]
         reason = _mismatch_reason(by_source.get(state, []), event, sends)
-        path.append(ReplayStep(msg, sends, state, None, None, reason))
+        path.append(ReplayStep(received, sends, state, None, None, reason))
     for level in reversed(levels[1:]):
         path.append(level[state])
         state = path[-1].from_state
@@ -201,13 +194,12 @@ def replay(
 def _mismatch_reason(candidates, event: str, sends) -> str:
     """Why no transition out of a state takes a step.  A transition on the
     event whose actions cover the sends failed only on its guard."""
-    same_event = [t for t in candidates if t.event == event]
-    guards = [f"[{_conjunction(t.guard)}]" for t in same_event if _is_subsequence(sends, t.actions)]
+    guards = [f"[{_conjunction(t.guard)}]" for t in candidates if _takes(t, event, sends)]
     if guards:
         return f"guard {' or '.join(guards)} does not hold"
     if event == COMPLETION:
         return "no completion transition covers the leading sends"
-    if not same_event:
+    if all(t.event != event for t in candidates):
         return f"no transition on event {event!r}"
     return f"sends {list(sends)} not covered by actions of any {event!r} transition"
 
@@ -242,29 +234,27 @@ def repair(
     candidates = [(*c, Message(0, *c, obj).event()) for c in insert_candidates(chart, sd, obj)]
     anywhere = {chart.initial, *(t.target for t in chart.transitions)}
 
-    def step(states: set, event: str, sends, backward: bool = False) -> set:
+    @cache
+    def takers(event: str, sends: tuple) -> tuple:
+        return tuple(t for t in chart.transitions if _takes(t, event, sends))
+
+    def step(states: set, event: str, sends: tuple, backward: bool = False) -> set:
         # Where a span leads from states, or backward, from where into them.
         if event == COMPLETION and not sends:  # an empty leading span
             return states
-        return {t.source if backward else t.target for t in chart.transitions
-                if (t.target if backward else t.source) in states
-                and t.event == event and _is_subsequence(sends, t.actions)}
+        if backward:
+            return {t.source for t in takers(event, sends) if t.target in states}
+        return {t.target for t in takers(event, sends) if t.source in states}
 
     def leaf_test(current: SequenceDiagram):
         """Guard-blind verdicts on current and on its one-edit changes."""
         if obj not in current.objects:
             return True, lambda pos, event: True  # replay accepts all of them
-        spans: list[tuple] = [(COMPLETION, [], [])]  # (event, send positions, sent events)
-        for pos, m in enumerate(current.messages, start=1):
-            if m.receiver == obj:
-                spans.append((m.event(), [], []))
-            elif m.sender == obj:
-                spans[-1][1].append(pos)
-                spans[-1][2].append(m.event())
-        # span_of[p - 1]: the object's receives before position p, so p's span
-        span_of = list(accumulate((m.receiver == obj for m in current.messages), initial=0))
+        spans = receive_spans(current.messages, obj)
+        events = [(span_event(received), tuple(m.event() for m in sends)) for received, sends in spans]
+        receives = [received.id for received, _ in spans[1:]]  # ids are positions
         fwd, back = [{chart.initial}], [anywhere]
-        for (event, _, sends), (b_event, _, b_sends) in zip(spans, reversed(spans)):
+        for (event, sends), (b_event, b_sends) in zip(events, reversed(events)):
             fwd.append(step(fwd[-1], event, sends))
             back.insert(0, step(back[0], b_event, b_sends, backward=True))
 
@@ -276,14 +266,14 @@ def repair(
 
         @cache
         def test(pos: int, event: str | None) -> bool:
-            a = span_of[pos - 1]
-            received, positions, sends = spans[a]
-            cut = bisect_left(positions, pos)
+            a = bisect_left(receives, pos)  # the object's receives before pos, so pos's span
+            received, sends = events[a]
+            cut = bisect_left(spans[a][1], pos, key=attrgetter("id"))
             if event is not None:
                 return fits(a, a + 1, (received, sends[:cut]), (event, sends[cut:]))
             m = current.messages[pos - 1]
             if m.receiver == obj:  # spans a and a + 1 merge
-                return fits(a, a + 2, (received, sends + spans[a + 1][2]))
+                return fits(a, a + 2, (received, sends + events[a + 1][1]))
             return fits(a, a + 1, (received, sends[:cut] + sends[cut + (m.sender == obj):]))
 
         return bool(fwd[-1]), test

@@ -32,11 +32,9 @@ from .model import (
 class SourceSpan:
     file: str
     line: int
-    col_start: int = 1
-    col_end: int = 1
 
     def __str__(self) -> str:
-        return f"{self.file}:{self.line}:{self.col_start}"
+        return f"{self.file}:{self.line}:1"  # errors locate whole lines, from column 1
 
 
 class ParseError(Exception):
@@ -65,10 +63,6 @@ def _lines(text: str):
         body = _strip_comment(raw).rstrip()
         if body.strip():
             yield no, body.strip()
-
-
-def _span(filename: str, lineno: int, text: str = "") -> SourceSpan:
-    return SourceSpan(filename, lineno, 1, max(1, len(text)))
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +98,29 @@ def _parse_domain(text: str, span: SourceSpan) -> VarDomain:
 # Domain theory (.dt)
 
 
+_ATOM_RE = re.compile(rf"({IDENT})\s*=\s*(-?\w+)")
+
+
+def _atoms(text: str, span: SourceSpan, noun: str):
+    """Yield the (var, value) atoms of ``var = value and var = value``; a
+    variable named twice is an error once the caller has taken every atom."""
+    names = []
+    for part in re.split(r"\s+and\s+", text.strip()):
+        m = _ATOM_RE.fullmatch(part.strip())
+        if not m:
+            raise ParseError(span, f"cannot parse {noun} {part.strip()!r}", expected="var = value")
+        names.append(m.group(1))
+        yield m.group(1), m.group(2)
+    if len(set(names)) != len(names):
+        raise ParseError(span, "variable repeated within one condition")
+
+
 def _parse_condition(text: str, span: SourceSpan, variables, params) -> Condition:
     """Parse ``var = value and var = value``; values checked against domains."""
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return Condition()
     atoms = []
-    for part in re.split(r"\s+and\s+", text):
-        m = re.fullmatch(rf"({IDENT})\s*=\s*(-?\w+)", part.strip())
-        if not m:
-            raise ParseError(span, f"cannot parse atom {part.strip()!r}", expected="var = value")
-        var_name, value = m.group(1), m.group(2)
+    for var_name, value in _atoms(text, span, "atom"):
         var = variables.get(var_name)
         if var is None:
             raise ParseError(span, f"unknown state variable {var_name!r}")
@@ -129,9 +135,6 @@ def _parse_condition(text: str, span: SourceSpan, variables, params) -> Conditio
             raise ParseError(span, f"literal {value!r} outside domain of {var_name} "
                                    f"({var.domain.describe()})")
         atoms.append((var_name, value))
-    names = [v for v, _ in atoms]
-    if len(set(names)) != len(names):
-        raise ParseError(span, "variable repeated within one condition")
     return Condition(tuple(atoms))
 
 
@@ -147,7 +150,7 @@ def parse_domain_theory(text: str, filename: str = "<dt>") -> DomainTheory:
     seen_context = False
     while i < len(lines):
         no, body = lines[i]
-        span = _span(filename, no, body)
+        span = SourceSpan(filename, no)
 
         if body.startswith("context"):
             seen_context = True
@@ -181,7 +184,7 @@ def parse_domain_theory(text: str, filename: str = "<dt>") -> DomainTheory:
                     chunk += " " + peek
                     i += 1
                 chunk = chunk.split(";")[0]
-                conds[which] = _parse_condition(chunk, _span(filename, no2, body2),
+                conds[which] = _parse_condition(chunk, SourceSpan(filename, no2),
                                                 variables, params)
             specs[name] = MessageSpec(name, tuple(params.items()), conds["pre"], conds["post"])
             continue
@@ -274,11 +277,10 @@ def parse_sd(text: str, filename: str = "<sd>") -> SequenceDiagram:
     name = None
     objects: list[str] = []
     messages: list[Message] = []
-    no_loop: list[tuple[int, str, frozenset[int]]] = []
+    no_loop: list[tuple[int, frozenset[int]]] = []  # (line, pair)
 
     def error(message: str, expected: str | None = None) -> ParseError:
-        # Spans the line in ``no``/``body``, built only for a line that fails.
-        return ParseError(_span(filename, no, body), message, expected)
+        return ParseError(SourceSpan(filename, no), message, expected)
 
     for no, body in _lines(text):
         if body.startswith("sd "):
@@ -294,7 +296,7 @@ def parse_sd(text: str, filename: str = "<sd>") -> SequenceDiagram:
             m = re.fullmatch(r"assume no-loop\s+(\d+)\s+(\d+)", body)
             if not m:
                 raise error("cannot parse directive", expected="assume no-loop i j")
-            no_loop.append((no, body, frozenset((int(m.group(1)), int(m.group(2))))))
+            no_loop.append((no, frozenset((int(m.group(1)), int(m.group(2))))))
         elif body.startswith("msg"):
             m = _MSG_RE.match(body)
             if not m:
@@ -313,13 +315,13 @@ def parse_sd(text: str, filename: str = "<sd>") -> SequenceDiagram:
             raise error(f"cannot parse line {body!r}")
 
     if name is None:
-        raise ParseError(_span(filename, 1), "missing 'sd <name>' header")
-    for no, body, pair in no_loop:
+        raise ParseError(SourceSpan(filename, 1), "missing 'sd <name>' header")
+    for no, pair in no_loop:
         for i in sorted(pair):
             if not 1 <= i <= len(messages):
                 raise error(f"no-loop message {i} is not in 1..{len(messages)}")
     return SequenceDiagram(name, tuple(objects), tuple(messages),
-                           frozenset(pair for _, _, pair in no_loop))
+                           frozenset(pair for _, pair in no_loop))
 
 
 def print_sd(sd: SequenceDiagram) -> str:
@@ -327,8 +329,7 @@ def print_sd(sd: SequenceDiagram) -> str:
     for obj in sd.objects:
         out.append(f"object {obj}")
     for pair in sorted(sd.no_loop, key=sorted):
-        i, j = sorted(pair)
-        out.append(f"assume no-loop {i} {j}")
+        out.append(f"assume no-loop {min(pair)} {max(pair)}")  # {i} prints as i i
     for m in sd.messages:
         out.append(f"msg {m.id} {m.sender} -> {m.receiver} : {m.event()}")
     return "\n".join(out) + "\n"
@@ -343,16 +344,6 @@ _TRANS_RE = re.compile(
 )
 
 
-def _parse_guard(text: str, span: SourceSpan) -> Condition:
-    atoms = []
-    for part in re.split(r"\s+and\s+", text.strip()):
-        m = re.fullmatch(rf"({IDENT})\s*=\s*(-?\w+)", part.strip())
-        if not m:
-            raise ParseError(span, f"cannot parse guard atom {part.strip()!r}")
-        atoms.append((m.group(1), m.group(2)))
-    return Condition(tuple(atoms))
-
-
 def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
     lines = list(_lines(text))
     pos = 0
@@ -364,7 +355,7 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
         transitions: list[Transition] = []
         while pos < len(lines):
             no, body = lines[pos]
-            span = _span(filename, no, body)
+            span = SourceSpan(filename, no)
             if body == "}":
                 if depth == 0:
                     raise ParseError(span, "unmatched '}'")
@@ -392,7 +383,7 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
                 event = m.group(3).strip()
                 guard = None
                 if m.group(4):
-                    guard = _parse_guard(m.group(4)[1:-1], span)
+                    guard = Condition(tuple(_atoms(m.group(4)[1:-1], span, "guard atom")))
                 actions: tuple[str, ...] = ()
                 if m.group(5):
                     actions = tuple(_split_commas(m.group(5)[1:]))
@@ -403,19 +394,19 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
             else:
                 raise ParseError(span, f"cannot parse line {body!r}")
         if initial is None:
-            raise ParseError(_span(filename, lines[pos - 1][0] if lines else 1),
+            raise ParseError(SourceSpan(filename, lines[pos - 1][0] if lines else 1),
                              f"missing initial node in {name!r}")
         if initial not in nodes:
             raise ParseError(initial_span, f"initial node {initial!r} not declared at this level")
         return Statechart(name, tuple(nodes.values()), initial, tuple(transitions))
 
     if not lines or not lines[0][1].startswith("statechart "):
-        raise ParseError(_span(filename, 1), "missing 'statechart <name>' header")
+        raise ParseError(SourceSpan(filename, 1), "missing 'statechart <name>' header")
     chart_name = lines[0][1][len("statechart "):].strip()
     pos = 1
     chart = parse_block(chart_name, 0)
     if pos < len(lines):
-        raise ParseError(_span(filename, lines[pos][0]), f"trailing input {lines[pos][1]!r}")
+        raise ParseError(SourceSpan(filename, lines[pos][0]), f"trailing input {lines[pos][1]!r}")
     _validate_chart(chart, filename)
     return chart
 
@@ -424,7 +415,7 @@ def _validate_chart(chart: Statechart, filename: str) -> None:
     try:
         check_chart(chart)
     except ValueError as exc:
-        raise ParseError(_span(filename, 1), str(exc)) from None
+        raise ParseError(SourceSpan(filename, 1), str(exc)) from None
 
 
 def _conjunction(cond: Condition) -> str:

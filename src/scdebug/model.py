@@ -293,7 +293,8 @@ class AnnotatedSD:
 
     @cached_property
     def gaps(self) -> dict:
-        """Each object's gaps (``annotator.lifeline_gaps``), in one pass."""
+        """Each object's gaps as tuples of face keys, built in one pass:
+        ``[(pre m1), (post m1, pre m2), ..., (post mlast)]``."""
         gaps = {obj: [[]] for obj in self.sd.objects}
         for msg in self.sd.messages:
             for obj in participants(msg):
@@ -303,7 +304,9 @@ class AnnotatedSD:
 
     @cached_property
     def classes(self) -> dict:
-        """Each object's state classes (``annotator.state_classes``)."""
+        """Each object's state classes: runs of gaps joined by
+        state-preserving messages (no specification or an empty
+        postcondition), in lifeline order."""
         out = {}
         for obj, gaps in self.gaps.items():
             classes = [[gaps[0]]]

@@ -1,8 +1,9 @@
 """Statechart synthesis from annotated, conflict-free sequence diagrams.
 
 Per object: the distinct state vectors along the lifeline become states,
-received messages become transition events, and the messages the object
-sends before the next received one become that transition's actions.
+and each span of the lifeline (``receive_spans``: a received message with
+the sends after it, or the leading sends) becomes a transition on the
+span's event whose actions are the span's sends.
 Vectors made equal by unification collapse into a single state, which is
 exactly where loops appear.  Charts from several diagrams are merged by
 unifying state keys.  States are then nested by state variable: the first
@@ -27,7 +28,7 @@ from .model import (
     format_vector,
     unify,
 )
-from .annotator import annotate, class_state, lifeline_gaps, missing_spec_warnings
+from .annotator import annotate, class_state, missing_spec_warnings
 
 COMPLETION = ""  # event label of a completion (triggerless) transition
 
@@ -70,46 +71,52 @@ class FlatChart:
 
 def _gap_states(asd: AnnotatedSD, obj: str):
     """Joined face value per gap; conflict-free input keeps faces compatible."""
-    states = [class_state(asd, [gap]) for gap in lifeline_gaps(asd, obj)]
+    states = [class_state(asd, [gap]) for gap in asd.gaps[obj]]
     if None in states:
         raise ConflictedInputError([])
     return [state for state, _ in states]
 
 
-def receive_projection(line, obj: str):
-    """Split a lifeline at the object's receives.
+def receive_spans(messages, obj: str):
+    """The object's lifeline cut before each message it receives.
 
-    Returns (leading sends, [(lifeline index of a receive, sends until the
-    next receive), ...]); sends are the events of messages the object sends
-    to another object.
+    Span 0 is (None, the sends before the first receive); span k is (the
+    k-th received message, the sends after it, up to the next receive).  A
+    self-message is a receive, and a send is a message the object sends to
+    another object, so the spans' messages in order are the lifeline.
     """
-    received = [i for i, m in enumerate(line) if m.receiver == obj]
-    stops = received + [len(line)]
+    spans = [(None, [])]
+    for m in messages:
+        if m.receiver == obj:
+            spans.append((m, []))
+        elif m.sender == obj:
+            spans[-1][1].append(m)
+    return spans
 
-    def sends(start: int, stop: int):
-        return tuple(
-            line[i].event() for i in range(start, stop) if line[i].sender == obj and line[i].receiver != obj
-        )
 
-    return sends(0, stops[0]), [(i, sends(i + 1, stops[n + 1])) for n, i in enumerate(received)]
+def span_event(received) -> str:
+    """The event a span's transition is taken on."""
+    return COMPLETION if received is None else received.event()
 
 
 def synth_object_chart(asd: AnnotatedSD, obj: str, conflicts=None) -> FlatChart:
-    """Build the object's flat chart from one annotated diagram."""
+    """Build the object's flat chart from one annotated diagram: each span
+    leads from the gap before its first message to the gap after its last,
+    and an empty leading span takes no step."""
     if conflicts:
         mine = [c for c in conflicts if c.object == obj]
         if mine:
             raise ConflictedInputError(mine)
 
-    line = asd.sd.lifeline(obj)
     gaps = _gap_states(asd, obj)
-    leading, steps = receive_projection(line, obj)
-    stops = [i for i, _ in steps] + [len(line)]
-    transitions = [
-        (gaps[i], gaps[stops[n + 1]], line[i].event(), actions) for n, (i, actions) in enumerate(steps)
-    ]
-    if leading:
-        transitions.insert(0, (gaps[0], gaps[stops[0]], COMPLETION, leading))
+    transitions = []
+    start = 0  # lifeline index of the span's first message
+    for received, sends in receive_spans(asd.sd.messages, obj):
+        end = start + (received is not None) + len(sends)
+        if end > start:
+            transitions.append((gaps[start], gaps[end], span_event(received),
+                                tuple(m.event() for m in sends)))
+        start = end
     states = dict.fromkeys([gaps[0]] + [key for t in transitions for key in t[:2]])
     return FlatChart(obj, tuple(states), gaps[0], tuple(dict.fromkeys(transitions)))
 

@@ -22,7 +22,6 @@ from scdebug.checker import (
     ReplayStep,
     ReplayTrace,
     _guard_holds,
-    _is_subsequence,
     _mismatch_reason,
     insert_candidates,
     replay,
@@ -41,7 +40,26 @@ from scdebug.model import (
     participants,
     unify,
 )
-from scdebug.synthesizer import COMPLETION, flatten, receive_projection
+from scdebug.synthesizer import COMPLETION, flatten
+
+
+def _is_subsequence(needle, haystack) -> bool:
+    it = iter(haystack)
+    return all(x in it for x in needle)
+
+
+def receive_projection(line, obj):
+    """Split a lifeline at the object's receives: (leading sends, [(lifeline
+    index of a receive, sends until the next receive), ...]), where sends
+    are the events of messages the object sends to another object."""
+    received = [i for i, m in enumerate(line) if m.receiver == obj]
+    stops = received + [len(line)]
+
+    def sends(start, stop):
+        return tuple(line[i].event() for i in range(start, stop)
+                     if line[i].sender == obj and line[i].receiver != obj)
+
+    return sends(0, stops[0]), [(i, sends(i + 1, stops[n + 1])) for n, i in enumerate(received)]
 
 
 def edit_script_succeeds(sd, obj, chart, dt) -> bool:

@@ -15,9 +15,7 @@ from scdebug.annotator import (
     frame_propagate,
     identification_candidates,
     initialize_vectors,
-    lifeline_gaps,
     provenance_of,
-    state_classes,
 )
 from scdebug.dsl import parse_domain_theory, parse_sd
 from scdebug.model import (
@@ -157,8 +155,8 @@ class TestUnifyPass:
         # construction and the face-by-face join.
         def candidate(asd):
             for obj in asd.sd.objects:
-                assert lifeline_gaps(asd, obj) == lifeline_gaps_by_lifeline(asd, obj)
-                for cls in state_classes(asd, obj):
+                assert asd.gaps[obj] == lifeline_gaps_by_lifeline(asd, obj)
+                for cls in asd.classes[obj]:
                     assert class_state(asd, cls) == class_state_by_faces(asd, cls)
             cand = identification_candidates(asd)
             scan = identification_scan(asd)
@@ -223,8 +221,8 @@ class TestUnifyPass:
         dt = parse_domain_theory("x : Boolean\ny : 0..2")
         sd = parse_sd("sd S\nobject A\nobject B\nobject C\nmsg 1 A -> B : hello")
         asd = initialize_vectors(sd, dt)
-        assert lifeline_gaps(asd, "C") == lifeline_gaps_by_lifeline(asd, "C") == [()]
-        [cls] = state_classes(asd, "C")
+        assert asd.gaps["C"] == lifeline_gaps_by_lifeline(asd, "C") == [()]
+        [cls] = asd.classes["C"]
         assert class_state(asd, cls) == class_state_by_faces(asd, cls) == ((None, None), False)
 
 

@@ -200,6 +200,18 @@ class TestCheck:
         assert captured.err == (f"error: {tmp_path / 'M.sc'}: transition N1 -> N2 : "
                                 f"e1 [{guard}]: guard atom {guard} {why}\n")
 
+    def test_guard_repeating_a_variable_is_a_parse_error(self, tmp_path, capsys):
+        # Located like every other chart syntax error; before, the CLI
+        # printed "error: variable repeated within one condition: [...]".
+        chart = (FIXTURES / "stepper_refined" / "M.sc").read_text()
+        chart = chart.replace("N1 -> N2 : e1\n", "N1 -> N2 : e1 [Stpe = 0 and Stpe = 1]\n")
+        (tmp_path / "M.sc").write_text(chart)
+        assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"parse error: {tmp_path / 'M.sc'}:9:1: "
+                                f"variable repeated within one condition\n")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

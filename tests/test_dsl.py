@@ -155,6 +155,13 @@ class TestSequenceDiagram:
         sd = parse_sd(read("sd1.sd"))
         assert parse_sd(print_sd(sd)) == sd
 
+    def test_no_loop_singleton_roundtrip(self):
+        # A pair of one message with itself is stored as {i}, printed as i i.
+        sd = parse_sd("sd S\nobject A\nobject B\nassume no-loop 1 1\nmsg 1 A -> B : x")
+        assert sd.no_loop == {frozenset({1})}
+        assert "\nassume no-loop 1 1\n" in print_sd(sd)
+        assert parse_sd(print_sd(sd)) == sd
+
     @pytest.mark.parametrize(
         "text,fragment",
         [
@@ -213,6 +220,9 @@ class TestStatechart:
             ("statechart M\ninitial X\nstate A", "<sc>:2:1: initial node 'X' not declared"),
             ("statechart M\ninitial A\nstate A\nstate A {\n initial B\n state B\n}",
              "<sc>:4:1: duplicate node name 'A'"),
+            ("statechart M\ninitial A\nstate A\nA -> A : e []", "<sc>:4:1: cannot parse guard atom ''"),
+            ("statechart M\ninitial A\nstate A\nA -> A : e [x = 1 and x = 1]",
+             "<sc>:4:1: variable repeated within one condition"),
         ],
     )
     def test_errors(self, text, fragment):
@@ -239,7 +249,11 @@ def diagrams(draw):
         label = draw(labels)
         args = tuple(draw(st.lists(idents, max_size=2)))
         msgs.append(Message(i, label, args, sender, receiver))
-    return SequenceDiagram(draw(idents), tuple(objects), tuple(msgs))
+    no_loop = frozenset()
+    if n:  # pairs of two messages, and of one message with itself
+        pair = st.tuples(st.integers(1, n), st.integers(1, n)).map(frozenset)
+        no_loop = frozenset(draw(st.lists(pair, max_size=3)))
+    return SequenceDiagram(draw(idents), tuple(objects), tuple(msgs), no_loop)
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,12 +12,13 @@ from scdebug.synthesizer import (
     flatten,
     introduce_hierarchy,
     merge_charts,
+    receive_spans,
     synth_object_chart,
     synthesize,
     to_statechart,
 )
 
-from gen import conflict_free_pair, gen_flat_chart, mergeable_corpus
+from gen import conflict_free_pair, gen_flat_chart, gen_replay_case, gen_sd, gen_theory, mergeable_corpus
 
 
 def chart_for(sd, dt, obj):
@@ -58,6 +59,32 @@ class TestObjectChart:
         asd, conflicts = annotate(sd1, coffee_dt_unfixed)
         with pytest.raises(ConflictedInputError):
             synth_object_chart(asd, "Coffee-UI", conflicts)
+
+
+class TestReceiveSpans:
+    def test_spans_partition_the_lifeline(self):
+        # Replay cases (self-messages, leading sends) and random diagrams of
+        # two or three objects: the spans' messages, in order, are the
+        # lifeline; span 0 has no received message and every later span
+        # opens with one; all other span messages go to another object.
+        rng = random.Random(29)
+        seen = Counter()
+        for _ in range(800):
+            if rng.random() < 0.5:
+                _, _, sd = gen_replay_case(rng)
+            else:
+                sd = gen_sd(rng, gen_theory(rng))
+            for obj in sd.objects:
+                spans = receive_spans(sd.messages, obj)
+                assert spans[0][0] is None
+                assert all(received.receiver == obj for received, _ in spans[1:])
+                assert all(m.sender == obj != m.receiver for _, sends in spans for m in sends)
+                joined = [m for received, sends in spans for m in [received, *sends] if m is not None]
+                assert joined == list(sd.lifeline(obj))
+                seen["self"] += any(m.sender == m.receiver == obj for m in sd.messages)
+                seen["leading"] += bool(spans[0][1])
+                seen["empty"] += not joined
+        assert min(seen["self"], seen["leading"], seen["empty"]) > 20, seen
 
 
 class TestMerge:

@@ -1,0 +1,34 @@
+"""Names the benchmark's tracer looks up in scdebug.
+
+``bench/spans.Tracer.install`` wraps each function named in ``SPANNED`` and
+``COUNTED`` by ``getattr`` on its module, so a refactor that removes or
+renames one would crash a traced benchmark pass.  The tables are read from
+the source with ``ast``; nothing under ``bench/`` is imported or executed.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+SPANS = Path(__file__).parents[1] / "bench" / "spans.py"
+
+
+def traced_tables() -> dict:
+    tables = {}
+    for node in ast.parse(SPANS.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("SPANNED", "COUNTED"):
+                tables[name] = ast.literal_eval(node.value)
+    return tables
+
+
+def test_traced_names_resolve():
+    tables = traced_tables()
+    assert set(tables) == {"SPANNED", "COUNTED"}
+    traced = [(module, name) for table in tables.values()
+              for module, names in table.items() for name in names]
+    assert len(traced) > 20
+    missing = [f"{module}.{name}" for module, name in traced
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert missing == []
