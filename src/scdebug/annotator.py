@@ -369,26 +369,18 @@ def _trace(asd: AnnotatedSD, key: VectorKey, j: int) -> list[DerivationStep]:
             key = prov.contributor
 
 
-def conflict_events(asd: AnnotatedSD, steps) -> tuple[UnifyEvent, ...]:
-    out = []
+def _unified_states(asd: AnnotatedSD, steps) -> tuple:
+    """Each face of the unifications the steps derive from, in step order."""
+    out = {}
     for step in steps:
-        if isinstance(step.provenance, Unified) and step.provenance.event >= 0:
-            ev = asd.events[step.provenance.event]
-            if ev not in out:
-                out.append(ev)
-    return tuple(out)
-
-
-def _unified_states(asd: AnnotatedSD, events) -> tuple:
-    out = []
-    seen = set()
-    for ev in events:
-        for obj, mid, which in ev.after_faces:
-            if (mid, which) in seen:
-                continue
-            seen.add((mid, which))
-            out.append((asd.sd.messages[mid - 1], which, StateVector(tuple(asd.vectors[(obj, mid, which)]))))
-    return tuple(out)
+        prov = step.provenance
+        if not isinstance(prov, Unified) or prov.event < 0:
+            continue
+        for obj, mid, which in asd.events[prov.event].after_faces:
+            if (mid, which) not in out:
+                out[mid, which] = (asd.sd.messages[mid - 1], which,
+                                   StateVector(tuple(asd.vectors[(obj, mid, which)])))
+    return tuple(out.values())
 
 
 def detect_conflicts(asd: AnnotatedSD) -> list[Conflict]:
@@ -406,7 +398,6 @@ def detect_conflicts(asd: AnnotatedSD) -> list[Conflict]:
                 if x is None or y is None or x == y:
                     continue
                 steps = tuple(_trace(asd, left_key, j) + _trace(asd, right_key, j))
-                events = conflict_events(asd, steps)
                 conflicts.append(
                     Conflict(
                         sd_name=asd.sd.name,
@@ -419,8 +410,7 @@ def detect_conflicts(asd: AnnotatedSD) -> list[Conflict]:
                         vector_after=StateVector(tuple(left)),
                         vector_before=StateVector(tuple(right)),
                         derivation=steps,
-                        events=events,
-                        unified_states=_unified_states(asd, events),
+                        unified_states=_unified_states(asd, steps),
                     )
                 )
     return conflicts

@@ -248,8 +248,6 @@ def repair(
 
     def leaf_test(current: SequenceDiagram):
         """Guard-blind verdicts on current and on its one-edit changes."""
-        if obj not in current.objects:
-            return True, lambda pos, event: True  # replay accepts all of them
         spans = receive_spans(current.messages, obj)
         events = [(span_event(received), tuple(m.event() for m in sends)) for received, sends in spans]
         receives = [received.id for received, _ in spans[1:]]  # ids are positions

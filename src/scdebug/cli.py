@@ -15,6 +15,7 @@ from pathlib import Path
 from .annotator import AnnotationError, annotate
 from .checker import check_all
 from .dsl import ParseError, parse_domain_theory, parse_sc, parse_sd, print_sc, transition_label
+from .model import walk
 from .report import annotation_bundle, check_bundle, export_dot, render_json, render_text
 from .synthesizer import ConflictedInputError, synthesize
 
@@ -118,10 +119,8 @@ def cmd_synth(args) -> int:
 def _check_guards(chart, dt, path) -> None:
     """Every guard atom must name a state variable and a value of its
     domain; any other atom could never hold."""
-    scopes = [chart]
-    for sc in scopes:
-        scopes.extend(n.children for n in sc.nodes if n.is_composite)
-        for t in sc.transitions:
+    for _, scope, node in walk(chart):
+        for t in scope.transitions if node is None else ():
             for name, value in t.guard.atoms if t.guard else ():
                 var = dt.variable(name)
                 if var is None or not var.domain.contains(value):

@@ -25,6 +25,7 @@ from .model import (
     Transition,
     VarDomain,
     check_chart,
+    walk,
 )
 
 
@@ -52,17 +53,12 @@ IDENT = r"[A-Za-z_][A-Za-z0-9_-]*"
 _IDENT_RE = re.compile(IDENT + r"$")
 
 
-def _strip_comment(line: str) -> str:
-    i = line.find("#")
-    return line if i < 0 else line[:i]
-
-
 def _lines(text: str):
     """Yield (lineno, stripped content) for non-blank, non-comment lines."""
     for no, raw in enumerate(text.splitlines(), start=1):
-        body = _strip_comment(raw).rstrip()
-        if body.strip():
-            yield no, body.strip()
+        body = raw.partition("#")[0].strip()
+        if body:
+            yield no, body
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +179,10 @@ def parse_domain_theory(text: str, filename: str = "<dt>") -> DomainTheory:
                         break
                     chunk += " " + peek
                     i += 1
-                chunk = chunk.split(";")[0]
+                chunk, _, rest = chunk.partition(";")
+                if rest.strip():  # the ';' ends the clause on the line read last
+                    raise ParseError(SourceSpan(filename, lines[i - 1][0]),
+                                     f"unexpected text after ';': {rest.strip()!r}")
                 conds[which] = _parse_condition(chunk, SourceSpan(filename, no2),
                                                 variables, params)
             specs[name] = MessageSpec(name, tuple(params.items()), conds["pre"], conds["post"])
@@ -344,78 +343,73 @@ _TRANS_RE = re.compile(
 )
 
 
-def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
-    lines = list(_lines(text))
-    pos = 0
+@dataclass
+class _Scope:
+    """A chart level being read; a composite node is ``None`` until its ``}``."""
 
-    def parse_block(name: str, depth: int) -> Statechart:
-        nonlocal pos
-        nodes: dict[str, Node] = {}
-        initial = None
-        transitions: list[Transition] = []
-        while pos < len(lines):
-            no, body = lines[pos]
-            span = SourceSpan(filename, no)
-            if body == "}":
-                if depth == 0:
-                    raise ParseError(span, "unmatched '}'")
-                pos += 1
-                break
-            if body.startswith("initial "):
-                initial, initial_span = body[len("initial "):].strip(), span
-                pos += 1
-            elif body.startswith("state "):
-                rest = body[len("state "):].strip()
-                composite = rest.endswith("{")
-                node_name = rest[:-1].strip() if composite else rest
-                if not _IDENT_RE.match(node_name):
-                    raise ParseError(span, f"bad state name {node_name!r}")
-                if node_name in nodes:
-                    raise ParseError(span, f"duplicate node name {node_name!r} in this scope")
-                pos += 1
-                children = parse_block(node_name, depth + 1) if composite else None
-                nodes[node_name] = Node(node_name, children=children)
-            elif "->" in body:
-                m = _TRANS_RE.match(body)
-                if not m:
-                    raise ParseError(span, f"cannot parse transition {body!r}",
-                                     expected="X -> Y : e [guard] / a1, a2")
-                event = m.group(3).strip()
-                guard = None
-                if m.group(4):
-                    guard = Condition(tuple(_atoms(m.group(4)[1:-1], span, "guard atom")))
-                actions: tuple[str, ...] = ()
-                if m.group(5):
-                    actions = tuple(_split_commas(m.group(5)[1:]))
-                transitions.append(Transition(m.group(1), m.group(2), event, guard, actions))
-                pos += 1
-            elif body.startswith("statechart "):
-                raise ParseError(span, "nested 'statechart' header")
-            else:
-                raise ParseError(span, f"cannot parse line {body!r}")
-        if initial is None:
-            raise ParseError(SourceSpan(filename, lines[pos - 1][0] if lines else 1),
-                             f"missing initial node in {name!r}")
-        if initial not in nodes:
+    name: str
+    nodes: dict
+    transitions: list
+    initial: tuple | None = None  # (node name, span of its line)
+
+    def close(self, span: SourceSpan) -> Statechart:
+        if self.initial is None:
+            raise ParseError(span, f"missing initial node in {self.name!r}")
+        initial, initial_span = self.initial
+        if initial not in self.nodes:
             raise ParseError(initial_span, f"initial node {initial!r} not declared at this level")
-        return Statechart(name, tuple(nodes.values()), initial, tuple(transitions))
+        return Statechart(self.name, tuple(self.nodes.values()), initial, tuple(self.transitions))
 
-    if not lines or not lines[0][1].startswith("statechart "):
+
+def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
+    lines = _lines(text)
+    no, body = next(lines, (1, ""))
+    if not body.startswith("statechart "):
         raise ParseError(SourceSpan(filename, 1), "missing 'statechart <name>' header")
-    chart_name = lines[0][1][len("statechart "):].strip()
-    pos = 1
-    chart = parse_block(chart_name, 0)
-    if pos < len(lines):
-        raise ParseError(SourceSpan(filename, lines[pos][0]), f"trailing input {lines[pos][1]!r}")
-    _validate_chart(chart, filename)
-    return chart
-
-
-def _validate_chart(chart: Statechart, filename: str) -> None:
+    scopes = [_Scope(body[len("statechart "):].strip(), {}, [])]  # open scopes, innermost last
+    for no, body in lines:
+        span = SourceSpan(filename, no)
+        scope = scopes[-1]
+        if body == "}":
+            if len(scopes) == 1:
+                raise ParseError(span, "unmatched '}'")
+            scopes.pop()
+            scopes[-1].nodes[scope.name] = Node(scope.name, children=scope.close(span))
+        elif body.startswith("initial "):
+            scope.initial = body[len("initial "):].strip(), span
+        elif body.startswith("state "):
+            rest = body[len("state "):].strip()
+            composite = rest.endswith("{")
+            node_name = rest[:-1].strip() if composite else rest
+            if not _IDENT_RE.match(node_name):
+                raise ParseError(span, f"bad state name {node_name!r}")
+            if node_name in scope.nodes:
+                raise ParseError(span, f"duplicate node name {node_name!r} in this scope")
+            scope.nodes[node_name] = None if composite else Node(node_name)
+            if composite:
+                scopes.append(_Scope(node_name, {}, []))
+        elif "->" in body:
+            m = _TRANS_RE.match(body)
+            if not m:
+                raise ParseError(span, f"cannot parse transition {body!r}",
+                                 expected="X -> Y : e [guard] / a1, a2")
+            guard = m.group(4) and Condition(tuple(_atoms(m.group(4)[1:-1], span, "guard atom")))
+            actions = tuple(_split_commas(m.group(5)[1:])) if m.group(5) else ()
+            scope.transitions.append(
+                Transition(m.group(1), m.group(2), m.group(3).strip(), guard, actions))
+        elif body.startswith("statechart "):
+            raise ParseError(span, "nested 'statechart' header")
+        else:
+            raise ParseError(span, f"cannot parse line {body!r}")
+    span = SourceSpan(filename, no)  # the last line
+    if len(scopes) > 1:
+        raise ParseError(span, f"composite {scopes[-1].name!r} is not closed", expected="'}'")
+    chart = scopes[0].close(span)
     try:
         check_chart(chart)
     except ValueError as exc:
         raise ParseError(SourceSpan(filename, 1), str(exc)) from None
+    return chart
 
 
 def _conjunction(cond: Condition) -> str:
@@ -434,21 +428,18 @@ def transition_label(t: Transition) -> str:
 
 
 def print_sc(chart: Statechart) -> str:
-    out = [f"statechart {chart.name}"]
-
-    def emit(sc: Statechart, indent: int) -> None:
-        pad = "  " * indent
-        out.append(f"{pad}initial {sc.initial}")
-        for n in sc.nodes:
-            suffix = f"   # {n.comment}" if n.comment else ""
-            if n.is_composite:
-                out.append(f"{pad}state {n.name} {{{suffix}")
-                emit(n.children, indent + 1)
-                out.append(f"{pad}}}")
-            else:
-                out.append(f"{pad}state {n.name}{suffix}")
-        for t in sc.transitions:
-            out.append(f"{pad}{t.source} -> {t.target} : {transition_label(t)}")
-
-    emit(chart, 0)
+    out = [f"statechart {chart.name}", f"initial {chart.initial}"]
+    for depth, scope, n in walk(chart):
+        pad = "  " * depth
+        if n is None:
+            out.extend(f"{pad}{t.source} -> {t.target} : {transition_label(t)}"
+                       for t in scope.transitions)
+            if depth:
+                out.append(f"{pad[2:]}}}")
+            continue
+        suffix = f"   # {n.comment}" if n.comment else ""
+        if n.is_composite:
+            out += [f"{pad}state {n.name} {{{suffix}", f"{pad}  initial {n.children.initial}"]
+        else:
+            out.append(f"{pad}state {n.name}{suffix}")
     return "\n".join(out) + "\n"

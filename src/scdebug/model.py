@@ -351,7 +351,6 @@ class Conflict:
     vector_after: StateVector
     vector_before: StateVector
     derivation: tuple[DerivationStep, ...]
-    events: tuple[UnifyEvent, ...]
     # (message, pre|post, vector) for every face of the unifications the
     # conflict derives from, in the order the identification was made
     unified_states: tuple = ()
@@ -400,23 +399,34 @@ class Statechart:
             raise ValueError(f"initial node {self.initial!r} not declared at this level")
 
 
+def walk(chart: Statechart):
+    """``(depth, scope, node)`` for every node in document order, a
+    composite's own scope right after it, then ``(depth, scope, None)`` once
+    the scope's last node is done; the chart itself is depth 0."""
+    stack = [(0, chart, iter(chart.nodes))]
+    while stack:
+        depth, scope, nodes = stack[-1]
+        for node in nodes:
+            yield depth, scope, node
+            if node.children is not None:
+                stack.append((depth + 1, node.children, iter(node.children.nodes)))
+                break
+        else:
+            stack.pop()
+            yield depth, scope, None
+
+
 def check_chart(chart: Statechart) -> None:
     """Whole-chart validation: globally unique node names and resolvable
     transition endpoints.  Transitions may cross composite boundaries, so
     endpoints are checked against the full name set, not per level."""
-    names: list[str] = []
-    transitions: list[Transition] = []
-    levels = [chart]  # popped level first, then its subcharts in node order
-    while levels:
-        sc = levels.pop()
-        names.extend(n.name for n in sc.nodes)
-        transitions.extend(sc.transitions)
-        levels.extend(n.children for n in reversed(sc.nodes) if n.children is not None)
-    dupes = sorted(n for n, k in Counter(names).items() if k > 1)
+    nodes = [node for _, _, node in walk(chart) if node is not None]
+    dupes = sorted(name for name, k in Counter(n.name for n in nodes).items() if k > 1)
     if dupes:
         raise ValueError(f"node name used twice in chart {chart.name}: {dupes}")
-    known = set(names)
-    for t in transitions:
+    known = {n.name for n in nodes}
+    scopes = [chart, *(n.children for n in nodes if n.is_composite)]  # pre-order
+    for t in (t for sc in scopes for t in sc.transitions):
         for end in (t.source, t.target):
             if end not in known:
                 raise ValueError(f"transition endpoint {end!r} does not exist")

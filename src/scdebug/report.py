@@ -19,7 +19,7 @@ import difflib
 import json
 from dataclasses import dataclass, field
 
-from .model import Conflict, SequenceDiagram, Statechart
+from .model import Conflict, SequenceDiagram, Statechart, walk
 from .annotator import missing_spec_warnings
 from .checker import CheckRecord
 from .dsl import transition_label
@@ -241,33 +241,39 @@ def export_dot(chart: Statechart) -> str:
     every level is marked with a point, edges carry event[guard]/action."""
     out = [f"digraph {_dot_quote(chart.name)} {{", "  rankdir=LR;", "  compound=true;"]
 
+    entry = {}  # id of each done scope -> the simple node it is entered at
+    edges = []  # index in out of each open scope's initial edge, innermost last
+
     def resolve_initial(sc: Statechart, name: str) -> str:
-        for n in sc.nodes:
-            if n.name == name and n.is_composite:
-                return resolve_initial(n.children, n.children.initial)
-        return name
+        node = next((n for n in sc.nodes if n.name == name and n.is_composite), None)
+        return name if node is None else entry[id(node.children)]
 
-    def emit(sc: Statechart, scope: str, depth: int) -> None:
+    def init_point(scope: str, pad: str) -> None:
+        point = _dot_quote(f"__init_{scope}" if scope else "__init")
+        out.append(f"{pad}{point} [shape=point];")
+        edges.append(len(out))
+        out.append(f"{pad}{point} -> ")  # completed once the scope's entry is known
+
+    init_point("", "  ")
+    for depth, sc, n in walk(chart):
         pad = "  " * (depth + 1)
-        init_point = f"__init_{scope}" if scope else "__init"
-        out.append(f"{pad}{_dot_quote(init_point)} [shape=point];")
-        out.append(f"{pad}{_dot_quote(init_point)} -> {_dot_quote(resolve_initial(sc, sc.initial))};")
-        for n in sc.nodes:
-            if n.is_composite:
-                out.append(f"{pad}subgraph {_dot_quote('cluster_' + n.name)} {{")
-                label = f"{n.name} {n.comment}" if n.comment else n.name
-                out.append(f"{pad}  label={_dot_quote(label)};")
-                emit(n.children, n.name, depth + 1)
-                out.append(f"{pad}}}")
-            else:
-                out.append(f"{pad}{_dot_quote(n.name)} [shape=box, style=rounded];")
-        for t in sc.transitions:
-            head = resolve_initial(sc, t.target)
-            attrs = [f"label={_dot_quote(transition_label(t))}"]
-            if head != t.target:
-                attrs.append(f"lhead={_dot_quote('cluster_' + t.target)}")
-            out.append(f"{pad}{_dot_quote(t.source)} -> {_dot_quote(head)} [{', '.join(attrs)}];")
-
-    emit(chart, "", 0)
+        if n is None:  # every scope nested in sc is done
+            entry[id(sc)] = resolve_initial(sc, sc.initial)
+            out[edges.pop()] += f"{_dot_quote(entry[id(sc)])};"
+            for t in sc.transitions:
+                head = resolve_initial(sc, t.target)
+                attrs = [f"label={_dot_quote(transition_label(t))}"]
+                if head != t.target:
+                    attrs.append(f"lhead={_dot_quote('cluster_' + t.target)}")
+                out.append(f"{pad}{_dot_quote(t.source)} -> {_dot_quote(head)} [{', '.join(attrs)}];")
+            if depth:
+                out.append(f"{pad[2:]}}}")
+        elif n.is_composite:
+            out.append(f"{pad}subgraph {_dot_quote('cluster_' + n.name)} {{")
+            label = f"{n.name} {n.comment}" if n.comment else n.name
+            out.append(f"{pad}  label={_dot_quote(label)};")
+            init_point(n.name, pad + "  ")
+        else:
+            out.append(f"{pad}{_dot_quote(n.name)} [shape=box, style=rounded];")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -27,6 +27,7 @@ from .model import (
     Transition,
     format_vector,
     unify,
+    walk,
 )
 from .annotator import annotate, class_state, missing_spec_warnings
 
@@ -224,26 +225,20 @@ def flatten(chart: Statechart) -> Statechart:
     transitions: list[Transition] = []
     entry: dict[str, str] = {}
     members: dict[str, list[str]] = {}
-
-    def walk(sc: Statechart):
-        inner_names = []
-        for n in sc.nodes:
-            if n.is_composite:
-                child_names = walk(n.children)
-                entry[n.name] = entry.get(n.children.initial, n.children.initial)
-                members[n.name] = child_names
-                inner_names.extend(child_names)
-            else:
-                nodes.append(n)
-                inner_names.append(n.name)
-        for t in sc.transitions:
-            transitions.append(t)
-        return inner_names
-
-    walk(chart)
-    # walk sets a composite's entry after walking its children, so every
-    # entry is a simple node, and members hold only simple nodes: one
-    # lookup resolves a target, one expansion a source.
+    opened = []  # (composite, len(nodes) when entered), innermost last
+    for _, scope, n in walk(chart):
+        if n is None:
+            transitions.extend(scope.transitions)
+            if opened:
+                name, start = opened.pop()
+                entry[name] = entry.get(scope.initial, scope.initial)
+                members[name] = [m.name for m in nodes[start:]]
+        elif n.is_composite:
+            opened.append((n.name, len(nodes)))
+        else:
+            nodes.append(n)
+    # An entry is set once its scope is done, so entries and members are
+    # simple nodes: one lookup resolves a target, one expansion a source.
     expanded = (
         Transition(src, entry.get(t.target, t.target), t.event, t.guard, t.actions)
         for t in transitions
@@ -268,41 +263,50 @@ def introduce_hierarchy(chart: FlatChart, name: str | None = None) -> Statechart
     states, so flattening the result gives back ``to_statechart(chart)``.
     """
     flat = to_statechart(chart, name)
-    named = dict(zip(chart.states, flat.nodes))
+    states, init = chart.states, chart.states.index(chart.initial)
     counter = itertools.count(1)
 
     def split(scope, start, fixed):
-        """(nodes, initial node name) of one scope."""
+        """A scope's entries in slot order, states as indices (a vector hashes in
+        O(width)): ``(i, None, None)`` stays, ``(group, next var, path)`` nests."""
         groups = {}  # first state of a group -> the group
         for var in range(start, len(fixed)):
             by_value = {}
-            for key in scope:
-                if key[var] is not None:
-                    by_value.setdefault(key[var], []).append(key)
+            for i in scope:
+                if states[i][var] is not None:
+                    by_value.setdefault(states[i][var], []).append(i)
             groups = {g[0]: g for g in by_value.values() if 1 < len(g) < len(scope)}
             if groups:
                 break
-        grouped = {key for g in groups.values() for key in g}
-        nodes, initial = [], None
-        for key in scope:
-            if key in groups:
-                comp_name = f"G{next(counter)}"
-                path = fixed[:var] + (key[var],) + fixed[var + 1:]
-                inner, inner_initial = split(groups[key], var + 1, path)
-                node = Node(comp_name, Statechart(comp_name, inner, inner_initial, ()),
-                            comment=format_vector(path))
-                holds = chart.initial in groups[key]
-            elif key in grouped:
-                continue
-            else:
-                node, holds = named[key], key == chart.initial
-            nodes.append(node)
-            if holds:
-                initial = node.name
-        return tuple(nodes), initial or nodes[0].name
+        grouped = {i for g in groups.values() for i in g}
+        for i in scope:
+            if i in groups:
+                yield groups[i], var + 1, fixed[:var] + (states[i][var],) + fixed[var + 1:]
+            elif i not in grouped:
+                yield i, None, None
 
-    nodes, initial = split(chart.states, 0, (None,) * len(chart.initial))
-    return Statechart(flat.name, nodes, initial, flat.transitions)
+    # Open scopes, innermost last: name, path, unread entries, nodes so far. A
+    # composite is numbered as it opens (so in pre-order), added as it closes.
+    holders = {flat.nodes[init].name}  # the nodes holding the initial state
+    scopes = [(flat.name, None, split(range(len(states)), 0, (None,) * len(chart.initial)), [])]
+    while True:
+        comp, path, entries, nodes = scopes[-1]
+        for group, start, inner_path in entries:
+            if start is None:
+                nodes.append(flat.nodes[group])
+                continue
+            inner = f"G{next(counter)}"
+            if init in group:
+                holders.add(inner)
+            scopes.append((inner, inner_path, split(group, start, inner_path), []))
+            break
+        else:
+            scopes.pop()
+            initial = next((n.name for n in nodes if n.name in holders), nodes[0].name)
+            if not scopes:
+                return Statechart(flat.name, tuple(nodes), initial, flat.transitions)
+            scopes[-1][3].append(Node(comp, Statechart(comp, tuple(nodes), initial, ()),
+                                      comment=format_vector(path)))
 
 
 # ---------------------------------------------------------------------------

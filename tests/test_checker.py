@@ -149,6 +149,11 @@ class TestRepair:
         result = repair(stepper_sd, "M", stepper_charts["M"], stepper_dt)
         assert result.cost == 0 and result.edits == ()
 
+    def test_object_not_in_sd_costs_zero(self, stepper_sd, stepper_dt, refined_chart):
+        # The diagram never mentions Ghost, so any chart replays it as is.
+        result = repair(stepper_sd, "Ghost", refined_chart, stepper_dt)
+        assert result.edits == () and result.repaired == stepper_sd
+
     def test_refinement_costs_one_insertion(self, stepper_sd, stepper_dt, refined_chart):
         result = repair(stepper_sd, "M", refined_chart, stepper_dt)
         assert result.cost == 1

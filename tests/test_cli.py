@@ -6,6 +6,9 @@ import pytest
 
 import scdebug.cli
 from scdebug.cli import main
+from scdebug.dsl import parse_sc, print_sc
+from scdebug.report import export_dot
+from scdebug.synthesizer import flatten
 
 from conftest import CLI_ENV, FIXTURES
 
@@ -173,6 +176,32 @@ class TestCheck:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
         assert "repair with 2 edit(s):\n    delete message at position 2\n    delete message at position 2\n" in outs[0]
+
+    def test_two_thousand_nested_composites(self, tmp_path, capsys):
+        # Hand-written charts may nest deeper than the recursion limit.
+        depth = 2000
+        lines = ["statechart M", "initial G0"]
+        for d in range(depth):
+            inner = f"G{d + 1}" if d + 1 < depth else "Leaf"
+            lines += ["  " * d + f"state G{d} {{", "  " * (d + 1) + f"initial {inner}"]
+        lines += ["  " * depth + "state Leaf", "  " * depth + "Leaf -> Leaf : tick [x = T]"]
+        lines += ["  " * d + "}" for d in reversed(range(depth))]
+        text = "\n".join(lines) + "\n"
+        # Compare text: == on charts this deep would itself recurse.
+        chart = parse_sc(text)
+        assert print_sc(chart) == text
+        flat = flatten(chart)
+        assert ([n.name for n in flat.nodes], flat.initial) == (["Leaf"], "Leaf")
+        assert export_dot(chart).count("subgraph") == depth
+        charts = tmp_path / "charts"
+        charts.mkdir()
+        (charts / "M.sc").write_text(text)
+        (tmp_path / "t.dt").write_text("x : Boolean\n")
+        (tmp_path / "t.sd").write_text("sd S\nobject Env\nobject M\nmsg 1 Env -> M : tick\n")
+        args = ["check", str(tmp_path / "t.dt"), str(tmp_path / "t.sd"), "--charts", str(charts)]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "1/1 replay(s) accepted" in captured.out
 
     def test_max_edits_zero(self, capsys):
         assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", REFINED,

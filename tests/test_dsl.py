@@ -124,6 +124,20 @@ class TestDomainTheory:
         assert exc.value.span.line >= 1
 
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("x, y : Boolean\ncontext a\n pre: x = T ; post: y = F ;", 3),
+            ("x, y : Boolean\ncontext a\n pre: x = T\n  and y = F ; y = T\n post:", 4),
+        ],
+    )
+    def test_text_after_semicolon(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_domain_theory(text, "t.dt")
+        assert exc.value.span.line == line
+        assert "unexpected text after ';'" in exc.value.message
+
+
 class TestSequenceDiagram:
     def test_message_line(self):
         sd = parse_sd("sd S\nobject User\nobject Coffee-UI\nmsg 1 User -> Coffee-UI : Insert coin")
@@ -223,6 +237,13 @@ class TestStatechart:
             ("statechart M\ninitial A\nstate A\nA -> A : e []", "<sc>:4:1: cannot parse guard atom ''"),
             ("statechart M\ninitial A\nstate A\nA -> A : e [x = 1 and x = 1]",
              "<sc>:4:1: variable repeated within one condition"),
+            ("statechart M\ninitial G\nstate G {\n state A\n}\nstate B",
+             "<sc>:5:1: missing initial node in 'G'"),
+            ("statechart M\ninitial G\nstate G {\n initial A\n state A\n\n# end",
+             "<sc>:5:1: composite 'G' is not closed (expected '}')"),
+            ("statechart M\ninitial G\nstate G {\n initial A\n state A\n}\n"
+             "state H {\n initial A\n state A\n}",
+             "<sc>:1:1: node name used twice in chart M: ['A']"),
         ],
     )
     def test_errors(self, text, fragment):

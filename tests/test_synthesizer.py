@@ -150,6 +150,16 @@ class TestHierarchy:
         chart = introduce_hierarchy(self._flat(s, ("A",), ts))
         assert not any(n.is_composite for n in chart.nodes)
 
+    def test_theory_wider_than_the_recursion_limit(self):
+        # State k is T on variables 0..k-1 and F after: one composite per
+        # variable, each holding every later state.
+        n = 1100
+        s = [("T",) * k + ("F",) * (n - k) for k in range(n + 1)]
+        ts = [(a, b, "e", ()) for a, b in zip(s, s[1:])]
+        hier = introduce_hierarchy(self._flat(s, s[0], ts))
+        assert print_sc(hier).count("{") == n - 1  # the last group is two states
+        assert flatten(hier) == to_statechart(self._flat(s, s[0], ts))
+
     def test_flatten_inverts_hierarchy_on_fixture(self, sd1, sd2, coffee_dt):
         merged = merge_charts(
             [chart_for(sd1, coffee_dt, "Coffee-UI"), chart_for(sd2, coffee_dt, "Coffee-UI")]
