@@ -13,15 +13,21 @@ A fixpoint round is linear in the diagram: gaps are built once, a class's
 state is joined a cell column at a time, and the loop search walks each
 lifeline's distinct (state, open) keys, not its pairs of classes.  Rounds
 are few (one to three per diagram), so they are not narrowed to the
-classes that changed.
+classes that changed.  Settled faces, which already agree with the rest of
+their class or gap, cost one list comparison: a class of equal faces is not
+joined, and gap joins and conflict detection skip a gap of equal faces.
 
 Only unification stores provenance: ``AnnotatedSD.provenance`` holds a
 ``Unified`` record per cell an identification or gap join grounded.
-``provenance_of`` derives a cell's provenance when a conflict is explained,
-by the first rule that applies: the stored ``Unified`` record; ``FromSpec``
-when the message's specification fixes the cell (annotation never
-overwrites one); ``Frame`` from the face before it on the lifeline when
-the cell is determined (only the frame sweep grounds anything else); None.
+``provenance_of`` derives a cell's provenance by the first rule that
+applies: the stored ``Unified`` record; ``FromSpec`` when the message's
+specification fixes the cell (annotation never overwrites one); ``Frame``
+from the face before it on the lifeline when the cell is determined (only
+the frame sweep grounds anything else); None.
+
+A ``Conflict`` carries no derivation chain, only the unification faces the
+reports print; ``derivation(asd, conflict)`` rebuilds the chain from the two
+faces the conflict names, by the same rules, when it is asked for.
 """
 
 from __future__ import annotations
@@ -176,11 +182,14 @@ def frame_propagate(asd: AnnotatedSD) -> bool:
 def class_state(asd: AnnotatedSD, cls):
     """(join of the class's faces, open) or None when two faces clash;
     ``open`` is true when some face lacks a value the join determines.
-    The join is taken one column of cells at a time."""
-    faces = [asd.vectors[key] for gap in cls for key in gap]
+    The join is taken one column of cells at a time, unless the faces are
+    settled (all equal); a class with no faces has one undetermined face."""
+    faces = [asd.vectors[key] for gap in cls for key in gap] or [[None] * asd.theory.width]
+    if faces.count(faces[0]) == len(faces):
+        return tuple(faces[0]), False
     state = []
     is_open = False
-    for column in zip(*faces) if faces else [()] * asd.theory.width:
+    for column in zip(*faces):
         values = set(column)
         lacking = None in values
         values.discard(None)
@@ -297,7 +306,7 @@ def _gap_joins_once(asd: AnnotatedSD) -> bool:
             left_key, right_key = gap
             left = asd.vectors[left_key]
             right = asd.vectors[right_key]
-            if None not in left and None not in right:
+            if left == right or (None not in left and None not in right):
                 continue
             if _is_discarded(asd.sd.no_loop, {left_key[1]}, {right_key[1]}):
                 continue
@@ -336,47 +345,73 @@ def annotate(sd: SequenceDiagram, dt: DomainTheory) -> tuple[AnnotatedSD, list[C
 # Conflicts and derivations
 
 
+def _walk(asd: AnnotatedSD, key: VectorKey, j: int):
+    """``(face, rule)`` for each face cell ``j``'s value came through,
+    newest first, by the rules in the module docstring: ``rule`` is the
+    stored ``Unified`` record, or the class ``FromSpec`` or ``Frame``, or
+    None, so no record is built per step.  The walk ends at a ``FromSpec``
+    or None step."""
+    provenance, spec_vectors, vectors = asd.provenance, asd.spec_vectors, asd.vectors
+    # Each step's source was grounded before it, so no face comes twice.
+    for _ in range(len(vectors) + 1):
+        rule = provenance.get((key, j))
+        if rule is None:
+            if spec_vectors[key[1]][key[2]][j] is not None:
+                rule = FromSpec
+            elif vectors[key][j] is not None:
+                rule = Frame
+        yield key, rule
+        if rule is Frame:
+            key = asd.previous_face[key]
+        elif rule is FromSpec or rule is None:
+            return
+        else:
+            key = rule.contributor
+    raise AssertionError(f"cyclic provenance at {key}[{j}]")
+
+
+def _record(asd: AnnotatedSD, key: VectorKey, j: int, rule) -> Provenance | None:
+    if rule is FromSpec:
+        return FromSpec(key[1], key[2])
+    if rule is Frame:
+        return Frame(asd.previous_face[key], j)
+    return rule
+
+
 def provenance_of(asd: AnnotatedSD, key: VectorKey, j: int) -> Provenance | None:
     """How cell ``j`` of face ``key`` got its value, by the first of the
     rules in the module docstring that applies."""
-    prov = asd.provenance.get((key, j))
-    if prov is not None:
-        return prov
-    _, mid, which = key
-    if asd.spec_vectors[mid][which][j] is not None:
-        return FromSpec(mid, which)
-    if asd.vectors[key][j] is not None:
-        return Frame(asd.previous_face[key], j)
-    return None
+    _, rule = next(_walk(asd, key, j))
+    return _record(asd, key, j, rule)
 
 
-def _trace(asd: AnnotatedSD, key: VectorKey, j: int) -> list[DerivationStep]:
-    """Transitive provenance of one cell, oldest step first."""
+def derivation(asd: AnnotatedSD, conflict: Conflict) -> tuple[DerivationStep, ...]:
+    """The conflict's full provenance chain: the after cell's steps, oldest
+    first, then the before cell's."""
+    j = conflict.variable.index
     steps = []
-    seen = set()
-    while True:
-        if (key, j) in seen:
-            raise AssertionError(f"cyclic provenance at {key}[{j}]")
-        seen.add((key, j))
-        prov = provenance_of(asd, key, j)
-        steps.append(DerivationStep(key, j, prov))
-        if prov is None or isinstance(prov, FromSpec):
-            steps.reverse()
-            return steps
-        if isinstance(prov, Frame):
-            key, j = prov.source, prov.cell
-        else:
-            key = prov.contributor
+    for face in ((conflict.object, conflict.after_message.id, POST),
+                 (conflict.object, conflict.before_message.id, PRE)):
+        chain = [DerivationStep(key, j, _record(asd, key, j, rule))
+                 for key, rule in _walk(asd, face, j)]
+        steps += reversed(chain)
+    return tuple(steps)
 
 
-def _unified_states(asd: AnnotatedSD, steps) -> tuple:
-    """Each face of the unifications the steps derive from, in step order."""
+def _unified_states(asd: AnnotatedSD, faces, j: int) -> tuple:
+    """Each face of the unifications cell ``j`` of ``faces`` derives from,
+    in the order ``derivation`` lists their steps; () when no
+    identification was applied."""
+    if not asd.events:
+        return ()
+    events = []
+    for face in faces:
+        chain = [rule.event for _, rule in _walk(asd, face, j)
+                 if isinstance(rule, Unified) and rule.event >= 0]
+        events += reversed(chain)
     out = {}
-    for step in steps:
-        prov = step.provenance
-        if not isinstance(prov, Unified) or prov.event < 0:
-            continue
-        for obj, mid, which in asd.events[prov.event].after_faces:
+    for event in events:
+        for obj, mid, which in asd.events[event].after_faces:
             if (mid, which) not in out:
                 out[mid, which] = (asd.sd.messages[mid - 1], which,
                                    StateVector(tuple(asd.vectors[(obj, mid, which)])))
@@ -384,8 +419,8 @@ def _unified_states(asd: AnnotatedSD, steps) -> tuple:
 
 
 def detect_conflicts(asd: AnnotatedSD) -> list[Conflict]:
-    """Every adjacent post/pre disagreement on every lifeline, with the full
-    derivation chain of both cells."""
+    """Every adjacent post/pre disagreement on every lifeline, with the
+    unification faces it derives from; ``derivation`` gives its chain."""
     conflicts = []
     for obj in asd.sd.objects:
         for gap in asd.gaps[obj]:
@@ -394,10 +429,11 @@ def detect_conflicts(asd: AnnotatedSD) -> list[Conflict]:
             left_key, right_key = gap
             left = asd.vectors[left_key]
             right = asd.vectors[right_key]
+            if left == right:
+                continue
             for j, (x, y) in enumerate(zip(left, right)):
                 if x is None or y is None or x == y:
                     continue
-                steps = tuple(_trace(asd, left_key, j) + _trace(asd, right_key, j))
                 conflicts.append(
                     Conflict(
                         sd_name=asd.sd.name,
@@ -409,8 +445,7 @@ def detect_conflicts(asd: AnnotatedSD) -> list[Conflict]:
                         value_before=y,
                         vector_after=StateVector(tuple(left)),
                         vector_before=StateVector(tuple(right)),
-                        derivation=steps,
-                        unified_states=_unified_states(asd, steps),
+                        unified_states=_unified_states(asd, gap, j),
                     )
                 )
     return conflicts

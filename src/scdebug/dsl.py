@@ -376,6 +376,9 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
             scopes.pop()
             scopes[-1].nodes[scope.name] = Node(scope.name, children=scope.close(span))
         elif body.startswith("initial "):
+            if scope.initial is not None:
+                raise ParseError(span, f"second initial node in {scope.name!r}"
+                                       f" (the first is on line {scope.initial[1].line})")
             scope.initial = body[len("initial "):].strip(), span
         elif body.startswith("state "):
             rest = body[len("state "):].strip()

@@ -341,6 +341,9 @@ class DerivationStep:
 
 @dataclass(frozen=True)
 class Conflict:
+    """A determined disagreement between a gap's two faces; its derivation
+    chain comes from ``annotator.derivation``."""
+
     sd_name: str
     object: str
     after_message: Message
@@ -350,7 +353,6 @@ class Conflict:
     value_before: str
     vector_after: StateVector
     vector_before: StateVector
-    derivation: tuple[DerivationStep, ...]
     # (message, pre|post, vector) for every face of the unifications the
     # conflict derives from, in the order the identification was made
     unified_states: tuple = ()

@@ -238,42 +238,52 @@ def _dot_quote(s: str) -> str:
 
 def export_dot(chart: Statechart) -> str:
     """GraphViz rendering: composites become clusters, the initial node of
-    every level is marked with a point, edges carry event[guard]/action."""
+    every level is marked with a point, edges carry event[guard]/action.
+    An edge to or from a composite, at any depth, is drawn from or to the
+    composite's entry node and clipped at its cluster (``lhead``/``ltail``)."""
     out = [f"digraph {_dot_quote(chart.name)} {{", "  rankdir=LR;", "  compound=true;"]
 
+    scopes = {}  # composite name -> its scope
     entry = {}  # id of each done scope -> the simple node it is entered at
-    edges = []  # index in out of each open scope's initial edge, innermost last
+    inits = []  # index in out of each open scope's initial edge, innermost last
+    edges = []  # (index in out, indent, transition), written once every entry is known
 
-    def resolve_initial(sc: Statechart, name: str) -> str:
-        node = next((n for n in sc.nodes if n.name == name and n.is_composite), None)
-        return name if node is None else entry[id(node.children)]
+    def resolve(name: str) -> str:
+        scope = scopes.get(name)
+        return name if scope is None else entry[id(scope)]
 
     def init_point(scope: str, pad: str) -> None:
         point = _dot_quote(f"__init_{scope}" if scope else "__init")
         out.append(f"{pad}{point} [shape=point];")
-        edges.append(len(out))
+        inits.append(len(out))
         out.append(f"{pad}{point} -> ")  # completed once the scope's entry is known
 
     init_point("", "  ")
     for depth, sc, n in walk(chart):
         pad = "  " * (depth + 1)
         if n is None:  # every scope nested in sc is done
-            entry[id(sc)] = resolve_initial(sc, sc.initial)
-            out[edges.pop()] += f"{_dot_quote(entry[id(sc)])};"
+            entry[id(sc)] = resolve(sc.initial)
+            out[inits.pop()] += f"{_dot_quote(entry[id(sc)])};"
             for t in sc.transitions:
-                head = resolve_initial(sc, t.target)
-                attrs = [f"label={_dot_quote(transition_label(t))}"]
-                if head != t.target:
-                    attrs.append(f"lhead={_dot_quote('cluster_' + t.target)}")
-                out.append(f"{pad}{_dot_quote(t.source)} -> {_dot_quote(head)} [{', '.join(attrs)}];")
+                edges.append((len(out), pad, t))
+                out.append("")
             if depth:
                 out.append(f"{pad[2:]}}}")
         elif n.is_composite:
+            scopes[n.name] = n.children
             out.append(f"{pad}subgraph {_dot_quote('cluster_' + n.name)} {{")
             label = f"{n.name} {n.comment}" if n.comment else n.name
             out.append(f"{pad}  label={_dot_quote(label)};")
             init_point(n.name, pad + "  ")
         else:
             out.append(f"{pad}{_dot_quote(n.name)} [shape=box, style=rounded];")
+    for i, pad, t in edges:
+        tail, head = resolve(t.source), resolve(t.target)
+        attrs = [f"label={_dot_quote(transition_label(t))}"]
+        if head != t.target:
+            attrs.append(f"lhead={_dot_quote('cluster_' + t.target)}")
+        if tail != t.source:
+            attrs.append(f"ltail={_dot_quote('cluster_' + t.source)}")
+        out[i] = f"{pad}{_dot_quote(tail)} -> {_dot_quote(head)} [{', '.join(attrs)}];"
     out.append("}")
     return "\n".join(out) + "\n"

@@ -11,7 +11,6 @@ from scdebug.annotator import (
     _parameter_binding,
     annotate,
     apply_identification,
-    detect_conflicts,
     identification_candidates,
 )
 from scdebug.checker import (
@@ -31,11 +30,15 @@ from scdebug.model import (
     POST,
     PRE,
     AnnotatedSD,
+    Conflict,
     Delete,
+    DerivationStep,
     Frame,
     FromSpec,
     Insert,
     Message,
+    StateVector,
+    Unified,
     apply_edit,
     participants,
     unify,
@@ -374,9 +377,34 @@ def frame_propagate_eager(asd):
     return changed
 
 
+def trace_stored(asd, key, j):
+    """Cell ``j`` of face ``key`` and every cell its value came through,
+    oldest first, following the stored provenance records alone."""
+    steps = []
+    while True:
+        prov = asd.provenance.get((key, j))
+        steps.append(DerivationStep(key, j, prov))
+        if prov is None or isinstance(prov, FromSpec):
+            return steps[::-1]
+        key, j = (prov.source, prov.cell) if isinstance(prov, Frame) else (prov.contributor, j)
+
+
+def unified_faces(asd, chain):
+    """(message, pre|post, vector) of every post face of the identifications
+    the chain's ``Unified`` steps name, in step order, each face once."""
+    out = {}
+    for step in chain:
+        if isinstance(step.provenance, Unified) and step.provenance.event >= 0:
+            for obj, mid, which in asd.events[step.provenance.event].after_faces:
+                out.setdefault((mid, which), (asd.sd.messages[mid - 1], which,
+                                              StateVector(tuple(asd.vectors[(obj, mid, which)]))))
+    return tuple(out.values())
+
+
 def annotate_eager(sd, dt):
-    """``annotate`` with every cell's provenance stored as it is grounded;
-    conflicts are traced through the stored records, which cover every
+    """``annotate`` with every cell's provenance stored as it is grounded:
+    (annotated diagram, conflicts, the derivation chain of each conflict),
+    the chains traced through the stored records, which cover every
     determined cell."""
     asd = initialize_vectors_eager(sd, dt)
     while True:
@@ -385,4 +413,21 @@ def annotate_eager(sd, dt):
         if cand is not None:
             apply_identification(asd, cand)
         elif not _gap_joins_once(asd):
-            return asd, detect_conflicts(asd)
+            break
+    conflicts, chains = [], []
+    for obj in sd.objects:
+        line = sd.lifeline(obj)
+        for before, after in zip(line, line[1:]):
+            left_key, right_key = (obj, before.id, POST), (obj, after.id, PRE)
+            left, right = asd.vectors[left_key], asd.vectors[right_key]
+            for j, (x, y) in enumerate(zip(left, right)):
+                if x is None or y is None or x == y:
+                    continue
+                chain = tuple(trace_stored(asd, left_key, j) + trace_stored(asd, right_key, j))
+                chains.append(chain)
+                conflicts.append(Conflict(
+                    sd.name, obj, before, after, dt.variables[j], x, y,
+                    StateVector(tuple(left)), StateVector(tuple(right)),
+                    unified_faces(asd, chain),
+                ))
+    return asd, conflicts, chains

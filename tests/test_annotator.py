@@ -12,6 +12,8 @@ from scdebug.annotator import (
     annotate,
     apply_identification,
     class_state,
+    derivation,
+    detect_conflicts,
     frame_propagate,
     identification_candidates,
     initialize_vectors,
@@ -35,6 +37,7 @@ from oracles import (
     class_state_by_faces,
     identification_scan,
     lifeline_gaps_by_lifeline,
+    unified_faces,
 )
 
 CUI = "Coffee-UI"
@@ -67,6 +70,36 @@ def unify_to_fixpoint(asd):
             apply_identification(asd, cand)
         elif not _gap_joins_once(asd):
             return asd
+
+
+def provenance_corpus(coffee_dt):
+    """600 (diagram, theory) pairs: random theories and diagrams,
+    conflict-free pairs, and coffee messages under ``coffee_dt``, some with
+    arguments the theory refuses; every other diagram has two ``no_loop``
+    pairs."""
+    rng = random.Random(41)
+    labels = [spec.name for spec in coffee_dt.specs] + ["Cancel"]
+    drinks = ("Espresso", "Cappuchino", "Milk", "none") * 10 + ("Latte",)
+    for k in range(600):
+        if k % 5 == 4:
+            dt = coffee_dt
+            msgs = []
+            for i in range(1, rng.randint(2, 30)):
+                label = rng.choice(labels)
+                takes_drink = (label == "Enter Selection") != (rng.random() < 0.02)
+                msgs.append(Message(i, label, (rng.choice(drinks),) if takes_drink else (),
+                                    *rng.sample(("User", "UI", "Control"), 2)))
+            sd = SequenceDiagram("Coffee", ("User", "UI", "Control"), tuple(msgs))
+        elif k % 3 == 0:
+            dt, sd = conflict_free_pair(rng, max_msgs=8)
+        else:
+            dt = gen_theory(rng)
+            sd = gen_sd(rng, dt, max_msgs=rng.choice((6, 14, 30)), max_objs=3)
+        if k % 2:
+            n = len(sd.messages)
+            pairs = {frozenset((rng.randint(1, n), rng.randint(1, n))) for _ in range(2)}
+            sd = dataclasses.replace(sd, no_loop=frozenset(pairs))
+        yield sd, dt
 
 
 class TestInitialize:
@@ -152,12 +185,19 @@ class TestUnifyPass:
         # fixpoint (before it, a later class can be the only open one).
         # The gaps built once per annotation and the column-wise class
         # states are checked at the same steps against the per-object gap
-        # construction and the face-by-face join.
+        # construction and the face-by-face join, settled classes (several
+        # equal faces, some cell undetermined) among them.
+        settled = 0
+
         def candidate(asd):
+            nonlocal settled
             for obj in asd.sd.objects:
                 assert asd.gaps[obj] == lifeline_gaps_by_lifeline(asd, obj)
                 for cls in asd.classes[obj]:
                     assert class_state(asd, cls) == class_state_by_faces(asd, cls)
+                    faces = [asd.vectors[key] for gap in cls for key in gap]
+                    settled += (len(faces) > 1 and faces.count(faces[0]) == len(faces)
+                                and None in faces[0])
             cand = identification_candidates(asd)
             scan = identification_scan(asd)
             assert cand == (scan[0] if scan else None), f"step {len(asd.events)} of {asd.sd}"
@@ -185,7 +225,7 @@ class TestUnifyPass:
                     apply_identification(asd, cand)
                 elif not _gap_joins_once(asd):
                     break
-        assert steps > 200
+        assert steps > 200 and settled > 2_000
 
     def test_chain_of_one_context_skips_failed_partners(self, monkeypatch):
         # Every class of a 4,000-message chain ends in the same closed
@@ -224,6 +264,23 @@ class TestUnifyPass:
         assert asd.gaps["C"] == lifeline_gaps_by_lifeline(asd, "C") == [()]
         [cls] = asd.classes["C"]
         assert class_state(asd, cls) == class_state_by_faces(asd, cls) == ((None, None), False)
+
+
+    def test_settled_gap_is_skipped(self, monkeypatch):
+        # Both faces of the gap between a and b are <T,?>: equal, so the
+        # join grounds nothing, there is no conflict, and no join is tried.
+        dt = parse_domain_theory(
+            "x : Boolean\ny : Boolean\ncontext a\n pre:\n post: x = T ;\n"
+            "context b\n pre: x = T ;\n post:"
+        )
+        sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : a\nmsg 2 A -> B : b")
+        asd = initialize_vectors(sd, dt)
+        assert vec(asd, "A", 1, "post") == vec(asd, "A", 2, "pre") == "<T,?>"
+        calls = count_unify(monkeypatch)
+        assert _gap_joins_once(asd) is False
+        assert calls[0] == 0 and asd.provenance == {}
+        assert vec(asd, "A", 1, "post") == vec(asd, "A", 2, "pre") == "<T,?>"
+        assert detect_conflicts(asd) == []
 
 
 class TestFramePropagation:
@@ -273,19 +330,20 @@ class TestConflicts:
         )
 
     def test_derivation_spans_spec_to_conflict(self, sd1, coffee_dt_unfixed):
-        _, conflicts = annotate(sd1, coffee_dt_unfixed)
-        kinds = [s.provenance for s in conflicts[0].derivation]
+        asd, conflicts = annotate(sd1, coffee_dt_unfixed)
+        chain = derivation(asd, conflicts[0])
+        kinds = [s.provenance for s in chain]
         assert any(isinstance(p, FromSpec) for p in kinds)
         assert any(isinstance(p, Unified) for p in kinds)
         assert any(isinstance(p, Frame) for p in kinds)
         # oldest first: the chain starts at a specification value
-        assert isinstance(conflicts[0].derivation[0].provenance, FromSpec)
+        assert isinstance(chain[0].provenance, FromSpec)
 
     def test_worked_derivation_steps(self, sd1, coffee_dt_unfixed):
         # The paper's conflict, step by step: Cappuchino's post value of
         # CoffeeTypeSelected is carried by the frame axiom to the end of the
         # loop, unified back to message 1 and carried into message 2's post.
-        _, [c] = annotate(sd1, coffee_dt_unfixed)
+        asd, [c] = annotate(sd1, coffee_dt_unfixed)
         expected = [
             (4, "post", FromSpec(4, "post")),
             (5, "pre", Frame((CUI, 4, "post"), 2)),
@@ -307,8 +365,9 @@ class TestConflicts:
             (2, "post", Frame((CUI, 2, "pre"), 2)),
             (3, "pre", FromSpec(3, "pre")),
         ]
-        assert len(c.derivation) == 19
-        for step, (mid, which, prov) in zip(c.derivation, expected, strict=True):
+        chain = derivation(asd, c)
+        assert len(chain) == 19
+        for step, (mid, which, prov) in zip(chain, expected, strict=True):
             assert step == DerivationStep((CUI, mid, which), 2, prov)
 
     def test_conflict_free(self, sd1, coffee_dt):
@@ -327,12 +386,12 @@ class TestConflicts:
         msgs = [Message(1, "arm", (), "A", "B")]
         msgs += [Message(i, "noop", (), *(("A", "B") if i % 2 else ("B", "A"))) for i in range(2, n)]
         msgs.append(Message(n, "check", (), "B", "A"))
-        _, conflicts = annotate(SequenceDiagram("Chain", ("A", "B"), tuple(msgs)), dt)
+        asd, conflicts = annotate(SequenceDiagram("Chain", ("A", "B"), tuple(msgs)), dt)
         assert [(c.object, c.after_message.id, c.before_message.id) for c in conflicts] == [
             ("A", n - 1, n),
             ("B", n - 1, n),
         ]
-        assert all(isinstance(c.derivation[0].provenance, FromSpec) for c in conflicts)
+        assert all(isinstance(derivation(asd, c)[0].provenance, FromSpec) for c in conflicts)
 
     def test_empty_sd(self, coffee_dt):
         sd = parse_sd("sd S\nobject A")
@@ -457,33 +516,13 @@ class TestInvariants:
     def test_derived_provenance_matches_stored(self, coffee_dt_unfixed):
         # The annotator stores only unification records and derives spec
         # and frame steps; the eager oracle stores a record for every cell
-        # it grounds.  Vectors, events, every cell's provenance, conflicts
-        # with their derivations, and errors are the same.
-        rng = random.Random(41)
+        # it grounds and traces chains through those records alone.
+        # Vectors, events, every cell's provenance, conflicts, each
+        # conflict's derivation chain, and errors are the same.
         cells = errors = traced = 0
-        labels = [spec.name for spec in coffee_dt_unfixed.specs] + ["Cancel"]
-        drinks = ("Espresso", "Cappuchino", "Milk", "none") * 10 + ("Latte",)
-        for k in range(600):
-            if k % 5 == 4:  # coffee messages, some with arguments the theory refuses
-                dt = coffee_dt_unfixed
-                msgs = []
-                for i in range(1, rng.randint(2, 30)):
-                    label = rng.choice(labels)
-                    takes_drink = (label == "Enter Selection") != (rng.random() < 0.02)
-                    msgs.append(Message(i, label, (rng.choice(drinks),) if takes_drink else (),
-                                        *rng.sample(("User", "UI", "Control"), 2)))
-                sd = SequenceDiagram("Coffee", ("User", "UI", "Control"), tuple(msgs))
-            elif k % 3 == 0:
-                dt, sd = conflict_free_pair(rng, max_msgs=8)
-            else:
-                dt = gen_theory(rng)
-                sd = gen_sd(rng, dt, max_msgs=rng.choice((6, 14, 30)), max_objs=3)
-            if k % 2:
-                n = len(sd.messages)
-                pairs = {frozenset((rng.randint(1, n), rng.randint(1, n))) for _ in range(2)}
-                sd = dataclasses.replace(sd, no_loop=frozenset(pairs))
+        for sd, dt in provenance_corpus(coffee_dt_unfixed):
             try:
-                eager, eager_conflicts = annotate_eager(sd, dt)
+                eager, eager_conflicts, eager_chains = annotate_eager(sd, dt)
             except AnnotationError as exc:
                 with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                     annotate(sd, dt)
@@ -500,6 +539,29 @@ class TestInvariants:
                 cell: p for cell, p in eager.provenance.items() if isinstance(p, Unified)
             }
             assert conflicts == eager_conflicts
+            assert [derivation(asd, c) for c in conflicts] == eager_chains
             cells += len(determined)
             traced += len(conflicts)
         assert cells > 40_000 and errors > 10 and traced > 1_000
+
+    def test_unified_states_are_the_derivations_unified_faces(self, coffee_dt_unfixed):
+        # The faces a conflict prints are those of the identifications its
+        # derivation chain passes through, in step order, each face once.
+        # The before cell's chain is one FromSpec step: a gap's two faces
+        # are in one class, so frame steps, gap joins and identifications
+        # give both the same value, and only a precondition can differ.
+        shown = 0
+        for sd, dt in provenance_corpus(coffee_dt_unfixed):
+            try:
+                asd, conflicts = annotate(sd, dt)
+            except AnnotationError:
+                continue
+            for c in conflicts:
+                chain = derivation(asd, c)
+                assert c.unified_states == unified_faces(asd, chain)
+                before = c.before_message.id
+                assert chain[-1] == DerivationStep(
+                    (c.object, before, "pre"), c.variable.index, FromSpec(before, "pre"))
+                assert chain[-2].key == (c.object, c.after_message.id, "post")
+                shown += bool(c.unified_states)
+        assert shown > 50

@@ -244,6 +244,10 @@ class TestStatechart:
             ("statechart M\ninitial G\nstate G {\n initial A\n state A\n}\n"
              "state H {\n initial A\n state A\n}",
              "<sc>:1:1: node name used twice in chart M: ['A']"),
+            ("statechart M\ninitial A\nstate A\nstate B\ninitial B\nA -> B : e",
+             "<sc>:5:1: second initial node in 'M' (the first is on line 2)"),
+            ("statechart M\ninitial G\nstate G {\n initial A\n state A\n state B\n initial A\n}",
+             "<sc>:7:1: second initial node in 'G' (the first is on line 4)"),
         ],
     )
     def test_errors(self, text, fragment):

@@ -175,6 +175,26 @@ class TestDot:
         # entering the composite lands on its initial node
         assert '"C" -> "A1"' in dot and 'lhead="cluster_A"' in dot
 
+    def test_composite_endpoints_at_any_depth(self):
+        # G1 enters at G2, which enters at C.  Edges into and out of a
+        # composite outside their own scope go to and from its entry node,
+        # clipped at its cluster, so every endpoint is a declared node.
+        chart = parse_sc(
+            "statechart M\ninitial G1\nstate A\n"
+            "state G1 {\n initial G2\n"
+            " state G2 {\n  initial C\n  state C\n  state D\n  C -> D : y\n  C -> A : reset / r\n }\n"
+            " state B\n D -> B : z\n}\n"
+            "A -> G1 : go\nG1 -> A : reset / r\nB -> G2 : back [x = T]\n"
+        )
+        dot = export_dot(chart)
+        declared = set(re.findall(r'^\s*"([^"]+)" \[shape=', dot, re.M))
+        edges = re.findall(r'^\s*"([^"]+)" -> "([^"]+)"', dot, re.M)
+        assert len(edges) == 9  # three initial points, six transitions
+        assert {end for edge in edges for end in edge} <= declared
+        assert '"A" -> "C" [label="go", lhead="cluster_G1"];' in dot
+        assert '"C" -> "A" [label="reset / r", ltail="cluster_G1"];' in dot
+        assert '"B" -> "C" [label="back [x = T]", lhead="cluster_G2"];' in dot
+
     def test_cycle_back_to_initial(self, sd1, coffee_dt):
         charts, _ = synthesize(coffee_dt, [sd1])
         dot = export_dot(charts["Coffee-UI"])
