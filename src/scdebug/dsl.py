@@ -7,6 +7,7 @@ test corpus is the coffee-machine domain theory under tests/fixtures.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -135,92 +136,77 @@ def _parse_condition(text: str, span: SourceSpan, variables, params) -> Conditio
 
 
 _CONTEXT_RE = re.compile(rf"context\s+(.+?)\s*(\(\s*({IDENT})\s*:\s*(.+?)\s*\))?\s*$")
+_KEYWORD_RE = re.compile(r"context(?!\S)|pre:|post:")  # context only as a whole word
 
 
 def parse_domain_theory(text: str, filename: str = "<dt>") -> DomainTheory:
     variables: dict[str, StateVariable] = {}
-    specs: dict[str, MessageSpec] = {}
+    specs: dict[str, dict] = {}  # context name -> the fields of its MessageSpec
+    # The open context: its name, its params and the clauses it still allows,
+    # in order. Its open clause, [pre or post, first line, text], runs to its
+    # ';', or without one up to the next keyword line.
+    name, params, allowed, clause = None, {}, (), None
 
-    lines = list(_lines(text))
-    i = 0
-    seen_context = False
-    while i < len(lines):
-        no, body = lines[i]
+    def end_clause(span: SourceSpan) -> None:
+        nonlocal clause
+        which, first, chunk = clause
+        clause = None
+        chunk, _, rest = chunk.partition(";")
+        if rest.strip():  # the ';' ends the clause on the line read last
+            raise ParseError(span, f"unexpected text after ';': {rest.strip()!r}")
+        specs[name][which] = _parse_condition(chunk, first, variables, params)
+
+    for no, body in _lines(text):
         span = SourceSpan(filename, no)
-
-        if body.startswith("context"):
-            seen_context = True
+        m = _KEYWORD_RE.match(body)
+        keyword = m and m.group().rstrip(":")
+        if clause and keyword:
+            end_clause(span)
+        if clause:
+            clause[2] += " " + body
+        elif keyword == "context":
             m = _CONTEXT_RE.match(body)
             if not m:
                 raise ParseError(span, f"cannot parse context header {body!r}")
             name = m.group(1).strip()
-            params: dict[str, VarDomain] = {}
-            if m.group(2):
-                params[m.group(3)] = _parse_domain(m.group(4), span)
+            params = {m.group(3): _parse_domain(m.group(4), span)} if m.group(2) else {}
             if name in specs:
                 raise ParseError(span, f"duplicate context name {name!r}")
-            i += 1
-            conds = {"pre": Condition(), "post": Condition()}
-            for which in ("pre", "post"):
-                if i >= len(lines):
-                    break
-                no2, body2 = lines[i]
-                if not body2.startswith(which + ":"):
-                    continue
-                # Accumulate continuation lines until the terminating ';' or
-                # the next clause/context (empty conditions have no ';').
-                chunk = body2[len(which) + 1:]
-                i += 1
-                while ";" not in chunk:
-                    if i >= len(lines):
-                        break
-                    peek = lines[i][1]
-                    if peek.startswith(("context", "pre:", "post:")):
-                        break
-                    chunk += " " + peek
-                    i += 1
-                chunk, _, rest = chunk.partition(";")
-                if rest.strip():  # the ';' ends the clause on the line read last
-                    raise ParseError(SourceSpan(filename, lines[i - 1][0]),
-                                     f"unexpected text after ';': {rest.strip()!r}")
-                conds[which] = _parse_condition(chunk, SourceSpan(filename, no2),
-                                                variables, params)
-            specs[name] = MessageSpec(name, tuple(params.items()), conds["pre"], conds["post"])
-            continue
-
-        if seen_context:
+            specs[name] = {"params": tuple(params.items()), "pre": Condition(), "post": Condition()}
+            allowed = ("pre", "post")
+        elif keyword in allowed:
+            allowed = allowed[allowed.index(keyword) + 1:]
+            clause = [keyword, span, body[m.end():]]
+        elif name is not None:
             raise ParseError(span, f"unexpected line after contexts: {body!r}")
-
-        # Variable declaration: one or more names, a colon, one domain.
-        if ":" not in body:
-            raise ParseError(span, f"cannot parse declaration {body!r}",
-                             expected="name[, name...] : domain")
-        names_part, dom_part = body.split(":", 1)
-        dom = _parse_domain(dom_part, span)
-        for raw in names_part.split(","):
-            name = raw.strip()
-            if not _IDENT_RE.match(name):
-                raise ParseError(span, f"bad variable name {name!r}")
-            if name in variables:
-                raise ParseError(span, f"duplicate state variable declaration {name!r}")
-            variables[name] = StateVariable(name, dom, len(variables))
-        i += 1
-
-    return DomainTheory(tuple(variables.values()), tuple(specs.values()))
+        else:
+            # Variable declaration: one or more names, a colon, one domain.
+            if ":" not in body:
+                raise ParseError(span, f"cannot parse declaration {body!r}",
+                                 expected="name[, name...] : domain")
+            names_part, dom_part = body.split(":", 1)
+            dom = _parse_domain(dom_part, span)
+            for raw in names_part.split(","):
+                var_name = raw.strip()
+                if not _IDENT_RE.match(var_name):
+                    raise ParseError(span, f"bad variable name {var_name!r}")
+                if var_name in variables:
+                    raise ParseError(span, f"duplicate state variable declaration {var_name!r}")
+                variables[var_name] = StateVariable(var_name, dom, len(variables))
+        if clause and ";" in clause[2]:
+            end_clause(span)
+    if clause:
+        end_clause(span)
+    return DomainTheory(tuple(variables.values()),
+                        tuple(MessageSpec(name, **fields) for name, fields in specs.items()))
 
 
 def print_domain_theory(dt: DomainTheory) -> str:
-    out = []
     # Group consecutive variables sharing a domain onto one line, Fig. 6 style.
-    i = 0
-    vars_ = dt.variables
-    while i < len(vars_):
-        j = i
-        while j + 1 < len(vars_) and vars_[j + 1].domain == vars_[i].domain:
-            j += 1
-        names = ", ".join(v.name for v in vars_[i:j + 1])
-        out.append(f"{names} : {vars_[i].domain.describe()}")
-        i = j + 1
+    out = [
+        f"{', '.join(v.name for v in group)} : {domain.describe()}"
+        for domain, group in itertools.groupby(dt.variables, key=lambda v: v.domain)
+    ]
     for spec in dt.specs:
         out.append("")
         header = f"context {spec.name}"
@@ -273,7 +259,11 @@ def split_label_args(text: str) -> tuple[str, tuple[str, ...]]:
 
 
 def parse_sd(text: str, filename: str = "<sd>") -> SequenceDiagram:
-    name = None
+    lines = _lines(text)
+    no, body = next(lines, (1, ""))
+    if not body.startswith("sd "):
+        raise ParseError(SourceSpan(filename, 1), "missing 'sd <name>' header")
+    name, header_line = body[3:].strip(), no
     objects: list[str] = []
     messages: list[Message] = []
     no_loop: list[tuple[int, frozenset[int]]] = []  # (line, pair)
@@ -281,9 +271,9 @@ def parse_sd(text: str, filename: str = "<sd>") -> SequenceDiagram:
     def error(message: str, expected: str | None = None) -> ParseError:
         return ParseError(SourceSpan(filename, no), message, expected)
 
-    for no, body in _lines(text):
+    for no, body in lines:
         if body.startswith("sd "):
-            name = body[3:].strip()
+            raise error(f"second 'sd' header (the first is on line {header_line})")
         elif body.startswith("object "):
             obj = body[len("object "):].strip()
             if not _IDENT_RE.match(obj):
@@ -313,8 +303,6 @@ def parse_sd(text: str, filename: str = "<sd>") -> SequenceDiagram:
         else:
             raise error(f"cannot parse line {body!r}")
 
-    if name is None:
-        raise ParseError(SourceSpan(filename, 1), "missing 'sd <name>' header")
     for no, pair in no_loop:
         for i in sorted(pair):
             if not 1 <= i <= len(messages):

@@ -19,7 +19,7 @@ import difflib
 import json
 from dataclasses import dataclass, field
 
-from .model import Conflict, SequenceDiagram, Statechart, walk
+from .model import Conflict, SequenceDiagram, Statechart, Transition, walk
 from .annotator import missing_spec_warnings
 from .checker import CheckRecord
 from .dsl import transition_label
@@ -42,9 +42,8 @@ def annotation_bundle(results) -> ReportBundle:
     for asd, conflicts in results:
         bundle.annotations.append((asd.sd, len(asd.events)))
         bundle.conflicts.extend(conflicts)
-        bundle.warnings.extend(
-            w for w in missing_spec_warnings(asd.sd, asd.theory) if w not in bundle.warnings
-        )
+        bundle.warnings.extend(missing_spec_warnings(asd.sd, asd.theory))
+    bundle.warnings = list(dict.fromkeys(bundle.warnings))
     bundle.sds = len(bundle.annotations)
     return bundle
 
@@ -128,6 +127,8 @@ def _check_lines(rec: CheckRecord) -> list[str]:
 
 def render_text(bundle: ReportBundle) -> str:
     out: list[str] = []
+    if not bundle.conflicts and all(r.trace.accepted for r in bundle.checks):
+        out.append("No conflicts found.")
     for c in bundle.conflicts:
         out.extend(_conflict_block(c))
         out.append("")
@@ -135,9 +136,6 @@ def render_text(bundle: ReportBundle) -> str:
         out.extend(_check_lines(rec))
     if bundle.checks:
         out.append("")
-
-    if not bundle.conflicts and not any(not r.trace.accepted for r in bundle.checks):
-        out.insert(0, "No conflicts found.")
 
     summary = []
     if bundle.annotations:
@@ -241,49 +239,39 @@ def export_dot(chart: Statechart) -> str:
     every level is marked with a point, edges carry event[guard]/action.
     An edge to or from a composite, at any depth, is drawn from or to the
     composite's entry node and clipped at its cluster (``lhead``/``ltail``)."""
-    out = [f"digraph {_dot_quote(chart.name)} {{", "  rankdir=LR;", "  compound=true;"]
+    composites = [n for _, _, n in walk(chart) if n is not None and n.is_composite]
+    entry = {}  # composite name -> the simple node it is entered at
+    for n in reversed(composites):  # every nested composite before its parent
+        entry[n.name] = entry.get(n.children.initial, n.children.initial)
 
-    scopes = {}  # composite name -> its scope
-    entry = {}  # id of each done scope -> the simple node it is entered at
-    inits = []  # index in out of each open scope's initial edge, innermost last
-    edges = []  # (index in out, indent, transition), written once every entry is known
-
-    def resolve(name: str) -> str:
-        scope = scopes.get(name)
-        return name if scope is None else entry[id(scope)]
-
-    def init_point(scope: str, pad: str) -> None:
+    def init_point(scope: str, initial: str, pad: str) -> list[str]:
         point = _dot_quote(f"__init_{scope}" if scope else "__init")
-        out.append(f"{pad}{point} [shape=point];")
-        inits.append(len(out))
-        out.append(f"{pad}{point} -> ")  # completed once the scope's entry is known
+        head = _dot_quote(entry.get(initial, initial))
+        return [f"{pad}{point} [shape=point];", f"{pad}{point} -> {head};"]
 
-    init_point("", "  ")
-    for depth, sc, n in walk(chart):
-        pad = "  " * (depth + 1)
-        if n is None:  # every scope nested in sc is done
-            entry[id(sc)] = resolve(sc.initial)
-            out[inits.pop()] += f"{_dot_quote(entry[id(sc)])};"
-            for t in sc.transitions:
-                edges.append((len(out), pad, t))
-                out.append("")
-            if depth:
-                out.append(f"{pad[2:]}}}")
-        elif n.is_composite:
-            scopes[n.name] = n.children
-            out.append(f"{pad}subgraph {_dot_quote('cluster_' + n.name)} {{")
-            label = f"{n.name} {n.comment}" if n.comment else n.name
-            out.append(f"{pad}  label={_dot_quote(label)};")
-            init_point(n.name, pad + "  ")
-        else:
-            out.append(f"{pad}{_dot_quote(n.name)} [shape=box, style=rounded];")
-    for i, pad, t in edges:
-        tail, head = resolve(t.source), resolve(t.target)
+    def edge(t: Transition, pad: str) -> str:
+        tail, head = entry.get(t.source, t.source), entry.get(t.target, t.target)
         attrs = [f"label={_dot_quote(transition_label(t))}"]
         if head != t.target:
             attrs.append(f"lhead={_dot_quote('cluster_' + t.target)}")
         if tail != t.source:
             attrs.append(f"ltail={_dot_quote('cluster_' + t.source)}")
-        out[i] = f"{pad}{_dot_quote(tail)} -> {_dot_quote(head)} [{', '.join(attrs)}];"
+        return f"{pad}{_dot_quote(tail)} -> {_dot_quote(head)} [{', '.join(attrs)}];"
+
+    out = [f"digraph {_dot_quote(chart.name)} {{", "  rankdir=LR;", "  compound=true;",
+           *init_point("", chart.initial, "  ")]
+    for depth, sc, n in walk(chart):
+        pad = "  " * (depth + 1)
+        if n is None:  # every scope nested in sc is done
+            out.extend(edge(t, pad) for t in sc.transitions)
+            if depth:
+                out.append(f"{pad[2:]}}}")
+        elif n.is_composite:
+            out.append(f"{pad}subgraph {_dot_quote('cluster_' + n.name)} {{")
+            label = f"{n.name} {n.comment}" if n.comment else n.name
+            out.append(f"{pad}  label={_dot_quote(label)};")
+            out.extend(init_point(n.name, n.children.initial, pad + "  "))
+        else:
+            out.append(f"{pad}{_dot_quote(n.name)} [shape=box, style=rounded];")
     out.append("}")
     return "\n".join(out) + "\n"

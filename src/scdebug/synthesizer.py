@@ -200,8 +200,9 @@ def nondeterminism_warnings(chart: FlatChart):
 # Naming and hierarchy
 
 
-def to_statechart(chart: FlatChart, name: str | None = None) -> Statechart:
-    """Name states N1, N2, ... in first-visit order; vectors become comments."""
+def to_statechart(chart: FlatChart) -> Statechart:
+    """The chart of ``chart.object`` with states named N1, N2, ... in
+    first-visit order; vectors become comments."""
     names = {key: f"N{i}" for i, key in enumerate(chart.states, start=1)}
     nodes = tuple(
         Node(names[key], comment=format_vector(key)) for key in chart.states
@@ -210,7 +211,7 @@ def to_statechart(chart: FlatChart, name: str | None = None) -> Statechart:
         Transition(names[frm], names[to], event, None, actions)
         for frm, to, event, actions in chart.transitions
     )
-    return Statechart(name or chart.object, nodes, names[chart.initial], transitions)
+    return Statechart(chart.object, nodes, names[chart.initial], transitions)
 
 
 def flatten(chart: Statechart) -> Statechart:
@@ -248,7 +249,7 @@ def flatten(chart: Statechart) -> Statechart:
                       tuple(dict.fromkeys(expanded)))
 
 
-def introduce_hierarchy(chart: FlatChart, name: str | None = None) -> Statechart:
+def introduce_hierarchy(chart: FlatChart) -> Statechart:
     """Nest the named states into composites by shared state-variable values.
 
     A scope (at first every state, in first-visit order) is split on the
@@ -262,7 +263,7 @@ def introduce_hierarchy(chart: FlatChart, name: str | None = None) -> Statechart
     its path.  Every transition stays at the top level between simple
     states, so flattening the result gives back ``to_statechart(chart)``.
     """
-    flat = to_statechart(chart, name)
+    flat = to_statechart(chart)
     states, init = chart.states, chart.states.index(chart.initial)
     counter = itertools.count(1)
 
@@ -321,25 +322,14 @@ def synthesize(dt: DomainTheory, sds) -> tuple[dict, list]:
     synthesis requires debugged scenarios.
     """
     sds = list(sds)
-    results = []
-    all_conflicts = []
-    warnings = []
-    for sd in sds:
-        asd, conflicts = annotate(sd, dt)
-        results.append((asd, conflicts))
-        all_conflicts.extend(conflicts)
-        warnings.extend(w for w in missing_spec_warnings(sd, dt) if w not in warnings)
+    results = [annotate(sd, dt) for sd in sds]
+    all_conflicts = [c for _, conflicts in results for c in conflicts]
     if all_conflicts:
         raise ConflictedInputError(all_conflicts, results)
-
-    objects = []
-    for sd in sds:
-        for obj in sd.objects:
-            if obj not in objects:
-                objects.append(obj)
+    warnings = list(dict.fromkeys(w for sd in sds for w in missing_spec_warnings(sd, dt)))
 
     charts = {}
-    for obj in objects:
+    for obj in dict.fromkeys(obj for sd in sds for obj in sd.objects):
         parts = [
             synth_object_chart(asd, obj)
             for asd, _ in results
@@ -347,5 +337,5 @@ def synthesize(dt: DomainTheory, sds) -> tuple[dict, list]:
         ]
         merged = merge_charts(parts)
         warnings.extend(nondeterminism_warnings(merged))
-        charts[obj] = introduce_hierarchy(merged, obj)
+        charts[obj] = introduce_hierarchy(merged)
     return charts, warnings

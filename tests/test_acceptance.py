@@ -131,10 +131,10 @@ def test_criterion_5_round_trip_suite():
         for obj in sd.objects:
             flat = synth_object_chart(asd, obj, conflicts)
             merged = merge_charts([flat])
-            hier = introduce_hierarchy(merged, obj)
+            hier = introduce_hierarchy(merged)
             stages = {
-                "synthesized": to_statechart(flat, obj),
-                "merged": to_statechart(merged, obj),
+                "synthesized": to_statechart(flat),
+                "merged": to_statechart(merged),
                 "hierarchical": hier,
                 "flattened": flatten(hier),
             }
@@ -166,7 +166,7 @@ def test_criterion_6_repair_minimality(stepper_sd, stepper_dt):
             continue
         asd, conflicts = annotate(sd, dt)
         obj = max(sd.objects, key=lambda o: sum(1 for m in sd.messages if m.receiver == o))
-        chart = to_statechart(synth_object_chart(asd, obj, conflicts), obj)
+        chart = to_statechart(synth_object_chart(asd, obj, conflicts))
         cands = mutation_candidates(dt, chart, sd, obj)
         mutated = sd
         for _ in range(rng.randint(1, 3)):

@@ -339,7 +339,7 @@ class TestMinimality:
             dt, sd = conflict_free_pair(rng, max_msgs=5, max_objs=2)
             asd, conflicts = annotate(sd, dt)
             obj = max(sd.objects, key=lambda o: sum(1 for m in sd.messages if m.receiver == o))
-            chart = to_statechart(synth_object_chart(asd, obj, conflicts), obj)
+            chart = to_statechart(synth_object_chart(asd, obj, conflicts))
             mutated = _mutate(rng, sd, dt, chart, obj, rng.randint(1, 2))
             if mutated is None:
                 continue
@@ -357,7 +357,7 @@ class TestMinimality:
                 continue
             asd, conflicts = annotate(sd, dt)
             obj = max(sd.objects, key=lambda o: sum(1 for m in sd.messages if m.receiver == o))
-            chart = to_statechart(synth_object_chart(asd, obj, conflicts), obj)
+            chart = to_statechart(synth_object_chart(asd, obj, conflicts))
             mutated = _mutate(rng, sd, dt, chart, obj, rng.randint(1, 2))
             found = repair(mutated, obj, chart, dt, max_edits=3)
             assert brute_force_min_cost(mutated, obj, chart, dt, found.cost) == found.cost
@@ -380,7 +380,7 @@ class TestMinimality:
             "msg 3 B -> M : go\nmsg 4 B -> M : fin\nmsg 5 B -> M : fin2"
         )
         asd, conflicts = annotate(sd, dt)
-        chart = to_statechart(synth_object_chart(asd, "M", conflicts), "M")
+        chart = to_statechart(synth_object_chart(asd, "M", conflicts))
         mutated = apply_edit(sd, Delete(3))
         found = repair(mutated, "M", chart, dt, max_edits=2)
         assert [e.describe() for e in found.edits] == ["insert go (B -> M) at position 3"]

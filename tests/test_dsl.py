@@ -1,3 +1,7 @@
+import random
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +17,11 @@ from scdebug.dsl import (
 )
 from scdebug.model import (
     Condition,
+    DomainTheory,
     EnumDomain,
     IntRangeDomain,
     Message,
+    MessageSpec,
     Node,
     SequenceDiagram,
     Statechart,
@@ -23,6 +29,7 @@ from scdebug.model import (
 )
 
 from conftest import read
+from gen import gen_theory
 
 # Transcription of the published coffee-machine theory, quirks and all
 # (lower-case context name, uneven spacing, multi-line postcondition).
@@ -137,6 +144,18 @@ class TestDomainTheory:
         assert exc.value.span.line == line
         assert "unexpected text after ';'" in exc.value.message
 
+    def test_variable_named_like_context(self):
+        # ``context`` is a keyword only as a whole word.
+        dt = parse_domain_theory("contextReady : Boolean\ncontext a\n pre: contextReady = T ;\n post:")
+        assert [v.name for v in dt.variables] == ["contextReady"]
+        assert dt.spec_for("a").pre == Condition((("contextReady", "T"),))
+
+    def test_continuation_line_starting_like_context(self):
+        dt = parse_domain_theory(
+            "x, contextReady : Boolean\ncontext a\n pre: x = T and\n contextReady = F ;\n post:"
+        )
+        assert dt.spec_for("a").pre == Condition((("x", "T"), ("contextReady", "F")))
+
 
 class TestSequenceDiagram:
     def test_message_line(self):
@@ -183,6 +202,9 @@ class TestSequenceDiagram:
             ("sd S\nobject A\nobject B\nmsg 2 A -> B : x", "out of order"),
             ("object A", "missing 'sd"),
             ("sd S\nobject A\nobject A", "duplicate object"),
+            ("sd S\nobject A\nobject B\nsd T\nmsg 1 A -> B : x",
+             "<sd>:4:1: second 'sd' header (the first is on line 1)"),
+            ("# lifelines first\nobject A\nsd S\nobject B", "<sd>:1:1: missing 'sd <name>' header"),
         ],
     )
     def test_errors(self, text, fragment):
@@ -314,3 +336,42 @@ def test_sc_roundtrip_generated(chart):
 def test_parse_determinism():
     text = read("theory.dt")
     assert parse_domain_theory(text) == parse_domain_theory(text)
+
+
+def _with_params(rng: random.Random, dt: DomainTheory) -> DomainTheory:
+    """``dt`` with some contexts given a parameter ``P`` over a variable's
+    domain, which that variable takes in the context's post."""
+    specs = []
+    for spec in dt.specs:
+        if rng.random() < 0.4:
+            var = rng.choice(dt.variables)
+            post = [a for a in spec.post.atoms if a[0] != var.name] + [(var.name, "P")]
+            spec = MessageSpec(spec.name, (("P", var.domain),), spec.pre, Condition(tuple(post)))
+        specs.append(spec)
+    return DomainTheory(dt.variables, tuple(specs))
+
+
+def test_dt_roundtrip_generated():
+    rng = random.Random(15)
+    params = wraps = 0
+    for _ in range(600):
+        dt = _with_params(rng, gen_theory(rng))
+        text = print_domain_theory(dt)
+        assert parse_domain_theory(text) == dt
+        # Re-wrap clauses across lines at some of their ``and``s.
+        first, *rest = text.split(" and ")
+        joins = [rng.choice((" and ", "\n      and ", " and\n      ")) for _ in rest]
+        wrapped = first + "".join(j + part for j, part in zip(joins, rest))
+        assert parse_domain_theory(wrapped) == dt
+        params += sum(1 for spec in dt.specs if spec.params)
+        wraps += sum(1 for j in joins if "\n" in j)
+    assert params > 300 and wraps > 300
+
+
+def test_docs_examples_parse():
+    readers = {"sd": parse_sd, "statechart": parse_sc}
+    text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+    examples = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.S | re.M)
+    assert len(examples) == 3
+    for example in examples:
+        readers.get(example.split(None, 1)[0], parse_domain_theory)(example)

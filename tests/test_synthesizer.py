@@ -164,10 +164,10 @@ class TestHierarchy:
         merged = merge_charts(
             [chart_for(sd1, coffee_dt, "Coffee-UI"), chart_for(sd2, coffee_dt, "Coffee-UI")]
         )
-        hier = introduce_hierarchy(merged, "Coffee-UI")
+        hier = introduce_hierarchy(merged)
         check_chart(hier)
         flat = flatten(hier)
-        reference = to_statechart(merged, "Coffee-UI")
+        reference = to_statechart(merged)
         assert flat.transitions == reference.transitions
         assert sorted(n.name for n in flat.nodes) == sorted(n.name for n in reference.nodes)
         assert flat.initial == reference.initial
@@ -179,10 +179,10 @@ class TestHierarchy:
             asd, conflicts = annotate(sd, dt)
             for obj in sd.objects:
                 merged = synth_object_chart(asd, obj, conflicts)
-                hier = introduce_hierarchy(merged, obj)
+                hier = introduce_hierarchy(merged)
                 check_chart(hier)
                 flat = flatten(hier)
-                reference = to_statechart(merged, obj)
+                reference = to_statechart(merged)
                 assert flat.transitions == reference.transitions
                 assert sorted(n.name for n in flat.nodes) == sorted(
                     n.name for n in reference.nodes
