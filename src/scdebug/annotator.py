@@ -20,9 +20,9 @@ joined, and gap joins and conflict detection skip a gap of equal faces.
 Only unification stores provenance: ``AnnotatedSD.provenance`` holds a
 ``Unified`` record per cell an identification or gap join grounded.
 ``provenance_of`` derives a cell's provenance by the first rule that
-applies: the stored ``Unified`` record; ``FromSpec`` when the message's
-specification fixes the cell (annotation never overwrites one); ``Frame``
-from the face before it on the lifeline when the cell is determined (only
+applies: the stored ``Unified`` record; ``FROM_SPEC`` when the message's
+specification fixes the cell (annotation never overwrites one); ``FRAME``,
+from the face before it on the lifeline, when the cell is determined (only
 the frame sweep grounds anything else); None.
 
 A ``Conflict`` carries no derivation chain, only the unification faces the
@@ -32,28 +32,24 @@ faces the conflict names, by the same rules, when it is asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import (
     POST,
     PRE,
     AnnotatedSD,
     Condition,
     Conflict,
-    DerivationStep,
     DomainTheory,
-    Frame,
-    FromSpec,
     Message,
-    Provenance,
     SequenceDiagram,
     StateVector,
     Unified,
-    UnifyEvent,
     VectorKey,
     participants,
     unify,
 )
+
+FROM_SPEC = "spec"  # provenance: the message's specification fixes the cell
+FRAME = "frame"  # provenance: carried from the face before it on the lifeline
 
 
 class AnnotationError(Exception):
@@ -210,18 +206,9 @@ def _is_discarded(no_loop, msgs_a, msgs_b) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class Identification:
-    """A candidate state-class identification on one lifeline."""
-
-    object: str
-    group_a: tuple  # gaps of the earlier class
-    group_b: tuple  # gaps of its partner
-    joined: tuple
-
-
-def identification_candidates(asd: AnnotatedSD) -> Identification | None:
-    """The first applicable identification in scan order, or None: objects
+def identification_candidates(asd: AnnotatedSD) -> tuple | None:
+    """The first applicable identification in scan order, as (object, gaps
+    of the earlier class, gaps of its partner, their join), or None: objects
     in declaration order, the earlier class first, its partner searched
     from the end of the lifeline backwards (loops close against the latest
     recurrence).
@@ -263,32 +250,29 @@ def identification_candidates(asd: AnnotatedSD) -> Identification | None:
                         b_max, found = b, joined
                         break
             if found is not None:
-                return Identification(obj, classes[a], classes[b_max], found)
+                return obj, classes[a], classes[b_max], found
     return None
 
 
-def apply_identification(asd: AnnotatedSD, cand: Identification) -> UnifyEvent:
-    """Ground both classes' faces to the join.
+def apply_identification(asd: AnnotatedSD, cand: tuple) -> None:
+    """Ground both classes of an ``identification_candidates`` result to
+    their join, and record the identification's post faces as an event.
 
     Faces are visited earlier class ascending, partner newest-first (the
     direction the recurrence was discovered in), cells in order within a
     face; each grounded cell credits the first face then holding its value.
     """
-    faces = [key for gap in cand.group_a for key in gap]
-    faces += [key for gap in reversed(cand.group_b) for key in gap]
-    event = UnifyEvent(
-        index=len(asd.events),
-        object=cand.object,
-        after_faces=tuple(key for key in faces if key[2] == POST),
-    )
-    asd.events.append(event)
+    _, group_a, group_b, joined = cand
+    faces = [key for gap in group_a for key in gap]
+    faces += [key for gap in reversed(group_b) for key in gap]
+    event = len(asd.events)
+    asd.events.append(tuple(key for key in faces if key[2] == POST))
     for key in faces:
         cells = asd.vectors[key]
-        for j, v in enumerate(cand.joined):
+        for j, v in enumerate(joined):
             if v is not None and cells[j] is None:
                 contributor = next(k for k in faces if asd.vectors[k][j] == v)
-                _ground(asd, key, j, v, Unified(event.index, contributor))
-    return event
+                _ground(asd, key, j, v, Unified(event, contributor))
 
 
 def _gap_joins_once(asd: AnnotatedSD) -> bool:
@@ -348,53 +332,44 @@ def annotate(sd: SequenceDiagram, dt: DomainTheory) -> tuple[AnnotatedSD, list[C
 def _walk(asd: AnnotatedSD, key: VectorKey, j: int):
     """``(face, rule)`` for each face cell ``j``'s value came through,
     newest first, by the rules in the module docstring: ``rule`` is the
-    stored ``Unified`` record, or the class ``FromSpec`` or ``Frame``, or
-    None, so no record is built per step.  The walk ends at a ``FromSpec``
-    or None step."""
+    stored ``Unified`` record, ``FROM_SPEC``, ``FRAME`` or None.  The walk
+    ends at a ``FROM_SPEC`` or None step."""
     provenance, spec_vectors, vectors = asd.provenance, asd.spec_vectors, asd.vectors
     # Each step's source was grounded before it, so no face comes twice.
     for _ in range(len(vectors) + 1):
         rule = provenance.get((key, j))
         if rule is None:
             if spec_vectors[key[1]][key[2]][j] is not None:
-                rule = FromSpec
+                rule = FROM_SPEC
             elif vectors[key][j] is not None:
-                rule = Frame
+                rule = FRAME
         yield key, rule
-        if rule is Frame:
+        if rule == FRAME:
             key = asd.previous_face[key]
-        elif rule is FromSpec or rule is None:
+        elif rule == FROM_SPEC or rule is None:
             return
         else:
             key = rule.contributor
     raise AssertionError(f"cyclic provenance at {key}[{j}]")
 
 
-def _record(asd: AnnotatedSD, key: VectorKey, j: int, rule) -> Provenance | None:
-    if rule is FromSpec:
-        return FromSpec(key[1], key[2])
-    if rule is Frame:
-        return Frame(asd.previous_face[key], j)
-    return rule
-
-
-def provenance_of(asd: AnnotatedSD, key: VectorKey, j: int) -> Provenance | None:
+def provenance_of(asd: AnnotatedSD, key: VectorKey, j: int) -> Unified | str | None:
     """How cell ``j`` of face ``key`` got its value, by the first of the
-    rules in the module docstring that applies."""
-    _, rule = next(_walk(asd, key, j))
-    return _record(asd, key, j, rule)
+    rules in the module docstring that applies; a ``FRAME`` value came
+    from ``asd.previous_face[key]``."""
+    return next(_walk(asd, key, j))[1]
 
 
-def derivation(asd: AnnotatedSD, conflict: Conflict) -> tuple[DerivationStep, ...]:
-    """The conflict's full provenance chain: the after cell's steps, oldest
-    first, then the before cell's."""
+def derivation(asd: AnnotatedSD, conflict: Conflict) -> tuple:
+    """The conflict's full provenance chain as (face, cell, rule) steps,
+    each rule as ``provenance_of`` gives it: the after cell's steps, oldest
+    first, then the before cell's.  Within each cell's steps, a value came
+    from the step before it."""
     j = conflict.variable.index
     steps = []
     for face in ((conflict.object, conflict.after_message.id, POST),
                  (conflict.object, conflict.before_message.id, PRE)):
-        chain = [DerivationStep(key, j, _record(asd, key, j, rule))
-                 for key, rule in _walk(asd, face, j)]
-        steps += reversed(chain)
+        steps += reversed([(key, j, rule) for key, rule in _walk(asd, face, j)])
     return tuple(steps)
 
 
@@ -411,7 +386,7 @@ def _unified_states(asd: AnnotatedSD, faces, j: int) -> tuple:
         events += reversed(chain)
     out = {}
     for event in events:
-        for obj, mid, which in asd.events[event].after_faces:
+        for obj, mid, which in asd.events[event]:
             if (mid, which) not in out:
                 out[mid, which] = (asd.sd.messages[mid - 1], which,
                                    StateVector(tuple(asd.vectors[(obj, mid, which)])))

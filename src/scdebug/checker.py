@@ -20,10 +20,10 @@ Guards only remove transitions, so no repair is lost.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, product
 from operator import attrgetter
+from typing import NamedTuple
 
 from .model import (
     PRE,
@@ -46,8 +46,7 @@ ACCEPTED = "accepted"
 REJECTED = "rejected"
 
 
-@dataclass(frozen=True)
-class ReplayStep:
+class ReplayStep(NamedTuple):
     message: Message | None  # None for the leading completion step
     sends: tuple[str, ...]
     from_state: str
@@ -56,8 +55,7 @@ class ReplayStep:
     mismatch: str | None = None
 
 
-@dataclass(frozen=True)
-class ReplayTrace:
+class ReplayTrace(NamedTuple):
     sd_name: str
     object: str
     steps: tuple[ReplayStep, ...]
@@ -69,8 +67,7 @@ class ReplayTrace:
         return self.verdict == ACCEPTED
 
 
-@dataclass(frozen=True)
-class RepairResult:
+class RepairResult(NamedTuple):
     edits: tuple
     repaired: SequenceDiagram
 
@@ -312,8 +309,7 @@ def repair(
     raise NoRepairWithinBound(sd.name, obj, max_edits, explored)
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     sd: SequenceDiagram
     object: str
     trace: ReplayTrace

@@ -8,13 +8,12 @@ inputs and flags.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 from .annotator import AnnotationError, annotate
 from .checker import check_all
-from .dsl import ParseError, parse_domain_theory, parse_sc, parse_sd, print_sc, transition_label
+from .dsl import ParseError, _lines, parse_domain_theory, parse_sc, parse_sd, print_sc, transition_label
 from .model import walk
 from .report import annotation_bundle, check_bundle, export_dot, render_json, render_text
 from .synthesizer import ConflictedInputError, synthesize
@@ -81,7 +80,7 @@ def _load_inputs(args):
         if not any(all(1 <= i <= len(sd.messages) for i in pair) for sd in sds):
             i, j = min(pair), max(pair)
             raise ValueError(f"--no-loop {i}:{j}: no diagram given has both messages")
-    return dt, [dataclasses.replace(sd, no_loop=sd.no_loop | pairs) for sd in sds]
+    return dt, [sd._replace(no_loop=sd.no_loop | pairs) for sd in sds]
 
 
 def cmd_annotate(args) -> int:
@@ -134,11 +133,17 @@ def cmd_check(args) -> int:
     chart_dir = Path(args.charts)
     if not chart_dir.is_dir():
         raise FileNotFoundError(f"chart directory {chart_dir} does not exist")
-    charts = {}
+    charts, paths = {}, {}  # chart name -> the chart, the file declaring it
     for path in sorted(chart_dir.glob("*.sc")):
-        chart = parse_sc(_read(path), str(path))
+        text = _read(path)
+        chart = parse_sc(text, str(path))
+        if chart.name in charts:
+            raise ParseError((str(path), next(_lines(text))[0]),  # at the header line
+                             f"statechart {chart.name!r} is also declared in {paths[chart.name]}")
         _check_guards(chart, dt, path)
-        charts[chart.name] = chart
+        charts[chart.name], paths[chart.name] = chart, path
+    if not charts:
+        raise ValueError(f"chart directory {chart_dir} holds no .sc file")
     if args.max_edits < 0:
         raise ValueError("--max-edits must be >= 0")
     records = check_all(dt, charts, sds, args.max_edits, args.strict_guards)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
 from .model import (
     BoolDomain,
@@ -30,21 +29,14 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    file: str
-    line: int
-
-    def __str__(self) -> str:
-        return f"{self.file}:{self.line}:1"  # errors locate whole lines, from column 1
-
-
 class ParseError(Exception):
-    def __init__(self, span: SourceSpan, message: str, expected: str | None = None):
-        self.span = span
+    """An error at a ``span``, a (file name, line number) pair."""
+
+    def __init__(self, span: tuple, message: str, expected: str | None = None):
+        self.file, self.line = span
         self.message = message
         self.expected = expected
-        detail = f"{span}: {message}"
+        detail = f"{self.file}:{self.line}:1: {message}"  # errors locate whole lines, from column 1
         if expected:
             detail += f" (expected {expected})"
         super().__init__(detail)
@@ -66,7 +58,7 @@ def _lines(text: str):
 # Domains
 
 
-def _parse_domain(text: str, span: SourceSpan) -> VarDomain:
+def _parse_domain(text: str, span: tuple) -> VarDomain:
     text = text.strip()
     if text == "Boolean":
         return BoolDomain()
@@ -98,7 +90,7 @@ def _parse_domain(text: str, span: SourceSpan) -> VarDomain:
 _ATOM_RE = re.compile(rf"({IDENT})\s*=\s*(-?\w+)")
 
 
-def _atoms(text: str, span: SourceSpan, noun: str):
+def _atoms(text: str, span: tuple, noun: str):
     """Yield the (var, value) atoms of ``var = value and var = value``; a
     variable named twice is an error once the caller has taken every atom."""
     names = []
@@ -112,7 +104,7 @@ def _atoms(text: str, span: SourceSpan, noun: str):
         raise ParseError(span, "variable repeated within one condition")
 
 
-def _parse_condition(text: str, span: SourceSpan, variables, params) -> Condition:
+def _parse_condition(text: str, span: tuple, variables, params) -> Condition:
     """Parse ``var = value and var = value``; values checked against domains."""
     if not text.strip():
         return Condition()
@@ -147,7 +139,7 @@ def parse_domain_theory(text: str, filename: str = "<dt>") -> DomainTheory:
     # ';', or without one up to the next keyword line.
     name, params, allowed, clause = None, {}, (), None
 
-    def end_clause(span: SourceSpan) -> None:
+    def end_clause(span: tuple) -> None:
         nonlocal clause
         which, first, chunk = clause
         clause = None
@@ -157,7 +149,7 @@ def parse_domain_theory(text: str, filename: str = "<dt>") -> DomainTheory:
         specs[name][which] = _parse_condition(chunk, first, variables, params)
 
     for no, body in _lines(text):
-        span = SourceSpan(filename, no)
+        span = (filename, no)
         m = _KEYWORD_RE.match(body)
         keyword = m and m.group().rstrip(":")
         if clause and keyword:
@@ -262,14 +254,14 @@ def parse_sd(text: str, filename: str = "<sd>") -> SequenceDiagram:
     lines = _lines(text)
     no, body = next(lines, (1, ""))
     if not body.startswith("sd "):
-        raise ParseError(SourceSpan(filename, 1), "missing 'sd <name>' header")
+        raise ParseError((filename, 1), "missing 'sd <name>' header")
     name, header_line = body[3:].strip(), no
     objects: list[str] = []
     messages: list[Message] = []
     no_loop: list[tuple[int, frozenset[int]]] = []  # (line, pair)
 
     def error(message: str, expected: str | None = None) -> ParseError:
-        return ParseError(SourceSpan(filename, no), message, expected)
+        return ParseError((filename, no), message, expected)
 
     for no, body in lines:
         if body.startswith("sd "):
@@ -331,54 +323,49 @@ _TRANS_RE = re.compile(
 )
 
 
-@dataclass
-class _Scope:
-    """A chart level being read; a composite node is ``None`` until its ``}``."""
-
-    name: str
-    nodes: dict
-    transitions: list
-    initial: tuple | None = None  # (node name, span of its line)
-
-    def close(self, span: SourceSpan) -> Statechart:
-        if self.initial is None:
-            raise ParseError(span, f"missing initial node in {self.name!r}")
-        initial, initial_span = self.initial
-        if initial not in self.nodes:
-            raise ParseError(initial_span, f"initial node {initial!r} not declared at this level")
-        return Statechart(self.name, tuple(self.nodes.values()), initial, tuple(self.transitions))
-
-
 def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
     lines = _lines(text)
     no, body = next(lines, (1, ""))
     if not body.startswith("statechart "):
-        raise ParseError(SourceSpan(filename, 1), "missing 'statechart <name>' header")
-    scopes = [_Scope(body[len("statechart "):].strip(), {}, [])]  # open scopes, innermost last
+        raise ParseError((filename, 1), "missing 'statechart <name>' header")
+    # Open scopes, innermost last: (name, nodes, transitions, initials), the
+    # initials a list of at most one (node name, span of its line); a
+    # composite node is None in its parent's nodes until its '}'.
+    scopes = [(body[len("statechart "):].strip(), {}, [], [])]
+
+    def close(span: tuple) -> Statechart:
+        name, nodes, transitions, initials = scopes.pop()
+        if not initials:
+            raise ParseError(span, f"missing initial node in {name!r}")
+        [(initial, initial_span)] = initials
+        if initial not in nodes:
+            raise ParseError(initial_span, f"initial node {initial!r} not declared at this level")
+        return Statechart(name, tuple(nodes.values()), initial, tuple(transitions))
+
     for no, body in lines:
-        span = SourceSpan(filename, no)
-        scope = scopes[-1]
+        span = (filename, no)
+        name, nodes, transitions, initials = scopes[-1]
         if body == "}":
             if len(scopes) == 1:
                 raise ParseError(span, "unmatched '}'")
-            scopes.pop()
-            scopes[-1].nodes[scope.name] = Node(scope.name, children=scope.close(span))
+            node = Node(name, children=close(span))  # close pops the scope
+            scopes[-1][1][name] = node
         elif body.startswith("initial "):
-            if scope.initial is not None:
-                raise ParseError(span, f"second initial node in {scope.name!r}"
-                                       f" (the first is on line {scope.initial[1].line})")
-            scope.initial = body[len("initial "):].strip(), span
+            if initials:
+                raise ParseError(span, f"second initial node in {name!r}"
+                                       f" (the first is on line {initials[0][1][1]})")
+            initials.append((body[len("initial "):].strip(), span))
         elif body.startswith("state "):
             rest = body[len("state "):].strip()
             composite = rest.endswith("{")
             node_name = rest[:-1].strip() if composite else rest
             if not _IDENT_RE.match(node_name):
                 raise ParseError(span, f"bad state name {node_name!r}")
-            if node_name in scope.nodes:
+            if node_name in nodes:
                 raise ParseError(span, f"duplicate node name {node_name!r} in this scope")
-            scope.nodes[node_name] = None if composite else Node(node_name)
+            nodes[node_name] = None if composite else Node(node_name)
             if composite:
-                scopes.append(_Scope(node_name, {}, []))
+                scopes.append((node_name, {}, [], []))
         elif "->" in body:
             m = _TRANS_RE.match(body)
             if not m:
@@ -386,20 +373,19 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
                                  expected="X -> Y : e [guard] / a1, a2")
             guard = m.group(4) and Condition(tuple(_atoms(m.group(4)[1:-1], span, "guard atom")))
             actions = tuple(_split_commas(m.group(5)[1:])) if m.group(5) else ()
-            scope.transitions.append(
-                Transition(m.group(1), m.group(2), m.group(3).strip(), guard, actions))
+            transitions.append(Transition(m.group(1), m.group(2), m.group(3).strip(), guard, actions))
         elif body.startswith("statechart "):
             raise ParseError(span, "nested 'statechart' header")
         else:
             raise ParseError(span, f"cannot parse line {body!r}")
-    span = SourceSpan(filename, no)  # the last line
+    span = (filename, no)  # the last line
     if len(scopes) > 1:
-        raise ParseError(span, f"composite {scopes[-1].name!r} is not closed", expected="'}'")
-    chart = scopes[0].close(span)
+        raise ParseError(span, f"composite {scopes[-1][0]!r} is not closed", expected="'}'")
+    chart = close(span)
     try:
         check_chart(chart)
     except ValueError as exc:
-        raise ParseError(SourceSpan(filename, 1), str(exc)) from None
+        raise ParseError((filename, 1), str(exc)) from None
     return chart
 
 

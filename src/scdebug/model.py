@@ -1,23 +1,50 @@
 """Core domain types: variable domains, state vectors, diagrams, charts.
 
-Everything here is immutable after construction and safe to share.  Cell
-values are canonical literal tokens (``"T"``, ``"0"``, ``"Espresso"``);
-``None`` stands for the undetermined value printed as ``?``.
+Everything here but ``AnnotatedSD`` is immutable after construction and
+safe to share.  Cell values are canonical literal tokens (``"T"``, ``"0"``,
+``"Espresso"``); ``None`` stands for the undetermined value printed as ``?``.
+
+Records are named tuples, which are cheap to define at import and to
+build, and compare and hash as tuples.  A record that validates its fields
+subclasses a bare ``namedtuple`` of them with a checking ``__new__``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from functools import cached_property
+from operator import attrgetter
+from typing import NamedTuple
+
+
+class Checked:
+    """Mixin for a validating record: ``_replace`` goes through ``__new__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 # ---------------------------------------------------------------------------
 # Variable domains
 
 
-@dataclass(frozen=True)
 class BoolDomain:
+    """The Boolean domain; every instance equals every other."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BoolDomain)
+
+    def __hash__(self) -> int:
+        return hash(BoolDomain)
+
+    def __repr__(self) -> str:
+        return "BoolDomain()"
+
     def contains(self, token: str) -> bool:
         return token in ("T", "F")
 
@@ -28,14 +55,13 @@ class BoolDomain:
         return "Boolean"
 
 
-@dataclass(frozen=True)
-class IntRangeDomain:
-    lo: int
-    hi: int
+class IntRangeDomain(Checked, namedtuple("IntRangeDomain", "lo hi")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty integer range {self.lo}..{self.hi}")
+    def __new__(cls, lo: int, hi: int):
+        if lo > hi:
+            raise ValueError(f"empty integer range {lo}..{hi}")
+        return tuple.__new__(cls, (lo, hi))
 
     def contains(self, token: str) -> bool:
         """In-range integers in canonical spelling only: a cell holding
@@ -54,15 +80,15 @@ class IntRangeDomain:
         return f"{self.lo}..{self.hi}"
 
 
-@dataclass(frozen=True)
-class EnumDomain:
-    labels: tuple[str, ...]
+class EnumDomain(Checked, namedtuple("EnumDomain", "labels")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.labels:
+    def __new__(cls, labels: tuple[str, ...]):
+        if not labels:
             raise ValueError("enumeration must have at least one label")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"duplicate enumeration labels in {self.labels}")
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate enumeration labels in {labels}")
+        return tuple.__new__(cls, (labels,))
 
     def contains(self, token: str) -> bool:
         return token in self.labels
@@ -77,8 +103,7 @@ class EnumDomain:
 VarDomain = BoolDomain | IntRangeDomain | EnumDomain
 
 
-@dataclass(frozen=True)
-class StateVariable:
+class StateVariable(NamedTuple):
     name: str
     domain: VarDomain
     index: int
@@ -88,44 +113,42 @@ class StateVariable:
 # Conditions and message specifications
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(Checked, namedtuple("Condition", "atoms")):
     """Conjunction of ``var = value`` atoms; values may be parameter names."""
 
-    atoms: tuple[tuple[str, str], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        names = [v for v, _ in self.atoms]
+    def __new__(cls, atoms: tuple[tuple[str, str], ...] = ()):
+        names = [v for v, _ in atoms]
         if len(set(names)) != len(names):
             raise ValueError(f"variable repeated within one condition: {names}")
+        return tuple.__new__(cls, (atoms,))
 
     def is_empty(self) -> bool:
         return not self.atoms
 
 
-@dataclass(frozen=True)
-class MessageSpec:
+class MessageSpec(NamedTuple):
     name: str
     params: tuple[tuple[str, VarDomain], ...]
     pre: Condition
     post: Condition
 
 
-@dataclass(frozen=True)
-class DomainTheory:
-    variables: tuple[StateVariable, ...]
-    specs: tuple[MessageSpec, ...]
+class DomainTheory(Checked, namedtuple("DomainTheory", "variables specs")):
+    # No __slots__: the cached lookup tables live in the instance dict.
 
-    def __post_init__(self):
-        names = [v.name for v in self.variables]
+    def __new__(cls, variables: tuple[StateVariable, ...], specs: tuple[MessageSpec, ...]):
+        names = [v.name for v in variables]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate state variable declaration: {names}")
-        for i, v in enumerate(self.variables):
+        for i, v in enumerate(variables):
             if v.index != i:
                 raise ValueError(f"variable {v.name} carries index {v.index}, expected {i}")
-        ctx = [s.name for s in self.specs]
+        ctx = [s.name for s in specs]
         if len(set(ctx)) != len(ctx):
             raise ValueError(f"duplicate context name: {ctx}")
+        return tuple.__new__(cls, (variables, specs))
 
     @cached_property
     def _variable_index(self) -> dict:
@@ -150,8 +173,7 @@ class DomainTheory:
 # Sequence diagrams
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     id: int
     label: str
     args: tuple[str, ...]
@@ -171,22 +193,20 @@ def participants(msg: Message) -> tuple[str, ...]:
     return (msg.sender, msg.receiver)
 
 
-@dataclass(frozen=True)
-class SequenceDiagram:
-    name: str
-    objects: tuple[str, ...]
-    messages: tuple[Message, ...]
-    no_loop: frozenset[frozenset[int]] = frozenset()
+class SequenceDiagram(Checked, namedtuple("SequenceDiagram", "name objects messages no_loop")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.objects)) != len(self.objects):
-            raise ValueError(f"duplicate object names in {self.name}")
-        for i, m in enumerate(self.messages, start=1):
+    def __new__(cls, name: str, objects: tuple[str, ...], messages: tuple[Message, ...],
+                no_loop: frozenset[frozenset[int]] = frozenset()):
+        if len(set(objects)) != len(objects):
+            raise ValueError(f"duplicate object names in {name}")
+        for i, m in enumerate(messages, start=1):
             if m.id != i:
                 raise ValueError(f"message ids must be 1..n contiguous, got {m.id} at position {i}")
             for obj in (m.sender, m.receiver):
-                if obj not in self.objects:
+                if obj not in objects:
                     raise ValueError(f"message {m.id} references undeclared object {obj!r}")
+        return tuple.__new__(cls, (name, objects, messages, no_loop))
 
     def lifeline(self, obj: str) -> tuple[Message, ...]:
         """Messages the object participates in, in diagram order."""
@@ -222,14 +242,14 @@ def format_vector(cells) -> str:
     return "<" + ",".join("?" if c is None else c for c in cells) + ">"
 
 
-@dataclass(frozen=True)
-class StateVector:
-    cells: tuple
+class StateVector(Checked, namedtuple("StateVector", "cells")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for c in self.cells:
+    def __new__(cls, cells: tuple):
+        for c in cells:
             if c is not None and not isinstance(c, str):
                 raise ValueError(f"cell must be a literal token or None, got {c!r}")
+        return tuple.__new__(cls, (cells,))
 
     def __str__(self) -> str:
         return format_vector(self.cells)
@@ -246,50 +266,36 @@ POST = "post"
 # Provenance
 
 
-@dataclass(frozen=True)
-class FromSpec:
-    message_id: int
-    which: str  # pre | post
+class Unified(NamedTuple):
+    """A cell grounded by unification: ``event`` indexes ``AnnotatedSD.events``
+    (-1 for a gap join), ``contributor`` is the face the value came from."""
 
-
-@dataclass(frozen=True)
-class Frame:
-    source: VectorKey
-    cell: int
-
-
-@dataclass(frozen=True)
-class Unified:
     event: int
     contributor: VectorKey
 
 
-Provenance = FromSpec | Frame | Unified
+class AnnotatedSD:
+    """A sequence diagram plus per-object pre/post vectors and provenance.
 
-
-@dataclass(frozen=True)
-class UnifyEvent:
-    """One applied unification on an object's lifeline.
-
-    ``after_faces`` are the post-side vector keys shown in conflict
-    explanations, in the order the identification was established.
+    ``vectors``: VectorKey -> list of cells (mutable during annotation).
+    ``provenance``: (VectorKey, cell index) -> Unified; see annotator.provenance_of.
+    ``events``: one tuple per applied identification, in order: its
+    post-side face keys, which conflict explanations show, in the order the
+    identification was established.
+    ``spec_vectors``: message id -> {PRE: vector, POST: vector} its specification fixes.
     """
 
-    index: int
-    object: str
-    after_faces: tuple[VectorKey, ...]
+    def __init__(self, sd: SequenceDiagram, theory: DomainTheory, vectors: dict,
+                 provenance: dict, events: list, spec_vectors: dict):
+        self.sd, self.theory, self.vectors = sd, theory, vectors
+        self.provenance, self.events, self.spec_vectors = provenance, events, spec_vectors
 
+    def __eq__(self, other) -> bool:  # unhashable, as it is mutable
+        fields = attrgetter("sd", "theory", "vectors", "provenance", "events", "spec_vectors")
+        return isinstance(other, AnnotatedSD) and fields(self) == fields(other)
 
-@dataclass
-class AnnotatedSD:
-    """A sequence diagram plus per-object pre/post vectors and provenance."""
-
-    sd: SequenceDiagram
-    theory: DomainTheory
-    vectors: dict  # VectorKey -> list of cells (mutable during annotation)
-    provenance: dict  # (VectorKey, cell index) -> Unified; see annotator.provenance_of
-    events: list  # list[UnifyEvent]
-    spec_vectors: dict  # message id -> {PRE: vector, POST: vector} its specification fixes
+    def __repr__(self) -> str:
+        return f"AnnotatedSD({self.sd.name!r}, {len(self.vectors)} faces, {len(self.events)} unifications)"
 
     @cached_property
     def gaps(self) -> dict:
@@ -332,42 +338,31 @@ class AnnotatedSD:
 # Conflicts
 
 
-@dataclass(frozen=True)
-class DerivationStep:
-    key: VectorKey
-    cell: int
-    provenance: Provenance | None  # None marks a never-determined cell
-
-
-@dataclass(frozen=True)
-class Conflict:
+class Conflict(Checked, namedtuple("Conflict", "sd_name object after_message before_message variable"
+                                          " value_after value_before vector_after vector_before"
+                                          " unified_states")):
     """A determined disagreement between a gap's two faces; its derivation
-    chain comes from ``annotator.derivation``."""
+    chain comes from ``annotator.derivation``.  ``unified_states`` holds
+    (message, pre|post, vector) for every face of the unifications the
+    conflict derives from, in the order the identification was made."""
 
-    sd_name: str
-    object: str
-    after_message: Message
-    before_message: Message
-    variable: StateVariable
-    value_after: str
-    value_before: str
-    vector_after: StateVector
-    vector_before: StateVector
-    # (message, pre|post, vector) for every face of the unifications the
-    # conflict derives from, in the order the identification was made
-    unified_states: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value_after == self.value_before:
+    def __new__(cls, sd_name: str, object: str, after_message: Message, before_message: Message,
+                variable: StateVariable, value_after: str, value_before: str,
+                vector_after: StateVector, vector_before: StateVector, unified_states: tuple = ()):
+        if value_after == value_before:
             raise ValueError("conflict requires two determined, unequal values")
+        return tuple.__new__(cls, (sd_name, object, after_message, before_message, variable,
+                                   value_after, value_before, vector_after, vector_before,
+                                   unified_states))
 
 
 # ---------------------------------------------------------------------------
 # Statecharts
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     source: str
     target: str
     event: str
@@ -375,30 +370,36 @@ class Transition:
     actions: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     name: str
-    children: "Statechart | None" = None  # composite nodes carry a subchart
-    comment: str | None = field(default=None, compare=False)
+    children: Statechart | None = None  # composite nodes carry a subchart
+    comment: str | None = None  # left out of equality and hash
 
     @property
     def is_composite(self) -> bool:
         return self.children is not None
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Node) and self[:2] == other[:2]
 
-@dataclass(frozen=True)
-class Statechart:
-    name: str
-    nodes: tuple[Node, ...]
-    initial: str
-    transitions: tuple[Transition, ...]
+    def __ne__(self, other) -> bool:
+        return not self == other
 
-    def __post_init__(self):
-        local = [n.name for n in self.nodes]
+    def __hash__(self) -> int:
+        return hash(self[:2])
+
+
+class Statechart(Checked, namedtuple("Statechart", "name nodes initial transitions")):
+    __slots__ = ()
+
+    def __new__(cls, name: str, nodes: tuple[Node, ...], initial: str,
+                transitions: tuple[Transition, ...]):
+        local = [n.name for n in nodes]
         if len(set(local)) != len(local):
-            raise ValueError(f"duplicate node name in chart {self.name}")
-        if self.initial not in local:
-            raise ValueError(f"initial node {self.initial!r} not declared at this level")
+            raise ValueError(f"duplicate node name in chart {name}")
+        if initial not in local:
+            raise ValueError(f"initial node {initial!r} not declared at this level")
+        return tuple.__new__(cls, (name, nodes, initial, transitions))
 
 
 def walk(chart: Statechart):
@@ -438,8 +439,7 @@ def check_chart(chart: Statechart) -> None:
 # Repair edits
 
 
-@dataclass(frozen=True)
-class Insert:
+class Insert(NamedTuple):
     message: Message
     at: int  # 1-based position the new message takes
 
@@ -447,8 +447,7 @@ class Insert:
         return f"insert {self.message.event()} ({self.message.sender} -> {self.message.receiver}) at position {self.at}"
 
 
-@dataclass(frozen=True)
-class Delete:
+class Delete(NamedTuple):
     at: int
 
     def describe(self) -> str:

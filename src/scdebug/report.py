@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import difflib
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .model import Conflict, SequenceDiagram, Statechart, Transition, walk
 from .annotator import missing_spec_warnings
@@ -27,30 +27,29 @@ from .dsl import transition_label
 SCHEMA = "scdebug-report/1"
 
 
-@dataclass
-class ReportBundle:
-    conflicts: list = field(default_factory=list)
-    annotations: list = field(default_factory=list)  # (sd, unification count)
-    checks: list = field(default_factory=list)  # CheckRecord
-    warnings: list = field(default_factory=list)
+class ReportBundle(NamedTuple):
+    conflicts: tuple = ()
+    annotations: tuple = ()  # (sd, unification count)
+    checks: tuple = ()  # CheckRecord
+    warnings: tuple = ()
     sds: int = 0  # diagrams given
 
 
 def annotation_bundle(results) -> ReportBundle:
     """Bundle from annotate() results: iterable of (AnnotatedSD, conflicts)."""
-    bundle = ReportBundle()
-    for asd, conflicts in results:
-        bundle.annotations.append((asd.sd, len(asd.events)))
-        bundle.conflicts.extend(conflicts)
-        bundle.warnings.extend(missing_spec_warnings(asd.sd, asd.theory))
-    bundle.warnings = list(dict.fromkeys(bundle.warnings))
-    bundle.sds = len(bundle.annotations)
-    return bundle
+    results = list(results)
+    return ReportBundle(
+        conflicts=tuple(c for _, conflicts in results for c in conflicts),
+        annotations=tuple((asd.sd, len(asd.events)) for asd, _ in results),
+        warnings=tuple(dict.fromkeys(w for asd, _ in results
+                                     for w in missing_spec_warnings(asd.sd, asd.theory))),
+        sds=len(results),
+    )
 
 
 def check_bundle(sds, records) -> ReportBundle:
     """Bundle from the diagrams given and check_all() records."""
-    return ReportBundle(sds=len(sds), checks=list(records))
+    return ReportBundle(sds=len(sds), checks=tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +230,7 @@ def render_json(bundle: ReportBundle) -> str:
 
 
 def _dot_quote(s: str) -> str:
-    return '"' + s.replace('"', '\\"') + '"'
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def export_dot(chart: Statechart) -> str:

@@ -17,10 +17,11 @@ every transition stays at the top level between simple states.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .model import (
     AnnotatedSD,
+    Checked,
     DomainTheory,
     Node,
     Statechart,
@@ -45,29 +46,27 @@ class ConflictedInputError(Exception):
         super().__init__(f"cannot synthesize from conflicted input: {sorted(names)}")
 
 
-@dataclass(frozen=True)
-class FlatChart:
-    """States keyed by their state vector, in first-visit order."""
+class FlatChart(Checked, namedtuple("FlatChart", "object states initial transitions")):
+    """States keyed by their state vector (a tuple of cells), in first-visit
+    order; transitions are (from_key, to_key, event, actions)."""
 
-    object: str
-    states: tuple  # tuple of cell tuples
-    initial: tuple
-    transitions: tuple  # (from_key, to_key, event, actions)
+    __slots__ = ()
 
-    def __post_init__(self):
-        states = set(self.states)
-        if self.initial not in states:
+    def __new__(cls, object: str, states: tuple, initial: tuple, transitions: tuple):
+        keys = set(states)
+        if initial not in keys:
             raise ValueError("initial state missing from state set")
-        if len(states) != len(self.states):
+        if len(keys) != len(states):
             raise ValueError("duplicate state keys")
         seen = set()
-        for frm, to, event, actions in self.transitions:
-            if frm not in states or to not in states:
+        for frm, to, event, actions in transitions:
+            if frm not in keys or to not in keys:
                 raise ValueError("transition endpoint missing from state set")
             quad = (frm, to, event, actions)
             if quad in seen:
                 raise ValueError(f"duplicate transition {quad}")
             seen.add(quad)
+        return tuple.__new__(cls, (object, states, initial, transitions))
 
 
 def _gap_states(asd: AnnotatedSD, obj: str):

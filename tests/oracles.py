@@ -3,8 +3,9 @@
 import itertools
 
 from scdebug.annotator import (
+    FRAME,
+    FROM_SPEC,
     AnnotationError,
-    Identification,
     OutOfDomainLiteralError,
     UnknownVariableError,
     _gap_joins_once,
@@ -32,9 +33,6 @@ from scdebug.model import (
     AnnotatedSD,
     Conflict,
     Delete,
-    DerivationStep,
-    Frame,
-    FromSpec,
     Insert,
     Message,
     StateVector,
@@ -290,7 +288,7 @@ def identification_scan(asd):
                 )
                 if grounds and not spanned:
                     groups = [tuple(gap(g) for g in classes[c]) for c in (a, b)]
-                    out.append(Identification(obj, *groups, joined))
+                    out.append((obj, *groups, joined))
     return out
 
 
@@ -334,7 +332,7 @@ def _condition_cells(cond, binding, dt, msg):
 
 
 def initialize_vectors_eager(sd, dt):
-    """Initial vectors with a stored ``FromSpec`` record for every spec cell
+    """Initial vectors with a stored ``FROM_SPEC`` rule for every spec cell
     of every face, as the annotator once built them message by message."""
     vectors = {}
     provenance = {}
@@ -356,14 +354,14 @@ def initialize_vectors_eager(sd, dt):
                 vec = [None] * width
                 for j, literal in cells.items():
                     vec[j] = literal
-                    provenance[(key, j)] = FromSpec(msg.id, which)
+                    provenance[(key, j)] = FROM_SPEC
                 vectors[key] = vec
     return AnnotatedSD(sd, dt, vectors, provenance, [], spec_vectors)
 
 
-def frame_propagate_eager(asd):
-    """The frame sweep that stores a ``Frame`` record for every cell it
-    grounds, naming the face before it on the lifeline."""
+def frame_propagate_eager(asd, sources):
+    """The frame sweep that stores a ``FRAME`` rule for every cell it
+    grounds, and in ``sources`` the face before it on the lifeline."""
     changed = False
     for obj in asd.sd.objects:
         faces = [key for gap in asd.gaps[obj] for key in gap]
@@ -372,30 +370,32 @@ def frame_propagate_eager(asd):
             for j, v in enumerate(asd.vectors[src_key]):
                 if v is not None and dst[j] is None:
                     dst[j] = v
-                    asd.provenance[(dst_key, j)] = Frame(src_key, j)
+                    asd.provenance[(dst_key, j)] = FRAME
+                    sources[(dst_key, j)] = src_key
                     changed = True
     return changed
 
 
-def trace_stored(asd, key, j):
-    """Cell ``j`` of face ``key`` and every cell its value came through,
-    oldest first, following the stored provenance records alone."""
+def trace_stored(asd, sources, key, j):
+    """(face, cell, rule) for cell ``j`` of face ``key`` and every cell its
+    value came through, oldest first, following the stored provenance
+    records and frame ``sources`` alone."""
     steps = []
     while True:
         prov = asd.provenance.get((key, j))
-        steps.append(DerivationStep(key, j, prov))
-        if prov is None or isinstance(prov, FromSpec):
+        steps.append((key, j, prov))
+        if prov is None or prov == FROM_SPEC:
             return steps[::-1]
-        key, j = (prov.source, prov.cell) if isinstance(prov, Frame) else (prov.contributor, j)
+        key = sources[(key, j)] if prov == FRAME else prov.contributor
 
 
 def unified_faces(asd, chain):
     """(message, pre|post, vector) of every post face of the identifications
     the chain's ``Unified`` steps name, in step order, each face once."""
     out = {}
-    for step in chain:
-        if isinstance(step.provenance, Unified) and step.provenance.event >= 0:
-            for obj, mid, which in asd.events[step.provenance.event].after_faces:
+    for _, _, rule in chain:
+        if isinstance(rule, Unified) and rule.event >= 0:
+            for obj, mid, which in asd.events[rule.event]:
                 out.setdefault((mid, which), (asd.sd.messages[mid - 1], which,
                                               StateVector(tuple(asd.vectors[(obj, mid, which)]))))
     return tuple(out.values())
@@ -407,8 +407,9 @@ def annotate_eager(sd, dt):
     the chains traced through the stored records, which cover every
     determined cell."""
     asd = initialize_vectors_eager(sd, dt)
+    sources = {}  # (face, cell) -> the face a frame step took its value from
     while True:
-        frame_propagate_eager(asd)
+        frame_propagate_eager(asd, sources)
         cand = identification_candidates(asd)
         if cand is not None:
             apply_identification(asd, cand)
@@ -423,7 +424,8 @@ def annotate_eager(sd, dt):
             for j, (x, y) in enumerate(zip(left, right)):
                 if x is None or y is None or x == y:
                     continue
-                chain = tuple(trace_stored(asd, left_key, j) + trace_stored(asd, right_key, j))
+                chain = tuple(trace_stored(asd, sources, left_key, j)
+                              + trace_stored(asd, sources, right_key, j))
                 chains.append(chain)
                 conflicts.append(Conflict(
                     sd.name, obj, before, after, dt.variables[j], x, y,

@@ -1,10 +1,11 @@
-import dataclasses
 import random
 import re
 
 import pytest
 
 from scdebug.annotator import (
+    FRAME,
+    FROM_SPEC,
     AnnotationError,
     ArityMismatchError,
     OutOfDomainLiteralError,
@@ -21,9 +22,7 @@ from scdebug.annotator import (
 )
 from scdebug.dsl import parse_domain_theory, parse_sd
 from scdebug.model import (
-    DerivationStep,
-    Frame,
-    FromSpec,
+    AnnotatedSD,
     Message,
     SequenceDiagram,
     Unified,
@@ -98,7 +97,7 @@ def provenance_corpus(coffee_dt):
         if k % 2:
             n = len(sd.messages)
             pairs = {frozenset((rng.randint(1, n), rng.randint(1, n))) for _ in range(2)}
-            sd = dataclasses.replace(sd, no_loop=frozenset(pairs))
+            sd = sd._replace(no_loop=frozenset(pairs))
         yield sd, dt
 
 
@@ -163,10 +162,10 @@ class TestUnifyPass:
         assert asd.vectors[("B", 2, "pre")][0] == "F"
 
     def test_discarded_pair_skipped(self, sd1, coffee_dt_unfixed):
-        discarded = dataclasses.replace(sd1, no_loop=frozenset({frozenset((1, 11))}))
+        discarded = sd1._replace(no_loop=frozenset({frozenset((1, 11))}))
         asd, conflicts = annotate(discarded, coffee_dt_unfixed)
         assert conflicts == []
-        assert all(ev.object != CUI for ev in asd.events)
+        assert all(obj != CUI for faces in asd.events for obj, _, _ in faces)
 
     def test_no_loop_directive_in_sd_file(self, sd1, coffee_dt_unfixed):
         from scdebug.dsl import print_sd
@@ -214,7 +213,7 @@ class TestUnifyPass:
             if k % 2:
                 n = len(sd.messages)
                 pairs = {frozenset((rng.randint(1, n), rng.randint(1, n))) for _ in range(2)}
-                sd = dataclasses.replace(sd, no_loop=frozenset(pairs))
+                sd = sd._replace(no_loop=frozenset(pairs))
             asd = initialize_vectors(sd, dt)
             while True:
                 candidate(asd)
@@ -304,8 +303,9 @@ class TestFramePropagation:
         asd = initialize_vectors(sd, dt)
         frame_propagate(asd)
         assert asd.vectors[("A", 2, "pre")][0] == "T"
-        assert provenance_of(asd, ("A", 2, "pre"), 0) == Frame(("A", 1, "post"), 0)
-        assert provenance_of(asd, ("A", 1, "post"), 0) == FromSpec(1, "post")
+        assert provenance_of(asd, ("A", 2, "pre"), 0) == FRAME
+        assert asd.previous_face[("A", 2, "pre")] == ("A", 1, "post")
+        assert provenance_of(asd, ("A", 1, "post"), 0) == FROM_SPEC
         assert provenance_of(asd, ("A", 1, "pre"), 0) is None
         assert asd.provenance == {}
 
@@ -332,12 +332,11 @@ class TestConflicts:
     def test_derivation_spans_spec_to_conflict(self, sd1, coffee_dt_unfixed):
         asd, conflicts = annotate(sd1, coffee_dt_unfixed)
         chain = derivation(asd, conflicts[0])
-        kinds = [s.provenance for s in chain]
-        assert any(isinstance(p, FromSpec) for p in kinds)
+        kinds = [rule for _, _, rule in chain]
+        assert FROM_SPEC in kinds and FRAME in kinds
         assert any(isinstance(p, Unified) for p in kinds)
-        assert any(isinstance(p, Frame) for p in kinds)
         # oldest first: the chain starts at a specification value
-        assert isinstance(chain[0].provenance, FromSpec)
+        assert chain[0][2] == FROM_SPEC
 
     def test_worked_derivation_steps(self, sd1, coffee_dt_unfixed):
         # The paper's conflict, step by step: Cappuchino's post value of
@@ -345,30 +344,30 @@ class TestConflicts:
         # loop, unified back to message 1 and carried into message 2's post.
         asd, [c] = annotate(sd1, coffee_dt_unfixed)
         expected = [
-            (4, "post", FromSpec(4, "post")),
-            (5, "pre", Frame((CUI, 4, "post"), 2)),
-            (5, "post", Frame((CUI, 5, "pre"), 2)),
-            (6, "pre", Frame((CUI, 5, "post"), 2)),
-            (6, "post", Frame((CUI, 6, "pre"), 2)),
-            (7, "pre", Frame((CUI, 6, "post"), 2)),
-            (7, "post", Frame((CUI, 7, "pre"), 2)),
-            (8, "pre", Frame((CUI, 7, "post"), 2)),
-            (8, "post", Frame((CUI, 8, "pre"), 2)),
-            (9, "pre", Frame((CUI, 8, "post"), 2)),
-            (9, "post", Frame((CUI, 9, "pre"), 2)),
-            (10, "pre", Frame((CUI, 9, "post"), 2)),
-            (10, "post", Frame((CUI, 10, "pre"), 2)),
-            (11, "pre", Frame((CUI, 10, "post"), 2)),
-            (11, "post", Frame((CUI, 11, "pre"), 2)),
+            (4, "post", FROM_SPEC),
+            (5, "pre", FRAME),
+            (5, "post", FRAME),
+            (6, "pre", FRAME),
+            (6, "post", FRAME),
+            (7, "pre", FRAME),
+            (7, "post", FRAME),
+            (8, "pre", FRAME),
+            (8, "post", FRAME),
+            (9, "pre", FRAME),
+            (9, "post", FRAME),
+            (10, "pre", FRAME),
+            (10, "post", FRAME),
+            (11, "pre", FRAME),
+            (11, "post", FRAME),
             (1, "pre", Unified(0, (CUI, 11, "post"))),
             (2, "pre", Unified(0, (CUI, 1, "pre"))),
-            (2, "post", Frame((CUI, 2, "pre"), 2)),
-            (3, "pre", FromSpec(3, "pre")),
+            (2, "post", FRAME),
+            (3, "pre", FROM_SPEC),
         ]
         chain = derivation(asd, c)
         assert len(chain) == 19
         for step, (mid, which, prov) in zip(chain, expected, strict=True):
-            assert step == DerivationStep((CUI, mid, which), 2, prov)
+            assert step == ((CUI, mid, which), 2, prov)
 
     def test_conflict_free(self, sd1, coffee_dt):
         _, conflicts = annotate(sd1, coffee_dt)
@@ -391,7 +390,7 @@ class TestConflicts:
             ("A", n - 1, n),
             ("B", n - 1, n),
         ]
-        assert all(isinstance(derivation(asd, c)[0].provenance, FromSpec) for c in conflicts)
+        assert all(derivation(asd, c)[0][2] == FROM_SPEC for c in conflicts)
 
     def test_empty_sd(self, coffee_dt):
         sd = parse_sd("sd S\nobject A")
@@ -433,7 +432,7 @@ class TestInvariants:
             (key, j)
             for key, cells in asd.vectors.items()
             for j in range(len(cells))
-            if isinstance(provenance_of(asd, key, j), Frame)
+            if provenance_of(asd, key, j) == FRAME
         ]
         assert len(stripped) == 132
         for key, j in stripped:
@@ -459,7 +458,7 @@ class TestInvariants:
         everything = frozenset(
             frozenset((i, j)) for i in range(1, n + 1) for j in range(i, n + 1)
         )
-        asd, _ = annotate(dataclasses.replace(sd1, no_loop=everything), coffee_dt_unfixed)
+        asd, _ = annotate(sd1._replace(no_loop=everything), coffee_dt_unfixed)
         assert asd.events == []
         assert not any(
             isinstance(p, Unified) for p in asd.provenance.values()
@@ -477,12 +476,8 @@ class TestInvariants:
         # not depend on the order identifications are applied in: explore
         # the application orders (bounded) and compare the outcomes.
         def clone(asd):
-            return dataclasses.replace(
-                asd,
-                vectors={k: list(v) for k, v in asd.vectors.items()},
-                provenance=dict(asd.provenance),
-                events=list(asd.events),
-            )
+            return AnnotatedSD(asd.sd, asd.theory, {k: list(v) for k, v in asd.vectors.items()},
+                               dict(asd.provenance), list(asd.events), asd.spec_vectors)
 
         rng = random.Random(11)
         for _ in range(20):
@@ -547,7 +542,7 @@ class TestInvariants:
     def test_unified_states_are_the_derivations_unified_faces(self, coffee_dt_unfixed):
         # The faces a conflict prints are those of the identifications its
         # derivation chain passes through, in step order, each face once.
-        # The before cell's chain is one FromSpec step: a gap's two faces
+        # The before cell's chain is one FROM_SPEC step: a gap's two faces
         # are in one class, so frame steps, gap joins and identifications
         # give both the same value, and only a precondition can differ.
         shown = 0
@@ -560,8 +555,7 @@ class TestInvariants:
                 chain = derivation(asd, c)
                 assert c.unified_states == unified_faces(asd, chain)
                 before = c.before_message.id
-                assert chain[-1] == DerivationStep(
-                    (c.object, before, "pre"), c.variable.index, FromSpec(before, "pre"))
-                assert chain[-2].key == (c.object, c.after_message.id, "post")
+                assert chain[-1] == ((c.object, before, "pre"), c.variable.index, FROM_SPEC)
+                assert chain[-2][0] == (c.object, c.after_message.id, "post")
                 shown += bool(c.unified_states)
         assert shown > 50

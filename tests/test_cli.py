@@ -211,6 +211,25 @@ class TestCheck:
     def test_missing_chart_dir(self, capsys):
         assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", "missing-dir"]) == 2
 
+    def test_chart_dir_without_charts_exits_two(self, tmp_path, capsys):
+        # A mistyped or empty directory must not pass having replayed nothing.
+        (tmp_path / "M.txt").write_text((FIXTURES / "stepper_refined" / "M.sc").read_text())
+        assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: chart directory {tmp_path} holds no .sc file\n"
+
+    def test_two_files_declaring_one_chart_exit_two(self, tmp_path, capsys):
+        # Z.sc also declares M: neither file may silently replace the other.
+        chart = (FIXTURES / "stepper_refined" / "M.sc").read_text()
+        (tmp_path / "M.sc").write_text(chart)
+        (tmp_path / "Z.sc").write_text("# a copy\n\n" + chart)  # header on line 4
+        assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"parse error: {tmp_path / 'Z.sc'}:4:1: statechart 'M' "
+                                f"is also declared in {tmp_path / 'M.sc'}\n")
+
     @pytest.mark.parametrize(
         "guard, why",
         [

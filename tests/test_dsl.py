@@ -128,7 +128,7 @@ class TestDomainTheory:
         with pytest.raises(ParseError) as exc:
             parse_domain_theory(text)
         assert fragment in str(exc.value)
-        assert exc.value.span.line >= 1
+        assert exc.value.line >= 1
 
 
     @pytest.mark.parametrize(
@@ -141,7 +141,7 @@ class TestDomainTheory:
     def test_text_after_semicolon(self, text, line):
         with pytest.raises(ParseError) as exc:
             parse_domain_theory(text, "t.dt")
-        assert exc.value.span.line == line
+        assert exc.value.line == line
         assert "unexpected text after ';'" in exc.value.message
 
     def test_variable_named_like_context(self):
@@ -181,7 +181,7 @@ class TestSequenceDiagram:
         text = f"sd S\nobject A\nobject B\n\nassume no-loop {pair}\nmsg 1 A -> B : x"
         with pytest.raises(ParseError) as exc:
             parse_sd(text, "s.sd")
-        assert exc.value.span.line == 5
+        assert exc.value.line == 5
         assert "no-loop message" in str(exc.value)
 
     def test_fixture_roundtrip(self):

@@ -2,11 +2,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scdebug.annotator import annotate
+from scdebug.annotator import FRAME, FROM_SPEC, annotate, derivation, provenance_of
+from scdebug.checker import CheckRecord, RepairResult, ReplayStep, ReplayTrace
 from scdebug.dsl import parse_sd, print_sd
 from scdebug.model import (
+    AnnotatedSD,
     BoolDomain,
     Condition,
+    Conflict,
     Delete,
     DomainTheory,
     EnumDomain,
@@ -14,13 +17,20 @@ from scdebug.model import (
     IntRangeDomain,
     Message,
     MessageSpec,
+    Node,
     SequenceDiagram,
+    Statechart,
     StateVariable,
+    StateVector,
+    Transition,
+    Unified,
     apply_edit,
     compatible,
     format_vector,
     unify,
 )
+from scdebug.report import ReportBundle
+from scdebug.synthesizer import FlatChart
 
 cells = st.one_of(st.none(), st.sampled_from(["T", "F", "0", "1", "none", "Espresso"]))
 vectors = st.lists(cells, min_size=1, max_size=6).map(tuple)
@@ -172,3 +182,153 @@ def test_deleted_message_keeps_discard_on_sd1(sd1, coffee_dt_unfixed):
 def test_message_event_string():
     assert Message(1, "Enter Selection", ("Espresso",), "A", "B").event() == "Enter Selection(Espresso)"
     assert Message(1, "Take coin", (), "A", "B").event() == "Take coin"
+
+
+# ---------------------------------------------------------------------------
+# Record types
+
+
+def _conflict(**changes):
+    m = Message(1, "a", (), "A", "B")
+    fields = dict(sd_name="S", object="A", after_message=m, before_message=m,
+                  variable=StateVariable("x", BoolDomain(), 0), value_after="T", value_before="F",
+                  vector_after=StateVector(("T",)), vector_before=StateVector(("F",)))
+    return Conflict(**{**fields, **changes})
+
+
+def _chart(**changes):
+    fields = dict(name="M", nodes=(Node("A"), Node("B")), initial="A",
+                  transitions=(Transition("A", "B", "e"),))
+    return Statechart(**{**fields, **changes})
+
+
+def _flat(**changes):
+    a, b = ("T",), ("F",)
+    fields = dict(object="O", states=(a, b), initial=a, transitions=((a, b, "e", ()),))
+    return FlatChart(**{**fields, **changes})
+
+
+@pytest.mark.parametrize(
+    "build",
+    # The checks test_domains, test_condition_rejects_repeated_variable,
+    # test_theory_invariants and test_sequence_diagram_invariants leave out.
+    [
+        lambda: DomainTheory((StateVariable("x", BoolDomain(), 1),), ()),
+        lambda: StateVector(("T", 1)),
+        lambda: _conflict(value_before="T"),
+        lambda: _chart(nodes=(Node("A"), Node("A"))),
+        lambda: _chart(initial="C"),
+        lambda: _flat(initial=("?",)),
+        lambda: _flat(states=(("T",), ("F",), ("T",))),
+        lambda: _flat(transitions=((("T",), ("?",), "e", ()),)),
+        lambda: _flat(transitions=((("T",), ("F",), "e", ()),) * 2),
+        # _replace validates like the constructor
+        lambda: IntRangeDomain(0, 1)._replace(lo=2),
+        lambda: SequenceDiagram("S", ("A", "B"), ())._replace(objects=("A", "A")),
+        lambda: _conflict()._replace(value_before="T"),
+        lambda: _chart()._replace(initial="C"),
+        lambda: _flat()._replace(initial=("?",)),
+    ],
+)
+def test_invalid_records_raise(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_valid_records_build():
+    assert _conflict().value_before == "F" and _chart().initial == "A" and _flat().object == "O"
+    assert Condition() == Condition(()) and Condition().is_empty()
+    sd = SequenceDiagram("S", ("A", "B"), ())
+    assert sd.no_loop == frozenset() and sd._replace(name="T").name == "T"
+    assert str(StateVector(("T", None))) == "<T,?>"
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (BoolDomain(), "kind"),
+        (IntRangeDomain(0, 1), "lo"),
+        (IntRangeDomain(0, 1), "other"),
+        (EnumDomain(("a",)), "labels"),
+        (StateVariable("x", BoolDomain(), 0), "index"),
+        (Condition(), "atoms"),
+        (Condition(), "other"),
+        (MessageSpec("a", (), Condition(), Condition()), "pre"),
+        (DomainTheory((), ()), "specs"),
+        (Message(1, "a", (), "A", "B"), "label"),
+        (SequenceDiagram("S", (), ()), "no_loop"),
+        (SequenceDiagram("S", (), ()), "other"),
+        (StateVector(()), "cells"),
+        (Unified(0, ("A", 1, "pre")), "event"),
+        (_conflict(), "value_after"),
+        (Transition("A", "B", "e"), "event"),
+        (Node("A"), "comment"),
+        (_chart(), "initial"),
+        (Insert(Message(1, "a", (), "A", "B"), 1), "at"),
+        (Delete(1), "at"),
+        (_flat(), "states"),
+        (ReplayStep(None, (), "A", "B", None), "to_state"),
+        (ReplayTrace("S", "A", (), "accepted"), "verdict"),
+        (RepairResult((), SequenceDiagram("S", (), ())), "edits"),
+        (CheckRecord(SequenceDiagram("S", (), ()), "A", ReplayTrace("S", "A", (), "accepted")), "repair"),
+        (ReportBundle(), "sds"),
+    ],
+)
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+
+
+def test_domains_compare_by_value():
+    assert BoolDomain() == BoolDomain() and hash(BoolDomain()) == hash(BoolDomain())
+    assert BoolDomain() != IntRangeDomain(0, 1) and IntRangeDomain(0, 1) != BoolDomain()
+    assert IntRangeDomain(0, 1) == IntRangeDomain(0, 1) != EnumDomain(("0", "1"))
+    assert len({BoolDomain(), BoolDomain(), IntRangeDomain(0, 1), IntRangeDomain(0, 1)}) == 2
+
+
+def test_node_equality_and_hash_ignore_comment():
+    a, b = Node("N1", comment="<T>"), Node("N1", comment="<F>")
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a == Node("N1") and len({a, b, Node("N1")}) == 1
+    assert a != Node("N2", comment="<T>")
+    inner = Statechart("G", (Node("X"),), "X", ())
+    assert Node("G", inner, "<T>") == Node("G", inner) != Node("G")
+    assert _chart(nodes=(Node("A", comment="x"), Node("B"))) == _chart()
+
+
+def test_annotated_sd_compares_by_fields(sd1, coffee_dt_unfixed):
+    a1, _ = annotate(sd1, coffee_dt_unfixed)
+    a2, _ = annotate(sd1, coffee_dt_unfixed)
+    assert a1 == a2
+    a2.vectors[("Control", 1, "pre")][0] = "T"
+    assert a1 != a2
+    with pytest.raises(TypeError):
+        hash(a1)
+    copy = AnnotatedSD(a1.sd, a1.theory, a1.vectors, a1.provenance, a1.events, a1.spec_vectors)
+    assert copy == a1 and copy.gaps == a1.gaps
+
+
+def test_apply_edit_dispatches_on_edit_type():
+    # Delete(1) and a one-field tuple are equal, but only the record deletes.
+    msgs = tuple(Message(i, f"m{i}", (), "A", "B") for i in (1, 2))
+    sd = SequenceDiagram("S", ("A", "B"), msgs)
+    assert Delete(1) == (1,)
+    assert [m.label for m in apply_edit(sd, Delete(1)).messages] == ["m2"]
+    inserted = apply_edit(sd, Insert(Message(1, "new", (), "B", "A"), 1))
+    assert [m.label for m in inserted.messages] == ["new", "m1", "m2"]
+    with pytest.raises(AttributeError):
+        apply_edit(sd, (1,))
+
+
+def test_provenance_rules_are_told_apart(sd1, coffee_dt_unfixed):
+    # Only Unified records name unification events: the rule strings are
+    # never taken for one, so the conflict's unification faces come only
+    # from Unified steps of its derivation.
+    asd, [c] = annotate(sd1, coffee_dt_unfixed)
+    rules = [rule for _, _, rule in derivation(asd, c)]
+    unified = [rule for rule in rules if isinstance(rule, Unified)]
+    assert {rule for rule in rules if not isinstance(rule, Unified)} == {FROM_SPEC, FRAME}
+    assert [rule.event for rule in unified] == [0, 0]
+    assert isinstance(provenance_of(asd, ("Coffee-UI", 1, "pre"), 2), Unified)
+    assert [(m.id, which) for m, which, _ in c.unified_states] == [
+        (mid, which) for _, mid, which in asd.events[0]]

@@ -195,6 +195,15 @@ class TestDot:
         assert '"C" -> "A" [label="reset / r", ltail="cluster_G1"];' in dot
         assert '"B" -> "C" [label="back [x = T]", lhead="cluster_G2"];' in dot
 
+    def test_backslash_and_quote_are_escaped(self):
+        # A label ending in a backslash once ended its string early.
+        chart = parse_sc('statechart M\ninitial A\nstate A\nA -> A : go\\\nA -> A : say "hi" / x\\y\n')
+        dot = export_dot(chart)
+        assert '"A" -> "A" [label="go\\\\"];' in dot
+        assert '"A" -> "A" [label="say \\"hi\\" / x\\\\y"];' in dot
+        for line in dot.splitlines():  # every string closes on its line
+            assert len(re.findall(r'(?<!\\)(?:\\\\)*"', line)) % 2 == 0, line
+
     def test_cycle_back_to_initial(self, sd1, coffee_dt):
         charts, _ = synthesize(coffee_dt, [sd1])
         dot = export_dot(charts["Coffee-UI"])

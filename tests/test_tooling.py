@@ -1,4 +1,5 @@
-"""Names the benchmark's tracer looks up in scdebug.
+"""Names the benchmark's tracer looks up in scdebug, and what importing
+the command line costs.
 
 ``bench/spans.Tracer.install`` wraps each function named in ``SPANNED`` and
 ``COUNTED`` by ``getattr`` on its module, so a refactor that removes or
@@ -8,7 +9,11 @@ the source with ``ast``; nothing under ``bench/`` is imported or executed.
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
+
+from conftest import CLI_ENV
 
 SPANS = Path(__file__).parents[1] / "bench" / "spans.py"
 
@@ -32,3 +37,17 @@ def test_traced_names_resolve():
     missing = [f"{module}.{name}" for module, name in traced
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert missing == []
+
+
+def test_cli_import_leaves_out_costly_modules():
+    # Every scdebug run imports scdebug.cli.  `dataclasses` costs about as
+    # much as the rest of the package (it pulls in `inspect`, `ast`, `dis`
+    # and `tokenize`) and builds each class with exec, so the records are
+    # named tuples.  Only module names are checked, no timing.
+    probe = ("import sys; before = set(sys.modules); import scdebug.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=CLI_ENV, check=True)
+    imported = set(proc.stdout.split())
+    assert "scdebug.model" in imported
+    assert imported.isdisjoint({"dataclasses", "inspect"})
