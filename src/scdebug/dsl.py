@@ -25,6 +25,7 @@ from .model import (
     Transition,
     VarDomain,
     check_chart,
+    spell_event,
     walk,
 )
 
@@ -44,6 +45,18 @@ class ParseError(Exception):
 
 IDENT = r"[A-Za-z_][A-Za-z0-9_-]*"
 _IDENT_RE = re.compile(IDENT + r"$")
+# The one label grammar (docs/formats.md, "Labels"): a NAME is words of
+# letters, digits, '_' and '-' separated by blanks; a LABEL is a NAME with an
+# optional list of word arguments.
+NAME = r"[\w-]+(?:\s+[\w-]+)*"
+LABEL = rf"{NAME}(?:\s*\(\s*[\w-]+(?:\s*,\s*[\w-]+)*\s*\))?"
+_LABEL_RE = re.compile(LABEL)
+
+
+def split_label_args(label: str) -> tuple[str, tuple[str, ...]]:
+    """Split a LABEL, ``Enter Selection(Espresso)``, into name and argument tuple."""
+    name, _, args = label.partition("(")
+    return name.rstrip(), (tuple(a.strip() for a in args[:-1].split(",")) if args else ())
 
 
 def _lines(text: str):
@@ -127,7 +140,7 @@ def _parse_condition(text: str, span: tuple, variables, params) -> Condition:
     return Condition(tuple(atoms))
 
 
-_CONTEXT_RE = re.compile(rf"context\s+(.+?)\s*(\(\s*({IDENT})\s*:\s*(.+?)\s*\))?\s*$")
+_CONTEXT_RE = re.compile(rf"context\s+({NAME})\s*(?:\(\s*({IDENT})\s*:\s*(.+?)\s*\))?$")
 _KEYWORD_RE = re.compile(r"context(?!\S)|pre:|post:")  # context only as a whole word
 
 
@@ -159,9 +172,10 @@ def parse_domain_theory(text: str, filename: str = "<dt>") -> DomainTheory:
         elif keyword == "context":
             m = _CONTEXT_RE.match(body)
             if not m:
-                raise ParseError(span, f"cannot parse context header {body!r}")
-            name = m.group(1).strip()
-            params = {m.group(3): _parse_domain(m.group(4), span)} if m.group(2) else {}
+                raise ParseError(span, f"cannot parse context header {body!r}",
+                                 expected="context <name> [(P : domain)]")
+            name = m.group(1)
+            params = {m.group(2): _parse_domain(m.group(3), span)} if m.group(2) else {}
             if name in specs:
                 raise ParseError(span, f"duplicate context name {name!r}")
             specs[name] = {"params": tuple(params.items()), "pre": Condition(), "post": Condition()}
@@ -219,35 +233,8 @@ def print_domain_theory(dt: DomainTheory) -> str:
 
 
 _MSG_RE = re.compile(
-    rf"msg\s+(\d+)\s+({IDENT})\s*->\s*({IDENT})\s*:\s*(.+)$"
+    rf"msg\s+(\d+)\s+({IDENT})\s*->\s*({IDENT})\s*:\s*({LABEL})$"
 )
-_LABEL_ARGS_RE = re.compile(r"(.+?)\s*\(([^()]*)\)\s*$")
-
-
-def _split_commas(text: str) -> list[str]:
-    """Split on commas that are not nested inside parentheses."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
-
-
-def split_label_args(text: str) -> tuple[str, tuple[str, ...]]:
-    """Split ``Enter Selection(Espresso)`` into label and argument tuple."""
-    m = _LABEL_ARGS_RE.match(text)
-    if not m:
-        return text.strip(), ()
-    args = tuple(a.strip() for a in m.group(2).split(",") if a.strip())
-    return m.group(1).strip(), args
 
 
 def parse_sd(text: str, filename: str = "<sd>") -> SequenceDiagram:
@@ -319,7 +306,8 @@ def print_sd(sd: SequenceDiagram) -> str:
 
 
 _TRANS_RE = re.compile(
-    rf"({IDENT})\s*->\s*({IDENT})\s*:\s*([^\[/]*)(\[[^\]]*\])?\s*(/.*)?$"
+    rf"({IDENT})\s*->\s*({IDENT})\s*:\s*((?:{LABEL})?)\s*(\[[^\]]*\])?"
+    rf"\s*(?:/\s*({LABEL}(?:\s*,\s*{LABEL})*))?$"
 )
 
 
@@ -372,8 +360,9 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
                 raise ParseError(span, f"cannot parse transition {body!r}",
                                  expected="X -> Y : e [guard] / a1, a2")
             guard = m.group(4) and Condition(tuple(_atoms(m.group(4)[1:-1], span, "guard atom")))
-            actions = tuple(_split_commas(m.group(5)[1:])) if m.group(5) else ()
-            transitions.append(Transition(m.group(1), m.group(2), m.group(3).strip(), guard, actions))
+            event, *actions = (spell_event(*split_label_args(label))  # as Message.event spells it
+                               for label in (m.group(3), *_LABEL_RE.findall(m.group(5) or "")))
+            transitions.append(Transition(m.group(1), m.group(2), event, guard, tuple(actions)))
         elif body.startswith("statechart "):
             raise ParseError(span, "nested 'statechart' header")
         else:

@@ -173,6 +173,11 @@ class DomainTheory(Checked, namedtuple("DomainTheory", "variables specs")):
 # Sequence diagrams
 
 
+def spell_event(label: str, args: tuple[str, ...]) -> str:
+    """The canonical event string ``label(a,b)`` of transitions and replay."""
+    return f"{label}({','.join(args)})" if args else label
+
+
 class Message(NamedTuple):
     id: int
     label: str
@@ -181,10 +186,7 @@ class Message(NamedTuple):
     receiver: str
 
     def event(self) -> str:
-        """Canonical event string used for chart transitions and replay."""
-        if self.args:
-            return f"{self.label}({','.join(self.args)})"
-        return self.label
+        return spell_event(self.label, self.args)
 
 
 def participants(msg: Message) -> tuple[str, ...]:
@@ -379,14 +381,21 @@ class Node(NamedTuple):
     def is_composite(self) -> bool:
         return self.children is not None
 
+    def _key(self) -> tuple:
+        # A subchart is keyed flat, along walk: nesting may run deeper than
+        # the recursion limit.
+        return self.name, self.children and tuple(
+            (scope.name, scope.initial, scope.transitions) if node is None
+            else (node.name, node.is_composite) for _, scope, node in walk(self.children))
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, Node) and self[:2] == other[:2]
+        return isinstance(other, Node) and self._key() == other._key()
 
     def __ne__(self, other) -> bool:
         return not self == other
 
     def __hash__(self) -> int:
-        return hash(self[:2])
+        return hash(self._key())
 
 
 class Statechart(Checked, namedtuple("Statechart", "name nodes initial transitions")):

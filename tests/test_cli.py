@@ -119,6 +119,28 @@ class TestSynth:
         chart = (out / "M.sc").read_text()
         assert chart.count("state N") == k and "{" not in chart
 
+    @pytest.mark.parametrize("command", ["synth", "annotate"])
+    @pytest.mark.parametrize("label", ["Save, close", "Ask / reply", "go [now]", "run\\"])
+    def test_label_outside_the_grammar_exits_two(self, command, label, tmp_path, capsys):
+        # Once written, check read such labels otherwise than synth did.
+        theory = tmp_path / "t.dt"
+        theory.write_text("x : Boolean\n")
+        sd = tmp_path / "t.sd"
+        sd.write_text(f"sd S\nobject A\nobject B\nmsg 1 A -> B : arm\n"
+                      f"msg 2 A -> B : {label}\nmsg 3 B -> A : {label}\n")
+        out = ["-o", str(tmp_path / "out")] if command == "synth" else []
+        assert main([command, str(theory), str(sd), *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "out").exists()
+        assert captured.err.startswith(f"parse error: {sd}:5:1: cannot parse message line")
+
+    @pytest.mark.parametrize("command", ["synth", "annotate"])
+    def test_context_name_outside_the_grammar_exits_two(self, command, tmp_path, capsys):
+        theory = tmp_path / "t.dt"
+        theory.write_text("x : Boolean\n\ncontext arm, now\n pre:\n post: x = T ;\n")
+        assert main([command, str(theory), SD1]) == 2
+        assert capsys.readouterr().err.startswith(f"parse error: {theory}:3:1: cannot parse context header")
+
 
 class TestCheck:
     def test_synthesized_charts_accept_their_corpus(self, tmp_path, capsys):
@@ -187,9 +209,10 @@ class TestCheck:
         lines += ["  " * depth + "state Leaf", "  " * depth + "Leaf -> Leaf : tick [x = T]"]
         lines += ["  " * d + "}" for d in reversed(range(depth))]
         text = "\n".join(lines) + "\n"
-        # Compare text: == on charts this deep would itself recurse.
         chart = parse_sc(text)
         assert print_sc(chart) == text
+        again = parse_sc(print_sc(chart))
+        assert again == chart and not again != chart and hash(again) == hash(chart)
         flat = flatten(chart)
         assert ([n.name for n in flat.nodes], flat.initial) == (["Leaf"], "Leaf")
         assert export_dot(chart).count("subgraph") == depth
@@ -210,6 +233,15 @@ class TestCheck:
 
     def test_missing_chart_dir(self, capsys):
         assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", "missing-dir"]) == 2
+
+    def test_chart_event_takes_the_diagram_spelling(self, tmp_path, capsys):
+        # Blanks around the argument list do not change the event.
+        (tmp_path / "t.dt").write_text("x : Boolean\n")
+        (tmp_path / "t.sd").write_text("sd S\nobject Env\nobject M\nmsg 1 Env -> M : e2( 7 )\n")
+        (tmp_path / "M.sc").write_text("statechart M\ninitial A\nstate A\nstate B\nA -> B : e2( 7 )\n")
+        args = ["check", str(tmp_path / "t.dt"), str(tmp_path / "t.sd"), "--charts", str(tmp_path)]
+        assert main(args) == 0
+        assert "1/1 replay(s) accepted" in capsys.readouterr().out
 
     def test_chart_dir_without_charts_exits_two(self, tmp_path, capsys):
         # A mistyped or empty directory must not pass having replayed nothing.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scdebug.checker import check_all
 from scdebug.dsl import (
     ParseError,
     parse_domain_theory,
@@ -27,9 +28,11 @@ from scdebug.model import (
     Statechart,
     Transition,
 )
+from scdebug.report import export_dot
+from scdebug.synthesizer import synthesize
 
 from conftest import read
-from gen import gen_theory
+from gen import UNSPECIFIED, gen_theory, mergeable_corpus
 
 # Transcription of the published coffee-machine theory, quirks and all
 # (lower-case context name, uneven spacing, multi-line postcondition).
@@ -122,6 +125,7 @@ class TestDomainTheory:
             ("x : 2..1", "empty integer range"),
             ("x : Boolean\ncontext a\n pre: x = T and x = F ;\n post:", "repeated"),
             ("x : 0..3\ncontext a\n pre: x = 01 ;\n post:", "literal '01' outside domain"),
+            ("x : Boolean\ncontext arm, now\n pre:\n post:", "<dt>:2:1: cannot parse context header"),
         ],
     )
     def test_errors(self, text, fragment):
@@ -205,6 +209,8 @@ class TestSequenceDiagram:
             ("sd S\nobject A\nobject B\nsd T\nmsg 1 A -> B : x",
              "<sd>:4:1: second 'sd' header (the first is on line 1)"),
             ("# lifelines first\nobject A\nsd S\nobject B", "<sd>:1:1: missing 'sd <name>' header"),
+            ("sd S\nobject A\nobject B\nmsg 1 A -> B : Save, close", "<sd>:4:1: cannot parse message line"),
+            ("sd S\nobject A\nobject B\nmsg 1 A -> B : ask()", "<sd>:4:1: cannot parse message line"),
         ],
     )
     def test_errors(self, text, fragment):
@@ -221,6 +227,12 @@ class TestStatechart:
         )
         t = chart.transitions[-1]
         assert (t.event, t.actions) == ("e3", ("a3",))
+
+    def test_events_and_actions_take_the_message_spelling(self):
+        chart = parse_sc("statechart M\ninitial A\nstate A\n"
+                         "A -> A : e2( 7 ) / Enter Selection ( x , y ), b\nA -> A : / c(z)")
+        assert [(t.event, t.actions) for t in chart.transitions] == [
+            ("e2(7)", ("Enter Selection(x,y)", "b")), ("", ("c(z)",))]
 
     def test_single_state(self):
         chart = parse_sc("statechart M\ninitial Only\nstate Only")
@@ -257,6 +269,8 @@ class TestStatechart:
             ("statechart M\ninitial A\nstate A\nstate A {\n initial B\n state B\n}",
              "<sc>:4:1: duplicate node name 'A'"),
             ("statechart M\ninitial A\nstate A\nA -> A : e []", "<sc>:4:1: cannot parse guard atom ''"),
+            ("statechart M\ninitial A\nstate A\nA -> A : Ask / reply / x", "<sc>:4:1: cannot parse transition"),
+            ("statechart M\ninitial A\nstate A\nA -> A : e / a,", "<sc>:4:1: cannot parse transition"),
             ("statechart M\ninitial A\nstate A\nA -> A : e [x = 1 and x = 1]",
              "<sc>:4:1: variable repeated within one condition"),
             ("statechart M\ninitial G\nstate G {\n state A\n}\nstate B",
@@ -366,6 +380,39 @@ def test_dt_roundtrip_generated():
         params += sum(1 for spec in dt.specs if spec.params)
         wraps += sum(1 for j in joins if "\n" in j)
     assert params > 300 and wraps > 300
+
+
+# Words, blanks, argument lists and the punctuation the label grammar leaves out.
+LABEL_PIECES = (",", "/", "[", "]", "\\", '"', "(", ")", " ", "x", " y-7", "(a)", "( b , c )")
+
+
+def test_synthesized_charts_check_whatever_the_labels():
+    # A diagram either does not parse, or the charts synth writes for it
+    # read back unchanged, accept it in check and export to well-formed DOT.
+    rejected = accepted = with_args = 0
+    for seed in range(1000):
+        rng = random.Random(seed)
+        dt, sds = mergeable_corpus(rng, count=2, max_msgs=6)
+        dt = parse_domain_theory(print_domain_theory(dt))
+        labels = {u: u + "".join(rng.choices(LABEL_PIECES, k=rng.randint(0, 2))) for u in UNSPECIFIED}
+        texts = [print_sd(sd._replace(messages=tuple(m._replace(label=labels.get(m.label, m.label))
+                                                     for m in sd.messages))) for sd in sds]
+        try:
+            sds = [parse_sd(text) for text in texts]
+        except ParseError:
+            rejected += 1
+            continue
+        accepted += 1
+        with_args += any(m.args for sd in sds for m in sd.messages)
+        charts, _ = synthesize(dt, sds)
+        written = {obj: parse_sc(print_sc(chart)) for obj, chart in charts.items()}
+        assert written == charts
+        records = check_all(dt, written, sds)
+        assert records and all(r.trace.accepted for r in records), seed
+        for chart in written.values():
+            for line in export_dot(chart).splitlines():
+                assert len(re.findall(r'(?<!\\)(?:\\\\)*"', line)) % 2 == 0, line
+    assert rejected > 300 and accepted > 300 and with_args > 30
 
 
 def test_docs_examples_parse():

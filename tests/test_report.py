@@ -6,7 +6,8 @@ import pytest
 
 from scdebug.annotator import annotate
 from scdebug.checker import check_all
-from scdebug.dsl import parse_sc
+from scdebug.dsl import ParseError, parse_sc
+from scdebug.model import Node, Statechart, Transition
 from scdebug.report import (
     annotation_bundle,
     check_bundle,
@@ -196,13 +197,21 @@ class TestDot:
         assert '"B" -> "C" [label="back [x = T]", lhead="cluster_G2"];' in dot
 
     def test_backslash_and_quote_are_escaped(self):
-        # A label ending in a backslash once ended its string early.
-        chart = parse_sc('statechart M\ninitial A\nstate A\nA -> A : go\\\nA -> A : say "hi" / x\\y\n')
+        # A label ending in a backslash once ended its string early.  The
+        # reader rejects such labels, but charts built in code may hold them.
+        chart = Statechart("M", (Node("A"),), "A", (Transition("A", "A", "go\\"),
+                                                   Transition("A", "A", 'say "hi"', None, ("x\\y",))))
         dot = export_dot(chart)
         assert '"A" -> "A" [label="go\\\\"];' in dot
         assert '"A" -> "A" [label="say \\"hi\\" / x\\\\y"];' in dot
         for line in dot.splitlines():  # every string closes on its line
             assert len(re.findall(r'(?<!\\)(?:\\\\)*"', line)) % 2 == 0, line
+
+    @pytest.mark.parametrize("line", ["A -> A : go\\", 'A -> A : say "hi" / x\\y'])
+    def test_backslash_and_quote_labels_do_not_parse(self, line):
+        with pytest.raises(ParseError) as exc:
+            parse_sc(f"statechart M\ninitial A\nstate A\n{line}\n", "m.sc")
+        assert str(exc.value).startswith("m.sc:4:1: cannot parse transition")
 
     def test_cycle_back_to_initial(self, sd1, coffee_dt):
         charts, _ = synthesize(coffee_dt, [sd1])
