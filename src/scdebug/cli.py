@@ -15,7 +15,7 @@ from .annotator import AnnotationError, annotate
 from .checker import check_all
 from .dsl import ParseError, _lines, parse_domain_theory, parse_sc, parse_sd, print_sc, transition_label
 from .model import walk
-from .report import annotation_bundle, check_bundle, export_dot, render_json, render_text
+from .report import ReportBundle, annotation_bundle, export_dot, render_json, render_text
 from .synthesizer import ConflictedInputError, synthesize
 
 OK, FINDINGS, ERROR = 0, 1, 2
@@ -147,7 +147,10 @@ def cmd_check(args) -> int:
     if args.max_edits < 0:
         raise ValueError("--max-edits must be >= 0")
     records = check_all(dt, charts, sds, args.max_edits, args.strict_guards)
-    bundle = check_bundle(sds, records)
+    objects = {obj for sd in sds for obj in sd.objects}
+    warnings = tuple(f"chart {name!r} in {paths[name]} names no object of the diagrams given"
+                     for name in charts if name not in objects)
+    bundle = ReportBundle(checks=tuple(records), warnings=warnings, sds=len(sds))
     sys.stdout.write(render_json(bundle) if args.json else render_text(bundle))
     return FINDINGS if any(not r.trace.accepted for r in records) else OK
 
@@ -167,10 +170,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return ERROR
-    except (AnnotationError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return ERROR
-    except OSError as exc:
+    except (AnnotationError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return ERROR
     except Exception as exc:

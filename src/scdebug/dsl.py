@@ -24,7 +24,6 @@ from .model import (
     StateVariable,
     Transition,
     VarDomain,
-    check_chart,
     spell_event,
     walk,
 )
@@ -316,10 +315,17 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
     no, body = next(lines, (1, ""))
     if not body.startswith("statechart "):
         raise ParseError((filename, 1), "missing 'statechart <name>' header")
+    chart_name = body[len("statechart "):].strip()
+    if not _IDENT_RE.match(chart_name):  # it names the object the chart is replayed for
+        raise ParseError((filename, no), f"bad chart name {chart_name!r}")
     # Open scopes, innermost last: (name, nodes, transitions, initials), the
     # initials a list of at most one (node name, span of its line); a
     # composite node is None in its parent's nodes until its '}'.
-    scopes = [(body[len("statechart "):].strip(), {}, [], [])]
+    scopes = [(chart_name, {}, [], [])]
+    # Node names are unique in the whole chart, and a transition may name a
+    # node declared further down: each endpoint not yet declared keeps the
+    # span of the first transition naming it until the end of the file.
+    declared, pending = set(), {}
 
     def close(span: tuple) -> Statechart:
         name, nodes, transitions, initials = scopes.pop()
@@ -349,8 +355,9 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
             node_name = rest[:-1].strip() if composite else rest
             if not _IDENT_RE.match(node_name):
                 raise ParseError(span, f"bad state name {node_name!r}")
-            if node_name in nodes:
-                raise ParseError(span, f"duplicate node name {node_name!r} in this scope")
+            if node_name in declared:
+                raise ParseError(span, f"duplicate node name {node_name!r}")
+            declared.add(node_name)
             nodes[node_name] = None if composite else Node(node_name)
             if composite:
                 scopes.append((node_name, {}, [], []))
@@ -363,6 +370,9 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
             event, *actions = (spell_event(*split_label_args(label))  # as Message.event spells it
                                for label in (m.group(3), *_LABEL_RE.findall(m.group(5) or "")))
             transitions.append(Transition(m.group(1), m.group(2), event, guard, tuple(actions)))
+            for end in m.group(1, 2):
+                if end not in declared:
+                    pending.setdefault(end, span)
         elif body.startswith("statechart "):
             raise ParseError(span, "nested 'statechart' header")
         else:
@@ -371,10 +381,9 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
     if len(scopes) > 1:
         raise ParseError(span, f"composite {scopes[-1][0]!r} is not closed", expected="'}'")
     chart = close(span)
-    try:
-        check_chart(chart)
-    except ValueError as exc:
-        raise ParseError((filename, 1), str(exc)) from None
+    for end, span in pending.items():
+        if end not in declared:
+            raise ParseError(span, f"transition endpoint {end!r} does not exist")
     return chart
 
 

@@ -11,7 +11,7 @@ subclasses a bare ``namedtuple`` of them with a checking ``__new__``.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import cached_property
 from operator import attrgetter
 from typing import NamedTuple
@@ -426,22 +426,6 @@ def walk(chart: Statechart):
         else:
             stack.pop()
             yield depth, scope, None
-
-
-def check_chart(chart: Statechart) -> None:
-    """Whole-chart validation: globally unique node names and resolvable
-    transition endpoints.  Transitions may cross composite boundaries, so
-    endpoints are checked against the full name set, not per level."""
-    nodes = [node for _, _, node in walk(chart) if node is not None]
-    dupes = sorted(name for name, k in Counter(n.name for n in nodes).items() if k > 1)
-    if dupes:
-        raise ValueError(f"node name used twice in chart {chart.name}: {dupes}")
-    known = {n.name for n in nodes}
-    scopes = [chart, *(n.children for n in nodes if n.is_composite)]  # pre-order
-    for t in (t for sc in scopes for t in sc.transitions):
-        for end in (t.source, t.target):
-            if end not in known:
-                raise ValueError(f"transition endpoint {end!r} does not exist")
 
 
 # ---------------------------------------------------------------------------

@@ -47,11 +47,6 @@ def annotation_bundle(results) -> ReportBundle:
     )
 
 
-def check_bundle(sds, records) -> ReportBundle:
-    """Bundle from the diagrams given and check_all() records."""
-    return ReportBundle(sds=len(sds), checks=tuple(records))
-
-
 # ---------------------------------------------------------------------------
 # Text rendering
 

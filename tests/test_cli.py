@@ -262,6 +262,34 @@ class TestCheck:
         assert captured.err == (f"parse error: {tmp_path / 'Z.sc'}:4:1: statechart 'M' "
                                 f"is also declared in {tmp_path / 'M.sc'}\n")
 
+    def test_chart_name_outside_the_grammar_exits_two(self, tmp_path, capsys):
+        # The name matches a chart to its object: 'M, x' used to match none
+        # and check passed having replayed nothing.
+        charts = tmp_path / "charts"
+        charts.mkdir()
+        (charts / "M.sc").write_text("statechart M, x\ninitial A\nstate A\nA -> A : tick\n")
+        (tmp_path / "t.dt").write_text("x : Boolean\n")
+        (tmp_path / "t.sd").write_text("sd S\nobject Env\nobject M\nmsg 1 Env -> M : tick\n")
+        args = ["check", str(tmp_path / "t.dt"), str(tmp_path / "t.sd"), "--charts", str(charts)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {charts / 'M.sc'}:1:1: bad chart name 'M, x'\n"
+
+    @pytest.mark.parametrize("with_m, code, replays", [(True, 1, "0/1"), (False, 0, None)])
+    def test_chart_of_no_object_is_a_warning(self, with_m, code, replays, tmp_path, capsys):
+        if with_m:
+            (tmp_path / "M.sc").write_text((FIXTURES / "stepper_refined" / "M.sc").read_text())
+        (tmp_path / "Q.sc").write_text("statechart Q\ninitial A\nstate A\n")
+        warning = f"chart 'Q' in {tmp_path / 'Q.sc'} names no object of the diagrams given"
+        args = ["check", STEPPER_DT, STEPPER_SD, "--charts", str(tmp_path)]
+        assert main(args) == code
+        out = capsys.readouterr().out
+        assert out.endswith(f"\nwarning: {warning}\n")
+        assert (f"{replays} replay(s) accepted" in out) if replays else "replay(s)" not in out
+        assert main([*args, "--json"]) == code
+        assert json.loads(capsys.readouterr().out)["warnings"] == [warning]
+
     @pytest.mark.parametrize(
         "guard, why",
         [

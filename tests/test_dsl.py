@@ -251,6 +251,11 @@ class TestStatechart:
         comp = chart.nodes[0]
         assert comp.is_composite and comp.children.initial == "A"
 
+    def test_transition_may_name_a_later_node(self):
+        chart = parse_sc("statechart M\ninitial A\nstate A\nA -> B : e\nstate B")
+        assert [n.name for n in chart.nodes] == ["A", "B"]
+        assert chart.transitions[0].target == "B"
+
     def test_roundtrip(self):
         text = (
             "statechart M\ninitial G\nstate G {\n initial A\n state A\n state B\n"
@@ -264,6 +269,9 @@ class TestStatechart:
         [
             ("statechart M\nstate A", "missing initial"),
             ("statechart M\ninitial A\nstate A\nA -> B : e", "does not exist"),
+            ("statechart M\ninitial G\nstate G {\n initial A\n state A\n A -> Z : e\n}\nZ -> Z : f",
+             "<sc>:6:1: transition endpoint 'Z' does not exist"),
+            ("statechart M, x\ninitial A\nstate A", "<sc>:1:1: bad chart name 'M, x'"),
             ("statechart M\ninitial A\nstate A\nstate A", "duplicate node"),
             ("statechart M\ninitial X\nstate A", "<sc>:2:1: initial node 'X' not declared"),
             ("statechart M\ninitial A\nstate A\nstate A {\n initial B\n state B\n}",
@@ -279,7 +287,7 @@ class TestStatechart:
              "<sc>:5:1: composite 'G' is not closed (expected '}')"),
             ("statechart M\ninitial G\nstate G {\n initial A\n state A\n}\n"
              "state H {\n initial A\n state A\n}",
-             "<sc>:1:1: node name used twice in chart M: ['A']"),
+             "<sc>:9:1: duplicate node name 'A'"),
             ("statechart M\ninitial A\nstate A\nstate B\ninitial B\nA -> B : e",
              "<sc>:5:1: second initial node in 'M' (the first is on line 2)"),
             ("statechart M\ninitial G\nstate G {\n initial A\n state A\n state B\n initial A\n}",

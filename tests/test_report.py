@@ -9,8 +9,8 @@ from scdebug.checker import check_all
 from scdebug.dsl import ParseError, parse_sc
 from scdebug.model import Node, Statechart, Transition
 from scdebug.report import (
+    ReportBundle,
     annotation_bundle,
-    check_bundle,
     export_dot,
     render_json,
     render_text,
@@ -69,7 +69,7 @@ class TestText:
     def test_repair_rendered_as_diff(self, stepper_sd, stepper_dt):
         chart = parse_sc(read("stepper_refined/M.sc"))
         records = check_all(stepper_dt, {"M": chart}, [stepper_sd])
-        text = render_text(check_bundle([stepper_sd], records))
+        text = render_text(ReportBundle(checks=tuple(records), sds=1))
         assert "+ msg Env -> M : e3" in text
         assert "repair with 1 edit(s)" in text
 
@@ -99,7 +99,7 @@ class TestJson:
             (Path(__file__).parent.parent / "docs/report-schema.json").read_text()
         )
         chart = parse_sc(read("stepper_refined/M.sc"))
-        checked = check_bundle([stepper_sd], check_all(stepper_dt, {"M": chart}, [stepper_sd]))
+        checked = ReportBundle(checks=tuple(check_all(stepper_dt, {"M": chart}, [stepper_sd])), sds=1)
         for bundle in (conflict_bundle, checked):
             doc = json.loads(render_json(bundle))
             _validate(doc, schema, schema)

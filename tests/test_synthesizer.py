@@ -5,7 +5,6 @@ import pytest
 
 from scdebug.annotator import annotate
 from scdebug.dsl import parse_domain_theory, parse_sc, parse_sd, print_sc
-from scdebug.model import check_chart
 from scdebug.synthesizer import (
     ConflictedInputError,
     FlatChart,
@@ -165,7 +164,7 @@ class TestHierarchy:
             [chart_for(sd1, coffee_dt, "Coffee-UI"), chart_for(sd2, coffee_dt, "Coffee-UI")]
         )
         hier = introduce_hierarchy(merged)
-        check_chart(hier)
+        assert parse_sc(print_sc(hier)) == hier
         flat = flatten(hier)
         reference = to_statechart(merged)
         assert flat.transitions == reference.transitions
@@ -180,7 +179,7 @@ class TestHierarchy:
             for obj in sd.objects:
                 merged = synth_object_chart(asd, obj, conflicts)
                 hier = introduce_hierarchy(merged)
-                check_chart(hier)
+                assert parse_sc(print_sc(hier)) == hier
                 flat = flatten(hier)
                 reference = to_statechart(merged)
                 assert flat.transitions == reference.transitions
@@ -211,7 +210,6 @@ class TestHierarchy:
         for _ in range(2000):
             chart = gen_flat_chart(rng, max_states=10)
             hier = introduce_hierarchy(chart)
-            check_chart(hier)
             assert parse_sc(print_sc(hier)) == hier
             flat, reference = flatten(hier), to_statechart(chart)
             assert flat.transitions == reference.transitions
@@ -288,7 +286,7 @@ class TestSynthesize:
         charts, warnings = synthesize(coffee_dt, [sd1, sd2])
         assert set(charts) == {"Control", "Coffee-UI", "User"}
         for chart in charts.values():
-            check_chart(chart)
+            assert parse_sc(print_sc(chart)) == chart
 
     def test_conflicting_corpus_aborts(self, sd1, coffee_dt_unfixed):
         with pytest.raises(ConflictedInputError) as exc:
@@ -310,4 +308,4 @@ class TestSynthesize:
         dt, sds = mergeable_corpus(rng, count=2, max_msgs=6)
         charts, _ = synthesize(dt, sds)
         for chart in charts.values():
-            check_chart(chart)
+            assert parse_sc(print_sc(chart)) == chart
