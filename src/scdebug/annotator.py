@@ -25,9 +25,11 @@ specification fixes the cell (annotation never overwrites one); ``FRAME``,
 from the face before it on the lifeline, when the cell is determined (only
 the frame sweep grounds anything else); None.
 
-A ``Conflict`` carries no derivation chain, only the unification faces the
-reports print; ``derivation(asd, conflict)`` rebuilds the chain from the two
-faces the conflict names, by the same rules, when it is asked for.
+A ``Conflict`` only names its two faces and the variable they disagree on;
+nothing is copied or traced when it is detected.  When a report renders it,
+``conflict_view(asd, conflict)`` reads the faces' cells and the unification
+faces the conflict derives from, and ``derivation(asd, conflict)`` rebuilds
+its chain from the two faces, by the same rules.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .model import (
     DomainTheory,
     Message,
     SequenceDiagram,
-    StateVector,
     Unified,
     VectorKey,
     participants,
@@ -275,6 +276,17 @@ def apply_identification(asd: AnnotatedSD, cand: tuple) -> None:
                 _ground(asd, key, j, v, Unified(event, contributor))
 
 
+def _unsettled_gaps(asd: AnnotatedSD):
+    """``((left key, right key), left cells, right cells)`` for every gap of
+    two faces that differ, objects in declaration order, each lifeline
+    front to back."""
+    vectors = asd.vectors
+    for obj in asd.sd.objects:
+        for gap in asd.gaps[obj]:
+            if len(gap) == 2 and vectors[gap[0]] != vectors[gap[1]]:
+                yield gap, vectors[gap[0]], vectors[gap[1]]
+
+
 def _gap_joins_once(asd: AnnotatedSD) -> bool:
     """Reconcile compatible gap faces pointwise (the S2/S3-style unification).
 
@@ -283,27 +295,21 @@ def _gap_joins_once(asd: AnnotatedSD) -> bool:
     Incompatible faces are left alone for conflict detection.
     """
     changed = False
-    for obj in asd.sd.objects:
-        for gap in asd.gaps[obj]:
-            if len(gap) != 2:
+    for (left_key, right_key), left, right in _unsettled_gaps(asd):
+        if None not in left and None not in right:
+            continue
+        if _is_discarded(asd.sd.no_loop, {left_key[1]}, {right_key[1]}):
+            continue
+        joined = unify(tuple(left), tuple(right))
+        if joined is None:
+            continue
+        for j, v in enumerate(joined):
+            if v is None:
                 continue
-            left_key, right_key = gap
-            left = asd.vectors[left_key]
-            right = asd.vectors[right_key]
-            if left == right or (None not in left and None not in right):
-                continue
-            if _is_discarded(asd.sd.no_loop, {left_key[1]}, {right_key[1]}):
-                continue
-            joined = unify(tuple(left), tuple(right))
-            if joined is None:
-                continue
-            for j, v in enumerate(joined):
-                if v is None:
-                    continue
-                for key, cells, other in ((left_key, left, right_key), (right_key, right, left_key)):
-                    if cells[j] is None:
-                        _ground(asd, key, j, v, Unified(-1, other))
-                        changed = True
+            for key, cells, other in ((left_key, left, right_key), (right_key, right, left_key)):
+                if cells[j] is None:
+                    _ground(asd, key, j, v, Unified(-1, other))
+                    changed = True
     return changed
 
 
@@ -373,54 +379,34 @@ def derivation(asd: AnnotatedSD, conflict: Conflict) -> tuple:
     return tuple(steps)
 
 
-def _unified_states(asd: AnnotatedSD, faces, j: int) -> tuple:
-    """Each face of the unifications cell ``j`` of ``faces`` derives from,
-    in the order ``derivation`` lists their steps; () when no
-    identification was applied."""
+def conflict_view(asd: AnnotatedSD, conflict: Conflict) -> tuple:
+    """(after cells, before cells, unified states) of a conflict: the cells
+    of its two faces, and (message, pre|post, cells) for each face of the
+    unifications its ``derivation`` passes through, in step order, each
+    face once; no unified states when no identification was applied."""
+    after = tuple(asd.vectors[(conflict.object, conflict.after_message.id, POST)])
+    before = tuple(asd.vectors[(conflict.object, conflict.before_message.id, PRE)])
     if not asd.events:
-        return ()
-    events = []
-    for face in faces:
-        chain = [rule.event for _, rule in _walk(asd, face, j)
-                 if isinstance(rule, Unified) and rule.event >= 0]
-        events += reversed(chain)
+        return after, before, ()
     out = {}
-    for event in events:
-        for obj, mid, which in asd.events[event]:
-            if (mid, which) not in out:
-                out[mid, which] = (asd.sd.messages[mid - 1], which,
-                                   StateVector(tuple(asd.vectors[(obj, mid, which)])))
-    return tuple(out.values())
+    for _, _, rule in derivation(asd, conflict):
+        if isinstance(rule, Unified) and rule.event >= 0:
+            for obj, mid, which in asd.events[rule.event]:
+                if (mid, which) not in out:
+                    out[mid, which] = (asd.sd.messages[mid - 1], which,
+                                       tuple(asd.vectors[(obj, mid, which)]))
+    return after, before, tuple(out.values())
 
 
 def detect_conflicts(asd: AnnotatedSD) -> list[Conflict]:
-    """Every adjacent post/pre disagreement on every lifeline, with the
-    unification faces it derives from; ``derivation`` gives its chain."""
-    conflicts = []
-    for obj in asd.sd.objects:
-        for gap in asd.gaps[obj]:
-            if len(gap) != 2:
-                continue
-            left_key, right_key = gap
-            left = asd.vectors[left_key]
-            right = asd.vectors[right_key]
-            if left == right:
-                continue
-            for j, (x, y) in enumerate(zip(left, right)):
-                if x is None or y is None or x == y:
-                    continue
-                conflicts.append(
-                    Conflict(
-                        sd_name=asd.sd.name,
-                        object=obj,
-                        after_message=asd.sd.messages[left_key[1] - 1],
-                        before_message=asd.sd.messages[right_key[1] - 1],
-                        variable=asd.theory.variables[j],
-                        value_after=x,
-                        value_before=y,
-                        vector_after=StateVector(tuple(left)),
-                        vector_before=StateVector(tuple(right)),
-                        unified_states=_unified_states(asd, gap, j),
-                    )
-                )
-    return conflicts
+    """Every adjacent post/pre disagreement on every lifeline, in gap
+    order, then variable order; each names its faces, which stay in the
+    annotation (``conflict_view``, ``derivation``)."""
+    sd, variables = asd.sd, asd.theory.variables
+    return [
+        Conflict(sd.name, left_key[0], sd.messages[left_key[1] - 1],
+                 sd.messages[right_key[1] - 1], variables[j])
+        for (left_key, right_key), left, right in _unsettled_gaps(asd)
+        for j, (x, y) in enumerate(zip(left, right))
+        if x is not None and y is not None and x != y
+    ]

@@ -42,10 +42,6 @@ from .annotator import AnnotationError, annotate
 from .dsl import _conjunction, split_label_args
 from .synthesizer import COMPLETION, flatten, receive_spans, span_event
 
-ACCEPTED = "accepted"
-REJECTED = "rejected"
-
-
 class ReplayStep(NamedTuple):
     message: Message | None  # None for the leading completion step
     sends: tuple[str, ...]
@@ -56,15 +52,16 @@ class ReplayStep(NamedTuple):
 
 
 class ReplayTrace(NamedTuple):
-    sd_name: str
-    object: str
+    """The accepting path, or the deepest prefix reached and then the step
+    that no transition takes."""
+
     steps: tuple[ReplayStep, ...]
-    verdict: str
-    rejected_at: int | None = None
+    accepted: bool
 
     @property
-    def accepted(self) -> bool:
-        return self.verdict == ACCEPTED
+    def rejected_at(self) -> int | None:
+        """The index of the step no transition takes; None when accepted."""
+        return None if self.accepted else len(self.steps) - 1
 
 
 class RepairResult(NamedTuple):
@@ -140,7 +137,7 @@ def replay(
     """
     flat = flatten(chart)
     if obj not in sd.objects:
-        return ReplayTrace(sd.name, obj, (), ACCEPTED)
+        return ReplayTrace((), True)
 
     if asd is None and _has_guards(flat):
         asd, _ = annotate(sd, dt)
@@ -183,9 +180,7 @@ def replay(
         path.append(level[state])
         state = path[-1].from_state
     path.reverse()
-    if accepted:
-        return ReplayTrace(sd.name, obj, tuple(path), ACCEPTED)
-    return ReplayTrace(sd.name, obj, tuple(path), REJECTED, len(path) - 1)
+    return ReplayTrace(tuple(path), accepted)
 
 
 def _mismatch_reason(candidates, event: str, sends) -> str:

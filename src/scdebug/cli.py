@@ -85,10 +85,9 @@ def _load_inputs(args):
 
 def cmd_annotate(args) -> int:
     dt, sds = _load_inputs(args)
-    results = [annotate(sd, dt) for sd in sds]
-    bundle = annotation_bundle(results)
+    bundle = annotation_bundle(annotate(sd, dt) for sd in sds)
     sys.stdout.write(render_json(bundle) if args.json else render_text(bundle))
-    return FINDINGS if bundle.conflicts else OK
+    return FINDINGS if any(conflicts for _, conflicts in bundle.annotations) else OK
 
 
 def cmd_synth(args) -> int:

@@ -244,19 +244,6 @@ def format_vector(cells) -> str:
     return "<" + ",".join("?" if c is None else c for c in cells) + ">"
 
 
-class StateVector(Checked, namedtuple("StateVector", "cells")):
-    __slots__ = ()
-
-    def __new__(cls, cells: tuple):
-        for c in cells:
-            if c is not None and not isinstance(c, str):
-                raise ValueError(f"cell must be a literal token or None, got {c!r}")
-        return tuple.__new__(cls, (cells,))
-
-    def __str__(self) -> str:
-        return format_vector(self.cells)
-
-
 # Vector identity inside one annotated diagram: (object, message id, pre|post).
 VectorKey = tuple
 
@@ -340,24 +327,18 @@ class AnnotatedSD:
 # Conflicts
 
 
-class Conflict(Checked, namedtuple("Conflict", "sd_name object after_message before_message variable"
-                                          " value_after value_before vector_after vector_before"
-                                          " unified_states")):
-    """A determined disagreement between a gap's two faces; its derivation
-    chain comes from ``annotator.derivation``.  ``unified_states`` holds
-    (message, pre|post, vector) for every face of the unifications the
-    conflict derives from, in the order the identification was made."""
+class Conflict(NamedTuple):
+    """A determined disagreement on ``variable`` between the post face of
+    ``after_message`` and the pre face of ``before_message`` on ``object``'s
+    lifeline.  The faces stay in the annotation: ``annotator.conflict_view``
+    reads their cells and unification faces, ``annotator.derivation`` their
+    chain."""
 
-    __slots__ = ()
-
-    def __new__(cls, sd_name: str, object: str, after_message: Message, before_message: Message,
-                variable: StateVariable, value_after: str, value_before: str,
-                vector_after: StateVector, vector_before: StateVector, unified_states: tuple = ()):
-        if value_after == value_before:
-            raise ValueError("conflict requires two determined, unequal values")
-        return tuple.__new__(cls, (sd_name, object, after_message, before_message, variable,
-                                   value_after, value_before, vector_after, vector_before,
-                                   unified_states))
+    sd_name: str
+    object: str
+    after_message: Message
+    before_message: Message
+    variable: StateVariable
 
 
 # ---------------------------------------------------------------------------

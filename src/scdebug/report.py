@@ -19,8 +19,8 @@ import difflib
 import json
 from typing import NamedTuple
 
-from .model import Conflict, SequenceDiagram, Statechart, Transition, walk
-from .annotator import missing_spec_warnings
+from .model import AnnotatedSD, Conflict, SequenceDiagram, Statechart, Transition, format_vector, walk
+from .annotator import conflict_view, missing_spec_warnings
 from .checker import CheckRecord
 from .dsl import transition_label
 
@@ -28,8 +28,7 @@ SCHEMA = "scdebug-report/1"
 
 
 class ReportBundle(NamedTuple):
-    conflicts: tuple = ()
-    annotations: tuple = ()  # (sd, unification count)
+    annotations: tuple = ()  # annotate() results: (AnnotatedSD, conflicts)
     checks: tuple = ()  # CheckRecord
     warnings: tuple = ()
     sds: int = 0  # diagrams given
@@ -37,14 +36,22 @@ class ReportBundle(NamedTuple):
 
 def annotation_bundle(results) -> ReportBundle:
     """Bundle from annotate() results: iterable of (AnnotatedSD, conflicts)."""
-    results = list(results)
+    results = tuple(results)
     return ReportBundle(
-        conflicts=tuple(c for _, conflicts in results for c in conflicts),
-        annotations=tuple((asd.sd, len(asd.events)) for asd, _ in results),
+        annotations=results,
         warnings=tuple(dict.fromkeys(w for asd, _ in results
                                      for w in missing_spec_warnings(asd.sd, asd.theory))),
         sds=len(results),
     )
+
+
+def _conflicts(bundle: ReportBundle) -> list:
+    """(annotation, conflict) for every conflict in the bundle, in order."""
+    return [(asd, c) for asd, conflicts in bundle.annotations for c in conflicts]
+
+
+def _verdict(rec: CheckRecord) -> str:
+    return "accepted" if rec.trace.accepted else "rejected"
 
 
 # ---------------------------------------------------------------------------
@@ -52,38 +59,25 @@ def annotation_bundle(results) -> ReportBundle:
 
 
 def _vector_lines(entries, indent: str) -> list[str]:
-    """Aligned ``statevector <which> "<label>" = <vec> [Msg i]`` lines."""
-    heads = [f'statevector {which:<6} "{label}"' for which, label, _, _ in entries]
+    """Aligned ``statevector <which> "<label>" = <vec> [Msg i]`` lines, one
+    per (after|before, message, cells) entry."""
+    heads = [f'statevector {which:<6} "{msg.label}"' for which, msg, _ in entries]
     width = max(len(h) for h in heads)
     return [
-        f"{indent}{head:<{width}} = {vec} [Msg {mid}]"
-        for head, (_, _, vec, mid) in zip(heads, entries)
+        f"{indent}{head:<{width}} = {format_vector(cells)} [Msg {msg.id}]"
+        for head, (_, msg, cells) in zip(heads, entries)
     ]
 
 
-def _conflict_block(c: Conflict) -> list[str]:
+def _conflict_block(asd: AnnotatedSD, c: Conflict) -> list[str]:
+    after, before, unified = conflict_view(asd, c)
     out = [f"Conflict in {c.sd_name}: Object {c.object}"]
-    out.extend(
-        _vector_lines(
-            [
-                ("after", c.after_message.label, c.vector_after, c.after_message.id),
-                ("before", c.before_message.label, c.vector_before, c.before_message.id),
-            ],
-            " ",
-        )
-    )
+    out += _vector_lines([("after", c.after_message, after), ("before", c.before_message, before)], " ")
     out.append(f'  conflict in variable "{c.variable.name}"')
-    if c.unified_states:
+    if unified:
         out.append("  conflict occurred as consequence of unification of")
-        out.extend(
-            _vector_lines(
-                [
-                    ("after" if which == "post" else "before", msg.label, vec, msg.id)
-                    for msg, which, vec in c.unified_states
-                ],
-                "   ",
-            )
-        )
+        out += _vector_lines([("after" if which == "post" else "before", msg, cells)
+                              for msg, which, cells in unified], "   ")
     return out
 
 
@@ -101,7 +95,7 @@ def _edit_diff(original: SequenceDiagram, repaired: SequenceDiagram) -> list[str
 
 
 def _check_lines(rec: CheckRecord) -> list[str]:
-    head = f"Check {rec.sd.name}: Object {rec.object}: {rec.trace.verdict}"
+    head = f"Check {rec.sd.name}: Object {rec.object}: {_verdict(rec)}"
     if rec.trace.accepted:
         return [head]
     out = [head]
@@ -121,10 +115,11 @@ def _check_lines(rec: CheckRecord) -> list[str]:
 
 def render_text(bundle: ReportBundle) -> str:
     out: list[str] = []
-    if not bundle.conflicts and all(r.trace.accepted for r in bundle.checks):
+    conflicts = _conflicts(bundle)
+    if not conflicts and all(r.trace.accepted for r in bundle.checks):
         out.append("No conflicts found.")
-    for c in bundle.conflicts:
-        out.extend(_conflict_block(c))
+    for asd, c in conflicts:
+        out.extend(_conflict_block(asd, c))
         out.append("")
     for rec in bundle.checks:
         out.extend(_check_lines(rec))
@@ -134,7 +129,7 @@ def render_text(bundle: ReportBundle) -> str:
     summary = []
     if bundle.annotations:
         summary.append(f"{len(bundle.annotations)} sequence diagram(s) annotated")
-        summary.append(f"{len(bundle.conflicts)} conflict(s)")
+        summary.append(f"{len(conflicts)} conflict(s)")
     if bundle.checks:
         accepted = sum(1 for r in bundle.checks if r.trace.accepted)
         summary.append(f"{accepted}/{len(bundle.checks)} replay(s) accepted")
@@ -152,26 +147,27 @@ def render_text(bundle: ReportBundle) -> str:
 # JSON rendering
 
 
-def _conflict_json(c: Conflict) -> dict:
+def _conflict_json(asd: AnnotatedSD, c: Conflict) -> dict:
+    after, before, unified = conflict_view(asd, c)
     return {
         "sd": c.sd_name,
         "object": c.object,
         "variable": c.variable.name,
-        "valueAfter": c.value_after,
-        "valueBefore": c.value_before,
+        "valueAfter": after[c.variable.index],
+        "valueBefore": before[c.variable.index],
         "afterMsg": {
             "id": c.after_message.id,
             "label": c.after_message.label,
-            "vector": str(c.vector_after),
+            "vector": format_vector(after),
         },
         "beforeMsg": {
             "id": c.before_message.id,
             "label": c.before_message.label,
-            "vector": str(c.vector_before),
+            "vector": format_vector(before),
         },
         "derivation": [
-            {"id": msg.id, "label": msg.label, "which": which, "vector": str(vec)}
-            for msg, which, vec in c.unified_states
+            {"id": msg.id, "label": msg.label, "which": which, "vector": format_vector(cells)}
+            for msg, which, cells in unified
         ],
     }
 
@@ -187,7 +183,7 @@ def _check_json(rec: CheckRecord) -> dict:
     return {
         "sd": rec.sd.name,
         "object": rec.object,
-        "verdict": rec.trace.verdict,
+        "verdict": _verdict(rec),
         "rejectedAt": rec.trace.rejected_at,
         "reason": rec.trace.steps[-1].mismatch if not rec.trace.accepted else None,
         "repair": repair,
@@ -196,23 +192,24 @@ def _check_json(rec: CheckRecord) -> dict:
 
 
 def render_json(bundle: ReportBundle) -> str:
+    conflicts = _conflicts(bundle)
     doc = {
         "schema": SCHEMA,
         "summary": {
             "sds": bundle.sds,
-            "conflicts": len(bundle.conflicts),
+            "conflicts": len(conflicts),
             "checks": len(bundle.checks),
             "accepted": sum(1 for r in bundle.checks if r.trace.accepted),
         },
-        "conflicts": [_conflict_json(c) for c in bundle.conflicts],
+        "conflicts": [_conflict_json(asd, c) for asd, c in conflicts],
         "annotations": [
             {
-                "sd": sd.name,
-                "objects": list(sd.objects),
-                "messages": len(sd.messages),
-                "unifications": events,
+                "sd": asd.sd.name,
+                "objects": list(asd.sd.objects),
+                "messages": len(asd.sd.messages),
+                "unifications": len(asd.events),
             }
-            for sd, events in bundle.annotations
+            for asd, _ in bundle.annotations
         ],
         "checks": [_check_json(r) for r in bundle.checks],
         "warnings": list(bundle.warnings),

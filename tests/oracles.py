@@ -15,8 +15,6 @@ from scdebug.annotator import (
     identification_candidates,
 )
 from scdebug.checker import (
-    ACCEPTED,
-    REJECTED,
     NoRepairWithinBound,
     RepairResult,
     ReplayStep,
@@ -35,7 +33,6 @@ from scdebug.model import (
     Delete,
     Insert,
     Message,
-    StateVector,
     Unified,
     apply_edit,
     participants,
@@ -175,7 +172,7 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
     of received messages on nondeterministic charts."""
     flat = flatten(chart)
     if obj not in sd.objects:
-        return ReplayTrace(sd.name, obj, (), ACCEPTED)
+        return ReplayTrace((), True)
     asd = None
     if any(t.guard is not None and t.guard.atoms for t in flat.transitions):
         asd, _ = annotate(sd, dt)
@@ -191,7 +188,7 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
         vector = asd.vectors[(obj, msg.id, PRE)] if asd is not None else None
         todo.append((msg, msg.event(), sends, vector))
     if not todo:
-        return ReplayTrace(sd.name, obj, (), ACCEPTED)
+        return ReplayTrace((), True)
 
     def matches(state, idx):
         _, event, sends, vector = todo[idx]
@@ -216,7 +213,7 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
             msg, _, sends, _ = todo[len(path)]
             path.append(ReplayStep(msg, sends, top[0], t.target, t))
             if len(path) == len(todo):
-                return ReplayTrace(sd.name, obj, tuple(path), ACCEPTED)
+                return ReplayTrace(tuple(path), True)
             stack.append([t.target, matches(t.target, len(path)), False])
             continue
         stack.pop()
@@ -226,7 +223,7 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
             best = path + [ReplayStep(msg, sends, top[0], None, None, reason)]
         if path:
             path.pop()
-    return ReplayTrace(sd.name, obj, tuple(best), REJECTED, len(best) - 1)
+    return ReplayTrace(tuple(best), False)
 
 
 def identification_scan(asd):
@@ -390,14 +387,14 @@ def trace_stored(asd, sources, key, j):
 
 
 def unified_faces(asd, chain):
-    """(message, pre|post, vector) of every post face of the identifications
+    """(message, pre|post, cells) of every post face of the identifications
     the chain's ``Unified`` steps name, in step order, each face once."""
     out = {}
     for _, _, rule in chain:
         if isinstance(rule, Unified) and rule.event >= 0:
             for obj, mid, which in asd.events[rule.event]:
                 out.setdefault((mid, which), (asd.sd.messages[mid - 1], which,
-                                              StateVector(tuple(asd.vectors[(obj, mid, which)]))))
+                                              tuple(asd.vectors[(obj, mid, which)])))
     return tuple(out.values())
 
 
@@ -427,9 +424,5 @@ def annotate_eager(sd, dt):
                 chain = tuple(trace_stored(asd, sources, left_key, j)
                               + trace_stored(asd, sources, right_key, j))
                 chains.append(chain)
-                conflicts.append(Conflict(
-                    sd.name, obj, before, after, dt.variables[j], x, y,
-                    StateVector(tuple(left)), StateVector(tuple(right)),
-                    unified_faces(asd, chain),
-                ))
+                conflicts.append(Conflict(sd.name, obj, before, after, dt.variables[j]))
     return asd, conflicts, chains

@@ -10,7 +10,7 @@ import sys
 import time
 from pathlib import Path
 
-from scdebug.annotator import annotate, initialize_vectors
+from scdebug.annotator import annotate, conflict_view, initialize_vectors
 from scdebug.checker import repair, replay
 from scdebug.cli import main
 from scdebug.dsl import parse_domain_theory, parse_sc, parse_sd, print_domain_theory, print_sd
@@ -89,9 +89,10 @@ def test_criterion_2_conflict_report(sd1, coffee_dt_unfixed, capsys):
     assert (c.object, c.variable.name) == ("Coffee-UI", "CoffeeTypeSelected")
     assert (c.after_message.id, c.after_message.label) == (2, "Insert coin")
     assert (c.before_message.id, c.before_message.label) == (3, "Request Selection")
-    assert str(c.vector_after) == "<T,F,T,1,none>"
-    assert str(c.vector_before) == "<T,F,F,1,none>"
-    assert [(m.id, which) for m, which, _ in c.unified_states] == [
+    after, before, unified = conflict_view(asd, c)
+    assert format_vector(after) == "<T,F,T,1,none>"
+    assert format_vector(before) == "<T,F,F,1,none>"
+    assert [(m.id, which) for m, which, _ in unified] == [
         (1, "post"),
         (11, "post"),
         (10, "post"),

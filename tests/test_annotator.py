@@ -13,6 +13,7 @@ from scdebug.annotator import (
     annotate,
     apply_identification,
     class_state,
+    conflict_view,
     derivation,
     detect_conflicts,
     frame_propagate,
@@ -317,17 +318,17 @@ class TestConflicts:
         c = conflicts[0]
         assert c.object == CUI
         assert c.variable.name == "CoffeeTypeSelected"
-        assert str(c.vector_after) == "<T,F,T,1,none>"
-        assert str(c.vector_before) == "<T,F,F,1,none>"
+        after, before, _ = conflict_view(asd, c)
+        assert format_vector(after) == "<T,F,T,1,none>"
+        assert format_vector(before) == "<T,F,F,1,none>"
         assert c.after_message.id == 2 and c.before_message.id == 3
 
     def test_derivation_references_loop(self, sd1, coffee_dt_unfixed):
-        _, conflicts = annotate(sd1, coffee_dt_unfixed)
-        ids = [(m.id, which) for m, which, _ in conflicts[0].unified_states]
+        asd, conflicts = annotate(sd1, coffee_dt_unfixed)
+        _, _, unified = conflict_view(asd, conflicts[0])
+        ids = [(m.id, which) for m, which, _ in unified]
         assert ids == [(1, "post"), (11, "post"), (10, "post")]
-        assert all(
-            str(v) == "<F,F,T,0,none>" for _, _, v in conflicts[0].unified_states
-        )
+        assert all(format_vector(cells) == "<F,F,T,0,none>" for _, _, cells in unified)
 
     def test_derivation_spans_spec_to_conflict(self, sd1, coffee_dt_unfixed):
         asd, conflicts = annotate(sd1, coffee_dt_unfixed)
@@ -535,6 +536,11 @@ class TestInvariants:
             }
             assert conflicts == eager_conflicts
             assert [derivation(asd, c) for c in conflicts] == eager_chains
+            for c, chain in zip(conflicts, eager_chains):
+                after = eager.vectors[(c.object, c.after_message.id, "post")]
+                before = eager.vectors[(c.object, c.before_message.id, "pre")]
+                assert conflict_view(asd, c) == (
+                    tuple(after), tuple(before), unified_faces(eager, chain))
             cells += len(determined)
             traced += len(conflicts)
         assert cells > 40_000 and errors > 10 and traced > 1_000
@@ -553,9 +559,10 @@ class TestInvariants:
                 continue
             for c in conflicts:
                 chain = derivation(asd, c)
-                assert c.unified_states == unified_faces(asd, chain)
+                _, _, unified = conflict_view(asd, c)
+                assert unified == unified_faces(asd, chain)
                 before = c.before_message.id
                 assert chain[-1] == ((c.object, before, "pre"), c.variable.index, FROM_SPEC)
                 assert chain[-2][0] == (c.object, c.after_message.id, "post")
-                shown += bool(c.unified_states)
+                shown += bool(unified)
         assert shown > 50

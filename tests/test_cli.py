@@ -62,6 +62,13 @@ class TestAnnotate:
     def test_usage_error_exits_two(self, capsys):
         assert main(["annotate"]) == 2
 
+    def test_malformed_no_loop_pair_exits_two(self, capsys):
+        assert main(["annotate", THEORY_UNFIXED, SD1, "--no-loop", "1-11"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: scdebug annotate ")
+        assert [line for line in captured.err.splitlines() if "error" in line] == [
+            "scdebug annotate: error: argument --no-loop: expected i:j, got '1-11'"]
+
     def test_internal_error_exits_two_without_traceback(self, monkeypatch, capsys):
         def broken(sd, dt):
             raise RuntimeError("boom\non two lines")
@@ -230,6 +237,12 @@ class TestCheck:
         assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", REFINED,
                      "--max-edits", "0"]) == 1
         assert "no repair" in capsys.readouterr().out
+
+    def test_negative_max_edits_exits_two(self, capsys):
+        assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", REFINED,
+                     "--max-edits", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: --max-edits must be >= 0\n"
 
     def test_missing_chart_dir(self, capsys):
         assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", "missing-dir"]) == 2

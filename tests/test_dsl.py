@@ -300,6 +300,43 @@ class TestStatechart:
         assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "parse,text,error",
+    [
+        # .dt: domains
+        (parse_domain_theory, "x : enum {}", "<dt>:1:1: enumeration with no labels"),
+        (parse_domain_theory, "x : enum {a, b, a}",
+         "<dt>:1:1: duplicate enumeration label in ('a', 'b', 'a')"),
+        (parse_domain_theory, "x : enum {a, b c}", "<dt>:1:1: bad enumeration label 'b c'"),
+        (parse_domain_theory, "x : Integer",
+         "<dt>:1:1: cannot parse domain 'Integer' (expected Boolean, lo..hi or enum {...})"),
+        # .dt: conditions, declarations and layout
+        (parse_domain_theory, "x : Boolean\ncontext a (P : 0..1)\n pre: x = P ;\n post:",
+         "<dt>:3:1: parameter 'P' has domain 0..1, variable x expects Boolean"),
+        (parse_domain_theory, "x : Boolean\ncontext a\n pre: ;\n post: ;\ny : Boolean",
+         "<dt>:5:1: unexpected line after contexts: 'y : Boolean'"),
+        (parse_domain_theory, "x Boolean",
+         "<dt>:1:1: cannot parse declaration 'x Boolean' (expected name[, name...] : domain)"),
+        (parse_domain_theory, "x, 1y : Boolean", "<dt>:1:1: bad variable name '1y'"),
+        # .sd
+        (parse_sd, "sd S\nobject A B", "<sd>:2:1: bad object name 'A B'"),
+        (parse_sd, "sd S\nobject A\nassume no-loop 1",
+         "<sd>:3:1: cannot parse directive (expected assume no-loop i j)"),
+        (parse_sd, "sd S\nobject A\nlifeline B", "<sd>:3:1: cannot parse line 'lifeline B'"),
+        # .sc
+        (parse_sc, "# no header\ninitial A\nstate A", "<sc>:1:1: missing 'statechart <name>' header"),
+        (parse_sc, "statechart M\ninitial A\nstate A\n}", "<sc>:4:1: unmatched '}'"),
+        (parse_sc, "statechart M\ninitial A\nstate A B", "<sc>:3:1: bad state name 'A B'"),
+        (parse_sc, "statechart M\ninitial A\nstate A\nstatechart N", "<sc>:4:1: nested 'statechart' header"),
+        (parse_sc, "statechart M\ninitial A\nstate A\nenter A", "<sc>:4:1: cannot parse line 'enter A'"),
+    ],
+)
+def test_error_messages(parse, text, error):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == error
+
+
 # ---------------------------------------------------------------------------
 # Generated round-trips
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scdebug.annotator import FRAME, FROM_SPEC, annotate, derivation, provenance_of
+from scdebug.annotator import FRAME, FROM_SPEC, annotate, conflict_view, derivation, provenance_of
 from scdebug.checker import CheckRecord, RepairResult, ReplayStep, ReplayTrace
 from scdebug.dsl import parse_sd, print_sd
 from scdebug.model import (
@@ -21,7 +21,6 @@ from scdebug.model import (
     SequenceDiagram,
     Statechart,
     StateVariable,
-    StateVector,
     Transition,
     Unified,
     apply_edit,
@@ -104,6 +103,7 @@ def test_unknown_absorbs_everything(c):
 
 def test_format_vector():
     assert format_vector(("T", "F", None, "1", "none")) == "<T,F,?,1,none>"
+    assert format_vector(("T", None)) == "<T,?>"
 
 
 def test_domains():
@@ -188,12 +188,9 @@ def test_message_event_string():
 # Record types
 
 
-def _conflict(**changes):
+def _conflict():
     m = Message(1, "a", (), "A", "B")
-    fields = dict(sd_name="S", object="A", after_message=m, before_message=m,
-                  variable=StateVariable("x", BoolDomain(), 0), value_after="T", value_before="F",
-                  vector_after=StateVector(("T",)), vector_before=StateVector(("F",)))
-    return Conflict(**{**fields, **changes})
+    return Conflict("S", "A", m, m, StateVariable("x", BoolDomain(), 0))
 
 
 def _chart(**changes):
@@ -214,8 +211,6 @@ def _flat(**changes):
     # test_theory_invariants and test_sequence_diagram_invariants leave out.
     [
         lambda: DomainTheory((StateVariable("x", BoolDomain(), 1),), ()),
-        lambda: StateVector(("T", 1)),
-        lambda: _conflict(value_before="T"),
         lambda: _chart(nodes=(Node("A"), Node("A"))),
         lambda: _chart(initial="C"),
         lambda: _flat(initial=("?",)),
@@ -225,7 +220,6 @@ def _flat(**changes):
         # _replace validates like the constructor
         lambda: IntRangeDomain(0, 1)._replace(lo=2),
         lambda: SequenceDiagram("S", ("A", "B"), ())._replace(objects=("A", "A")),
-        lambda: _conflict()._replace(value_before="T"),
         lambda: _chart()._replace(initial="C"),
         lambda: _flat()._replace(initial=("?",)),
     ],
@@ -236,11 +230,10 @@ def test_invalid_records_raise(build):
 
 
 def test_valid_records_build():
-    assert _conflict().value_before == "F" and _chart().initial == "A" and _flat().object == "O"
+    assert _conflict().variable.index == 0 and _chart().initial == "A" and _flat().object == "O"
     assert Condition() == Condition(()) and Condition().is_empty()
     sd = SequenceDiagram("S", ("A", "B"), ())
     assert sd.no_loop == frozenset() and sd._replace(name="T").name == "T"
-    assert str(StateVector(("T", None))) == "<T,?>"
 
 
 @pytest.mark.parametrize(
@@ -258,9 +251,9 @@ def test_valid_records_build():
         (Message(1, "a", (), "A", "B"), "label"),
         (SequenceDiagram("S", (), ()), "no_loop"),
         (SequenceDiagram("S", (), ()), "other"),
-        (StateVector(()), "cells"),
+        (ReplayTrace((), False), "rejected_at"),  # derived from the steps
         (Unified(0, ("A", 1, "pre")), "event"),
-        (_conflict(), "value_after"),
+        (_conflict(), "variable"),
         (Transition("A", "B", "e"), "event"),
         (Node("A"), "comment"),
         (_chart(), "initial"),
@@ -268,9 +261,9 @@ def test_valid_records_build():
         (Delete(1), "at"),
         (_flat(), "states"),
         (ReplayStep(None, (), "A", "B", None), "to_state"),
-        (ReplayTrace("S", "A", (), "accepted"), "verdict"),
+        (ReplayTrace((), True), "accepted"),
         (RepairResult((), SequenceDiagram("S", (), ())), "edits"),
-        (CheckRecord(SequenceDiagram("S", (), ()), "A", ReplayTrace("S", "A", (), "accepted")), "repair"),
+        (CheckRecord(SequenceDiagram("S", (), ()), "A", ReplayTrace((), True)), "repair"),
         (ReportBundle(), "sds"),
     ],
 )
@@ -330,5 +323,5 @@ def test_provenance_rules_are_told_apart(sd1, coffee_dt_unfixed):
     assert {rule for rule in rules if not isinstance(rule, Unified)} == {FROM_SPEC, FRAME}
     assert [rule.event for rule in unified] == [0, 0]
     assert isinstance(provenance_of(asd, ("Coffee-UI", 1, "pre"), 2), Unified)
-    assert [(m.id, which) for m, which, _ in c.unified_states] == [
+    assert [(m.id, which) for m, which, _ in conflict_view(asd, c)[2]] == [
         (mid, which) for _, mid, which in asd.events[0]]
