@@ -43,20 +43,24 @@ from .dsl import _conjunction, split_label_args
 from .synthesizer import COMPLETION, flatten, receive_spans, span_event
 
 class ReplayStep(NamedTuple):
-    message: Message | None  # None for the leading completion step
-    sends: tuple[str, ...]
+    """A span taken from ``from_state`` by ``transition``, which leads to the next
+    step's state; a step no transition takes has ``mismatch`` say why instead."""
+
+    message: Message | None  # the span's received message; None for the leading sends
     from_state: str
-    to_state: str | None
     transition: Transition | None
     mismatch: str | None = None
 
 
 class ReplayTrace(NamedTuple):
     """The accepting path, or the deepest prefix reached and then the step
-    that no transition takes."""
+    that no transition takes; a trace without steps is accepted."""
 
     steps: tuple[ReplayStep, ...]
-    accepted: bool
+
+    @property
+    def accepted(self) -> bool:
+        return not self.steps or self.steps[-1].transition is not None
 
     @property
     def rejected_at(self) -> int | None:
@@ -137,7 +141,7 @@ def replay(
     """
     flat = flatten(chart)
     if obj not in sd.objects:
-        return ReplayTrace((), True)
+        return ReplayTrace(())
 
     if asd is None and _has_guards(flat):
         asd, _ = annotate(sd, dt)
@@ -164,23 +168,22 @@ def replay(
         for state in levels[-1]:
             for t in by_source.get(state, ()):
                 if _takes(t, event, sends) and _guard_holds(t.guard, vector, dt, strict_guards):
-                    level.setdefault(t.target, ReplayStep(received, sends, state, t.target, t))
+                    level.setdefault(t.target, ReplayStep(received, state, t))
         if not level:
             break
         levels.append(level)
 
     state = next(iter(levels[-1]))
     path = []
-    accepted = len(levels) > len(spans)
-    if not accepted:
+    if len(levels) <= len(spans):  # rejected
         received, event, sends = spans[len(levels) - 1]
         reason = _mismatch_reason(by_source.get(state, []), event, sends)
-        path.append(ReplayStep(received, sends, state, None, None, reason))
+        path.append(ReplayStep(received, state, None, reason))
     for level in reversed(levels[1:]):
         path.append(level[state])
         state = path[-1].from_state
     path.reverse()
-    return ReplayTrace(tuple(path), accepted)
+    return ReplayTrace(tuple(path))
 
 
 def _mismatch_reason(candidates, event: str, sends) -> str:
@@ -284,7 +287,7 @@ def repair(
                 explored += 1
                 if not decide(pos, cand and cand[3]):
                     continue
-            edit = Delete(pos) if cand is None else Insert(Message(pos, *cand[:3], obj), pos)
+            edit = Delete(pos) if cand is None else Insert(Message(pos, *cand[:3], obj))
             child = apply_edit(current, edit)
             if budget > 1:
                 found = attempt(child, edits + (edit,), budget - 1)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .annotator import AnnotationError, annotate
@@ -29,6 +30,7 @@ def _no_loop_pair(text: str):
         raise argparse.ArgumentTypeError(f"expected i:j, got {text!r}") from None
 
 
+@cache  # main() may run many times in one process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scdebug",

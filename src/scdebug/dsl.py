@@ -148,7 +148,8 @@ def parse_domain_theory(text: str, filename: str = "<dt>") -> DomainTheory:
     specs: dict[str, dict] = {}  # context name -> the fields of its MessageSpec
     # The open context: its name, its params and the clauses it still allows,
     # in order. Its open clause, [pre or post, first line, text], runs to its
-    # ';', or without one up to the next keyword line.
+    # ';', or without one up to the next keyword line or line holding ':',
+    # which no atom holds.
     name, params, allowed, clause = None, {}, (), None
 
     def end_clause(span: tuple) -> None:
@@ -164,7 +165,7 @@ def parse_domain_theory(text: str, filename: str = "<dt>") -> DomainTheory:
         span = (filename, no)
         m = _KEYWORD_RE.match(body)
         keyword = m and m.group().rstrip(":")
-        if clause and keyword:
+        if clause and (keyword or ":" in body):
             end_clause(span)
         if clause:
             clause[2] += " " + body

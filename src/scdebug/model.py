@@ -414,11 +414,11 @@ def walk(chart: Statechart):
 
 
 class Insert(NamedTuple):
-    message: Message
-    at: int  # 1-based position the new message takes
+    message: Message  # its id is the 1-based position it takes
 
     def describe(self) -> str:
-        return f"insert {self.message.event()} ({self.message.sender} -> {self.message.receiver}) at position {self.at}"
+        m = self.message
+        return f"insert {m.event()} ({m.sender} -> {m.receiver}) at position {m.id}"
 
 
 class Delete(NamedTuple):
@@ -444,10 +444,10 @@ def apply_edit(sd: SequenceDiagram, edit: RepairEdit) -> SequenceDiagram:
             frozenset(i - (i > edit.at) for i in pair) for pair in no_loop if edit.at not in pair
         )
     else:
-        if not 1 <= edit.at <= len(msgs) + 1:
-            raise ValueError(f"insert position {edit.at} out of range")
-        msgs.insert(edit.at - 1, edit.message)
-        no_loop = (frozenset(i + (i >= edit.at) for i in pair) for pair in no_loop)
+        if not 1 <= edit.message.id <= len(msgs) + 1:
+            raise ValueError(f"insert position {edit.message.id} out of range")
+        msgs.insert(edit.message.id - 1, edit.message)
+        no_loop = (frozenset(i + (i >= edit.message.id) for i in pair) for pair in no_loop)
     renumbered = tuple(
         Message(i, m.label, m.args, m.sender, m.receiver)
         for i, m in enumerate(msgs, start=1)

@@ -15,7 +15,6 @@ see docs/report-schema.json.
 
 from __future__ import annotations
 
-import difflib
 import json
 from typing import NamedTuple
 
@@ -86,6 +85,8 @@ def _sd_lines(sd: SequenceDiagram) -> list[str]:
 
 
 def _edit_diff(original: SequenceDiagram, repaired: SequenceDiagram) -> list[str]:
+    import difflib  # only repairs print a diff, so start-up does without it
+
     # Ids renumber on every edit, so diff the id-less message lines.
     def lines(sd):
         return [f"msg {m.sender} -> {m.receiver} : {m.event()}" for m in sd.messages]

@@ -3,7 +3,9 @@
 Per object: the distinct state vectors along the lifeline become states,
 and each span of the lifeline (``receive_spans``: a received message with
 the sends after it, or the leading sends) becomes a transition on the
-span's event whose actions are the span's sends.
+span's event whose actions are the span's sends.  A chart is its initial
+state and its transitions; its states follow in first-visit order, the
+initial one first, so it is always ``N1``.
 Vectors made equal by unification collapse into a single state, which is
 exactly where loops appear.  Charts from several diagrams are merged by
 unifying state keys.  States are then nested by state variable: the first
@@ -21,7 +23,6 @@ from collections import namedtuple
 
 from .model import (
     AnnotatedSD,
-    Checked,
     DomainTheory,
     Node,
     Statechart,
@@ -30,7 +31,7 @@ from .model import (
     unify,
     walk,
 )
-from .annotator import annotate, class_state, missing_spec_warnings
+from .annotator import annotate, class_state, detect_conflicts, missing_spec_warnings
 
 COMPLETION = ""  # event label of a completion (triggerless) transition
 
@@ -46,34 +47,22 @@ class ConflictedInputError(Exception):
         super().__init__(f"cannot synthesize from conflicted input: {sorted(names)}")
 
 
-class FlatChart(Checked, namedtuple("FlatChart", "object states initial transitions")):
-    """States keyed by their state vector (a tuple of cells), in first-visit
-    order; transitions are (from_key, to_key, event, actions)."""
+class FlatChart(namedtuple("FlatChart", "object initial transitions")):
+    """States are vectors (tuples of cells), transitions (from_key, to_key, event,
+    actions); ``states`` lists them in first-visit order, the initial one first."""
 
     __slots__ = ()
 
-    def __new__(cls, object: str, states: tuple, initial: tuple, transitions: tuple):
-        keys = set(states)
-        if initial not in keys:
-            raise ValueError("initial state missing from state set")
-        if len(keys) != len(states):
-            raise ValueError("duplicate state keys")
-        seen = set()
-        for frm, to, event, actions in transitions:
-            if frm not in keys or to not in keys:
-                raise ValueError("transition endpoint missing from state set")
-            quad = (frm, to, event, actions)
-            if quad in seen:
-                raise ValueError(f"duplicate transition {quad}")
-            seen.add(quad)
-        return tuple.__new__(cls, (object, states, initial, transitions))
+    @property
+    def states(self) -> tuple:
+        return tuple(dict.fromkeys([self.initial, *(key for t in self.transitions for key in t[:2])]))
 
 
 def _gap_states(asd: AnnotatedSD, obj: str):
-    """Joined face value per gap; conflict-free input keeps faces compatible."""
+    """Joined face value per gap; a gap whose faces clash is a conflict."""
     states = [class_state(asd, [gap]) for gap in asd.gaps[obj]]
     if None in states:
-        raise ConflictedInputError([])
+        raise ConflictedInputError([c for c in detect_conflicts(asd) if c.object == obj])
     return [state for state, _ in states]
 
 
@@ -99,15 +88,11 @@ def span_event(received) -> str:
     return COMPLETION if received is None else received.event()
 
 
-def synth_object_chart(asd: AnnotatedSD, obj: str, conflicts=None) -> FlatChart:
+def synth_object_chart(asd: AnnotatedSD, obj: str) -> FlatChart:
     """Build the object's flat chart from one annotated diagram: each span
     leads from the gap before its first message to the gap after its last,
-    and an empty leading span takes no step."""
-    if conflicts:
-        mine = [c for c in conflicts if c.object == obj]
-        if mine:
-            raise ConflictedInputError(mine)
-
+    and an empty leading span takes no step.  Raises ConflictedInputError
+    with the object's conflicts when it has any."""
     gaps = _gap_states(asd, obj)
     transitions = []
     start = 0  # lifeline index of the span's first message
@@ -117,8 +102,7 @@ def synth_object_chart(asd: AnnotatedSD, obj: str, conflicts=None) -> FlatChart:
             transitions.append((gaps[start], gaps[end], span_event(received),
                                 tuple(m.event() for m in sends)))
         start = end
-    states = dict.fromkeys([gaps[0]] + [key for t in transitions for key in t[:2]])
-    return FlatChart(obj, tuple(states), gaps[0], tuple(dict.fromkeys(transitions)))
+    return FlatChart(obj, gaps[0], tuple(dict.fromkeys(transitions)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +133,7 @@ def _merge_two(c1: FlatChart, c2: FlatChart) -> FlatChart:
         raise ValueError(f"initial states of {c1.object!r} charts do not unify")
     # Each matched c1 state has one c2 partner and refines to their join.
     match = {c2.initial: c1.initial}  # c2 key -> c1 key
-    refined = dict(zip(c1.states, c1.states))  # c1 key -> refined key
+    refined = {s: s for s in c1.states}  # c1 key -> refined key, in c1's state order
     refined[c1.initial] = init_join
     taken = {c1.initial}
 
@@ -160,7 +144,7 @@ def _merge_two(c1: FlatChart, c2: FlatChart) -> FlatChart:
     for s2 in c2.states:
         if s2 in match:
             continue
-        for s1 in c1.states:
+        for s1 in refined:
             join = None if s1 in taken else unify(s1, s2)
             if join is not None:
                 match[s2] = s1
@@ -172,12 +156,11 @@ def _merge_two(c1: FlatChart, c2: FlatChart) -> FlatChart:
         return refined[match[s]] if s in match else s
 
     # Refinement can make two previously distinct keys coincide; collapse.
-    states = dict.fromkeys([*refined.values(), *map(key2, c2.states)])
     transitions = dict.fromkeys(
         [(refined[frm], refined[to], event, actions) for frm, to, event, actions in c1.transitions]
         + [(key2(frm), key2(to), event, actions) for frm, to, event, actions in c2.transitions]
     )
-    return FlatChart(c1.object, tuple(states), init_join, tuple(transitions))
+    return FlatChart(c1.object, init_join, tuple(transitions))
 
 
 def nondeterminism_warnings(chart: FlatChart):
@@ -203,9 +186,7 @@ def to_statechart(chart: FlatChart) -> Statechart:
     """The chart of ``chart.object`` with states named N1, N2, ... in
     first-visit order; vectors become comments."""
     names = {key: f"N{i}" for i, key in enumerate(chart.states, start=1)}
-    nodes = tuple(
-        Node(names[key], comment=format_vector(key)) for key in chart.states
-    )
+    nodes = tuple(Node(name, comment=format_vector(key)) for key, name in names.items())
     transitions = tuple(
         Transition(names[frm], names[to], event, None, actions)
         for frm, to, event, actions in chart.transitions
@@ -263,7 +244,7 @@ def introduce_hierarchy(chart: FlatChart) -> Statechart:
     states, so flattening the result gives back ``to_statechart(chart)``.
     """
     flat = to_statechart(chart)
-    states, init = chart.states, chart.states.index(chart.initial)
+    states = chart.states  # the initial state is states[0]
     counter = itertools.count(1)
 
     def split(scope, start, fixed):
@@ -287,7 +268,7 @@ def introduce_hierarchy(chart: FlatChart) -> Statechart:
 
     # Open scopes, innermost last: name, path, unread entries, nodes so far. A
     # composite is numbered as it opens (so in pre-order), added as it closes.
-    holders = {flat.nodes[init].name}  # the nodes holding the initial state
+    holders = {flat.initial}  # the nodes holding the initial state
     scopes = [(flat.name, None, split(range(len(states)), 0, (None,) * len(chart.initial)), [])]
     while True:
         comp, path, entries, nodes = scopes[-1]
@@ -296,7 +277,7 @@ def introduce_hierarchy(chart: FlatChart) -> Statechart:
                 nodes.append(flat.nodes[group])
                 continue
             inner = f"G{next(counter)}"
-            if init in group:
+            if 0 in group:
                 holders.add(inner)
             scopes.append((inner, inner_path, split(group, start, inner_path), []))
             break

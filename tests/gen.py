@@ -111,12 +111,13 @@ def mergeable_corpus(rng: random.Random, count=2, **kw):
 
 
 def gen_flat_chart(rng: random.Random, max_states=10) -> FlatChart:
-    """Random flat chart whose states are distinct partial vectors over 1-4
-    variables with 2-3 values each, some cells ``?``.  The transitions form
-    any digraph: edge density varies from chart to chart, so some states are
-    unreachable; self-loops, parallel edges and completion edges occur, the
-    initial state is random, and sometimes a ring through all states in a
-    shuffled order underlies the edges."""
+    """Random flat chart over distinct partial vectors over 1-4 variables
+    with 2-3 values each, some cells ``?``: transitions are drawn between
+    them and the states follow (the initial vector and every endpoint).  The
+    transitions form any digraph: edge density varies from chart to chart,
+    so some states are unreachable; self-loops, parallel edges and
+    completion edges occur, the initial vector is random, and sometimes a
+    ring through all vectors in a shuffled order underlies the edges."""
     domains = [("0", "1", "2")[: rng.randint(2, 3)] for _ in range(rng.randint(1, 4))]
     unknown = rng.random() * 0.4
     keys = {}
@@ -138,7 +139,7 @@ def gen_flat_chart(rng: random.Random, max_states=10) -> FlatChart:
         if quad not in transitions:
             transitions.append(quad)
     rng.shuffle(transitions)
-    return FlatChart("X", states, rng.choice(states), tuple(transitions))
+    return FlatChart("X", rng.choice(states), tuple(transitions))
 
 
 def gen_replay_case(rng: random.Random, max_states=4, max_msgs=8):

@@ -106,7 +106,7 @@ def brute_force_min_cost(sd, obj, chart, dt, bound):
             return
         for pos in range(1, len(base.messages) + 2):
             for label, args, sender in candidates:
-                edited = apply_edit(base, Insert(Message(pos, label, args, sender, obj), pos))
+                edited = apply_edit(base, Insert(Message(pos, label, args, sender, obj)))
                 yield from inserts(edited, count - 1)
 
     for total in range(bound + 1):
@@ -152,7 +152,7 @@ def repair_dfs(sd, obj, chart, dt, max_edits=4, strict_guards=False):
                 return found
         for pos in range(1, len(current.messages) + 2):
             for label, args, sender in candidates:
-                edit = Insert(Message(pos, label, args, sender, obj), pos)
+                edit = Insert(Message(pos, label, args, sender, obj))
                 found = attempt(apply_edit(current, edit), edits + [edit], budget - 1)
                 if found:
                     return found
@@ -172,7 +172,7 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
     of received messages on nondeterministic charts."""
     flat = flatten(chart)
     if obj not in sd.objects:
-        return ReplayTrace((), True)
+        return ReplayTrace(())
     asd = None
     if any(t.guard is not None and t.guard.atoms for t in flat.transitions):
         asd, _ = annotate(sd, dt)
@@ -188,7 +188,7 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
         vector = asd.vectors[(obj, msg.id, PRE)] if asd is not None else None
         todo.append((msg, msg.event(), sends, vector))
     if not todo:
-        return ReplayTrace((), True)
+        return ReplayTrace(())
 
     def matches(state, idx):
         _, event, sends, vector = todo[idx]
@@ -210,20 +210,19 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
         t = next(top[1], None)
         if t is not None:
             top[2] = True
-            msg, _, sends, _ = todo[len(path)]
-            path.append(ReplayStep(msg, sends, top[0], t.target, t))
+            path.append(ReplayStep(todo[len(path)][0], top[0], t))
             if len(path) == len(todo):
-                return ReplayTrace(tuple(path), True)
+                return ReplayTrace(tuple(path))
             stack.append([t.target, matches(t.target, len(path)), False])
             continue
         stack.pop()
         if not top[2] and len(path) + 1 > len(best):
             msg, event, sends, _ = todo[len(path)]
             reason = _mismatch_reason(by_source.get(top[0], []), event, sends)
-            best = path + [ReplayStep(msg, sends, top[0], None, None, reason)]
+            best = path + [ReplayStep(msg, top[0], None, reason)]
         if path:
             path.pop()
-    return ReplayTrace(tuple(best), False)
+    return ReplayTrace(tuple(best))
 
 
 def identification_scan(asd):

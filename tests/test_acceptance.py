@@ -130,7 +130,7 @@ def test_criterion_5_round_trip_suite():
         asd, conflicts = annotate(sd, dt)
         assert conflicts == []
         for obj in sd.objects:
-            flat = synth_object_chart(asd, obj, conflicts)
+            flat = synth_object_chart(asd, obj)
             merged = merge_charts([flat])
             hier = introduce_hierarchy(merged)
             stages = {
@@ -165,9 +165,9 @@ def test_criterion_6_repair_minimality(stepper_sd, stepper_dt):
         dt, sd = conflict_free_pair(rng, max_msgs=5, max_objs=2)
         if not sd.messages:
             continue
-        asd, conflicts = annotate(sd, dt)
+        asd, _ = annotate(sd, dt)
         obj = max(sd.objects, key=lambda o: sum(1 for m in sd.messages if m.receiver == o))
-        chart = to_statechart(synth_object_chart(asd, obj, conflicts))
+        chart = to_statechart(synth_object_chart(asd, obj))
         cands = mutation_candidates(dt, chart, sd, obj)
         mutated = sd
         for _ in range(rng.randint(1, 3)):
@@ -176,7 +176,7 @@ def test_criterion_6_repair_minimality(stepper_sd, stepper_dt):
             else:
                 label, args, sender = rng.choice(cands)
                 pos = rng.randint(1, len(mutated.messages) + 1)
-                mutated = apply_edit(mutated, Insert(Message(pos, label, args, sender, obj), pos))
+                mutated = apply_edit(mutated, Insert(Message(pos, label, args, sender, obj)))
         found = repair(mutated, obj, chart, dt, max_edits=3)
         assert brute_force_min_cost(mutated, obj, chart, dt, found.cost) == found.cost
         assert replay(found.repaired, obj, chart, dt).accepted

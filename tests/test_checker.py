@@ -113,7 +113,7 @@ class TestReplay:
         msgs = [Message(i, f"e{(i - 1) % k}", (), "Env", "M") for i in range(1, n + 1)]
         trace = replay(SequenceDiagram("Ring", ("Env", "M"), tuple(msgs)), "M", chart, stepper_dt)
         assert trace.accepted
-        assert len(trace.steps) == n and trace.steps[-1].to_state == f"N{n % k}"
+        assert len(trace.steps) == n and trace.steps[-1].transition.target == f"N{n % k}"
 
     def test_matches_depth_first_oracle(self):
         # Whole traces, accepted path and deepest rejection alike, equal the
@@ -141,7 +141,7 @@ class TestReplay:
         assert not trace.accepted
         assert trace.rejected_at == 60
         assert trace.steps[-1].mismatch == "no transition on event 'f'"
-        assert all(step.to_state == "A" for step in trace.steps[:-1])
+        assert all(step.transition.target == "A" for step in trace.steps[:-1])
 
 
 class TestRepair:
@@ -159,7 +159,7 @@ class TestRepair:
         assert result.cost == 1
         (edit,) = result.edits
         assert isinstance(edit, Insert)
-        assert edit.message.label == "e3" and edit.at == 3
+        assert edit.message.label == "e3" and edit.message.id == 3
         assert [m.label for m in result.repaired.messages] == ["e1", "e2", "e3", "e4", "e5"]
         assert replay(result.repaired, "M", refined_chart, stepper_dt).accepted
         _, conflicts = annotate(result.repaired, stepper_dt)
@@ -175,7 +175,7 @@ class TestRepair:
                 working.append(("delete", pos))
         for pos in range(1, n + 2):
             for label, args, sender in insert_candidates(refined_chart, stepper_sd, "M"):
-                sd = apply_edit(stepper_sd, Insert(Message(pos, label, args, sender, "M"), pos))
+                sd = apply_edit(stepper_sd, Insert(Message(pos, label, args, sender, "M")))
                 if replay(sd, "M", refined_chart, stepper_dt).accepted:
                     _, conflicts = annotate(sd, stepper_dt)
                     if not conflicts:
@@ -194,10 +194,7 @@ class TestRepair:
         # never help, so the only fix is deleting both.
         sd = stepper_sd
         for label in ("zig", "zag"):
-            sd = apply_edit(
-                sd, Insert(Message(len(sd.messages) + 1, label, (), "Env", "M"),
-                           len(sd.messages) + 1)
-            )
+            sd = apply_edit(sd, Insert(Message(len(sd.messages) + 1, label, (), "Env", "M")))
         with pytest.raises(NoRepairWithinBound):
             repair(sd, "M", chart, stepper_dt, max_edits=1)
         result = repair(sd, "M", chart, stepper_dt, max_edits=2)
@@ -337,9 +334,9 @@ class TestMinimality:
         cases = 0
         while cases < 12:
             dt, sd = conflict_free_pair(rng, max_msgs=5, max_objs=2)
-            asd, conflicts = annotate(sd, dt)
+            asd, _ = annotate(sd, dt)
             obj = max(sd.objects, key=lambda o: sum(1 for m in sd.messages if m.receiver == o))
-            chart = to_statechart(synth_object_chart(asd, obj, conflicts))
+            chart = to_statechart(synth_object_chart(asd, obj))
             mutated = _mutate(rng, sd, dt, chart, obj, rng.randint(1, 2))
             if mutated is None:
                 continue
@@ -355,9 +352,9 @@ class TestMinimality:
             dt, sd = conflict_free_pair(rng, max_msgs=5, max_objs=3)
             if len(sd.objects) < 3:
                 continue
-            asd, conflicts = annotate(sd, dt)
+            asd, _ = annotate(sd, dt)
             obj = max(sd.objects, key=lambda o: sum(1 for m in sd.messages if m.receiver == o))
-            chart = to_statechart(synth_object_chart(asd, obj, conflicts))
+            chart = to_statechart(synth_object_chart(asd, obj))
             mutated = _mutate(rng, sd, dt, chart, obj, rng.randint(1, 2))
             found = repair(mutated, obj, chart, dt, max_edits=3)
             assert brute_force_min_cost(mutated, obj, chart, dt, found.cost) == found.cost
@@ -379,8 +376,8 @@ class TestMinimality:
             "sd S\nobject A\nobject B\nobject M\nmsg 1 A -> B : up\nmsg 2 M -> B : down\n"
             "msg 3 B -> M : go\nmsg 4 B -> M : fin\nmsg 5 B -> M : fin2"
         )
-        asd, conflicts = annotate(sd, dt)
-        chart = to_statechart(synth_object_chart(asd, "M", conflicts))
+        asd, _ = annotate(sd, dt)
+        chart = to_statechart(synth_object_chart(asd, "M"))
         mutated = apply_edit(sd, Delete(3))
         found = repair(mutated, "M", chart, dt, max_edits=2)
         assert [e.describe() for e in found.edits] == ["insert go (B -> M) at position 3"]
@@ -417,5 +414,5 @@ def _mutate(rng, sd, dt, chart, obj, count):
         else:
             label, args, sender = rng.choice(cands)
             pos = rng.randint(1, len(sd.messages) + 1)
-            sd = apply_edit(sd, Insert(Message(pos, label, args, sender, obj), pos))
+            sd = apply_edit(sd, Insert(Message(pos, label, args, sender, obj)))
     return sd

@@ -348,6 +348,12 @@ class TestDeterminism:
         a, b = run(args), run(args)
         assert a.stdout and a.stdout == b.stdout and a.returncode == b.returncode
 
+    def test_parser_built_once(self, capsys):
+        # One parser serves every main() call: a run's --no-loop pairs stay out of the next.
+        assert scdebug.cli.build_parser() is scdebug.cli.build_parser()
+        assert main(["annotate", THEORY_UNFIXED, SD1, "--no-loop", "1:11"]) == 0
+        assert main(["annotate", THEORY_UNFIXED, SD1]) == 1
+
     def test_synth_byte_identical(self, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -154,6 +154,12 @@ class TestDomainTheory:
         assert [v.name for v in dt.variables] == ["contextReady"]
         assert dt.spec_for("a").pre == Condition((("contextReady", "T"),))
 
+    def test_clause_without_semicolon_wraps(self):
+        # Without ';' a clause runs over its continuation lines to the next keyword.
+        dt = parse_domain_theory("x, y : Boolean\ncontext a\n pre: x = T and\n   y = F\n post: x = F")
+        assert dt.spec_for("a").pre == Condition((("x", "T"), ("y", "F")))
+        assert dt.spec_for("a").post == Condition((("x", "F"),))
+
     def test_continuation_line_starting_like_context(self):
         dt = parse_domain_theory(
             "x, contextReady : Boolean\ncontext a\n pre: x = T and\n contextReady = F ;\n post:"
@@ -315,6 +321,11 @@ class TestStatechart:
          "<dt>:3:1: parameter 'P' has domain 0..1, variable x expects Boolean"),
         (parse_domain_theory, "x : Boolean\ncontext a\n pre: ;\n post: ;\ny : Boolean",
          "<dt>:5:1: unexpected line after contexts: 'y : Boolean'"),
+        # a clause without ';' ends before a line holding ':', which no atom holds
+        (parse_domain_theory, "x : Boolean\ncontext a\n pre:\n post:\ny : Boolean",
+         "<dt>:5:1: unexpected line after contexts: 'y : Boolean'"),
+        (parse_domain_theory, "x : Boolean\ncontext a\n pre: x = T\n post:\ny : Boolean",
+         "<dt>:5:1: unexpected line after contexts: 'y : Boolean'"),
         (parse_domain_theory, "x Boolean",
          "<dt>:1:1: cannot parse declaration 'x Boolean' (expected name[, name...] : domain)"),
         (parse_domain_theory, "x, 1y : Boolean", "<dt>:1:1: bad variable name '1y'"),
@@ -422,6 +433,7 @@ def test_dt_roundtrip_generated():
         joins = [rng.choice((" and ", "\n      and ", " and\n      ")) for _ in rest]
         wrapped = first + "".join(j + part for j, part in zip(joins, rest))
         assert parse_domain_theory(wrapped) == dt
+        assert parse_domain_theory(wrapped.replace(" ;", "")) == dt  # clauses end at keywords
         params += sum(1 for spec in dt.specs if spec.params)
         wraps += sum(1 for j in joins if "\n" in j)
     assert params > 300 and wraps > 300

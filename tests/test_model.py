@@ -152,7 +152,7 @@ def test_apply_edit_renumbers():
     shorter = apply_edit(sd, Delete(2))
     assert [m.label for m in shorter.messages] == ["m1", "m3"]
     assert [m.id for m in shorter.messages] == [1, 2]
-    longer = apply_edit(sd, Insert(Message(2, "new", (), "B", "A"), 2))
+    longer = apply_edit(sd, Insert(Message(2, "new", (), "B", "A")))
     assert [m.label for m in longer.messages] == ["m1", "new", "m2", "m3"]
     assert [m.id for m in longer.messages] == [1, 2, 3, 4]
     with pytest.raises(ValueError):
@@ -165,9 +165,9 @@ def test_apply_edit_renumbers_no_loop():
     sd = SequenceDiagram("S", ("A", "B"), msgs, pairs)
     assert apply_edit(sd, Delete(2)).no_loop == {frozenset((1, 3)), frozenset((2,))}
     assert apply_edit(sd, Delete(5)).no_loop == {frozenset((1, 4)), frozenset((3,))}
-    inserted = apply_edit(sd, Insert(Message(3, "new", (), "B", "A"), 3))
+    inserted = apply_edit(sd, Insert(Message(3, "new", (), "B", "A")))
     assert inserted.no_loop == {frozenset((1, 5)), frozenset((2, 6)), frozenset((4,))}
-    appended = apply_edit(sd, Insert(Message(6, "new", (), "B", "A"), 6))
+    appended = apply_edit(sd, Insert(Message(6, "new", (), "B", "A")))
     assert appended.no_loop == pairs
 
 
@@ -199,10 +199,14 @@ def _chart(**changes):
     return Statechart(**{**fields, **changes})
 
 
-def _flat(**changes):
+def _flat():
     a, b = ("T",), ("F",)
-    fields = dict(object="O", states=(a, b), initial=a, transitions=((a, b, "e", ()),))
-    return FlatChart(**{**fields, **changes})
+    return FlatChart("O", a, ((a, b, "e", ()),))
+
+
+def _rejected():
+    """A trace whose only step no transition takes."""
+    return ReplayTrace((ReplayStep(None, "A", None, "no transition on event 'e'"),))
 
 
 @pytest.mark.parametrize(
@@ -213,15 +217,10 @@ def _flat(**changes):
         lambda: DomainTheory((StateVariable("x", BoolDomain(), 1),), ()),
         lambda: _chart(nodes=(Node("A"), Node("A"))),
         lambda: _chart(initial="C"),
-        lambda: _flat(initial=("?",)),
-        lambda: _flat(states=(("T",), ("F",), ("T",))),
-        lambda: _flat(transitions=((("T",), ("?",), "e", ()),)),
-        lambda: _flat(transitions=((("T",), ("F",), "e", ()),) * 2),
         # _replace validates like the constructor
         lambda: IntRangeDomain(0, 1)._replace(lo=2),
         lambda: SequenceDiagram("S", ("A", "B"), ())._replace(objects=("A", "A")),
         lambda: _chart()._replace(initial="C"),
-        lambda: _flat()._replace(initial=("?",)),
     ],
 )
 def test_invalid_records_raise(build):
@@ -234,6 +233,20 @@ def test_valid_records_build():
     assert Condition() == Condition(()) and Condition().is_empty()
     sd = SequenceDiagram("S", ("A", "B"), ())
     assert sd.no_loop == frozenset() and sd._replace(name="T").name == "T"
+
+
+def test_records_derive_what_their_fields_fix():
+    # A flat chart's states, a trace's verdict and an insert's position are
+    # read off the fields, not stored beside them.
+    assert FlatChart._fields == ("object", "initial", "transitions") and "__new__" not in vars(FlatChart)
+    assert ReplayTrace._fields == ("steps",)
+    assert ReplayStep._fields == ("message", "from_state", "transition", "mismatch")
+    assert Insert._fields == ("message",)
+    a, b, c = ("T",), ("F",), (None,)
+    assert FlatChart("O", c, ((a, b, "e", ()), (b, c, "f", ()))).states == (c, a, b)
+    assert FlatChart("O", a, ()).states == (a,)
+    assert ReplayTrace(()).accepted and ReplayTrace(()).rejected_at is None
+    assert not _rejected().accepted and _rejected().rejected_at == 0
 
 
 @pytest.mark.parametrize(
@@ -251,19 +264,19 @@ def test_valid_records_build():
         (Message(1, "a", (), "A", "B"), "label"),
         (SequenceDiagram("S", (), ()), "no_loop"),
         (SequenceDiagram("S", (), ()), "other"),
-        (ReplayTrace((), False), "rejected_at"),  # derived from the steps
+        (_rejected(), "rejected_at"),  # derived from the steps
         (Unified(0, ("A", 1, "pre")), "event"),
         (_conflict(), "variable"),
         (Transition("A", "B", "e"), "event"),
         (Node("A"), "comment"),
         (_chart(), "initial"),
-        (Insert(Message(1, "a", (), "A", "B"), 1), "at"),
+        (Insert(Message(1, "a", (), "A", "B")), "message"),
         (Delete(1), "at"),
         (_flat(), "states"),
-        (ReplayStep(None, (), "A", "B", None), "to_state"),
-        (ReplayTrace((), True), "accepted"),
+        (ReplayStep(None, "A", None), "transition"),
+        (_rejected(), "accepted"),
         (RepairResult((), SequenceDiagram("S", (), ())), "edits"),
-        (CheckRecord(SequenceDiagram("S", (), ()), "A", ReplayTrace((), True)), "repair"),
+        (CheckRecord(SequenceDiagram("S", (), ()), "A", ReplayTrace(())), "repair"),
         (ReportBundle(), "sds"),
     ],
 )
@@ -307,7 +320,7 @@ def test_apply_edit_dispatches_on_edit_type():
     sd = SequenceDiagram("S", ("A", "B"), msgs)
     assert Delete(1) == (1,)
     assert [m.label for m in apply_edit(sd, Delete(1)).messages] == ["m2"]
-    inserted = apply_edit(sd, Insert(Message(1, "new", (), "B", "A"), 1))
+    inserted = apply_edit(sd, Insert(Message(1, "new", (), "B", "A")))
     assert [m.label for m in inserted.messages] == ["new", "m1", "m2"]
     with pytest.raises(AttributeError):
         apply_edit(sd, (1,))

@@ -43,11 +43,12 @@ def test_cli_import_leaves_out_costly_modules():
     # Every scdebug run imports scdebug.cli.  `dataclasses` costs about as
     # much as the rest of the package (it pulls in `inspect`, `ast`, `dis`
     # and `tokenize`) and builds each class with exec, so the records are
-    # named tuples.  Only module names are checked, no timing.
+    # named tuples.  `difflib` is needed only to print a repair.  Only
+    # module names are checked, no timing.
     probe = ("import sys; before = set(sys.modules); import scdebug.cli; "
              "print(' '.join(sorted(set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=CLI_ENV, check=True)
     imported = set(proc.stdout.split())
     assert "scdebug.model" in imported
-    assert imported.isdisjoint({"dataclasses", "inspect"})
+    assert imported.isdisjoint({"dataclasses", "inspect", "difflib"})
