@@ -17,13 +17,17 @@ classes that changed.  Settled faces, which already agree with the rest of
 their class or gap, cost one list comparison: a class of equal faces is not
 joined, and gap joins and conflict detection skip a gap of equal faces.
 
+Gap joins run only right after a frame sweep, with no identification in
+between: a gap's pre face then holds every value of the post face before
+it, so a join only fills the post face.
+
 Only unification stores provenance: ``AnnotatedSD.provenance`` holds a
 ``Unified`` record per cell an identification or gap join grounded.
-``provenance_of`` derives a cell's provenance by the first rule that
-applies: the stored ``Unified`` record; ``FROM_SPEC`` when the message's
-specification fixes the cell (annotation never overwrites one); ``FRAME``,
-from the face before it on the lifeline, when the cell is determined (only
-the frame sweep grounds anything else); None.
+``_walk`` derives a cell's provenance by the first rule that applies: the
+stored ``Unified`` record; ``FROM_SPEC`` when the message's specification
+fixes the cell (annotation never overwrites one); ``FRAME``, from the face
+before it on the lifeline, when the cell is determined (only the frame
+sweep grounds anything else); None.
 
 A ``Conflict`` only names its two faces and the variable they disagree on;
 nothing is copied or traced when it is detected.  When a report renders it,
@@ -158,7 +162,7 @@ def frame_propagate(asd: AnnotatedSD) -> bool:
     specification changes them.  Determined cells are never rewritten.  A
     lifeline's vectors are read and written only by its own sweep, front to
     back, so one sweep is a fixpoint.  Full faces take nothing and are skipped.
-    Faces follow ``AnnotatedSD.previous_face``, as ``provenance_of``'s frame steps do.
+    Faces follow ``AnnotatedSD.previous_face``, as ``_walk``'s frame steps do.
     """
     changed = False
     vectors = asd.vectors
@@ -288,15 +292,14 @@ def _unsettled_gaps(asd: AnnotatedSD):
 
 
 def _gap_joins_once(asd: AnnotatedSD) -> bool:
-    """Reconcile compatible gap faces pointwise (the S2/S3-style unification).
-
-    The two faces of one gap describe the same state; where they are
-    compatible but unevenly determined, each takes the other's values.
-    Incompatible faces are left alone for conflict detection.
-    """
+    """Fill each gap's post face from its pre face where the two are
+    compatible (the S2/S3-style unification).  Only the post face can take
+    a value: called right after a frame sweep, the pre face holds every
+    value of the post face before it.  Incompatible faces are left alone
+    for conflict detection."""
     changed = False
     for (left_key, right_key), left, right in _unsettled_gaps(asd):
-        if None not in left and None not in right:
+        if None not in left:
             continue
         if _is_discarded(asd.sd.no_loop, {left_key[1]}, {right_key[1]}):
             continue
@@ -304,12 +307,9 @@ def _gap_joins_once(asd: AnnotatedSD) -> bool:
         if joined is None:
             continue
         for j, v in enumerate(joined):
-            if v is None:
-                continue
-            for key, cells, other in ((left_key, left, right_key), (right_key, right, left_key)):
-                if cells[j] is None:
-                    _ground(asd, key, j, v, Unified(-1, other))
-                    changed = True
+            if v is not None and left[j] is None:
+                _ground(asd, left_key, j, v, Unified(-1, right_key))
+                changed = True
     return changed
 
 
@@ -359,16 +359,9 @@ def _walk(asd: AnnotatedSD, key: VectorKey, j: int):
     raise AssertionError(f"cyclic provenance at {key}[{j}]")
 
 
-def provenance_of(asd: AnnotatedSD, key: VectorKey, j: int) -> Unified | str | None:
-    """How cell ``j`` of face ``key`` got its value, by the first of the
-    rules in the module docstring that applies; a ``FRAME`` value came
-    from ``asd.previous_face[key]``."""
-    return next(_walk(asd, key, j))[1]
-
-
 def derivation(asd: AnnotatedSD, conflict: Conflict) -> tuple:
     """The conflict's full provenance chain as (face, cell, rule) steps,
-    each rule as ``provenance_of`` gives it: the after cell's steps, oldest
+    each rule as ``_walk`` gives it: the after cell's steps, oldest
     first, then the before cell's.  Within each cell's steps, a value came
     from the step before it."""
     j = conflict.variable.index

@@ -210,10 +210,6 @@ class SequenceDiagram(Checked, namedtuple("SequenceDiagram", "name objects messa
                     raise ValueError(f"message {m.id} references undeclared object {obj!r}")
         return tuple.__new__(cls, (name, objects, messages, no_loop))
 
-    def lifeline(self, obj: str) -> tuple[Message, ...]:
-        """Messages the object participates in, in diagram order."""
-        return tuple(m for m in self.messages if obj in (m.sender, m.receiver))
-
 
 # ---------------------------------------------------------------------------
 # State vectors and unification kernel
@@ -267,7 +263,8 @@ class AnnotatedSD:
     """A sequence diagram plus per-object pre/post vectors and provenance.
 
     ``vectors``: VectorKey -> list of cells (mutable during annotation).
-    ``provenance``: (VectorKey, cell index) -> Unified; see annotator.provenance_of.
+    ``provenance``: (VectorKey, cell index) -> Unified; the rules of
+    ``annotator._walk`` derive every other cell's provenance.
     ``events``: one tuple per applied identification, in order: its
     post-side face keys, which conflict explanations show, in the order the
     identification was established.

@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 from .model import AnnotatedSD, Conflict, SequenceDiagram, Statechart, Transition, format_vector, walk
 from .annotator import conflict_view, missing_spec_warnings
-from .checker import CheckRecord
 from .dsl import transition_label
 
 SCHEMA = "scdebug-report/1"

@@ -8,8 +8,11 @@ from scdebug.annotator import (
     AnnotationError,
     OutOfDomainLiteralError,
     UnknownVariableError,
-    _gap_joins_once,
+    _ground,
+    _is_discarded,
     _parameter_binding,
+    _unsettled_gaps,
+    _walk,
     annotate,
     apply_identification,
     identification_candidates,
@@ -39,6 +42,18 @@ from scdebug.model import (
     unify,
 )
 from scdebug.synthesizer import COMPLETION, flatten
+
+
+def lifeline(sd, obj):
+    """Messages the object participates in, in diagram order."""
+    return tuple(m for m in sd.messages if obj in (m.sender, m.receiver))
+
+
+def provenance_of(asd, key, j):
+    """How cell ``j`` of face ``key`` got its value, by the first rule of
+    ``annotator._walk`` that applies: the stored ``Unified`` record,
+    ``FROM_SPEC``, ``FRAME`` (from ``asd.previous_face[key]``) or None."""
+    return next(_walk(asd, key, j))[1]
 
 
 def _is_subsequence(needle, haystack) -> bool:
@@ -180,7 +195,7 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
     for t in flat.transitions:
         by_source.setdefault(t.source, []).append(t)
 
-    line = sd.lifeline(obj)
+    line = lifeline(sd, obj)
     leading, steps = receive_projection(line, obj)
     todo = [(None, COMPLETION, leading, None)] if leading else []
     for i, sends in steps:
@@ -232,7 +247,7 @@ def identification_scan(asd):
     them."""
     out = []
     for obj in asd.sd.objects:
-        line = asd.sd.lifeline(obj)
+        line = lifeline(asd.sd, obj)
         # Gap g sits between line[g - 1] and line[g]; a message with no
         # specification or an empty postcondition keeps its two gaps in one class.
         classes = [[0]]
@@ -293,7 +308,7 @@ def lifeline_gaps_by_lifeline(asd, obj):
     object's own message list, as the annotator once rebuilt them for every
     object on every use."""
     gaps = [[]]
-    for msg in asd.sd.lifeline(obj):
+    for msg in lifeline(asd.sd, obj):
         gaps[-1].append((obj, msg.id, PRE))
         gaps.append([(obj, msg.id, POST)])
     return [tuple(gap) for gap in gaps]
@@ -397,6 +412,29 @@ def unified_faces(asd, chain):
     return tuple(out.values())
 
 
+def gap_joins_both_ways(asd):
+    """Reconcile compatible gap faces pointwise, each face taking the
+    other's values, as the annotator's gap join did before it filled only
+    the post face.  Incompatible faces are left alone for conflict detection."""
+    changed = False
+    for (left_key, right_key), left, right in _unsettled_gaps(asd):
+        if None not in left and None not in right:
+            continue
+        if _is_discarded(asd.sd.no_loop, {left_key[1]}, {right_key[1]}):
+            continue
+        joined = unify(tuple(left), tuple(right))
+        if joined is None:
+            continue
+        for j, v in enumerate(joined):
+            if v is None:
+                continue
+            for key, cells, other in ((left_key, left, right_key), (right_key, right, left_key)):
+                if cells[j] is None:
+                    _ground(asd, key, j, v, Unified(-1, other))
+                    changed = True
+    return changed
+
+
 def annotate_eager(sd, dt):
     """``annotate`` with every cell's provenance stored as it is grounded:
     (annotated diagram, conflicts, the derivation chain of each conflict),
@@ -409,11 +447,11 @@ def annotate_eager(sd, dt):
         cand = identification_candidates(asd)
         if cand is not None:
             apply_identification(asd, cand)
-        elif not _gap_joins_once(asd):
+        elif not gap_joins_both_ways(asd):
             break
     conflicts, chains = [], []
     for obj in sd.objects:
-        line = sd.lifeline(obj)
+        line = lifeline(sd, obj)
         for before, after in zip(line, line[1:]):
             left_key, right_key = (obj, before.id, POST), (obj, after.id, PRE)
             left, right = asd.vectors[left_key], asd.vectors[right_key]

@@ -9,6 +9,7 @@ from scdebug.annotator import (
     AnnotationError,
     ArityMismatchError,
     OutOfDomainLiteralError,
+    UnknownVariableError,
     _gap_joins_once,
     annotate,
     apply_identification,
@@ -19,13 +20,17 @@ from scdebug.annotator import (
     frame_propagate,
     identification_candidates,
     initialize_vectors,
-    provenance_of,
 )
 from scdebug.dsl import parse_domain_theory, parse_sd
 from scdebug.model import (
     AnnotatedSD,
+    BoolDomain,
+    Condition,
+    DomainTheory,
     Message,
+    MessageSpec,
     SequenceDiagram,
+    StateVariable,
     Unified,
     format_vector,
 )
@@ -36,7 +41,9 @@ from oracles import (
     annotate_eager,
     class_state_by_faces,
     identification_scan,
+    lifeline,
     lifeline_gaps_by_lifeline,
+    provenance_of,
     unified_faces,
 )
 
@@ -63,7 +70,8 @@ def count_unify(monkeypatch):
 
 
 def unify_to_fixpoint(asd):
-    """Identifications and gap joins alone, without frame propagation."""
+    """Identifications and gap joins alone, without frame propagation, so
+    a gap's pre face takes no value from its post face."""
     while True:
         cand = identification_candidates(asd)
         if cand is not None:
@@ -141,6 +149,20 @@ class TestInitialize:
         sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : Enter Selection(Latte)")
         with pytest.raises(OutOfDomainLiteralError):
             initialize_vectors(sd, coffee_dt_unfixed)
+
+    @pytest.mark.parametrize("atom, error, detail", [
+        (("y", "T"), UnknownVariableError, "unknown state variable 'y'"),
+        (("x", "maybe"), OutOfDomainLiteralError, "literal 'maybe' outside domain of x (Boolean)"),
+    ])
+    def test_condition_outside_theory(self, atom, error, detail):
+        # The .dt reader refuses both conditions, so the theory is built in
+        # code; either face of the specification is checked.
+        x = StateVariable("x", BoolDomain(), 0)
+        sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : go")
+        for pre, post in ((Condition((atom,)), Condition()), (Condition(), Condition((atom,)))):
+            dt = DomainTheory((x,), (MessageSpec("go", (), pre, post),))
+            with pytest.raises(error, match=f"^{re.escape('message 1: ' + detail)}$"):
+                annotate(sd, dt)
 
 
 class TestUnifyPass:
@@ -445,7 +467,7 @@ class TestInvariants:
         asd, conflicts = annotate(sd1, coffee_dt_unfixed)
         found = set()
         for obj in sd1.objects:
-            line = sd1.lifeline(obj)
+            line = lifeline(sd1, obj)
             for p in range(len(line) - 1):
                 left = asd.vectors[(obj, line[p].id, "post")]
                 right = asd.vectors[(obj, line[p + 1].id, "pre")]
@@ -512,10 +534,11 @@ class TestInvariants:
     def test_derived_provenance_matches_stored(self, coffee_dt_unfixed):
         # The annotator stores only unification records and derives spec
         # and frame steps; the eager oracle stores a record for every cell
-        # it grounds and traces chains through those records alone.
+        # it grounds and traces chains through those records alone, and
+        # joins gaps both ways where the annotator fills only post faces.
         # Vectors, events, every cell's provenance, conflicts, each
         # conflict's derivation chain, and errors are the same.
-        cells = errors = traced = 0
+        cells = errors = traced = joined = 0
         for sd, dt in provenance_corpus(coffee_dt_unfixed):
             try:
                 eager, eager_conflicts, eager_chains = annotate_eager(sd, dt)
@@ -543,7 +566,8 @@ class TestInvariants:
                     tuple(after), tuple(before), unified_faces(eager, chain))
             cells += len(determined)
             traced += len(conflicts)
-        assert cells > 40_000 and errors > 10 and traced > 1_000
+            joined += any(p.event == -1 for p in asd.provenance.values())
+        assert cells > 40_000 and errors > 10 and traced > 1_000 and joined >= 150
 
     def test_unified_states_are_the_derivations_unified_faces(self, coffee_dt_unfixed):
         # The faces a conflict prints are those of the identifications its

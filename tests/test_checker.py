@@ -91,6 +91,17 @@ class TestReplay:
         assert not trace.accepted  # x is known T, guard wants F
         assert trace.steps[-1].mismatch == "guard [x = F] does not hold"
 
+    def test_guard_on_unknown_variable_never_holds(self):
+        # The .sc reader knows no theory; a guard naming a variable the
+        # theory lacks rejects the step, permissive or strict.
+        dt = parse_domain_theory("x : Boolean")
+        chart = parse_sc("statechart M\ninitial N1\nstate N1\nstate N2\nN1 -> N2 : go [y = T]")
+        sd = parse_sd("sd S\nobject Env\nobject M\nmsg 1 Env -> M : go")
+        for strict in (False, True):
+            trace = replay(sd, "M", chart, dt, strict_guards=strict)
+            assert not trace.accepted and trace.rejected_at == 0
+            assert trace.steps[-1].mismatch == "guard [y = T] does not hold"
+
     def test_backtracks_over_nondeterminism(self, stepper_dt):
         # Two e1 transitions from N1; the greedy first choice dead-ends.
         chart = parse_sc(
@@ -186,6 +197,10 @@ class TestRepair:
         with pytest.raises(NoRepairWithinBound) as exc:
             repair(stepper_sd, "M", refined_chart, stepper_dt, max_edits=0)
         assert exc.value.bound == 0
+
+    def test_negative_bound_rejected(self, stepper_sd, stepper_dt, refined_chart):
+        with pytest.raises(ValueError, match="^max_edits must be >= 0$"):
+            repair(stepper_sd, "M", refined_chart, stepper_dt, max_edits=-1)
 
     def test_two_deletions_needed(self, stepper_dt, stepper_sd):
         charts, _ = synthesize(stepper_dt, [stepper_sd])

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scdebug.annotator import FRAME, FROM_SPEC, annotate, conflict_view, derivation, provenance_of
+from scdebug.annotator import FRAME, FROM_SPEC, annotate, conflict_view, derivation
 from scdebug.checker import CheckRecord, RepairResult, ReplayStep, ReplayTrace
 from scdebug.dsl import parse_sd, print_sd
 from scdebug.model import (
@@ -30,6 +30,8 @@ from scdebug.model import (
 )
 from scdebug.report import ReportBundle
 from scdebug.synthesizer import FlatChart
+
+from oracles import lifeline, provenance_of
 
 cells = st.one_of(st.none(), st.sampled_from(["T", "F", "0", "1", "none", "Espresso"]))
 vectors = st.lists(cells, min_size=1, max_size=6).map(tuple)
@@ -110,6 +112,7 @@ def test_domains():
     assert BoolDomain().contains("T") and not BoolDomain().contains("yes")
     r = IntRangeDomain(0, 1)
     assert r.contains("0") and r.contains("1") and not r.contains("2")
+    assert not any(IntRangeDomain(0, 3).contains(t) for t in ("x", "1.0", ""))
     assert r.values() == ("0", "1")
     e = EnumDomain(("none", "Espresso"))
     assert e.contains("Espresso") and not e.contains("espresso")  # case matters
@@ -137,7 +140,7 @@ def test_theory_invariants():
 def test_sequence_diagram_invariants():
     m = Message(1, "hello", (), "A", "B")
     sd = SequenceDiagram("S", ("A", "B"), (m,))
-    assert sd.lifeline("A") == (m,)
+    assert lifeline(sd, "A") == (m,)
     with pytest.raises(ValueError):
         SequenceDiagram("S", ("A", "A"), ())
     with pytest.raises(ValueError):
@@ -157,6 +160,9 @@ def test_apply_edit_renumbers():
     assert [m.id for m in longer.messages] == [1, 2, 3, 4]
     with pytest.raises(ValueError):
         apply_edit(sd, Delete(4))
+    for pos in (0, 5):
+        with pytest.raises(ValueError, match=f"^insert position {pos} out of range$"):
+            apply_edit(sd, Insert(Message(pos, "new", (), "B", "A")))
 
 
 def test_apply_edit_renumbers_no_loop():

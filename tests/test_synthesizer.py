@@ -18,6 +18,7 @@ from scdebug.synthesizer import (
 )
 
 from gen import conflict_free_pair, gen_flat_chart, gen_replay_case, gen_sd, gen_theory, mergeable_corpus
+from oracles import lifeline
 
 
 def chart_for(sd, dt, obj):
@@ -82,7 +83,7 @@ class TestReceiveSpans:
                 assert all(received.receiver == obj for received, _ in spans[1:])
                 assert all(m.sender == obj != m.receiver for _, sends in spans for m in sends)
                 joined = [m for received, sends in spans for m in [received, *sends] if m is not None]
-                assert joined == list(sd.lifeline(obj))
+                assert joined == list(lifeline(sd, obj))
                 seen["self"] += any(m.sender == m.receiver == obj for m in sd.messages)
                 seen["leading"] += bool(spans[0][1])
                 seen["empty"] += not joined
@@ -93,6 +94,13 @@ class TestMerge:
     def test_idempotent(self, sd1, coffee_dt):
         c = chart_for(sd1, coffee_dt, "Coffee-UI")
         assert merge_charts([c, c]) == c
+
+    def test_rejects_no_charts_and_mixed_objects(self, coffee_dt):
+        sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : Insert coin")
+        with pytest.raises(ValueError, match="^nothing to merge$"):
+            merge_charts([])
+        with pytest.raises(ValueError, match="^cannot merge charts of 'A' and 'B'$"):
+            merge_charts([chart_for(sd, coffee_dt, "A"), chart_for(sd, coffee_dt, "B")])
 
     def test_merge_with_empty_lifeline_chart(self, coffee_dt):
         sd_a = parse_sd("sd A\nobject X\nobject Y\nmsg 1 X -> Y : Insert coin")

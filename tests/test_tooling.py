@@ -1,5 +1,5 @@
 """Names the benchmark's tracer looks up in scdebug, and what importing
-the command line costs.
+the command line, the package and the report renderer loads.
 
 ``bench/spans.Tracer.install`` wraps each function named in ``SPANNED`` and
 ``COUNTED`` by ``getattr`` on its module, so a refactor that removes or
@@ -39,16 +39,31 @@ def test_traced_names_resolve():
     assert missing == []
 
 
+def loaded_by(module: str) -> set:
+    """Modules a fresh interpreter loads to import ``module``."""
+    probe = (f"import sys; before = set(sys.modules); import {module}; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=CLI_ENV, check=True)
+    return set(proc.stdout.split())
+
+
 def test_cli_import_leaves_out_costly_modules():
     # Every scdebug run imports scdebug.cli.  `dataclasses` costs about as
     # much as the rest of the package (it pulls in `inspect`, `ast`, `dis`
     # and `tokenize`) and builds each class with exec, so the records are
     # named tuples.  `difflib` is needed only to print a repair.  Only
     # module names are checked, no timing.
-    probe = ("import sys; before = set(sys.modules); import scdebug.cli; "
-             "print(' '.join(sorted(set(sys.modules) - before)))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=CLI_ENV, check=True)
-    imported = set(proc.stdout.split())
+    imported = loaded_by("scdebug.cli")
     assert "scdebug.model" in imported
     assert imported.isdisjoint({"dataclasses", "inspect", "difflib"})
+
+
+def test_package_and_report_import_only_what_they_use():
+    # The package root re-exports nothing, so importing a module loads only
+    # that module's own imports; rendering a report needs neither the
+    # checker nor the synthesizer.
+    assert {m for m in loaded_by("scdebug") if m.startswith("scdebug")} == {"scdebug"}
+    report = loaded_by("scdebug.report")
+    assert "scdebug.annotator" in report
+    assert report.isdisjoint({"scdebug.checker", "scdebug.synthesizer"})
