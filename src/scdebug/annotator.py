@@ -58,33 +58,23 @@ FRAME = "frame"  # provenance: carried from the face before it on the lifeline
 
 
 class AnnotationError(Exception):
+    """A message whose arguments or specification the theory cannot hold."""
+
     def __init__(self, message_id: int, detail: str):
         self.message_id = message_id
         super().__init__(f"message {message_id}: {detail}")
 
 
-class UnknownVariableError(AnnotationError):
-    pass
-
-
-class OutOfDomainLiteralError(AnnotationError):
-    pass
-
-
-class ArityMismatchError(AnnotationError):
-    pass
-
-
 def _parameter_binding(spec, msg: Message) -> dict:
     """Bind spec parameters to the message's ground arguments."""
     if len(msg.args) != len(spec.params):
-        raise ArityMismatchError(
+        raise AnnotationError(
             msg.id,
             f"{msg.label!r} takes {len(spec.params)} argument(s), got {len(msg.args)}",
         )
     for (p, dom), a in zip(spec.params, msg.args):
         if not dom.contains(a):
-            raise OutOfDomainLiteralError(
+            raise AnnotationError(
                 msg.id, f"argument {a!r} outside domain {dom.describe()} of parameter {p}"
             )
     return {p: a for (p, _), a in zip(spec.params, msg.args)}
@@ -95,10 +85,10 @@ def _condition_vector(cond: Condition, binding: dict, dt: DomainTheory, msg: Mes
     for var_name, value in cond.atoms:
         var = dt.variable(var_name)
         if var is None:
-            raise UnknownVariableError(msg.id, f"unknown state variable {var_name!r}")
+            raise AnnotationError(msg.id, f"unknown state variable {var_name!r}")
         literal = binding.get(value, value)
         if not var.domain.contains(literal):
-            raise OutOfDomainLiteralError(
+            raise AnnotationError(
                 msg.id,
                 f"literal {literal!r} outside domain of {var_name} ({var.domain.describe()})",
             )

@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not text
 
 
 def _load_inputs(args):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from operator import attrgetter
 from typing import NamedTuple
 
 
@@ -31,19 +30,10 @@ class Checked:
 # Variable domains
 
 
-class BoolDomain:
+class BoolDomain(namedtuple("BoolDomain", ())):
     """The Boolean domain; every instance equals every other."""
 
     __slots__ = ()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BoolDomain)
-
-    def __hash__(self) -> int:
-        return hash(BoolDomain)
-
-    def __repr__(self) -> str:
-        return "BoolDomain()"
 
     def contains(self, token: str) -> bool:
         return token in ("T", "F")
@@ -259,8 +249,9 @@ class Unified(NamedTuple):
     contributor: VectorKey
 
 
-class AnnotatedSD:
+class AnnotatedSD(namedtuple("AnnotatedSD", "sd theory vectors provenance events spec_vectors")):
     """A sequence diagram plus per-object pre/post vectors and provenance.
+    Its tables are mutable dicts and lists, so it does not hash.
 
     ``vectors``: VectorKey -> list of cells (mutable during annotation).
     ``provenance``: (VectorKey, cell index) -> Unified; the rules of
@@ -271,17 +262,7 @@ class AnnotatedSD:
     ``spec_vectors``: message id -> {PRE: vector, POST: vector} its specification fixes.
     """
 
-    def __init__(self, sd: SequenceDiagram, theory: DomainTheory, vectors: dict,
-                 provenance: dict, events: list, spec_vectors: dict):
-        self.sd, self.theory, self.vectors = sd, theory, vectors
-        self.provenance, self.events, self.spec_vectors = provenance, events, spec_vectors
-
-    def __eq__(self, other) -> bool:  # unhashable, as it is mutable
-        fields = attrgetter("sd", "theory", "vectors", "provenance", "events", "spec_vectors")
-        return isinstance(other, AnnotatedSD) and fields(self) == fields(other)
-
-    def __repr__(self) -> str:
-        return f"AnnotatedSD({self.sd.name!r}, {len(self.vectors)} faces, {len(self.events)} unifications)"
+    # No __slots__: the cached gap tables live in the instance dict.
 
     @cached_property
     def gaps(self) -> dict:

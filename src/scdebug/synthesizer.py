@@ -31,7 +31,7 @@ from .model import (
     unify,
     walk,
 )
-from .annotator import annotate, class_state, detect_conflicts, missing_spec_warnings
+from .annotator import annotate, detect_conflicts, missing_spec_warnings
 
 COMPLETION = ""  # event label of a completion (triggerless) transition
 
@@ -58,14 +58,6 @@ class FlatChart(namedtuple("FlatChart", "object initial transitions")):
         return tuple(dict.fromkeys([self.initial, *(key for t in self.transitions for key in t[:2])]))
 
 
-def _gap_states(asd: AnnotatedSD, obj: str):
-    """Joined face value per gap; a gap whose faces clash is a conflict."""
-    states = [class_state(asd, [gap]) for gap in asd.gaps[obj]]
-    if None in states:
-        raise ConflictedInputError([c for c in detect_conflicts(asd) if c.object == obj])
-    return [state for state, _ in states]
-
-
 def receive_spans(messages, obj: str):
     """The object's lifeline cut before each message it receives.
 
@@ -89,11 +81,16 @@ def span_event(received) -> str:
 
 
 def synth_object_chart(asd: AnnotatedSD, obj: str) -> FlatChart:
-    """Build the object's flat chart from one annotated diagram: each span
+    """Build the object's flat chart from ``annotate``'s output: each span
     leads from the gap before its first message to the gap after its last,
-    and an empty leading span takes no step.  Raises ConflictedInputError
-    with the object's conflicts when it has any."""
-    gaps = _gap_states(asd, obj)
+    and an empty leading span takes no step.  A gap's state is its last
+    face, which the final frame sweep left holding the join of its faces.
+    Raises ConflictedInputError with the object's conflicts when it has any."""
+    conflicts = [c for c in detect_conflicts(asd) if c.object == obj]
+    if conflicts:
+        raise ConflictedInputError(conflicts)
+    gaps = [tuple(asd.vectors[gap[-1]]) if gap else (None,) * asd.theory.width
+            for gap in asd.gaps[obj]]
     transitions = []
     start = 0  # lifeline index of the span's first message
     for received, sends in receive_spans(asd.sd.messages, obj):

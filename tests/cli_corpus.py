@@ -1,0 +1,119 @@
+"""A fixed-seed corpus of scdebug runs, for byte-comparing two source trees.
+
+    python tests/cli_corpus.py ROOT OUT
+
+imports scdebug from ``ROOT/src`` and runs ``scdebug.cli.main`` in process
+over the fixtures and seeded ``tests/gen`` inputs: ``annotate`` (text,
+``--json``, ``--no-loop`` on adjacent messages), ``synth`` with ``--dot``,
+``check`` (text and ``--json``, ``--max-edits 1`` and ``2``) of every single
+and adjacent double deletion of SD1, SD2 and the stepper, and the refined
+stepper at ``--max-edits 4``.  Inputs and every chart the runs write go
+under OUT, and ``OUT/log.json`` holds each run's arguments, exit code,
+stdout and stderr, with OUT written as ``<OUT>``.  Run it against two trees
+and compare the two OUT directories with ``diff -r``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import random
+import shutil
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).parent
+SEED = 2027
+
+
+def corpus(out: Path):
+    """Yield each run's arguments, writing its inputs under ``out`` first;
+    a run may read the charts an earlier one wrote."""
+    from gen import conflict_free_pair, gen_sd, gen_theory
+    from scdebug.dsl import parse_sd, print_domain_theory, print_sd
+    from scdebug.model import Delete, apply_edit
+
+    inputs, charts = out / "inputs", out / "charts"
+    shutil.copytree(HERE / "fixtures", inputs)
+    fx = {path.name: str(path) for path in inputs.rglob("*")}
+
+    rng = random.Random(SEED)
+    for k in range(210):
+        if k < 150:
+            dt = gen_theory(rng)
+            sd = gen_sd(rng, dt, max_msgs=rng.choice((6, 14)), max_objs=3)
+        else:
+            dt, sd = conflict_free_pair(rng, max_msgs=8)
+        dt_path, sd_path = inputs / f"gen{k}.dt", inputs / f"gen{k}.sd"
+        dt_path.write_text(print_domain_theory(dt), encoding="utf-8")
+        sd_path.write_text(print_sd(sd), encoding="utf-8")
+        no_loop = []
+        n = len(sd.messages)
+        if k % 2 and n > 1:
+            for i in sorted({rng.randint(1, n - 1) for _ in range(rng.randint(1, 3))}):
+                no_loop += ["--no-loop", f"{i}:{i + 1}"]
+        given = [str(dt_path), str(sd_path), *no_loop]
+        yield ["annotate", *given]
+        yield ["annotate", *given, "--json"]
+        yield ["synth", *given, "-o", str(charts / f"gen{k}"), "--dot", str(out / "dot" / f"gen{k}")]
+
+    coffee = [fx["theory.dt"], fx["sd1.sd"], fx["sd2.sd"]]
+    unfixed = [fx["theory_unfixed.dt"], fx["sd1.sd"]]
+    stepper = [fx["stepper.dt"], fx["stepper.sd"]]
+    for given in (coffee, unfixed, unfixed + ["--no-loop", "1:11"], stepper):
+        yield ["annotate", *given]
+        yield ["annotate", *given, "--json"]
+    yield ["synth", *coffee, "-o", str(charts / "coffee"), "--dot", str(out / "dot" / "coffee")]
+    yield ["synth", *unfixed, "-o", str(charts / "refused")]
+    yield ["synth", *stepper, "-o", str(charts / "stepper")]
+    yield ["check", *coffee, "--charts", str(charts / "coffee")]
+    yield ["check", *unfixed, "--charts", str(charts / "coffee"), "--json"]
+    yield ["annotate", *unfixed, "--no-loop", "1:99"]
+    yield ["check", *stepper, "--charts", str(charts / "stepper"), "--max-edits", "-1"]
+
+    for dt_name, sd_name, chart_dir in (("theory.dt", "sd1.sd", "coffee"),
+                                        ("theory.dt", "sd2.sd", "coffee"),
+                                        ("stepper.dt", "stepper.sd", "stepper")):
+        sd = parse_sd(Path(fx[sd_name]).read_text(encoding="utf-8"))
+        for at in range(1, len(sd.messages) + 1):
+            for width in (1, 2)[:len(sd.messages) - at + 1]:
+                cut = sd
+                for _ in range(width):
+                    cut = apply_edit(cut, Delete(at))
+                path = inputs / f"{Path(sd_name).stem}-del{at}x{width}.sd"
+                path.write_text(print_sd(cut), encoding="utf-8")
+                for bound in ("1", "2"):
+                    check = ["check", fx[dt_name], str(path), "--charts", str(charts / chart_dir),
+                             "--max-edits", bound]
+                    yield check
+                    yield check + ["--json"]
+
+    refined = ["check", *stepper, "--charts", str(inputs / "stepper_refined"), "--max-edits", "4"]
+    yield refined
+    yield refined + ["--json"]
+
+
+def run(root: Path, out: Path) -> list[dict]:
+    """Run the corpus against ``root``'s scdebug and write ``out/log.json``."""
+    sys.path[:0] = [str(root / "src"), str(HERE)]
+    from scdebug.cli import main
+
+    out.mkdir(parents=True, exist_ok=True)
+    log = []
+    for args in corpus(out):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(args)
+        log.append({"args": [arg.replace(str(out), "<OUT>") for arg in args], "code": code,
+                    "stdout": stdout.getvalue().replace(str(out), "<OUT>"),
+                    "stderr": stderr.getvalue().replace(str(out), "<OUT>")})
+    (out / "log.json").write_text(json.dumps(log, indent=1) + "\n", encoding="utf-8")
+    return log
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    ran = run(Path(sys.argv[1]).resolve(), Path(sys.argv[2]).resolve())
+    sys.stdout.write(f"{len(ran)} runs logged in {Path(sys.argv[2]) / 'log.json'}\n")

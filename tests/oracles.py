@@ -6,8 +6,6 @@ from scdebug.annotator import (
     FRAME,
     FROM_SPEC,
     AnnotationError,
-    OutOfDomainLiteralError,
-    UnknownVariableError,
     _ground,
     _is_discarded,
     _parameter_binding,
@@ -331,10 +329,10 @@ def _condition_cells(cond, binding, dt, msg):
     for var_name, value in cond.atoms:
         var = dt.variable(var_name)
         if var is None:
-            raise UnknownVariableError(msg.id, f"unknown state variable {var_name!r}")
+            raise AnnotationError(msg.id, f"unknown state variable {var_name!r}")
         literal = binding.get(value, value)
         if not var.domain.contains(literal):
-            raise OutOfDomainLiteralError(
+            raise AnnotationError(
                 msg.id,
                 f"literal {literal!r} outside domain of {var_name} ({var.domain.describe()})",
             )

@@ -7,10 +7,9 @@ from scdebug.annotator import (
     FRAME,
     FROM_SPEC,
     AnnotationError,
-    ArityMismatchError,
-    OutOfDomainLiteralError,
-    UnknownVariableError,
     _gap_joins_once,
+    _ground,
+    _walk,
     annotate,
     apply_identification,
     class_state,
@@ -141,27 +140,29 @@ class TestInitialize:
 
     def test_arity_mismatch(self, coffee_dt_unfixed):
         sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : Enter Selection")
-        with pytest.raises(ArityMismatchError) as exc:
+        detail = "'Enter Selection' takes 1 argument(s), got 0"
+        with pytest.raises(AnnotationError, match=f"^{re.escape('message 1: ' + detail)}$") as exc:
             initialize_vectors(sd, coffee_dt_unfixed)
         assert exc.value.message_id == 1
 
     def test_out_of_domain_argument(self, coffee_dt_unfixed):
         sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : Enter Selection(Latte)")
-        with pytest.raises(OutOfDomainLiteralError):
+        detail = "argument 'Latte' outside domain enum {none,Espresso,Cappuchino,Milk} of parameter CT"
+        with pytest.raises(AnnotationError, match=f"^{re.escape('message 1: ' + detail)}$"):
             initialize_vectors(sd, coffee_dt_unfixed)
 
-    @pytest.mark.parametrize("atom, error, detail", [
-        (("y", "T"), UnknownVariableError, "unknown state variable 'y'"),
-        (("x", "maybe"), OutOfDomainLiteralError, "literal 'maybe' outside domain of x (Boolean)"),
+    @pytest.mark.parametrize("atom, detail", [
+        (("y", "T"), "unknown state variable 'y'"),
+        (("x", "maybe"), "literal 'maybe' outside domain of x (Boolean)"),
     ])
-    def test_condition_outside_theory(self, atom, error, detail):
+    def test_condition_outside_theory(self, atom, detail):
         # The .dt reader refuses both conditions, so the theory is built in
         # code; either face of the specification is checked.
         x = StateVariable("x", BoolDomain(), 0)
         sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : go")
         for pre, post in ((Condition((atom,)), Condition()), (Condition(), Condition((atom,)))):
             dt = DomainTheory((x,), (MessageSpec("go", (), pre, post),))
-            with pytest.raises(error, match=f"^{re.escape('message 1: ' + detail)}$"):
+            with pytest.raises(AnnotationError, match=f"^{re.escape('message 1: ' + detail)}$"):
                 annotate(sd, dt)
 
 
@@ -590,3 +591,37 @@ class TestInvariants:
                 assert chain[-2][0] == (c.object, c.after_message.id, "post")
                 shown += bool(unified)
         assert shown > 50
+
+
+class TestSafetyChecks:
+    """Assertions that guard the annotation's invariants; no annotation trips them."""
+
+    def test_ground_refuses_to_overwrite_a_determined_cell(self, sd1, coffee_dt_unfixed):
+        asd, _ = annotate(sd1, coffee_dt_unfixed)
+        (key, j), rule = next(iter(asd.provenance.items()))
+        value = asd.vectors[key][j]
+        other = next(v for v in coffee_dt_unfixed.variables[j].domain.values() if v != value)
+        expected = f"attempt to overwrite determined cell {key}[{j}]={value} with {other}"
+        with pytest.raises(AssertionError, match=f"^{re.escape(expected)}$"):
+            _ground(asd, key, j, other, Unified(-1, key))
+        assert asd.vectors[key][j] == value and asd.provenance[(key, j)] == rule
+
+    def test_ground_with_the_same_value_keeps_provenance(self, sd1, coffee_dt_unfixed):
+        # A unified cell keeps its record, and a spec cell gains none.
+        asd, _ = annotate(sd1, coffee_dt_unfixed)
+        stored = dict(asd.provenance)
+        spec_cell = ((CUI, 2, "pre"), 0)  # Insert coin's precondition fixes it
+        assert spec_cell not in stored and asd.vectors[spec_cell[0]][0] == "F"
+        for key, j in (next(iter(stored)), spec_cell):
+            _ground(asd, key, j, asd.vectors[key][j], Unified(-1, key))
+        assert asd.provenance == stored
+        assert asd.vectors == annotate(sd1, coffee_dt_unfixed)[0].vectors
+
+    def test_walk_refuses_cyclic_provenance(self, sd1, coffee_dt_unfixed):
+        asd, _ = annotate(sd1, coffee_dt_unfixed)
+        a, b = (CUI, 5, "pre"), (CUI, 5, "post")
+        asd.provenance[(a, 0)] = Unified(0, b)
+        asd.provenance[(b, 0)] = Unified(0, a)
+        with pytest.raises(AssertionError, match="^cyclic provenance at ") as exc:
+            list(_walk(asd, a, 0))
+        assert str(exc.value) in (f"cyclic provenance at {a}[0]", f"cyclic provenance at {b}[0]")

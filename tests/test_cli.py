@@ -1,4 +1,6 @@
+import codecs
 import json
+import shutil
 import subprocess
 import sys
 
@@ -332,6 +334,28 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == (f"parse error: {tmp_path / 'M.sc'}:9:1: "
                                 f"variable repeated within one condition\n")
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("name", ["stepper.dt", "stepper.sd", "charts/M.sc"])
+    def test_leading_bom_is_ignored(self, name, tmp_path, capsys):
+        # Each command prints the same once the file starts with a UTF-8 BOM.
+        (tmp_path / "charts").mkdir()
+        for fixture in ("stepper.dt", "stepper.sd"):
+            shutil.copy(FIXTURES / fixture, tmp_path / fixture)
+        shutil.copy(FIXTURES / "stepper_refined" / "M.sc", tmp_path / "charts" / "M.sc")
+        dt, sd = str(tmp_path / "stepper.dt"), str(tmp_path / "stepper.sd")
+        commands = (["annotate", dt, sd], ["synth", dt, sd, "-o", str(tmp_path / "out")],
+                    ["check", dt, sd, "--charts", str(tmp_path / "charts")])
+
+        def outputs():
+            return [(main(args), *capsys.readouterr()) for args in commands]
+
+        without = outputs()
+        assert [code for code, _, _ in without] == [0, 0, 1]
+        path = tmp_path / name
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert outputs() == without
 
 
 class TestDeterminism:

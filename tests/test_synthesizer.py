@@ -3,8 +3,9 @@ from collections import Counter
 
 import pytest
 
-from scdebug.annotator import annotate
+from scdebug.annotator import annotate, detect_conflicts
 from scdebug.dsl import parse_domain_theory, parse_sc, parse_sd, print_sc
+from scdebug.model import unify
 from scdebug.synthesizer import (
     ConflictedInputError,
     FlatChart,
@@ -62,6 +63,45 @@ class TestObjectChart:
         with pytest.raises(ConflictedInputError) as exc:
             synth_object_chart(asd, "Coffee-UI")
         assert mine and exc.value.conflicts == mine
+
+    def test_gap_states_are_last_faces(self):
+        # A chart is refused exactly when detect_conflicts names its object;
+        # otherwise every gap's faces unify to its last face, so that face
+        # is the gap's state.  Every other diagram holds 1-3 no_loop pairs
+        # of adjacent messages, whose gaps are never joined, so their two
+        # faces can differ.
+        rng = random.Random(22)
+        refused = built = unequal = 0
+        for k in range(2000):
+            dt = gen_theory(rng)
+            sd = gen_sd(rng, dt, max_msgs=rng.choice((6, 14)), max_objs=3)
+            while k % 2 and len(sd.messages) < 2:
+                sd = gen_sd(rng, dt, max_msgs=6, max_objs=3)
+            if k % 2:
+                starts = [rng.randint(1, len(sd.messages) - 1) for _ in range(rng.randint(1, 3))]
+                sd = sd._replace(no_loop=frozenset(frozenset((i, i + 1)) for i in starts))
+            asd, _ = annotate(sd, dt)
+            conflicts = detect_conflicts(asd)
+            for obj in sd.objects:
+                mine = [c for c in conflicts if c.object == obj]
+                if mine:
+                    with pytest.raises(ConflictedInputError) as exc:
+                        synth_object_chart(asd, obj)
+                    assert exc.value.conflicts == mine
+                    refused += 1
+                    continue
+                states = []
+                for gap in asd.gaps[obj]:
+                    joined = (None,) * dt.width
+                    for key in gap:
+                        joined = unify(joined, tuple(asd.vectors[key]))
+                    assert joined == (tuple(asd.vectors[gap[-1]]) if gap else (None,) * dt.width)
+                    states.append(joined)
+                    unequal += len(gap) == 2 and asd.vectors[gap[0]] != asd.vectors[gap[1]]
+                chart = synth_object_chart(asd, obj)
+                assert chart.initial == states[0] and set(chart.states) <= set(states)
+                built += 1
+        assert refused > 500 and built > 2_000 and unequal > 100
 
 
 class TestReceiveSpans:

@@ -1,5 +1,6 @@
-"""Names the benchmark's tracer looks up in scdebug, and what importing
-the command line, the package and the report renderer loads.
+"""Names the benchmark's tracer looks up in scdebug, what importing the
+command line, the package and the report renderer loads, and the CLI
+byte-comparison corpus.
 
 ``bench/spans.Tracer.install`` wraps each function named in ``SPANNED`` and
 ``COUNTED`` by ``getattr`` on its module, so a refactor that removes or
@@ -9,13 +10,15 @@ the source with ``ast``; nothing under ``bench/`` is imported or executed.
 
 import ast
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 from conftest import CLI_ENV
 
-SPANS = Path(__file__).parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def traced_tables() -> dict:
@@ -67,3 +70,16 @@ def test_package_and_report_import_only_what_they_use():
     report = loaded_by("scdebug.report")
     assert "scdebug.annotator" in report
     assert report.isdisjoint({"scdebug.checker", "scdebug.synthesizer"})
+
+
+def test_cli_corpus_runs_clean(tmp_path):
+    # tests/cli_corpus.py is run on two source trees whose outputs are then
+    # compared; on this tree every run must end in a defined exit code, and
+    # each command must both pass and find something somewhere.
+    subprocess.run([sys.executable, str(ROOT / "tests" / "cli_corpus.py"), str(ROOT), str(tmp_path)],
+                   capture_output=True, check=True)
+    log = json.loads((tmp_path / "log.json").read_text(encoding="utf-8"))
+    assert {run["code"] for run in log} <= {0, 1, 2}
+    assert not [run["args"] for run in log if "error: internal" in run["stderr"]]
+    for command in ("annotate", "synth", "check"):
+        assert {0, 1} <= {run["code"] for run in log if run["args"][0] == command}, command
