@@ -9,17 +9,23 @@ class; unifying two classes identifies a potential loop.  Loop candidates
 are searched latest-first so a recurrence is always explained against the
 end of the scenario, which is where loops close.
 
-A fixpoint round is linear in the diagram: gaps are built once, a class's
-state is joined a cell column at a time, and the loop search walks each
-lifeline's distinct (state, open) keys, not its pairs of classes.  Rounds
-are few (one to three per diagram), so they are not narrowed to the
-classes that changed.  Settled faces, which already agree with the rest of
-their class or gap, cost one list comparison: a class of equal faces is not
-joined, and gap joins and conflict detection skip a gap of equal faces.
+Annotation is lifeline-local, so ``annotate`` takes one lifeline at a time
+to its fixpoint: vectors are keyed by object, a frame sweep runs along one
+lifeline, an identification joins two classes of one object, and a gap
+join joins the two faces of one gap.  Each lifeline is an array of faces
+(``model.Lifeline``): interior gap ``g`` is faces ``2g - 1`` and ``2g``,
+and a class is a range of faces.  A round is linear in the lifeline: a
+class's state is joined a cell column at a time, and the loop search walks
+the lifeline's distinct (state, open) keys, not its pairs of classes.
+Settled faces, which already agree with the rest of their class or gap,
+cost one list comparison: a class of equal faces is not joined, and gap
+joins and conflict detection skip a gap of equal faces.
 
-Gap joins run only right after a frame sweep, with no identification in
-between: a gap's pre face then holds every value of the post face before
-it, so a join only fills the post face.
+Gap joins run once per lifeline, after its last frame sweep: a gap's pre
+face then holds every value of the post face before it, so a join only
+fills the post face, with values its class already holds.  No class's
+join changes and no class opens, so no sweep, identification or gap join
+finds more after it.
 
 Only unification stores provenance: ``AnnotatedSD.provenance`` holds a
 ``Unified`` record per cell an identification or gap join grounded.
@@ -45,6 +51,7 @@ from .model import (
     Condition,
     Conflict,
     DomainTheory,
+    Lifeline,
     Message,
     SequenceDiagram,
     Unified,
@@ -103,10 +110,13 @@ def initialize_vectors(sd: SequenceDiagram, dt: DomainTheory) -> AnnotatedSD:
     conditions constrain the shared system state, not one object's view.
     Messages without a matching spec contribute all-undetermined vectors.
     Spec vectors are built once per (label, arguments) into ``AnnotatedSD.spec_vectors``.
+    Each object's ``Lifeline`` is built in the same pass.
     """
     vectors: dict[VectorKey, list] = {}
+    lines = {obj: Lifeline([], [], [0]) for obj in sd.objects}
     spec_vectors: dict = {}  # message id -> {PRE: vector, POST: vector}
     by_event: dict = {}  # (label, args) -> the same, shared
+    blank = (None,) * dt.width
     for msg in sd.messages:
         fixed = by_event.get((msg.label, msg.args))
         if fixed is None:
@@ -118,10 +128,18 @@ def initialize_vectors(sd: SequenceDiagram, dt: DomainTheory) -> AnnotatedSD:
                 POST: _condition_vector(post, binding, dt, msg),
             }
         spec_vectors[msg.id] = fixed
+        opens = fixed[POST] != blank  # a postcondition fixes some cell
         for obj in participants(msg):
-            for which, cells in fixed.items():
-                vectors[(obj, msg.id, which)] = list(cells)
-    return AnnotatedSD(sd, dt, vectors, {}, [], spec_vectors)
+            keys, faces, starts = lines[obj]
+            if opens:
+                starts.append(len(faces) + 1)
+            pre_key, post_key = (obj, msg.id, PRE), (obj, msg.id, POST)
+            keys += pre_key, post_key
+            faces += list(fixed[PRE]), list(fixed[POST])
+            vectors[pre_key], vectors[post_key] = faces[-2:]
+    for line in lines.values():
+        line.starts.append(len(line.faces))
+    return AnnotatedSD(sd, dt, vectors, lines, {}, [], spec_vectors)
 
 
 def missing_spec_warnings(sd: SequenceDiagram, dt: DomainTheory) -> list[str]:
@@ -144,22 +162,21 @@ def _ground(asd: AnnotatedSD, key: VectorKey, j: int, value: str, prov: Unified)
     asd.provenance[(key, j)] = prov
 
 
-def frame_propagate(asd: AnnotatedSD) -> bool:
-    """One forward frame sweep per lifeline; True when it grounded a cell.
+def frame_propagate(asd: AnnotatedSD, obj: str) -> bool:
+    """One forward frame sweep along the object's lifeline; True when it
+    grounded a cell.
 
-    Each face in gap order (pre m1, post m1, pre m2, ...) takes every value
-    it lacks from the face before it, so values persist until a
+    Each face in lifeline order (pre m1, post m1, pre m2, ...) takes every
+    value it lacks from the face before it, so values persist until a
     specification changes them.  Determined cells are never rewritten.  A
     lifeline's vectors are read and written only by its own sweep, front to
     back, so one sweep is a fixpoint.  Full faces take nothing and are skipped.
-    Faces follow ``AnnotatedSD.previous_face``, as ``_walk``'s frame steps do.
     """
     changed = False
-    vectors = asd.vectors
-    for key, prev in asd.previous_face.items():
-        cells = vectors[key]
+    faces = asd.lines[obj].faces
+    for prev, cells in zip(faces, faces[1:]):
         if None in cells:
-            for j, v in enumerate(vectors[prev]):
+            for j, v in enumerate(prev):
                 if v is not None and cells[j] is None:
                     cells[j] = v
                     changed = True
@@ -170,12 +187,12 @@ def frame_propagate(asd: AnnotatedSD) -> bool:
 # State classes
 
 
-def class_state(asd: AnnotatedSD, cls):
-    """(join of the class's faces, open) or None when two faces clash;
+def class_state(faces: list, width: int):
+    """(join of a class's faces, open) or None when two faces clash;
     ``open`` is true when some face lacks a value the join determines.
     The join is taken one column of cells at a time, unless the faces are
     settled (all equal); a class with no faces has one undetermined face."""
-    faces = [asd.vectors[key] for gap in cls for key in gap] or [[None] * asd.theory.width]
+    faces = faces or [[None] * width]
     if faces.count(faces[0]) == len(faces):
         return tuple(faces[0]), False
     state = []
@@ -201,12 +218,12 @@ def _is_discarded(no_loop, msgs_a, msgs_b) -> bool:
     return False
 
 
-def identification_candidates(asd: AnnotatedSD) -> tuple | None:
-    """The first applicable identification in scan order, as (object, gaps
-    of the earlier class, gaps of its partner, their join), or None: objects
-    in declaration order, the earlier class first, its partner searched
-    from the end of the lifeline backwards (loops close against the latest
-    recurrence).
+def identification_candidates(asd: AnnotatedSD, obj: str) -> tuple | None:
+    """The object's first applicable identification in scan order, as
+    (object, (start, stop) of the earlier class's faces, the same of its
+    partner, their join), or None: the earlier class first, its partner
+    searched from the end of the lifeline backwards (loops close against
+    the latest recurrence).
 
     Two compatible classes are a candidate when their join grounds some
     face cell: when either class is open or their states differ.  That
@@ -218,34 +235,35 @@ def identification_candidates(asd: AnnotatedSD) -> tuple | None:
     or partly undetermined.
     """
     no_loop = asd.sd.no_loop
-    for obj in asd.sd.objects:
-        classes = asd.classes[obj]
-        states = [class_state(asd, cls) for cls in classes]
-        by_key = {}  # (state, open) -> indices of the classes in it, ascending
-        for c, key in enumerate(states):
-            if key is not None:  # a clashing class has no partner
-                by_key.setdefault(key, []).append(c)
-        partial = {key: cs for key, cs in by_key.items() if key[1] or None in key[0]}
-        msgs = [{key[1] for gap in cls for key in gap} for cls in classes] if no_loop else None
-        for a, key_a in enumerate(states):
-            if key_a is None:
+    keys, faces, starts = asd.lines[obj]
+    classes = list(zip(starts, starts[1:]))
+    width = asd.theory.width
+    states = [class_state(faces[lo:hi], width) for lo, hi in classes]
+    by_key = {}  # (state, open) -> indices of the classes in it, ascending
+    for c, key in enumerate(states):
+        if key is not None:  # a clashing class has no partner
+            by_key.setdefault(key, []).append(c)
+    partial = {key: cs for key, cs in by_key.items() if key[1] or None in key[0]}
+    msgs = [{key[1] for key in keys[lo:hi]} for lo, hi in classes] if no_loop else None
+    for a, key_a in enumerate(states):
+        if key_a is None:
+            continue
+        state_a, open_a = key_a
+        b_max, found = a, None
+        for (state_b, open_b), cs in (by_key if open_a or None in state_a else partial).items():
+            if cs[-1] <= b_max:
                 continue
-            state_a, open_a = key_a
-            b_max, found = a, None
-            for (state_b, open_b), cs in (by_key if open_a or None in state_a else partial).items():
-                if cs[-1] <= b_max:
-                    continue
-                joined = unify(state_a, state_b)
-                if joined is None or not (open_a or open_b or state_a != state_b):
-                    continue
-                for b in reversed(cs):
-                    if b <= b_max:
-                        break
-                    if not (no_loop and _is_discarded(no_loop, msgs[a], msgs[b])):
-                        b_max, found = b, joined
-                        break
-            if found is not None:
-                return obj, classes[a], classes[b_max], found
+            joined = unify(state_a, state_b)
+            if joined is None or not (open_a or open_b or state_a != state_b):
+                continue
+            for b in reversed(cs):
+                if b <= b_max:
+                    break
+                if not (no_loop and _is_discarded(no_loop, msgs[a], msgs[b])):
+                    b_max, found = b, joined
+                    break
+        if found is not None:
+            return obj, classes[a], classes[b_max], found
     return None
 
 
@@ -253,42 +271,44 @@ def apply_identification(asd: AnnotatedSD, cand: tuple) -> None:
     """Ground both classes of an ``identification_candidates`` result to
     their join, and record the identification's post faces as an event.
 
-    Faces are visited earlier class ascending, partner newest-first (the
-    direction the recurrence was discovered in), cells in order within a
-    face; each grounded cell credits the first face then holding its value.
+    Faces are visited earlier class ascending, then the partner's gaps
+    newest first (the direction the recurrence was discovered in), each
+    gap's faces in order, cells in order within a face; each grounded cell
+    credits the first face then holding its value.
     """
-    _, group_a, group_b, joined = cand
-    faces = [key for gap in group_a for key in gap]
-    faces += [key for gap in reversed(group_b) for key in gap]
+    obj, (lo_a, hi_a), (lo_b, hi_b), joined = cand
+    keys, faces, _ = asd.lines[obj]
+    # Face i lies in gap (i + 1) // 2, and the sort is stable, so each
+    # gap's faces stay in order.
+    order = [*range(lo_a, hi_a),
+             *sorted(range(lo_b, hi_b), key=lambda i: (i + 1) // 2, reverse=True)]
     event = len(asd.events)
-    asd.events.append(tuple(key for key in faces if key[2] == POST))
-    for key in faces:
-        cells = asd.vectors[key]
+    asd.events.append(tuple(keys[i] for i in order if i % 2))  # odd faces are post faces
+    for i in order:
+        cells = faces[i]
         for j, v in enumerate(joined):
             if v is not None and cells[j] is None:
-                contributor = next(k for k in faces if asd.vectors[k][j] == v)
-                _ground(asd, key, j, v, Unified(event, contributor))
+                contributor = next(keys[k] for k in order if faces[k][j] == v)
+                _ground(asd, keys[i], j, v, Unified(event, contributor))
 
 
-def _unsettled_gaps(asd: AnnotatedSD):
+def _unsettled_gaps(asd: AnnotatedSD, obj: str):
     """``((left key, right key), left cells, right cells)`` for every gap of
-    two faces that differ, objects in declaration order, each lifeline
-    front to back."""
-    vectors = asd.vectors
-    for obj in asd.sd.objects:
-        for gap in asd.gaps[obj]:
-            if len(gap) == 2 and vectors[gap[0]] != vectors[gap[1]]:
-                yield gap, vectors[gap[0]], vectors[gap[1]]
+    two faces that differ on the object's lifeline, front to back."""
+    keys, faces, _ = asd.lines[obj]
+    for i in range(1, len(faces) - 1, 2):
+        if faces[i] != faces[i + 1]:
+            yield (keys[i], keys[i + 1]), faces[i], faces[i + 1]
 
 
-def _gap_joins_once(asd: AnnotatedSD) -> bool:
-    """Fill each gap's post face from its pre face where the two are
-    compatible (the S2/S3-style unification).  Only the post face can take
-    a value: called right after a frame sweep, the pre face holds every
-    value of the post face before it.  Incompatible faces are left alone
-    for conflict detection."""
+def _gap_joins_once(asd: AnnotatedSD, obj: str) -> bool:
+    """Fill each gap's post face on the object's lifeline from its pre face
+    where the two are compatible (the S2/S3-style unification).  Only the
+    post face can take a value: called right after a frame sweep, the pre
+    face holds every value of the post face before it.  Incompatible faces
+    are left alone for conflict detection."""
     changed = False
-    for (left_key, right_key), left, right in _unsettled_gaps(asd):
+    for (left_key, right_key), left, right in _unsettled_gaps(asd, obj):
         if None not in left:
             continue
         if _is_discarded(asd.sd.no_loop, {left_key[1]}, {right_key[1]}):
@@ -304,21 +324,24 @@ def _gap_joins_once(asd: AnnotatedSD) -> bool:
 
 
 def annotate(sd: SequenceDiagram, dt: DomainTheory) -> tuple[AnnotatedSD, list[Conflict]]:
-    """Full annotation: initialize, then frame propagation and unification
-    to their joint fixpoint, then conflict detection.
+    """Full annotation, one lifeline at a time: initialize, then frame
+    propagation and unification to their joint fixpoint, then conflict
+    detection.
 
     Message pairs in ``sd.no_loop`` are never unified.
     """
     asd = initialize_vectors(sd, dt)
-    # Ends: every pass that continues grounds at least one cell, _ground
-    # never un-grounds one, and there are finitely many cells.
-    while True:
-        frame_propagate(asd)
-        cand = identification_candidates(asd)
-        if cand is not None:
+    for obj in sd.objects:
+        # Ends: every identification grounds at least one cell, _ground
+        # never un-grounds one, and there are finitely many cells.
+        while True:
+            frame_propagate(asd, obj)
+            cand = identification_candidates(asd, obj)
+            if cand is None:
+                break
             apply_identification(asd, cand)
-        elif not _gap_joins_once(asd):
-            return asd, detect_conflicts(asd)
+        _gap_joins_once(asd, obj)
+    return asd, [c for obj in sd.objects for c in detect_conflicts(asd, obj)]
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +404,15 @@ def conflict_view(asd: AnnotatedSD, conflict: Conflict) -> tuple:
     return after, before, tuple(out.values())
 
 
-def detect_conflicts(asd: AnnotatedSD) -> list[Conflict]:
-    """Every adjacent post/pre disagreement on every lifeline, in gap
-    order, then variable order; each names its faces, which stay in the
+def detect_conflicts(asd: AnnotatedSD, obj: str) -> list[Conflict]:
+    """Every adjacent post/pre disagreement on the object's lifeline, in
+    gap order, then variable order; each names its faces, which stay in the
     annotation (``conflict_view``, ``derivation``)."""
     sd, variables = asd.sd, asd.theory.variables
     return [
-        Conflict(sd.name, left_key[0], sd.messages[left_key[1] - 1],
+        Conflict(sd.name, obj, sd.messages[left_key[1] - 1],
                  sd.messages[right_key[1] - 1], variables[j])
-        for (left_key, right_key), left, right in _unsettled_gaps(asd)
+        for (left_key, right_key), left, right in _unsettled_gaps(asd, obj)
         for j, (x, y) in enumerate(zip(left, right))
         if x is not None and y is not None and x != y
     ]

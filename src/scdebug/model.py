@@ -249,11 +249,27 @@ class Unified(NamedTuple):
     contributor: VectorKey
 
 
-class AnnotatedSD(namedtuple("AnnotatedSD", "sd theory vectors provenance events spec_vectors")):
+class Lifeline(NamedTuple):
+    """One object's faces in lifeline order (pre m1, post m1, pre m2, ...):
+    face ``2k`` is the pre face of the object's ``k``-th message, counting
+    from 0, and face ``2k + 1`` its post face.  ``faces`` holds the cell
+    lists ``AnnotatedSD.vectors`` holds.  State class ``c`` is the faces
+    from ``starts[c]`` up to ``starts[c + 1]``; a class opens at the post
+    face of a message whose postcondition is not empty, and the last entry
+    is the face count."""
+
+    keys: list
+    faces: list
+    starts: list
+
+
+class AnnotatedSD(namedtuple("AnnotatedSD",
+                             "sd theory vectors lines provenance events spec_vectors")):
     """A sequence diagram plus per-object pre/post vectors and provenance.
     Its tables are mutable dicts and lists, so it does not hash.
 
     ``vectors``: VectorKey -> list of cells (mutable during annotation).
+    ``lines``: object -> its ``Lifeline``, whose faces are those lists.
     ``provenance``: (VectorKey, cell index) -> Unified; the rules of
     ``annotator._walk`` derive every other cell's provenance.
     ``events``: one tuple per applied identification, in order: its
@@ -262,43 +278,14 @@ class AnnotatedSD(namedtuple("AnnotatedSD", "sd theory vectors provenance events
     ``spec_vectors``: message id -> {PRE: vector, POST: vector} its specification fixes.
     """
 
-    # No __slots__: the cached gap tables live in the instance dict.
-
-    @cached_property
-    def gaps(self) -> dict:
-        """Each object's gaps as tuples of face keys, built in one pass:
-        ``[(pre m1), (post m1, pre m2), ..., (post mlast)]``."""
-        gaps = {obj: [[]] for obj in self.sd.objects}
-        for msg in self.sd.messages:
-            for obj in participants(msg):
-                gaps[obj][-1].append((obj, msg.id, PRE))
-                gaps[obj].append([(obj, msg.id, POST)])
-        return {obj: [tuple(gap) for gap in line] for obj, line in gaps.items()}
-
-    @cached_property
-    def classes(self) -> dict:
-        """Each object's state classes: runs of gaps joined by
-        state-preserving messages (no specification or an empty
-        postcondition), in lifeline order."""
-        out = {}
-        for obj, gaps in self.gaps.items():
-            classes = [[gaps[0]]]
-            for gap in gaps[1:]:
-                # A later gap opens with the post face of the message before it.
-                spec = self.theory.spec_for(self.sd.messages[gap[0][1] - 1].label)
-                if spec is None or spec.post.is_empty():
-                    classes[-1].append(gap)
-                else:
-                    classes.append([gap])
-            out[obj] = [tuple(cls) for cls in classes]
-        return out
+    # No __slots__: the cached previous_face table lives in the instance dict.
 
     @cached_property
     def previous_face(self) -> dict:
-        """Each face key -> the face before it on its lifeline, lifeline by
-        lifeline, front to back (``pre m1, post m1, pre m2, ...``)."""
-        faces = [[key for gap in line for key in gap] for line in self.gaps.values()]
-        return {key: prev for line in faces for prev, key in zip(line, line[1:])}
+        """Each face key -> the face before it on its lifeline, built when
+        a derivation first takes a frame step."""
+        return {key: prev for line in self.lines.values()
+                for prev, key in zip(line.keys, line.keys[1:])}
 
 
 # ---------------------------------------------------------------------------

@@ -86,11 +86,13 @@ def synth_object_chart(asd: AnnotatedSD, obj: str) -> FlatChart:
     and an empty leading span takes no step.  A gap's state is its last
     face, which the final frame sweep left holding the join of its faces.
     Raises ConflictedInputError with the object's conflicts when it has any."""
-    conflicts = [c for c in detect_conflicts(asd) if c.object == obj]
+    conflicts = detect_conflicts(asd, obj)
     if conflicts:
         raise ConflictedInputError(conflicts)
-    gaps = [tuple(asd.vectors[gap[-1]]) if gap else (None,) * asd.theory.width
-            for gap in asd.gaps[obj]]
+    # A gap's last face is the pre face of the message after it; the last
+    # gap's is the last post face.
+    faces = asd.lines[obj].faces
+    gaps = [tuple(cells) for cells in faces[::2] + faces[-1:]] or [(None,) * asd.theory.width]
     transitions = []
     start = 0  # lifeline index of the span's first message
     for received, sends in receive_spans(asd.sd.messages, obj):

@@ -5,6 +5,8 @@
 imports scdebug from ``ROOT/src`` and runs ``scdebug.cli.main`` in process
 over the fixtures and seeded ``tests/gen`` inputs: ``annotate`` (text,
 ``--json``, ``--no-loop`` on adjacent messages), ``synth`` with ``--dot``,
+``annotate`` (text and ``--json``) of long diagrams (150-400 messages over
+3-5 objects) and ``synth`` of those that are conflict-free,
 ``check`` (text and ``--json``, ``--max-edits 1`` and ``2``) of every single
 and adjacent double deletion of SD1, SD2 and the stepper, and the refined
 stepper at ``--max-edits 4``.  Inputs and every chart the runs write go
@@ -31,6 +33,7 @@ def corpus(out: Path):
     """Yield each run's arguments, writing its inputs under ``out`` first;
     a run may read the charts an earlier one wrote."""
     from gen import conflict_free_pair, gen_sd, gen_theory
+    from scdebug.annotator import annotate
     from scdebug.dsl import parse_sd, print_domain_theory, print_sd
     from scdebug.model import Delete, apply_edit
 
@@ -57,6 +60,21 @@ def corpus(out: Path):
         yield ["annotate", *given]
         yield ["annotate", *given, "--json"]
         yield ["synth", *given, "-o", str(charts / f"gen{k}"), "--dot", str(out / "dot" / f"gen{k}")]
+
+    # Long diagrams take several fixpoint rounds on several lifelines.
+    rng = random.Random(SEED + 1)
+    for k in range(12):
+        dt = gen_theory(rng)
+        sd = gen_sd(rng, dt, max_msgs=400, max_objs=5)
+        while len(sd.messages) < 150 or len(sd.objects) < 3:
+            sd = gen_sd(rng, dt, max_msgs=400, max_objs=5)
+        given = [str(inputs / f"long{k}.dt"), str(inputs / f"long{k}.sd")]
+        Path(given[0]).write_text(print_domain_theory(dt), encoding="utf-8")
+        Path(given[1]).write_text(print_sd(sd), encoding="utf-8")
+        yield ["annotate", *given]
+        yield ["annotate", *given, "--json"]
+        if not annotate(sd, dt)[1]:
+            yield ["synth", *given, "-o", str(charts / f"long{k}")]
 
     coffee = [fx["theory.dt"], fx["sd1.sd"], fx["sd2.sd"]]
     unfixed = [fx["theory_unfixed.dt"], fx["sd1.sd"]]

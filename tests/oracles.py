@@ -33,6 +33,7 @@ from scdebug.model import (
     Conflict,
     Delete,
     Insert,
+    Lifeline,
     Message,
     Unified,
     apply_edit,
@@ -245,27 +246,16 @@ def identification_scan(asd):
     them."""
     out = []
     for obj in asd.sd.objects:
-        line = lifeline(asd.sd, obj)
-        # Gap g sits between line[g - 1] and line[g]; a message with no
-        # specification or an empty postcondition keeps its two gaps in one class.
-        classes = [[0]]
-        for g, msg in enumerate(line, start=1):
-            spec = asd.theory.spec_for(msg.label)
-            if spec is None or spec.post.is_empty():
-                classes[-1].append(g)
-            else:
-                classes.append([g])
-
-        def gap(g):
-            keys = []
-            if g > 0:
-                keys.append((obj, line[g - 1].id, POST))
-            if g < len(line):
-                keys.append((obj, line[g].id, PRE))
-            return tuple(keys)
+        gaps = lifeline_gaps_by_lifeline(asd, obj)
+        classes = lifeline_classes(asd.sd, asd.theory, obj)
+        line = [key for gap in gaps for key in gap]
 
         def faces(cls):
-            return [key for g in cls for key in gap(g)]
+            return [key for g in cls for key in gaps[g]]
+
+        def span(cls):
+            start = line.index(faces(cls)[0])
+            return start, start + len(faces(cls))
 
         def state(cls):
             joined = tuple([None] * asd.theory.width)
@@ -296,8 +286,7 @@ def identification_scan(asd):
                     for p in asd.sd.no_loop
                 )
                 if grounds and not spanned:
-                    groups = [tuple(gap(g) for g in classes[c]) for c in (a, b)]
-                    out.append((obj, *groups, joined))
+                    out.append((obj, span(classes[a]), span(classes[b]), joined))
     return out
 
 
@@ -312,10 +301,37 @@ def lifeline_gaps_by_lifeline(asd, obj):
     return [tuple(gap) for gap in gaps]
 
 
-def class_state_by_faces(asd, cls):
-    """(join, open) of a class, or None on a clash, by unifying its faces
-    into the join one face at a time."""
-    faces = [asd.vectors[key] for gap in cls for key in gap]
+def lifeline_classes(sd, dt, obj):
+    """The object's state classes as lists of gap indices, gap ``g`` lying
+    between the lifeline's messages ``g - 1`` and ``g``: a message with no
+    specification or an empty postcondition keeps its two gaps in one class."""
+    classes = [[0]]
+    for g, msg in enumerate(lifeline(sd, obj), start=1):
+        spec = dt.spec_for(msg.label)
+        if spec is None or spec.post.is_empty():
+            classes[-1].append(g)
+        else:
+            classes.append([g])
+    return classes
+
+
+def lifeline_arrays(asd):
+    """Each object's ``Lifeline`` over ``asd.vectors``, built from its gaps
+    and classes: the face keys gap by gap, and where each class's first
+    gap starts."""
+    lines = {}
+    for obj in asd.sd.objects:
+        gaps = lifeline_gaps_by_lifeline(asd, obj)
+        keys = [key for gap in gaps for key in gap]
+        starts = [sum(map(len, gaps[:cls[0]])) for cls in lifeline_classes(asd.sd, asd.theory, obj)]
+        lines[obj] = Lifeline(keys, [asd.vectors[key] for key in keys], starts + [len(keys)])
+    return lines
+
+
+def class_state_by_faces(asd, keys):
+    """(join, open) of the class of the given faces, or None on a clash,
+    by unifying its faces into the join one face at a time."""
+    faces = [asd.vectors[key] for key in keys]
     state = tuple([None] * asd.theory.width)
     for cells in faces:
         state = unify(state, tuple(cells))
@@ -365,7 +381,8 @@ def initialize_vectors_eager(sd, dt):
                     vec[j] = literal
                     provenance[(key, j)] = FROM_SPEC
                 vectors[key] = vec
-    return AnnotatedSD(sd, dt, vectors, provenance, [], spec_vectors)
+    asd = AnnotatedSD(sd, dt, vectors, {}, provenance, [], spec_vectors)
+    return asd._replace(lines=lifeline_arrays(asd))
 
 
 def frame_propagate_eager(asd, sources):
@@ -373,7 +390,7 @@ def frame_propagate_eager(asd, sources):
     grounds, and in ``sources`` the face before it on the lifeline."""
     changed = False
     for obj in asd.sd.objects:
-        faces = [key for gap in asd.gaps[obj] for key in gap]
+        faces = [key for gap in lifeline_gaps_by_lifeline(asd, obj) for key in gap]
         for src_key, dst_key in zip(faces, faces[1:]):
             dst = asd.vectors[dst_key]
             for j, v in enumerate(asd.vectors[src_key]):
@@ -415,7 +432,8 @@ def gap_joins_both_ways(asd):
     other's values, as the annotator's gap join did before it filled only
     the post face.  Incompatible faces are left alone for conflict detection."""
     changed = False
-    for (left_key, right_key), left, right in _unsettled_gaps(asd):
+    gaps = (gap for obj in asd.sd.objects for gap in _unsettled_gaps(asd, obj))
+    for (left_key, right_key), left, right in gaps:
         if None not in left and None not in right:
             continue
         if _is_discarded(asd.sd.no_loop, {left_key[1]}, {right_key[1]}):
@@ -433,16 +451,24 @@ def gap_joins_both_ways(asd):
     return changed
 
 
+def first_candidate(asd):
+    """The first identification of any object, objects in declaration order."""
+    return next(filter(None, (identification_candidates(asd, obj) for obj in asd.sd.objects)), None)
+
+
 def annotate_eager(sd, dt):
     """``annotate`` with every cell's provenance stored as it is grounded:
     (annotated diagram, conflicts, the derivation chain of each conflict),
     the chains traced through the stored records, which cover every
-    determined cell."""
+    determined cell.  Each round sweeps every lifeline, applies the first
+    identification of any object, and joins gaps only when there is none,
+    until nothing changes, as the annotator did before it took one lifeline
+    at a time."""
     asd = initialize_vectors_eager(sd, dt)
     sources = {}  # (face, cell) -> the face a frame step took its value from
     while True:
         frame_propagate_eager(asd, sources)
-        cand = identification_candidates(asd)
+        cand = first_candidate(asd)
         if cand is not None:
             apply_identification(asd, cand)
         elif not gap_joins_both_ways(asd):

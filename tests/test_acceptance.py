@@ -197,8 +197,9 @@ def test_criterion_7_algorithm_invariants(sd1, coffee_dt_unfixed):
 
     asd, _ = annotate(sd1, coffee_dt_unfixed)
     before = {k: list(v) for k, v in asd.vectors.items()}
-    assert frame_propagate(asd) is False
-    assert identification_candidates(asd) is None
+    for obj in sd1.objects:
+        assert frame_propagate(asd, obj) is False
+        assert identification_candidates(asd, obj) is None
     assert {k: list(v) for k, v in asd.vectors.items()} == before
 
     # monotonicity: determined cells only grow, values never change

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -26,6 +27,7 @@ from scdebug.model import (
     BoolDomain,
     Condition,
     DomainTheory,
+    Lifeline,
     Message,
     MessageSpec,
     SequenceDiagram,
@@ -39,8 +41,11 @@ from gen import conflict_free_pair, gen_sd, gen_theory
 from oracles import (
     annotate_eager,
     class_state_by_faces,
+    first_candidate,
     identification_scan,
     lifeline,
+    lifeline_arrays,
+    lifeline_classes,
     lifeline_gaps_by_lifeline,
     provenance_of,
     unified_faces,
@@ -71,12 +76,24 @@ def count_unify(monkeypatch):
 def unify_to_fixpoint(asd):
     """Identifications and gap joins alone, without frame propagation, so
     a gap's pre face takes no value from its post face."""
-    while True:
-        cand = identification_candidates(asd)
-        if cand is not None:
-            apply_identification(asd, cand)
-        elif not _gap_joins_once(asd):
-            return asd
+    for obj in asd.sd.objects:
+        while True:
+            cand = identification_candidates(asd, obj)
+            if cand is not None:
+                apply_identification(asd, cand)
+            elif not _gap_joins_once(asd, obj):
+                break
+    return asd
+
+
+def sweep(asd):
+    """A frame sweep on every lifeline; True when one grounded a cell."""
+    return any([frame_propagate(asd, obj) for obj in asd.sd.objects])
+
+
+def join_gaps(asd):
+    """Gap joins on every lifeline; True when one grounded a cell."""
+    return any([_gap_joins_once(asd, obj) for obj in asd.sd.objects])
 
 
 def provenance_corpus(coffee_dt):
@@ -206,22 +223,22 @@ class TestUnifyPass:
         # cells its join would ground: the first hit is the scan's first
         # entry, before and after the frame sweep of every step of the
         # fixpoint (before it, a later class can be the only open one).
-        # The gaps built once per annotation and the column-wise class
-        # states are checked at the same steps against the per-object gap
-        # construction and the face-by-face join, settled classes (several
-        # equal faces, some cell undetermined) among them.
+        # The face arrays built once per annotation and the column-wise
+        # class states are checked at the same steps against the per-object
+        # gap and class construction and the face-by-face join, settled
+        # classes (several equal faces, some cell undetermined) among them.
         settled = 0
 
         def candidate(asd):
             nonlocal settled
+            assert asd.lines == lifeline_arrays(asd)
             for obj in asd.sd.objects:
-                assert asd.gaps[obj] == lifeline_gaps_by_lifeline(asd, obj)
-                for cls in asd.classes[obj]:
-                    assert class_state(asd, cls) == class_state_by_faces(asd, cls)
-                    faces = [asd.vectors[key] for gap in cls for key in gap]
-                    settled += (len(faces) > 1 and faces.count(faces[0]) == len(faces)
-                                and None in faces[0])
-            cand = identification_candidates(asd)
+                keys, faces, starts = asd.lines[obj]
+                for lo, hi in zip(starts, starts[1:]):
+                    cls = faces[lo:hi]
+                    assert class_state(cls, asd.theory.width) == class_state_by_faces(asd, keys[lo:hi])
+                    settled += len(cls) > 1 and cls.count(cls[0]) == len(cls) and None in cls[0]
+            cand = first_candidate(asd)
             scan = identification_scan(asd)
             assert cand == (scan[0] if scan else None), f"step {len(asd.events)} of {asd.sd}"
             return cand
@@ -241,12 +258,12 @@ class TestUnifyPass:
             asd = initialize_vectors(sd, dt)
             while True:
                 candidate(asd)
-                frame_propagate(asd)
+                sweep(asd)
                 cand = candidate(asd)
                 if cand is not None:
                     steps += 1
                     apply_identification(asd, cand)
-                elif not _gap_joins_once(asd):
+                elif not join_gaps(asd):
                     break
         assert steps > 200 and settled > 2_000
 
@@ -284,9 +301,23 @@ class TestUnifyPass:
         dt = parse_domain_theory("x : Boolean\ny : 0..2")
         sd = parse_sd("sd S\nobject A\nobject B\nobject C\nmsg 1 A -> B : hello")
         asd = initialize_vectors(sd, dt)
-        assert asd.gaps["C"] == lifeline_gaps_by_lifeline(asd, "C") == [()]
-        [cls] = asd.classes["C"]
-        assert class_state(asd, cls) == class_state_by_faces(asd, cls) == ((None, None), False)
+        assert asd.lines == lifeline_arrays(asd)
+        assert asd.lines["C"] == Lifeline([], [], [0, 0])
+        assert lifeline_gaps_by_lifeline(asd, "C") == [()] and lifeline_classes(sd, dt, "C") == [[0]]
+        assert class_state([], dt.width) == class_state_by_faces(asd, []) == ((None, None), False)
+        assert identification_candidates(asd, "C") is None and detect_conflicts(asd, "C") == []
+
+    def test_sd1_arrays(self, sd1, coffee_dt_unfixed):
+        # Coffee-UI takes part in all 11 messages of SD1: faces alternate
+        # pre and post in message order, and a class opens at the post face
+        # of each message with a postcondition: Insert coin (2), Enter
+        # Selection (4), Release coin (8) and Take coin (10).
+        asd = initialize_vectors(sd1, coffee_dt_unfixed)
+        keys, faces, starts = asd.lines[CUI]
+        assert keys == [(CUI, mid, which) for mid in range(1, 12) for which in ("pre", "post")]
+        assert all(cells is asd.vectors[key] for key, cells in zip(keys, faces))
+        assert starts == [0, 3, 7, 15, 19, 22]
+        assert asd.lines == lifeline_arrays(asd)
 
 
     def test_settled_gap_is_skipped(self, monkeypatch):
@@ -300,10 +331,10 @@ class TestUnifyPass:
         asd = initialize_vectors(sd, dt)
         assert vec(asd, "A", 1, "post") == vec(asd, "A", 2, "pre") == "<T,?>"
         calls = count_unify(monkeypatch)
-        assert _gap_joins_once(asd) is False
+        assert join_gaps(asd) is False
         assert calls[0] == 0 and asd.provenance == {}
         assert vec(asd, "A", 1, "post") == vec(asd, "A", 2, "pre") == "<T,?>"
-        assert detect_conflicts(asd) == []
+        assert detect_conflicts(asd, "A") == detect_conflicts(asd, "B") == []
 
 
 class TestFramePropagation:
@@ -318,16 +349,18 @@ class TestFramePropagation:
         dt = parse_domain_theory("x : Boolean")
         sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : hello")
         asd = initialize_vectors(sd, dt)
-        assert frame_propagate(asd) is False
+        assert sweep(asd) is False
         assert vec(asd, "A", 1, "pre") == "<?>"
 
     def test_known_post_fills_next_pre(self):
         dt = parse_domain_theory("x : Boolean\ncontext a\n pre:\n post: x = T ;")
         sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : a\nmsg 2 A -> B : b")
         asd = initialize_vectors(sd, dt)
-        frame_propagate(asd)
+        assert frame_propagate(asd, "A") is True
         assert asd.vectors[("A", 2, "pre")][0] == "T"
         assert provenance_of(asd, ("A", 2, "pre"), 0) == FRAME
+        faces = [[key for gap in lifeline_gaps_by_lifeline(asd, obj) for key in gap] for obj in "AB"]
+        assert asd.previous_face == {key: prev for line in faces for prev, key in zip(line, line[1:])}
         assert asd.previous_face[("A", 2, "pre")] == ("A", 1, "post")
         assert provenance_of(asd, ("A", 1, "post"), 0) == FROM_SPEC
         assert provenance_of(asd, ("A", 1, "pre"), 0) is None
@@ -426,8 +459,8 @@ class TestInvariants:
     def test_idempotence(self, sd1, coffee_dt_unfixed):
         asd, _ = annotate(sd1, coffee_dt_unfixed)
         before = {k: list(v) for k, v in asd.vectors.items()}
-        assert frame_propagate(asd) is False
-        assert identification_candidates(asd) is None
+        assert sweep(asd) is False
+        assert first_candidate(asd) is None
         assert {k: list(v) for k, v in asd.vectors.items()} == before
 
     def test_monotonic_from_initialization(self, sd1, coffee_dt_unfixed):
@@ -461,7 +494,7 @@ class TestInvariants:
         assert len(stripped) == 132
         for key, j in stripped:
             asd.vectors[key][j] = None
-        frame_propagate(asd)
+        sweep(asd)
         assert {k: list(v) for k, v in asd.vectors.items()} == expected
 
     def test_conflict_completeness(self, sd1, coffee_dt_unfixed):
@@ -488,6 +521,24 @@ class TestInvariants:
             isinstance(p, Unified) for p in asd.provenance.values()
         )
 
+    def test_lifelines_annotate_independently(self):
+        # Annotation is lifeline-local: declaring the objects in another
+        # order annotates the lifelines in that order, which changes no
+        # vector, and the conflicts only in order.  Many diagrams identify
+        # states on more than one object.
+        rng = random.Random(43)
+        several = 0
+        for _ in range(3000):
+            dt = gen_theory(rng)
+            sd = gen_sd(rng, dt, max_msgs=30, max_objs=4)
+            shuffled = sd._replace(objects=tuple(rng.sample(sd.objects, len(sd.objects))))
+            asd, conflicts = annotate(sd, dt)
+            other, other_conflicts = annotate(shuffled, dt)
+            assert other.vectors == asd.vectors, sd
+            assert Counter(other_conflicts) == Counter(conflicts), sd
+            several += len({faces[0][0] for faces in asd.events}) > 1
+        assert several > 1_500
+
     def test_determinism(self, sd1, coffee_dt_unfixed):
         a1, c1 = annotate(sd1, coffee_dt_unfixed)
         a2, c2 = annotate(sd1, coffee_dt_unfixed)
@@ -500,8 +551,9 @@ class TestInvariants:
         # not depend on the order identifications are applied in: explore
         # the application orders (bounded) and compare the outcomes.
         def clone(asd):
-            return AnnotatedSD(asd.sd, asd.theory, {k: list(v) for k, v in asd.vectors.items()},
-                               dict(asd.provenance), list(asd.events), asd.spec_vectors)
+            copy = AnnotatedSD(asd.sd, asd.theory, {k: list(v) for k, v in asd.vectors.items()},
+                               {}, dict(asd.provenance), list(asd.events), asd.spec_vectors)
+            return copy._replace(lines=lifeline_arrays(copy))
 
         rng = random.Random(11)
         for _ in range(20):
@@ -514,11 +566,11 @@ class TestInvariants:
                 if budget[0] <= 0:
                     return
                 while True:
-                    frame_propagate(asd)
+                    sweep(asd)
                     cands = identification_scan(asd)
                     if cands:
                         break
-                    if not _gap_joins_once(asd):
+                    if not join_gaps(asd):
                         budget[0] -= 1
                         outcomes.add(frozenset(known_cells(asd).items()))
                         return

@@ -31,7 +31,7 @@ from scdebug.model import (
 from scdebug.report import ReportBundle
 from scdebug.synthesizer import FlatChart
 
-from oracles import lifeline, provenance_of
+from oracles import lifeline, lifeline_arrays, provenance_of
 
 cells = st.one_of(st.none(), st.sampled_from(["T", "F", "0", "1", "none", "Espresso"]))
 vectors = st.lists(cells, min_size=1, max_size=6).map(tuple)
@@ -316,8 +316,9 @@ def test_annotated_sd_compares_by_fields(sd1, coffee_dt_unfixed):
     assert a1 != a2
     with pytest.raises(TypeError):
         hash(a1)
-    copy = AnnotatedSD(a1.sd, a1.theory, a1.vectors, a1.provenance, a1.events, a1.spec_vectors)
-    assert copy == a1 and copy.gaps == a1.gaps
+    copy = AnnotatedSD(a1.sd, a1.theory, a1.vectors, a1.lines, a1.provenance, a1.events,
+                       a1.spec_vectors)
+    assert copy == a1 and copy.lines == lifeline_arrays(a1)
 
 
 def test_apply_edit_dispatches_on_edit_type():

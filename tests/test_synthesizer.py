@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from scdebug.annotator import annotate, detect_conflicts
+from scdebug.annotator import annotate
 from scdebug.dsl import parse_domain_theory, parse_sc, parse_sd, print_sc
 from scdebug.model import unify
 from scdebug.synthesizer import (
@@ -19,7 +19,7 @@ from scdebug.synthesizer import (
 )
 
 from gen import conflict_free_pair, gen_flat_chart, gen_replay_case, gen_sd, gen_theory, mergeable_corpus
-from oracles import lifeline
+from oracles import lifeline, lifeline_gaps_by_lifeline
 
 
 def chart_for(sd, dt, obj):
@@ -65,7 +65,7 @@ class TestObjectChart:
         assert mine and exc.value.conflicts == mine
 
     def test_gap_states_are_last_faces(self):
-        # A chart is refused exactly when detect_conflicts names its object;
+        # A chart is refused exactly when annotate's conflicts name its object;
         # otherwise every gap's faces unify to its last face, so that face
         # is the gap's state.  Every other diagram holds 1-3 no_loop pairs
         # of adjacent messages, whose gaps are never joined, so their two
@@ -80,8 +80,7 @@ class TestObjectChart:
             if k % 2:
                 starts = [rng.randint(1, len(sd.messages) - 1) for _ in range(rng.randint(1, 3))]
                 sd = sd._replace(no_loop=frozenset(frozenset((i, i + 1)) for i in starts))
-            asd, _ = annotate(sd, dt)
-            conflicts = detect_conflicts(asd)
+            asd, conflicts = annotate(sd, dt)
             for obj in sd.objects:
                 mine = [c for c in conflicts if c.object == obj]
                 if mine:
@@ -91,7 +90,7 @@ class TestObjectChart:
                     refused += 1
                     continue
                 states = []
-                for gap in asd.gaps[obj]:
+                for gap in lifeline_gaps_by_lifeline(asd, obj):
                     joined = (None,) * dt.width
                     for key in gap:
                         joined = unify(joined, tuple(asd.vectors[key]))
