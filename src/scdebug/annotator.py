@@ -1,20 +1,22 @@
 """State-vector annotation: initialization, unification, frame propagation.
 
-Vectors live per (object, message, pre|post).  Along each object's lifeline
-the gaps between messages are the system states; a gap's two faces (the post
-vector of the previous message and the pre vector of the next) must agree,
-and disagreement on a determined cell is a conflict.  Gaps separated only by
+Each message gives each object taking part in it a pre and a post vector,
+its two faces.  Along each object's lifeline the gaps between messages are
+the system states; a gap's two faces (the post vector of the previous
+message and the pre vector of the next) must agree, and disagreement on a
+determined cell is a conflict.  Gaps separated only by
 state-preserving messages (empty or missing postcondition) form one state
 class; unifying two classes identifies a potential loop.  Loop candidates
 are searched latest-first so a recurrence is always explained against the
 end of the scenario, which is where loops close.
 
 Annotation is lifeline-local, so ``annotate`` takes one lifeline at a time
-to its fixpoint: vectors are keyed by object, a frame sweep runs along one
-lifeline, an identification joins two classes of one object, and a gap
-join joins the two faces of one gap.  Each lifeline is an array of faces
-(``model.Lifeline``): interior gap ``g`` is faces ``2g - 1`` and ``2g``,
-and a class is a range of faces.  A round is linear in the lifeline: a
+to its fixpoint: a frame sweep runs along one lifeline, an identification
+joins two classes of one object, and a gap join joins the two faces of one
+gap.  A lifeline's whole annotation is one ``model.Lifeline``, addressed by
+face position: interior gap ``g`` is faces ``2g - 1`` and ``2g``, a class
+is a range of faces, and provenance and identifications name faces of the
+same lifeline, never a message id.  A round is linear in the lifeline: a
 class's state is joined a cell column at a time, and the loop search walks
 the lifeline's distinct (state, open) keys, not its pairs of classes.
 Settled faces, which already agree with the rest of their class or gap,
@@ -27,10 +29,10 @@ fills the post face, with values its class already holds.  No class's
 join changes and no class opens, so no sweep, identification or gap join
 finds more after it.
 
-Only unification stores provenance: ``AnnotatedSD.provenance`` holds a
+Only unification stores provenance: ``Lifeline.provenance`` holds a
 ``Unified`` record per cell an identification or gap join grounded.
 ``_walk`` derives a cell's provenance by the first rule that applies: the
-stored ``Unified`` record; ``FROM_SPEC`` when the message's specification
+stored ``Unified`` record; ``FROM_SPEC`` when the face's specification
 fixes the cell (annotation never overwrites one); ``FRAME``, from the face
 before it on the lifeline, when the cell is determined (only the frame
 sweep grounds anything else); None.
@@ -44,9 +46,11 @@ its chain from the two faces, by the same rules.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import attrgetter
+
 from .model import (
     POST,
-    PRE,
     AnnotatedSD,
     Condition,
     Conflict,
@@ -55,7 +59,6 @@ from .model import (
     Message,
     SequenceDiagram,
     Unified,
-    VectorKey,
     participants,
     unify,
 )
@@ -104,18 +107,16 @@ def _condition_vector(cond: Condition, binding: dict, dt: DomainTheory, msg: Mes
 
 
 def initialize_vectors(sd: SequenceDiagram, dt: DomainTheory) -> AnnotatedSD:
-    """Build initial pre/post vectors straight from the message specifications.
+    """Build each object's ``Lifeline`` with its initial pre/post vectors
+    straight from the message specifications, in one pass.
 
     Both endpoints of a message receive the same spec-derived cells: the
     conditions constrain the shared system state, not one object's view.
     Messages without a matching spec contribute all-undetermined vectors.
-    Spec vectors are built once per (label, arguments) into ``AnnotatedSD.spec_vectors``.
-    Each object's ``Lifeline`` is built in the same pass.
+    Spec vectors are built once per (label, arguments) and shared.
     """
-    vectors: dict[VectorKey, list] = {}
-    lines = {obj: Lifeline([], [], [0]) for obj in sd.objects}
-    spec_vectors: dict = {}  # message id -> {PRE: vector, POST: vector}
-    by_event: dict = {}  # (label, args) -> the same, shared
+    lines = {obj: Lifeline([], [], [], [0], {}, []) for obj in sd.objects}
+    by_event: dict = {}  # (label, args) -> (pre vector, post vector)
     blank = (None,) * dt.width
     for msg in sd.messages:
         fixed = by_event.get((msg.label, msg.args))
@@ -123,23 +124,19 @@ def initialize_vectors(sd: SequenceDiagram, dt: DomainTheory) -> AnnotatedSD:
             spec = dt.spec_for(msg.label)
             binding = {} if spec is None else _parameter_binding(spec, msg)
             pre, post = (Condition(), Condition()) if spec is None else (spec.pre, spec.post)
-            fixed = by_event[msg.label, msg.args] = {
-                PRE: _condition_vector(pre, binding, dt, msg),
-                POST: _condition_vector(post, binding, dt, msg),
-            }
-        spec_vectors[msg.id] = fixed
-        opens = fixed[POST] != blank  # a postcondition fixes some cell
+            fixed = by_event[msg.label, msg.args] = (_condition_vector(pre, binding, dt, msg),
+                                                     _condition_vector(post, binding, dt, msg))
+        opens = fixed[1] != blank  # a postcondition fixes some cell
         for obj in participants(msg):
-            keys, faces, starts = lines[obj]
+            messages, spec_cells, faces, starts, *_ = lines[obj]
             if opens:
                 starts.append(len(faces) + 1)
-            pre_key, post_key = (obj, msg.id, PRE), (obj, msg.id, POST)
-            keys += pre_key, post_key
-            faces += list(fixed[PRE]), list(fixed[POST])
-            vectors[pre_key], vectors[post_key] = faces[-2:]
+            messages.append(msg)
+            spec_cells += fixed
+            faces += list(fixed[0]), list(fixed[1])
     for line in lines.values():
         line.starts.append(len(line.faces))
-    return AnnotatedSD(sd, dt, vectors, lines, {}, [], spec_vectors)
+    return AnnotatedSD(sd, dt, lines)
 
 
 def missing_spec_warnings(sd: SequenceDiagram, dt: DomainTheory) -> list[str]:
@@ -150,16 +147,16 @@ def missing_spec_warnings(sd: SequenceDiagram, dt: DomainTheory) -> list[str]:
     ))
 
 
-def _ground(asd: AnnotatedSD, key: VectorKey, j: int, value: str, prov: Unified) -> None:
-    cells = asd.vectors[key]
+def _ground(line: Lifeline, i: int, j: int, value: str, prov: Unified) -> None:
+    cells = line.faces[i]
     if cells[j] is not None:
         if cells[j] != value:
             raise AssertionError(
-                f"attempt to overwrite determined cell {key}[{j}]={cells[j]} with {value}"
+                f"attempt to overwrite determined cell {j} of face {i} ({cells[j]}) with {value}"
             )
         return
     cells[j] = value
-    asd.provenance[(key, j)] = prov
+    line.provenance[(i, j)] = prov
 
 
 def frame_propagate(asd: AnnotatedSD, obj: str) -> bool:
@@ -235,7 +232,7 @@ def identification_candidates(asd: AnnotatedSD, obj: str) -> tuple | None:
     or partly undetermined.
     """
     no_loop = asd.sd.no_loop
-    keys, faces, starts = asd.lines[obj]
+    messages, _, faces, starts, *_ = asd.lines[obj]
     classes = list(zip(starts, starts[1:]))
     width = asd.theory.width
     states = [class_state(faces[lo:hi], width) for lo, hi in classes]
@@ -244,7 +241,7 @@ def identification_candidates(asd: AnnotatedSD, obj: str) -> tuple | None:
         if key is not None:  # a clashing class has no partner
             by_key.setdefault(key, []).append(c)
     partial = {key: cs for key, cs in by_key.items() if key[1] or None in key[0]}
-    msgs = [{key[1] for key in keys[lo:hi]} for lo, hi in classes] if no_loop else None
+    msgs = [{messages[i // 2].id for i in range(lo, hi)} for lo, hi in classes] if no_loop else None
     for a, key_a in enumerate(states):
         if key_a is None:
             continue
@@ -277,28 +274,29 @@ def apply_identification(asd: AnnotatedSD, cand: tuple) -> None:
     credits the first face then holding its value.
     """
     obj, (lo_a, hi_a), (lo_b, hi_b), joined = cand
-    keys, faces, _ = asd.lines[obj]
+    line = asd.lines[obj]
+    faces = line.faces
     # Face i lies in gap (i + 1) // 2, and the sort is stable, so each
     # gap's faces stay in order.
     order = [*range(lo_a, hi_a),
              *sorted(range(lo_b, hi_b), key=lambda i: (i + 1) // 2, reverse=True)]
-    event = len(asd.events)
-    asd.events.append(tuple(keys[i] for i in order if i % 2))  # odd faces are post faces
+    event = len(line.events)
+    line.events.append(tuple(i for i in order if i % 2))  # odd faces are post faces
     for i in order:
         cells = faces[i]
         for j, v in enumerate(joined):
             if v is not None and cells[j] is None:
-                contributor = next(keys[k] for k in order if faces[k][j] == v)
-                _ground(asd, keys[i], j, v, Unified(event, contributor))
+                contributor = next(k for k in order if faces[k][j] == v)
+                _ground(line, i, j, v, Unified(event, contributor))
 
 
-def _unsettled_gaps(asd: AnnotatedSD, obj: str):
-    """``((left key, right key), left cells, right cells)`` for every gap of
-    two faces that differ on the object's lifeline, front to back."""
-    keys, faces, _ = asd.lines[obj]
+def _unsettled_gaps(line: Lifeline):
+    """The left face of every gap of two faces that differ on the
+    lifeline, front to back; the right face is the next one."""
+    faces = line.faces
     for i in range(1, len(faces) - 1, 2):
         if faces[i] != faces[i + 1]:
-            yield (keys[i], keys[i + 1]), faces[i], faces[i + 1]
+            yield i
 
 
 def _gap_joins_once(asd: AnnotatedSD, obj: str) -> bool:
@@ -308,17 +306,19 @@ def _gap_joins_once(asd: AnnotatedSD, obj: str) -> bool:
     face holds every value of the post face before it.  Incompatible faces
     are left alone for conflict detection."""
     changed = False
-    for (left_key, right_key), left, right in _unsettled_gaps(asd, obj):
+    messages, _, faces, *_ = line = asd.lines[obj]
+    for i in _unsettled_gaps(line):
+        left, right = faces[i], faces[i + 1]
         if None not in left:
             continue
-        if _is_discarded(asd.sd.no_loop, {left_key[1]}, {right_key[1]}):
+        if _is_discarded(asd.sd.no_loop, {messages[i // 2].id}, {messages[i // 2 + 1].id}):
             continue
         joined = unify(tuple(left), tuple(right))
         if joined is None:
             continue
         for j, v in enumerate(joined):
             if v is not None and left[j] is None:
-                _ground(asd, left_key, j, v, Unified(-1, right_key))
+                _ground(line, i, j, v, Unified(-1, i + 1))
                 changed = True
     return changed
 
@@ -348,40 +348,46 @@ def annotate(sd: SequenceDiagram, dt: DomainTheory) -> tuple[AnnotatedSD, list[C
 # Conflicts and derivations
 
 
-def _walk(asd: AnnotatedSD, key: VectorKey, j: int):
-    """``(face, rule)`` for each face cell ``j``'s value came through,
-    newest first, by the rules in the module docstring: ``rule`` is the
-    stored ``Unified`` record, ``FROM_SPEC``, ``FRAME`` or None.  The walk
-    ends at a ``FROM_SPEC`` or None step."""
-    provenance, spec_vectors, vectors = asd.provenance, asd.spec_vectors, asd.vectors
+def _walk(line: Lifeline, i: int, j: int):
+    """``(face, rule)`` for each face that cell ``j`` of face ``i`` took its
+    value through, newest first, by the rules in the module docstring:
+    ``rule`` is the stored ``Unified`` record, ``FROM_SPEC``, ``FRAME`` or
+    None.  The walk ends at a ``FROM_SPEC`` or None step."""
+    provenance, spec, faces = line.provenance, line.spec, line.faces
     # Each step's source was grounded before it, so no face comes twice.
-    for _ in range(len(vectors) + 1):
-        rule = provenance.get((key, j))
+    for _ in range(len(faces) + 1):
+        rule = provenance.get((i, j))
         if rule is None:
-            if spec_vectors[key[1]][key[2]][j] is not None:
+            if spec[i][j] is not None:
                 rule = FROM_SPEC
-            elif vectors[key][j] is not None:
+            elif faces[i][j] is not None:
                 rule = FRAME
-        yield key, rule
+        yield i, rule
         if rule == FRAME:
-            key = asd.previous_face[key]
+            i -= 1
         elif rule == FROM_SPEC or rule is None:
             return
         else:
-            key = rule.contributor
-    raise AssertionError(f"cyclic provenance at {key}[{j}]")
+            i = rule.contributor
+    raise AssertionError(f"cyclic provenance at cell {j} of face {i}")
+
+
+def _after_face(asd: AnnotatedSD, conflict: Conflict) -> tuple:
+    """The conflict's lifeline and its after face; the before face is next."""
+    line = asd.lines[conflict.object]
+    return line, 2 * bisect_left(line.messages, conflict.after_message.id, key=attrgetter("id")) + 1
 
 
 def derivation(asd: AnnotatedSD, conflict: Conflict) -> tuple:
-    """The conflict's full provenance chain as (face, cell, rule) steps,
-    each rule as ``_walk`` gives it: the after cell's steps, oldest
-    first, then the before cell's.  Within each cell's steps, a value came
-    from the step before it."""
+    """The conflict's full provenance chain as (face, cell, rule) steps on
+    its lifeline, each rule as ``_walk`` gives it: the after cell's steps,
+    oldest first, then the before cell's.  Within each cell's steps, a
+    value came from the step before it."""
+    line, i = _after_face(asd, conflict)
     j = conflict.variable.index
     steps = []
-    for face in ((conflict.object, conflict.after_message.id, POST),
-                 (conflict.object, conflict.before_message.id, PRE)):
-        steps += reversed([(key, j, rule) for key, rule in _walk(asd, face, j)])
+    for face in (i, i + 1):
+        steps += reversed([(k, j, rule) for k, rule in _walk(line, face, j)])
     return tuple(steps)
 
 
@@ -389,18 +395,18 @@ def conflict_view(asd: AnnotatedSD, conflict: Conflict) -> tuple:
     """(after cells, before cells, unified states) of a conflict: the cells
     of its two faces, and (message, pre|post, cells) for each face of the
     unifications its ``derivation`` passes through, in step order, each
-    face once; no unified states when no identification was applied."""
-    after = tuple(asd.vectors[(conflict.object, conflict.after_message.id, POST)])
-    before = tuple(asd.vectors[(conflict.object, conflict.before_message.id, PRE)])
-    if not asd.events:
+    face once; no unified states when its lifeline had no identification."""
+    line, i = _after_face(asd, conflict)
+    faces = line.faces
+    after, before = tuple(faces[i]), tuple(faces[i + 1])
+    if not line.events:
         return after, before, ()
     out = {}
     for _, _, rule in derivation(asd, conflict):
         if isinstance(rule, Unified) and rule.event >= 0:
-            for obj, mid, which in asd.events[rule.event]:
-                if (mid, which) not in out:
-                    out[mid, which] = (asd.sd.messages[mid - 1], which,
-                                       tuple(asd.vectors[(obj, mid, which)]))
+            for k in line.events[rule.event]:
+                if k not in out:
+                    out[k] = line.messages[k // 2], POST, tuple(faces[k])  # events hold post faces
     return after, before, tuple(out.values())
 
 
@@ -409,10 +415,10 @@ def detect_conflicts(asd: AnnotatedSD, obj: str) -> list[Conflict]:
     gap order, then variable order; each names its faces, which stay in the
     annotation (``conflict_view``, ``derivation``)."""
     sd, variables = asd.sd, asd.theory.variables
+    messages, _, faces, *_ = line = asd.lines[obj]
     return [
-        Conflict(sd.name, obj, sd.messages[left_key[1] - 1],
-                 sd.messages[right_key[1] - 1], variables[j])
-        for (left_key, right_key), left, right in _unsettled_gaps(asd, obj)
-        for j, (x, y) in enumerate(zip(left, right))
+        Conflict(sd.name, obj, messages[i // 2], messages[i // 2 + 1], variables[j])
+        for i in _unsettled_gaps(line)
+        for j, (x, y) in enumerate(zip(faces[i], faces[i + 1]))
         if x is not None and y is not None and x != y
     ]

@@ -26,7 +26,6 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .model import (
-    PRE,
     AnnotatedSD,
     Condition,
     DomainTheory,
@@ -160,10 +159,11 @@ def replay(
     # in transition order, and the step into any state comes from that
     # state's first path.
     levels: list[dict] = [{flat.initial: None}]
+    line = None if asd is None else asd.lines[obj]
     for received, event, sends in spans:
         vector = None
-        if asd is not None and received is not None:
-            vector = asd.vectors[(obj, received.id, PRE)]
+        if line is not None and received is not None:  # its pre face
+            vector = line.faces[2 * bisect_left(line.messages, received.id, key=attrgetter("id"))]
         level: dict[str, ReplayStep] = {}
         for state in levels[-1]:
             for t in by_source.get(state, ()):

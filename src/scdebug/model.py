@@ -1,7 +1,7 @@
 """Core domain types: variable domains, state vectors, diagrams, charts.
 
-Everything here but ``AnnotatedSD`` is immutable after construction and
-safe to share.  Cell values are canonical literal tokens (``"T"``, ``"0"``,
+Everything here but an annotation (``AnnotatedSD`` and its ``Lifeline``s)
+is immutable after construction and safe to share.  Cell values are canonical literal tokens (``"T"``, ``"0"``,
 ``"Espresso"``); ``None`` stands for the undetermined value printed as ``?``.
 
 Records are named tuples, which are cheap to define at import and to
@@ -230,62 +230,51 @@ def format_vector(cells) -> str:
     return "<" + ",".join("?" if c is None else c for c in cells) + ">"
 
 
-# Vector identity inside one annotated diagram: (object, message id, pre|post).
-VectorKey = tuple
-
 PRE = "pre"
 POST = "post"
 
 
 # ---------------------------------------------------------------------------
-# Provenance
+# Annotations
 
 
 class Unified(NamedTuple):
-    """A cell grounded by unification: ``event`` indexes ``AnnotatedSD.events``
-    (-1 for a gap join), ``contributor`` is the face the value came from."""
+    """A cell grounded by unification: ``event`` indexes its lifeline's
+    ``events`` (-1 for a gap join), ``contributor`` is the face it came from."""
 
     event: int
-    contributor: VectorKey
+    contributor: int
 
 
 class Lifeline(NamedTuple):
-    """One object's faces in lifeline order (pre m1, post m1, pre m2, ...):
-    face ``2k`` is the pre face of the object's ``k``-th message, counting
-    from 0, and face ``2k + 1`` its post face.  ``faces`` holds the cell
-    lists ``AnnotatedSD.vectors`` holds.  State class ``c`` is the faces
-    from ``starts[c]`` up to ``starts[c + 1]``; a class opens at the post
-    face of a message whose postcondition is not empty, and the last entry
-    is the face count."""
+    """One object's annotation, addressed by face position, not message id.
 
-    keys: list
-    faces: list
-    starts: list
-
-
-class AnnotatedSD(namedtuple("AnnotatedSD",
-                             "sd theory vectors lines provenance events spec_vectors")):
-    """A sequence diagram plus per-object pre/post vectors and provenance.
-    Its tables are mutable dicts and lists, so it does not hash.
-
-    ``vectors``: VectorKey -> list of cells (mutable during annotation).
-    ``lines``: object -> its ``Lifeline``, whose faces are those lists.
-    ``provenance``: (VectorKey, cell index) -> Unified; the rules of
-    ``annotator._walk`` derive every other cell's provenance.
-    ``events``: one tuple per applied identification, in order: its
-    post-side face keys, which conflict explanations show, in the order the
-    identification was established.
-    ``spec_vectors``: message id -> {PRE: vector, POST: vector} its specification fixes.
+    Faces run in lifeline order (pre m1, post m1, pre m2, ...): face ``2k``
+    is the pre face of ``messages[k]``, counting from 0, and ``2k + 1`` its
+    post face.  ``spec`` holds the cells each face's specification fixes,
+    ``faces`` its cells (mutable during annotation).  State class ``c`` is
+    the faces from ``starts[c]`` up to ``starts[c + 1]``; a class opens at
+    the post face of a message whose postcondition is not empty, and the
+    last entry is the face count.  ``provenance``: (face, cell index) ->
+    Unified; the rules of ``annotator._walk`` derive every other cell's.
+    ``events``: per applied identification, in order, its post faces, which
+    conflict explanations show, in the order it was established.
     """
 
-    # No __slots__: the cached previous_face table lives in the instance dict.
+    messages: list
+    spec: list
+    faces: list
+    starts: list
+    provenance: dict
+    events: list
 
-    @cached_property
-    def previous_face(self) -> dict:
-        """Each face key -> the face before it on its lifeline, built when
-        a derivation first takes a frame step."""
-        return {key: prev for line in self.lines.values()
-                for prev, key in zip(line.keys, line.keys[1:])}
+
+class AnnotatedSD(namedtuple("AnnotatedSD", "sd theory lines")):
+    """A sequence diagram annotated against a theory: ``lines`` maps each
+    object to its ``Lifeline``.  The lifelines are mutable, so it does not
+    hash."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

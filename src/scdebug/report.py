@@ -207,7 +207,7 @@ def render_json(bundle: ReportBundle) -> str:
                 "sd": asd.sd.name,
                 "objects": list(asd.sd.objects),
                 "messages": len(asd.sd.messages),
-                "unifications": len(asd.events),
+                "unifications": sum(len(line.events) for line in asd.lines.values()),
             }
             for asd, _ in bundle.annotations
         ],

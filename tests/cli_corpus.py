@@ -8,11 +8,15 @@ over the fixtures and seeded ``tests/gen`` inputs: ``annotate`` (text,
 ``annotate`` (text and ``--json``) of long diagrams (150-400 messages over
 3-5 objects) and ``synth`` of those that are conflict-free,
 ``check`` (text and ``--json``, ``--max-edits 1`` and ``2``) of every single
-and adjacent double deletion of SD1, SD2 and the stepper, and the refined
-stepper at ``--max-edits 4``.  Inputs and every chart the runs write go
-under OUT, and ``OUT/log.json`` holds each run's arguments, exit code,
-stdout and stderr, with OUT written as ``<OUT>``.  Run it against two trees
-and compare the two OUT directories with ``diff -r``.
+and adjacent double deletion of SD1, SD2 and the stepper, the refined
+stepper at ``--max-edits 4``, ``check`` against two guarded copies of the
+stepper chart in both guard modes, and diagrams the theory cannot
+annotate (an argument too many, one outside its domain) through
+``annotate`` and ``check``.  Inputs and every chart the runs write go
+under OUT, which must be new or empty, and ``OUT/log.json`` holds each
+run's arguments, exit code, stdout and stderr, with OUT written as
+``<OUT>``.  Run it against two trees and compare the two OUT directories
+with ``diff -r``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ def corpus(out: Path):
     from gen import conflict_free_pair, gen_sd, gen_theory
     from scdebug.annotator import annotate
     from scdebug.dsl import parse_sd, print_domain_theory, print_sd
-    from scdebug.model import Delete, apply_edit
+    from scdebug.model import Delete, Insert, Message, apply_edit
 
     inputs, charts = out / "inputs", out / "charts"
     shutil.copytree(HERE / "fixtures", inputs)
@@ -111,6 +115,46 @@ def corpus(out: Path):
     yield refined
     yield refined + ["--json"]
 
+    # Copies of the stepper chart of M.  Every guard of the first holds on
+    # the stepper diagram but e3's, whose cell is undetermined when e3 comes
+    # first, so the two guard modes differ; the second rejects e4.  The
+    # diagram without e4 is repaired under the guards.  The last two take
+    # e2(7), which the theory refuses, with and without a guard.
+    copies = {"stepper_guarded": ("e3 [Step = 0]", "e1 [Step = 0]", "e2 [Step = 1]", "e4 [Step = 2]"),
+              "stepper_rejecting": ("e3 [Step = 0]", "e1 [Step = 0]", "e2 [Step = 1]", "e4 [Step = 3]"),
+              "arity_unguarded": ("e3", "e1", "e2(7)", "e4"),
+              "arity_guarded": ("e3", "e1 [Step = 0]", "e2(7)", "e4")}
+    for name, (e3, e1, e2, e4) in copies.items():
+        (inputs / name).mkdir()
+        (inputs / name / "M.sc").write_text(
+            "statechart M\ninitial N1\nstate N1\nstate N2\nstate N3\nstate N4\n"
+            f"N1 -> N1 : {e3}\nN1 -> N2 : {e1}\nN2 -> N3 : {e2}\nN3 -> N4 : {e4}\nN4 -> N4 : e5\n",
+            encoding="utf-8")
+    steps = parse_sd(Path(fx["stepper.sd"]).read_text(encoding="utf-8"))
+    late = inputs / "stepper-late.sd"
+    late.write_text(print_sd(apply_edit(steps, Insert(Message(1, "e3", (), "Env", "M")))),
+                    encoding="utf-8")
+    for name in ("stepper_guarded", "stepper_rejecting"):
+        for sd_path in (fx["stepper.sd"], str(inputs / "stepper-del3x1.sd"), str(late)):
+            for strict in ([], ["--strict-guards"]):
+                check = ["check", fx["stepper.dt"], sd_path, "--charts", str(inputs / name),
+                         "--max-edits", "2", *strict]
+                yield check
+                yield check + ["--json"]
+
+    arity = inputs / "stepper-arity.sd"
+    first, e2, *rest = steps.messages
+    arity.write_text(print_sd(steps._replace(messages=(first, e2._replace(args=("7",)), *rest))),
+                     encoding="utf-8")
+    yield ["annotate", fx["stepper.dt"], str(arity)]
+    for name in ("arity_unguarded", "arity_guarded"):
+        yield ["check", fx["stepper.dt"], str(arity), "--charts", str(inputs / name)]
+    sd1 = parse_sd(Path(fx["sd1.sd"]).read_text(encoding="utf-8"))
+    latte = inputs / "sd1-latte.sd"  # Latte is outside the drink domain
+    latte.write_text(print_sd(sd1._replace(messages=tuple(
+        m._replace(args=("Latte",)) if m.args else m for m in sd1.messages))), encoding="utf-8")
+    yield ["annotate", fx["theory.dt"], str(latte), "--json"]
+
 
 def run(root: Path, out: Path) -> list[dict]:
     """Run the corpus against ``root``'s scdebug and write ``out/log.json``."""
@@ -133,5 +177,8 @@ def run(root: Path, out: Path) -> list[dict]:
 if __name__ == "__main__":
     if len(sys.argv) != 3:
         sys.exit(__doc__)
-    ran = run(Path(sys.argv[1]).resolve(), Path(sys.argv[2]).resolve())
+    target = Path(sys.argv[2])
+    if target.exists() and (not target.is_dir() or any(target.iterdir())):
+        sys.exit(f"cli_corpus.py: {target} exists and is not an empty directory")
+    ran = run(Path(sys.argv[1]).resolve(), target.resolve())
     sys.stdout.write(f"{len(ran)} runs logged in {Path(sys.argv[2]) / 'log.json'}\n")

@@ -17,12 +17,30 @@ CLI_ENV = {
 }
 
 
+def face_index(asd, obj: str, mid: int, which: str) -> int:
+    """The position on the object's lifeline of the pre or post face of
+    message ``mid``."""
+    ids = [m.id for m in asd.lines[obj].messages]
+    return 2 * ids.index(mid) + (which == "post")
+
+
+def face(asd, obj: str, mid: int, which: str) -> list:
+    """The cells of the pre or post face of message ``mid`` on the object's lifeline."""
+    return asd.lines[obj].faces[face_index(asd, obj, mid, which)]
+
+
+def all_faces(asd) -> dict:
+    """A copy of every lifeline's cells: object -> list of faces."""
+    return {obj: [list(cells) for cells in line.faces] for obj, line in asd.lines.items()}
+
+
 def known_cells(asd) -> dict:
-    """Every determined cell of an annotation, keyed by (vector key, index)."""
+    """Every determined cell of an annotation, keyed by (object, face, index)."""
     return {
-        (key, i): c
-        for key, cells in asd.vectors.items()
-        for i, c in enumerate(cells)
+        (obj, i, j): c
+        for obj, line in asd.lines.items()
+        for i, cells in enumerate(line.faces)
+        for j, c in enumerate(cells)
         if c is not None
     }
 

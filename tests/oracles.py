@@ -48,11 +48,11 @@ def lifeline(sd, obj):
     return tuple(m for m in sd.messages if obj in (m.sender, m.receiver))
 
 
-def provenance_of(asd, key, j):
-    """How cell ``j`` of face ``key`` got its value, by the first rule of
-    ``annotator._walk`` that applies: the stored ``Unified`` record,
-    ``FROM_SPEC``, ``FRAME`` (from ``asd.previous_face[key]``) or None."""
-    return next(_walk(asd, key, j))[1]
+def provenance_of(line, i, j):
+    """How cell ``j`` of face ``i`` of a lifeline got its value, by the
+    first rule of ``annotator._walk`` that applies: the stored ``Unified``
+    record, ``FROM_SPEC``, ``FRAME`` (from face ``i - 1``) or None."""
+    return next(_walk(line, i, j))[1]
 
 
 def _is_subsequence(needle, haystack) -> bool:
@@ -199,7 +199,7 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
     todo = [(None, COMPLETION, leading, None)] if leading else []
     for i, sends in steps:
         msg = line[i]
-        vector = asd.vectors[(obj, msg.id, PRE)] if asd is not None else None
+        vector = asd.lines[obj].faces[2 * i] if asd is not None else None  # msg's pre face
         todo.append((msg, msg.event(), sends, vector))
     if not todo:
         return ReplayTrace(())
@@ -246,21 +246,21 @@ def identification_scan(asd):
     them."""
     out = []
     for obj in asd.sd.objects:
-        gaps = lifeline_gaps_by_lifeline(asd, obj)
+        gaps = lifeline_gaps_by_lifeline(asd.sd, obj)
         classes = lifeline_classes(asd.sd, asd.theory, obj)
-        line = [key for gap in gaps for key in gap]
+        line = lifeline(asd.sd, obj)
+        cells = asd.lines[obj].faces
 
         def faces(cls):
-            return [key for g in cls for key in gaps[g]]
+            return [i for g in cls for i in gaps[g]]
 
         def span(cls):
-            start = line.index(faces(cls)[0])
-            return start, start + len(faces(cls))
+            return faces(cls)[0], faces(cls)[0] + len(faces(cls))
 
         def state(cls):
             joined = tuple([None] * asd.theory.width)
-            for key in faces(cls):
-                joined = unify(joined, tuple(asd.vectors[key]))
+            for i in faces(cls):
+                joined = unify(joined, tuple(cells[i]))
                 if joined is None:
                     return None
             return joined
@@ -274,13 +274,13 @@ def identification_scan(asd):
                 if joined is None:
                     continue
                 grounds = [
-                    (key, j)
-                    for key in faces(classes[a]) + faces(classes[b])
+                    (i, j)
+                    for i in faces(classes[a]) + faces(classes[b])
                     for j, v in enumerate(joined)
-                    if v is not None and asd.vectors[key][j] is None
+                    if v is not None and cells[i][j] is None
                 ]
-                msgs_a = {key[1] for key in faces(classes[a])}
-                msgs_b = {key[1] for key in faces(classes[b])}
+                msgs_a = {line[i // 2].id for i in faces(classes[a])}
+                msgs_b = {line[i // 2].id for i in faces(classes[b])}
                 spanned = any(
                     (min(p) in msgs_a and max(p) in msgs_b) or (max(p) in msgs_a and min(p) in msgs_b)
                     for p in asd.sd.no_loop
@@ -290,14 +290,14 @@ def identification_scan(asd):
     return out
 
 
-def lifeline_gaps_by_lifeline(asd, obj):
-    """The gaps of one lifeline as tuples of face keys, built from that
-    object's own message list, as the annotator once rebuilt them for every
-    object on every use."""
+def lifeline_gaps_by_lifeline(sd, obj):
+    """The gaps of one lifeline as tuples of face positions (pre m1 is 0,
+    post m1 is 1, ...), built from that object's own message list, as the
+    annotator once rebuilt them for every object on every use."""
     gaps = [[]]
-    for msg in lifeline(asd.sd, obj):
-        gaps[-1].append((obj, msg.id, PRE))
-        gaps.append([(obj, msg.id, POST)])
+    for k, _ in enumerate(lifeline(sd, obj)):
+        gaps[-1].append(2 * k)
+        gaps.append([2 * k + 1])
     return [tuple(gap) for gap in gaps]
 
 
@@ -315,24 +315,19 @@ def lifeline_classes(sd, dt, obj):
     return classes
 
 
-def lifeline_arrays(asd):
-    """Each object's ``Lifeline`` over ``asd.vectors``, built from its gaps
-    and classes: the face keys gap by gap, and where each class's first
-    gap starts."""
-    lines = {}
-    for obj in asd.sd.objects:
-        gaps = lifeline_gaps_by_lifeline(asd, obj)
-        keys = [key for gap in gaps for key in gap]
-        starts = [sum(map(len, gaps[:cls[0]])) for cls in lifeline_classes(asd.sd, asd.theory, obj)]
-        lines[obj] = Lifeline(keys, [asd.vectors[key] for key in keys], starts + [len(keys)])
-    return lines
+def lifeline_layout(sd, dt, obj):
+    """(messages, starts) of the object's ``Lifeline``, built from its gaps
+    and classes: its own messages, and where each class's first gap
+    starts, then the face count."""
+    gaps = lifeline_gaps_by_lifeline(sd, obj)
+    starts = [sum(map(len, gaps[:cls[0]])) for cls in lifeline_classes(sd, dt, obj)]
+    return list(lifeline(sd, obj)), starts + [sum(map(len, gaps))]
 
 
-def class_state_by_faces(asd, keys):
+def class_state_by_faces(faces, width):
     """(join, open) of the class of the given faces, or None on a clash,
     by unifying its faces into the join one face at a time."""
-    faces = [asd.vectors[key] for key in keys]
-    state = tuple([None] * asd.theory.width)
+    state = tuple([None] * width)
     for cells in faces:
         state = unify(state, tuple(cells))
         if state is None:
@@ -357,11 +352,10 @@ def _condition_cells(cond, binding, dt, msg):
 
 
 def initialize_vectors_eager(sd, dt):
-    """Initial vectors with a stored ``FROM_SPEC`` rule for every spec cell
-    of every face, as the annotator once built them message by message."""
-    vectors = {}
-    provenance = {}
-    spec_vectors = {}
+    """Initial lifelines with a stored ``FROM_SPEC`` rule for every spec
+    cell of every face, as the annotator once built them message by
+    message."""
+    lines = {obj: Lifeline([], [], [], lifeline_layout(sd, dt, obj)[1], {}, []) for obj in sd.objects}
     width = dt.width
     for msg in sd.messages:
         spec = dt.spec_for(msg.label)
@@ -371,59 +365,60 @@ def initialize_vectors_eager(sd, dt):
             binding = _parameter_binding(spec, msg)
             pre_cells = _condition_cells(spec.pre, binding, dt, msg)
             post_cells = _condition_cells(spec.post, binding, dt, msg)
-        for which, cells in ((PRE, pre_cells), (POST, post_cells)):
-            spec_vectors.setdefault(msg.id, {})[which] = tuple(cells.get(j) for j in range(width))
         for obj in participants(msg):
-            for which, cells in ((PRE, pre_cells), (POST, post_cells)):
-                key = (obj, msg.id, which)
+            line = lines[obj]
+            line.messages.append(msg)
+            for cells in (pre_cells, post_cells):
+                i = len(line.faces)
                 vec = [None] * width
                 for j, literal in cells.items():
                     vec[j] = literal
-                    provenance[(key, j)] = FROM_SPEC
-                vectors[key] = vec
-    asd = AnnotatedSD(sd, dt, vectors, {}, provenance, [], spec_vectors)
-    return asd._replace(lines=lifeline_arrays(asd))
+                    line.provenance[(i, j)] = FROM_SPEC
+                line.spec.append(tuple(vec))
+                line.faces.append(vec)
+    return AnnotatedSD(sd, dt, lines)
 
 
 def frame_propagate_eager(asd, sources):
     """The frame sweep that stores a ``FRAME`` rule for every cell it
     grounds, and in ``sources`` the face before it on the lifeline."""
     changed = False
-    for obj in asd.sd.objects:
-        faces = [key for gap in lifeline_gaps_by_lifeline(asd, obj) for key in gap]
-        for src_key, dst_key in zip(faces, faces[1:]):
-            dst = asd.vectors[dst_key]
-            for j, v in enumerate(asd.vectors[src_key]):
+    for obj, line in asd.lines.items():
+        faces = line.faces
+        for i in range(1, len(faces)):
+            dst = faces[i]
+            for j, v in enumerate(faces[i - 1]):
                 if v is not None and dst[j] is None:
                     dst[j] = v
-                    asd.provenance[(dst_key, j)] = FRAME
-                    sources[(dst_key, j)] = src_key
+                    line.provenance[(i, j)] = FRAME
+                    sources[(obj, i, j)] = i - 1
                     changed = True
     return changed
 
 
-def trace_stored(asd, sources, key, j):
-    """(face, cell, rule) for cell ``j`` of face ``key`` and every cell its
-    value came through, oldest first, following the stored provenance
-    records and frame ``sources`` alone."""
+def trace_stored(asd, sources, obj, i, j):
+    """(face, cell, rule) for cell ``j`` of face ``i`` on the object's
+    lifeline and every cell its value came through, oldest first, following
+    the stored provenance records and frame ``sources`` alone."""
+    provenance = asd.lines[obj].provenance
     steps = []
     while True:
-        prov = asd.provenance.get((key, j))
-        steps.append((key, j, prov))
+        prov = provenance.get((i, j))
+        steps.append((i, j, prov))
         if prov is None or prov == FROM_SPEC:
             return steps[::-1]
-        key = sources[(key, j)] if prov == FRAME else prov.contributor
+        i = sources[(obj, i, j)] if prov == FRAME else prov.contributor
 
 
-def unified_faces(asd, chain):
+def unified_faces(line, chain):
     """(message, pre|post, cells) of every post face of the identifications
     the chain's ``Unified`` steps name, in step order, each face once."""
     out = {}
     for _, _, rule in chain:
         if isinstance(rule, Unified) and rule.event >= 0:
-            for obj, mid, which in asd.events[rule.event]:
-                out.setdefault((mid, which), (asd.sd.messages[mid - 1], which,
-                                              tuple(asd.vectors[(obj, mid, which)])))
+            for i in line.events[rule.event]:
+                out.setdefault(i, (line.messages[i // 2], POST if i % 2 else PRE,
+                                   tuple(line.faces[i])))
     return tuple(out.values())
 
 
@@ -432,22 +427,24 @@ def gap_joins_both_ways(asd):
     other's values, as the annotator's gap join did before it filled only
     the post face.  Incompatible faces are left alone for conflict detection."""
     changed = False
-    gaps = (gap for obj in asd.sd.objects for gap in _unsettled_gaps(asd, obj))
-    for (left_key, right_key), left, right in gaps:
-        if None not in left and None not in right:
-            continue
-        if _is_discarded(asd.sd.no_loop, {left_key[1]}, {right_key[1]}):
-            continue
-        joined = unify(tuple(left), tuple(right))
-        if joined is None:
-            continue
-        for j, v in enumerate(joined):
-            if v is None:
+    for obj, line in asd.lines.items():
+        msgs = lifeline(asd.sd, obj)
+        for i in _unsettled_gaps(line):
+            left, right = line.faces[i], line.faces[i + 1]
+            if None not in left and None not in right:
                 continue
-            for key, cells, other in ((left_key, left, right_key), (right_key, right, left_key)):
-                if cells[j] is None:
-                    _ground(asd, key, j, v, Unified(-1, other))
-                    changed = True
+            if _is_discarded(asd.sd.no_loop, {msgs[i // 2].id}, {msgs[i // 2 + 1].id}):
+                continue
+            joined = unify(tuple(left), tuple(right))
+            if joined is None:
+                continue
+            for j, v in enumerate(joined):
+                if v is None:
+                    continue
+                for k, cells, other in ((i, left, i + 1), (i + 1, right, i)):
+                    if cells[j] is None:
+                        _ground(line, k, j, v, Unified(-1, other))
+                        changed = True
     return changed
 
 
@@ -465,7 +462,7 @@ def annotate_eager(sd, dt):
     until nothing changes, as the annotator did before it took one lifeline
     at a time."""
     asd = initialize_vectors_eager(sd, dt)
-    sources = {}  # (face, cell) -> the face a frame step took its value from
+    sources = {}  # (object, face, cell) -> the face a frame step took its value from
     while True:
         frame_propagate_eager(asd, sources)
         cand = first_candidate(asd)
@@ -476,14 +473,14 @@ def annotate_eager(sd, dt):
     conflicts, chains = [], []
     for obj in sd.objects:
         line = lifeline(sd, obj)
-        for before, after in zip(line, line[1:]):
-            left_key, right_key = (obj, before.id, POST), (obj, after.id, PRE)
-            left, right = asd.vectors[left_key], asd.vectors[right_key]
+        faces = asd.lines[obj].faces
+        for p, (before, after) in enumerate(zip(line, line[1:])):
+            left, right = faces[2 * p + 1], faces[2 * p + 2]  # before's post, after's pre
             for j, (x, y) in enumerate(zip(left, right)):
                 if x is None or y is None or x == y:
                     continue
-                chain = tuple(trace_stored(asd, sources, left_key, j)
-                              + trace_stored(asd, sources, right_key, j))
+                chain = tuple(trace_stored(asd, sources, obj, 2 * p + 1, j)
+                              + trace_stored(asd, sources, obj, 2 * p + 2, j))
                 chains.append(chain)
                 conflicts.append(Conflict(sd.name, obj, before, after, dt.variables[j]))
     return asd, conflicts, chains

@@ -31,7 +31,7 @@ from scdebug.synthesizer import (
     to_statechart,
 )
 
-from conftest import CLI_ENV, FIXTURES, known_cells
+from conftest import CLI_ENV, FIXTURES, all_faces, face, known_cells
 from gen import conflict_free_pair
 from oracles import brute_force_min_cost, mutation_candidates
 
@@ -51,16 +51,16 @@ def passed(criterion: int, detail: str):
 def test_criterion_1_worked_example(sd1, coffee_dt_unfixed):
     start = time.perf_counter()
     asd0 = initialize_vectors(sd1, coffee_dt_unfixed)
-    assert format_vector(asd0.vectors[("Coffee-UI", 1, "pre")]) == "<F,F,?,?,?>"
-    assert format_vector(asd0.vectors[("Coffee-UI", 2, "pre")]) == "<F,?,?,?,?>"
+    assert format_vector(face(asd0, "Coffee-UI", 1, "pre")) == "<F,F,?,?,?>"
+    assert format_vector(face(asd0, "Coffee-UI", 2, "pre")) == "<F,?,?,?,?>"
 
     # The published walk covers the first messages only; on that prefix the
     # unified vectors settle at <F,F,?,?,?>.
     prefix = SequenceDiagram(sd1.name, sd1.objects, sd1.messages[:2])
     asd, conflicts = annotate(prefix, coffee_dt_unfixed)
     assert conflicts == []
-    assert format_vector(asd.vectors[("Coffee-UI", 1, "post")]) == "<F,F,?,?,?>"
-    assert format_vector(asd.vectors[("Coffee-UI", 2, "pre")]) == "<F,F,?,?,?>"
+    assert format_vector(face(asd, "Coffee-UI", 1, "post")) == "<F,F,?,?,?>"
+    assert format_vector(face(asd, "Coffee-UI", 2, "pre")) == "<F,F,?,?,?>"
     elapsed = time.perf_counter() - start
     assert elapsed < 0.1, f"took {elapsed:.3f}s"
     passed(1, f"initial and unified vectors match the worked example ({elapsed * 1000:.1f} ms)")
@@ -196,11 +196,11 @@ def test_criterion_7_algorithm_invariants(sd1, coffee_dt_unfixed):
     from scdebug.annotator import frame_propagate, identification_candidates
 
     asd, _ = annotate(sd1, coffee_dt_unfixed)
-    before = {k: list(v) for k, v in asd.vectors.items()}
+    before = all_faces(asd)
     for obj in sd1.objects:
         assert frame_propagate(asd, obj) is False
         assert identification_candidates(asd, obj) is None
-    assert {k: list(v) for k, v in asd.vectors.items()} == before
+    assert all_faces(asd) == before
 
     # monotonicity: determined cells only grow, values never change
     rng = random.Random(9)

@@ -26,6 +26,7 @@ from scdebug.model import (
     AnnotatedSD,
     BoolDomain,
     Condition,
+    Delete,
     DomainTheory,
     Lifeline,
     Message,
@@ -33,10 +34,11 @@ from scdebug.model import (
     SequenceDiagram,
     StateVariable,
     Unified,
+    apply_edit,
     format_vector,
 )
 
-from conftest import known_cells
+from conftest import all_faces, face, face_index, known_cells
 from gen import conflict_free_pair, gen_sd, gen_theory
 from oracles import (
     annotate_eager,
@@ -44,9 +46,9 @@ from oracles import (
     first_candidate,
     identification_scan,
     lifeline,
-    lifeline_arrays,
     lifeline_classes,
     lifeline_gaps_by_lifeline,
+    lifeline_layout,
     provenance_of,
     unified_faces,
 )
@@ -55,7 +57,14 @@ CUI = "Coffee-UI"
 
 
 def vec(asd, obj, mid, which):
-    return format_vector(asd.vectors[(obj, mid, which)])
+    return format_vector(face(asd, obj, mid, which))
+
+
+def laid_out(asd) -> bool:
+    """Whether every lifeline's messages and class bounds are those built
+    from its own gaps and classes."""
+    return all((line.messages, line.starts) == lifeline_layout(asd.sd, asd.theory, obj)
+               for obj, line in asd.lines.items())
 
 
 def count_unify(monkeypatch):
@@ -146,14 +155,14 @@ class TestInitialize:
         assert vec(asd, CUI, 4, "post") == "<?,?,T,?,Espresso>"
 
     def test_one_pre_and_post_per_endpoint(self, sd1, coffee_dt_unfixed):
+        # Each object's lifeline holds exactly the messages it sends or
+        # receives, each with a pre and a post face and their spec cells.
         asd = initialize_vectors(sd1, coffee_dt_unfixed)
-        for m in sd1.messages:
-            for obj in {m.sender, m.receiver}:
-                assert (obj, m.id, "pre") in asd.vectors
-                assert (obj, m.id, "post") in asd.vectors
-        for obj, mid, _ in asd.vectors:
-            msg = sd1.messages[mid - 1]
-            assert obj in (msg.sender, msg.receiver)
+        assert list(asd.lines) == list(sd1.objects)
+        for obj, line in asd.lines.items():
+            assert line.messages == [m for m in sd1.messages if obj in (m.sender, m.receiver)]
+            assert len(line.faces) == len(line.spec) == 2 * len(line.messages)
+        assert sum(len(line.messages) for line in asd.lines.values()) == 2 * len(sd1.messages)
 
     def test_arity_mismatch(self, coffee_dt_unfixed):
         sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : Enter Selection")
@@ -199,14 +208,14 @@ class TestUnifyPass:
         )
         asd = unify_to_fixpoint(initialize_vectors(sd, coffee_dt_unfixed))
         # post of 1 has CoinInMachine=T, pre of 2 has F: incompatible faces stay
-        assert asd.vectors[("B", 1, "post")][0] == "T"
-        assert asd.vectors[("B", 2, "pre")][0] == "F"
+        assert face(asd, "B", 1, "post")[0] == "T"
+        assert face(asd, "B", 2, "pre")[0] == "F"
 
     def test_discarded_pair_skipped(self, sd1, coffee_dt_unfixed):
         discarded = sd1._replace(no_loop=frozenset({frozenset((1, 11))}))
         asd, conflicts = annotate(discarded, coffee_dt_unfixed)
         assert conflicts == []
-        assert all(obj != CUI for faces in asd.events for obj, _, _ in faces)
+        assert asd.lines[CUI].events == []
 
     def test_no_loop_directive_in_sd_file(self, sd1, coffee_dt_unfixed):
         from scdebug.dsl import print_sd
@@ -231,16 +240,18 @@ class TestUnifyPass:
 
         def candidate(asd):
             nonlocal settled
-            assert asd.lines == lifeline_arrays(asd)
-            for obj in asd.sd.objects:
-                keys, faces, starts = asd.lines[obj]
+            assert laid_out(asd)
+            width = asd.theory.width
+            for line in asd.lines.values():
+                starts = line.starts
                 for lo, hi in zip(starts, starts[1:]):
-                    cls = faces[lo:hi]
-                    assert class_state(cls, asd.theory.width) == class_state_by_faces(asd, keys[lo:hi])
+                    cls = line.faces[lo:hi]
+                    assert class_state(cls, width) == class_state_by_faces(cls, width)
                     settled += len(cls) > 1 and cls.count(cls[0]) == len(cls) and None in cls[0]
             cand = first_candidate(asd)
             scan = identification_scan(asd)
-            assert cand == (scan[0] if scan else None), f"step {len(asd.events)} of {asd.sd}"
+            steps = sum(len(line.events) for line in asd.lines.values())
+            assert cand == (scan[0] if scan else None), f"step {steps} of {asd.sd}"
             return cand
 
         rng = random.Random(23)
@@ -292,7 +303,7 @@ class TestUnifyPass:
         sd = parse_sd("sd Ring\nobject A\nobject B" + msgs)
         calls = count_unify(monkeypatch)
         asd, conflicts = annotate(sd, dt)
-        assert conflicts == [] and asd.events == []
+        assert conflicts == [] and all(line.events == [] for line in asd.lines.values())
         assert calls[0] < 1_000
 
     def test_empty_lifeline_state_is_undetermined(self):
@@ -301,10 +312,10 @@ class TestUnifyPass:
         dt = parse_domain_theory("x : Boolean\ny : 0..2")
         sd = parse_sd("sd S\nobject A\nobject B\nobject C\nmsg 1 A -> B : hello")
         asd = initialize_vectors(sd, dt)
-        assert asd.lines == lifeline_arrays(asd)
-        assert asd.lines["C"] == Lifeline([], [], [0, 0])
-        assert lifeline_gaps_by_lifeline(asd, "C") == [()] and lifeline_classes(sd, dt, "C") == [[0]]
-        assert class_state([], dt.width) == class_state_by_faces(asd, []) == ((None, None), False)
+        assert laid_out(asd)
+        assert asd.lines["C"] == Lifeline([], [], [], [0, 0], {}, [])
+        assert lifeline_gaps_by_lifeline(sd, "C") == [()] and lifeline_classes(sd, dt, "C") == [[0]]
+        assert class_state([], dt.width) == class_state_by_faces([], dt.width) == ((None, None), False)
         assert identification_candidates(asd, "C") is None and detect_conflicts(asd, "C") == []
 
     def test_sd1_arrays(self, sd1, coffee_dt_unfixed):
@@ -313,11 +324,13 @@ class TestUnifyPass:
         # of each message with a postcondition: Insert coin (2), Enter
         # Selection (4), Release coin (8) and Take coin (10).
         asd = initialize_vectors(sd1, coffee_dt_unfixed)
-        keys, faces, starts = asd.lines[CUI]
-        assert keys == [(CUI, mid, which) for mid in range(1, 12) for which in ("pre", "post")]
-        assert all(cells is asd.vectors[key] for key, cells in zip(keys, faces))
+        messages, spec, faces, starts, _, _ = asd.lines[CUI]
+        assert messages == list(sd1.messages)
+        assert faces == [list(cells) for cells in spec]
+        # Faces 6 and 7 are the pre and post faces of message 4.
+        assert [format_vector(cells) for cells in faces[6:8]] == ["<?,?,F,?,?>", "<?,?,T,?,Espresso>"]
         assert starts == [0, 3, 7, 15, 19, 22]
-        assert asd.lines == lifeline_arrays(asd)
+        assert laid_out(asd)
 
 
     def test_settled_gap_is_skipped(self, monkeypatch):
@@ -332,7 +345,7 @@ class TestUnifyPass:
         assert vec(asd, "A", 1, "post") == vec(asd, "A", 2, "pre") == "<T,?>"
         calls = count_unify(monkeypatch)
         assert join_gaps(asd) is False
-        assert calls[0] == 0 and asd.provenance == {}
+        assert calls[0] == 0 and all(line.provenance == {} for line in asd.lines.values())
         assert vec(asd, "A", 1, "post") == vec(asd, "A", 2, "pre") == "<T,?>"
         assert detect_conflicts(asd, "A") == detect_conflicts(asd, "B") == []
 
@@ -357,14 +370,15 @@ class TestFramePropagation:
         sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : a\nmsg 2 A -> B : b")
         asd = initialize_vectors(sd, dt)
         assert frame_propagate(asd, "A") is True
-        assert asd.vectors[("A", 2, "pre")][0] == "T"
-        assert provenance_of(asd, ("A", 2, "pre"), 0) == FRAME
-        faces = [[key for gap in lifeline_gaps_by_lifeline(asd, obj) for key in gap] for obj in "AB"]
-        assert asd.previous_face == {key: prev for line in faces for prev, key in zip(line, line[1:])}
-        assert asd.previous_face[("A", 2, "pre")] == ("A", 1, "post")
-        assert provenance_of(asd, ("A", 1, "post"), 0) == FROM_SPEC
-        assert provenance_of(asd, ("A", 1, "pre"), 0) is None
-        assert asd.provenance == {}
+        line = asd.lines["A"]
+        assert face(asd, "A", 2, "pre")[0] == "T"
+        # Faces 0-3 are pre 1, post 1, pre 2, post 2; a frame step goes to
+        # the face before it on the lifeline.
+        assert provenance_of(line, 2, 0) == FRAME
+        assert list(_walk(line, 3, 0)) == [(3, FRAME), (2, FRAME), (1, FROM_SPEC)]
+        assert provenance_of(line, 1, 0) == FROM_SPEC
+        assert provenance_of(line, 0, 0) is None
+        assert line.provenance == {}
 
 
 class TestConflicts:
@@ -416,15 +430,15 @@ class TestConflicts:
             (10, "post", FRAME),
             (11, "pre", FRAME),
             (11, "post", FRAME),
-            (1, "pre", Unified(0, (CUI, 11, "post"))),
-            (2, "pre", Unified(0, (CUI, 1, "pre"))),
+            (1, "pre", Unified(0, face_index(asd, CUI, 11, "post"))),
+            (2, "pre", Unified(0, face_index(asd, CUI, 1, "pre"))),
             (2, "post", FRAME),
             (3, "pre", FROM_SPEC),
         ]
         chain = derivation(asd, c)
         assert len(chain) == 19
         for step, (mid, which, prov) in zip(chain, expected, strict=True):
-            assert step == ((CUI, mid, which), 2, prov)
+            assert step == (face_index(asd, CUI, mid, which), 2, prov)
 
     def test_conflict_free(self, sd1, coffee_dt):
         _, conflicts = annotate(sd1, coffee_dt)
@@ -452,16 +466,16 @@ class TestConflicts:
     def test_empty_sd(self, coffee_dt):
         sd = parse_sd("sd S\nobject A")
         asd, conflicts = annotate(sd, coffee_dt)
-        assert conflicts == [] and asd.events == []
+        assert conflicts == [] and asd.lines["A"] == Lifeline([], [], [], [0, 0], {}, [])
 
 
 class TestInvariants:
     def test_idempotence(self, sd1, coffee_dt_unfixed):
         asd, _ = annotate(sd1, coffee_dt_unfixed)
-        before = {k: list(v) for k, v in asd.vectors.items()}
+        before = all_faces(asd)
         assert sweep(asd) is False
         assert first_candidate(asd) is None
-        assert {k: list(v) for k, v in asd.vectors.items()} == before
+        assert all_faces(asd) == before
 
     def test_monotonic_from_initialization(self, sd1, coffee_dt_unfixed):
         initial = known_cells(initialize_vectors(sd1, coffee_dt_unfixed))
@@ -484,18 +498,19 @@ class TestInvariants:
         # Remove every frame-derived cell; re-propagation restores all of
         # them exactly (the fixpoint is a function of the unification trace).
         asd, _ = annotate(sd1, coffee_dt_unfixed)
-        expected = {k: list(v) for k, v in asd.vectors.items()}
+        expected = all_faces(asd)
         stripped = [
-            (key, j)
-            for key, cells in asd.vectors.items()
+            (line, i, j)
+            for line in asd.lines.values()
+            for i, cells in enumerate(line.faces)
             for j in range(len(cells))
-            if provenance_of(asd, key, j) == FRAME
+            if provenance_of(line, i, j) == FRAME
         ]
         assert len(stripped) == 132
-        for key, j in stripped:
-            asd.vectors[key][j] = None
+        for line, i, j in stripped:
+            line.faces[i][j] = None
         sweep(asd)
-        assert {k: list(v) for k, v in asd.vectors.items()} == expected
+        assert all_faces(asd) == expected
 
     def test_conflict_completeness(self, sd1, coffee_dt_unfixed):
         asd, conflicts = annotate(sd1, coffee_dt_unfixed)
@@ -503,8 +518,8 @@ class TestInvariants:
         for obj in sd1.objects:
             line = lifeline(sd1, obj)
             for p in range(len(line) - 1):
-                left = asd.vectors[(obj, line[p].id, "post")]
-                right = asd.vectors[(obj, line[p + 1].id, "pre")]
+                left = face(asd, obj, line[p].id, "post")
+                right = face(asd, obj, line[p + 1].id, "pre")
                 for j, (x, y) in enumerate(zip(left, right)):
                     if x is not None and y is not None and x != y:
                         found.add((obj, line[p].id, j))
@@ -516,16 +531,16 @@ class TestInvariants:
             frozenset((i, j)) for i in range(1, n + 1) for j in range(i, n + 1)
         )
         asd, _ = annotate(sd1._replace(no_loop=everything), coffee_dt_unfixed)
-        assert asd.events == []
-        assert not any(
-            isinstance(p, Unified) for p in asd.provenance.values()
-        )
+        for line in asd.lines.values():
+            assert line.events == []
+            assert not any(isinstance(p, Unified) for p in line.provenance.values())
 
     def test_lifelines_annotate_independently(self):
         # Annotation is lifeline-local: declaring the objects in another
         # order annotates the lifelines in that order, which changes no
-        # vector, and the conflicts only in order.  Many diagrams identify
-        # states on more than one object.
+        # lifeline (cells, provenance or identifications), and the
+        # conflicts only in order.  Many diagrams identify states on more
+        # than one object.
         rng = random.Random(43)
         several = 0
         for _ in range(3000):
@@ -534,16 +549,15 @@ class TestInvariants:
             shuffled = sd._replace(objects=tuple(rng.sample(sd.objects, len(sd.objects))))
             asd, conflicts = annotate(sd, dt)
             other, other_conflicts = annotate(shuffled, dt)
-            assert other.vectors == asd.vectors, sd
+            assert other.lines == asd.lines, sd
             assert Counter(other_conflicts) == Counter(conflicts), sd
-            several += len({faces[0][0] for faces in asd.events}) > 1
+            several += sum(bool(line.events) for line in asd.lines.values()) > 1
         assert several > 1_500
 
     def test_determinism(self, sd1, coffee_dt_unfixed):
         a1, c1 = annotate(sd1, coffee_dt_unfixed)
         a2, c2 = annotate(sd1, coffee_dt_unfixed)
-        assert a1.vectors == a2.vectors
-        assert a1.events == a2.events
+        assert a1.lines == a2.lines
         assert c1 == c2
 
     def test_order_insensitivity_on_conflict_free(self):
@@ -551,9 +565,10 @@ class TestInvariants:
         # not depend on the order identifications are applied in: explore
         # the application orders (bounded) and compare the outcomes.
         def clone(asd):
-            copy = AnnotatedSD(asd.sd, asd.theory, {k: list(v) for k, v in asd.vectors.items()},
-                               {}, dict(asd.provenance), list(asd.events), asd.spec_vectors)
-            return copy._replace(lines=lifeline_arrays(copy))
+            return AnnotatedSD(asd.sd, asd.theory, {
+                obj: line._replace(faces=[list(cells) for cells in line.faces],
+                                   provenance=dict(line.provenance), events=list(line.events))
+                for obj, line in asd.lines.items()})
 
         rng = random.Random(11)
         for _ in range(20):
@@ -586,10 +601,11 @@ class TestInvariants:
 
     def test_derived_provenance_matches_stored(self, coffee_dt_unfixed):
         # The annotator stores only unification records and derives spec
-        # and frame steps; the eager oracle stores a record for every cell
-        # it grounds and traces chains through those records alone, and
-        # joins gaps both ways where the annotator fills only post faces.
-        # Vectors, events, every cell's provenance, conflicts, each
+        # and frame steps; the eager oracle builds its own lifelines, stores
+        # a record for every cell it grounds and traces chains through those
+        # records alone, and joins gaps both ways where the annotator fills
+        # only post faces.  Lifelines (messages, spec, cells, class bounds,
+        # identifications), every cell's provenance, conflicts, each
         # conflict's derivation chain, and errors are the same.
         cells = errors = traced = joined = 0
         for sd, dt in provenance_corpus(coffee_dt_unfixed):
@@ -601,25 +617,28 @@ class TestInvariants:
                 errors += 1
                 continue
             asd, conflicts = annotate(sd, dt)
-            assert asd.vectors == eager.vectors and asd.events == eager.events
+            assert list(asd.lines) == list(eager.lines)
             determined = known_cells(eager)
-            assert set(eager.provenance) == set(determined)
-            for key, vector in eager.vectors.items():
-                for j in range(len(vector)):
-                    assert provenance_of(asd, key, j) == eager.provenance.get((key, j))
-            assert asd.provenance == {
-                cell: p for cell, p in eager.provenance.items() if isinstance(p, Unified)
-            }
+            for obj, line in asd.lines.items():
+                stored = eager.lines[obj]
+                assert line._replace(provenance=None) == stored._replace(provenance=None)
+                assert set(stored.provenance) == {(i, j) for o, i, j in determined if o == obj}
+                for i, vector in enumerate(stored.faces):
+                    for j in range(len(vector)):
+                        assert provenance_of(line, i, j) == stored.provenance.get((i, j))
+                assert line.provenance == {
+                    cell: p for cell, p in stored.provenance.items() if isinstance(p, Unified)
+                }
+                joined += any(p.event == -1 for p in line.provenance.values())
             assert conflicts == eager_conflicts
             assert [derivation(asd, c) for c in conflicts] == eager_chains
             for c, chain in zip(conflicts, eager_chains):
-                after = eager.vectors[(c.object, c.after_message.id, "post")]
-                before = eager.vectors[(c.object, c.before_message.id, "pre")]
+                after = face(eager, c.object, c.after_message.id, "post")
+                before = face(eager, c.object, c.before_message.id, "pre")
                 assert conflict_view(asd, c) == (
-                    tuple(after), tuple(before), unified_faces(eager, chain))
+                    tuple(after), tuple(before), unified_faces(eager.lines[c.object], chain))
             cells += len(determined)
             traced += len(conflicts)
-            joined += any(p.event == -1 for p in asd.provenance.values())
         assert cells > 40_000 and errors > 10 and traced > 1_000 and joined >= 150
 
     def test_unified_states_are_the_derivations_unified_faces(self, coffee_dt_unfixed):
@@ -637,12 +656,40 @@ class TestInvariants:
             for c in conflicts:
                 chain = derivation(asd, c)
                 _, _, unified = conflict_view(asd, c)
-                assert unified == unified_faces(asd, chain)
-                before = c.before_message.id
-                assert chain[-1] == ((c.object, before, "pre"), c.variable.index, FROM_SPEC)
-                assert chain[-2][0] == (c.object, c.after_message.id, "post")
+                assert unified == unified_faces(asd.lines[c.object], chain)
+                before = face_index(asd, c.object, c.before_message.id, "pre")
+                assert chain[-1] == (before, c.variable.index, FROM_SPEC)
+                assert chain[-2][0] == face_index(asd, c.object, c.after_message.id, "post")
                 shown += bool(unified)
         assert shown > 50
+
+    def test_deleting_another_objects_message_keeps_a_lifeline(self):
+        # An object's annotation depends on its own messages alone and
+        # names none by id: deleting a message the object takes no part in
+        # renumbers the messages after it and leaves its lifeline otherwise
+        # as it was, provenance and identifications included.
+        rng = random.Random(53)
+        kept = identified = 0
+        for k in range(600):
+            dt = gen_theory(rng)
+            sd = gen_sd(rng, dt, max_msgs=rng.choice((8, 20)), max_objs=4)
+            n = len(sd.messages)
+            if k % 2 and n > 1:
+                pairs = {frozenset((rng.randint(1, n), rng.randint(1, n))) for _ in range(3)}
+                sd = sd._replace(no_loop=frozenset(pairs))
+            asd, _ = annotate(sd, dt)
+            for obj, line in asd.lines.items():
+                others = [m.id for m in sd.messages if obj not in (m.sender, m.receiver)]
+                if not others:
+                    continue
+                edited, _ = annotate(apply_edit(sd, Delete(rng.choice(others))), dt)
+                after = edited.lines[obj]
+                assert after._replace(messages=None) == line._replace(messages=None), sd
+                assert [m._replace(id=0) for m in after.messages] == [
+                    m._replace(id=0) for m in line.messages]
+                kept += 1
+                identified += bool(line.events)
+        assert kept > 800 and identified > 200
 
 
 class TestSafetyChecks:
@@ -650,30 +697,34 @@ class TestSafetyChecks:
 
     def test_ground_refuses_to_overwrite_a_determined_cell(self, sd1, coffee_dt_unfixed):
         asd, _ = annotate(sd1, coffee_dt_unfixed)
-        (key, j), rule = next(iter(asd.provenance.items()))
-        value = asd.vectors[key][j]
+        line = asd.lines[CUI]
+        (i, j), rule = next(iter(line.provenance.items()))
+        value = line.faces[i][j]
         other = next(v for v in coffee_dt_unfixed.variables[j].domain.values() if v != value)
-        expected = f"attempt to overwrite determined cell {key}[{j}]={value} with {other}"
+        expected = f"attempt to overwrite determined cell {j} of face {i} ({value}) with {other}"
         with pytest.raises(AssertionError, match=f"^{re.escape(expected)}$"):
-            _ground(asd, key, j, other, Unified(-1, key))
-        assert asd.vectors[key][j] == value and asd.provenance[(key, j)] == rule
+            _ground(line, i, j, other, Unified(-1, i))
+        assert line.faces[i][j] == value and line.provenance[(i, j)] == rule
 
     def test_ground_with_the_same_value_keeps_provenance(self, sd1, coffee_dt_unfixed):
         # A unified cell keeps its record, and a spec cell gains none.
         asd, _ = annotate(sd1, coffee_dt_unfixed)
-        stored = dict(asd.provenance)
-        spec_cell = ((CUI, 2, "pre"), 0)  # Insert coin's precondition fixes it
-        assert spec_cell not in stored and asd.vectors[spec_cell[0]][0] == "F"
-        for key, j in (next(iter(stored)), spec_cell):
-            _ground(asd, key, j, asd.vectors[key][j], Unified(-1, key))
-        assert asd.provenance == stored
-        assert asd.vectors == annotate(sd1, coffee_dt_unfixed)[0].vectors
+        line = asd.lines[CUI]
+        stored = dict(line.provenance)
+        spec_cell = (face_index(asd, CUI, 2, "pre"), 0)  # Insert coin's precondition fixes it
+        assert spec_cell not in stored and line.faces[spec_cell[0]][0] == "F"
+        for i, j in (next(iter(stored)), spec_cell):
+            _ground(line, i, j, line.faces[i][j], Unified(-1, i))
+        assert line.provenance == stored
+        assert asd.lines == annotate(sd1, coffee_dt_unfixed)[0].lines
 
     def test_walk_refuses_cyclic_provenance(self, sd1, coffee_dt_unfixed):
         asd, _ = annotate(sd1, coffee_dt_unfixed)
-        a, b = (CUI, 5, "pre"), (CUI, 5, "post")
-        asd.provenance[(a, 0)] = Unified(0, b)
-        asd.provenance[(b, 0)] = Unified(0, a)
+        line = asd.lines[CUI]
+        a, b = face_index(asd, CUI, 5, "pre"), face_index(asd, CUI, 5, "post")
+        line.provenance[(a, 0)] = Unified(0, b)
+        line.provenance[(b, 0)] = Unified(0, a)
         with pytest.raises(AssertionError, match="^cyclic provenance at ") as exc:
-            list(_walk(asd, a, 0))
-        assert str(exc.value) in (f"cyclic provenance at {a}[0]", f"cyclic provenance at {b}[0]")
+            list(_walk(line, a, 0))
+        assert str(exc.value) in (f"cyclic provenance at cell 0 of face {a}",
+                                  f"cyclic provenance at cell 0 of face {b}")

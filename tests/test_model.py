@@ -31,7 +31,7 @@ from scdebug.model import (
 from scdebug.report import ReportBundle
 from scdebug.synthesizer import FlatChart
 
-from oracles import lifeline, lifeline_arrays, provenance_of
+from oracles import lifeline, lifeline_layout, provenance_of
 
 cells = st.one_of(st.none(), st.sampled_from(["T", "F", "0", "1", "none", "Espresso"]))
 vectors = st.lists(cells, min_size=1, max_size=6).map(tuple)
@@ -271,7 +271,7 @@ def test_records_derive_what_their_fields_fix():
         (SequenceDiagram("S", (), ()), "no_loop"),
         (SequenceDiagram("S", (), ()), "other"),
         (_rejected(), "rejected_at"),  # derived from the steps
-        (Unified(0, ("A", 1, "pre")), "event"),
+        (Unified(0, 1), "event"),
         (_conflict(), "variable"),
         (Transition("A", "B", "e"), "event"),
         (Node("A"), "comment"),
@@ -311,14 +311,16 @@ def test_node_equality_and_hash_ignore_comment():
 def test_annotated_sd_compares_by_fields(sd1, coffee_dt_unfixed):
     a1, _ = annotate(sd1, coffee_dt_unfixed)
     a2, _ = annotate(sd1, coffee_dt_unfixed)
+    assert AnnotatedSD._fields == ("sd", "theory", "lines")
     assert a1 == a2
-    a2.vectors[("Control", 1, "pre")][0] = "T"
+    a2.lines["Control"].faces[0][0] = "T"
     assert a1 != a2
     with pytest.raises(TypeError):
         hash(a1)
-    copy = AnnotatedSD(a1.sd, a1.theory, a1.vectors, a1.lines, a1.provenance, a1.events,
-                       a1.spec_vectors)
-    assert copy == a1 and copy.lines == lifeline_arrays(a1)
+    copy = AnnotatedSD(a1.sd, a1.theory, a1.lines)
+    assert copy == a1
+    for obj, line in copy.lines.items():
+        assert (line.messages, line.starts) == lifeline_layout(sd1, coffee_dt_unfixed, obj)
 
 
 def test_apply_edit_dispatches_on_edit_type():
@@ -342,6 +344,7 @@ def test_provenance_rules_are_told_apart(sd1, coffee_dt_unfixed):
     unified = [rule for rule in rules if isinstance(rule, Unified)]
     assert {rule for rule in rules if not isinstance(rule, Unified)} == {FROM_SPEC, FRAME}
     assert [rule.event for rule in unified] == [0, 0]
-    assert isinstance(provenance_of(asd, ("Coffee-UI", 1, "pre"), 2), Unified)
+    line = asd.lines["Coffee-UI"]
+    assert isinstance(provenance_of(line, 0, 2), Unified)  # the pre face of message 1
     assert [(m.id, which) for m, which, _ in conflict_view(asd, c)[2]] == [
-        (mid, which) for _, mid, which in asd.events[0]]
+        (line.messages[i // 2].id, "post") for i in line.events[0]]

@@ -90,13 +90,14 @@ class TestObjectChart:
                     refused += 1
                     continue
                 states = []
-                for gap in lifeline_gaps_by_lifeline(asd, obj):
+                faces = asd.lines[obj].faces
+                for gap in lifeline_gaps_by_lifeline(sd, obj):
                     joined = (None,) * dt.width
-                    for key in gap:
-                        joined = unify(joined, tuple(asd.vectors[key]))
-                    assert joined == (tuple(asd.vectors[gap[-1]]) if gap else (None,) * dt.width)
+                    for i in gap:
+                        joined = unify(joined, tuple(faces[i]))
+                    assert joined == (tuple(faces[gap[-1]]) if gap else (None,) * dt.width)
                     states.append(joined)
-                    unequal += len(gap) == 2 and asd.vectors[gap[0]] != asd.vectors[gap[1]]
+                    unequal += len(gap) == 2 and faces[gap[0]] != faces[gap[1]]
                 chart = synth_object_chart(asd, obj)
                 assert chart.initial == states[0] and set(chart.states) <= set(states)
                 built += 1

@@ -83,3 +83,17 @@ def test_cli_corpus_runs_clean(tmp_path):
     assert not [run["args"] for run in log if "error: internal" in run["stderr"]]
     for command in ("annotate", "synth", "check"):
         assert {0, 1} <= {run["code"] for run in log if run["args"][0] == command}, command
+    # Guards that hold and reject, in both guard modes, and diagrams that
+    # do not annotate.
+    assert any("guard [Step = 3] does not hold" in run["stdout"] for run in log)
+    assert any("--strict-guards" in run["args"] for run in log)
+    assert any(run["stderr"].startswith("error: message 2: 'e2' takes 0 argument(s)") for run in log)
+
+
+def test_cli_corpus_refuses_a_used_output_directory(tmp_path):
+    (tmp_path / "inputs").mkdir()
+    proc = subprocess.run([sys.executable, str(ROOT / "tests" / "cli_corpus.py"), str(ROOT), str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == f"cli_corpus.py: {tmp_path} exists and is not an empty directory\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "inputs"]
