@@ -3,6 +3,7 @@
 All three are line oriented, UTF-8, with ``#`` starting a comment that runs
 to end of line.  Grammars are documented in docs/formats.md; the canonical
 test corpus is the coffee-machine domain theory under tests/fixtures.
+The parsers are the one validator: the records of ``model`` check nothing.
 """
 
 from __future__ import annotations
@@ -59,8 +60,13 @@ def split_label_args(label: str) -> tuple[str, tuple[str, ...]]:
 
 
 def _lines(text: str):
-    """Yield (lineno, stripped content) for non-blank, non-comment lines."""
-    for no, raw in enumerate(text.splitlines(), start=1):
+    r"""Yield (lineno, stripped content) for non-blank, non-comment lines.
+    Lines end at ``\n``, ``\r\n`` and ``\r`` only, as in universal-newline
+    reading: ``str.splitlines`` would also end one, a comment among them, at
+    a form feed, ``\x0b``, ``\x1c``-``\x1e``, NEL, U+2028 or U+2029."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for no, raw in enumerate(text.split("\n"), start=1):
         body = raw.partition("#")[0].strip()
         if body:
             yield no, body
@@ -102,26 +108,20 @@ def _parse_domain(text: str, span: tuple) -> VarDomain:
 _ATOM_RE = re.compile(rf"({IDENT})\s*=\s*(-?\w+)")
 
 
-def _atoms(text: str, span: tuple, noun: str):
-    """Yield the (var, value) atoms of ``var = value and var = value``; a
-    variable named twice is an error once the caller has taken every atom."""
-    names = []
-    for part in re.split(r"\s+and\s+", text.strip()):
-        m = _ATOM_RE.fullmatch(part.strip())
-        if not m:
-            raise ParseError(span, f"cannot parse {noun} {part.strip()!r}", expected="var = value")
-        names.append(m.group(1))
-        yield m.group(1), m.group(2)
-    if len(set(names)) != len(names):
-        raise ParseError(span, "variable repeated within one condition")
-
-
-def _parse_condition(text: str, span: tuple, variables, params) -> Condition:
-    """Parse ``var = value and var = value``; values checked against domains."""
-    if not text.strip():
-        return Condition()
+def _atoms(text: str, span: tuple, noun: str, variables=None, params=None) -> list:
+    """The (var, value) atoms of ``var = value and var = value``, read in
+    one pass.  Given the theory's ``variables`` and the context's
+    ``params``, each atom is checked against them once it is read; a
+    variable named twice is an error once every atom is read."""
     atoms = []
-    for var_name, value in _atoms(text, span, "atom"):
+    for part in re.split(r"\s+and\s+", text.strip()):  # parts hold no outer blanks
+        m = _ATOM_RE.fullmatch(part)
+        if not m:
+            raise ParseError(span, f"cannot parse {noun} {part!r}", expected="var = value")
+        atom = var_name, value = m.groups()
+        atoms.append(atom)
+        if variables is None:
+            continue
         var = variables.get(var_name)
         if var is None:
             raise ParseError(span, f"unknown state variable {var_name!r}")
@@ -135,8 +135,9 @@ def _parse_condition(text: str, span: tuple, variables, params) -> Condition:
         elif not var.domain.contains(value):
             raise ParseError(span, f"literal {value!r} outside domain of {var_name} "
                                    f"({var.domain.describe()})")
-        atoms.append((var_name, value))
-    return Condition(tuple(atoms))
+    if len({var_name for var_name, _ in atoms}) != len(atoms):
+        raise ParseError(span, "variable repeated within one condition")
+    return atoms
 
 
 _CONTEXT_RE = re.compile(rf"context\s+({NAME})\s*(?:\(\s*({IDENT})\s*:\s*(.+?)\s*\))?$")
@@ -159,7 +160,8 @@ def parse_domain_theory(text: str, filename: str = "<dt>") -> DomainTheory:
         chunk, _, rest = chunk.partition(";")
         if rest.strip():  # the ';' ends the clause on the line read last
             raise ParseError(span, f"unexpected text after ';': {rest.strip()!r}")
-        specs[name][which] = _parse_condition(chunk, first, variables, params)
+        if chunk.strip():
+            specs[name][which] = Condition(tuple(_atoms(chunk, first, "atom", variables, params)))
 
     for no, body in _lines(text):
         span = (filename, no)
@@ -243,7 +245,7 @@ def parse_sd(text: str, filename: str = "<sd>") -> SequenceDiagram:
     if not body.startswith("sd "):
         raise ParseError((filename, 1), "missing 'sd <name>' header")
     name, header_line = body[3:].strip(), no
-    objects: list[str] = []
+    objects: dict[str, None] = {}  # an ordered set
     messages: list[Message] = []
     no_loop: list[tuple[int, frozenset[int]]] = []  # (line, pair)
 
@@ -251,34 +253,35 @@ def parse_sd(text: str, filename: str = "<sd>") -> SequenceDiagram:
         return ParseError((filename, no), message, expected)
 
     for no, body in lines:
-        if body.startswith("sd "):
-            raise error(f"second 'sd' header (the first is on line {header_line})")
+        m = _MSG_RE.match(body)  # most lines are messages
+        if m:
+            mid, sender, receiver, label = m.groups()
+            mid = int(mid)
+            for obj in (sender, receiver):
+                if obj not in objects:
+                    raise error(f"undeclared object {obj!r} in message {mid}")
+            if mid != len(messages) + 1:
+                raise error(f"message id {mid} out of order, expected {len(messages) + 1}")
+            # A label without '(' is its own name: NAME ends in a word character.
+            label, args = split_label_args(label) if "(" in label else (label, ())
+            messages.append(Message(mid, label, args, sender, receiver))
         elif body.startswith("object "):
             obj = body[len("object "):].strip()
             if not _IDENT_RE.match(obj):
                 raise error(f"bad object name {obj!r}")
             if obj in objects:
                 raise error(f"duplicate object {obj!r}")
-            objects.append(obj)
+            objects[obj] = None
+        elif body.startswith("sd "):
+            raise error(f"second 'sd' header (the first is on line {header_line})")
         elif body.startswith("assume no-loop"):
             m = re.fullmatch(r"assume no-loop\s+(\d+)\s+(\d+)", body)
             if not m:
                 raise error("cannot parse directive", expected="assume no-loop i j")
             no_loop.append((no, frozenset((int(m.group(1)), int(m.group(2))))))
         elif body.startswith("msg"):
-            m = _MSG_RE.match(body)
-            if not m:
-                raise error(f"cannot parse message line {body!r}",
-                            expected="msg <id> <sender> -> <receiver> : <label>")
-            mid = int(m.group(1))
-            sender, receiver = m.group(2), m.group(3)
-            for obj in (sender, receiver):
-                if obj not in objects:
-                    raise error(f"undeclared object {obj!r} in message {mid}")
-            if mid != len(messages) + 1:
-                raise error(f"message id {mid} out of order, expected {len(messages) + 1}")
-            label, args = split_label_args(m.group(4))
-            messages.append(Message(mid, label, args, sender, receiver))
+            raise error(f"cannot parse message line {body!r}",
+                        expected="msg <id> <sender> -> <receiver> : <label>")
         else:
             raise error(f"cannot parse line {body!r}")
 
@@ -337,27 +340,29 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
             raise ParseError(initial_span, f"initial node {initial!r} not declared at this level")
         return Statechart(name, tuple(nodes.values()), initial, tuple(transitions))
 
+    def error(message: str, expected: str | None = None) -> ParseError:
+        return ParseError((filename, no), message, expected)
+
     for no, body in lines:
-        span = (filename, no)
         name, nodes, transitions, initials = scopes[-1]
         if body == "}":
             if len(scopes) == 1:
-                raise ParseError(span, "unmatched '}'")
-            node = Node(name, children=close(span))  # close pops the scope
+                raise error("unmatched '}'")
+            node = Node(name, children=close((filename, no)))  # close pops the scope
             scopes[-1][1][name] = node
         elif body.startswith("initial "):
             if initials:
-                raise ParseError(span, f"second initial node in {name!r}"
-                                       f" (the first is on line {initials[0][1][1]})")
-            initials.append((body[len("initial "):].strip(), span))
+                raise error(f"second initial node in {name!r}"
+                            f" (the first is on line {initials[0][1][1]})")
+            initials.append((body[len("initial "):].strip(), (filename, no)))
         elif body.startswith("state "):
             rest = body[len("state "):].strip()
             composite = rest.endswith("{")
             node_name = rest[:-1].strip() if composite else rest
             if not _IDENT_RE.match(node_name):
-                raise ParseError(span, f"bad state name {node_name!r}")
+                raise error(f"bad state name {node_name!r}")
             if node_name in declared:
-                raise ParseError(span, f"duplicate node name {node_name!r}")
+                raise error(f"duplicate node name {node_name!r}")
             declared.add(node_name)
             nodes[node_name] = None if composite else Node(node_name)
             if composite:
@@ -365,19 +370,21 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
         elif "->" in body:
             m = _TRANS_RE.match(body)
             if not m:
-                raise ParseError(span, f"cannot parse transition {body!r}",
-                                 expected="X -> Y : e [guard] / a1, a2")
-            guard = m.group(4) and Condition(tuple(_atoms(m.group(4)[1:-1], span, "guard atom")))
-            event, *actions = (spell_event(*split_label_args(label))  # as Message.event spells it
-                               for label in (m.group(3), *_LABEL_RE.findall(m.group(5) or "")))
-            transitions.append(Transition(m.group(1), m.group(2), event, guard, tuple(actions)))
-            for end in m.group(1, 2):
-                if end not in declared:
-                    pending.setdefault(end, span)
+                raise error(f"cannot parse transition {body!r}",
+                            expected="X -> Y : e [guard] / a1, a2")
+            source, target, event, guard, actions = m.groups()
+            guard = guard and Condition(tuple(_atoms(guard[1:-1], (filename, no), "guard atom")))
+            # As Message.event spells them; a label without '(' is its own name.
+            event, *actions = (spell_event(*split_label_args(label)) if "(" in label else label
+                               for label in (event, *(_LABEL_RE.findall(actions) if actions else ())))
+            transitions.append(Transition(source, target, event, guard, tuple(actions)))
+            for end in (source, target):
+                if end not in declared and end not in pending:
+                    pending[end] = (filename, no)
         elif body.startswith("statechart "):
-            raise ParseError(span, "nested 'statechart' header")
+            raise error("nested 'statechart' header")
         else:
-            raise ParseError(span, f"cannot parse line {body!r}")
+            raise error(f"cannot parse line {body!r}")
     span = (filename, no)  # the last line
     if len(scopes) > 1:
         raise ParseError(span, f"composite {scopes[-1][0]!r} is not closed", expected="'}'")

@@ -5,8 +5,11 @@ is immutable after construction and safe to share.  Cell values are canonical li
 ``"Espresso"``); ``None`` stands for the undetermined value printed as ``?``.
 
 Records are named tuples, which are cheap to define at import and to
-build, and compare and hash as tuples.  A record that validates its fields
-subclasses a bare ``namedtuple`` of them with a checking ``__new__``.
+build, and compare and hash as tuples.  No constructor checks its fields:
+the parsers in ``dsl`` are the one validator, and reject each malformed
+input at its line.  A record built in code (by synthesis, a repair edit or
+a test) is well formed because its builder keeps the rules the parsers
+check; ``dsl.print_*`` followed by ``dsl.parse_*`` gives it back unchanged.
 """
 
 from __future__ import annotations
@@ -14,16 +17,6 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 from typing import NamedTuple
-
-
-class Checked:
-    """Mixin for a validating record: ``_replace`` goes through ``__new__``."""
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -45,13 +38,8 @@ class BoolDomain(namedtuple("BoolDomain", ())):
         return "Boolean"
 
 
-class IntRangeDomain(Checked, namedtuple("IntRangeDomain", "lo hi")):
+class IntRangeDomain(namedtuple("IntRangeDomain", "lo hi")):
     __slots__ = ()
-
-    def __new__(cls, lo: int, hi: int):
-        if lo > hi:
-            raise ValueError(f"empty integer range {lo}..{hi}")
-        return tuple.__new__(cls, (lo, hi))
 
     def contains(self, token: str) -> bool:
         """In-range integers in canonical spelling only: a cell holding
@@ -70,15 +58,8 @@ class IntRangeDomain(Checked, namedtuple("IntRangeDomain", "lo hi")):
         return f"{self.lo}..{self.hi}"
 
 
-class EnumDomain(Checked, namedtuple("EnumDomain", "labels")):
+class EnumDomain(namedtuple("EnumDomain", "labels")):
     __slots__ = ()
-
-    def __new__(cls, labels: tuple[str, ...]):
-        if not labels:
-            raise ValueError("enumeration must have at least one label")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate enumeration labels in {labels}")
-        return tuple.__new__(cls, (labels,))
 
     def contains(self, token: str) -> bool:
         return token in self.labels
@@ -103,16 +84,11 @@ class StateVariable(NamedTuple):
 # Conditions and message specifications
 
 
-class Condition(Checked, namedtuple("Condition", "atoms")):
-    """Conjunction of ``var = value`` atoms; values may be parameter names."""
+class Condition(namedtuple("Condition", "atoms", defaults=((),))):
+    """Conjunction of ``var = value`` atoms, each variable at most once;
+    values may be parameter names."""
 
     __slots__ = ()
-
-    def __new__(cls, atoms: tuple[tuple[str, str], ...] = ()):
-        names = [v for v, _ in atoms]
-        if len(set(names)) != len(names):
-            raise ValueError(f"variable repeated within one condition: {names}")
-        return tuple.__new__(cls, (atoms,))
 
     def is_empty(self) -> bool:
         return not self.atoms
@@ -125,20 +101,11 @@ class MessageSpec(NamedTuple):
     post: Condition
 
 
-class DomainTheory(Checked, namedtuple("DomainTheory", "variables specs")):
-    # No __slots__: the cached lookup tables live in the instance dict.
+class DomainTheory(namedtuple("DomainTheory", "variables specs")):
+    """Variables with unique names, each ``index`` its position, and specs
+    with unique names."""
 
-    def __new__(cls, variables: tuple[StateVariable, ...], specs: tuple[MessageSpec, ...]):
-        names = [v.name for v in variables]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate state variable declaration: {names}")
-        for i, v in enumerate(variables):
-            if v.index != i:
-                raise ValueError(f"variable {v.name} carries index {v.index}, expected {i}")
-        ctx = [s.name for s in specs]
-        if len(set(ctx)) != len(ctx):
-            raise ValueError(f"duplicate context name: {ctx}")
-        return tuple.__new__(cls, (variables, specs))
+    # No __slots__: the cached lookup tables live in the instance dict.
 
     @cached_property
     def _variable_index(self) -> dict:
@@ -185,20 +152,12 @@ def participants(msg: Message) -> tuple[str, ...]:
     return (msg.sender, msg.receiver)
 
 
-class SequenceDiagram(Checked, namedtuple("SequenceDiagram", "name objects messages no_loop")):
-    __slots__ = ()
+class SequenceDiagram(namedtuple("SequenceDiagram", "name objects messages no_loop",
+                                 defaults=(frozenset(),))):
+    """Unique ``objects``; ``messages`` numbered 1..n in order, between
+    declared objects."""
 
-    def __new__(cls, name: str, objects: tuple[str, ...], messages: tuple[Message, ...],
-                no_loop: frozenset[frozenset[int]] = frozenset()):
-        if len(set(objects)) != len(objects):
-            raise ValueError(f"duplicate object names in {name}")
-        for i, m in enumerate(messages, start=1):
-            if m.id != i:
-                raise ValueError(f"message ids must be 1..n contiguous, got {m.id} at position {i}")
-            for obj in (m.sender, m.receiver):
-                if obj not in objects:
-                    raise ValueError(f"message {m.id} references undeclared object {obj!r}")
-        return tuple.__new__(cls, (name, objects, messages, no_loop))
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +292,11 @@ class Node(NamedTuple):
         return hash(self._key())
 
 
-class Statechart(Checked, namedtuple("Statechart", "name nodes initial transitions")):
-    __slots__ = ()
+class Statechart(namedtuple("Statechart", "name nodes initial transitions")):
+    """Node names unique in the whole chart; ``initial`` names one of this
+    scope's ``nodes``."""
 
-    def __new__(cls, name: str, nodes: tuple[Node, ...], initial: str,
-                transitions: tuple[Transition, ...]):
-        local = [n.name for n in nodes]
-        if len(set(local)) != len(local):
-            raise ValueError(f"duplicate node name in chart {name}")
-        if initial not in local:
-            raise ValueError(f"initial node {initial!r} not declared at this level")
-        return tuple.__new__(cls, (name, nodes, initial, transitions))
+    __slots__ = ()
 
 
 def walk(chart: Statechart):

@@ -10,9 +10,10 @@ over the fixtures and seeded ``tests/gen`` inputs: ``annotate`` (text,
 ``check`` (text and ``--json``, ``--max-edits 1`` and ``2``) of every single
 and adjacent double deletion of SD1, SD2 and the stepper, the refined
 stepper at ``--max-edits 4``, ``check`` against two guarded copies of the
-stepper chart in both guard modes, and diagrams the theory cannot
+stepper chart in both guard modes, diagrams the theory cannot
 annotate (an argument too many, one outside its domain) through
-``annotate`` and ``check``.  Inputs and every chart the runs write go
+``annotate`` and ``check``, and one malformed theory, diagram or chart for
+each rule only the parsers check.  Inputs and every chart the runs write go
 under OUT, which must be new or empty, and ``OUT/log.json`` holds each
 run's arguments, exit code, stdout and stderr, with OUT written as
 ``<OUT>``.  Run it against two trees and compare the two OUT directories
@@ -154,6 +155,31 @@ def corpus(out: Path):
     latte.write_text(print_sd(sd1._replace(messages=tuple(
         m._replace(args=("Latte",)) if m.args else m for m in sd1.messages))), encoding="utf-8")
     yield ["annotate", fx["theory.dt"], str(latte), "--json"]
+
+    # One malformed input for each rule the parsers alone check.
+    malformed = {
+        "empty-range.dt": "x : 2..1\n",
+        "no-labels.dt": "x : enum {}\n",
+        "twice-label.dt": "x : enum {a, b, a}\n",
+        "repeated.dt": "x : Boolean\ncontext a\n pre: x = T and\n     x = F ;\n post:\n",
+        "twice-variable.dt": "x, y : Boolean\ny : 0..1\n",
+        "twice-context.dt": "x : Boolean\ncontext a\n pre:\n post:\ncontext a\n pre:\n post:\n",
+        "twice-object.sd": "sd S\nobject A\nobject B\nobject A\n",
+        "undeclared.sd": "sd S\nobject A\nmsg 1 A -> B : x\n",
+        "out-of-order.sd": "sd S\nobject A\nobject B\nmsg 1 A -> B : x\nmsg 3 B -> A : y\n",
+        "twice-node/M.sc": "statechart M\ninitial A\nstate A\nstate G {\n  initial A\n  state A\n}\n",
+        "no-initial/M.sc": "statechart M\ninitial G\nstate G {\n  initial B\n  state A\n}\n",
+    }
+    for name, text in malformed.items():
+        path = inputs / "malformed" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+        if name.endswith(".dt"):
+            yield ["annotate", str(path), fx["sd1.sd"]]
+        elif name.endswith(".sd"):
+            yield ["annotate", fx["theory.dt"], str(path)]
+        else:
+            yield ["check", *stepper, "--charts", str(path.parent)]
 
 
 def run(root: Path, out: Path) -> list[dict]:

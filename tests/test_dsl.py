@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scdebug.checker import check_all
+from scdebug.checker import NoRepairWithinBound, check_all, repair
 from scdebug.dsl import (
     ParseError,
     parse_domain_theory,
@@ -18,6 +18,7 @@ from scdebug.dsl import (
 )
 from scdebug.model import (
     Condition,
+    Delete,
     DomainTheory,
     EnumDomain,
     IntRangeDomain,
@@ -27,6 +28,7 @@ from scdebug.model import (
     SequenceDiagram,
     Statechart,
     Transition,
+    apply_edit,
 )
 from scdebug.report import export_dot
 from scdebug.synthesizer import synthesize
@@ -329,23 +331,73 @@ class TestStatechart:
         (parse_domain_theory, "x Boolean",
          "<dt>:1:1: cannot parse declaration 'x Boolean' (expected name[, name...] : domain)"),
         (parse_domain_theory, "x, 1y : Boolean", "<dt>:1:1: bad variable name '1y'"),
+        # .dt: rules that only the parser checks
+        (parse_domain_theory, "x : 2..1", "<dt>:1:1: empty integer range 2..1"),
+        (parse_domain_theory, "x : Boolean\nx : Boolean", "<dt>:2:1: duplicate state variable declaration 'x'"),
+        (parse_domain_theory, "x : Boolean\ncontext a\n pre:\n post:\ncontext a\n pre:\n post:",
+         "<dt>:5:1: duplicate context name 'a'"),
+        (parse_domain_theory, "x : Boolean\ncontext a\n pre:\n post: x = T and\n x = F ;",
+         "<dt>:4:1: variable repeated within one condition"),
         # .sd
         (parse_sd, "sd S\nobject A B", "<sd>:2:1: bad object name 'A B'"),
         (parse_sd, "sd S\nobject A\nassume no-loop 1",
          "<sd>:3:1: cannot parse directive (expected assume no-loop i j)"),
         (parse_sd, "sd S\nobject A\nlifeline B", "<sd>:3:1: cannot parse line 'lifeline B'"),
+        (parse_sd, "sd S\nobject A\nobject A", "<sd>:3:1: duplicate object 'A'"),
+        (parse_sd, "sd S\nobject A\nmsg 1 A -> B : x", "<sd>:3:1: undeclared object 'B' in message 1"),
+        (parse_sd, "sd S\nobject A\nobject B\nmsg 1 A -> B : x\nmsg 03 B -> A : y",
+         "<sd>:5:1: message id 3 out of order, expected 2"),
         # .sc
         (parse_sc, "# no header\ninitial A\nstate A", "<sc>:1:1: missing 'statechart <name>' header"),
         (parse_sc, "statechart M\ninitial A\nstate A\n}", "<sc>:4:1: unmatched '}'"),
         (parse_sc, "statechart M\ninitial A\nstate A B", "<sc>:3:1: bad state name 'A B'"),
         (parse_sc, "statechart M\ninitial A\nstate A\nstatechart N", "<sc>:4:1: nested 'statechart' header"),
         (parse_sc, "statechart M\ninitial A\nstate A\nenter A", "<sc>:4:1: cannot parse line 'enter A'"),
+        (parse_sc, "statechart M\ninitial A\nstate A\nstate A", "<sc>:4:1: duplicate node name 'A'"),
+        (parse_sc, "statechart M\ninitial G\nstate G {\n initial B\n state A\n}",
+         "<sc>:4:1: initial node 'B' not declared at this level"),
     ],
 )
 def test_error_messages(parse, text, error):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert str(exc.value) == error
+
+
+# Characters at which str.splitlines() also ends a line; here they end none.
+NOT_NEWLINES = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("sep", NOT_NEWLINES, ids=lambda sep: f"U+{ord(sep):04X}")
+@pytest.mark.parametrize(
+    "parse,text,error",
+    [
+        (parse_domain_theory, "x : Boolean   # note|more\ncontext a\n pre: x = T ;\n post: x = F ;\n\nbad",
+         "<dt>:6:1: unexpected line after contexts: 'bad'"),
+        (parse_sd, "sd A\nobject X\nobject Y # note|more\nmsg 1 X -> Y : a\nbad",
+         "<sd>:5:1: cannot parse line 'bad'"),
+        (parse_sc, "statechart M\ninitial A\nstate A   # note|more\nA -> A : e\nbad",
+         "<sc>:5:1: cannot parse line 'bad'"),
+    ],
+    ids=["dt", "sd", "sc"],
+)
+def test_comment_runs_to_the_newline(parse, text, error, sep):
+    # A comment ends only at \n, \r\n or \r, so its text after one of these
+    # characters is no line of its own and later line numbers stay right.
+    text = text.replace("|", sep)
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == error
+    good = text.rpartition("\n")[0]
+    assert parse(good) == parse(good.replace(f"note{sep}more", ""))
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_lines_end_at_cr_and_crlf(newline):
+    text = "sd A\nobject X\nobject Y\n\nmsg 1 X -> Y : a\nbad".replace("\n", newline)
+    with pytest.raises(ParseError, match="^<sd>:6:1: cannot parse line 'bad'$"):
+        parse_sd(text)
+    assert parse_sd(text.rpartition(newline)[0]) == parse_sd("sd A\nobject X\nobject Y\nmsg 1 X -> Y : a")
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +522,36 @@ def test_synthesized_charts_check_whatever_the_labels():
             for line in export_dot(chart).splitlines():
                 assert len(re.findall(r'(?<!\\)(?:\\\\)*"', line)) % 2 == 0, line
     assert rejected > 300 and accepted > 300 and with_args > 30
+
+
+def test_records_built_in_code_read_back():
+    # No record checks its fields, so synthesis and repair must build only
+    # what the parsers accept: every chart synthesize returns and every
+    # repaired diagram prints to text that parses back to it.  (Nested
+    # composites read back in TestHierarchy.test_variable_split_on_random_charts.)
+    rng = random.Random(26)
+    charts = repairs = edited = 0
+    while repairs < 150:
+        dt, sds = mergeable_corpus(rng, count=rng.randint(1, 3), max_msgs=8)
+        built, _ = synthesize(dt, sds)
+        for chart in built.values():
+            assert parse_sc(print_sc(chart)) == chart
+        charts += len(built)
+        sd = rng.choice(sds)
+        if len(sd.messages) < 2:
+            continue
+        obj = max(sd.objects, key=lambda o: sum(m.receiver == o for m in sd.messages))
+        cut = rng.choice([m.id for m in sd.messages if m.receiver == obj])
+        pair = frozenset(rng.sample(range(1, len(sd.messages) + 1), 2))
+        sd = apply_edit(sd._replace(no_loop=frozenset({pair})), Delete(cut))
+        try:
+            result = repair(sd, obj, built[obj], dt, max_edits=2)
+        except NoRepairWithinBound:
+            continue
+        assert parse_sd(print_sd(result.repaired)) == result.repaired
+        repairs += 1
+        edited += bool(result.edits)
+    assert charts > 400 and edited > 30
 
 
 def test_docs_examples_parse():

@@ -83,11 +83,12 @@ def test_cli_corpus_runs_clean(tmp_path):
     assert not [run["args"] for run in log if "error: internal" in run["stderr"]]
     for command in ("annotate", "synth", "check"):
         assert {0, 1} <= {run["code"] for run in log if run["args"][0] == command}, command
-    # Guards that hold and reject, in both guard modes, and diagrams that
-    # do not annotate.
+    # Guards that hold and reject, in both guard modes, diagrams that do
+    # not annotate, and inputs that do not parse.
     assert any("guard [Step = 3] does not hold" in run["stdout"] for run in log)
     assert any("--strict-guards" in run["args"] for run in log)
     assert any(run["stderr"].startswith("error: message 2: 'e2' takes 0 argument(s)") for run in log)
+    assert sum(run["stderr"].startswith("parse error: <OUT>/inputs/malformed/") for run in log) == 11
 
 
 def test_cli_corpus_refuses_a_used_output_directory(tmp_path):
