@@ -76,17 +76,21 @@ def _lines(text: str):
 # Domains
 
 
+_RANGE_RE = re.compile(r"(-?\d+)\s*\.\.\s*(-?\d+)")
+_ENUM_RE = re.compile(r"enum\s*\{([^}]*)\}")
+
+
 def _parse_domain(text: str, span: tuple) -> VarDomain:
     text = text.strip()
     if text == "Boolean":
         return BoolDomain()
-    m = re.fullmatch(r"(-?\d+)\s*\.\.\s*(-?\d+)", text)
+    m = _RANGE_RE.fullmatch(text)
     if m:
         lo, hi = int(m.group(1)), int(m.group(2))
         if lo > hi:
             raise ParseError(span, f"empty integer range {lo}..{hi}")
         return IntRangeDomain(lo, hi)
-    m = re.fullmatch(r"enum\s*\{([^}]*)\}", text)
+    m = _ENUM_RE.fullmatch(text)
     if m:
         labels = tuple(s.strip() for s in m.group(1).split(",") if s.strip())
         if not labels:
@@ -237,6 +241,7 @@ def print_domain_theory(dt: DomainTheory) -> str:
 _MSG_RE = re.compile(
     rf"msg\s+(\d+)\s+({IDENT})\s*->\s*({IDENT})\s*:\s*({LABEL})$"
 )
+_NO_LOOP_RE = re.compile(r"assume no-loop\s+(\d+)\s+(\d+)")
 
 
 def parse_sd(text: str, filename: str = "<sd>") -> SequenceDiagram:
@@ -275,7 +280,7 @@ def parse_sd(text: str, filename: str = "<sd>") -> SequenceDiagram:
         elif body.startswith("sd "):
             raise error(f"second 'sd' header (the first is on line {header_line})")
         elif body.startswith("assume no-loop"):
-            m = re.fullmatch(r"assume no-loop\s+(\d+)\s+(\d+)", body)
+            m = _NO_LOOP_RE.fullmatch(body)
             if not m:
                 raise error("cannot parse directive", expected="assume no-loop i j")
             no_loop.append((no, frozenset((int(m.group(1)), int(m.group(2))))))
@@ -374,9 +379,12 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
                             expected="X -> Y : e [guard] / a1, a2")
             source, target, event, guard, actions = m.groups()
             guard = guard and Condition(tuple(_atoms(guard[1:-1], (filename, no), "guard atom")))
+            labels = [event]
+            if actions:  # one LABEL unless it holds a ','
+                labels += _LABEL_RE.findall(actions) if "," in actions else [actions]
             # As Message.event spells them; a label without '(' is its own name.
             event, *actions = (spell_event(*split_label_args(label)) if "(" in label else label
-                               for label in (event, *(_LABEL_RE.findall(actions) if actions else ())))
+                               for label in labels)
             transitions.append(Transition(source, target, event, guard, tuple(actions)))
             for end in (source, target):
                 if end not in declared and end not in pending:

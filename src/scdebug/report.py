@@ -15,7 +15,7 @@ see docs/report-schema.json.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .model import AnnotatedSD, Conflict, SequenceDiagram, Statechart, Transition, format_vector, walk
@@ -147,29 +147,65 @@ def render_text(bundle: ReportBundle) -> str:
 # JSON rendering
 
 
-def _conflict_json(asd: AnnotatedSD, c: Conflict) -> dict:
+class _Raw(str):
+    """JSON text that ``_json`` copies verbatim."""
+
+
+def _json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for dicts with str
+    keys, lists, tuples, str, int, bool and None; ``pad`` is the newline and
+    indent of the line the value starts on.  CPython's C encoder does not
+    indent, and its pure-Python one is the slowest step of a JSON report."""
+    if isinstance(value, str):
+        return value if type(value) is _Raw else _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join(  # _quote raises TypeError on a key not a str
+            [f"{_quote(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]) + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _msg_json(msg, cells, pad: str, which: str = "") -> str:
+    """A conflict's message reference, its keys on lines starting ``pad``."""
+    out = f'{{{pad}"id": {msg.id},{pad}"label": {_quote(msg.label)},'
+    out += f'{pad}"vector": {_quote(format_vector(cells))}'
+    return out + (f',{pad}"which": {_quote(which)}' if which else "") + pad[:-2] + "}"
+
+
+def _conflict_json(asd: AnnotatedSD, c: Conflict) -> _Raw:
+    """One conflict as JSON text, written at its depth in the report (an
+    item of the top-level "conflicts" list) with keys in sorted order:
+    conflicts are the part of a report that grows with the input, so they
+    skip the generic writer."""
     after, before, unified = conflict_view(asd, c)
-    return {
-        "sd": c.sd_name,
-        "object": c.object,
-        "variable": c.variable.name,
-        "valueAfter": after[c.variable.index],
-        "valueBefore": before[c.variable.index],
-        "afterMsg": {
-            "id": c.after_message.id,
-            "label": c.after_message.label,
-            "vector": format_vector(after),
-        },
-        "beforeMsg": {
-            "id": c.before_message.id,
-            "label": c.before_message.label,
-            "vector": format_vector(before),
-        },
-        "derivation": [
-            {"id": msg.id, "label": msg.label, "which": which, "vector": format_vector(cells)}
-            for msg, which, cells in unified
-        ],
-    }
+    # Indents of the conflict's keys and of a derivation step's keys.
+    p, q = "\n      ", "\n          "
+    derivation = ("[" + ",".join(f"{p}  {_msg_json(msg, cells, q, which)}" for msg, which, cells in unified)
+                  + p + "]") if unified else "[]"
+    return _Raw(
+        f'{{{p}"afterMsg": {_msg_json(c.after_message, after, p + "  ")},'
+        f'{p}"beforeMsg": {_msg_json(c.before_message, before, p + "  ")},'
+        f'{p}"derivation": {derivation},'
+        f'{p}"object": {_quote(c.object)},'
+        f'{p}"sd": {_quote(c.sd_name)},'
+        f'{p}"valueAfter": {_quote(after[c.variable.index])},'
+        f'{p}"valueBefore": {_quote(before[c.variable.index])},'
+        f'{p}"variable": {_quote(c.variable.name)}\n    }}'
+    )
 
 
 def _check_json(rec: CheckRecord) -> dict:
@@ -214,7 +250,7 @@ def render_json(bundle: ReportBundle) -> str:
         "checks": [_check_json(r) for r in bundle.checks],
         "warnings": list(bundle.warnings),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,18 @@ class TestCheck:
         assert main([*args, "--json"]) == code
         assert json.loads(capsys.readouterr().out)["warnings"] == [warning]
 
+    def test_json_escapes_what_is_not_ascii(self, tmp_path, capsys):
+        charts = tmp_path / "chärts"
+        charts.mkdir()
+        (charts / "M.sc").write_text((FIXTURES / "stepper_refined" / "M.sc").read_text())
+        (charts / "Q.sc").write_text("statechart Q\ninitial A\nstate A\n")
+        assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", str(charts), "--json"]) == 1
+        out = capsys.readouterr().out
+        assert out.isascii()
+        assert f'"chart \'Q\' in {tmp_path}/ch\\u00e4rts/Q.sc names no object of the diagrams given"' in out
+        warning = f"chart 'Q' in {charts / 'Q.sc'} names no object of the diagrams given"
+        assert json.loads(out)["warnings"] == [warning]
+
     @pytest.mark.parametrize(
         "guard, why",
         [

@@ -3,6 +3,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scdebug.annotator import annotate
 from scdebug.checker import check_all
@@ -10,6 +12,7 @@ from scdebug.dsl import ParseError, parse_sc
 from scdebug.model import Node, Statechart, Transition
 from scdebug.report import (
     ReportBundle,
+    _json,
     annotation_bundle,
     export_dot,
     render_json,
@@ -80,10 +83,12 @@ class TestText:
 
 class TestJson:
     def test_derivation_order(self, conflict_bundle):
-        doc = json.loads(render_json(conflict_bundle))
+        text = render_json(conflict_bundle)
+        doc = json.loads(text)
         derivation = doc["conflicts"][0]["derivation"]
         assert [d["id"] for d in derivation] == [1, 11, 10]
         assert all(d["vector"] == "<F,F,T,0,none>" for d in derivation)
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_empty(self, sd1, coffee_dt):
         doc = json.loads(render_json(annotation_bundle([annotate(sd1, coffee_dt)])))
@@ -103,6 +108,28 @@ class TestJson:
         for bundle in (conflict_bundle, checked):
             doc = json.loads(render_json(bundle))
             _validate(doc, schema, schema)
+
+
+# Report values: every type the JSON writer takes, empty containers at any
+# depth, and text with quotes, backslashes, control and non-ASCII characters.
+_texts = st.text() | st.text(st.sampled_from('"\\/\x00\x1f\x7f\u00e4\u2028\ud800\U0001f600 a'))
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
+    | _texts | st.sampled_from([[], (), {}]),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_texts, inner),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @given(_json_values)
+    def test_matches_json_dumps(self, value):
+        assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [1.5, {1, 2}, {1: "a"}, {"a": 1, 2: "b"}, {"a": [[], {"b": 0.0}]}])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            _json(value)
 
 
 def _validate(value, schema, root, path="$"):

@@ -89,6 +89,11 @@ def test_cli_corpus_runs_clean(tmp_path):
     assert any("--strict-guards" in run["args"] for run in log)
     assert any(run["stderr"].startswith("error: message 2: 'e2' takes 0 argument(s)") for run in log)
     assert sum(run["stderr"].startswith("parse error: <OUT>/inputs/malformed/") for run in log) == 11
+    # Every JSON report is in the canonical form docs/formats.md states.
+    reports = [run["stdout"] for run in log if "--json" in run["args"] and run["code"] != 2]
+    assert reports
+    for out in reports:
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_cli_corpus_refuses_a_used_output_directory(tmp_path):
