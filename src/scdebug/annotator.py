@@ -19,9 +19,11 @@ is a range of faces, and provenance and identifications name faces of the
 same lifeline, never a message id.  A round is linear in the lifeline: a
 class's state is joined a cell column at a time, and the loop search walks
 the lifeline's distinct (state, open) keys, not its pairs of classes.
-Settled faces, which already agree with the rest of their class or gap,
-cost one list comparison: a class of equal faces is not joined, and gap
-joins and conflict detection skip a gap of equal faces.
+Faces are tuples, never written into: the spec vectors start them, and
+a sweep or a unification replaces a face, so equal faces are mostly one
+object.  Settled faces, which already agree with the rest of their class
+or gap, cost one tuple comparison: a class of equal faces is not joined,
+and gap joins and conflict detection skip a gap of equal faces.
 
 Gap joins run once per lifeline, after its last frame sweep: a gap's pre
 face then holds every value of the post face before it, so a join only
@@ -59,7 +61,6 @@ from .model import (
     Message,
     SequenceDiagram,
     Unified,
-    participants,
     unify,
 )
 
@@ -113,38 +114,37 @@ def initialize_vectors(sd: SequenceDiagram, dt: DomainTheory) -> AnnotatedSD:
     Both endpoints of a message receive the same spec-derived cells: the
     conditions constrain the shared system state, not one object's view.
     Messages without a matching spec contribute all-undetermined vectors.
-    Spec vectors are built once per (label, arguments) and shared.
+    Spec vectors are cached on the theory by (label, arguments) once built,
+    and shared by every face they fix.
     """
-    lines = {obj: Lifeline([], [], [], [0], {}, []) for obj in sd.objects}
-    by_event: dict = {}  # (label, args) -> (pre vector, post vector)
-    blank = (None,) * dt.width
+    vectors, blank = dt._spec_vectors, (None,) * dt.width
+    own = {obj: ([], []) for obj in sd.objects}  # object -> (messages, spec)
     for msg in sd.messages:
-        fixed = by_event.get((msg.label, msg.args))
+        fixed = vectors.get((msg.label, msg.args))
         if fixed is None:
             spec = dt.spec_for(msg.label)
             binding = {} if spec is None else _parameter_binding(spec, msg)
             pre, post = (Condition(), Condition()) if spec is None else (spec.pre, spec.post)
-            fixed = by_event[msg.label, msg.args] = (_condition_vector(pre, binding, dt, msg),
-                                                     _condition_vector(post, binding, dt, msg))
-        opens = fixed[1] != blank  # a postcondition fixes some cell
-        for obj in participants(msg):
-            messages, spec_cells, faces, starts, *_ = lines[obj]
-            if opens:
-                starts.append(len(faces) + 1)
+            fixed = vectors[msg.label, msg.args] = (_condition_vector(pre, binding, dt, msg),
+                                                    _condition_vector(post, binding, dt, msg))
+        messages, cells = own[msg.sender]
+        messages.append(msg)
+        cells += fixed
+        if msg.receiver != msg.sender:  # the other participant
+            messages, cells = own[msg.receiver]
             messages.append(msg)
-            spec_cells += fixed
-            faces += list(fixed[0]), list(fixed[1])
-    for line in lines.values():
-        line.starts.append(len(line.faces))
+            cells += fixed
+    lines = {}
+    for obj, (messages, spec) in own.items():
+        starts = [0, *(i for i in range(1, len(spec), 2) if spec[i] != blank), len(spec)]
+        lines[obj] = Lifeline(messages, spec, spec[:], starts, {}, [])
     return AnnotatedSD(sd, dt, lines)
 
 
 def missing_spec_warnings(sd: SequenceDiagram, dt: DomainTheory) -> list[str]:
     """One warning per distinct message label the theory does not specify."""
-    return list(dict.fromkeys(
-        f"{sd.name}: message {m.label!r} has no specification"
-        for m in sd.messages if dt.spec_for(m.label) is None
-    ))
+    return [f"{sd.name}: message {label!r} has no specification"
+            for label in dict.fromkeys(m.label for m in sd.messages) if dt.spec_for(label) is None]
 
 
 def _ground(line: Lifeline, i: int, j: int, value: str, prov: Unified) -> None:
@@ -155,7 +155,7 @@ def _ground(line: Lifeline, i: int, j: int, value: str, prov: Unified) -> None:
                 f"attempt to overwrite determined cell {j} of face {i} ({cells[j]}) with {value}"
             )
         return
-    cells[j] = value
+    line.faces[i] = (*cells[:j], value, *cells[j + 1:])
     line.provenance[(i, j)] = prov
 
 
@@ -167,16 +167,24 @@ def frame_propagate(asd: AnnotatedSD, obj: str) -> bool:
     value it lacks from the face before it, so values persist until a
     specification changes them.  Determined cells are never rewritten.  A
     lifeline's vectors are read and written only by its own sweep, front to
-    back, so one sweep is a fixpoint.  Full faces take nothing and are skipped.
+    back, so one sweep is a fixpoint.  Full faces take nothing and are
+    skipped; equal (face before, face) pairs give one filled tuple.
     """
     changed = False
     faces = asd.lines[obj].faces
-    for prev, cells in zip(faces, faces[1:]):
-        if None in cells:
-            for j, v in enumerate(prev):
-                if v is not None and cells[j] is None:
-                    cells[j] = v
-                    changed = True
+    filled = {}  # (face before, face) -> the face after the sweep
+    prev = faces[0] if faces else None
+    for i in range(1, len(faces)):
+        cells = faces[i]
+        if None in cells and cells is not prev:
+            key = prev, cells
+            new = filled.get(key)
+            if new is None:
+                new = filled[key] = tuple([v if v is not None else p for v, p in zip(cells, prev)])
+            if new != cells:
+                faces[i] = cells = new
+                changed = True
+        prev = cells
     return changed
 
 
@@ -189,9 +197,9 @@ def class_state(faces: list, width: int):
     ``open`` is true when some face lacks a value the join determines.
     The join is taken one column of cells at a time, unless the faces are
     settled (all equal); a class with no faces has one undetermined face."""
-    faces = faces or [[None] * width]
+    faces = faces or [(None,) * width]
     if faces.count(faces[0]) == len(faces):
-        return tuple(faces[0]), False
+        return faces[0], False
     state = []
     is_open = False
     for column in zip(*faces):
@@ -313,7 +321,7 @@ def _gap_joins_once(asd: AnnotatedSD, obj: str) -> bool:
             continue
         if _is_discarded(asd.sd.no_loop, {messages[i // 2].id}, {messages[i // 2 + 1].id}):
             continue
-        joined = unify(tuple(left), tuple(right))
+        joined = unify(left, right)
         if joined is None:
             continue
         for j, v in enumerate(joined):
@@ -398,7 +406,7 @@ def conflict_view(asd: AnnotatedSD, conflict: Conflict) -> tuple:
     face once; no unified states when its lifeline had no identification."""
     line, i = _after_face(asd, conflict)
     faces = line.faces
-    after, before = tuple(faces[i]), tuple(faces[i + 1])
+    after, before = faces[i], faces[i + 1]
     if not line.events:
         return after, before, ()
     out = {}
@@ -406,7 +414,7 @@ def conflict_view(asd: AnnotatedSD, conflict: Conflict) -> tuple:
         if isinstance(rule, Unified) and rule.event >= 0:
             for k in line.events[rule.event]:
                 if k not in out:
-                    out[k] = line.messages[k // 2], POST, tuple(faces[k])  # events hold post faces
+                    out[k] = line.messages[k // 2], POST, faces[k]  # events hold post faces
     return after, before, tuple(out.values())
 
 

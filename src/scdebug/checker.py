@@ -13,7 +13,8 @@ inserts, lower positions first, chart transition order, then sender order).
 
 Each leaf one edit below a node is decided from the node's guard-blind
 replay state sets around the spans: an edit changes one span, or merges
-two, and only leaves that pass are built, annotated once and replayed.
+two, and only leaves that pass are built, annotated once and, against a
+chart with guards, replayed.
 Guards only remove transitions, so no repair is lost.
 """
 
@@ -271,16 +272,19 @@ def repair(
 
         return bool(fwd[-1]), test
 
+    guarded = _has_guards(chart)
+
     def works(leaf: SequenceDiagram) -> bool:
+        # The leaf passed the guard-blind test, which only guards can overrule.
         try:
             asd, conflicts = annotate(leaf, dt)
         except AnnotationError:
             return False
-        return not conflicts and replay(leaf, obj, chart, dt, strict_guards, asd).accepted
+        return not conflicts and (not guarded or replay(leaf, obj, chart, dt, strict_guards, asd).accepted)
 
     def attempt(current: SequenceDiagram, edits: tuple, budget: int):
         nonlocal explored
-        decide = leaf_test(current)[1] if budget == 1 else None
+        decide = (root_test if current is sd else leaf_test(current)[1]) if budget == 1 else None
         n = len(current.messages)
         for pos, cand in chain(product(range(1, n + 1), [None]), product(range(1, n + 2), candidates)):
             if budget == 1:
@@ -298,7 +302,8 @@ def repair(
         return None
 
     explored = 1  # the diagram itself, at depth 0
-    if leaf_test(sd)[0] and works(sd):
+    accepted, root_test = leaf_test(sd)
+    if accepted and works(sd):
         return RepairResult((), sd)
     for depth in range(1, max_edits + 1):
         found = attempt(sd, (), depth)

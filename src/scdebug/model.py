@@ -115,6 +115,10 @@ class DomainTheory(namedtuple("DomainTheory", "variables specs")):
     def _spec_index(self) -> dict:
         return {s.name: s for s in self.specs}
 
+    @cached_property
+    def _spec_vectors(self) -> dict:  # (label, args) -> the annotator's (pre, post)
+        return {}
+
     def variable(self, name: str) -> StateVariable | None:
         return self._variable_index.get(name)
 
@@ -144,12 +148,6 @@ class Message(NamedTuple):
 
     def event(self) -> str:
         return spell_event(self.label, self.args)
-
-
-def participants(msg: Message) -> tuple[str, ...]:
-    if msg.sender == msg.receiver:
-        return (msg.sender,)
-    return (msg.sender, msg.receiver)
 
 
 class SequenceDiagram(namedtuple("SequenceDiagram", "name objects messages no_loop",
@@ -211,13 +209,15 @@ class Lifeline(NamedTuple):
     Faces run in lifeline order (pre m1, post m1, pre m2, ...): face ``2k``
     is the pre face of ``messages[k]``, counting from 0, and ``2k + 1`` its
     post face.  ``spec`` holds the cells each face's specification fixes,
-    ``faces`` its cells (mutable during annotation).  State class ``c`` is
-    the faces from ``starts[c]`` up to ``starts[c + 1]``; a class opens at
-    the post face of a message whose postcondition is not empty, and the
-    last entry is the face count.  ``provenance``: (face, cell index) ->
-    Unified; the rules of ``annotator._walk`` derive every other cell's.
-    ``events``: per applied identification, in order, its post faces, which
-    conflict explanations show, in the order it was established.
+    ``faces`` its cells, both as tuples that equal faces share: annotation
+    starts ``faces`` as a copy of ``spec`` and replaces a face, never writes
+    into one.  State class ``c`` is the faces from ``starts[c]`` up to
+    ``starts[c + 1]``; a class opens at the post face of a message whose
+    postcondition is not empty, and the last entry is the face count.
+    ``provenance``: (face, cell index) -> Unified; the rules of
+    ``annotator._walk`` derive every other cell's.  ``events``: per applied
+    identification, in order, its post faces, which conflict explanations
+    show, in the order it was established.
     """
 
     messages: list

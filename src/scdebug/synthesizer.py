@@ -92,7 +92,7 @@ def synth_object_chart(asd: AnnotatedSD, obj: str) -> FlatChart:
     # A gap's last face is the pre face of the message after it; the last
     # gap's is the last post face.
     faces = asd.lines[obj].faces
-    gaps = [tuple(cells) for cells in faces[::2] + faces[-1:]] or [(None,) * asd.theory.width]
+    gaps = faces[::2] + faces[-1:] or [(None,) * asd.theory.width]
     transitions = []
     start = 0  # lifeline index of the span's first message
     for received, sends in receive_spans(asd.sd.messages, obj):

@@ -24,7 +24,7 @@ def face_index(asd, obj: str, mid: int, which: str) -> int:
     return 2 * ids.index(mid) + (which == "post")
 
 
-def face(asd, obj: str, mid: int, which: str) -> list:
+def face(asd, obj: str, mid: int, which: str) -> tuple:
     """The cells of the pre or post face of message ``mid`` on the object's lifeline."""
     return asd.lines[obj].faces[face_index(asd, obj, mid, which)]
 

@@ -37,10 +37,14 @@ from scdebug.model import (
     Message,
     Unified,
     apply_edit,
-    participants,
     unify,
 )
 from scdebug.synthesizer import COMPLETION, flatten
+
+
+def participants(msg):
+    """The objects a message puts on their lifelines: a self-message once."""
+    return (msg.sender,) if msg.sender == msg.receiver else (msg.sender, msg.receiver)
 
 
 def lifeline(sd, obj):
@@ -375,7 +379,7 @@ def initialize_vectors_eager(sd, dt):
                     vec[j] = literal
                     line.provenance[(i, j)] = FROM_SPEC
                 line.spec.append(tuple(vec))
-                line.faces.append(vec)
+                line.faces.append(tuple(vec))
     return AnnotatedSD(sd, dt, lines)
 
 
@@ -386,10 +390,11 @@ def frame_propagate_eager(asd, sources):
     for obj, line in asd.lines.items():
         faces = line.faces
         for i in range(1, len(faces)):
-            dst = faces[i]
+            dst = list(faces[i])
             for j, v in enumerate(faces[i - 1]):
                 if v is not None and dst[j] is None:
                     dst[j] = v
+                    faces[i] = tuple(dst)
                     line.provenance[(i, j)] = FRAME
                     sources[(obj, i, j)] = i - 1
                     changed = True

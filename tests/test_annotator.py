@@ -21,7 +21,7 @@ from scdebug.annotator import (
     identification_candidates,
     initialize_vectors,
 )
-from scdebug.dsl import parse_domain_theory, parse_sd
+from scdebug.dsl import parse_domain_theory, parse_sd, print_domain_theory
 from scdebug.model import (
     AnnotatedSD,
     BoolDomain,
@@ -191,6 +191,51 @@ class TestInitialize:
             with pytest.raises(AnnotationError, match=f"^{re.escape('message 1: ' + detail)}$"):
                 annotate(sd, dt)
 
+    def test_theory_cache_gives_a_fresh_theorys_annotation(self, sd1, sd2, coffee_dt_unfixed):
+        # Spec vectors are cached on the theory: diagram B annotated with a
+        # theory that already annotated diagram A equals B annotated with a
+        # freshly parsed copy: lifelines (faces, provenance, events) and
+        # conflicts.
+        rng = random.Random(29)
+        cases = [(coffee_dt_unfixed, sd1, sd2), (coffee_dt_unfixed, sd2, sd1)]
+        for _ in range(150):
+            dt = gen_theory(rng)
+            cases.append((dt, gen_sd(rng, dt, max_msgs=12), gen_sd(rng, dt, max_msgs=12)))
+        for dt, sd_a, sd_b in cases:
+            annotate(sd_a, dt)
+            assert dt._spec_vectors
+            fresh = parse_domain_theory(print_domain_theory(dt))
+            (used, used_conflicts), (new, new_conflicts) = annotate(sd_b, dt), annotate(sd_b, fresh)
+            assert used.lines == new.lines and used_conflicts == new_conflicts
+
+    def test_failed_message_is_not_cached(self, stepper_sd, stepper_dt):
+        # Only built vectors are cached: e2(7) raises the same error, naming
+        # its message, after its theory has annotated a valid diagram.
+        dt = parse_domain_theory(print_domain_theory(stepper_dt))
+        first, e2, *rest = stepper_sd.messages
+        bad = stepper_sd._replace(messages=(first, e2._replace(args=("7",)), *rest))
+        with pytest.raises(AnnotationError) as fresh:
+            annotate(bad, parse_domain_theory(print_domain_theory(stepper_dt)))
+        assert str(fresh.value) == "message 2: 'e2' takes 0 argument(s), got 1"
+        annotate(stepper_sd, dt)
+        for _ in range(2):
+            with pytest.raises(AnnotationError, match=f"^{re.escape(str(fresh.value))}$") as exc:
+                annotate(bad, dt)
+            assert exc.value.message_id == 2
+
+    def test_annotation_keeps_spec_and_tuple_faces(self, coffee_dt_unfixed):
+        # annotate replaces faces and never writes into one: each lifeline's
+        # spec is the initial faces, and every face is a tuple.
+        for sd, dt in provenance_corpus(coffee_dt_unfixed):
+            try:
+                initial = initialize_vectors(sd, parse_domain_theory(print_domain_theory(dt)))
+                asd, _ = annotate(sd, dt)
+            except AnnotationError:
+                continue
+            for obj, line in asd.lines.items():
+                assert line.spec == initial.lines[obj].spec == initial.lines[obj].faces
+                assert all(type(cells) is tuple for cells in line.faces + line.spec)
+
 
 class TestUnifyPass:
     def test_s2_s3_unify(self, sd1, coffee_dt_unfixed):
@@ -326,7 +371,7 @@ class TestUnifyPass:
         asd = initialize_vectors(sd1, coffee_dt_unfixed)
         messages, spec, faces, starts, _, _ = asd.lines[CUI]
         assert messages == list(sd1.messages)
-        assert faces == [list(cells) for cells in spec]
+        assert faces == [tuple(cells) for cells in spec]
         # Faces 6 and 7 are the pre and post faces of message 4.
         assert [format_vector(cells) for cells in faces[6:8]] == ["<?,?,F,?,?>", "<?,?,T,?,Espresso>"]
         assert starts == [0, 3, 7, 15, 19, 22]
@@ -508,7 +553,8 @@ class TestInvariants:
         ]
         assert len(stripped) == 132
         for line, i, j in stripped:
-            line.faces[i][j] = None
+            cells = line.faces[i]
+            line.faces[i] = (*cells[:j], None, *cells[j + 1:])
         sweep(asd)
         assert all_faces(asd) == expected
 
@@ -566,7 +612,7 @@ class TestInvariants:
         # the application orders (bounded) and compare the outcomes.
         def clone(asd):
             return AnnotatedSD(asd.sd, asd.theory, {
-                obj: line._replace(faces=[list(cells) for cells in line.faces],
+                obj: line._replace(faces=[tuple(cells) for cells in line.faces],
                                    provenance=dict(line.provenance), events=list(line.events))
                 for obj, line in asd.lines.items()})
 

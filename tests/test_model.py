@@ -307,7 +307,8 @@ def test_annotated_sd_compares_by_fields(sd1, coffee_dt_unfixed):
     a2, _ = annotate(sd1, coffee_dt_unfixed)
     assert AnnotatedSD._fields == ("sd", "theory", "lines")
     assert a1 == a2
-    a2.lines["Control"].faces[0][0] = "T"
+    faces = a2.lines["Control"].faces
+    faces[0] = ("T", *faces[0][1:])
     assert a1 != a2
     with pytest.raises(TypeError):
         hash(a1)
