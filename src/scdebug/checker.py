@@ -11,18 +11,18 @@ insertions of the events the chart receives, so the first solution found
 has minimal cost; tie-breaking is total (fewest edits, deletes before
 inserts, lower positions first, chart transition order, then sender order).
 
-Each leaf one edit below a node is decided from the node's guard-blind
-replay state sets around the spans: an edit changes one span, or merges
-two, and only leaves that pass are built, annotated once and, against a
-chart with guards, replayed.
-Guards only remove transitions, so no repair is lost.
+A node's one-edit leaves are judged together from its guard-blind replay
+state sets: a delete changes one span or merges two, and the events whose
+insert fits form one set per span and cut.  Every leaf counts as explored,
+but only those that pass are built, annotated once and, against a chart
+with guards, replayed.  Guards only remove transitions, so no repair is lost.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cache
-from itertools import chain, product
+from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -229,48 +229,52 @@ def repair(
     chart = flatten(chart)
     candidates = [(*c, Message(0, *c, obj).event()) for c in insert_candidates(chart, sd, obj)]
     anywhere = {chart.initial, *(t.target for t in chart.transitions)}
-
-    @cache
-    def takers(event: str, sends: tuple) -> tuple:
-        return tuple(t for t in chart.transitions if _takes(t, event, sends))
+    by_event: dict[str, list[Transition]] = {}
+    for t in chart.transitions:
+        by_event.setdefault(t.event, []).append(t)
 
     def step(states: set, event: str, sends: tuple, backward: bool = False) -> set:
         # Where a span leads from states, or backward, from where into them.
         if event == COMPLETION and not sends:  # an empty leading span
             return states
         if backward:
-            return {t.source for t in takers(event, sends) if t.target in states}
-        return {t.target for t in takers(event, sends) if t.source in states}
+            return {t.source for t in by_event.get(event, ()) if t.target in states and _takes(t, event, sends)}
+        return {t.target for t in by_event.get(event, ()) if t.source in states and _takes(t, event, sends)}
 
     def leaf_test(current: SequenceDiagram):
-        """Guard-blind verdicts on current and on its one-edit changes."""
+        """Guard-blind verdicts: whether current fits, whether deleting message pos
+        fits (listed by pos - 1), and pos -> the events whose insert at pos fits."""
         spans = receive_spans(current.messages, obj)
         events = [(span_event(received), tuple(m.event() for m in sends)) for received, sends in spans]
-        receives = [received.id for received, _ in spans[1:]]  # ids are positions
         fwd, back = [{chart.initial}], [anywhere]
         for (event, sends), (b_event, b_sends) in zip(events, reversed(events)):
             fwd.append(step(fwd[-1], event, sends))
             back.insert(0, step(back[0], b_event, b_sends, backward=True))
-
-        def fits(a: int, end: int, *new) -> bool:
-            states = fwd[a]
-            for event, sends in new:
-                states = step(states, event, sends)
-            return not states.isdisjoint(back[end])
+        accepted, deletable, where = bool(fwd[-1]), [], []
+        a = cut = 0  # the span of the next position, and its sends before it
+        for m in current.messages:
+            where.append((a, cut))
+            event, sends = events[a]
+            if m.receiver == obj:  # spans a and a + 1 merge
+                deletable.append(not step(fwd[a], event, sends + events[a + 1][1]).isdisjoint(back[a + 2]))
+                a, cut = a + 1, 0
+            elif m.sender == obj:
+                deletable.append(not step(fwd[a], event, sends[:cut] + sends[cut + 1:]).isdisjoint(back[a + 1]))
+                cut += 1
+            else:
+                deletable.append(accepted)
+        where.append((a, cut))
 
         @cache
-        def test(pos: int, event: str | None) -> bool:
-            a = bisect_left(receives, pos)  # the object's receives before pos, so pos's span
-            received, sends = events[a]
-            cut = bisect_left(spans[a][1], pos, key=attrgetter("id"))
-            if event is not None:
-                return fits(a, a + 1, (received, sends[:cut]), (event, sends[cut:]))
-            m = current.messages[pos - 1]
-            if m.receiver == obj:  # spans a and a + 1 merge
-                return fits(a, a + 2, (received, sends + events[a + 1][1]))
-            return fits(a, a + 1, (received, sends[:cut] + sends[cut + (m.sender == obj):]))
+        def fitting(a: int, cut: int) -> set:
+            # An insert splits span a at the cut: a transition on its event leads from
+            # where the span's head goes to where the later spans start, covering the tail.
+            event, sends = events[a]
+            heads, tail = step(fwd[a], event, sends[:cut]), sends[cut:]
+            return {e for e, ts in by_event.items() if e != COMPLETION and any(
+                t.source in heads and t.target in back[a + 1] and _takes(t, e, tail) for t in ts)}
 
-        return bool(fwd[-1]), test
+        return accepted, deletable, lambda pos: fitting(*where[pos - 1])
 
     guarded = _has_guards(chart)
 
@@ -284,14 +288,17 @@ def repair(
 
     def attempt(current: SequenceDiagram, edits: tuple, budget: int):
         nonlocal explored
-        decide = (root_test if current is sd else leaf_test(current)[1]) if budget == 1 else None
         n = len(current.messages)
-        for pos, cand in chain(product(range(1, n + 1), [None]), product(range(1, n + 2), candidates)):
-            if budget == 1:
-                explored += 1
-                if not decide(pos, cand and cand[3]):
-                    continue
-            edit = Delete(pos) if cand is None else Insert(Message(pos, *cand[:3], obj))
+        if budget == 1:  # every leaf is counted, and only those the test passes are built
+            explored += n + (n + 1) * len(candidates)
+            _, deletable, fitting = root_test if current is sd else leaf_test(current)
+            moves = chain((Delete(pos) for pos in range(1, n + 1) if deletable[pos - 1]),
+                          (Insert(Message(pos, *c[:3], obj)) for pos in range(1, n + 2)
+                           for fits in [fitting(pos)] for c in candidates if c[3] in fits))
+        else:
+            moves = chain(map(Delete, range(1, n + 1)),
+                          (Insert(Message(pos, *c[:3], obj)) for pos in range(1, n + 2) for c in candidates))
+        for edit in moves:
             child = apply_edit(current, edit)
             if budget > 1:
                 found = attempt(child, edits + (edit,), budget - 1)
@@ -302,8 +309,8 @@ def repair(
         return None
 
     explored = 1  # the diagram itself, at depth 0
-    accepted, root_test = leaf_test(sd)
-    if accepted and works(sd):
+    root_test = leaf_test(sd)
+    if root_test[0] and works(sd):
         return RepairResult((), sd)
     for depth in range(1, max_edits + 1):
         found = attempt(sd, (), depth)

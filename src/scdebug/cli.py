@@ -31,7 +31,8 @@ def _no_loop_pair(text: str):
 
 
 @cache  # main() may run many times in one process
-def build_parser() -> argparse.ArgumentParser:
+def _parsers():
+    """The top-level parser, and each command's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="scdebug",
         description="Annotate scenarios against a domain theory, synthesize "
@@ -67,11 +68,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--strict-guards", action="store_true",
                        help="undetermined cells fail guards instead of passing them")
     p_chk.add_argument("--json", action="store_true")
-    return parser
+    return parser, sub.choices
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not text
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _read(path) -> str:
+    with open(path, "rb") as f:  # bytes decoded at once; the parsers split the line ends
+        return f.read().decode("utf-8-sig")  # a leading BOM is not text
 
 
 def _load_inputs(args):
@@ -157,9 +163,16 @@ def cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in commands:  # straight to the command's parser
+            args, extra = commands[argv[0]].parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.command = argv[0]
+        else:  # help, no command or an unknown one
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return ERROR if exc.code not in (0, None) else OK
     try:

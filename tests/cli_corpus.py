@@ -12,8 +12,9 @@ and adjacent double deletion of SD1, SD2 and the stepper, the refined
 stepper at ``--max-edits 4``, ``check`` against two guarded copies of the
 stepper chart in both guard modes, diagrams the theory cannot
 annotate (an argument too many, one outside its domain) through
-``annotate`` and ``check``, and one malformed theory, diagram or chart for
-each rule only the parsers check.  Inputs and every chart the runs write go
+``annotate`` and ``check``, one malformed theory, diagram or chart for
+each rule only the parsers check, and usage errors (unknown options and
+commands, bare commands, a ``--max-edits`` that is not a number).  Inputs and every chart the runs write go
 under OUT, which must be new or empty, and ``OUT/log.json`` holds each
 run's arguments, exit code, stdout and stderr, with OUT written as
 ``<OUT>``.  Run it against two trees and compare the two OUT directories
@@ -25,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import random
 import shutil
 import sys
@@ -181,6 +183,22 @@ def corpus(out: Path):
         else:
             yield ["check", *stepper, "--charts", str(path.parent)]
 
+    # Usage errors, each reported by argparse with exit code 2: an unknown
+    # option after each command, at a seeded place among its arguments and
+    # sometimes with a value, each command bare, an unknown command and a
+    # --max-edits that is not a number.
+    rng = random.Random(SEED + 2)
+    for command, given in (("annotate", coffee), ("synth", coffee + ["-o", str(charts / "usage")]),
+                           ("check", coffee + ["--charts", str(charts / "coffee")])):
+        option = rng.choice(("--bogus", "--verbose", "-x", "--out-dir", "--jsonl=1"))
+        at = rng.randint(1, len(given))
+        yield [command, *given[:at], option, *given[at:]]
+        yield [command, *given, option, *rng.choice(([], ["1"], ["--json"]))]
+        yield [command]
+    yield ["bogus", *coffee]
+    yield ["annotat", *coffee]
+    yield ["check", *coffee, "--charts", str(charts / "coffee"), "--max-edits", "x"]
+
 
 def run(root: Path, out: Path) -> list[dict]:
     """Run the corpus against ``root``'s scdebug and write ``out/log.json``."""
@@ -188,6 +206,7 @@ def run(root: Path, out: Path) -> list[dict]:
     from scdebug.cli import main
 
     out.mkdir(parents=True, exist_ok=True)
+    os.environ["COLUMNS"] = "80"  # argparse wraps its usage lines to this width
     log = []
     for args in corpus(out):
         stdout, stderr = io.StringIO(), io.StringIO()

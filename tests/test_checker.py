@@ -14,7 +14,7 @@ from scdebug.checker import (
 )
 from scdebug.dsl import parse_domain_theory, parse_sc, parse_sd
 from scdebug.model import Delete, Insert, Message, SequenceDiagram, apply_edit
-from scdebug.synthesizer import synth_object_chart, synthesize, to_statechart
+from scdebug.synthesizer import flatten, synth_object_chart, synthesize, to_statechart
 
 from conftest import read
 from gen import conflict_free_pair, gen_replay_case
@@ -273,6 +273,21 @@ class TestRepair:
                     costs[getattr(found, "cost", None)] += 1
         assert set(costs) == {0, 1, 2, None}
 
+    def test_matches_oracle_on_longer_diagrams(self):
+        # Up to 8 messages cut a diagram into more spans, and a span at more
+        # places, than up to 3 do, so one node's leaves share more insert
+        # sets; results and explored counts still equal the oracle's.
+        rng = random.Random(29)
+        costs = Counter()
+        for _ in range(1000):
+            dt, chart, sd = gen_replay_case(rng, max_msgs=8)
+            for strict in (False, True):
+                for bound in (0, 1):
+                    found = _outcome(repair, sd, "M", chart, dt, bound, strict)
+                    assert found == _outcome(repair_dfs, sd, "M", chart, dt, bound, strict), (chart, sd)
+                    costs[getattr(found, "cost", None)] += 1
+        assert set(costs) == {0, 1, None}
+
     def test_single_deletions_match_oracle(self, coffee_dt, sd1, sd2):
         charts, _ = synthesize(coffee_dt, [sd1, sd2])
         rejected = 0
@@ -301,6 +316,40 @@ class TestRepair:
             "insert Cancel (Control -> Coffee-UI) at position 5",
         ]
         assert calls["replay"] <= 10 and calls["apply_edit"] <= 100
+
+    def test_builds_exactly_the_leaves_replay_accepts(self, monkeypatch, coffee_dt, sd1, sd2):
+        # One edit deep a leaf is built exactly when the node's table passes
+        # it, so the search's apply_edit calls equal the leaves, in search
+        # order up to the repair found, that replay without guards accepts.
+        charts, _ = synthesize(coffee_dt, [sd1, sd2])
+        calls = Counter()
+        monkeypatch.setattr(checker, "apply_edit", _counting(calls, "apply_edit", apply_edit))
+        built = every = searches = failures = 0
+        for sd in (sd1, sd2):
+            for pos in range(1, len(sd.messages) + 1):
+                mutated = apply_edit(sd, Delete(pos))
+                for obj in sd.objects:
+                    chart = flatten(charts[obj])
+                    blind = chart._replace(transitions=tuple(t._replace(guard=None) for t in chart.transitions))
+                    if replay(mutated, obj, chart, coffee_dt).accepted:
+                        continue
+                    calls.clear()
+                    found = _outcome(repair, mutated, obj, chart, coffee_dt, 1)
+                    n = len(mutated.messages)
+                    leaves = [Delete(at) for at in range(1, n + 1)] + [
+                        Insert(Message(at, *c, obj)) for at in range(1, n + 2)
+                        for c in insert_candidates(chart, mutated, obj)]
+                    every += len(leaves)
+                    searches += 1
+                    failures += isinstance(found, str)
+                    if not isinstance(found, str):
+                        leaves = leaves[:leaves.index(found.edits[0]) + 1]
+                    accepted = [replay(apply_edit(mutated, e), obj, blind, coffee_dt).accepted for e in leaves]
+                    assert isinstance(found, str) or accepted[-1]
+                    assert calls["apply_edit"] == sum(accepted), (sd.name, pos, obj)
+                    built += sum(accepted)
+        # 15 searches, 2 of them failing after deciding all of their 160 leaves.
+        assert searches == 15 and failures == 2 and 0 < built < every // 4
 
     def test_annotates_each_built_leaf_once(self, monkeypatch, stepper_sd, stepper_dt):
         # One edit deep every apply_edit call builds a leaf; replay reuses

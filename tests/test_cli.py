@@ -349,9 +349,12 @@ class TestCheck:
 
 
 class TestByteOrderMark:
-    @pytest.mark.parametrize("name", ["stepper.dt", "stepper.sd", "charts/M.sc"])
-    def test_leading_bom_is_ignored(self, name, tmp_path, capsys):
-        # Each command prints the same once the file starts with a UTF-8 BOM.
+    NAMES = ["stepper.dt", "stepper.sd", "charts/M.sc"]
+
+    @staticmethod
+    def stepper_outputs(tmp_path, capsys):
+        # Copies of the stepper theory, diagram and refined chart under
+        # tmp_path, and what annotate, synth and check print on them.
         (tmp_path / "charts").mkdir()
         for fixture in ("stepper.dt", "stepper.sd"):
             shutil.copy(FIXTURES / fixture, tmp_path / fixture)
@@ -359,15 +362,40 @@ class TestByteOrderMark:
         dt, sd = str(tmp_path / "stepper.dt"), str(tmp_path / "stepper.sd")
         commands = (["annotate", dt, sd], ["synth", dt, sd, "-o", str(tmp_path / "out")],
                     ["check", dt, sd, "--charts", str(tmp_path / "charts")])
+        return lambda: [(main(args), *capsys.readouterr()) for args in commands]
 
-        def outputs():
-            return [(main(args), *capsys.readouterr()) for args in commands]
-
+    @pytest.mark.parametrize("name", NAMES)
+    def test_leading_bom_is_ignored(self, name, tmp_path, capsys):
+        # Each command prints the same once the file starts with a UTF-8 BOM.
+        outputs = self.stepper_outputs(tmp_path, capsys)
         without = outputs()
         assert [code for code, _, _ in without] == [0, 0, 1]
         path = tmp_path / name
         path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
         assert outputs() == without
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_line_ends_are_read_alike(self, name, newline, tmp_path, capsys):
+        # A CRLF or CR-only copy of a file prints what the LF file prints.
+        outputs = self.stepper_outputs(tmp_path, capsys)
+        without = outputs()
+        path = tmp_path / name
+        text = path.read_bytes()
+        assert b"\r" not in text and text.count(b"\n") > 3
+        path.write_bytes(text.replace(b"\n", newline))
+        assert outputs() == without
+
+    @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8])
+    @pytest.mark.parametrize("pad", [0, 9000])
+    def test_undecodable_diagram_is_an_error(self, bom, pad, tmp_path, capsys):
+        # Positions count from after a BOM, past the first 8 KiB too.
+        head = b"sd S\nobject A\n# " + b"x" * pad + b"\n# caf"
+        path = tmp_path / "bad.sd"
+        path.write_bytes(bom + head + b"\xe9\n")
+        assert main(["annotate", THEORY, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: 'utf-8' codec can't decode byte 0xe9 in position {len(head)}: "
+                                           "invalid continuation byte\n")
 
 
 class TestDeterminism:

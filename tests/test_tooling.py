@@ -89,6 +89,16 @@ def test_cli_corpus_runs_clean(tmp_path):
     assert any("--strict-guards" in run["args"] for run in log)
     assert any(run["stderr"].startswith("error: message 2: 'e2' takes 0 argument(s)") for run in log)
     assert sum(run["stderr"].startswith("parse error: <OUT>/inputs/malformed/") for run in log) == 11
+    # Usage errors: an unknown option after each command, bare and unknown
+    # commands and a --max-edits that is not a number, all exit 2 and print
+    # only to stderr.
+    usage = [run for run in log if "usage: scdebug" in run["stderr"]]
+    assert all(run["code"] == 2 and not run["stdout"] for run in usage)
+    assert {run["args"][0] for run in usage if "error: unrecognized arguments: " in run["stderr"]} == {
+        "annotate", "synth", "check"}
+    assert sum("error: the following arguments are required" in run["stderr"] for run in usage) == 3
+    assert sum("error: argument command: invalid choice" in run["stderr"] for run in usage) == 2
+    assert any("argument --max-edits: invalid int value: 'x'" in run["stderr"] for run in usage)
     # Every JSON report is in the canonical form docs/formats.md states.
     reports = [run["stdout"] for run in log if "--json" in run["args"] and run["code"] != 2]
     assert reports
