@@ -8,6 +8,7 @@ inputs and flags.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -33,8 +34,11 @@ def _no_loop_pair(text: str):
 @cache  # main() may run many times in one process
 def _parsers():
     """The top-level parser, and each command's own parser by name."""
+    # No abbreviations: a prefix of one option would stop working once a
+    # longer option shares it.
     parser = argparse.ArgumentParser(
         prog="scdebug",
+        allow_abbrev=False,
         description="Annotate scenarios against a domain theory, synthesize "
         "statecharts, and check edited charts back against the scenarios.",
     )
@@ -52,16 +56,19 @@ def _parsers():
             help="discard unification between messages i and j (repeatable)",
         )
 
-    p_ann = sub.add_parser("annotate", help="annotate scenarios and report conflicts")
+    p_ann = sub.add_parser("annotate", allow_abbrev=False,
+                           help="annotate scenarios and report conflicts")
     common(p_ann)
     p_ann.add_argument("--json", action="store_true", help="machine-readable report")
 
-    p_syn = sub.add_parser("synth", help="synthesize one statechart per object")
+    p_syn = sub.add_parser("synth", allow_abbrev=False,
+                           help="synthesize one statechart per object")
     common(p_syn)
     p_syn.add_argument("-o", "--out", default=".", metavar="DIR", help="output directory")
     p_syn.add_argument("--dot", metavar="DIR", help="also write GraphViz exports here")
 
-    p_chk = sub.add_parser("check", help="replay scenarios against charts and repair")
+    p_chk = sub.add_parser("check", allow_abbrev=False,
+                           help="replay scenarios against charts and repair")
     common(p_chk)
     p_chk.add_argument("--charts", required=True, metavar="DIR", help="directory of .sc files")
     p_chk.add_argument("--max-edits", type=int, default=4, metavar="N")
@@ -76,7 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path) -> str:
-    with open(path, "rb") as f:  # bytes decoded at once; the parsers split the line ends
+    # Unbuffered: one read of the whole file, decoded at once; the parsers
+    # split the line ends.
+    with open(path, "rb", buffering=0) as f:
         return f.read().decode("utf-8-sig")  # a leading BOM is not text
 
 
@@ -140,8 +149,16 @@ def cmd_check(args) -> int:
     chart_dir = Path(args.charts)
     if not chart_dir.is_dir():
         raise FileNotFoundError(f"chart directory {chart_dir} does not exist")
+    # Every entry named *.sc, hidden ones too, in code-point order; one that
+    # is not a readable file is an error, and an unreadable directory holds
+    # no chart.
+    try:
+        names = sorted(name for name in os.listdir(chart_dir) if name.endswith(".sc"))
+    except PermissionError:
+        names = []
     charts, paths = {}, {}  # chart name -> the chart, the file declaring it
-    for path in sorted(chart_dir.glob("*.sc")):
+    for name in names:
+        path = chart_dir / name
         text = _read(path)
         chart = parse_sc(text, str(path))
         if chart.name in charts:

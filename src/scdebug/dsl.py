@@ -109,23 +109,32 @@ def _parse_domain(text: str, span: tuple) -> VarDomain:
 # Domain theory (.dt)
 
 
+_ATOM = rf"{IDENT}\s*=\s*-?\w+"
 _ATOM_RE = re.compile(rf"({IDENT})\s*=\s*(-?\w+)")
+# A well-formed conjunction, cut into atoms where r"\s+and\s+" cuts it: a
+# value "and" after a blank would itself start a cut, so it ends no atom but
+# the last.
+_CONJUNCTION_RE = re.compile(rf"{_ATOM}(?:(?<!\sand)\s+and\s+{_ATOM})*")
 
 
 def _atoms(text: str, span: tuple, noun: str, variables=None, params=None) -> list:
-    """The (var, value) atoms of ``var = value and var = value``, read in
-    one pass.  Given the theory's ``variables`` and the context's
-    ``params``, each atom is checked against them once it is read; a
-    variable named twice is an error once every atom is read."""
-    atoms = []
-    for part in re.split(r"\s+and\s+", text.strip()):  # parts hold no outer blanks
-        m = _ATOM_RE.fullmatch(part)
-        if not m:
-            raise ParseError(span, f"cannot parse {noun} {part!r}", expected="var = value")
-        atom = var_name, value = m.groups()
-        atoms.append(atom)
+    """The (var, value) atoms of ``var = value and var = value``, in order.
+    Given the theory's ``variables`` and the context's ``params``, each atom
+    is checked against them once it is read; a variable named twice is an
+    error once every atom is read."""
+    text = text.strip()
+    well_formed = _CONJUNCTION_RE.fullmatch(text)
+    # A text that is not is read part by part, to name the first bad one.
+    atoms = _ATOM_RE.findall(text) if well_formed else re.split(r"\s+and\s+", text)
+    for k, atom in enumerate(atoms):
+        if not well_formed:  # the parts hold no outer blanks
+            m = _ATOM_RE.fullmatch(atom)
+            if not m:
+                raise ParseError(span, f"cannot parse {noun} {atom!r}", expected="var = value")
+            atoms[k] = atom = m.groups()
         if variables is None:
             continue
+        var_name, value = atom
         var = variables.get(var_name)
         if var is None:
             raise ParseError(span, f"unknown state variable {var_name!r}")
@@ -145,54 +154,58 @@ def _atoms(text: str, span: tuple, noun: str, variables=None, params=None) -> li
 
 
 _CONTEXT_RE = re.compile(rf"context\s+({NAME})\s*(?:\(\s*({IDENT})\s*:\s*(.+?)\s*\))?$")
-_KEYWORD_RE = re.compile(r"context(?!\S)|pre:|post:")  # context only as a whole word
 
 
 def parse_domain_theory(text: str, filename: str = "<dt>") -> DomainTheory:
     variables: dict[str, StateVariable] = {}
-    specs: dict[str, dict] = {}  # context name -> the fields of its MessageSpec
+    specs: dict[str, list] = {}  # context name -> [params, pre, post] of its MessageSpec
     # The open context: its name, its params and the clauses it still allows,
-    # in order. Its open clause, [pre or post, first line, text], runs to its
-    # ';', or without one up to the next keyword line or line holding ':',
-    # which no atom holds.
+    # in order. Its open clause, [1 (pre) or 2 (post), first line, text], runs
+    # to its ';', or without one up to the next keyword line or line holding
+    # ':', which no atom holds.
     name, params, allowed, clause = None, {}, (), None
 
-    def end_clause(span: tuple) -> None:
+    def end_clause(no: int) -> None:
         nonlocal clause
         which, first, chunk = clause
         clause = None
         chunk, _, rest = chunk.partition(";")
         if rest.strip():  # the ';' ends the clause on the line read last
-            raise ParseError(span, f"unexpected text after ';': {rest.strip()!r}")
+            raise ParseError((filename, no), f"unexpected text after ';': {rest.strip()!r}")
         if chunk.strip():
-            specs[name][which] = Condition(tuple(_atoms(chunk, first, "atom", variables, params)))
+            specs[name][which] = Condition(tuple(_atoms(chunk, (filename, first), "atom",
+                                                        variables, params)))
 
     for no, body in _lines(text):
-        span = (filename, no)
-        m = _KEYWORD_RE.match(body)
-        keyword = m and m.group().rstrip(":")
+        if body.startswith("pre:"):
+            keyword, rest = "pre", body[4:]
+        elif body.startswith("post:"):
+            keyword, rest = "post", body[5:]
+        else:  # context only as a whole word
+            keyword = "context" if body.startswith("context") and not body[7:8].strip() else None
         if clause and (keyword or ":" in body):
-            end_clause(span)
+            end_clause(no)
         if clause:
             clause[2] += " " + body
         elif keyword == "context":
             m = _CONTEXT_RE.match(body)
             if not m:
-                raise ParseError(span, f"cannot parse context header {body!r}",
+                raise ParseError((filename, no), f"cannot parse context header {body!r}",
                                  expected="context <name> [(P : domain)]")
             name = m.group(1)
-            params = {m.group(2): _parse_domain(m.group(3), span)} if m.group(2) else {}
+            params = {m.group(2): _parse_domain(m.group(3), (filename, no))} if m.group(2) else {}
             if name in specs:
-                raise ParseError(span, f"duplicate context name {name!r}")
-            specs[name] = {"params": tuple(params.items()), "pre": Condition(), "post": Condition()}
+                raise ParseError((filename, no), f"duplicate context name {name!r}")
+            specs[name] = [tuple(params.items()), Condition(), Condition()]
             allowed = ("pre", "post")
         elif keyword in allowed:
             allowed = allowed[allowed.index(keyword) + 1:]
-            clause = [keyword, span, body[m.end():]]
+            clause = [1 if keyword == "pre" else 2, no, rest]
         elif name is not None:
-            raise ParseError(span, f"unexpected line after contexts: {body!r}")
+            raise ParseError((filename, no), f"unexpected line after contexts: {body!r}")
         else:
             # Variable declaration: one or more names, a colon, one domain.
+            span = (filename, no)
             if ":" not in body:
                 raise ParseError(span, f"cannot parse declaration {body!r}",
                                  expected="name[, name...] : domain")
@@ -206,11 +219,11 @@ def parse_domain_theory(text: str, filename: str = "<dt>") -> DomainTheory:
                     raise ParseError(span, f"duplicate state variable declaration {var_name!r}")
                 variables[var_name] = StateVariable(var_name, dom, len(variables))
         if clause and ";" in clause[2]:
-            end_clause(span)
+            end_clause(no)
     if clause:
-        end_clause(span)
+        end_clause(no)
     return DomainTheory(tuple(variables.values()),
-                        tuple(MessageSpec(name, **fields) for name, fields in specs.items()))
+                        tuple(MessageSpec(name, *fields) for name, fields in specs.items()))
 
 
 def print_domain_theory(dt: DomainTheory) -> str:
@@ -319,6 +332,11 @@ _TRANS_RE = re.compile(
 )
 
 
+def _spelled(label: str) -> str:
+    """A LABEL as ``Message.event`` spells it; one without '(' is its own name."""
+    return spell_event(*split_label_args(label)) if "(" in label else label
+
+
 def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
     lines = _lines(text)
     no, body = next(lines, (1, ""))
@@ -379,13 +397,14 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
                             expected="X -> Y : e [guard] / a1, a2")
             source, target, event, guard, actions = m.groups()
             guard = guard and Condition(tuple(_atoms(guard[1:-1], (filename, no), "guard atom")))
-            labels = [event]
-            if actions:  # one LABEL unless it holds a ','
-                labels += _LABEL_RE.findall(actions) if "," in actions else [actions]
-            # As Message.event spells them; a label without '(' is its own name.
-            event, *actions = (spell_event(*split_label_args(label)) if "(" in label else label
-                               for label in labels)
-            transitions.append(Transition(source, target, event, guard, tuple(actions)))
+            event = _spelled(event)
+            if not actions:
+                actions = ()
+            elif "," in actions:  # else one LABEL
+                actions = tuple(map(_spelled, _LABEL_RE.findall(actions)))
+            else:
+                actions = (_spelled(actions),)
+            transitions.append(Transition(source, target, event, guard, actions))
             for end in (source, target):
                 if end not in declared and end not in pending:
                     pending[end] = (filename, no)

@@ -10,7 +10,10 @@ The conflict block follows the layout users of the tool know:
        ...
 
 The JSON rendering is schema-versioned and byte-stable for identical input;
-see docs/report-schema.json.
+see docs/report-schema.json.  It is the text ``json.dumps(doc, indent=2,
+sort_keys=True)`` would write, built without that encoder: conflicts and
+check records, the parts that grow with the input, are written straight to
+JSON text at their place in the document, and ``_json`` writes the rest.
 """
 
 from __future__ import annotations
@@ -208,23 +211,25 @@ def _conflict_json(asd: AnnotatedSD, c: Conflict) -> _Raw:
     )
 
 
-def _check_json(rec: CheckRecord) -> dict:
-    repair = None
-    if rec.repair is not None:
-        repair = {
-            "cost": rec.repair.cost,
-            "edits": [e.describe() for e in rec.repair.edits],
-            "messages": _sd_lines(rec.repair.repaired),
-        }
-    return {
-        "sd": rec.sd.name,
-        "object": rec.object,
-        "verdict": _verdict(rec),
-        "rejectedAt": rec.trace.rejected_at,
-        "reason": rec.trace.steps[-1].mismatch if not rec.trace.accepted else None,
-        "repair": repair,
-        "failure": rec.failure,
-    }
+def _check_json(rec: CheckRecord) -> _Raw:
+    """One check record as JSON text, written as ``_conflict_json`` writes a
+    conflict: at its depth in the report (an item of the top-level "checks"
+    list), keys in sorted order."""
+    p, q = "\n      ", "\n        "  # indents of the record's keys and of its repair's keys
+    trace, repair = rec.trace, rec.repair
+    if repair is not None:
+        repair = (f'{{{q}"cost": {repair.cost},'
+                  f'{q}"edits": {_json([e.describe() for e in repair.edits], q)},'
+                  f'{q}"messages": {_json(_sd_lines(repair.repaired), q)}{p}}}')
+    return _Raw(
+        f'{{{p}"failure": {_json(rec.failure)},'
+        f'{p}"object": {_quote(rec.object)},'
+        f'{p}"reason": {_json(None if trace.accepted else trace.steps[-1].mismatch)},'
+        f'{p}"rejectedAt": {_json(trace.rejected_at)},'
+        f'{p}"repair": {repair or "null"},'
+        f'{p}"sd": {_quote(rec.sd.name)},'
+        f'{p}"verdict": {_quote(_verdict(rec))}\n    }}'
+    )
 
 
 def render_json(bundle: ReportBundle) -> str:

@@ -197,7 +197,9 @@ def flatten(chart: Statechart) -> Statechart:
     """Inline all composite nodes; a chart without one is returned as is.
 
     A transition into a composite enters at its initial node; a transition
-    out of a composite is expanded to one transition per inner node.
+    out of a composite is expanded to one transition per inner node; a
+    transition between two simple nodes is kept, the same object.  Equal
+    transitions are kept once, at the first.
     """
     if not any(n.is_composite for n in chart.nodes):
         return chart
@@ -219,11 +221,14 @@ def flatten(chart: Statechart) -> Statechart:
             nodes.append(n)
     # An entry is set once its scope is done, so entries and members are
     # simple nodes: one lookup resolves a target, one expansion a source.
-    expanded = (
-        Transition(src, entry.get(t.target, t.target), t.event, t.guard, t.actions)
-        for t in transitions
-        for src in members.get(t.source, (t.source,))
-    )
+    expanded = []
+    for t in transitions:
+        sources, target = members.get(t.source), entry.get(t.target, t.target)
+        if sources is None:
+            expanded.append(t if target is t.target
+                            else Transition(t.source, target, t.event, t.guard, t.actions))
+        else:
+            expanded += [Transition(src, target, t.event, t.guard, t.actions) for src in sources]
     return Statechart(chart.name, tuple(nodes), entry.get(chart.initial, chart.initial),
                       tuple(dict.fromkeys(expanded)))
 

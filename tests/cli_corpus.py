@@ -13,12 +13,15 @@ stepper at ``--max-edits 4``, ``check`` against two guarded copies of the
 stepper chart in both guard modes, diagrams the theory cannot
 annotate (an argument too many, one outside its domain) through
 ``annotate`` and ``check``, one malformed theory, diagram or chart for
-each rule only the parsers check, and usage errors (unknown options and
-commands, bare commands, a ``--max-edits`` that is not a number).  Inputs and every chart the runs write go
+each rule only the parsers check, usage errors (unknown options and
+commands, bare commands, a ``--max-edits`` that is not a number, prefixes
+of options), and ``check`` against chart directories holding a hidden
+chart, a subdirectory and a dangling link named ``*.sc``, and two charts
+whose names sort apart from their case.  Inputs and every chart the runs write go
 under OUT, which must be new or empty, and ``OUT/log.json`` holds each
 run's arguments, exit code, stdout and stderr, with OUT written as
 ``<OUT>``.  Run it against two trees and compare the two OUT directories
-with ``diff -r``.
+with ``diff -r --no-dereference`` (OUT holds a link to no file).
 """
 
 from __future__ import annotations
@@ -198,6 +201,34 @@ def corpus(out: Path):
     yield ["bogus", *coffee]
     yield ["annotat", *coffee]
     yield ["check", *coffee, "--charts", str(charts / "coffee"), "--max-edits", "x"]
+    # No prefix of an option is taken for it.
+    yield ["check", *coffee, "--charts", str(charts / "coffee"), "--max-edit=2"]
+    yield ["annotate", *coffee, "--js"]
+
+    # Chart directories: every entry whose name ends in .sc is read, a hidden
+    # one too, in code-point order of the names whatever order the entries
+    # were made in, and an entry that is no readable file is an error.  Each
+    # holds the stepper chart of M as M.sc, but the first as .h.sc and the
+    # last as B.sc and a.sc, which declare M twice.
+    rng = random.Random(SEED + 3)
+    chart = (charts / "stepper" / "M.sc").read_text(encoding="utf-8")
+    dirs = {"hidden": {".h.sc": chart}, "subdirectory": {"M.sc": chart, "sub.sc": None},
+            "dangling": {"M.sc": chart, "z.sc": "missing.sc"}, "order": {"a.sc": chart, "B.sc": chart}}
+    for name, entries in dirs.items():
+        made = list(entries)
+        rng.shuffle(made)
+        (inputs / name).mkdir()
+        for entry in made:
+            path, content = inputs / name / entry, entries[entry]
+            if content is None:
+                path.mkdir()
+            elif content.endswith(".sc"):  # a link to no file
+                os.symlink(content, path)
+            else:
+                path.write_text(content, encoding="utf-8")
+        at = rng.randint(1, len(steps.messages))
+        yield ["check", fx["stepper.dt"], str(inputs / f"stepper-del{at}x1.sd"), "--charts", str(inputs / name),
+               *rng.choice(([], ["--json"]))]
 
 
 def run(root: Path, out: Path) -> list[dict]:

@@ -1,6 +1,7 @@
 """Independent brute-force oracles the implementation is checked against."""
 
 import itertools
+import re
 
 from scdebug.annotator import (
     FRAME,
@@ -25,7 +26,7 @@ from scdebug.checker import (
     insert_candidates,
     replay,
 )
-from scdebug.dsl import split_label_args
+from scdebug.dsl import IDENT, ParseError, split_label_args
 from scdebug.model import (
     POST,
     PRE,
@@ -35,9 +36,12 @@ from scdebug.model import (
     Insert,
     Lifeline,
     Message,
+    Statechart,
+    Transition,
     Unified,
     apply_edit,
     unify,
+    walk,
 )
 from scdebug.synthesizer import COMPLETION, flatten
 
@@ -489,3 +493,88 @@ def annotate_eager(sd, dt):
                 chains.append(chain)
                 conflicts.append(Conflict(sd.name, obj, before, after, dt.variables[j]))
     return asd, conflicts, chains
+
+
+# ---------------------------------------------------------------------------
+# Slower forms of faster code, kept as references
+
+
+def flatten_rebuilt(chart):
+    """``synthesizer.flatten`` building every transition anew, each one
+    between two simple nodes among them."""
+    if not any(n.is_composite for n in chart.nodes):
+        return chart
+    nodes, transitions, entry, members, opened = [], [], {}, {}, []
+    for _, scope, n in walk(chart):
+        if n is None:
+            transitions.extend(scope.transitions)
+            if opened:
+                name, start = opened.pop()
+                entry[name] = entry.get(scope.initial, scope.initial)
+                members[name] = [m.name for m in nodes[start:]]
+        elif n.is_composite:
+            opened.append((n.name, len(nodes)))
+        else:
+            nodes.append(n)
+    expanded = (
+        Transition(src, entry.get(t.target, t.target), t.event, t.guard, t.actions)
+        for t in transitions
+        for src in members.get(t.source, (t.source,))
+    )
+    return Statechart(chart.name, tuple(nodes), entry.get(chart.initial, chart.initial),
+                      tuple(dict.fromkeys(expanded)))
+
+
+_ATOM_PART = re.compile(rf"({IDENT})\s*=\s*(-?\w+)")
+
+
+def atoms_split(text, span, noun, variables=None, params=None):
+    """``dsl._atoms`` reading every conjunction part by part: cut at each
+    ``and`` between blanks, each part matched alone and checked before the
+    next is read."""
+    atoms = []
+    for part in re.split(r"\s+and\s+", text.strip()):
+        m = _ATOM_PART.fullmatch(part)
+        if not m:
+            raise ParseError(span, f"cannot parse {noun} {part!r}", expected="var = value")
+        atom = var_name, value = m.groups()
+        atoms.append(atom)
+        if variables is None:
+            continue
+        var = variables.get(var_name)
+        if var is None:
+            raise ParseError(span, f"unknown state variable {var_name!r}")
+        if value in params:
+            if params[value] != var.domain:
+                raise ParseError(
+                    span,
+                    f"parameter {value!r} has domain {params[value].describe()}, "
+                    f"variable {var_name} expects {var.domain.describe()}",
+                )
+        elif not var.domain.contains(value):
+            raise ParseError(span, f"literal {value!r} outside domain of {var_name} "
+                                   f"({var.domain.describe()})")
+    if len({var_name for var_name, _ in atoms}) != len(atoms):
+        raise ParseError(span, "variable repeated within one condition")
+    return atoms
+
+
+def check_json_dict(rec):
+    """A ``checker.CheckRecord`` as the object the JSON report holds for it."""
+    repair = None
+    if rec.repair is not None:
+        repair = {
+            "cost": rec.repair.cost,
+            "edits": [e.describe() for e in rec.repair.edits],
+            "messages": [f"msg {m.id} {m.sender} -> {m.receiver} : {m.event()}"
+                         for m in rec.repair.repaired.messages],
+        }
+    return {
+        "sd": rec.sd.name,
+        "object": rec.object,
+        "verdict": "accepted" if rec.trace.accepted else "rejected",
+        "rejectedAt": rec.trace.rejected_at,
+        "reason": rec.trace.steps[-1].mismatch if not rec.trace.accepted else None,
+        "repair": repair,
+        "failure": rec.failure,
+    }

@@ -1,5 +1,6 @@
 import codecs
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -63,6 +64,17 @@ class TestAnnotate:
 
     def test_usage_error_exits_two(self, capsys):
         assert main(["annotate"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["check", THEORY, SD1, "--charts", REFINED, "--max-edit=2"],
+        ["annotate", THEORY, SD1, "--js"],
+    ])
+    def test_option_prefix_is_an_unknown_option(self, args, capsys):
+        # A prefix of one option would stop working once a longer option shares it.
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"scdebug: error: unrecognized arguments: {args[-1]}"
 
     def test_malformed_no_loop_pair_exits_two(self, capsys):
         assert main(["annotate", THEORY_UNFIXED, SD1, "--no-loop", "1-11"]) == 2
@@ -261,6 +273,26 @@ class TestCheck:
     def test_chart_dir_without_charts_exits_two(self, tmp_path, capsys):
         # A mistyped or empty directory must not pass having replayed nothing.
         (tmp_path / "M.txt").write_text((FIXTURES / "stepper_refined" / "M.sc").read_text())
+        assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: chart directory {tmp_path} holds no .sc file\n"
+
+    def test_unreadable_chart_dir_holds_no_chart(self, tmp_path, monkeypatch, capsys):
+        # Listing the directory is refused (as for a directory without read
+        # permission, which root reads anyway), so it holds no chart.
+        shutil.copy(FIXTURES / "stepper_refined" / "M.sc", tmp_path)
+        listdir, scandir = os.listdir, os.scandir
+
+        def refused(real):
+            def listing(path="."):
+                if os.fspath(path) == str(tmp_path):
+                    raise PermissionError(13, "Permission denied", str(path))
+                return real(path)
+            return listing
+
+        monkeypatch.setattr(os, "listdir", refused(listdir))
+        monkeypatch.setattr(os, "scandir", refused(scandir))
         assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scdebug.checker import NoRepairWithinBound, check_all, repair
 from scdebug.dsl import (
     ParseError,
+    _atoms,
     parse_domain_theory,
     parse_sc,
     parse_sd,
@@ -35,6 +36,7 @@ from scdebug.synthesizer import synthesize
 
 from conftest import read
 from gen import UNSPECIFIED, gen_theory, mergeable_corpus
+from oracles import atoms_split
 
 # Transcription of the published coffee-machine theory, quirks and all
 # (lower-case context name, uneven spacing, multi-line postcondition).
@@ -453,6 +455,58 @@ def charts(draw):
 @given(charts())
 def test_sc_roundtrip_generated(chart):
     assert parse_sc(print_sc(chart)) == chart
+
+
+# ---------------------------------------------------------------------------
+# Conjunctions, against the reader that cuts them part by part
+
+CONJUNCTION_THEORY = parse_domain_theory("x, y, and : Boolean\na-b, Step : 0..2\n")
+CONJUNCTION_PARAMS = {"P": CONJUNCTION_THEORY.variables[0].domain, "Q": CONJUNCTION_THEORY.variables[3].domain}
+
+
+def _read_atoms(read, text):
+    """What ``read`` makes of ``text`` as a guard and as a clause of the
+    conjunction theory: atoms, or a ParseError's text and line."""
+    variables = {v.name: v for v in CONJUNCTION_THEORY.variables}
+    outcomes = []
+    for checked in ((), (variables, CONJUNCTION_PARAMS)):
+        try:
+            outcomes.append(read(text, ("c.dt", 7), "atom", *checked))
+        except ParseError as exc:
+            outcomes.append((str(exc), exc.line))
+    return outcomes
+
+
+@st.composite
+def conjunctions(draw):
+    """Atoms joined by ``and``: names and values that are and are not words
+    (``and`` itself, hyphens, a leading digit or '-', nothing), blanks
+    doubled, missing or other than spaces, and a trailing ``and``."""
+    name = st.sampled_from(["x", "y", "and", "a-b", "Step", "x1", "_z", "-x", "1x", "\u00e9", ""])
+    eq = st.sampled_from([" = ", "=", "  =  ", " =", "\t=\t", " == ", " "])
+    value = st.sampled_from(["T", "F", "0", "2", "-1", "and", "a-b", "", "P", "Q", "\u00e9", "T F"])
+    sep = st.sampled_from([" and ", "  and  ", " and", "and ", "\tand\n", " AND ", " ", " and and ", "and"])
+    parts = draw(st.lists(st.tuples(name, eq, value).map("".join), min_size=1, max_size=4))
+    text = draw(st.sampled_from(["", " ", "  "])) + parts[0]
+    for part in parts[1:]:
+        text += draw(sep) + part
+    return text + draw(st.sampled_from(["", " ", " and", "  and ", " and x"]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(conjunctions())
+def test_atoms_read_as_cut_part_by_part(text):
+    assert _read_atoms(_atoms, text) == _read_atoms(atoms_split, text)
+
+
+@pytest.mark.parametrize("text", [
+    "and = T", "x = T and and = F", "and = T and x = F", "x = and", "x = T and y = and",
+    "x = and and y = T", "x =and and y = T", "x = band and y = T", "a-b = 1 and  Step  =  2",
+    "x = T  and  y = F", "x = T and", "x = and y = T", "x =", "x = T and y =", "x = 2 and y =",
+    "x = T and x = F", "a-b = P", "a-b = Q and y = P", "x = T and\ty = F", " x = T ",
+])
+def test_atoms_on_edge_cases(text):
+    assert _read_atoms(_atoms, text) == _read_atoms(atoms_split, text)
 
 
 def test_parse_determinism():

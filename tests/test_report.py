@@ -12,6 +12,7 @@ from scdebug.dsl import ParseError, parse_sc
 from scdebug.model import Node, Statechart, Transition
 from scdebug.report import (
     ReportBundle,
+    _check_json,
     _json,
     annotation_bundle,
     export_dot,
@@ -21,6 +22,7 @@ from scdebug.report import (
 from scdebug.synthesizer import synthesize
 
 from conftest import read
+from oracles import check_json_dict
 
 # The published conflict block this tool's output is held against.
 GOLDEN_BLOCK = """\
@@ -130,6 +132,62 @@ class TestJsonWriter:
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError):
             _json(value)
+
+
+# The stepper chart with guards, e4's never holding on the stepper diagram.
+GUARDED_M = ("statechart M\ninitial N1\nstate N1\nstate N2\nstate N3\nstate N4\n"
+             "N1 -> N1 : e3 [Step = 0]\nN1 -> N2 : e1 [Step = 0]\nN2 -> N3 : e2 [Step = 1]\n"
+             "N3 -> N4 : e4 [Step = 3]\nN4 -> N4 : e5\n")
+
+
+@pytest.fixture(scope="module")
+def check_records(stepper_dt, stepper_sd):
+    """Stepper check records: accepted, repaired, failed, and rejected by a
+    guard both repaired and failed."""
+    charts, _ = synthesize(stepper_dt, [stepper_sd])
+    refined, guarded = parse_sc(read("stepper_refined/M.sc")), parse_sc(GUARDED_M)
+    records = []
+    for chart, bound in ((charts["M"], 4), (refined, 4), (refined, 0), (guarded, 2), (guarded, 0)):
+        records += check_all(stepper_dt, {"M": chart}, [stepper_sd], bound)
+    return records
+
+
+def _renamed(rec, name, obj, reason, failure, label):
+    """The record with its diagram's name, its object, its reason, its
+    failure (if any) and the label of every message of its repair replaced."""
+    trace, repair = rec.trace, rec.repair
+    if not trace.accepted:
+        trace = trace._replace(steps=trace.steps[:-1] + (trace.steps[-1]._replace(mismatch=reason),))
+    if repair is not None:
+        edits = tuple(e._replace(message=e.message._replace(label=label)) if hasattr(e, "message") else e
+                      for e in repair.edits)
+        repaired = repair.repaired._replace(messages=tuple(m._replace(label=label)
+                                                           for m in repair.repaired.messages))
+        repair = repair._replace(edits=edits, repaired=repaired)
+    return rec._replace(sd=rec.sd._replace(name=name), object=obj, trace=trace, repair=repair,
+                        failure=failure if rec.failure is not None else None)
+
+
+class TestCheckJson:
+    def test_records_cover_every_kind(self, check_records):
+        kinds = [(r.trace.accepted, r.repair is not None, r.failure is not None,
+                  not r.trace.accepted and r.trace.steps[-1].mismatch.startswith("guard "))
+                 for r in check_records]
+        assert kinds == [(True, False, False, False), (False, True, False, False), (False, False, True, False),
+                         (False, True, False, True), (False, False, True, True)]
+
+    def test_written_as_the_generic_writer_writes_it(self, check_records):
+        # A record is an item of the report's "checks" list, four blanks in.
+        for rec in check_records:
+            assert _check_json(rec) == _json(check_json_dict(rec), "\n    ")
+        doc = json.loads(render_json(ReportBundle(checks=tuple(check_records), sds=1)))
+        assert doc["checks"] == [check_json_dict(rec) for rec in check_records]
+
+    @given(_texts, _texts, _texts, _texts, _texts)
+    def test_text_that_is_not_ascii(self, check_records, name, obj, reason, failure, label):
+        for rec in check_records:
+            rec = _renamed(rec, name, obj, reason, failure, label)
+            assert _check_json(rec) == _json(check_json_dict(rec), "\n    ")
 
 
 def _validate(value, schema, root, path="$"):

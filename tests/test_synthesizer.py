@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -5,7 +6,7 @@ import pytest
 
 from scdebug.annotator import annotate
 from scdebug.dsl import parse_domain_theory, parse_sc, parse_sd, print_sc
-from scdebug.model import unify
+from scdebug.model import Condition, Node, Statechart, Transition, unify, walk
 from scdebug.synthesizer import (
     ConflictedInputError,
     FlatChart,
@@ -19,7 +20,7 @@ from scdebug.synthesizer import (
 )
 
 from gen import conflict_free_pair, gen_flat_chart, gen_replay_case, gen_sd, gen_theory, mergeable_corpus
-from oracles import lifeline, lifeline_gaps_by_lifeline
+from oracles import flatten_rebuilt, lifeline, lifeline_gaps_by_lifeline
 
 
 def chart_for(sd, dt, obj):
@@ -254,6 +255,34 @@ class TestHierarchy:
             "D -> A : reset / r\nB -> A : reset / r\nB -> C : back [x = T]\n"
         )
 
+    def test_flatten_matches_rebuilding_reference(self):
+        # Each output transition is the first input transition making it
+        # when that one joins two simple nodes, else one built anew.
+        rng = random.Random(19)
+        kept = built = 0
+        for _ in range(400):
+            chart = gen_nested_chart(rng)
+            flat = flatten(chart)
+            assert flat == flatten_rebuilt(chart)
+            composites = {n.name for _, _, n in walk(chart) if n is not None and n.is_composite}
+            if not composites:
+                assert flat is chart
+                continue
+            bare = _without_transitions(chart)
+            first = {}  # a transition of the flat chart -> the first input transition making it
+            for t in (t for _, scope, n in walk(chart) if n is None for t in scope.transitions):
+                for made in flatten_rebuilt(bare._replace(transitions=(t,))).transitions:
+                    first.setdefault(made, t)
+            assert set(first) == set(flat.transitions)
+            for t in flat.transitions:
+                if composites.isdisjoint((first[t].source, first[t].target)):
+                    assert t is first[t]
+                    kept += 1
+                else:
+                    assert all(t is not u for u in first.values())
+                    built += 1
+        assert kept > 300 and built > 300, (kept, built)
+
     def test_variable_split_on_random_charts(self):
         rng = random.Random(11)
         nested = deepest = 0
@@ -270,6 +299,46 @@ class TestHierarchy:
             deepest = max(deepest, depth)
         assert nested >= 500
         assert deepest >= 2
+
+
+def gen_nested_chart(rng: random.Random) -> Statechart:
+    """A chart of up to three levels of composites under the top one, with
+    transitions in every scope between any two nodes of the chart (a
+    composite among them), some repeated in another scope."""
+    names = (f"N{k}" for k in itertools.count(1))
+    scopes = []  # [name, [(node, its scope or None)], transitions], innermost first
+
+    def scope(name, depth):
+        entries = [(node, scope(node, depth + 1) if depth < 3 and rng.random() < 0.35 else None)
+                   for node in itertools.islice(names, rng.randint(1, 3))]
+        scopes.append([name, entries, []])
+        return scopes[-1]
+
+    top = scope("M", 0)
+    every = [node for _, entries, _ in scopes for node, _ in entries]
+    made = []
+    for _, _, transitions in scopes:
+        for _ in range(rng.randint(0, 3)):
+            if made and rng.random() < 0.2:
+                t = rng.choice(made)
+            else:
+                t = Transition(rng.choice(every), rng.choice(every), rng.choice(("a", "b", "c(1)", "")),
+                               rng.choice((None, Condition((("x", "T"),)))), rng.choice(((), ("s",))))
+            made.append(t)
+            transitions.append(t)
+
+    def build(entry):
+        name, entries, transitions = entry
+        nodes = tuple(Node(node, build(sub) if sub else None) for node, sub in entries)
+        return Statechart(name, nodes, rng.choice(entries)[0], tuple(transitions))
+
+    return build(top)
+
+
+def _without_transitions(chart: Statechart) -> Statechart:
+    return chart._replace(transitions=(), nodes=tuple(
+        n._replace(children=_without_transitions(n.children)) if n.is_composite else n
+        for n in chart.nodes))
 
 
 def _vector(comment):

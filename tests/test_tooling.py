@@ -99,6 +99,22 @@ def test_cli_corpus_runs_clean(tmp_path):
     assert sum("error: the following arguments are required" in run["stderr"] for run in usage) == 3
     assert sum("error: argument command: invalid choice" in run["stderr"] for run in usage) == 2
     assert any("argument --max-edits: invalid int value: 'x'" in run["stderr"] for run in usage)
+    for prefix in ("--max-edit=2", "--js"):  # no prefix of an option is taken for it
+        assert any(run["stderr"].endswith(f"\nscdebug: error: unrecognized arguments: {prefix}\n")
+                   for run in usage), prefix
+    # Chart directories: a hidden chart is read, a subdirectory and a
+    # dangling link named *.sc are errors, and B.sc is read before a.sc.
+    by_dir = {run["args"][run["args"].index("--charts") + 1]: run for run in log if "--charts" in run["args"]}
+    hidden = by_dir["<OUT>/inputs/hidden"]
+    assert hidden["code"] in (0, 1) and not hidden["stderr"]
+    assert "Check Stepper: Object M: " in hidden["stdout"] or '"object": "M"' in hidden["stdout"]
+    assert by_dir["<OUT>/inputs/subdirectory"]["stderr"] == (
+        "error: [Errno 21] Is a directory: '<OUT>/inputs/subdirectory/sub.sc'\n")
+    assert by_dir["<OUT>/inputs/dangling"]["stderr"] == (
+        "error: [Errno 2] No such file or directory: '<OUT>/inputs/dangling/z.sc'\n")
+    assert by_dir["<OUT>/inputs/order"]["stderr"] == (
+        "parse error: <OUT>/inputs/order/a.sc:1:1: statechart 'M' is also declared in <OUT>/inputs/order/B.sc\n")
+    assert all(by_dir[f"<OUT>/inputs/{name}"]["code"] == 2 for name in ("subdirectory", "dangling", "order"))
     # Every JSON report is in the canonical form docs/formats.md states.
     reports = [run["stdout"] for run in log if "--json" in run["args"] and run["code"] != 2]
     assert reports
