@@ -109,32 +109,24 @@ def _parse_domain(text: str, span: tuple) -> VarDomain:
 # Domain theory (.dt)
 
 
-_ATOM = rf"{IDENT}\s*=\s*-?\w+"
 _ATOM_RE = re.compile(rf"({IDENT})\s*=\s*(-?\w+)")
-# A well-formed conjunction, cut into atoms where r"\s+and\s+" cuts it: a
-# value "and" after a blank would itself start a cut, so it ends no atom but
-# the last.
-_CONJUNCTION_RE = re.compile(rf"{_ATOM}(?:(?<!\sand)\s+and\s+{_ATOM})*")
 
 
 def _atoms(text: str, span: tuple, noun: str, variables=None, params=None) -> list:
-    """The (var, value) atoms of ``var = value and var = value``, in order.
+    """The (var, value) atoms of ``var = value and var = value``, in order,
+    cut at each ``and`` between blanks, so a bad part is named as it is read.
     Given the theory's ``variables`` and the context's ``params``, each atom
     is checked against them once it is read; a variable named twice is an
     error once every atom is read."""
-    text = text.strip()
-    well_formed = _CONJUNCTION_RE.fullmatch(text)
-    # A text that is not is read part by part, to name the first bad one.
-    atoms = _ATOM_RE.findall(text) if well_formed else re.split(r"\s+and\s+", text)
-    for k, atom in enumerate(atoms):
-        if not well_formed:  # the parts hold no outer blanks
-            m = _ATOM_RE.fullmatch(atom)
-            if not m:
-                raise ParseError(span, f"cannot parse {noun} {atom!r}", expected="var = value")
-            atoms[k] = atom = m.groups()
+    atoms = []
+    for part in re.split(r"\s+and\s+", text.strip()):
+        m = _ATOM_RE.fullmatch(part)
+        if not m:
+            raise ParseError(span, f"cannot parse {noun} {part!r}", expected="var = value")
+        var_name, value = atom = m.groups()
+        atoms.append(atom)
         if variables is None:
             continue
-        var_name, value = atom
         var = variables.get(var_name)
         if var is None:
             raise ParseError(span, f"unknown state variable {var_name!r}")
