@@ -148,7 +148,8 @@ def cmd_check(args) -> int:
     dt, sds = _load_inputs(args)
     chart_dir = Path(args.charts)
     if not chart_dir.is_dir():
-        raise FileNotFoundError(f"chart directory {chart_dir} does not exist")
+        why = "is not a directory" if chart_dir.exists() else "does not exist"
+        raise FileNotFoundError(f"chart directory {chart_dir} {why}")
     # Every entry named *.sc, hidden ones too, in code-point order; one that
     # is not a readable file is an error, and an unreadable directory holds
     # no chart.

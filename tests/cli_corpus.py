@@ -17,7 +17,8 @@ each rule only the parsers check, usage errors (unknown options and
 commands, bare commands, a ``--max-edits`` that is not a number, prefixes
 of options), and ``check`` against chart directories holding a hidden
 chart, a subdirectory and a dangling link named ``*.sc``, and two charts
-whose names sort apart from their case.  Inputs and every chart the runs write go
+whose names sort apart from their case, and ``check`` given a file as its
+chart directory.  Inputs and every chart the runs write go
 under OUT, which must be new or empty, and ``OUT/log.json`` holds each
 run's arguments, exit code, stdout and stderr, with OUT written as
 ``<OUT>``.  Run it against two trees and compare the two OUT directories
@@ -229,6 +230,8 @@ def corpus(out: Path):
         at = rng.randint(1, len(steps.messages))
         yield ["check", fx["stepper.dt"], str(inputs / f"stepper-del{at}x1.sd"), "--charts", str(inputs / name),
                *rng.choice(([], ["--json"]))]
+    # A chart directory that is a file exists, so it is not reported missing.
+    yield ["check", *stepper, "--charts", fx["stepper.sd"]]
 
 
 def run(root: Path, out: Path) -> list[dict]:

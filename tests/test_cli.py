@@ -260,6 +260,14 @@ class TestCheck:
 
     def test_missing_chart_dir(self, capsys):
         assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", "missing-dir"]) == 2
+        assert capsys.readouterr().err == "error: chart directory missing-dir does not exist\n"
+
+    def test_chart_dir_that_is_a_file_exits_two(self, capsys):
+        # It exists, so it is not reported as missing.
+        assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", STEPPER_SD]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: chart directory {STEPPER_SD} is not a directory\n"
 
     def test_chart_event_takes_the_diagram_spelling(self, tmp_path, capsys):
         # Blanks around the argument list do not change the event.

@@ -115,6 +115,10 @@ def test_cli_corpus_runs_clean(tmp_path):
     assert by_dir["<OUT>/inputs/order"]["stderr"] == (
         "parse error: <OUT>/inputs/order/a.sc:1:1: statechart 'M' is also declared in <OUT>/inputs/order/B.sc\n")
     assert all(by_dir[f"<OUT>/inputs/{name}"]["code"] == 2 for name in ("subdirectory", "dangling", "order"))
+    # A chart directory that is a file is not a directory, not a missing one.
+    assert by_dir["<OUT>/inputs/stepper.sd"]["code"] == 2
+    assert by_dir["<OUT>/inputs/stepper.sd"]["stderr"] == (
+        "error: chart directory <OUT>/inputs/stepper.sd is not a directory\n")
     # Every JSON report is in the canonical form docs/formats.md states.
     reports = [run["stdout"] for run in log if "--json" in run["args"] and run["code"] != 2]
     assert reports
