@@ -11,9 +11,9 @@ The conflict block follows the layout users of the tool know:
 
 The JSON rendering is schema-versioned and byte-stable for identical input;
 see docs/report-schema.json.  It is the text ``json.dumps(doc, indent=2,
-sort_keys=True)`` would write, built without that encoder: conflicts, the
-part that grows with the input, are written straight to JSON text at their
-place in the document, and ``_json`` writes the rest, check records too.
+sort_keys=True)`` would write, built without that encoder: conflicts and
+check records, the parts that grow with the input, are written straight to
+JSON text at their place in the document, and ``_json`` writes the rest.
 """
 
 from __future__ import annotations
@@ -211,6 +211,27 @@ def _conflict_json(asd: AnnotatedSD, c: Conflict) -> _Raw:
     )
 
 
+def _check_json(rec: CheckRecord) -> _Raw:
+    """One check record as JSON text, written as ``_conflict_json`` writes a
+    conflict: at its depth in the report (an item of the top-level "checks"
+    list), keys in sorted order."""
+    p, q = "\n      ", "\n        "  # indents of the record's keys and of its repair's keys
+    trace, repair = rec.trace, rec.repair
+    if repair is not None:
+        repair = (f'{{{q}"cost": {repair.cost},'
+                  f'{q}"edits": {_json([e.describe() for e in repair.edits], q)},'
+                  f'{q}"messages": {_json(_sd_lines(repair.repaired), q)}{p}}}')
+    return _Raw(
+        f'{{{p}"failure": {_json(rec.failure)},'
+        f'{p}"object": {_quote(rec.object)},'
+        f'{p}"reason": {_json(None if trace.accepted else trace.steps[-1].mismatch)},'
+        f'{p}"rejectedAt": {_json(trace.rejected_at)},'
+        f'{p}"repair": {repair or "null"},'
+        f'{p}"sd": {_quote(rec.sd.name)},'
+        f'{p}"verdict": {_quote(_verdict(rec))}\n    }}'
+    )
+
+
 def render_json(bundle: ReportBundle) -> str:
     conflicts = _conflicts(bundle)
     doc = {
@@ -231,22 +252,7 @@ def render_json(bundle: ReportBundle) -> str:
             }
             for asd, _ in bundle.annotations
         ],
-        "checks": [
-            {
-                "sd": rec.sd.name,
-                "object": rec.object,
-                "verdict": _verdict(rec),
-                "rejectedAt": rec.trace.rejected_at,
-                "reason": None if rec.trace.accepted else rec.trace.steps[-1].mismatch,
-                "repair": None if rec.repair is None else {
-                    "cost": rec.repair.cost,
-                    "edits": [e.describe() for e in rec.repair.edits],
-                    "messages": _sd_lines(rec.repair.repaired),
-                },
-                "failure": rec.failure,
-            }
-            for rec in bundle.checks
-        ],
+        "checks": [_check_json(r) for r in bundle.checks],
         "warnings": list(bundle.warnings),
     }
     return _json(doc) + "\n"

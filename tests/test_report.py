@@ -12,6 +12,7 @@ from scdebug.dsl import ParseError, parse_sc
 from scdebug.model import Node, Statechart, Transition
 from scdebug.report import (
     ReportBundle,
+    _check_json,
     _json,
     annotation_bundle,
     export_dot,
@@ -176,15 +177,17 @@ class TestCheckJson:
                          (False, True, False, True), (False, False, True, True)]
 
     def test_written_as_the_generic_writer_writes_it(self, check_records):
-        text = render_json(ReportBundle(checks=tuple(check_records), sds=1))
-        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
-        assert json.loads(text)["checks"] == [check_json_dict(rec) for rec in check_records]
+        # A record is an item of the report's "checks" list, four blanks in.
+        for rec in check_records:
+            assert _check_json(rec) == _json(check_json_dict(rec), "\n    ")
+        doc = json.loads(render_json(ReportBundle(checks=tuple(check_records), sds=1)))
+        assert doc["checks"] == [check_json_dict(rec) for rec in check_records]
 
     @given(_texts, _texts, _texts, _texts, _texts)
     def test_text_that_is_not_ascii(self, check_records, name, obj, reason, failure, label):
-        records = tuple(_renamed(rec, name, obj, reason, failure, label) for rec in check_records)
-        doc = json.loads(render_json(ReportBundle(checks=records, sds=1)))
-        assert doc["checks"] == [check_json_dict(rec) for rec in records]
+        for rec in check_records:
+            rec = _renamed(rec, name, obj, reason, failure, label)
+            assert _check_json(rec) == _json(check_json_dict(rec), "\n    ")
 
 
 def _validate(value, schema, root, path="$"):
