@@ -389,8 +389,14 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
                             expected="X -> Y : e [guard] / a1, a2")
             source, target, event, guard, actions = m.groups()
             guard = guard and Condition(tuple(_atoms(guard[1:-1], (filename, no), "guard atom")))
-            actions = tuple(map(_spelled, _LABEL_RE.findall(actions or "")))
-            transitions.append(Transition(source, target, _spelled(event), guard, actions))
+            event = _spelled(event)
+            if not actions:
+                actions = ()
+            elif "," in actions:  # else one LABEL
+                actions = tuple(map(_spelled, _LABEL_RE.findall(actions)))
+            else:
+                actions = (_spelled(actions),)
+            transitions.append(Transition(source, target, event, guard, actions))
             for end in (source, target):
                 if end not in declared and end not in pending:
                     pending[end] = (filename, no)
