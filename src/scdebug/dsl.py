@@ -110,6 +110,7 @@ def _parse_domain(text: str, span: tuple) -> VarDomain:
 
 
 _ATOM_RE = re.compile(rf"({IDENT})\s*=\s*(-?\w+)")
+_AND_RE = re.compile(r"\s+and\s+")
 
 
 def _atoms(text: str, span: tuple, noun: str, variables=None, params=None) -> list:
@@ -119,7 +120,7 @@ def _atoms(text: str, span: tuple, noun: str, variables=None, params=None) -> li
     is checked against them once it is read; a variable named twice is an
     error once every atom is read."""
     atoms = []
-    for part in re.split(r"\s+and\s+", text.strip()):
+    for part in _AND_RE.split(text.strip()):
         m = _ATOM_RE.fullmatch(part)
         if not m:
             raise ParseError(span, f"cannot parse {noun} {part!r}", expected="var = value")
