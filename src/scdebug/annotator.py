@@ -10,15 +10,16 @@ class; unifying two classes identifies a potential loop.  Loop candidates
 are searched latest-first so a recurrence is always explained against the
 end of the scenario, which is where loops close.
 
-Annotation is lifeline-local, so ``annotate`` takes one lifeline at a time
-to its fixpoint: a frame sweep runs along one lifeline, an identification
-joins two classes of one object, and a gap join joins the two faces of one
-gap.  A lifeline's whole annotation is one ``model.Lifeline``, addressed by
-face position: interior gap ``g`` is faces ``2g - 1`` and ``2g``, a class
-is a range of faces, and provenance and identifications name faces of the
-same lifeline, never a message id.  A round is linear in the lifeline: a
-class's state is joined a cell column at a time, and the loop search walks
-the lifeline's distinct (state, open) keys, not its pairs of classes.
+The lifeline is the unit of annotation: a frame sweep runs along one
+lifeline, an identification joins two classes of one object, and a gap
+join joins the two faces of one gap.  ``annotate_lifeline`` takes one
+object's ``model.Lifeline`` to its fixpoint, and ``annotate`` calls it once
+per object.  A lifeline is addressed by face position: interior gap ``g``
+is faces ``2g - 1`` and ``2g``, a class is a range of faces, and
+``no_loop`` pairs, provenance and identifications name positions on it,
+never a message id.  A round is linear in the lifeline: a class's state is
+joined a cell column at a time, and the loop search walks the lifeline's
+distinct (state, open) keys, not its pairs of classes.
 Faces are tuples, never written into: the spec vectors start them, and
 a sweep or a unification replaces a face, so equal faces are mostly one
 object.  Settled faces, which already agree with the rest of their class
@@ -41,9 +42,9 @@ sweep grounds anything else); None.
 
 A ``Conflict`` only names its two faces and the variable they disagree on;
 nothing is copied or traced when it is detected.  When a report renders it,
-``conflict_view(asd, conflict)`` reads the faces' cells and the unification
-faces the conflict derives from, and ``derivation(asd, conflict)`` rebuilds
-its chain from the two faces, by the same rules.
+``conflict_view(line, conflict)`` reads the faces' cells on its lifeline
+and the unification faces it derives from, and ``derivation(line,
+conflict)`` rebuilds its chain from the two faces, by the same rules.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from operator import attrgetter
 
 from .model import (
     POST,
-    AnnotatedSD,
     Condition,
     Conflict,
     DomainTheory,
@@ -107,19 +107,16 @@ def _condition_vector(cond: Condition, binding: dict, dt: DomainTheory, msg: Mes
     return tuple(cells)
 
 
-def initialize_vectors(sd: SequenceDiagram, dt: DomainTheory) -> AnnotatedSD:
-    """Build each object's ``Lifeline`` with its initial pre/post vectors
-    straight from the message specifications, in one pass.
-
-    Both endpoints of a message receive the same spec-derived cells: the
-    conditions constrain the shared system state, not one object's view.
-    Messages without a matching spec contribute all-undetermined vectors.
-    Spec vectors are cached on the theory by (label, arguments) once built,
-    and shared by every face they fix.
-    """
+def initialize_vectors(dt: DomainTheory, messages) -> Lifeline:
+    """The ``Lifeline`` of an object taking part in ``messages``, its faces
+    straight from the specifications.  Both endpoints of a message receive
+    the same cells: the conditions constrain the shared system state, not
+    one object's view.  A message without a spec has undetermined faces.
+    Spec vectors are cached on the theory by (label, arguments), and shared
+    by every face they fix."""
     vectors, blank = dt._spec_vectors, (None,) * dt.width
-    own = {obj: ([], []) for obj in sd.objects}  # object -> (messages, spec)
-    for msg in sd.messages:
+    cells = []
+    for msg in messages:
         fixed = vectors.get((msg.label, msg.args))
         if fixed is None:
             spec = dt.spec_for(msg.label)
@@ -127,18 +124,9 @@ def initialize_vectors(sd: SequenceDiagram, dt: DomainTheory) -> AnnotatedSD:
             pre, post = (Condition(), Condition()) if spec is None else (spec.pre, spec.post)
             fixed = vectors[msg.label, msg.args] = (_condition_vector(pre, binding, dt, msg),
                                                     _condition_vector(post, binding, dt, msg))
-        messages, cells = own[msg.sender]
-        messages.append(msg)
         cells += fixed
-        if msg.receiver != msg.sender:  # the other participant
-            messages, cells = own[msg.receiver]
-            messages.append(msg)
-            cells += fixed
-    lines = {}
-    for obj, (messages, spec) in own.items():
-        starts = [0, *(i for i in range(1, len(spec), 2) if spec[i] != blank), len(spec)]
-        lines[obj] = Lifeline(messages, spec, spec[:], starts, {}, [])
-    return AnnotatedSD(sd, dt, lines)
+    starts = [0, *(i for i in range(1, len(cells), 2) if cells[i] != blank), len(cells)]
+    return Lifeline(list(messages), cells, cells[:], starts, {}, [])
 
 
 def missing_spec_warnings(sd: SequenceDiagram, dt: DomainTheory) -> list[str]:
@@ -159,9 +147,8 @@ def _ground(line: Lifeline, i: int, j: int, value: str, prov: Unified) -> None:
     line.provenance[(i, j)] = prov
 
 
-def frame_propagate(asd: AnnotatedSD, obj: str) -> bool:
-    """One forward frame sweep along the object's lifeline; True when it
-    grounded a cell.
+def frame_propagate(line: Lifeline) -> bool:
+    """One forward frame sweep along the lifeline; True when it grounded a cell.
 
     Each face in lifeline order (pre m1, post m1, pre m2, ...) takes every
     value it lacks from the face before it, so values persist until a
@@ -171,7 +158,7 @@ def frame_propagate(asd: AnnotatedSD, obj: str) -> bool:
     skipped; equal (face before, face) pairs give one filled tuple.
     """
     changed = False
-    faces = asd.lines[obj].faces
+    faces = line.faces
     filled = {}  # (face before, face) -> the face after the sweep
     prev = faces[0] if faces else None
     for i in range(1, len(faces)):
@@ -213,22 +200,24 @@ def class_state(faces: list, width: int):
     return tuple(state), is_open
 
 
-def _is_discarded(no_loop, msgs_a, msgs_b) -> bool:
-    """True when some ``no_loop`` pair has one message in each set."""
+def _is_discarded(no_loop, a: tuple, b: tuple) -> bool:
+    """True when some ``no_loop`` pair has one message in each of two
+    (start, stop) face ranges; message ``k`` owns faces ``2k`` and ``2k + 1``."""
+    lo_a, hi_a, lo_b, hi_b = a[0] // 2, (a[1] - 1) // 2, b[0] // 2, (b[1] - 1) // 2
     for pair in no_loop:
-        ids = tuple(pair)
-        i, j = ids[0], ids[-1]
-        if (i in msgs_a and j in msgs_b) or (j in msgs_a and i in msgs_b):
+        ks = tuple(pair)
+        i, j = ks[0], ks[-1]
+        if (lo_a <= i <= hi_a and lo_b <= j <= hi_b) or (lo_a <= j <= hi_a and lo_b <= i <= hi_b):
             return True
     return False
 
 
-def identification_candidates(asd: AnnotatedSD, obj: str) -> tuple | None:
-    """The object's first applicable identification in scan order, as
-    (object, (start, stop) of the earlier class's faces, the same of its
-    partner, their join), or None: the earlier class first, its partner
-    searched from the end of the lifeline backwards (loops close against
-    the latest recurrence).
+def identification_candidates(line: Lifeline, no_loop) -> tuple | None:
+    """The lifeline's first applicable identification in scan order, as
+    ((start, stop) of the earlier class's faces, the same of its partner,
+    their join), or None: the earlier class first, its partner searched
+    from the end of the lifeline backwards (loops close against the latest
+    recurrence).  A lifeline of one class has none.
 
     Two compatible classes are a candidate when their join grounds some
     face cell: when either class is open or their states differ.  That
@@ -239,17 +228,17 @@ def identification_candidates(asd: AnnotatedSD, obj: str) -> tuple | None:
     then ground nothing, so such a class tests only the keys that are open
     or partly undetermined.
     """
-    no_loop = asd.sd.no_loop
-    messages, _, faces, starts, *_ = asd.lines[obj]
+    _, _, faces, starts, *_ = line
+    if len(starts) < 3:
+        return None
     classes = list(zip(starts, starts[1:]))
-    width = asd.theory.width
+    width = len(faces[0])
     states = [class_state(faces[lo:hi], width) for lo, hi in classes]
     by_key = {}  # (state, open) -> indices of the classes in it, ascending
     for c, key in enumerate(states):
         if key is not None:  # a clashing class has no partner
             by_key.setdefault(key, []).append(c)
     partial = {key: cs for key, cs in by_key.items() if key[1] or None in key[0]}
-    msgs = [{messages[i // 2].id for i in range(lo, hi)} for lo, hi in classes] if no_loop else None
     for a, key_a in enumerate(states):
         if key_a is None:
             continue
@@ -264,15 +253,15 @@ def identification_candidates(asd: AnnotatedSD, obj: str) -> tuple | None:
             for b in reversed(cs):
                 if b <= b_max:
                     break
-                if not (no_loop and _is_discarded(no_loop, msgs[a], msgs[b])):
+                if not (no_loop and _is_discarded(no_loop, classes[a], classes[b])):
                     b_max, found = b, joined
                     break
         if found is not None:
-            return obj, classes[a], classes[b_max], found
+            return classes[a], classes[b_max], found
     return None
 
 
-def apply_identification(asd: AnnotatedSD, cand: tuple) -> None:
+def apply_identification(line: Lifeline, cand: tuple) -> None:
     """Ground both classes of an ``identification_candidates`` result to
     their join, and record the identification's post faces as an event.
 
@@ -281,8 +270,7 @@ def apply_identification(asd: AnnotatedSD, cand: tuple) -> None:
     gap's faces in order, cells in order within a face; each grounded cell
     credits the first face then holding its value.
     """
-    obj, (lo_a, hi_a), (lo_b, hi_b), joined = cand
-    line = asd.lines[obj]
+    (lo_a, hi_a), (lo_b, hi_b), joined = cand
     faces = line.faces
     # Face i lies in gap (i + 1) // 2, and the sort is stable, so each
     # gap's faces stay in order.
@@ -307,19 +295,19 @@ def _unsettled_gaps(line: Lifeline):
             yield i
 
 
-def _gap_joins_once(asd: AnnotatedSD, obj: str) -> bool:
-    """Fill each gap's post face on the object's lifeline from its pre face
+def _gap_joins_once(line: Lifeline, no_loop) -> bool:
+    """Fill each gap's post face on the lifeline from its pre face
     where the two are compatible (the S2/S3-style unification).  Only the
     post face can take a value: called right after a frame sweep, the pre
     face holds every value of the post face before it.  Incompatible faces
     are left alone for conflict detection."""
     changed = False
-    messages, _, faces, *_ = line = asd.lines[obj]
+    faces = line.faces
     for i in _unsettled_gaps(line):
         left, right = faces[i], faces[i + 1]
         if None not in left:
             continue
-        if _is_discarded(asd.sd.no_loop, {messages[i // 2].id}, {messages[i // 2 + 1].id}):
+        if no_loop and _is_discarded(no_loop, (i, i + 1), (i + 1, i + 2)):
             continue
         joined = unify(left, right)
         if joined is None:
@@ -331,25 +319,44 @@ def _gap_joins_once(asd: AnnotatedSD, obj: str) -> bool:
     return changed
 
 
-def annotate(sd: SequenceDiagram, dt: DomainTheory) -> tuple[AnnotatedSD, list[Conflict]]:
-    """Full annotation, one lifeline at a time: initialize, then frame
-    propagation and unification to their joint fixpoint, then conflict
-    detection.
+def annotate_lifeline(dt: DomainTheory, messages, no_loop=frozenset()) -> Lifeline:
+    """The lifeline of an object taking part in ``messages``, initialized,
+    then taken through frame propagation and unification to their joint
+    fixpoint.  ``no_loop`` pairs of positions in ``messages``, counting
+    from 0, are never unified."""
+    line = initialize_vectors(dt, messages)
+    # Ends: every identification grounds at least one cell, _ground never
+    # un-grounds one, and there are finitely many cells.
+    while True:
+        frame_propagate(line)
+        cand = identification_candidates(line, no_loop)
+        if cand is None:
+            break
+        apply_identification(line, cand)
+    _gap_joins_once(line, no_loop)
+    return line
 
-    Message pairs in ``sd.no_loop`` are never unified.
-    """
-    asd = initialize_vectors(sd, dt)
-    for obj in sd.objects:
-        # Ends: every identification grounds at least one cell, _ground
-        # never un-grounds one, and there are finitely many cells.
-        while True:
-            frame_propagate(asd, obj)
-            cand = identification_candidates(asd, obj)
-            if cand is None:
-                break
-            apply_identification(asd, cand)
-        _gap_joins_once(asd, obj)
-    return asd, [c for obj in sd.objects for c in detect_conflicts(asd, obj)]
+
+def annotate(sd: SequenceDiagram, dt: DomainTheory) -> tuple[dict, list[Conflict]]:
+    """Each object's lifeline from ``annotate_lifeline``, by object, and the
+    conflicts on them; a pair of ``sd.no_loop`` holds on every lifeline
+    that holds both its messages."""
+    own = {obj: [] for obj in sd.objects}  # object -> its messages
+    for msg in sd.messages:
+        own[msg.sender].append(msg)
+        if msg.receiver != msg.sender:  # the other participant
+            own[msg.receiver].append(msg)
+    lines, conflicts = {}, []
+    try:
+        for obj, messages in own.items():
+            at = {m.id: k for k, m in enumerate(messages)} if sd.no_loop else {}  # id -> position
+            no_loop = frozenset(frozenset(at[i] for i in pair) for pair in sd.no_loop if pair <= at.keys())
+            lines[obj] = line = annotate_lifeline(dt, messages, no_loop)
+            conflicts += detect_conflicts(sd, obj, line, dt)
+    except AnnotationError:  # raised for the first message, in diagram order, the theory cannot hold
+        initialize_vectors(dt, sd.messages)
+        raise
+    return lines, conflicts
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +387,17 @@ def _walk(line: Lifeline, i: int, j: int):
     raise AssertionError(f"cyclic provenance at cell {j} of face {i}")
 
 
-def _after_face(asd: AnnotatedSD, conflict: Conflict) -> tuple:
-    """The conflict's lifeline and its after face; the before face is next."""
-    line = asd.lines[conflict.object]
-    return line, 2 * bisect_left(line.messages, conflict.after_message.id, key=attrgetter("id")) + 1
+def _after_face(line: Lifeline, conflict: Conflict) -> int:
+    """The conflict's after face on its lifeline; the before face is next."""
+    return 2 * bisect_left(line.messages, conflict.after_message.id, key=attrgetter("id")) + 1
 
 
-def derivation(asd: AnnotatedSD, conflict: Conflict) -> tuple:
+def derivation(line: Lifeline, conflict: Conflict) -> tuple:
     """The conflict's full provenance chain as (face, cell, rule) steps on
-    its lifeline, each rule as ``_walk`` gives it: the after cell's steps,
+    its lifeline ``line``, each rule as ``_walk`` gives it: the after cell's steps,
     oldest first, then the before cell's.  Within each cell's steps, a
     value came from the step before it."""
-    line, i = _after_face(asd, conflict)
+    i = _after_face(line, conflict)
     j = conflict.variable.index
     steps = []
     for face in (i, i + 1):
@@ -399,18 +405,18 @@ def derivation(asd: AnnotatedSD, conflict: Conflict) -> tuple:
     return tuple(steps)
 
 
-def conflict_view(asd: AnnotatedSD, conflict: Conflict) -> tuple:
-    """(after cells, before cells, unified states) of a conflict: the cells
-    of its two faces, and (message, pre|post, cells) for each face of the
+def conflict_view(line: Lifeline, conflict: Conflict) -> tuple:
+    """(after cells, before cells, unified states) of a conflict on its
+    lifeline ``line``: the cells of its two faces, and (message, pre|post, cells) for each face of the
     unifications its ``derivation`` passes through, in step order, each
     face once; no unified states when its lifeline had no identification."""
-    line, i = _after_face(asd, conflict)
+    i = _after_face(line, conflict)
     faces = line.faces
     after, before = faces[i], faces[i + 1]
     if not line.events:
         return after, before, ()
     out = {}
-    for _, _, rule in derivation(asd, conflict):
+    for _, _, rule in derivation(line, conflict):
         if isinstance(rule, Unified) and rule.event >= 0:
             for k in line.events[rule.event]:
                 if k not in out:
@@ -418,12 +424,13 @@ def conflict_view(asd: AnnotatedSD, conflict: Conflict) -> tuple:
     return after, before, tuple(out.values())
 
 
-def detect_conflicts(asd: AnnotatedSD, obj: str) -> list[Conflict]:
-    """Every adjacent post/pre disagreement on the object's lifeline, in
-    gap order, then variable order; each names its faces, which stay in the
-    annotation (``conflict_view``, ``derivation``)."""
-    sd, variables = asd.sd, asd.theory.variables
-    messages, _, faces, *_ = line = asd.lines[obj]
+def detect_conflicts(sd: SequenceDiagram, obj: str, line: Lifeline, dt: DomainTheory) -> list[Conflict]:
+    """Every adjacent post/pre disagreement on ``line``, the object's
+    lifeline in the diagram, in gap order, then variable order; each names
+    its faces, which stay in the lifeline (``conflict_view``,
+    ``derivation``)."""
+    variables = dt.variables
+    messages, _, faces, *_ = line
     return [
         Conflict(sd.name, obj, messages[i // 2], messages[i // 2 + 1], variables[j])
         for i in _unsettled_gaps(line)

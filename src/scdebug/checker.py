@@ -6,7 +6,8 @@ leading sends, then each received message with the sends after it) and
 follows every state of the flattened chart they can reach, one span at a
 time.  A transition takes a span on the span's event when the span's sends
 appear, in order, among its actions; missing sends are tolerated, alien
-sends are not.  Repair runs iterative deepening over message deletions and
+sends are not.  A guard is read on the pre face of the span's received
+message, on the object's annotated ``Lifeline``.  Repair runs iterative deepening over message deletions and
 insertions of the events the chart receives, so the first solution found
 has minimal cost; tie-breaking is total (fewest edits, deletes before
 inserts, lower positions first, chart transition order, then sender order).
@@ -27,11 +28,11 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .model import (
-    AnnotatedSD,
     Condition,
     DomainTheory,
     Delete,
     Insert,
+    Lifeline,
     Message,
     SequenceDiagram,
     Statechart,
@@ -127,7 +128,7 @@ def replay(
     chart: Statechart,
     dt: DomainTheory,
     strict_guards: bool = False,
-    asd: AnnotatedSD | None = None,
+    line: Lifeline | None = None,
 ) -> ReplayTrace:
     """Walk the chart one span of the object's lifeline (``receive_spans``)
     at a time.
@@ -137,14 +138,15 @@ def replay(
     accepted when a path consumes every span; the trace is the first such
     path in transition order.
     A rejection reports the deepest prefix reached.  Guards are evaluated
-    on ``asd``, the diagram's annotation, made here when not given.
+    on ``line``, the object's annotated lifeline in the diagram, made here
+    when not given.
     """
     flat = flatten(chart)
     if obj not in sd.objects:
         return ReplayTrace(())
 
-    if asd is None and _has_guards(flat):
-        asd, _ = annotate(sd, dt)
+    if line is None and _has_guards(flat):
+        line = annotate(sd, dt)[0][obj]
 
     by_source: dict[str, list[Transition]] = {}
     for t in flat.transitions:
@@ -160,7 +162,6 @@ def replay(
     # in transition order, and the step into any state comes from that
     # state's first path.
     levels: list[dict] = [{flat.initial: None}]
-    line = None if asd is None else asd.lines[obj]
     for received, event, sends in spans:
         vector = None
         if line is not None and received is not None:  # its pre face
@@ -281,10 +282,10 @@ def repair(
     def works(leaf: SequenceDiagram) -> bool:
         # The leaf passed the guard-blind test, which only guards can overrule.
         try:
-            asd, conflicts = annotate(leaf, dt)
+            lines, conflicts = annotate(leaf, dt)
         except AnnotationError:
             return False
-        return not conflicts and (not guarded or replay(leaf, obj, chart, dt, strict_guards, asd).accepted)
+        return not conflicts and (not guarded or replay(leaf, obj, chart, dt, strict_guards, lines[obj]).accepted)
 
     def attempt(current: SequenceDiagram, edits: tuple, budget: int):
         nonlocal explored
@@ -337,14 +338,14 @@ def check_all(
     """Replay every (diagram, charted object) pair; repair the rejected ones."""
     records = []
     for sd in sds:
-        asd = None
+        lines = None  # the diagram's lifelines, annotated for the first guarded chart
         for obj in sd.objects:
             if obj not in chart_map:
                 continue
             chart = flatten(chart_map[obj])
-            if asd is None and _has_guards(chart):
-                asd, _ = annotate(sd, dt)
-            trace = replay(sd, obj, chart, dt, strict_guards, asd)
+            if lines is None and _has_guards(chart):
+                lines, _ = annotate(sd, dt)
+            trace = replay(sd, obj, chart, dt, strict_guards, None if lines is None else lines[obj])
             if trace.accepted:
                 records.append(CheckRecord(sd, obj, trace))
                 continue

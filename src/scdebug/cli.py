@@ -102,9 +102,9 @@ def _load_inputs(args):
 
 def cmd_annotate(args) -> int:
     dt, sds = _load_inputs(args)
-    bundle = annotation_bundle(annotate(sd, dt) for sd in sds)
+    bundle = annotation_bundle(dt, ((sd, *annotate(sd, dt)) for sd in sds))
     sys.stdout.write(render_json(bundle) if args.json else render_text(bundle))
-    return FINDINGS if any(conflicts for _, conflicts in bundle.annotations) else OK
+    return FINDINGS if any(conflicts for *_, conflicts in bundle.annotations) else OK
 
 
 def cmd_synth(args) -> int:
@@ -112,7 +112,7 @@ def cmd_synth(args) -> int:
     try:
         charts, warnings = synthesize(dt, sds)
     except ConflictedInputError as exc:
-        sys.stdout.write(render_text(annotation_bundle(exc.results)))
+        sys.stdout.write(render_text(annotation_bundle(dt, exc.results)))
         sys.stdout.write("synthesis refused: fix the conflicts first\n")
         return FINDINGS
     out_dir = Path(args.out)

@@ -1,8 +1,9 @@
 """Core domain types: variable domains, state vectors, diagrams, charts.
 
-Everything here but an annotation (``AnnotatedSD`` and its ``Lifeline``s)
-is immutable after construction and safe to share.  Cell values are canonical literal tokens (``"T"``, ``"0"``,
-``"Espresso"``); ``None`` stands for the undetermined value printed as ``?``.
+Everything here but an annotation, one ``Lifeline`` per object, is
+immutable after construction and safe to share.  Cell values are canonical
+literal tokens (``"T"``, ``"0"``, ``"Espresso"``); ``None`` stands for the
+undetermined value printed as ``?``.
 
 Records are named tuples, which are cheap to define at import and to
 build, and compare and hash as tuples.  No constructor checks its fields:
@@ -217,7 +218,8 @@ class Lifeline(NamedTuple):
     ``provenance``: (face, cell index) -> Unified; the rules of
     ``annotator._walk`` derive every other cell's.  ``events``: per applied
     identification, in order, its post faces, which conflict explanations
-    show, in the order it was established.
+    show, in the order it was established.  Annotation changes it in
+    place, so it does not hash.
     """
 
     messages: list
@@ -226,14 +228,6 @@ class Lifeline(NamedTuple):
     starts: list
     provenance: dict
     events: list
-
-
-class AnnotatedSD(namedtuple("AnnotatedSD", "sd theory lines")):
-    """A sequence diagram annotated against a theory: ``lines`` maps each
-    object to its ``Lifeline``.  The lifelines are mutable, so it does not
-    hash."""
-
-    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
-from .model import AnnotatedSD, Conflict, SequenceDiagram, Statechart, Transition, format_vector, walk
+from .model import Conflict, DomainTheory, Lifeline, SequenceDiagram, Statechart, Transition, format_vector, walk
 from .annotator import conflict_view, missing_spec_warnings
 from .dsl import transition_label
 
@@ -29,26 +29,25 @@ SCHEMA = "scdebug-report/1"
 
 
 class ReportBundle(NamedTuple):
-    annotations: tuple = ()  # annotate() results: (AnnotatedSD, conflicts)
+    annotations: tuple = ()  # (diagram, lifelines by object, conflicts), as annotate() gives the last two
     checks: tuple = ()  # CheckRecord
     warnings: tuple = ()
     sds: int = 0  # diagrams given
 
 
-def annotation_bundle(results) -> ReportBundle:
-    """Bundle from annotate() results: iterable of (AnnotatedSD, conflicts)."""
+def annotation_bundle(dt: DomainTheory, results) -> ReportBundle:
+    """Bundle from (diagram, lifelines by object, conflicts) annotated against ``dt``."""
     results = tuple(results)
     return ReportBundle(
         annotations=results,
-        warnings=tuple(dict.fromkeys(w for asd, _ in results
-                                     for w in missing_spec_warnings(asd.sd, asd.theory))),
+        warnings=tuple(dict.fromkeys(w for sd, *_ in results for w in missing_spec_warnings(sd, dt))),
         sds=len(results),
     )
 
 
 def _conflicts(bundle: ReportBundle) -> list:
-    """(annotation, conflict) for every conflict in the bundle, in order."""
-    return [(asd, c) for asd, conflicts in bundle.annotations for c in conflicts]
+    """(lifeline, conflict) for every conflict in the bundle, in order."""
+    return [(lines[c.object], c) for _, lines, conflicts in bundle.annotations for c in conflicts]
 
 
 def _verdict(rec: CheckRecord) -> str:
@@ -70,8 +69,8 @@ def _vector_lines(entries, indent: str) -> list[str]:
     ]
 
 
-def _conflict_block(asd: AnnotatedSD, c: Conflict) -> list[str]:
-    after, before, unified = conflict_view(asd, c)
+def _conflict_block(line: Lifeline, c: Conflict) -> list[str]:
+    after, before, unified = conflict_view(line, c)
     out = [f"Conflict in {c.sd_name}: Object {c.object}"]
     out += _vector_lines([("after", c.after_message, after), ("before", c.before_message, before)], " ")
     out.append(f'  conflict in variable "{c.variable.name}"')
@@ -121,8 +120,8 @@ def render_text(bundle: ReportBundle) -> str:
     conflicts = _conflicts(bundle)
     if not conflicts and all(r.trace.accepted for r in bundle.checks):
         out.append("No conflicts found.")
-    for asd, c in conflicts:
-        out.extend(_conflict_block(asd, c))
+    for line, c in conflicts:
+        out.extend(_conflict_block(line, c))
         out.append("")
     for rec in bundle.checks:
         out.extend(_check_lines(rec))
@@ -189,12 +188,12 @@ def _msg_json(msg, cells, pad: str, which: str = "") -> str:
     return out + (f',{pad}"which": {_quote(which)}' if which else "") + pad[:-2] + "}"
 
 
-def _conflict_json(asd: AnnotatedSD, c: Conflict) -> _Raw:
+def _conflict_json(line: Lifeline, c: Conflict) -> _Raw:
     """One conflict as JSON text, written at its depth in the report (an
     item of the top-level "conflicts" list) with keys in sorted order:
     conflicts are the part of a report that grows with the input, so they
     skip the generic writer."""
-    after, before, unified = conflict_view(asd, c)
+    after, before, unified = conflict_view(line, c)
     # Indents of the conflict's keys and of a derivation step's keys.
     p, q = "\n      ", "\n          "
     derivation = ("[" + ",".join(f"{p}  {_msg_json(msg, cells, q, which)}" for msg, which, cells in unified)
@@ -242,15 +241,15 @@ def render_json(bundle: ReportBundle) -> str:
             "checks": len(bundle.checks),
             "accepted": sum(1 for r in bundle.checks if r.trace.accepted),
         },
-        "conflicts": [_conflict_json(asd, c) for asd, c in conflicts],
+        "conflicts": [_conflict_json(line, c) for line, c in conflicts],
         "annotations": [
             {
-                "sd": asd.sd.name,
-                "objects": list(asd.sd.objects),
-                "messages": len(asd.sd.messages),
-                "unifications": sum(len(line.events) for line in asd.lines.values()),
+                "sd": sd.name,
+                "objects": list(sd.objects),
+                "messages": len(sd.messages),
+                "unifications": sum(len(line.events) for line in lines.values()),
             }
-            for asd, _ in bundle.annotations
+            for sd, lines, _ in bundle.annotations
         ],
         "checks": [_check_json(r) for r in bundle.checks],
         "warnings": list(bundle.warnings),

@@ -1,6 +1,6 @@
 """Statechart synthesis from annotated, conflict-free sequence diagrams.
 
-Per object: the distinct state vectors along the lifeline become states,
+Per object: the distinct state vectors along its ``Lifeline`` become states,
 and each span of the lifeline (``receive_spans``: a received message with
 the sends after it, or the leading sends) becomes a transition on the
 span's event whose actions are the span's sends.  A chart is its initial
@@ -22,9 +22,10 @@ import itertools
 from collections import namedtuple
 
 from .model import (
-    AnnotatedSD,
     DomainTheory,
+    Lifeline,
     Node,
+    SequenceDiagram,
     Statechart,
     Transition,
     format_vector,
@@ -37,8 +38,8 @@ COMPLETION = ""  # event label of a completion (triggerless) transition
 
 
 class ConflictedInputError(Exception):
-    """``results`` holds the (AnnotatedSD, conflicts) pair of every diagram
-    when the conflicts come from annotating the input."""
+    """``results`` holds the (diagram, lifelines by object, conflicts) of
+    every diagram when the conflicts come from annotating the input."""
 
     def __init__(self, conflicts, results=()):
         self.conflicts = list(conflicts)
@@ -80,22 +81,22 @@ def span_event(received) -> str:
     return COMPLETION if received is None else received.event()
 
 
-def synth_object_chart(asd: AnnotatedSD, obj: str) -> FlatChart:
-    """Build the object's flat chart from ``annotate``'s output: each span
+def synth_object_chart(sd: SequenceDiagram, obj: str, line: Lifeline, dt: DomainTheory) -> FlatChart:
+    """Build the object's flat chart from its lifeline ``line``: each span
     leads from the gap before its first message to the gap after its last,
     and an empty leading span takes no step.  A gap's state is its last
     face, which the final frame sweep left holding the join of its faces.
     Raises ConflictedInputError with the object's conflicts when it has any."""
-    conflicts = detect_conflicts(asd, obj)
+    conflicts = detect_conflicts(sd, obj, line, dt)
     if conflicts:
         raise ConflictedInputError(conflicts)
     # A gap's last face is the pre face of the message after it; the last
     # gap's is the last post face.
-    faces = asd.lines[obj].faces
-    gaps = faces[::2] + faces[-1:] or [(None,) * asd.theory.width]
+    faces = line.faces
+    gaps = faces[::2] + faces[-1:] or [(None,) * dt.width]
     transitions = []
     start = 0  # lifeline index of the span's first message
-    for received, sends in receive_spans(asd.sd.messages, obj):
+    for received, sends in receive_spans(line.messages, obj):
         end = start + (received is not None) + len(sends)
         if end > start:
             transitions.append((gaps[start], gaps[end], span_event(received),
@@ -306,19 +307,15 @@ def synthesize(dt: DomainTheory, sds) -> tuple[dict, list]:
     synthesis requires debugged scenarios.
     """
     sds = list(sds)
-    results = [annotate(sd, dt) for sd in sds]
-    all_conflicts = [c for _, conflicts in results for c in conflicts]
+    results = [(sd, *annotate(sd, dt)) for sd in sds]
+    all_conflicts = [c for *_, conflicts in results for c in conflicts]
     if all_conflicts:
         raise ConflictedInputError(all_conflicts, results)
     warnings = list(dict.fromkeys(w for sd in sds for w in missing_spec_warnings(sd, dt)))
 
     charts = {}
     for obj in dict.fromkeys(obj for sd in sds for obj in sd.objects):
-        parts = [
-            synth_object_chart(asd, obj)
-            for asd, _ in results
-            if obj in asd.sd.objects
-        ]
+        parts = [synth_object_chart(sd, obj, lines[obj], dt) for sd, lines, _ in results if obj in lines]
         merged = merge_charts(parts)
         warnings.extend(nondeterminism_warnings(merged))
         charts[obj] = introduce_hierarchy(merged)

@@ -17,28 +17,28 @@ CLI_ENV = {
 }
 
 
-def face_index(asd, obj: str, mid: int, which: str) -> int:
-    """The position on the object's lifeline of the pre or post face of
-    message ``mid``."""
-    ids = [m.id for m in asd.lines[obj].messages]
+def face_index(lines, obj: str, mid: int, which: str) -> int:
+    """The position on the object's lifeline, in ``lines`` (object ->
+    ``Lifeline``), of the pre or post face of message ``mid``."""
+    ids = [m.id for m in lines[obj].messages]
     return 2 * ids.index(mid) + (which == "post")
 
 
-def face(asd, obj: str, mid: int, which: str) -> tuple:
+def face(lines, obj: str, mid: int, which: str) -> tuple:
     """The cells of the pre or post face of message ``mid`` on the object's lifeline."""
-    return asd.lines[obj].faces[face_index(asd, obj, mid, which)]
+    return lines[obj].faces[face_index(lines, obj, mid, which)]
 
 
-def all_faces(asd) -> dict:
+def all_faces(lines) -> dict:
     """A copy of every lifeline's cells: object -> list of faces."""
-    return {obj: [list(cells) for cells in line.faces] for obj, line in asd.lines.items()}
+    return {obj: [list(cells) for cells in line.faces] for obj, line in lines.items()}
 
 
-def known_cells(asd) -> dict:
+def known_cells(lines) -> dict:
     """Every determined cell of an annotation, keyed by (object, face, index)."""
     return {
         (obj, i, j): c
-        for obj, line in asd.lines.items()
+        for obj, line in lines.items()
         for i, cells in enumerate(line.faces)
         for j, c in enumerate(cells)
         if c is not None

@@ -8,13 +8,13 @@ from scdebug.annotator import (
     FROM_SPEC,
     AnnotationError,
     _ground,
-    _is_discarded,
     _parameter_binding,
     _unsettled_gaps,
     _walk,
     annotate,
     apply_identification,
     identification_candidates,
+    initialize_vectors,
 )
 from scdebug.checker import (
     NoRepairWithinBound,
@@ -30,7 +30,6 @@ from scdebug.dsl import IDENT, ParseError, split_label_args
 from scdebug.model import (
     POST,
     PRE,
-    AnnotatedSD,
     Conflict,
     Delete,
     Insert,
@@ -54,6 +53,19 @@ def participants(msg):
 def lifeline(sd, obj):
     """Messages the object participates in, in diagram order."""
     return tuple(m for m in sd.messages if obj in (m.sender, m.receiver))
+
+
+def no_loop_on(sd, obj):
+    """The diagram's ``no_loop`` pairs of two messages on the object's
+    lifeline, as pairs of their positions on it, counting from 0."""
+    ids = [m.id for m in lifeline(sd, obj)]
+    return frozenset(frozenset(ids.index(i) for i in pair) for pair in sd.no_loop
+                     if all(i in ids for i in pair))
+
+
+def initial_lines(sd, dt):
+    """Every object's lifeline as ``initialize_vectors`` starts it, by object."""
+    return {obj: initialize_vectors(dt, lifeline(sd, obj)) for obj in sd.objects}
 
 
 def provenance_of(line, i, j):
@@ -195,9 +207,9 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
     flat = flatten(chart)
     if obj not in sd.objects:
         return ReplayTrace(())
-    asd = None
+    lines = None
     if any(t.guard is not None and t.guard.atoms for t in flat.transitions):
-        asd, _ = annotate(sd, dt)
+        lines, _ = annotate(sd, dt)
     by_source = {}
     for t in flat.transitions:
         by_source.setdefault(t.source, []).append(t)
@@ -207,7 +219,7 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
     todo = [(None, COMPLETION, leading, None)] if leading else []
     for i, sends in steps:
         msg = line[i]
-        vector = asd.lines[obj].faces[2 * i] if asd is not None else None  # msg's pre face
+        vector = lines[obj].faces[2 * i] if lines is not None else None  # msg's pre face
         todo.append((msg, msg.event(), sends, vector))
     if not todo:
         return ReplayTrace(())
@@ -247,17 +259,17 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
     return ReplayTrace(tuple(best))
 
 
-def identification_scan(asd):
-    """Every applicable identification, in the annotator's scan order, by
-    the grounds-based scan: two compatible state classes qualify when their
-    join would ground at least one face cell and no ``no_loop`` pair spans
-    them."""
+def identification_scan(sd, dt, lines):
+    """Every applicable identification, as (object, *candidate), in the
+    annotator's scan order, by the grounds-based scan: two compatible state
+    classes qualify when their join would ground at least one face cell and
+    no ``no_loop`` pair spans them."""
     out = []
-    for obj in asd.sd.objects:
-        gaps = lifeline_gaps_by_lifeline(asd.sd, obj)
-        classes = lifeline_classes(asd.sd, asd.theory, obj)
-        line = lifeline(asd.sd, obj)
-        cells = asd.lines[obj].faces
+    for obj in sd.objects:
+        gaps = lifeline_gaps_by_lifeline(sd, obj)
+        classes = lifeline_classes(sd, dt, obj)
+        line = lifeline(sd, obj)
+        cells = lines[obj].faces
 
         def faces(cls):
             return [i for g in cls for i in gaps[g]]
@@ -266,7 +278,7 @@ def identification_scan(asd):
             return faces(cls)[0], faces(cls)[0] + len(faces(cls))
 
         def state(cls):
-            joined = tuple([None] * asd.theory.width)
+            joined = tuple([None] * dt.width)
             for i in faces(cls):
                 joined = unify(joined, tuple(cells[i]))
                 if joined is None:
@@ -291,7 +303,7 @@ def identification_scan(asd):
                 msgs_b = {line[i // 2].id for i in faces(classes[b])}
                 spanned = any(
                     (min(p) in msgs_a and max(p) in msgs_b) or (max(p) in msgs_a and min(p) in msgs_b)
-                    for p in asd.sd.no_loop
+                    for p in sd.no_loop
                 )
                 if grounds and not spanned:
                     out.append((obj, span(classes[a]), span(classes[b]), joined))
@@ -384,14 +396,14 @@ def initialize_vectors_eager(sd, dt):
                     line.provenance[(i, j)] = FROM_SPEC
                 line.spec.append(tuple(vec))
                 line.faces.append(tuple(vec))
-    return AnnotatedSD(sd, dt, lines)
+    return lines
 
 
-def frame_propagate_eager(asd, sources):
+def frame_propagate_eager(lines, sources):
     """The frame sweep that stores a ``FRAME`` rule for every cell it
     grounds, and in ``sources`` the face before it on the lifeline."""
     changed = False
-    for obj, line in asd.lines.items():
+    for obj, line in lines.items():
         faces = line.faces
         for i in range(1, len(faces)):
             dst = list(faces[i])
@@ -405,11 +417,11 @@ def frame_propagate_eager(asd, sources):
     return changed
 
 
-def trace_stored(asd, sources, obj, i, j):
+def trace_stored(lines, sources, obj, i, j):
     """(face, cell, rule) for cell ``j`` of face ``i`` on the object's
     lifeline and every cell its value came through, oldest first, following
     the stored provenance records and frame ``sources`` alone."""
-    provenance = asd.lines[obj].provenance
+    provenance = lines[obj].provenance
     steps = []
     while True:
         prov = provenance.get((i, j))
@@ -431,18 +443,18 @@ def unified_faces(line, chain):
     return tuple(out.values())
 
 
-def gap_joins_both_ways(asd):
+def gap_joins_both_ways(sd, lines):
     """Reconcile compatible gap faces pointwise, each face taking the
     other's values, as the annotator's gap join did before it filled only
     the post face.  Incompatible faces are left alone for conflict detection."""
     changed = False
-    for obj, line in asd.lines.items():
-        msgs = lifeline(asd.sd, obj)
+    for obj, line in lines.items():
+        msgs = lifeline(sd, obj)
         for i in _unsettled_gaps(line):
             left, right = line.faces[i], line.faces[i + 1]
             if None not in left and None not in right:
                 continue
-            if _is_discarded(asd.sd.no_loop, {msgs[i // 2].id}, {msgs[i // 2 + 1].id}):
+            if frozenset((msgs[i // 2].id, msgs[i // 2 + 1].id)) in sd.no_loop:
                 continue
             joined = unify(tuple(left), tuple(right))
             if joined is None:
@@ -457,42 +469,48 @@ def gap_joins_both_ways(asd):
     return changed
 
 
-def first_candidate(asd):
-    """The first identification of any object, objects in declaration order."""
-    return next(filter(None, (identification_candidates(asd, obj) for obj in asd.sd.objects)), None)
+def first_candidate(sd, lines):
+    """The first identification of any object, objects in declaration order,
+    as (object, *candidate); ``apply_identification(lines[obj], rest)``
+    applies it."""
+    for obj in sd.objects:
+        cand = identification_candidates(lines[obj], no_loop_on(sd, obj))
+        if cand is not None:
+            return (obj, *cand)
+    return None
 
 
 def annotate_eager(sd, dt):
     """``annotate`` with every cell's provenance stored as it is grounded:
-    (annotated diagram, conflicts, the derivation chain of each conflict),
+    (lifelines by object, conflicts, the derivation chain of each conflict),
     the chains traced through the stored records, which cover every
     determined cell.  Each round sweeps every lifeline, applies the first
     identification of any object, and joins gaps only when there is none,
     until nothing changes, as the annotator did before it took one lifeline
     at a time."""
-    asd = initialize_vectors_eager(sd, dt)
+    lines = initialize_vectors_eager(sd, dt)
     sources = {}  # (object, face, cell) -> the face a frame step took its value from
     while True:
-        frame_propagate_eager(asd, sources)
-        cand = first_candidate(asd)
+        frame_propagate_eager(lines, sources)
+        cand = first_candidate(sd, lines)
         if cand is not None:
-            apply_identification(asd, cand)
-        elif not gap_joins_both_ways(asd):
+            apply_identification(lines[cand[0]], cand[1:])
+        elif not gap_joins_both_ways(sd, lines):
             break
     conflicts, chains = [], []
     for obj in sd.objects:
         line = lifeline(sd, obj)
-        faces = asd.lines[obj].faces
+        faces = lines[obj].faces
         for p, (before, after) in enumerate(zip(line, line[1:])):
             left, right = faces[2 * p + 1], faces[2 * p + 2]  # before's post, after's pre
             for j, (x, y) in enumerate(zip(left, right)):
                 if x is None or y is None or x == y:
                     continue
-                chain = tuple(trace_stored(asd, sources, obj, 2 * p + 1, j)
-                              + trace_stored(asd, sources, obj, 2 * p + 2, j))
+                chain = tuple(trace_stored(lines, sources, obj, 2 * p + 1, j)
+                              + trace_stored(lines, sources, obj, 2 * p + 2, j))
                 chains.append(chain)
                 conflicts.append(Conflict(sd.name, obj, before, after, dt.variables[j]))
-    return asd, conflicts, chains
+    return lines, conflicts, chains
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import sys
 import time
 from pathlib import Path
 
-from scdebug.annotator import annotate, conflict_view, initialize_vectors
+from scdebug.annotator import annotate, conflict_view
 from scdebug.checker import repair, replay
 from scdebug.cli import main
 from scdebug.dsl import parse_domain_theory, parse_sc, parse_sd, print_domain_theory, print_sd
@@ -33,7 +33,7 @@ from scdebug.synthesizer import (
 
 from conftest import CLI_ENV, FIXTURES, all_faces, face, known_cells
 from gen import conflict_free_pair
-from oracles import brute_force_min_cost, mutation_candidates
+from oracles import brute_force_min_cost, initial_lines, mutation_candidates
 
 THEORY = str(FIXTURES / "theory.dt")
 THEORY_UNFIXED = str(FIXTURES / "theory_unfixed.dt")
@@ -50,17 +50,17 @@ def passed(criterion: int, detail: str):
 
 def test_criterion_1_worked_example(sd1, coffee_dt_unfixed):
     start = time.perf_counter()
-    asd0 = initialize_vectors(sd1, coffee_dt_unfixed)
-    assert format_vector(face(asd0, "Coffee-UI", 1, "pre")) == "<F,F,?,?,?>"
-    assert format_vector(face(asd0, "Coffee-UI", 2, "pre")) == "<F,?,?,?,?>"
+    lines0 = initial_lines(sd1, coffee_dt_unfixed)
+    assert format_vector(face(lines0, "Coffee-UI", 1, "pre")) == "<F,F,?,?,?>"
+    assert format_vector(face(lines0, "Coffee-UI", 2, "pre")) == "<F,?,?,?,?>"
 
     # The published walk covers the first messages only; on that prefix the
     # unified vectors settle at <F,F,?,?,?>.
     prefix = SequenceDiagram(sd1.name, sd1.objects, sd1.messages[:2])
-    asd, conflicts = annotate(prefix, coffee_dt_unfixed)
+    lines, conflicts = annotate(prefix, coffee_dt_unfixed)
     assert conflicts == []
-    assert format_vector(face(asd, "Coffee-UI", 1, "post")) == "<F,F,?,?,?>"
-    assert format_vector(face(asd, "Coffee-UI", 2, "pre")) == "<F,F,?,?,?>"
+    assert format_vector(face(lines, "Coffee-UI", 1, "post")) == "<F,F,?,?,?>"
+    assert format_vector(face(lines, "Coffee-UI", 2, "pre")) == "<F,F,?,?,?>"
     elapsed = time.perf_counter() - start
     assert elapsed < 0.1, f"took {elapsed:.3f}s"
     passed(1, f"initial and unified vectors match the worked example ({elapsed * 1000:.1f} ms)")
@@ -80,7 +80,7 @@ PUBLISHED_LINES = [
 
 def test_criterion_2_conflict_report(sd1, coffee_dt_unfixed, capsys):
     start = time.perf_counter()
-    asd, conflicts = annotate(sd1, coffee_dt_unfixed)
+    lines, conflicts = annotate(sd1, coffee_dt_unfixed)
     elapsed = time.perf_counter() - start
     assert elapsed < 0.1, f"took {elapsed:.3f}s"
 
@@ -89,7 +89,7 @@ def test_criterion_2_conflict_report(sd1, coffee_dt_unfixed, capsys):
     assert (c.object, c.variable.name) == ("Coffee-UI", "CoffeeTypeSelected")
     assert (c.after_message.id, c.after_message.label) == (2, "Insert coin")
     assert (c.before_message.id, c.before_message.label) == (3, "Request Selection")
-    after, before, unified = conflict_view(asd, c)
+    after, before, unified = conflict_view(lines[c.object], c)
     assert format_vector(after) == "<T,F,T,1,none>"
     assert format_vector(before) == "<T,F,F,1,none>"
     assert [(m.id, which) for m, which, _ in unified] == [
@@ -127,10 +127,10 @@ def test_criterion_5_round_trip_suite():
     pairs = 200
     for i in range(pairs):
         dt, sd = conflict_free_pair(rng, max_msgs=10, max_objs=3)
-        asd, conflicts = annotate(sd, dt)
+        lines, conflicts = annotate(sd, dt)
         assert conflicts == []
         for obj in sd.objects:
-            flat = synth_object_chart(asd, obj)
+            flat = synth_object_chart(sd, obj, lines[obj], dt)
             merged = merge_charts([flat])
             hier = introduce_hierarchy(merged)
             stages = {
@@ -165,9 +165,9 @@ def test_criterion_6_repair_minimality(stepper_sd, stepper_dt):
         dt, sd = conflict_free_pair(rng, max_msgs=5, max_objs=2)
         if not sd.messages:
             continue
-        asd, _ = annotate(sd, dt)
+        lines, _ = annotate(sd, dt)
         obj = max(sd.objects, key=lambda o: sum(1 for m in sd.messages if m.receiver == o))
-        chart = to_statechart(synth_object_chart(asd, obj))
+        chart = to_statechart(synth_object_chart(sd, obj, lines[obj], dt))
         cands = mutation_candidates(dt, chart, sd, obj)
         mutated = sd
         for _ in range(rng.randint(1, 3)):
@@ -195,18 +195,18 @@ def test_criterion_7_algorithm_invariants(sd1, coffee_dt_unfixed):
     # annotate idempotence: re-running the fixpoint steps changes nothing
     from scdebug.annotator import frame_propagate, identification_candidates
 
-    asd, _ = annotate(sd1, coffee_dt_unfixed)
-    before = all_faces(asd)
+    lines, _ = annotate(sd1, coffee_dt_unfixed)
+    before = all_faces(lines)
     for obj in sd1.objects:
-        assert frame_propagate(asd, obj) is False
-        assert identification_candidates(asd, obj) is None
-    assert all_faces(asd) == before
+        assert frame_propagate(lines[obj]) is False
+        assert identification_candidates(lines[obj], frozenset()) is None
+    assert all_faces(lines) == before
 
     # monotonicity: determined cells only grow, values never change
     rng = random.Random(9)
     for _ in range(50):
         dt, sd = conflict_free_pair(rng, max_msgs=8)
-        initial = known_cells(initialize_vectors(sd, dt))
+        initial = known_cells(initial_lines(sd, dt))
         final = known_cells(annotate(sd, dt)[0])
         assert set(initial) <= set(final)
         assert all(final[cell] == v for cell, v in initial.items())

@@ -12,6 +12,7 @@ from scdebug.annotator import (
     _ground,
     _walk,
     annotate,
+    annotate_lifeline,
     apply_identification,
     class_state,
     conflict_view,
@@ -23,7 +24,6 @@ from scdebug.annotator import (
 )
 from scdebug.dsl import parse_domain_theory, parse_sd, print_domain_theory
 from scdebug.model import (
-    AnnotatedSD,
     BoolDomain,
     Condition,
     Delete,
@@ -45,10 +45,12 @@ from oracles import (
     class_state_by_faces,
     first_candidate,
     identification_scan,
+    initial_lines,
     lifeline,
     lifeline_classes,
     lifeline_gaps_by_lifeline,
     lifeline_layout,
+    no_loop_on,
     provenance_of,
     unified_faces,
 )
@@ -56,15 +58,15 @@ from oracles import (
 CUI = "Coffee-UI"
 
 
-def vec(asd, obj, mid, which):
-    return format_vector(face(asd, obj, mid, which))
+def vec(lines, obj, mid, which):
+    return format_vector(face(lines, obj, mid, which))
 
 
-def laid_out(asd) -> bool:
+def laid_out(sd, dt, lines) -> bool:
     """Whether every lifeline's messages and class bounds are those built
     from its own gaps and classes."""
-    return all((line.messages, line.starts) == lifeline_layout(asd.sd, asd.theory, obj)
-               for obj, line in asd.lines.items())
+    return all((line.messages, line.starts) == lifeline_layout(sd, dt, obj)
+               for obj, line in lines.items())
 
 
 def count_unify(monkeypatch):
@@ -82,27 +84,28 @@ def count_unify(monkeypatch):
     return calls
 
 
-def unify_to_fixpoint(asd):
+def unify_to_fixpoint(sd, lines):
     """Identifications and gap joins alone, without frame propagation, so
     a gap's pre face takes no value from its post face."""
-    for obj in asd.sd.objects:
+    for obj in sd.objects:
+        line, no_loop = lines[obj], no_loop_on(sd, obj)
         while True:
-            cand = identification_candidates(asd, obj)
+            cand = identification_candidates(line, no_loop)
             if cand is not None:
-                apply_identification(asd, cand)
-            elif not _gap_joins_once(asd, obj):
+                apply_identification(line, cand)
+            elif not _gap_joins_once(line, no_loop):
                 break
-    return asd
+    return lines
 
 
-def sweep(asd):
+def sweep(lines):
     """A frame sweep on every lifeline; True when one grounded a cell."""
-    return any([frame_propagate(asd, obj) for obj in asd.sd.objects])
+    return any([frame_propagate(line) for line in lines.values()])
 
 
-def join_gaps(asd):
+def join_gaps(sd, lines):
     """Gap joins on every lifeline; True when one grounded a cell."""
-    return any([_gap_joins_once(asd, obj) for obj in asd.sd.objects])
+    return any([_gap_joins_once(line, no_loop_on(sd, obj)) for obj, line in lines.items()])
 
 
 def provenance_corpus(coffee_dt):
@@ -137,45 +140,46 @@ def provenance_corpus(coffee_dt):
 
 class TestInitialize:
     def test_display_ready_light_pre(self, sd1, coffee_dt_unfixed):
-        asd = initialize_vectors(sd1, coffee_dt_unfixed)
-        assert vec(asd, "Control", 1, "pre") == "<F,F,?,?,?>"  # sender side
-        assert vec(asd, CUI, 1, "pre") == "<F,F,?,?,?>"  # receiver side
+        lines = initial_lines(sd1, coffee_dt_unfixed)
+        assert vec(lines, "Control", 1, "pre") == "<F,F,?,?,?>"  # sender side
+        assert vec(lines, CUI, 1, "pre") == "<F,F,?,?,?>"  # receiver side
 
     def test_insert_coin_pre(self, sd1, coffee_dt_unfixed):
-        asd = initialize_vectors(sd1, coffee_dt_unfixed)
-        assert vec(asd, CUI, 2, "pre") == "<F,?,?,?,?>"
+        lines = initial_lines(sd1, coffee_dt_unfixed)
+        assert vec(lines, CUI, 2, "pre") == "<F,?,?,?,?>"
 
     def test_unspecified_message_all_unknown(self, sd1, coffee_dt_unfixed):
-        asd = initialize_vectors(sd1, coffee_dt_unfixed)
-        assert vec(asd, CUI, 5, "pre") == "<?,?,?,?,?>"  # Cancel has no spec
-        assert vec(asd, CUI, 5, "post") == "<?,?,?,?,?>"
+        lines = initial_lines(sd1, coffee_dt_unfixed)
+        assert vec(lines, CUI, 5, "pre") == "<?,?,?,?,?>"  # Cancel has no spec
+        assert vec(lines, CUI, 5, "post") == "<?,?,?,?,?>"
 
     def test_parameter_substitution(self, sd1, coffee_dt_unfixed):
-        asd = initialize_vectors(sd1, coffee_dt_unfixed)
-        assert vec(asd, CUI, 4, "post") == "<?,?,T,?,Espresso>"
+        lines = initial_lines(sd1, coffee_dt_unfixed)
+        assert vec(lines, CUI, 4, "post") == "<?,?,T,?,Espresso>"
 
     def test_one_pre_and_post_per_endpoint(self, sd1, coffee_dt_unfixed):
-        # Each object's lifeline holds exactly the messages it sends or
-        # receives, each with a pre and a post face and their spec cells.
-        asd = initialize_vectors(sd1, coffee_dt_unfixed)
-        assert list(asd.lines) == list(sd1.objects)
-        for obj, line in asd.lines.items():
+        # annotate gives each object the lifeline of exactly the messages it
+        # sends or receives, each with a pre and a post face and their spec
+        # cells.
+        lines, _ = annotate(sd1, coffee_dt_unfixed)
+        assert list(lines) == list(sd1.objects)
+        for obj, line in lines.items():
             assert line.messages == [m for m in sd1.messages if obj in (m.sender, m.receiver)]
             assert len(line.faces) == len(line.spec) == 2 * len(line.messages)
-        assert sum(len(line.messages) for line in asd.lines.values()) == 2 * len(sd1.messages)
+        assert sum(len(line.messages) for line in lines.values()) == 2 * len(sd1.messages)
 
     def test_arity_mismatch(self, coffee_dt_unfixed):
         sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : Enter Selection")
         detail = "'Enter Selection' takes 1 argument(s), got 0"
         with pytest.raises(AnnotationError, match=f"^{re.escape('message 1: ' + detail)}$") as exc:
-            initialize_vectors(sd, coffee_dt_unfixed)
+            initialize_vectors(coffee_dt_unfixed, sd.messages)
         assert exc.value.message_id == 1
 
     def test_out_of_domain_argument(self, coffee_dt_unfixed):
         sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : Enter Selection(Latte)")
         detail = "argument 'Latte' outside domain enum {none,Espresso,Cappuchino,Milk} of parameter CT"
         with pytest.raises(AnnotationError, match=f"^{re.escape('message 1: ' + detail)}$"):
-            initialize_vectors(sd, coffee_dt_unfixed)
+            initialize_vectors(coffee_dt_unfixed, sd.messages)
 
     @pytest.mark.parametrize("atom, detail", [
         (("y", "T"), "unknown state variable 'y'"),
@@ -206,7 +210,7 @@ class TestInitialize:
             assert dt._spec_vectors
             fresh = parse_domain_theory(print_domain_theory(dt))
             (used, used_conflicts), (new, new_conflicts) = annotate(sd_b, dt), annotate(sd_b, fresh)
-            assert used.lines == new.lines and used_conflicts == new_conflicts
+            assert used == new and used_conflicts == new_conflicts
 
     def test_failed_message_is_not_cached(self, stepper_sd, stepper_dt):
         # Only built vectors are cached: e2(7) raises the same error, naming
@@ -228,12 +232,12 @@ class TestInitialize:
         # spec is the initial faces, and every face is a tuple.
         for sd, dt in provenance_corpus(coffee_dt_unfixed):
             try:
-                initial = initialize_vectors(sd, parse_domain_theory(print_domain_theory(dt)))
-                asd, _ = annotate(sd, dt)
+                initial = initial_lines(sd, parse_domain_theory(print_domain_theory(dt)))
+                lines, _ = annotate(sd, dt)
             except AnnotationError:
                 continue
-            for obj, line in asd.lines.items():
-                assert line.spec == initial.lines[obj].spec == initial.lines[obj].faces
+            for obj, line in lines.items():
+                assert line.spec == initial[obj].spec == initial[obj].faces
                 assert all(type(cells) is tuple for cells in line.faces + line.spec)
 
 
@@ -242,25 +246,25 @@ class TestUnifyPass:
         # On the first two messages alone: the empty post of message 1
         # takes Insert coin's precondition value via its gap partner.
         prefix = SequenceDiagram(sd1.name, sd1.objects, sd1.messages[:2])
-        asd = unify_to_fixpoint(initialize_vectors(prefix, coffee_dt_unfixed))
-        assert vec(asd, CUI, 1, "post") == "<F,?,?,?,?>"
-        assert vec(asd, CUI, 2, "pre") == "<F,?,?,?,?>"
+        lines = unify_to_fixpoint(prefix, initial_lines(prefix, coffee_dt_unfixed))
+        assert vec(lines, CUI, 1, "post") == "<F,?,?,?,?>"
+        assert vec(lines, CUI, 2, "pre") == "<F,?,?,?,?>"
 
     def test_clashing_vectors_skipped(self, coffee_dt_unfixed):
         sd = parse_sd(
             "sd S\nobject A\nobject B\n"
             "msg 1 A -> B : Insert coin\nmsg 2 A -> B : Insert coin"
         )
-        asd = unify_to_fixpoint(initialize_vectors(sd, coffee_dt_unfixed))
+        lines = unify_to_fixpoint(sd, initial_lines(sd, coffee_dt_unfixed))
         # post of 1 has CoinInMachine=T, pre of 2 has F: incompatible faces stay
-        assert face(asd, "B", 1, "post")[0] == "T"
-        assert face(asd, "B", 2, "pre")[0] == "F"
+        assert face(lines, "B", 1, "post")[0] == "T"
+        assert face(lines, "B", 2, "pre")[0] == "F"
 
     def test_discarded_pair_skipped(self, sd1, coffee_dt_unfixed):
         discarded = sd1._replace(no_loop=frozenset({frozenset((1, 11))}))
-        asd, conflicts = annotate(discarded, coffee_dt_unfixed)
+        lines, conflicts = annotate(discarded, coffee_dt_unfixed)
         assert conflicts == []
-        assert asd.lines[CUI].events == []
+        assert lines[CUI].events == []
 
     def test_no_loop_directive_in_sd_file(self, sd1, coffee_dt_unfixed):
         from scdebug.dsl import print_sd
@@ -283,20 +287,20 @@ class TestUnifyPass:
         # classes (several equal faces, some cell undetermined) among them.
         settled = 0
 
-        def candidate(asd):
+        def candidate(sd, dt, lines):
             nonlocal settled
-            assert laid_out(asd)
-            width = asd.theory.width
-            for line in asd.lines.values():
+            assert laid_out(sd, dt, lines)
+            width = dt.width
+            for line in lines.values():
                 starts = line.starts
                 for lo, hi in zip(starts, starts[1:]):
                     cls = line.faces[lo:hi]
                     assert class_state(cls, width) == class_state_by_faces(cls, width)
                     settled += len(cls) > 1 and cls.count(cls[0]) == len(cls) and None in cls[0]
-            cand = first_candidate(asd)
-            scan = identification_scan(asd)
-            steps = sum(len(line.events) for line in asd.lines.values())
-            assert cand == (scan[0] if scan else None), f"step {steps} of {asd.sd}"
+            cand = first_candidate(sd, lines)
+            scan = identification_scan(sd, dt, lines)
+            steps = sum(len(line.events) for line in lines.values())
+            assert cand == (scan[0] if scan else None), f"step {steps} of {sd}"
             return cand
 
         rng = random.Random(23)
@@ -311,15 +315,15 @@ class TestUnifyPass:
                 n = len(sd.messages)
                 pairs = {frozenset((rng.randint(1, n), rng.randint(1, n))) for _ in range(2)}
                 sd = sd._replace(no_loop=frozenset(pairs))
-            asd = initialize_vectors(sd, dt)
+            lines = initial_lines(sd, dt)
             while True:
-                candidate(asd)
-                sweep(asd)
-                cand = candidate(asd)
+                candidate(sd, dt, lines)
+                sweep(lines)
+                cand = candidate(sd, dt, lines)
                 if cand is not None:
                     steps += 1
-                    apply_identification(asd, cand)
-                elif not join_gaps(asd):
+                    apply_identification(lines[cand[0]], cand[1:])
+                elif not join_gaps(sd, lines):
                     break
         assert steps > 200 and settled > 2_000
 
@@ -347,8 +351,8 @@ class TestUnifyPass:
         msgs = "".join(f"\nmsg {i + 1} A -> B : e{i}" for i in range(k))
         sd = parse_sd("sd Ring\nobject A\nobject B" + msgs)
         calls = count_unify(monkeypatch)
-        asd, conflicts = annotate(sd, dt)
-        assert conflicts == [] and all(line.events == [] for line in asd.lines.values())
+        lines, conflicts = annotate(sd, dt)
+        assert conflicts == [] and all(line.events == [] for line in lines.values())
         assert calls[0] < 1_000
 
     def test_empty_lifeline_state_is_undetermined(self):
@@ -356,26 +360,27 @@ class TestUnifyPass:
         # state is all undetermined, as the face-by-face join made it.
         dt = parse_domain_theory("x : Boolean\ny : 0..2")
         sd = parse_sd("sd S\nobject A\nobject B\nobject C\nmsg 1 A -> B : hello")
-        asd = initialize_vectors(sd, dt)
-        assert laid_out(asd)
-        assert asd.lines["C"] == Lifeline([], [], [], [0, 0], {}, [])
+        lines = initial_lines(sd, dt)
+        assert laid_out(sd, dt, lines)
+        assert lines["C"] == Lifeline([], [], [], [0, 0], {}, [])
         assert lifeline_gaps_by_lifeline(sd, "C") == [()] and lifeline_classes(sd, dt, "C") == [[0]]
         assert class_state([], dt.width) == class_state_by_faces([], dt.width) == ((None, None), False)
-        assert identification_candidates(asd, "C") is None and detect_conflicts(asd, "C") == []
+        assert identification_candidates(lines["C"], frozenset()) is None
+        assert detect_conflicts(sd, "C", lines["C"], dt) == []
 
     def test_sd1_arrays(self, sd1, coffee_dt_unfixed):
         # Coffee-UI takes part in all 11 messages of SD1: faces alternate
         # pre and post in message order, and a class opens at the post face
         # of each message with a postcondition: Insert coin (2), Enter
         # Selection (4), Release coin (8) and Take coin (10).
-        asd = initialize_vectors(sd1, coffee_dt_unfixed)
-        messages, spec, faces, starts, _, _ = asd.lines[CUI]
+        lines = initial_lines(sd1, coffee_dt_unfixed)
+        messages, spec, faces, starts, _, _ = lines[CUI]
         assert messages == list(sd1.messages)
         assert faces == [tuple(cells) for cells in spec]
         # Faces 6 and 7 are the pre and post faces of message 4.
         assert [format_vector(cells) for cells in faces[6:8]] == ["<?,?,F,?,?>", "<?,?,T,?,Espresso>"]
         assert starts == [0, 3, 7, 15, 19, 22]
-        assert laid_out(asd)
+        assert laid_out(sd1, coffee_dt_unfixed, lines)
 
 
     def test_settled_gap_is_skipped(self, monkeypatch):
@@ -386,37 +391,37 @@ class TestUnifyPass:
             "context b\n pre: x = T ;\n post:"
         )
         sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : a\nmsg 2 A -> B : b")
-        asd = initialize_vectors(sd, dt)
-        assert vec(asd, "A", 1, "post") == vec(asd, "A", 2, "pre") == "<T,?>"
+        lines = initial_lines(sd, dt)
+        assert vec(lines, "A", 1, "post") == vec(lines, "A", 2, "pre") == "<T,?>"
         calls = count_unify(monkeypatch)
-        assert join_gaps(asd) is False
-        assert calls[0] == 0 and all(line.provenance == {} for line in asd.lines.values())
-        assert vec(asd, "A", 1, "post") == vec(asd, "A", 2, "pre") == "<T,?>"
-        assert detect_conflicts(asd, "A") == detect_conflicts(asd, "B") == []
+        assert join_gaps(sd, lines) is False
+        assert calls[0] == 0 and all(line.provenance == {} for line in lines.values())
+        assert vec(lines, "A", 1, "post") == vec(lines, "A", 2, "pre") == "<T,?>"
+        assert detect_conflicts(sd, "A", lines["A"], dt) == detect_conflicts(sd, "B", lines["B"], dt) == []
 
 
 class TestFramePropagation:
     def test_prefix_frame_values(self, sd1, coffee_dt_unfixed):
         prefix = SequenceDiagram(sd1.name, sd1.objects, sd1.messages[:2])
-        asd, _ = annotate(prefix, coffee_dt_unfixed)
+        lines, _ = annotate(prefix, coffee_dt_unfixed)
         # CoinInReturnSlot=F flows from the first precondition forward.
-        assert vec(asd, CUI, 1, "post") == "<F,F,?,?,?>"
-        assert vec(asd, CUI, 2, "pre") == "<F,F,?,?,?>"
+        assert vec(lines, CUI, 1, "post") == "<F,F,?,?,?>"
+        assert vec(lines, CUI, 2, "pre") == "<F,F,?,?,?>"
 
     def test_all_unknown_lifeline_unchanged(self):
         dt = parse_domain_theory("x : Boolean")
         sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : hello")
-        asd = initialize_vectors(sd, dt)
-        assert sweep(asd) is False
-        assert vec(asd, "A", 1, "pre") == "<?>"
+        lines = initial_lines(sd, dt)
+        assert sweep(lines) is False
+        assert vec(lines, "A", 1, "pre") == "<?>"
 
     def test_known_post_fills_next_pre(self):
         dt = parse_domain_theory("x : Boolean\ncontext a\n pre:\n post: x = T ;")
         sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : a\nmsg 2 A -> B : b")
-        asd = initialize_vectors(sd, dt)
-        assert frame_propagate(asd, "A") is True
-        line = asd.lines["A"]
-        assert face(asd, "A", 2, "pre")[0] == "T"
+        lines = initial_lines(sd, dt)
+        assert frame_propagate(lines["A"]) is True
+        line = lines["A"]
+        assert face(lines, "A", 2, "pre")[0] == "T"
         # Faces 0-3 are pre 1, post 1, pre 2, post 2; a frame step goes to
         # the face before it on the lifeline.
         assert provenance_of(line, 2, 0) == FRAME
@@ -428,26 +433,26 @@ class TestFramePropagation:
 
 class TestConflicts:
     def test_paper_conflict(self, sd1, coffee_dt_unfixed):
-        asd, conflicts = annotate(sd1, coffee_dt_unfixed)
+        lines, conflicts = annotate(sd1, coffee_dt_unfixed)
         assert len(conflicts) == 1
         c = conflicts[0]
         assert c.object == CUI
         assert c.variable.name == "CoffeeTypeSelected"
-        after, before, _ = conflict_view(asd, c)
+        after, before, _ = conflict_view(lines[c.object], c)
         assert format_vector(after) == "<T,F,T,1,none>"
         assert format_vector(before) == "<T,F,F,1,none>"
         assert c.after_message.id == 2 and c.before_message.id == 3
 
     def test_derivation_references_loop(self, sd1, coffee_dt_unfixed):
-        asd, conflicts = annotate(sd1, coffee_dt_unfixed)
-        _, _, unified = conflict_view(asd, conflicts[0])
+        lines, conflicts = annotate(sd1, coffee_dt_unfixed)
+        _, _, unified = conflict_view(lines[conflicts[0].object], conflicts[0])
         ids = [(m.id, which) for m, which, _ in unified]
         assert ids == [(1, "post"), (11, "post"), (10, "post")]
         assert all(format_vector(cells) == "<F,F,T,0,none>" for _, _, cells in unified)
 
     def test_derivation_spans_spec_to_conflict(self, sd1, coffee_dt_unfixed):
-        asd, conflicts = annotate(sd1, coffee_dt_unfixed)
-        chain = derivation(asd, conflicts[0])
+        lines, conflicts = annotate(sd1, coffee_dt_unfixed)
+        chain = derivation(lines[conflicts[0].object], conflicts[0])
         kinds = [rule for _, _, rule in chain]
         assert FROM_SPEC in kinds and FRAME in kinds
         assert any(isinstance(p, Unified) for p in kinds)
@@ -458,7 +463,7 @@ class TestConflicts:
         # The paper's conflict, step by step: Cappuchino's post value of
         # CoffeeTypeSelected is carried by the frame axiom to the end of the
         # loop, unified back to message 1 and carried into message 2's post.
-        asd, [c] = annotate(sd1, coffee_dt_unfixed)
+        lines, [c] = annotate(sd1, coffee_dt_unfixed)
         expected = [
             (4, "post", FROM_SPEC),
             (5, "pre", FRAME),
@@ -475,15 +480,15 @@ class TestConflicts:
             (10, "post", FRAME),
             (11, "pre", FRAME),
             (11, "post", FRAME),
-            (1, "pre", Unified(0, face_index(asd, CUI, 11, "post"))),
-            (2, "pre", Unified(0, face_index(asd, CUI, 1, "pre"))),
+            (1, "pre", Unified(0, face_index(lines, CUI, 11, "post"))),
+            (2, "pre", Unified(0, face_index(lines, CUI, 1, "pre"))),
             (2, "post", FRAME),
             (3, "pre", FROM_SPEC),
         ]
-        chain = derivation(asd, c)
+        chain = derivation(lines[c.object], c)
         assert len(chain) == 19
         for step, (mid, which, prov) in zip(chain, expected, strict=True):
-            assert step == (face_index(asd, CUI, mid, which), 2, prov)
+            assert step == (face_index(lines, CUI, mid, which), 2, prov)
 
     def test_conflict_free(self, sd1, coffee_dt):
         _, conflicts = annotate(sd1, coffee_dt)
@@ -501,31 +506,31 @@ class TestConflicts:
         msgs = [Message(1, "arm", (), "A", "B")]
         msgs += [Message(i, "noop", (), *(("A", "B") if i % 2 else ("B", "A"))) for i in range(2, n)]
         msgs.append(Message(n, "check", (), "B", "A"))
-        asd, conflicts = annotate(SequenceDiagram("Chain", ("A", "B"), tuple(msgs)), dt)
+        lines, conflicts = annotate(SequenceDiagram("Chain", ("A", "B"), tuple(msgs)), dt)
         assert [(c.object, c.after_message.id, c.before_message.id) for c in conflicts] == [
             ("A", n - 1, n),
             ("B", n - 1, n),
         ]
-        assert all(derivation(asd, c)[0][2] == FROM_SPEC for c in conflicts)
+        assert all(derivation(lines[c.object], c)[0][2] == FROM_SPEC for c in conflicts)
 
     def test_empty_sd(self, coffee_dt):
         sd = parse_sd("sd S\nobject A")
-        asd, conflicts = annotate(sd, coffee_dt)
-        assert conflicts == [] and asd.lines["A"] == Lifeline([], [], [], [0, 0], {}, [])
+        lines, conflicts = annotate(sd, coffee_dt)
+        assert conflicts == [] and lines["A"] == Lifeline([], [], [], [0, 0], {}, [])
 
 
 class TestInvariants:
     def test_idempotence(self, sd1, coffee_dt_unfixed):
-        asd, _ = annotate(sd1, coffee_dt_unfixed)
-        before = all_faces(asd)
-        assert sweep(asd) is False
-        assert first_candidate(asd) is None
-        assert all_faces(asd) == before
+        lines, _ = annotate(sd1, coffee_dt_unfixed)
+        before = all_faces(lines)
+        assert sweep(lines) is False
+        assert first_candidate(sd1, lines) is None
+        assert all_faces(lines) == before
 
     def test_monotonic_from_initialization(self, sd1, coffee_dt_unfixed):
-        initial = known_cells(initialize_vectors(sd1, coffee_dt_unfixed))
-        final_asd, _ = annotate(sd1, coffee_dt_unfixed)
-        final = known_cells(final_asd)
+        initial = known_cells(initial_lines(sd1, coffee_dt_unfixed))
+        final_lines, _ = annotate(sd1, coffee_dt_unfixed)
+        final = known_cells(final_lines)
         for cell, value in initial.items():
             assert final[cell] == value
 
@@ -533,20 +538,20 @@ class TestInvariants:
         rng = random.Random(7)
         for _ in range(25):
             dt, sd = conflict_free_pair(rng, max_msgs=6)
-            initial = known_cells(initialize_vectors(sd, dt))
-            final_asd, _ = annotate(sd, dt)
-            final = known_cells(final_asd)
+            initial = known_cells(initial_lines(sd, dt))
+            final_lines, _ = annotate(sd, dt)
+            final = known_cells(final_lines)
             assert set(initial) <= set(final)
             assert all(final[c] == v for c, v in initial.items())
 
     def test_frame_soundness(self, sd1, coffee_dt_unfixed):
         # Remove every frame-derived cell; re-propagation restores all of
         # them exactly (the fixpoint is a function of the unification trace).
-        asd, _ = annotate(sd1, coffee_dt_unfixed)
-        expected = all_faces(asd)
+        lines, _ = annotate(sd1, coffee_dt_unfixed)
+        expected = all_faces(lines)
         stripped = [
             (line, i, j)
-            for line in asd.lines.values()
+            for line in lines.values()
             for i, cells in enumerate(line.faces)
             for j in range(len(cells))
             if provenance_of(line, i, j) == FRAME
@@ -555,17 +560,17 @@ class TestInvariants:
         for line, i, j in stripped:
             cells = line.faces[i]
             line.faces[i] = (*cells[:j], None, *cells[j + 1:])
-        sweep(asd)
-        assert all_faces(asd) == expected
+        sweep(lines)
+        assert all_faces(lines) == expected
 
     def test_conflict_completeness(self, sd1, coffee_dt_unfixed):
-        asd, conflicts = annotate(sd1, coffee_dt_unfixed)
+        lines, conflicts = annotate(sd1, coffee_dt_unfixed)
         found = set()
         for obj in sd1.objects:
             line = lifeline(sd1, obj)
             for p in range(len(line) - 1):
-                left = face(asd, obj, line[p].id, "post")
-                right = face(asd, obj, line[p + 1].id, "pre")
+                left = face(lines, obj, line[p].id, "post")
+                right = face(lines, obj, line[p + 1].id, "pre")
                 for j, (x, y) in enumerate(zip(left, right)):
                     if x is not None and y is not None and x != y:
                         found.add((obj, line[p].id, j))
@@ -576,13 +581,14 @@ class TestInvariants:
         everything = frozenset(
             frozenset((i, j)) for i in range(1, n + 1) for j in range(i, n + 1)
         )
-        asd, _ = annotate(sd1._replace(no_loop=everything), coffee_dt_unfixed)
-        for line in asd.lines.values():
+        lines, _ = annotate(sd1._replace(no_loop=everything), coffee_dt_unfixed)
+        for line in lines.values():
             assert line.events == []
             assert not any(isinstance(p, Unified) for p in line.provenance.values())
 
     def test_lifelines_annotate_independently(self):
-        # Annotation is lifeline-local: declaring the objects in another
+        # Annotation is lifeline-local: each lifeline is annotate_lifeline
+        # of the object's own messages, and declaring the objects in another
         # order annotates the lifelines in that order, which changes no
         # lifeline (cells, provenance or identifications), and the
         # conflicts only in order.  Many diagrams identify states on more
@@ -593,28 +599,28 @@ class TestInvariants:
             dt = gen_theory(rng)
             sd = gen_sd(rng, dt, max_msgs=30, max_objs=4)
             shuffled = sd._replace(objects=tuple(rng.sample(sd.objects, len(sd.objects))))
-            asd, conflicts = annotate(sd, dt)
+            lines, conflicts = annotate(sd, dt)
             other, other_conflicts = annotate(shuffled, dt)
-            assert other.lines == asd.lines, sd
+            assert other == lines, sd
+            assert lines == {obj: annotate_lifeline(dt, lifeline(sd, obj)) for obj in sd.objects}
             assert Counter(other_conflicts) == Counter(conflicts), sd
-            several += sum(bool(line.events) for line in asd.lines.values()) > 1
+            several += sum(bool(line.events) for line in lines.values()) > 1
         assert several > 1_500
 
     def test_determinism(self, sd1, coffee_dt_unfixed):
         a1, c1 = annotate(sd1, coffee_dt_unfixed)
         a2, c2 = annotate(sd1, coffee_dt_unfixed)
-        assert a1.lines == a2.lines
+        assert a1 == a2
         assert c1 == c2
 
     def test_order_insensitivity_on_conflict_free(self):
         # On conflict-free diagrams the determined cells at the fixpoint do
         # not depend on the order identifications are applied in: explore
         # the application orders (bounded) and compare the outcomes.
-        def clone(asd):
-            return AnnotatedSD(asd.sd, asd.theory, {
-                obj: line._replace(faces=[tuple(cells) for cells in line.faces],
-                                   provenance=dict(line.provenance), events=list(line.events))
-                for obj, line in asd.lines.items()})
+        def clone(lines):
+            return {obj: line._replace(faces=[tuple(cells) for cells in line.faces],
+                                       provenance=dict(line.provenance), events=list(line.events))
+                    for obj, line in lines.items()}
 
         rng = random.Random(11)
         for _ in range(20):
@@ -623,24 +629,24 @@ class TestInvariants:
             outcomes = set()
             budget = [150]
 
-            def explore(asd):
+            def explore(lines):
                 if budget[0] <= 0:
                     return
                 while True:
-                    sweep(asd)
-                    cands = identification_scan(asd)
+                    sweep(lines)
+                    cands = identification_scan(sd, dt, lines)
                     if cands:
                         break
-                    if not join_gaps(asd):
+                    if not join_gaps(sd, lines):
                         budget[0] -= 1
-                        outcomes.add(frozenset(known_cells(asd).items()))
+                        outcomes.add(frozenset(known_cells(lines).items()))
                         return
                 for cand in cands:
-                    copy = clone(asd)
-                    apply_identification(copy, cand)
+                    copy = clone(lines)
+                    apply_identification(copy[cand[0]], cand[1:])
                     explore(copy)
 
-            explore(initialize_vectors(sd, dt))
+            explore(initial_lines(sd, dt))
             assert outcomes == {frozenset(known_cells(baseline).items())}, (
                 f"order-dependent fixpoint for {sd}"
             )
@@ -662,11 +668,11 @@ class TestInvariants:
                     annotate(sd, dt)
                 errors += 1
                 continue
-            asd, conflicts = annotate(sd, dt)
-            assert list(asd.lines) == list(eager.lines)
+            lines, conflicts = annotate(sd, dt)
+            assert list(lines) == list(eager)
             determined = known_cells(eager)
-            for obj, line in asd.lines.items():
-                stored = eager.lines[obj]
+            for obj, line in lines.items():
+                stored = eager[obj]
                 assert line._replace(provenance=None) == stored._replace(provenance=None)
                 assert set(stored.provenance) == {(i, j) for o, i, j in determined if o == obj}
                 for i, vector in enumerate(stored.faces):
@@ -677,12 +683,12 @@ class TestInvariants:
                 }
                 joined += any(p.event == -1 for p in line.provenance.values())
             assert conflicts == eager_conflicts
-            assert [derivation(asd, c) for c in conflicts] == eager_chains
+            assert [derivation(lines[c.object], c) for c in conflicts] == eager_chains
             for c, chain in zip(conflicts, eager_chains):
                 after = face(eager, c.object, c.after_message.id, "post")
                 before = face(eager, c.object, c.before_message.id, "pre")
-                assert conflict_view(asd, c) == (
-                    tuple(after), tuple(before), unified_faces(eager.lines[c.object], chain))
+                assert conflict_view(lines[c.object], c) == (
+                    tuple(after), tuple(before), unified_faces(eager[c.object], chain))
             cells += len(determined)
             traced += len(conflicts)
         assert cells > 40_000 and errors > 10 and traced > 1_000 and joined >= 150
@@ -696,24 +702,26 @@ class TestInvariants:
         shown = 0
         for sd, dt in provenance_corpus(coffee_dt_unfixed):
             try:
-                asd, conflicts = annotate(sd, dt)
+                lines, conflicts = annotate(sd, dt)
             except AnnotationError:
                 continue
             for c in conflicts:
-                chain = derivation(asd, c)
-                _, _, unified = conflict_view(asd, c)
-                assert unified == unified_faces(asd.lines[c.object], chain)
-                before = face_index(asd, c.object, c.before_message.id, "pre")
+                chain = derivation(lines[c.object], c)
+                _, _, unified = conflict_view(lines[c.object], c)
+                assert unified == unified_faces(lines[c.object], chain)
+                before = face_index(lines, c.object, c.before_message.id, "pre")
                 assert chain[-1] == (before, c.variable.index, FROM_SPEC)
-                assert chain[-2][0] == face_index(asd, c.object, c.after_message.id, "post")
+                assert chain[-2][0] == face_index(lines, c.object, c.after_message.id, "post")
                 shown += bool(unified)
         assert shown > 50
 
     def test_deleting_another_objects_message_keeps_a_lifeline(self):
         # An object's annotation depends on its own messages alone and
-        # names none by id: deleting a message the object takes no part in
-        # renumbers the messages after it and leaves its lifeline otherwise
-        # as it was, provenance and identifications included.
+        # names none by id: it is annotate_lifeline of those messages and
+        # the no_loop pairs between them, as positions.  Deleting a message
+        # the object takes no part in renumbers the messages after it and
+        # leaves its lifeline otherwise as it was, provenance and
+        # identifications included.
         rng = random.Random(53)
         kept = identified = 0
         for k in range(600):
@@ -723,13 +731,14 @@ class TestInvariants:
             if k % 2 and n > 1:
                 pairs = {frozenset((rng.randint(1, n), rng.randint(1, n))) for _ in range(3)}
                 sd = sd._replace(no_loop=frozenset(pairs))
-            asd, _ = annotate(sd, dt)
-            for obj, line in asd.lines.items():
+            lines, _ = annotate(sd, dt)
+            for obj, line in lines.items():
+                assert line == annotate_lifeline(dt, lifeline(sd, obj), no_loop_on(sd, obj)), sd
                 others = [m.id for m in sd.messages if obj not in (m.sender, m.receiver)]
                 if not others:
                     continue
                 edited, _ = annotate(apply_edit(sd, Delete(rng.choice(others))), dt)
-                after = edited.lines[obj]
+                after = edited[obj]
                 assert after._replace(messages=None) == line._replace(messages=None), sd
                 assert [m._replace(id=0) for m in after.messages] == [
                     m._replace(id=0) for m in line.messages]
@@ -742,8 +751,8 @@ class TestSafetyChecks:
     """Assertions that guard the annotation's invariants; no annotation trips them."""
 
     def test_ground_refuses_to_overwrite_a_determined_cell(self, sd1, coffee_dt_unfixed):
-        asd, _ = annotate(sd1, coffee_dt_unfixed)
-        line = asd.lines[CUI]
+        lines, _ = annotate(sd1, coffee_dt_unfixed)
+        line = lines[CUI]
         (i, j), rule = next(iter(line.provenance.items()))
         value = line.faces[i][j]
         other = next(v for v in coffee_dt_unfixed.variables[j].domain.values() if v != value)
@@ -754,20 +763,20 @@ class TestSafetyChecks:
 
     def test_ground_with_the_same_value_keeps_provenance(self, sd1, coffee_dt_unfixed):
         # A unified cell keeps its record, and a spec cell gains none.
-        asd, _ = annotate(sd1, coffee_dt_unfixed)
-        line = asd.lines[CUI]
+        lines, _ = annotate(sd1, coffee_dt_unfixed)
+        line = lines[CUI]
         stored = dict(line.provenance)
-        spec_cell = (face_index(asd, CUI, 2, "pre"), 0)  # Insert coin's precondition fixes it
+        spec_cell = (face_index(lines, CUI, 2, "pre"), 0)  # Insert coin's precondition fixes it
         assert spec_cell not in stored and line.faces[spec_cell[0]][0] == "F"
         for i, j in (next(iter(stored)), spec_cell):
             _ground(line, i, j, line.faces[i][j], Unified(-1, i))
         assert line.provenance == stored
-        assert asd.lines == annotate(sd1, coffee_dt_unfixed)[0].lines
+        assert lines == annotate(sd1, coffee_dt_unfixed)[0]
 
     def test_walk_refuses_cyclic_provenance(self, sd1, coffee_dt_unfixed):
-        asd, _ = annotate(sd1, coffee_dt_unfixed)
-        line = asd.lines[CUI]
-        a, b = face_index(asd, CUI, 5, "pre"), face_index(asd, CUI, 5, "post")
+        lines, _ = annotate(sd1, coffee_dt_unfixed)
+        line = lines[CUI]
+        a, b = face_index(lines, CUI, 5, "pre"), face_index(lines, CUI, 5, "post")
         line.provenance[(a, 0)] = Unified(0, b)
         line.provenance[(b, 0)] = Unified(0, a)
         with pytest.raises(AssertionError, match="^cyclic provenance at ") as exc:

@@ -398,9 +398,9 @@ class TestMinimality:
         cases = 0
         while cases < 12:
             dt, sd = conflict_free_pair(rng, max_msgs=5, max_objs=2)
-            asd, _ = annotate(sd, dt)
+            lines, _ = annotate(sd, dt)
             obj = max(sd.objects, key=lambda o: sum(1 for m in sd.messages if m.receiver == o))
-            chart = to_statechart(synth_object_chart(asd, obj))
+            chart = to_statechart(synth_object_chart(sd, obj, lines[obj], dt))
             mutated = _mutate(rng, sd, dt, chart, obj, rng.randint(1, 2))
             if mutated is None:
                 continue
@@ -416,9 +416,9 @@ class TestMinimality:
             dt, sd = conflict_free_pair(rng, max_msgs=5, max_objs=3)
             if len(sd.objects) < 3:
                 continue
-            asd, _ = annotate(sd, dt)
+            lines, _ = annotate(sd, dt)
             obj = max(sd.objects, key=lambda o: sum(1 for m in sd.messages if m.receiver == o))
-            chart = to_statechart(synth_object_chart(asd, obj))
+            chart = to_statechart(synth_object_chart(sd, obj, lines[obj], dt))
             mutated = _mutate(rng, sd, dt, chart, obj, rng.randint(1, 2))
             found = repair(mutated, obj, chart, dt, max_edits=3)
             assert brute_force_min_cost(mutated, obj, chart, dt, found.cost) == found.cost
@@ -440,8 +440,8 @@ class TestMinimality:
             "sd S\nobject A\nobject B\nobject M\nmsg 1 A -> B : up\nmsg 2 M -> B : down\n"
             "msg 3 B -> M : go\nmsg 4 B -> M : fin\nmsg 5 B -> M : fin2"
         )
-        asd, _ = annotate(sd, dt)
-        chart = to_statechart(synth_object_chart(asd, "M"))
+        lines, _ = annotate(sd, dt)
+        chart = to_statechart(synth_object_chart(sd, "M", lines["M"], dt))
         mutated = apply_edit(sd, Delete(3))
         found = repair(mutated, "M", chart, dt, max_edits=2)
         assert [e.describe() for e in found.edits] == ["insert go (B -> M) at position 3"]

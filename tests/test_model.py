@@ -6,7 +6,6 @@ from scdebug.annotator import FRAME, FROM_SPEC, annotate, conflict_view, derivat
 from scdebug.checker import CheckRecord, RepairResult, ReplayStep, ReplayTrace
 from scdebug.dsl import ParseError, parse_domain_theory, parse_sc, parse_sd, print_sd
 from scdebug.model import (
-    AnnotatedSD,
     BoolDomain,
     Condition,
     Conflict,
@@ -15,6 +14,7 @@ from scdebug.model import (
     EnumDomain,
     Insert,
     IntRangeDomain,
+    Lifeline,
     Message,
     MessageSpec,
     Node,
@@ -229,8 +229,7 @@ def test_records_check_nothing():
     # Validation happens once, when the text is parsed (tests/test_dsl.py
     # pins each rule's error); a record subclassing a namedtuple adds no
     # constructor of its own, and builds whatever its fields hold.
-    records = (BoolDomain, IntRangeDomain, EnumDomain, Condition, DomainTheory, SequenceDiagram,
-               AnnotatedSD, Statechart)
+    records = (BoolDomain, IntRangeDomain, EnumDomain, Condition, DomainTheory, SequenceDiagram, Statechart)
     assert not [cls.__name__ for cls in records if "__new__" in vars(cls)]
     assert SequenceDiagram("S", ("A", "A"), ()).objects == ("A", "A")
 
@@ -303,18 +302,20 @@ def test_node_equality_and_hash_ignore_comment():
 
 
 def test_annotated_sd_compares_by_fields(sd1, coffee_dt_unfixed):
+    # An annotated diagram is its lifelines by object; a lifeline compares
+    # by its fields, and annotation changes it in place, so it does not hash.
     a1, _ = annotate(sd1, coffee_dt_unfixed)
     a2, _ = annotate(sd1, coffee_dt_unfixed)
-    assert AnnotatedSD._fields == ("sd", "theory", "lines")
+    assert Lifeline._fields == ("messages", "spec", "faces", "starts", "provenance", "events")
     assert a1 == a2
-    faces = a2.lines["Control"].faces
+    faces = a2["Control"].faces
     faces[0] = ("T", *faces[0][1:])
     assert a1 != a2
     with pytest.raises(TypeError):
-        hash(a1)
-    copy = AnnotatedSD(a1.sd, a1.theory, a1.lines)
+        hash(a1["Control"])
+    copy = {obj: Lifeline(*line) for obj, line in a1.items()}
     assert copy == a1
-    for obj, line in copy.lines.items():
+    for obj, line in copy.items():
         assert (line.messages, line.starts) == lifeline_layout(sd1, coffee_dt_unfixed, obj)
 
 
@@ -334,12 +335,12 @@ def test_provenance_rules_are_told_apart(sd1, coffee_dt_unfixed):
     # Only Unified records name unification events: the rule strings are
     # never taken for one, so the conflict's unification faces come only
     # from Unified steps of its derivation.
-    asd, [c] = annotate(sd1, coffee_dt_unfixed)
-    rules = [rule for _, _, rule in derivation(asd, c)]
+    lines, [c] = annotate(sd1, coffee_dt_unfixed)
+    line = lines["Coffee-UI"]
+    rules = [rule for _, _, rule in derivation(line, c)]
     unified = [rule for rule in rules if isinstance(rule, Unified)]
     assert {rule for rule in rules if not isinstance(rule, Unified)} == {FROM_SPEC, FRAME}
     assert [rule.event for rule in unified] == [0, 0]
-    line = asd.lines["Coffee-UI"]
     assert isinstance(provenance_of(line, 0, 2), Unified)  # the pre face of message 1
-    assert [(m.id, which) for m, which, _ in conflict_view(asd, c)[2]] == [
+    assert [(m.id, which) for m, which, _ in conflict_view(line, c)[2]] == [
         (line.messages[i // 2].id, "post") for i in line.events[0]]

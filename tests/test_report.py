@@ -48,7 +48,7 @@ def normalize(text: str) -> list[str]:
 
 @pytest.fixture(scope="module")
 def conflict_bundle(sd1, coffee_dt_unfixed):
-    return annotation_bundle([annotate(sd1, coffee_dt_unfixed)])
+    return annotation_bundle(coffee_dt_unfixed, [(sd1, *annotate(sd1, coffee_dt_unfixed))])
 
 
 class TestText:
@@ -65,7 +65,7 @@ class TestText:
         assert "<T,F,T,1,none>" in text and "<T,F,F,1,none>" in text
 
     def test_empty_bundle(self, sd1, coffee_dt):
-        bundle = annotation_bundle([annotate(sd1, coffee_dt)])
+        bundle = annotation_bundle(coffee_dt, [(sd1, *annotate(sd1, coffee_dt))])
         text = render_text(bundle)
         assert text.startswith("No conflicts found.")
         assert "1 sequence diagram(s) annotated" in text
@@ -93,12 +93,12 @@ class TestJson:
         assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_empty(self, sd1, coffee_dt):
-        doc = json.loads(render_json(annotation_bundle([annotate(sd1, coffee_dt)])))
+        doc = json.loads(render_json(annotation_bundle(coffee_dt, [(sd1, *annotate(sd1, coffee_dt))])))
         assert doc["conflicts"] == []
 
     def test_byte_identical(self, sd1, coffee_dt_unfixed):
-        a = render_json(annotation_bundle([annotate(sd1, coffee_dt_unfixed)]))
-        b = render_json(annotation_bundle([annotate(sd1, coffee_dt_unfixed)]))
+        a = render_json(annotation_bundle(coffee_dt_unfixed, [(sd1, *annotate(sd1, coffee_dt_unfixed))]))
+        b = render_json(annotation_bundle(coffee_dt_unfixed, [(sd1, *annotate(sd1, coffee_dt_unfixed))]))
         assert a == b
 
     def test_validates_against_published_schema(self, conflict_bundle, stepper_sd, stepper_dt):

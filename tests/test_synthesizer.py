@@ -24,8 +24,8 @@ from oracles import flatten_rebuilt, lifeline, lifeline_gaps_by_lifeline
 
 
 def chart_for(sd, dt, obj):
-    asd, _ = annotate(sd, dt)
-    return synth_object_chart(asd, obj)
+    lines, _ = annotate(sd, dt)
+    return synth_object_chart(sd, obj, lines[obj], dt)
 
 
 def transition_set(chart):
@@ -59,10 +59,10 @@ class TestObjectChart:
 
     def test_conflicted_object_refused(self, sd1, coffee_dt_unfixed):
         # The clashing gap the chart would be built on names the object's conflicts.
-        asd, conflicts = annotate(sd1, coffee_dt_unfixed)
+        lines, conflicts = annotate(sd1, coffee_dt_unfixed)
         mine = [c for c in conflicts if c.object == "Coffee-UI"]
         with pytest.raises(ConflictedInputError) as exc:
-            synth_object_chart(asd, "Coffee-UI")
+            synth_object_chart(sd1, "Coffee-UI", lines["Coffee-UI"], coffee_dt_unfixed)
         assert mine and exc.value.conflicts == mine
 
     def test_gap_states_are_last_faces(self):
@@ -81,17 +81,17 @@ class TestObjectChart:
             if k % 2:
                 starts = [rng.randint(1, len(sd.messages) - 1) for _ in range(rng.randint(1, 3))]
                 sd = sd._replace(no_loop=frozenset(frozenset((i, i + 1)) for i in starts))
-            asd, conflicts = annotate(sd, dt)
+            lines, conflicts = annotate(sd, dt)
             for obj in sd.objects:
                 mine = [c for c in conflicts if c.object == obj]
                 if mine:
                     with pytest.raises(ConflictedInputError) as exc:
-                        synth_object_chart(asd, obj)
+                        synth_object_chart(sd, obj, lines[obj], dt)
                     assert exc.value.conflicts == mine
                     refused += 1
                     continue
                 states = []
-                faces = asd.lines[obj].faces
+                faces = lines[obj].faces
                 for gap in lifeline_gaps_by_lifeline(sd, obj):
                     joined = (None,) * dt.width
                     for i in gap:
@@ -99,7 +99,7 @@ class TestObjectChart:
                     assert joined == (tuple(faces[gap[-1]]) if gap else (None,) * dt.width)
                     states.append(joined)
                     unequal += len(gap) == 2 and faces[gap[0]] != faces[gap[1]]
-                chart = synth_object_chart(asd, obj)
+                chart = synth_object_chart(sd, obj, lines[obj], dt)
                 assert chart.initial == states[0] and set(chart.states) <= set(states)
                 built += 1
         assert refused > 500 and built > 2_000 and unequal > 100
@@ -226,9 +226,9 @@ class TestHierarchy:
         rng = random.Random(23)
         for _ in range(30):
             dt, sd = conflict_free_pair(rng, max_msgs=8)
-            asd, _ = annotate(sd, dt)
+            lines, _ = annotate(sd, dt)
             for obj in sd.objects:
-                merged = synth_object_chart(asd, obj)
+                merged = synth_object_chart(sd, obj, lines[obj], dt)
                 hier = introduce_hierarchy(merged)
                 assert parse_sc(print_sc(hier)) == hier
                 flat = flatten(hier)

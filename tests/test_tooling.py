@@ -1,21 +1,25 @@
-"""Names the benchmark's tracer looks up in scdebug, what importing the
-command line, the package and the report renderer loads, and the CLI
-byte-comparison corpus.
+"""Names the benchmark's tracer looks up in scdebug and the calls it
+records, what importing the command line, the package and the report
+renderer loads, and the CLI byte-comparison corpus.
 
 ``bench/spans.Tracer.install`` wraps each function named in ``SPANNED`` and
-``COUNTED`` by ``getattr`` on its module, so a refactor that removes or
-renames one would crash a traced benchmark pass.  The tables are read from
-the source with ``ast``; nothing under ``bench/`` is imported or executed.
+``COUNTED`` by ``getattr`` on its module, and rebinds it in every scdebug
+module that holds it, so a refactor that removes or renames one would
+crash a traced benchmark pass, and one that calls it other than through a
+module's globals would hide its calls.  The tables are read from the
+source with ``ast``, and ``bench/spans.py`` is loaded from its file; no
+other file under ``bench/`` is imported or executed.
 """
 
 import ast
 import importlib
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-from conftest import CLI_ENV
+from conftest import CLI_ENV, FIXTURES
 
 ROOT = Path(__file__).parents[1]
 SPANS = ROOT / "bench" / "spans.py"
@@ -40,6 +44,39 @@ def test_traced_names_resolve():
     missing = [f"{module}.{name}" for module, name in traced
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert missing == []
+
+
+def test_tracer_records_every_traced_name(tmp_path, capsys):
+    # The README's fixture commands, run in process under the tracer, call
+    # every traced name: annotate SD1 as text and as JSON, synthesize from
+    # SD1 and SD2 with DOT exports, and repair the stepper against the
+    # refined chart.
+    import scdebug.cli
+
+    spec = importlib.util.spec_from_file_location("spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    runs = [
+        ["annotate", FIXTURES / "theory_unfixed.dt", FIXTURES / "sd1.sd"],
+        ["annotate", FIXTURES / "theory_unfixed.dt", FIXTURES / "sd1.sd", "--json"],
+        ["synth", FIXTURES / "theory.dt", FIXTURES / "sd1.sd", FIXTURES / "sd2.sd",
+         "-o", tmp_path / "charts", "--dot", tmp_path / "charts" / "dot"],
+        ["check", FIXTURES / "stepper.dt", FIXTURES / "stepper.sd",
+         "--charts", FIXTURES / "stepper_refined", "--max-edits", "4"],
+    ]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        codes = [scdebug.cli.main([str(arg) for arg in argv]) for argv in runs]
+    finally:
+        tracer.uninstall()
+    assert "repair with 1 edit(s):" in capsys.readouterr().out
+    assert codes == [1, 1, 0, 1]
+    calls = tracer.layer_metrics()
+    traced = [spans._layer(module, name) for table in (spans.SPANNED, spans.COUNTED)
+              for module, names in table.items() for name in names]
+    assert len(traced) == 26
+    assert [name for name in traced if not calls.get(f"{name}.calls")] == []
 
 
 def loaded_by(module: str) -> set:
