@@ -54,7 +54,6 @@ from operator import attrgetter
 
 from .model import (
     POST,
-    Condition,
     Conflict,
     DomainTheory,
     Lifeline,
@@ -91,9 +90,9 @@ def _parameter_binding(spec, msg: Message) -> dict:
     return {p: a for (p, _), a in zip(spec.params, msg.args)}
 
 
-def _condition_vector(cond: Condition, binding: dict, dt: DomainTheory, msg: Message) -> tuple:
+def _condition_vector(atoms, binding: dict, dt: DomainTheory, msg: Message) -> tuple:
     cells = [None] * dt.width
-    for var_name, value in cond.atoms:
+    for var_name, value in atoms:
         var = dt.variable(var_name)
         if var is None:
             raise AnnotationError(msg.id, f"unknown state variable {var_name!r}")
@@ -121,7 +120,7 @@ def initialize_vectors(dt: DomainTheory, messages) -> Lifeline:
         if fixed is None:
             spec = dt.spec_for(msg.label)
             binding = {} if spec is None else _parameter_binding(spec, msg)
-            pre, post = (Condition(), Condition()) if spec is None else (spec.pre, spec.post)
+            pre, post = ((), ()) if spec is None else (spec.pre, spec.post)
             fixed = vectors[msg.label, msg.args] = (_condition_vector(pre, binding, dt, msg),
                                                     _condition_vector(post, binding, dt, msg))
         cells += fixed

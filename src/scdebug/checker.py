@@ -7,16 +7,22 @@ follows every state of the flattened chart they can reach, one span at a
 time.  A transition takes a span on the span's event when the span's sends
 appear, in order, among its actions; missing sends are tolerated, alien
 sends are not.  A guard is read on the pre face of the span's received
-message, on the object's annotated ``Lifeline``.  Repair runs iterative deepening over message deletions and
-insertions of the events the chart receives, so the first solution found
-has minimal cost; tie-breaking is total (fewest edits, deletes before
-inserts, lower positions first, chart transition order, then sender order).
+message, on the object's annotated ``Lifeline``.
 
-A node's one-edit leaves are judged together from its guard-blind replay
-state sets: a delete changes one span or merges two, and the events whose
-insert fits form one set per span and cut.  Every leaf counts as explored,
-but only those that pass are built, annotated once and, against a chart
-with guards, replayed.  Guards only remove transitions, so no repair is lost.
+Repair runs iterative deepening over message deletions and insertions of
+the events the chart receives, so the first solution found has minimal
+cost; tie-breaking is total (fewest edits, deletes before inserts, lower
+positions first, chart transition order, then sender order).  Each depth
+is one loop over a stack holding, per node on the edit path, the node, its
+edits and the iterator of its moves not yet tried.  A node one edit above
+the depth judges its leaves together: ``_leaf_test(chart, by_event,
+diagram, obj)`` follows the flat chart's guard-blind replay state sets
+(``by_event``: its transitions by event) over the diagram's spans for
+``obj``, and tells whether the diagram fits, which deletes fit (a delete
+changes one span or merges two) and, as one set per span and cut, which
+events an insert may add.  Every leaf counts as explored, but only those
+that pass are built, annotated once and, against a chart with guards,
+replayed.  Guards only remove transitions, so no repair is lost.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .model import (
-    Condition,
     DomainTheory,
     Delete,
     Insert,
@@ -98,26 +103,22 @@ def _takes(t: Transition, event: str, sends) -> bool:
 
 
 def _has_guards(flat: Statechart) -> bool:
-    return any(t.guard is not None and t.guard.atoms for t in flat.transitions)
+    return any(t.guard for t in flat.transitions)
 
 
-def _guard_holds(guard: Condition | None, vector, dt: DomainTheory, strict: bool) -> bool:
+def _guard_holds(guard, vector, dt: DomainTheory, strict: bool) -> bool:
     """Three-valued guard check: undetermined cells, and a missing vector,
     satisfy any guard unless strict mode is on."""
-    if guard is None or not guard.atoms:
+    if not guard:
         return True
     if vector is None:
         return not strict
-    for var_name, value in guard.atoms:
+    for var_name, value in guard:
         var = dt.variable(var_name)
         if var is None:
             return False
         cell = vector[var.index]
-        if cell is None:
-            if strict:
-                return False
-            continue
-        if cell != value:
+        if cell != value and (cell is not None or strict):
             return False
     return True
 
@@ -216,6 +217,59 @@ def insert_candidates(chart: Statechart, sd: SequenceDiagram, obj: str):
     return [(label, args, sender) for label, args in events for sender in senders]
 
 
+def _step(by_event: dict, states: set, event: str, sends: tuple, backward: bool = False) -> set:
+    """Where a span leads from states, or backward, from where into them."""
+    if event == COMPLETION and not sends:  # an empty leading span
+        return states
+    if backward:
+        return {t.source for t in by_event.get(event, ()) if t.target in states and _takes(t, event, sends)}
+    return {t.target for t in by_event.get(event, ()) if t.source in states and _takes(t, event, sends)}
+
+
+def _leaf_test(chart: Statechart, by_event: dict, diagram: SequenceDiagram, obj: str):
+    """Guard-blind verdicts: whether diagram fits, whether deleting message pos
+    fits (listed by pos - 1), and pos -> the events whose insert at pos fits."""
+    events = [(span_event(received), tuple(m.event() for m in sends))
+              for received, sends in receive_spans(diagram.messages, obj)]
+    fwd, back = [{chart.initial}], [{chart.initial, *(t.target for t in chart.transitions)}]
+    for (event, sends), (b_event, b_sends) in zip(events, reversed(events)):
+        fwd.append(_step(by_event, fwd[-1], event, sends))
+        back.insert(0, _step(by_event, back[0], b_event, b_sends, backward=True))
+    accepted, deletable, where = bool(fwd[-1]), [], []
+    a = cut = 0  # the span of the next position, and its sends before it
+    for m in diagram.messages:
+        where.append((a, cut))
+        event, sends = events[a]
+        if m.receiver == obj:  # spans a and a + 1 merge
+            deletable.append(not _step(by_event, fwd[a], event, sends + events[a + 1][1]).isdisjoint(back[a + 2]))
+            a, cut = a + 1, 0
+        elif m.sender == obj:
+            deletable.append(not _step(by_event, fwd[a], event, sends[:cut] + sends[cut + 1:]).isdisjoint(back[a + 1]))
+            cut += 1
+        else:
+            deletable.append(accepted)
+    where.append((a, cut))
+
+    @cache
+    def fitting(a: int, cut: int) -> set:
+        # An insert splits span a at the cut: a transition on its event leads from
+        # where the span's head goes to where the later spans start, covering the tail.
+        event, sends = events[a]
+        heads, tail = _step(by_event, fwd[a], event, sends[:cut]), sends[cut:]
+        return {e for e, ts in by_event.items() if e != COMPLETION and any(
+            t.source in heads and t.target in back[a + 1] and _takes(t, e, tail) for t in ts)}
+
+    return accepted, deletable, lambda pos: fitting(*where[pos - 1])
+
+
+def _moves(n: int, obj: str, candidates, test=None):
+    """A node's edits in tie order; given its leaf test, only those that pass it."""
+    _, deletable, fitting = test or (None, None, None)
+    return chain((Delete(pos) for pos in range(1, n + 1) if deletable is None or deletable[pos - 1]),
+                 (Insert(Message(pos, *c[:3], obj)) for pos in range(1, n + 2)
+                  for fits in [fitting and fitting(pos)] for c in candidates if fits is None or c[3] in fits))
+
+
 def repair(
     sd: SequenceDiagram,
     obj: str,
@@ -229,54 +283,9 @@ def repair(
         raise ValueError("max_edits must be >= 0")
     chart = flatten(chart)
     candidates = [(*c, Message(0, *c, obj).event()) for c in insert_candidates(chart, sd, obj)]
-    anywhere = {chart.initial, *(t.target for t in chart.transitions)}
     by_event: dict[str, list[Transition]] = {}
     for t in chart.transitions:
         by_event.setdefault(t.event, []).append(t)
-
-    def step(states: set, event: str, sends: tuple, backward: bool = False) -> set:
-        # Where a span leads from states, or backward, from where into them.
-        if event == COMPLETION and not sends:  # an empty leading span
-            return states
-        if backward:
-            return {t.source for t in by_event.get(event, ()) if t.target in states and _takes(t, event, sends)}
-        return {t.target for t in by_event.get(event, ()) if t.source in states and _takes(t, event, sends)}
-
-    def leaf_test(current: SequenceDiagram):
-        """Guard-blind verdicts: whether current fits, whether deleting message pos
-        fits (listed by pos - 1), and pos -> the events whose insert at pos fits."""
-        spans = receive_spans(current.messages, obj)
-        events = [(span_event(received), tuple(m.event() for m in sends)) for received, sends in spans]
-        fwd, back = [{chart.initial}], [anywhere]
-        for (event, sends), (b_event, b_sends) in zip(events, reversed(events)):
-            fwd.append(step(fwd[-1], event, sends))
-            back.insert(0, step(back[0], b_event, b_sends, backward=True))
-        accepted, deletable, where = bool(fwd[-1]), [], []
-        a = cut = 0  # the span of the next position, and its sends before it
-        for m in current.messages:
-            where.append((a, cut))
-            event, sends = events[a]
-            if m.receiver == obj:  # spans a and a + 1 merge
-                deletable.append(not step(fwd[a], event, sends + events[a + 1][1]).isdisjoint(back[a + 2]))
-                a, cut = a + 1, 0
-            elif m.sender == obj:
-                deletable.append(not step(fwd[a], event, sends[:cut] + sends[cut + 1:]).isdisjoint(back[a + 1]))
-                cut += 1
-            else:
-                deletable.append(accepted)
-        where.append((a, cut))
-
-        @cache
-        def fitting(a: int, cut: int) -> set:
-            # An insert splits span a at the cut: a transition on its event leads from
-            # where the span's head goes to where the later spans start, covering the tail.
-            event, sends = events[a]
-            heads, tail = step(fwd[a], event, sends[:cut]), sends[cut:]
-            return {e for e, ts in by_event.items() if e != COMPLETION and any(
-                t.source in heads and t.target in back[a + 1] and _takes(t, e, tail) for t in ts)}
-
-        return accepted, deletable, lambda pos: fitting(*where[pos - 1])
-
     guarded = _has_guards(chart)
 
     def works(leaf: SequenceDiagram) -> bool:
@@ -287,36 +296,27 @@ def repair(
             return False
         return not conflicts and (not guarded or replay(leaf, obj, chart, dt, strict_guards, lines[obj]).accepted)
 
-    def attempt(current: SequenceDiagram, edits: tuple, budget: int):
-        nonlocal explored
-        n = len(current.messages)
-        if budget == 1:  # every leaf is counted, and only those the test passes are built
-            explored += n + (n + 1) * len(candidates)
-            _, deletable, fitting = root_test if current is sd else leaf_test(current)
-            moves = chain((Delete(pos) for pos in range(1, n + 1) if deletable[pos - 1]),
-                          (Insert(Message(pos, *c[:3], obj)) for pos in range(1, n + 2)
-                           for fits in [fitting(pos)] for c in candidates if c[3] in fits))
-        else:
-            moves = chain(map(Delete, range(1, n + 1)),
-                          (Insert(Message(pos, *c[:3], obj)) for pos in range(1, n + 2) for c in candidates))
-        for edit in moves:
-            child = apply_edit(current, edit)
-            if budget > 1:
-                found = attempt(child, edits + (edit,), budget - 1)
-            else:
-                found = RepairResult(edits + (edit,), child) if works(child) else None
-            if found:
-                return found
-        return None
-
     explored = 1  # the diagram itself, at depth 0
-    root_test = leaf_test(sd)
+    root_test = _leaf_test(chart, by_event, sd, obj)
     if root_test[0] and works(sd):
         return RepairResult((), sd)
     for depth in range(1, max_edits + 1):
-        found = attempt(sd, (), depth)
-        if found:
-            return found
+        stack, child, edits = [], sd, ()
+        while stack or child is not None:
+            if child is not None:  # push it, with its moves
+                n, test = len(child.messages), None
+                if len(stack) == depth - 1:  # every leaf is counted, and only those the test passes are built
+                    explored += n + (n + 1) * len(candidates)
+                    test = root_test if child is sd else _leaf_test(chart, by_event, child, obj)
+                stack.append((child, edits, _moves(n, obj, candidates, test)))
+            current, path, moves = stack[-1]
+            edit, child = next(moves, None), None
+            if edit is None:
+                stack.pop()
+            elif len(stack) < depth:
+                child, edits = apply_edit(current, edit), path + (edit,)
+            elif works(leaf := apply_edit(current, edit)):
+                return RepairResult(path + (edit,), leaf)
     raise NoRepairWithinBound(sd.name, obj, max_edits, explored)
 
 

@@ -136,7 +136,7 @@ def _check_guards(chart, dt, path) -> None:
     domain; any other atom could never hold."""
     for _, scope, node in walk(chart):
         for t in scope.transitions if node is None else ():
-            for name, value in t.guard.atoms if t.guard else ():
+            for name, value in t.guard:
                 var = dt.variable(name)
                 if var is None or not var.domain.contains(value):
                     why = "names no state variable" if var is None else f"is outside {var.domain.describe()}"

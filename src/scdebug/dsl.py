@@ -13,7 +13,6 @@ import re
 
 from .model import (
     BoolDomain,
-    Condition,
     DomainTheory,
     EnumDomain,
     IntRangeDomain,
@@ -166,8 +165,7 @@ def parse_domain_theory(text: str, filename: str = "<dt>") -> DomainTheory:
         if rest.strip():  # the ';' ends the clause on the line read last
             raise ParseError((filename, no), f"unexpected text after ';': {rest.strip()!r}")
         if chunk.strip():
-            specs[name][which] = Condition(tuple(_atoms(chunk, (filename, first), "atom",
-                                                        variables, params)))
+            specs[name][which] = tuple(_atoms(chunk, (filename, first), "atom", variables, params))
 
     for no, body in _lines(text):
         if body.startswith("pre:"):
@@ -189,7 +187,7 @@ def parse_domain_theory(text: str, filename: str = "<dt>") -> DomainTheory:
             params = {m.group(2): _parse_domain(m.group(3), (filename, no))} if m.group(2) else {}
             if name in specs:
                 raise ParseError((filename, no), f"duplicate context name {name!r}")
-            specs[name] = [tuple(params.items()), Condition(), Condition()]
+            specs[name] = [tuple(params.items()), (), ()]
             allowed = ("pre", "post")
         elif keyword in allowed:
             allowed = allowed[allowed.index(keyword) + 1:]
@@ -233,7 +231,7 @@ def print_domain_theory(dt: DomainTheory) -> str:
             header += f" ({p} : {dom.describe()})"
         out.append(header)
         for which, cond in (("pre", spec.pre), ("post", spec.post)):
-            if cond.is_empty():
+            if not cond:
                 out.append(f"   {which}:")
             else:
                 out.append(f"   {which}: {_conjunction(cond)} ;")
@@ -389,7 +387,7 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
                 raise error(f"cannot parse transition {body!r}",
                             expected="X -> Y : e [guard] / a1, a2")
             source, target, event, guard, actions = m.groups()
-            guard = guard and Condition(tuple(_atoms(guard[1:-1], (filename, no), "guard atom")))
+            guard = tuple(_atoms(guard[1:-1], (filename, no), "guard atom")) if guard else ()
             event = _spelled(event)
             if not actions:
                 actions = ()
@@ -415,15 +413,15 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
     return chart
 
 
-def _conjunction(cond: Condition) -> str:
-    return " and ".join(f"{v} = {val}" for v, val in cond.atoms)
+def _conjunction(atoms) -> str:
+    return " and ".join(f"{v} = {val}" for v, val in atoms)
 
 
 def transition_label(t: Transition) -> str:
     """``event [a = v and ...] / x, y``, the guard and actions only when
     present; a completion transition's label starts with the empty event."""
     label = t.event
-    if t.guard is not None and t.guard.atoms:
+    if t.guard:
         label += f" [{_conjunction(t.guard)}]"
     if t.actions:
         label += " / " + ", ".join(t.actions)

@@ -82,24 +82,18 @@ class StateVariable(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Conditions and message specifications
-
-
-class Condition(namedtuple("Condition", "atoms", defaults=((),))):
-    """Conjunction of ``var = value`` atoms, each variable at most once;
-    values may be parameter names."""
-
-    __slots__ = ()
-
-    def is_empty(self) -> bool:
-        return not self.atoms
+# Message specifications
 
 
 class MessageSpec(NamedTuple):
+    """``pre`` and ``post`` are conjunctions: tuples of ``(var, value)``
+    atoms, each variable at most once; values may be parameter names, and
+    ``()`` fixes no cell."""
+
     name: str
     params: tuple[tuple[str, VarDomain], ...]
-    pre: Condition
-    post: Condition
+    pre: tuple[tuple[str, str], ...]
+    post: tuple[tuple[str, str], ...]
 
 
 class DomainTheory(namedtuple("DomainTheory", "variables specs")):
@@ -253,10 +247,13 @@ class Conflict(NamedTuple):
 
 
 class Transition(NamedTuple):
+    """``guard`` is a conjunction of ``(var, value)`` atoms, as a spec's
+    conditions are; ``()`` is the one spelling of no guard."""
+
     source: str
     target: str
     event: str
-    guard: Condition | None = None
+    guard: tuple[tuple[str, str], ...] = ()
     actions: tuple[str, ...] = ()
 
 

@@ -188,7 +188,7 @@ def to_statechart(chart: FlatChart) -> Statechart:
     names = {key: f"N{i}" for i, key in enumerate(chart.states, start=1)}
     nodes = tuple(Node(name, comment=format_vector(key)) for key, name in names.items())
     transitions = tuple(
-        Transition(names[frm], names[to], event, None, actions)
+        Transition(names[frm], names[to], event, (), actions)
         for frm, to, event, actions in chart.transitions
     )
     return Statechart(chart.object, nodes, names[chart.initial], transitions)

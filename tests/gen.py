@@ -10,7 +10,6 @@ import random
 from scdebug.annotator import annotate
 from scdebug.model import (
     BoolDomain,
-    Condition,
     DomainTheory,
     EnumDomain,
     IntRangeDomain,
@@ -40,10 +39,10 @@ def gen_domain(rng: random.Random):
     return EnumDomain(ENUM_POOL[: rng.randint(2, 4)])
 
 
-def gen_condition(rng: random.Random, variables, max_atoms=2) -> Condition:
+def gen_condition(rng: random.Random, variables, max_atoms=2) -> tuple:
     count = rng.randint(0, min(max_atoms, len(variables)))
     picked = rng.sample(list(variables), k=count)
-    return Condition(tuple((v.name, rng.choice(v.domain.values())) for v in picked))
+    return tuple((v.name, rng.choice(v.domain.values())) for v in picked)
 
 
 def gen_theory(rng: random.Random, max_vars=6, max_specs=6) -> DomainTheory:
@@ -166,7 +165,7 @@ def gen_replay_case(rng: random.Random, max_states=4, max_msgs=8):
         source, event = rng.choice(names), rng.choice(REPLAY_EVENTS + (COMPLETION,))
         actions = tuple(rng.choices(REPLAY_SENDS, k=rng.randint(0, 2)))
         for _ in range(1 + (rng.random() < 0.4)):  # sometimes a parallel edge
-            guard = gen_condition(rng, variables) if rng.random() < 0.3 else None
+            guard = gen_condition(rng, variables) if rng.random() < 0.3 else ()
             transitions.append(Transition(source, rng.choice(names), event, guard, actions))
     chart = Statechart("M", tuple(Node(n) for n in names), rng.choice(names), tuple(transitions))
 

@@ -208,7 +208,7 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
     if obj not in sd.objects:
         return ReplayTrace(())
     lines = None
-    if any(t.guard is not None and t.guard.atoms for t in flat.transitions):
+    if any(t.guard for t in flat.transitions):
         lines, _ = annotate(sd, dt)
     by_source = {}
     for t in flat.transitions:
@@ -229,7 +229,7 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
         for t in by_source.get(state, []):
             if t.event != event or not _is_subsequence(sends, t.actions):
                 continue
-            if t.guard is not None and t.guard.atoms:
+            if t.guard:
                 if vector is None:
                     if strict_guards:
                         continue
@@ -328,7 +328,7 @@ def lifeline_classes(sd, dt, obj):
     classes = [[0]]
     for g, msg in enumerate(lifeline(sd, obj), start=1):
         spec = dt.spec_for(msg.label)
-        if spec is None or spec.post.is_empty():
+        if spec is None or not spec.post:
             classes[-1].append(g)
         else:
             classes.append([g])
@@ -355,9 +355,9 @@ def class_state_by_faces(faces, width):
     return state, any(v is not None and cells[j] is None for cells in faces for j, v in enumerate(state))
 
 
-def _condition_cells(cond, binding, dt, msg):
+def _condition_cells(atoms, binding, dt, msg):
     cells = {}
-    for var_name, value in cond.atoms:
+    for var_name, value in atoms:
         var = dt.variable(var_name)
         if var is None:
             raise AnnotationError(msg.id, f"unknown state variable {var_name!r}")

@@ -25,7 +25,6 @@ from scdebug.annotator import (
 from scdebug.dsl import parse_domain_theory, parse_sd, print_domain_theory
 from scdebug.model import (
     BoolDomain,
-    Condition,
     Delete,
     DomainTheory,
     Lifeline,
@@ -190,7 +189,7 @@ class TestInitialize:
         # code; either face of the specification is checked.
         x = StateVariable("x", BoolDomain(), 0)
         sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : go")
-        for pre, post in ((Condition((atom,)), Condition()), (Condition(), Condition((atom,)))):
+        for pre, post in (((atom,), ()), ((), (atom,))):
             dt = DomainTheory((x,), (MessageSpec("go", (), pre, post),))
             with pytest.raises(AnnotationError, match=f"^{re.escape('message 1: ' + detail)}$"):
                 annotate(sd, dt)

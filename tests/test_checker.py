@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 
@@ -263,7 +264,7 @@ class TestRepair:
         costs = Counter()
         for _ in range(1500):
             dt, chart, sd = gen_replay_case(rng, max_msgs=3)
-            guarded = any(t.guard is not None and t.guard.atoms for t in chart.transitions)
+            guarded = any(t.guard for t in chart.transitions)
             for strict in (False, True):
                 for bound in (0, 1, 2):
                     verdicts.clear()
@@ -317,6 +318,31 @@ class TestRepair:
         ]
         assert calls["replay"] <= 10 and calls["apply_edit"] <= 100
 
+    def test_leaves_no_reference_cycles(self, stepper_sd, stepper_dt, refined_chart, coffee_dt, sd1, sd2):
+        # A search whose state reaches itself would leave it all as cyclic
+        # garbage, which only the collector frees.
+        chart = synthesize(coffee_dt, [sd1, sd2])[0]["Coffee-UI"]
+        sd = apply_edit(apply_edit(sd1, Delete(5)), Delete(4))
+        gc.collect()
+        enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert repair(stepper_sd, "M", refined_chart, stepper_dt).cost == 1
+            assert repair(sd, "Coffee-UI", chart, coffee_dt, max_edits=2).cost == 2
+            try:
+                repair(sd, "Coffee-UI", chart, coffee_dt, max_edits=1)
+            except NoRepairWithinBound:
+                pass
+            else:
+                pytest.fail("one edit repaired a diagram that needs two")
+            assert gc.collect() == 0
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+
     def test_builds_exactly_the_leaves_replay_accepts(self, monkeypatch, coffee_dt, sd1, sd2):
         # One edit deep a leaf is built exactly when the node's table passes
         # it, so the search's apply_edit calls equal the leaves, in search
@@ -330,7 +356,7 @@ class TestRepair:
                 mutated = apply_edit(sd, Delete(pos))
                 for obj in sd.objects:
                     chart = flatten(charts[obj])
-                    blind = chart._replace(transitions=tuple(t._replace(guard=None) for t in chart.transitions))
+                    blind = chart._replace(transitions=tuple(t._replace(guard=()) for t in chart.transitions))
                     if replay(mutated, obj, chart, coffee_dt).accepted:
                         continue
                     calls.clear()

@@ -18,7 +18,6 @@ from scdebug.dsl import (
     print_sd,
 )
 from scdebug.model import (
-    Condition,
     Delete,
     DomainTheory,
     EnumDomain,
@@ -98,18 +97,18 @@ class TestDomainTheory:
     def test_take_coin_spec(self):
         dt = parse_domain_theory(FIG_CORPUS)
         spec = dt.spec_for("Take coin")
-        assert len(spec.pre.atoms) == 1
-        assert len(spec.post.atoms) == 2
+        assert len(spec.pre) == 1
+        assert len(spec.post) == 2
 
     def test_empty_post(self):
         dt = parse_domain_theory(FIG_CORPUS)
-        assert dt.spec_for("Display Ready Light").post.is_empty()
+        assert dt.spec_for("Display Ready Light").post == ()
 
     def test_parameterized_context(self):
         dt = parse_domain_theory(FIG_CORPUS)
         spec = dt.spec_for("Enter Selection")
         assert spec.params == (("CT", EnumDomain(("none", "Espresso", "Cappuchino", "Milk"))),)
-        assert ("SelectedCoffeeType", "CT") in spec.post.atoms
+        assert ("SelectedCoffeeType", "CT") in spec.post
 
     def test_corpus_roundtrip(self):
         dt = parse_domain_theory(FIG_CORPUS)
@@ -156,19 +155,19 @@ class TestDomainTheory:
         # ``context`` is a keyword only as a whole word.
         dt = parse_domain_theory("contextReady : Boolean\ncontext a\n pre: contextReady = T ;\n post:")
         assert [v.name for v in dt.variables] == ["contextReady"]
-        assert dt.spec_for("a").pre == Condition((("contextReady", "T"),))
+        assert dt.spec_for("a").pre == (("contextReady", "T"),)
 
     def test_clause_without_semicolon_wraps(self):
         # Without ';' a clause runs over its continuation lines to the next keyword.
         dt = parse_domain_theory("x, y : Boolean\ncontext a\n pre: x = T and\n   y = F\n post: x = F")
-        assert dt.spec_for("a").pre == Condition((("x", "T"), ("y", "F")))
-        assert dt.spec_for("a").post == Condition((("x", "F"),))
+        assert dt.spec_for("a").pre == (("x", "T"), ("y", "F"))
+        assert dt.spec_for("a").post == (("x", "F"),)
 
     def test_continuation_line_starting_like_context(self):
         dt = parse_domain_theory(
             "x, contextReady : Boolean\ncontext a\n pre: x = T and\n contextReady = F ;\n post:"
         )
-        assert dt.spec_for("a").pre == Condition((("x", "T"), ("contextReady", "F")))
+        assert dt.spec_for("a").pre == (("x", "T"), ("contextReady", "F"))
 
 
 class TestSequenceDiagram:
@@ -252,7 +251,7 @@ class TestStatechart:
         chart = parse_sc(
             "statechart M\ninitial A\nstate A\nstate B\nA -> B : go [CoinInMachine = T]"
         )
-        assert chart.transitions[0].guard == Condition((("CoinInMachine", "T"),))
+        assert chart.transitions[0].guard == (("CoinInMachine", "T"),)
 
     def test_composite(self):
         chart = parse_sc(
@@ -444,7 +443,7 @@ def charts(draw):
                 draw(st.sampled_from(names)),
                 draw(st.sampled_from(names)),
                 draw(labels),
-                None,
+                (),
                 tuple(draw(st.lists(labels, max_size=2))),
             )
         )
@@ -521,8 +520,8 @@ def _with_params(rng: random.Random, dt: DomainTheory) -> DomainTheory:
     for spec in dt.specs:
         if rng.random() < 0.4:
             var = rng.choice(dt.variables)
-            post = [a for a in spec.post.atoms if a[0] != var.name] + [(var.name, "P")]
-            spec = MessageSpec(spec.name, (("P", var.domain),), spec.pre, Condition(tuple(post)))
+            post = tuple(a for a in spec.post if a[0] != var.name) + ((var.name, "P"),)
+            spec = MessageSpec(spec.name, (("P", var.domain),), spec.pre, post)
         specs.append(spec)
     return DomainTheory(dt.variables, tuple(specs))
 

@@ -7,7 +7,6 @@ from scdebug.checker import CheckRecord, RepairResult, ReplayStep, ReplayTrace
 from scdebug.dsl import ParseError, parse_domain_theory, parse_sc, parse_sd, print_sd
 from scdebug.model import (
     BoolDomain,
-    Condition,
     Conflict,
     Delete,
     DomainTheory,
@@ -218,7 +217,7 @@ def _rejected():
 
 def test_valid_records_build():
     assert _conflict().variable.index == 0 and _chart().initial == "A" and _flat().object == "O"
-    assert Condition() == Condition(()) and Condition().is_empty()
+    assert Transition("A", "B", "e").guard == ()
     sd = SequenceDiagram("S", ("A", "B"), ())
     assert sd.no_loop == frozenset() and sd._replace(name="T").name == "T"
     assert type(sd._replace(name="T")) is SequenceDiagram
@@ -229,7 +228,7 @@ def test_records_check_nothing():
     # Validation happens once, when the text is parsed (tests/test_dsl.py
     # pins each rule's error); a record subclassing a namedtuple adds no
     # constructor of its own, and builds whatever its fields hold.
-    records = (BoolDomain, IntRangeDomain, EnumDomain, Condition, DomainTheory, SequenceDiagram, Statechart)
+    records = (BoolDomain, IntRangeDomain, EnumDomain, DomainTheory, SequenceDiagram, Statechart)
     assert not [cls.__name__ for cls in records if "__new__" in vars(cls)]
     assert SequenceDiagram("S", ("A", "A"), ()).objects == ("A", "A")
 
@@ -256,9 +255,9 @@ def test_records_derive_what_their_fields_fix():
         (IntRangeDomain(0, 1), "other"),
         (EnumDomain(("a",)), "labels"),
         (StateVariable("x", BoolDomain(), 0), "index"),
-        (Condition(), "atoms"),
-        (Condition(), "other"),
-        (MessageSpec("a", (), Condition(), Condition()), "pre"),
+        (Transition("A", "B", "e"), "guard"),  # atom tuples hold the conditions
+        (MessageSpec("a", (), (), ()), "post"),
+        (MessageSpec("a", (), (), ()), "pre"),
         (DomainTheory((), ()), "specs"),
         (Message(1, "a", (), "A", "B"), "label"),
         (SequenceDiagram("S", (), ()), "no_loop"),

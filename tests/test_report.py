@@ -285,7 +285,7 @@ class TestDot:
         # A label ending in a backslash once ended its string early.  The
         # reader rejects such labels, but charts built in code may hold them.
         chart = Statechart("M", (Node("A"),), "A", (Transition("A", "A", "go\\"),
-                                                   Transition("A", "A", 'say "hi"', None, ("x\\y",))))
+                                                   Transition("A", "A", 'say "hi"', (), ("x\\y",))))
         dot = export_dot(chart)
         assert '"A" -> "A" [label="go\\\\"];' in dot
         assert '"A" -> "A" [label="say \\"hi\\" / x\\\\y"];' in dot

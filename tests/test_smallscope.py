@@ -90,7 +90,7 @@ def test_scope_one_repair():
     sds = [sd for sd in diagrams() if len(sd.messages) <= 2]
     costs = Counter()
     for dt in theories():
-        atoms = [atom for spec in dt.specs for cond in (spec.pre, spec.post) for atom in cond.atoms]
+        atoms = [atom for spec in dt.specs for cond in (spec.pre, spec.post) for atom in cond]
         if atoms[:1] == [("x", "F")] or annotate(first, dt)[1]:
             continue
         charts, _ = synthesize(dt, [first])

@@ -6,7 +6,7 @@ import pytest
 
 from scdebug.annotator import annotate
 from scdebug.dsl import parse_domain_theory, parse_sc, parse_sd, print_sc
-from scdebug.model import Condition, Node, Statechart, Transition, unify, walk
+from scdebug.model import Node, Statechart, Transition, unify, walk
 from scdebug.synthesizer import (
     ConflictedInputError,
     FlatChart,
@@ -323,7 +323,7 @@ def gen_nested_chart(rng: random.Random) -> Statechart:
                 t = rng.choice(made)
             else:
                 t = Transition(rng.choice(every), rng.choice(every), rng.choice(("a", "b", "c(1)", "")),
-                               rng.choice((None, Condition((("x", "T"),)))), rng.choice(((), ("s",))))
+                               rng.choice(((), (("x", "T"),))), rng.choice(((), ("s",))))
             made.append(t)
             transitions.append(t)
 

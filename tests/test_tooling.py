@@ -1,6 +1,7 @@
 """Names the benchmark's tracer looks up in scdebug and the calls it
 records, what importing the command line, the package and the report
-renderer loads, and the CLI byte-comparison corpus.
+renderer loads, that the sources import only the standard library, and
+the CLI byte-comparison corpus.
 
 ``bench/spans.Tracer.install`` wraps each function named in ``SPANNED`` and
 ``COUNTED`` by ``getattr`` on its module, and rebinds it in every scdebug
@@ -107,6 +108,24 @@ def test_package_and_report_import_only_what_they_use():
     report = loaded_by("scdebug.report")
     assert "scdebug.annotator" in report
     assert report.isdisjoint({"scdebug.checker", "scdebug.synthesizer"})
+
+
+def test_sources_import_only_the_standard_library():
+    # scdebug is stdlib-only, and pyproject.toml declares no dependencies:
+    # every absolute import in the package names a standard-library module.
+    sources = sorted((ROOT / "src" / "scdebug").glob("*.py"))
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert len(sources) == 8 and outside == []
 
 
 def test_cli_corpus_runs_clean(tmp_path):
