@@ -68,7 +68,7 @@ FRAME = "frame"  # provenance: carried from the face before it on the lifeline
 
 
 class AnnotationError(Exception):
-    """A message whose arguments or specification the theory cannot hold."""
+    """A message whose arguments its specification's parameters cannot hold."""
 
     def __init__(self, message_id: int, detail: str):
         self.message_id = message_id
@@ -90,19 +90,15 @@ def _parameter_binding(spec, msg: Message) -> dict:
     return {p: a for (p, _), a in zip(spec.params, msg.args)}
 
 
-def _condition_vector(atoms, binding: dict, dt: DomainTheory, msg: Message) -> tuple:
+def _condition_vector(atoms, binding: dict, dt: DomainTheory) -> tuple:
+    """The cells ``atoms`` fix, each parameter replaced by its argument.
+    Nothing is checked here: the ``.dt`` reader has refused every atom that
+    names no variable, holds a literal outside its variable's domain or a
+    parameter of another domain, and ``_parameter_binding`` every argument
+    outside its parameter's domain."""
     cells = [None] * dt.width
     for var_name, value in atoms:
-        var = dt.variable(var_name)
-        if var is None:
-            raise AnnotationError(msg.id, f"unknown state variable {var_name!r}")
-        literal = binding.get(value, value)
-        if not var.domain.contains(literal):
-            raise AnnotationError(
-                msg.id,
-                f"literal {literal!r} outside domain of {var_name} ({var.domain.describe()})",
-            )
-        cells[var.index] = literal
+        cells[dt.variable(var_name).index] = binding.get(value, value)
     return tuple(cells)
 
 
@@ -121,8 +117,8 @@ def initialize_vectors(dt: DomainTheory, messages) -> Lifeline:
             spec = dt.spec_for(msg.label)
             binding = {} if spec is None else _parameter_binding(spec, msg)
             pre, post = ((), ()) if spec is None else (spec.pre, spec.post)
-            fixed = vectors[msg.label, msg.args] = (_condition_vector(pre, binding, dt, msg),
-                                                    _condition_vector(post, binding, dt, msg))
+            fixed = vectors[msg.label, msg.args] = (_condition_vector(pre, binding, dt),
+                                                    _condition_vector(post, binding, dt))
         cells += fixed
     starts = [0, *(i for i in range(1, len(cells), 2) if cells[i] != blank), len(cells)]
     return Lifeline(list(messages), cells, cells[:], starts, {}, [])

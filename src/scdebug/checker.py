@@ -44,7 +44,7 @@ from .model import (
     Transition,
     apply_edit,
 )
-from .annotator import AnnotationError, annotate
+from .annotator import AnnotationError, annotate, initialize_vectors
 from .dsl import _conjunction, split_label_args
 from .synthesizer import COMPLETION, flatten, receive_spans, span_event
 
@@ -335,7 +335,11 @@ def check_all(
     max_edits: int = 4,
     strict_guards: bool = False,
 ) -> list[CheckRecord]:
-    """Replay every (diagram, charted object) pair; repair the rejected ones."""
+    """Replay every (diagram, charted object) pair; repair the rejected ones.
+    A diagram with a message its context cannot take raises
+    ``AnnotationError`` before any replay, guards or none."""
+    for sd in sds:  # also fills the spec-vector cache the annotations read
+        initialize_vectors(dt, sd.messages)
     records = []
     for sd in sds:
         lines = None  # the diagram's lifelines, annotated for the first guarded chart

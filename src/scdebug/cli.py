@@ -15,8 +15,7 @@ from pathlib import Path
 
 from .annotator import AnnotationError, annotate
 from .checker import check_all
-from .dsl import ParseError, _lines, parse_domain_theory, parse_sc, parse_sd, print_sc, transition_label
-from .model import walk
+from .dsl import ParseError, _lines, parse_domain_theory, parse_sc, parse_sd, print_sc
 from .report import ReportBundle, annotation_bundle, export_dot, render_json, render_text
 from .synthesizer import ConflictedInputError, synthesize
 
@@ -131,19 +130,6 @@ def cmd_synth(args) -> int:
     return OK
 
 
-def _check_guards(chart, dt, path) -> None:
-    """Every guard atom must name a state variable and a value of its
-    domain; any other atom could never hold."""
-    for _, scope, node in walk(chart):
-        for t in scope.transitions if node is None else ():
-            for name, value in t.guard:
-                var = dt.variable(name)
-                if var is None or not var.domain.contains(value):
-                    why = "names no state variable" if var is None else f"is outside {var.domain.describe()}"
-                    raise ValueError(f"{path}: transition {t.source} -> {t.target} : "
-                                     f"{transition_label(t)}: guard atom {name} = {value} {why}")
-
-
 def cmd_check(args) -> int:
     dt, sds = _load_inputs(args)
     chart_dir = Path(args.charts)
@@ -161,11 +147,10 @@ def cmd_check(args) -> int:
     for name in names:
         path = chart_dir / name
         text = _read(path)
-        chart = parse_sc(text, str(path))
+        chart = parse_sc(text, str(path), dt)
         if chart.name in charts:
             raise ParseError((str(path), next(_lines(text))[0]),  # at the header line
                              f"statechart {chart.name!r} is also declared in {paths[chart.name]}")
-        _check_guards(chart, dt, path)
         charts[chart.name], paths[chart.name] = chart, path
     if not charts:
         raise ValueError(f"chart directory {chart_dir} holds no .sc file")

@@ -115,9 +115,9 @@ _AND_RE = re.compile(r"\s+and\s+")
 def _atoms(text: str, span: tuple, noun: str, variables=None, params=None) -> list:
     """The (var, value) atoms of ``var = value and var = value``, in order,
     cut at each ``and`` between blanks, so a bad part is named as it is read.
-    Given the theory's ``variables`` and the context's ``params``, each atom
-    is checked against them once it is read; a variable named twice is an
-    error once every atom is read."""
+    Given the theory's ``variables`` by name and the context's ``params``
+    (none for a guard), each atom is checked against them once it is read;
+    a variable named twice is an error once every atom is read."""
     atoms = []
     for part in _AND_RE.split(text.strip()):
         m = _ATOM_RE.fullmatch(part)
@@ -328,7 +328,12 @@ def _spelled(label: str) -> str:
     return spell_event(*split_label_args(label)) if "(" in label else label
 
 
-def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
+def parse_sc(text: str, filename: str = "<sc>", dt: DomainTheory | None = None) -> Statechart:
+    """The chart ``text`` declares.  Given the theory ``dt``, each guard
+    atom is checked against it as a ``.dt`` clause's atom is: it must name
+    a state variable and a value of its domain, or the transition's line is
+    a ``ParseError``.  Without one, a guard atom is only parsed."""
+    variables = None if dt is None else {v.name: v for v in dt.variables}
     lines = _lines(text)
     no, body = next(lines, (1, ""))
     if not body.startswith("statechart "):
@@ -387,7 +392,7 @@ def parse_sc(text: str, filename: str = "<sc>") -> Statechart:
                 raise error(f"cannot parse transition {body!r}",
                             expected="X -> Y : e [guard] / a1, a2")
             source, target, event, guard, actions = m.groups()
-            guard = tuple(_atoms(guard[1:-1], (filename, no), "guard atom")) if guard else ()
+            guard = tuple(_atoms(guard[1:-1], (filename, no), "guard atom", variables, {})) if guard else ()
             event = _spelled(event)
             if not actions:
                 actions = ()

@@ -8,9 +8,13 @@ undetermined value printed as ``?``.
 Records are named tuples, which are cheap to define at import and to
 build, and compare and hash as tuples.  No constructor checks its fields:
 the parsers in ``dsl`` are the one validator, and reject each malformed
-input at its line.  A record built in code (by synthesis, a repair edit or
-a test) is well formed because its builder keeps the rules the parsers
-check; ``dsl.print_*`` followed by ``dsl.parse_*`` gives it back unchanged.
+input at its line.  The ``.dt`` reader checks each condition atom against
+the theory's variables and its context's parameter, and the ``.sc`` reader,
+given the theory, each guard atom; a diagram is read without the theory,
+so the annotator checks a message's arguments against its context.  A
+record built in code (by synthesis, a repair edit or a test) is well formed
+because its builder keeps the rules the parsers check; ``dsl.print_*``
+followed by ``dsl.parse_*`` gives it back unchanged.
 """
 
 from __future__ import annotations

@@ -24,14 +24,10 @@ from scdebug.annotator import (
 )
 from scdebug.dsl import parse_domain_theory, parse_sd, print_domain_theory
 from scdebug.model import (
-    BoolDomain,
     Delete,
-    DomainTheory,
     Lifeline,
     Message,
-    MessageSpec,
     SequenceDiagram,
-    StateVariable,
     Unified,
     apply_edit,
     format_vector,
@@ -179,20 +175,6 @@ class TestInitialize:
         detail = "argument 'Latte' outside domain enum {none,Espresso,Cappuchino,Milk} of parameter CT"
         with pytest.raises(AnnotationError, match=f"^{re.escape('message 1: ' + detail)}$"):
             initialize_vectors(coffee_dt_unfixed, sd.messages)
-
-    @pytest.mark.parametrize("atom, detail", [
-        (("y", "T"), "unknown state variable 'y'"),
-        (("x", "maybe"), "literal 'maybe' outside domain of x (Boolean)"),
-    ])
-    def test_condition_outside_theory(self, atom, detail):
-        # The .dt reader refuses both conditions, so the theory is built in
-        # code; either face of the specification is checked.
-        x = StateVariable("x", BoolDomain(), 0)
-        sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : go")
-        for pre, post in (((atom,), ()), ((), (atom,))):
-            dt = DomainTheory((x,), (MessageSpec("go", (), pre, post),))
-            with pytest.raises(AnnotationError, match=f"^{re.escape('message 1: ' + detail)}$"):
-                annotate(sd, dt)
 
     def test_theory_cache_gives_a_fresh_theorys_annotation(self, sd1, sd2, coffee_dt_unfixed):
         # Spec vectors are cached on the theory: diagram B annotated with a

@@ -358,34 +358,51 @@ class TestCheck:
         assert json.loads(out)["warnings"] == [warning]
 
     @pytest.mark.parametrize(
-        "guard, why",
+        "guard, error",
         [
-            ("Stpe = 0", "names no state variable"),
-            ("Step = 9", "is outside 0..4"),
+            ("Stpe = 0", "unknown state variable 'Stpe'"),
+            ("Step = 9", "literal '9' outside domain of Step (0..4)"),
         ],
     )
-    def test_guard_atom_outside_the_theory_exits_two(self, guard, why, tmp_path, capsys):
-        # Such a guard never holds: the e1 transition would be dead.
+    def test_guard_atom_outside_the_theory_exits_two(self, guard, error, tmp_path, capsys):
+        # Such a guard never holds: the e1 transition would be dead.  The
+        # chart reader refuses it at its line, given the theory.
         chart = (FIXTURES / "stepper_refined" / "M.sc").read_text()
         chart = chart.replace("N1 -> N2 : e1\n", f"N1 -> N2 : e1 [{guard}]\n")
         (tmp_path / "M.sc").write_text(chart)
         assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: {tmp_path / 'M.sc'}: transition N1 -> N2 : "
-                                f"e1 [{guard}]: guard atom {guard} {why}\n")
+        assert captured.err == f"parse error: {tmp_path / 'M.sc'}:9:1: {error}\n"
 
     def test_guard_repeating_a_variable_is_a_parse_error(self, tmp_path, capsys):
         # Located like every other chart syntax error; before, the CLI
         # printed "error: variable repeated within one condition: [...]".
         chart = (FIXTURES / "stepper_refined" / "M.sc").read_text()
-        chart = chart.replace("N1 -> N2 : e1\n", "N1 -> N2 : e1 [Stpe = 0 and Stpe = 1]\n")
+        chart = chart.replace("N1 -> N2 : e1\n", "N1 -> N2 : e1 [Step = 0 and Step = 1]\n")
         (tmp_path / "M.sc").write_text(chart)
         assert main(["check", STEPPER_DT, STEPPER_SD, "--charts", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"parse error: {tmp_path / 'M.sc'}:9:1: "
                                 f"variable repeated within one condition\n")
+
+    @pytest.mark.parametrize("guard", ["", " [Step = 0]"], ids=["unguarded", "guarded"])
+    def test_diagram_the_theory_refuses_exits_two(self, guard, tmp_path, capsys):
+        # The e2 context takes no argument, so e2(7) cannot be annotated: a
+        # replay would accept it against an unguarded chart, which never
+        # annotates, so check refuses the diagram before any replay.
+        sd = tmp_path / "stepper.sd"
+        sd.write_text("sd Stepper\nobject Env\nobject M\n"
+                      + "".join(f"msg {i} Env -> M : {e}\n" for i, e in enumerate(("e1", "e2(7)"), 1)))
+        (tmp_path / "charts").mkdir()
+        (tmp_path / "charts" / "M.sc").write_text(
+            "statechart M\ninitial N1\nstate N1\nstate N2\nstate N3\n"
+            f"N1 -> N2 : e1{guard}\nN2 -> N3 : e2(7)\n")
+        assert main(["check", STEPPER_DT, str(sd), "--charts", str(tmp_path / "charts")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: message 2: 'e2' takes 0 argument(s), got 1\n"
 
 
 class TestByteOrderMark:

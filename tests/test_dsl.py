@@ -308,6 +308,34 @@ class TestStatechart:
             parse_sc(text)
         assert fragment in str(exc.value)
 
+    @pytest.mark.parametrize("guard, error", [
+        ("Stpe = 0", "unknown state variable 'Stpe'"),
+        ("Step = 9", "literal '9' outside domain of Step (0..4)"),
+    ])
+    def test_guard_atom_checked_against_the_theory(self, guard, error):
+        # Given the theory, a guard atom is checked as a .dt clause atom is,
+        # at its transition's line; without it, the guard is only parsed.
+        text = f"statechart M\ninitial A\nstate A\n\nA -> A : e1 [{guard}]\n"
+        with pytest.raises(ParseError, match=f"^{re.escape('<sc>:5:1: ' + error)}$"):
+            parse_sc(text, dt=parse_domain_theory(read("stepper.dt")))
+        var, value = guard.split(" = ")
+        assert parse_sc(text).transitions[0].guard == ((var, value),)
+
+    def test_fixture_charts_read_the_same_with_the_theory(self):
+        # The refined stepper chart, a guarded copy of it, and the charts
+        # synthesized from the coffee fixtures, each against its theory.
+        stepper = read("stepper_refined/M.sc")
+        guarded = stepper.replace("N1 -> N2 : e1\n", "N1 -> N2 : e1 [Step = 0]\n")
+        golden = sorted((Path(__file__).parent / "golden" / "files" / "charts").glob("*.sc"))
+        charts = [("stepper.dt", stepper), ("stepper.dt", guarded)]
+        charts += [("theory.dt", path.read_text(encoding="utf-8")) for path in golden]
+        assert guarded != stepper and len(golden) == 3
+        for theory, text in charts:
+            dt = parse_domain_theory(read(theory))
+            chart = parse_sc(text, dt=dt)
+            assert chart == parse_sc(text)
+            assert parse_sc(print_sc(chart), dt=dt) == chart
+
 
 @pytest.mark.parametrize(
     "parse,text,error",
