@@ -90,6 +90,16 @@ def _parameter_binding(spec, msg: Message) -> dict:
     return {p: a for (p, _), a in zip(spec.params, msg.args)}
 
 
+def check_arguments(dt: DomainTheory, messages) -> None:
+    """Raise ``AnnotationError`` for the first of ``messages`` whose
+    arguments its specification's parameters cannot hold: the readers have
+    checked the rest, so this is all a diagram needs before it annotates."""
+    for msg in messages:
+        spec = dt.spec_for(msg.label)
+        if spec is not None:
+            _parameter_binding(spec, msg)
+
+
 def _condition_vector(atoms, binding: dict, dt: DomainTheory) -> tuple:
     """The cells ``atoms`` fix, each parameter replaced by its argument.
     Nothing is checked here: the ``.dt`` reader has refused every atom that
@@ -349,7 +359,7 @@ def annotate(sd: SequenceDiagram, dt: DomainTheory) -> tuple[dict, list[Conflict
             lines[obj] = line = annotate_lifeline(dt, messages, no_loop)
             conflicts += detect_conflicts(sd, obj, line, dt)
     except AnnotationError:  # raised for the first message, in diagram order, the theory cannot hold
-        initialize_vectors(dt, sd.messages)
+        check_arguments(dt, sd.messages)
         raise
     return lines, conflicts
 

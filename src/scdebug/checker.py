@@ -44,7 +44,7 @@ from .model import (
     Transition,
     apply_edit,
 )
-from .annotator import AnnotationError, annotate, initialize_vectors
+from .annotator import AnnotationError, annotate, check_arguments
 from .dsl import _conjunction, split_label_args
 from .synthesizer import COMPLETION, flatten, receive_spans, span_event
 
@@ -338,8 +338,8 @@ def check_all(
     """Replay every (diagram, charted object) pair; repair the rejected ones.
     A diagram with a message its context cannot take raises
     ``AnnotationError`` before any replay, guards or none."""
-    for sd in sds:  # also fills the spec-vector cache the annotations read
-        initialize_vectors(dt, sd.messages)
+    for sd in sds:
+        check_arguments(dt, sd.messages)
     records = []
     for sd in sds:
         lines = None  # the diagram's lifelines, annotated for the first guarded chart

@@ -88,6 +88,18 @@ def _read(path) -> str:
         return f.read().decode("utf-8-sig")  # a leading BOM is not text
 
 
+def _write(path, text: str) -> None:
+    """Write ``text`` over what the file at ``path`` holds, creating it if
+    need be, then cut the file to the new length.  Truncating at open
+    instead costs ext4 a writeback on close, several times the write
+    itself.  The write is not atomic: a failed or interrupted write can
+    leave a file that holds neither the old text nor the new, and writing
+    again mends it."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as f:
+        f.write(text)
+        f.truncate()
+
+
 def _load_inputs(args):
     dt = parse_domain_theory(_read(args.theory), args.theory)
     sds = [parse_sd(_read(p), p) for p in args.sds]
@@ -120,10 +132,10 @@ def cmd_synth(args) -> int:
     if dot_dir:
         dot_dir.mkdir(parents=True, exist_ok=True)
     for obj, chart in charts.items():
-        (out_dir / f"{obj}.sc").write_text(print_sc(chart), encoding="utf-8")
+        _write(out_dir / f"{obj}.sc", print_sc(chart))
         sys.stdout.write(f"wrote {out_dir / (obj + '.sc')}\n")
         if dot_dir:
-            (dot_dir / f"{obj}.dot").write_text(export_dot(chart), encoding="utf-8")
+            _write(dot_dir / f"{obj}.dot", export_dot(chart))
             sys.stdout.write(f"wrote {dot_dir / (obj + '.dot')}\n")
     for w in warnings:
         sys.stdout.write(f"warning: {w}\n")

@@ -17,8 +17,10 @@ each rule only the parsers check, usage errors (unknown options and
 commands, bare commands, a ``--max-edits`` that is not a number, prefixes
 of options), and ``check`` against chart directories holding a hidden
 chart, a subdirectory and a dangling link named ``*.sc``, and two charts
-whose names sort apart from their case, and ``check`` given a file as its
-chart directory.  Inputs and every chart the runs write go
+whose names sort apart from their case, ``check`` given a file as its
+chart directory, and ``synth`` of the coffee corpus again, into
+directories holding longer stale charts and exports, one of the charts a
+link to a file elsewhere under OUT.  Inputs and every chart the runs write go
 under OUT, which must be new or empty, and ``OUT/log.json`` holds each
 run's arguments, exit code, stdout and stderr, with OUT written as
 ``<OUT>``.  Run it against two trees and compare the two OUT directories
@@ -232,6 +234,20 @@ def corpus(out: Path):
                *rng.choice(([], ["--json"]))]
     # A chart directory that is a file exists, so it is not reported missing.
     yield ["check", *stepper, "--charts", fx["stepper.sd"]]
+
+    # Synthesizing again over charts longer than the new ones, one of them
+    # reached through a link, leaves exactly the new bytes, the link a link.
+    again, dots = charts / "again", out / "dot" / "again"
+    for made, fresh in ((again, charts / "coffee"), (dots, out / "dot" / "coffee")):
+        made.mkdir(parents=True)
+        for path in sorted(fresh.iterdir()):
+            stale = path.read_text(encoding="utf-8") + "# stale\n" * 40
+            if path.name == "User.sc":
+                (inputs / "linked.sc").write_text(stale, encoding="utf-8")
+                os.symlink(os.path.join("..", "..", "inputs", "linked.sc"), made / path.name)
+            else:
+                (made / path.name).write_text(stale, encoding="utf-8")
+    yield ["synth", *coffee, "-o", str(again), "--dot", str(dots)]
 
 
 def run(root: Path, out: Path) -> list[dict]:

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +124,40 @@ class TestSynth:
             "Control.dot",
             "User.dot",
         ]
+
+    @staticmethod
+    def _synth(root, capsys):
+        """Synthesize the coffee corpus into ``root/charts`` and ``root/dot``;
+        each file there, by path relative to ``root``, with its bytes."""
+        assert main(["synth", THEORY, SD1, SD2, "-o", str(root / "charts"), "--dot", str(root / "dot")]) == 0
+        capsys.readouterr()
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    @pytest.mark.parametrize("stale", [lambda text: text + b"# stale\n" * 200, lambda text: b"N\n"],
+                             ids=["longer", "shorter"])
+    def test_rewrite_leaves_exactly_the_new_bytes(self, stale, tmp_path, capsys):
+        fresh = self._synth(tmp_path / "fresh", capsys)
+        assert {path.suffix for path in fresh} == {".sc", ".dot"}
+        for path, text in fresh.items():
+            (tmp_path / "again" / path).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / "again" / path).write_bytes(stale(text))
+        assert self._synth(tmp_path / "again", capsys) == fresh
+
+    def test_rewrite_follows_a_link_to_a_chart(self, tmp_path, capsys):
+        fresh = self._synth(tmp_path / "fresh", capsys)
+        target = tmp_path / "elsewhere.sc"
+        target.write_text("statechart User\ninitial N1\nstate N1\n" * 50, encoding="utf-8")
+        (tmp_path / "charts").mkdir()
+        os.symlink(target, tmp_path / "charts" / "User.sc")
+        assert main(["synth", THEORY, SD1, SD2, "-o", str(tmp_path / "charts")]) == 0
+        assert os.readlink(tmp_path / "charts" / "User.sc") == str(target)
+        assert target.read_bytes() == fresh[Path("charts", "User.sc")]
+
+    def test_output_that_is_a_directory_exits_two(self, tmp_path, capsys):
+        (tmp_path / "User.sc").mkdir()
+        assert main(["synth", THEORY, SD1, SD2, "-o", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path / 'User.sc'}'\n"
+        assert not list((tmp_path / "User.sc").iterdir())
 
     def test_thousand_state_ring(self, tmp_path, capsys):
         k = 1000

@@ -247,35 +247,38 @@ def test_records_derive_what_their_fields_fix():
     assert not _rejected().accepted and _rejected().rejected_at == 0
 
 
+# Each case names itself, so adding or removing one renames no other.  These
+# keep the names pytest once gave them by position; a new case is named by
+# its record type and field, as in ReplayTrace-steps.
 @pytest.mark.parametrize(
     "record, field",
     [
-        (BoolDomain(), "kind"),
-        (IntRangeDomain(0, 1), "lo"),
-        (IntRangeDomain(0, 1), "other"),
-        (EnumDomain(("a",)), "labels"),
-        (StateVariable("x", BoolDomain(), 0), "index"),
-        (Transition("A", "B", "e"), "guard"),  # atom tuples hold the conditions
-        (MessageSpec("a", (), (), ()), "post"),
-        (MessageSpec("a", (), (), ()), "pre"),
-        (DomainTheory((), ()), "specs"),
-        (Message(1, "a", (), "A", "B"), "label"),
-        (SequenceDiagram("S", (), ()), "no_loop"),
-        (SequenceDiagram("S", (), ()), "other"),
-        (_rejected(), "rejected_at"),  # derived from the steps
-        (Unified(0, 1), "event"),
-        (_conflict(), "variable"),
-        (Transition("A", "B", "e"), "event"),
-        (Node("A"), "comment"),
-        (_chart(), "initial"),
-        (Insert(Message(1, "a", (), "A", "B")), "message"),
-        (Delete(1), "at"),
-        (_flat(), "states"),
-        (ReplayStep(None, "A", None), "transition"),
-        (_rejected(), "accepted"),
-        (RepairResult((), SequenceDiagram("S", (), ())), "edits"),
-        (CheckRecord(SequenceDiagram("S", (), ()), "A", ReplayTrace(())), "repair"),
-        (ReportBundle(), "sds"),
+        pytest.param(BoolDomain(), "kind", id="record0-kind"),
+        pytest.param(IntRangeDomain(0, 1), "lo", id="record1-lo"),
+        pytest.param(IntRangeDomain(0, 1), "other", id="record2-other"),
+        pytest.param(EnumDomain(("a",)), "labels", id="record3-labels"),
+        pytest.param(StateVariable("x", BoolDomain(), 0), "index", id="record4-index"),
+        pytest.param(Transition("A", "B", "e"), "guard", id="record5-guard"),  # atom tuples hold the conditions
+        pytest.param(MessageSpec("a", (), (), ()), "post", id="record6-post"),
+        pytest.param(MessageSpec("a", (), (), ()), "pre", id="record7-pre"),
+        pytest.param(DomainTheory((), ()), "specs", id="record8-specs"),
+        pytest.param(Message(1, "a", (), "A", "B"), "label", id="record9-label"),
+        pytest.param(SequenceDiagram("S", (), ()), "no_loop", id="record10-no_loop"),
+        pytest.param(SequenceDiagram("S", (), ()), "other", id="record11-other"),
+        pytest.param(_rejected(), "rejected_at", id="record12-rejected_at"),  # derived from the steps
+        pytest.param(Unified(0, 1), "event", id="record13-event"),
+        pytest.param(_conflict(), "variable", id="record14-variable"),
+        pytest.param(Transition("A", "B", "e"), "event", id="record15-event"),
+        pytest.param(Node("A"), "comment", id="record16-comment"),
+        pytest.param(_chart(), "initial", id="record17-initial"),
+        pytest.param(Insert(Message(1, "a", (), "A", "B")), "message", id="record18-message"),
+        pytest.param(Delete(1), "at", id="record19-at"),
+        pytest.param(_flat(), "states", id="record20-states"),
+        pytest.param(ReplayStep(None, "A", None), "transition", id="record21-transition"),
+        pytest.param(_rejected(), "accepted", id="record22-accepted"),
+        pytest.param(RepairResult((), SequenceDiagram("S", (), ())), "edits", id="record23-edits"),
+        pytest.param(CheckRecord(SequenceDiagram("S", (), ()), "A", ReplayTrace(())), "repair", id="record24-repair"),
+        pytest.param(ReportBundle(), "sds", id="record25-sds"),
     ],
 )
 def test_records_are_immutable(record, field):

@@ -175,6 +175,14 @@ def test_cli_corpus_runs_clean(tmp_path):
     assert by_dir["<OUT>/inputs/stepper.sd"]["code"] == 2
     assert by_dir["<OUT>/inputs/stepper.sd"]["stderr"] == (
         "error: chart directory <OUT>/inputs/stepper.sd is not a directory\n")
+    # Synthesizing again over longer stale files leaves the fresh bytes, and
+    # a chart that is a link stays one.
+    assert log[-1]["args"][-4:] == ["-o", "<OUT>/charts/again", "--dot", "<OUT>/dot/again"]
+    assert log[-1]["code"] == 0 and not log[-1]["stderr"]
+    for fresh, again in (("charts/coffee", "charts/again"), ("dot/coffee", "dot/again")):
+        written = {path.name: path.read_bytes() for path in (tmp_path / again).iterdir()}
+        assert written == {path.name: path.read_bytes() for path in (tmp_path / fresh).iterdir()}
+    assert (tmp_path / "charts/again/User.sc").is_symlink()
     # Every JSON report is in the canonical form docs/formats.md states.
     reports = [run["stdout"] for run in log if "--json" in run["args"] and run["code"] != 2]
     assert reports
