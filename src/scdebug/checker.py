@@ -1,13 +1,14 @@
 """Reverse direction: replay scenarios against a (possibly edited) chart
 and search for a fewest-edit repair when they no longer fit.
 
-Replay cuts a diagram into the object's spans (``receive_spans``: the
-leading sends, then each received message with the sends after it) and
-follows every state of the flattened chart they can reach, one span at a
-time.  A transition takes a span on the span's event when the span's sends
-appear, in order, among its actions; missing sends are tolerated, alien
-sends are not.  A guard is read on the pre face of the span's received
-message, on the object's annotated ``Lifeline``.
+Replay and the repair search cut a diagram into the object's spans
+(``synthesizer.spans``) and walk them in one place, ``forward``: per span,
+the flattened chart's states reachable after it, each with the first
+transition into it.  A transition takes a span on the span's event when
+the span's sends appear, in order, among its actions; missing sends are
+tolerated, alien sends are not.  Replay walks under a guard filter, a
+guard read on the pre face of the span's received message on the object's
+annotated ``Lifeline``, and recovers the first path.
 
 Repair runs iterative deepening over message deletions and insertions of
 the events the chart receives, so the first solution found has minimal
@@ -15,14 +16,13 @@ cost; tie-breaking is total (fewest edits, deletes before inserts, lower
 positions first, chart transition order, then sender order).  Each depth
 is one loop over a stack holding, per node on the edit path, the node, its
 edits and the iterator of its moves not yet tried.  A node one edit above
-the depth judges its leaves together: ``_leaf_test(chart, by_event,
-diagram, obj)`` follows the flat chart's guard-blind replay state sets
-(``by_event``: its transitions by event) over the diagram's spans for
-``obj``, and tells whether the diagram fits, which deletes fit (a delete
-changes one span or merges two) and, as one set per span and cut, which
-events an insert may add.  Every leaf counts as explored, but only those
-that pass are built, annotated once and, against a chart with guards,
-replayed.  Guards only remove transitions, so no repair is lost.
+the depth judges its leaves together: ``_leaf_test`` reads the guard-blind
+forward walk and a backward table over the node's spans, and tells whether
+the diagram fits, which deletes fit (a delete changes one span or merges
+two) and, as one set per span and cut, which events an insert may add.
+Every leaf counts as explored, but only those that pass are built,
+annotated once and, against a chart with guards, replayed.  Guards only
+remove transitions, so no repair is lost.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .model import (
 )
 from .annotator import AnnotationError, annotate, check_arguments
 from .dsl import _conjunction, split_label_args
-from .synthesizer import COMPLETION, flatten, receive_spans, span_event
+from .synthesizer import COMPLETION, flatten, spans, takes_step
 
 class ReplayStep(NamedTuple):
     """A span taken from ``from_state`` by ``transition``, which leads to the next
@@ -102,17 +102,11 @@ def _takes(t: Transition, event: str, sends) -> bool:
     return t.event == event and all(x in actions for x in sends)
 
 
-def _has_guards(flat: Statechart) -> bool:
-    return any(t.guard for t in flat.transitions)
-
-
 def _guard_holds(guard, vector, dt: DomainTheory, strict: bool) -> bool:
     """Three-valued guard check: undetermined cells, and a missing vector,
     satisfy any guard unless strict mode is on."""
-    if not guard:
-        return True
     if vector is None:
-        return not strict
+        return not (guard and strict)
     for var_name, value in guard:
         var = dt.variable(var_name)
         if var is None:
@@ -123,6 +117,35 @@ def _guard_holds(guard, vector, dt: DomainTheory, strict: bool) -> bool:
     return True
 
 
+def _by(transitions, field: str) -> dict:
+    """The transitions grouped by one of their fields, each group in chart order."""
+    groups: dict[str, list[Transition]] = {}
+    for t in transitions:
+        groups.setdefault(getattr(t, field), []).append(t)
+    return groups
+
+
+def forward(by_source: dict, start: dict, cut, admits=None) -> list[dict]:
+    """``start``, then per span of ``cut`` every state the spans so far can end in,
+    mapped to the first transition into it (None where the span takes no step).
+    States go in order and the transitions out of each (``by_source``) in chart
+    order, so a level's first state ends the first path of its length, and the
+    transition into a state comes from that state's first path.  ``admits(i, t)``,
+    when given, also decides whether t may take span i."""
+    levels = [start]
+    for i, (received, event, sends) in enumerate(cut):
+        if not takes_step(received, sends):
+            levels.append(dict.fromkeys(levels[-1]))
+            continue
+        level = {}
+        for state in levels[-1]:
+            for t in by_source.get(state, ()):
+                if _takes(t, event, sends) and (admits is None or admits(i, t)):
+                    level.setdefault(t.target, t)
+        levels.append(level)
+    return levels
+
+
 def replay(
     sd: SequenceDiagram,
     obj: str,
@@ -131,62 +154,42 @@ def replay(
     strict_guards: bool = False,
     line: Lifeline | None = None,
 ) -> ReplayTrace:
-    """Walk the chart one span of the object's lifeline (``receive_spans``)
-    at a time.
-
-    Merged charts may offer several matching transitions from one state, so
-    the walk follows every chart state the spans can reach.  The diagram is
-    accepted when a path consumes every span; the trace is the first such
-    path in transition order.
-    A rejection reports the deepest prefix reached.  Guards are evaluated
-    on ``line``, the object's annotated lifeline in the diagram, made here
-    when not given.
-    """
+    """Walk the chart ``forward`` over the object's spans, following every
+    state they can reach.  An accepted trace is the first path that takes
+    every span in transition order; a rejected one the first path to the
+    deepest span reached, then the step no transition takes.  Guards are
+    evaluated on ``line``, the object's annotated lifeline in the diagram,
+    made here when not given."""
     flat = flatten(chart)
     if obj not in sd.objects:
         return ReplayTrace(())
+    by_source = _by(flat.transitions, "source")
+    cut = spans(sd.messages, obj)
+    admits = None
+    if any(t.guard for t in flat.transitions):
+        if line is None:
+            line = annotate(sd, dt)[0][obj]
+        vectors = [None if received is None  # the received message's pre face
+                   else line.faces[2 * bisect_left(line.messages, received.id, key=attrgetter("id"))]
+                   for received, _, _ in cut]
 
-    if line is None and _has_guards(flat):
-        line = annotate(sd, dt)[0][obj]
+        def admits(i, t):
+            return _guard_holds(t.guard, vectors[i], dt, strict_guards)
 
-    by_source: dict[str, list[Transition]] = {}
-    for t in flat.transitions:
-        by_source.setdefault(t.source, []).append(t)
-
-    spans = [(received, span_event(received), tuple(m.event() for m in sends))
-             for received, sends in receive_spans(sd.messages, obj)
-             if received is not None or sends]  # an empty leading span takes no step
-
-    # levels[i] maps every state the first i spans can end in to the step
-    # that reached it first.  States and their transitions are taken in
-    # order, so each level's first entry ends the first path of its length
-    # in transition order, and the step into any state comes from that
-    # state's first path.
-    levels: list[dict] = [{flat.initial: None}]
-    for received, event, sends in spans:
-        vector = None
-        if line is not None and received is not None:  # its pre face
-            vector = line.faces[2 * bisect_left(line.messages, received.id, key=attrgetter("id"))]
-        level: dict[str, ReplayStep] = {}
-        for state in levels[-1]:
-            for t in by_source.get(state, ()):
-                if _takes(t, event, sends) and _guard_holds(t.guard, vector, dt, strict_guards):
-                    level.setdefault(t.target, ReplayStep(received, state, t))
-        if not level:
-            break
-        levels.append(level)
-
-    state = next(iter(levels[-1]))
+    levels = forward(by_source, {flat.initial: None}, cut, admits)
+    depth = next((i for i, level in enumerate(levels) if not level), len(levels)) - 1
+    state = next(iter(levels[depth]))
     path = []
-    if len(levels) <= len(spans):  # rejected
-        received, event, sends = spans[len(levels) - 1]
+    if depth < len(cut):  # rejected
+        received, event, sends = cut[depth]
         reason = _mismatch_reason(by_source.get(state, []), event, sends)
         path.append(ReplayStep(received, state, None, reason))
-    for level in reversed(levels[1:]):
-        path.append(level[state])
-        state = path[-1].from_state
-    path.reverse()
-    return ReplayTrace(tuple(path))
+    for i in range(depth, 0, -1):
+        t = levels[i][state]
+        if t is not None:
+            path.append(ReplayStep(cut[i - 1][0], t.source, t))
+            state = t.source
+    return ReplayTrace(tuple(reversed(path)))
 
 
 def _mismatch_reason(candidates, event: str, sends) -> str:
@@ -217,45 +220,40 @@ def insert_candidates(chart: Statechart, sd: SequenceDiagram, obj: str):
     return [(label, args, sender) for label, args in events for sender in senders]
 
 
-def _step(by_event: dict, states: set, event: str, sends: tuple, backward: bool = False) -> set:
-    """Where a span leads from states, or backward, from where into them."""
-    if event == COMPLETION and not sends:  # an empty leading span
-        return states
-    if backward:
-        return {t.source for t in by_event.get(event, ()) if t.target in states and _takes(t, event, sends)}
-    return {t.target for t in by_event.get(event, ()) if t.source in states and _takes(t, event, sends)}
-
-
-def _leaf_test(chart: Statechart, by_event: dict, diagram: SequenceDiagram, obj: str):
+def _leaf_test(chart: Statechart, by_source: dict, by_event: dict, diagram: SequenceDiagram, obj: str):
     """Guard-blind verdicts: whether diagram fits, whether deleting message pos
     fits (listed by pos - 1), and pos -> the events whose insert at pos fits."""
-    events = [(span_event(received), tuple(m.event() for m in sends))
-              for received, sends in receive_spans(diagram.messages, obj)]
-    fwd, back = [{chart.initial}], [{chart.initial, *(t.target for t in chart.transitions)}]
-    for (event, sends), (b_event, b_sends) in zip(events, reversed(events)):
-        fwd.append(_step(by_event, fwd[-1], event, sends))
-        back.insert(0, _step(by_event, back[0], b_event, b_sends, backward=True))
+    cut = spans(diagram.messages, obj)
+    fwd = forward(by_source, {chart.initial: None}, cut)
+    # back[k]: the states from which spans k, k + 1, ... can be taken (k >= 1).
+    back = [None] * len(cut) + [{chart.initial, *(t.target for t in chart.transitions)}]
+    for k in range(len(cut) - 1, 0, -1):
+        _, event, sends = cut[k]
+        back[k] = {t.source for t in by_event.get(event, ()) if t.target in back[k + 1] and _takes(t, event, sends)}
+
+    def step(a: int, sends: tuple) -> dict:  # where span a, with these sends, leads from fwd[a]
+        return forward(by_source, fwd[a], [(cut[a][0], cut[a][1], sends)])[1]
+
     accepted, deletable, where = bool(fwd[-1]), [], []
-    a = cut = 0  # the span of the next position, and its sends before it
+    a = at = 0  # the span of the next position, and its sends before it
     for m in diagram.messages:
-        where.append((a, cut))
-        event, sends = events[a]
+        where.append((a, at))
+        sends = cut[a][2]
         if m.receiver == obj:  # spans a and a + 1 merge
-            deletable.append(not _step(by_event, fwd[a], event, sends + events[a + 1][1]).isdisjoint(back[a + 2]))
-            a, cut = a + 1, 0
+            deletable.append(not back[a + 2].isdisjoint(step(a, sends + cut[a + 1][2])))
+            a, at = a + 1, 0
         elif m.sender == obj:
-            deletable.append(not _step(by_event, fwd[a], event, sends[:cut] + sends[cut + 1:]).isdisjoint(back[a + 1]))
-            cut += 1
+            deletable.append(not back[a + 1].isdisjoint(step(a, sends[:at] + sends[at + 1:])))
+            at += 1
         else:
             deletable.append(accepted)
-    where.append((a, cut))
+    where.append((a, at))
 
     @cache
-    def fitting(a: int, cut: int) -> set:
-        # An insert splits span a at the cut: a transition on its event leads from
+    def fitting(a: int, at: int) -> set:
+        # An insert splits span a at ``at``: a transition on its event leads from
         # where the span's head goes to where the later spans start, covering the tail.
-        event, sends = events[a]
-        heads, tail = _step(by_event, fwd[a], event, sends[:cut]), sends[cut:]
+        heads, tail = step(a, cut[a][2][:at]), cut[a][2][at:]
         return {e for e, ts in by_event.items() if e != COMPLETION and any(
             t.source in heads and t.target in back[a + 1] and _takes(t, e, tail) for t in ts)}
 
@@ -283,10 +281,8 @@ def repair(
         raise ValueError("max_edits must be >= 0")
     chart = flatten(chart)
     candidates = [(*c, Message(0, *c, obj).event()) for c in insert_candidates(chart, sd, obj)]
-    by_event: dict[str, list[Transition]] = {}
-    for t in chart.transitions:
-        by_event.setdefault(t.event, []).append(t)
-    guarded = _has_guards(chart)
+    by_source, by_event = _by(chart.transitions, "source"), _by(chart.transitions, "event")
+    guarded = any(t.guard for t in chart.transitions)
 
     def works(leaf: SequenceDiagram) -> bool:
         # The leaf passed the guard-blind test, which only guards can overrule.
@@ -297,7 +293,7 @@ def repair(
         return not conflicts and (not guarded or replay(leaf, obj, chart, dt, strict_guards, lines[obj]).accepted)
 
     explored = 1  # the diagram itself, at depth 0
-    root_test = _leaf_test(chart, by_event, sd, obj)
+    root_test = _leaf_test(chart, by_source, by_event, sd, obj)
     if root_test[0] and works(sd):
         return RepairResult((), sd)
     for depth in range(1, max_edits + 1):
@@ -307,7 +303,7 @@ def repair(
                 n, test = len(child.messages), None
                 if len(stack) == depth - 1:  # every leaf is counted, and only those the test passes are built
                     explored += n + (n + 1) * len(candidates)
-                    test = root_test if child is sd else _leaf_test(chart, by_event, child, obj)
+                    test = root_test if child is sd else _leaf_test(chart, by_source, by_event, child, obj)
                 stack.append((child, edits, _moves(n, obj, candidates, test)))
             current, path, moves = stack[-1]
             edit, child = next(moves, None), None
@@ -340,14 +336,15 @@ def check_all(
     ``AnnotationError`` before any replay, guards or none."""
     for sd in sds:
         check_arguments(dt, sd.messages)
+    flat = {obj: flatten(chart) for obj, chart in chart_map.items()}
     records = []
     for sd in sds:
         lines = None  # the diagram's lifelines, annotated for the first guarded chart
         for obj in sd.objects:
-            if obj not in chart_map:
+            if obj not in flat:
                 continue
-            chart = flatten(chart_map[obj])
-            if lines is None and _has_guards(chart):
+            chart = flat[obj]
+            if lines is None and any(t.guard for t in chart.transitions):
                 lines, _ = annotate(sd, dt)
             trace = replay(sd, obj, chart, dt, strict_guards, None if lines is None else lines[obj])
             if trace.accepted:

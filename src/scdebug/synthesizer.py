@@ -1,11 +1,14 @@
 """Statechart synthesis from annotated, conflict-free sequence diagrams.
 
 Per object: the distinct state vectors along its ``Lifeline`` become states,
-and each span of the lifeline (``receive_spans``: a received message with
-the sends after it, or the leading sends) becomes a transition on the
-span's event whose actions are the span's sends.  A chart is its initial
-state and its transitions; its states follow in first-visit order, the
-initial one first, so it is always ``N1``.
+and each span of the lifeline becomes a transition on the span's event
+whose actions are the span's sends.  ``spans`` is the one place a lifeline
+is cut into spans (a received message with the sends after it, or the
+leading sends), and ``takes_step`` the one place that says which spans a
+transition takes; replay and the repair search read the same cut and walk
+it with ``checker.forward``.  A chart is its initial state and its
+transitions; its states follow in first-visit order, the initial one
+first, so it is always ``N1``.
 Vectors made equal by unification collapse into a single state, which is
 exactly where loops appear.  Charts from several diagrams are merged by
 unifying state keys.  States are then nested by state variable: the first
@@ -59,33 +62,32 @@ class FlatChart(namedtuple("FlatChart", "object initial transitions")):
         return tuple(dict.fromkeys([self.initial, *(key for t in self.transitions for key in t[:2])]))
 
 
-def receive_spans(messages, obj: str):
-    """The object's lifeline cut before each message it receives.
-
-    Span 0 is (None, the sends before the first receive); span k is (the
-    k-th received message, the sends after it, up to the next receive).  A
-    self-message is a receive, and a send is a message the object sends to
-    another object, so the spans' messages in order are the lifeline.
+def spans(messages, obj: str) -> list:
+    """The object's lifeline cut before each message it receives, as
+    (received, event, sends) per span, ``sends`` the events of the sends.
+    Span 0, always there, is (None, COMPLETION, the sends before the first
+    receive).  A self-message is a receive, and a send is a message the
+    object sends to another object, so the spans' messages are the lifeline.
     """
-    spans = [(None, [])]
+    cut = [(None, COMPLETION, [])]
     for m in messages:
         if m.receiver == obj:
-            spans.append((m, []))
+            cut.append((m, m.event(), []))
         elif m.sender == obj:
-            spans[-1][1].append(m)
-    return spans
+            cut[-1][2].append(m.event())
+    return [(received, event, tuple(sends)) for received, event, sends in cut]
 
 
-def span_event(received) -> str:
-    """The event a span's transition is taken on."""
-    return COMPLETION if received is None else received.event()
+def takes_step(received, sends) -> bool:
+    """Every span but an empty span 0 is taken by a transition."""
+    return received is not None or bool(sends)
 
 
 def synth_object_chart(sd: SequenceDiagram, obj: str, line: Lifeline, dt: DomainTheory) -> FlatChart:
     """Build the object's flat chart from its lifeline ``line``: each span
-    leads from the gap before its first message to the gap after its last,
-    and an empty leading span takes no step.  A gap's state is its last
-    face, which the final frame sweep left holding the join of its faces.
+    that takes a step leads from the gap before its first message to the
+    gap after its last.  A gap's state is its last face, which the final
+    frame sweep left holding the join of its faces.
     Raises ConflictedInputError with the object's conflicts when it has any."""
     conflicts = detect_conflicts(sd, obj, line, dt)
     if conflicts:
@@ -96,11 +98,10 @@ def synth_object_chart(sd: SequenceDiagram, obj: str, line: Lifeline, dt: Domain
     gaps = faces[::2] + faces[-1:] or [(None,) * dt.width]
     transitions = []
     start = 0  # lifeline index of the span's first message
-    for received, sends in receive_spans(line.messages, obj):
+    for received, event, sends in spans(line.messages, obj):
         end = start + (received is not None) + len(sends)
-        if end > start:
-            transitions.append((gaps[start], gaps[end], span_event(received),
-                                tuple(m.event() for m in sends)))
+        if takes_step(received, sends):
+            transitions.append((gaps[start], gaps[end], event, sends))
         start = end
     return FlatChart(obj, gaps[0], tuple(dict.fromkeys(transitions)))
 

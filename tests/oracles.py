@@ -21,10 +21,7 @@ from scdebug.checker import (
     RepairResult,
     ReplayStep,
     ReplayTrace,
-    _guard_holds,
-    _mismatch_reason,
     insert_candidates,
-    replay,
 )
 from scdebug.dsl import IDENT, ParseError, split_label_args
 from scdebug.model import (
@@ -42,7 +39,7 @@ from scdebug.model import (
     unify,
     walk,
 )
-from scdebug.synthesizer import COMPLETION, flatten
+from scdebug.synthesizer import COMPLETION
 
 
 def participants(msg):
@@ -95,7 +92,7 @@ def receive_projection(line, obj):
 
 
 def edit_script_succeeds(sd, obj, chart, dt) -> bool:
-    if not replay(sd, obj, chart, dt).accepted:
+    if not replay_dfs(sd, obj, chart, dt).accepted:
         return False
     try:
         _, conflicts = annotate(sd, dt)
@@ -109,7 +106,7 @@ def theory_and_chart_messages(dt, chart):
     declaration order, then every chart event not already listed."""
     out = [(spec.name, combo) for spec in dt.specs
            for combo in itertools.product(*(dom.values() for _, dom in spec.params))]
-    out += [split_label_args(t.event) for t in flatten(chart).transitions if t.event != COMPLETION]
+    out += [split_label_args(t.event) for t in flatten_rebuilt(chart).transitions if t.event != COMPLETION]
     return list(dict.fromkeys(out))
 
 
@@ -161,13 +158,13 @@ def repair_dfs(sd, obj, chart, dt, max_edits=4, strict_guards=False):
     deletes, then inserts, lower positions first, candidates in
     insert_candidates order.  A leaf works when replay accepts it and it
     annotates without error or conflict."""
-    chart = flatten(chart)
+    chart = flatten_rebuilt(chart)
     candidates = insert_candidates(chart, sd, obj)
     explored = 0
 
     def works(current):
         try:
-            if not replay(current, obj, chart, dt, strict_guards).accepted:
+            if not replay_dfs(current, obj, chart, dt, strict_guards).accepted:
                 return False
             _, conflicts = annotate(current, dt)
         except AnnotationError:
@@ -203,8 +200,10 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
     """Replay by depth-first backtracking, trying matching transitions in
     chart order: the first complete path found is accepted, else the first
     dead end at the greatest depth is reported.  Exponential in the number
-    of received messages on nondeterministic charts."""
-    flat = flatten(chart)
+    of received messages on nondeterministic charts.  Reads the chart
+    through ``flatten_rebuilt`` and tests guards and words rejections
+    itself, so it shares no replay code with ``scdebug.checker``."""
+    flat = flatten_rebuilt(chart)
     if obj not in sd.objects:
         return ReplayTrace(())
     lines = None
@@ -224,18 +223,32 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
     if not todo:
         return ReplayTrace(())
 
+    def holds(guard, vector):
+        # Three-valued: an undetermined cell, or no vector at all, satisfies
+        # an atom unless guards are strict; an unknown variable satisfies none.
+        if vector is None:
+            return not strict_guards
+        cells = {var.name: vector[var.index] for var in dt.variables}
+        return all(name in cells and (cells[name] == value or (cells[name] is None and not strict_guards))
+                   for name, value in guard)
+
+    def covering(state, event, sends):
+        return [t for t in by_source.get(state, []) if t.event == event and _is_subsequence(sends, t.actions)]
+
     def matches(state, idx):
         _, event, sends, vector = todo[idx]
-        for t in by_source.get(state, []):
-            if t.event != event or not _is_subsequence(sends, t.actions):
-                continue
-            if t.guard:
-                if vector is None:
-                    if strict_guards:
-                        continue
-                elif not _guard_holds(t.guard, vector, dt, strict_guards):
-                    continue
-            yield t
+        return (t for t in covering(state, event, sends) if not t.guard or holds(t.guard, vector))
+
+    def why_not(state, event, sends):
+        guards = ["[" + " and ".join(f"{name} = {value}" for name, value in t.guard) + "]"
+                  for t in covering(state, event, sends)]
+        if guards:
+            return "guard " + " or ".join(guards) + " does not hold"
+        if event == COMPLETION:
+            return "no completion transition covers the leading sends"
+        if not any(t.event == event for t in by_source.get(state, [])):
+            return f"no transition on event {event!r}"
+        return f"sends {list(sends)} not covered by actions of any {event!r} transition"
 
     best, path = [], []
     stack = [[flat.initial, matches(flat.initial, 0), False]]
@@ -251,12 +264,33 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
             continue
         stack.pop()
         if not top[2] and len(path) + 1 > len(best):
-            msg, event, sends, _ = todo[len(path)]
-            reason = _mismatch_reason(by_source.get(top[0], []), event, sends)
-            best = path + [ReplayStep(msg, top[0], None, reason)]
+            best = path + [top[0]]  # the steps so far, then the dead end's state
         if path:
             path.pop()
-    return ReplayTrace(tuple(best))
+    *steps, state = best
+    msg, event, sends, _ = todo[len(steps)]
+    return ReplayTrace((*steps, ReplayStep(msg, state, None, why_not(state, event, sends))))
+
+
+def leaf_verdicts(sd, obj, chart, dt):
+    """What the repair search's leaf test decides about a diagram, found by
+    building every diagram one edit away and replaying it with
+    ``replay_dfs``: (whether the diagram is accepted, whether each delete
+    is, by position, and the chart events whose insert at each position
+    is, from position 1).  Inserts are sent by the first other object.
+    The leaf test ignores guards, so ``chart`` should have none."""
+    flat = flatten_rebuilt(chart)
+    sender = next((o for o in sd.objects if o != obj), obj)
+    events = dict.fromkeys(t.event for t in flat.transitions if t.event != COMPLETION)
+
+    def accepted(diagram):
+        return replay_dfs(diagram, obj, flat, dt).accepted
+
+    n = len(sd.messages)
+    fits = [{e for e in events
+             if accepted(apply_edit(sd, Insert(Message(pos, *split_label_args(e), sender, obj))))}
+            for pos in range(1, n + 2)]
+    return accepted(sd), [accepted(apply_edit(sd, Delete(pos))) for pos in range(1, n + 1)], fits
 
 
 def identification_scan(sd, dt, lines):

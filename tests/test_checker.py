@@ -17,9 +17,9 @@ from scdebug.dsl import parse_domain_theory, parse_sc, parse_sd
 from scdebug.model import Delete, Insert, Message, SequenceDiagram, apply_edit
 from scdebug.synthesizer import flatten, synth_object_chart, synthesize, to_statechart
 
-from conftest import read
+from conftest import leaf_test, read
 from gen import conflict_free_pair, gen_replay_case
-from oracles import brute_force_min_cost, mutation_candidates, repair_dfs, replay_dfs
+from oracles import brute_force_min_cost, leaf_verdicts, mutation_candidates, repair_dfs, replay_dfs
 
 
 @pytest.fixture(scope="module")
@@ -389,6 +389,28 @@ class TestRepair:
         assert calls["annotate"] == calls["apply_edit"] > 0
 
 
+class TestLeafTest:
+    def test_matches_independent_replay(self):
+        # With guards taken off, the leaf test's verdict on a diagram, on
+        # each delete and on each insert equals replay_dfs's on the diagram
+        # each leaf builds.
+        rng = random.Random(37)
+        seen = Counter()
+        for _ in range(1000):
+            dt, chart, sd = gen_replay_case(rng)
+            chart = chart._replace(transitions=tuple(t._replace(guard=()) for t in chart.transitions))
+            accepted, deletable, fitting = leaf_test(chart, sd, "M")
+            expected, deletes, inserts = leaf_verdicts(sd, "M", chart, dt)
+            assert (accepted, deletable) == (expected, deletes), (chart, sd)
+            assert [fitting(pos) for pos in range(1, len(sd.messages) + 2)] == inserts, (chart, sd)
+            seen["accepted"] += accepted
+            seen["rejected"] += not accepted
+            seen["delete fits"] += any(deletes)
+            seen["delete refused"] += not all(deletes)
+            seen["insert fits"] += any(inserts)
+        assert min(seen.values()) > 100, seen
+
+
 class TestCheckAll:
     def test_all_consistent(self, sd1, sd2, coffee_dt):
         charts, _ = synthesize(coffee_dt, [sd1, sd2])
@@ -412,6 +434,22 @@ class TestCheckAll:
         records = check_all(stepper_dt, {"M": m, "Env": env}, [stepper_sd])
         assert [r.trace.accepted for r in records] == [True, True]
         assert calls["annotate"] == 1
+
+    def test_flattens_each_chart_once(self, monkeypatch, sd1, sd2, coffee_dt):
+        # Three diagrams against the synthesized coffee charts: each chart
+        # with a composite is flattened once per run, not once per diagram.
+        charts, _ = synthesize(coffee_dt, [sd1, sd2])
+        nested = [obj for obj, chart in charts.items() if any(n.is_composite for n in chart.nodes)]
+        calls = Counter()
+
+        def counting(chart):
+            calls[chart.name] += any(n.is_composite for n in chart.nodes)
+            return flatten(chart)
+
+        monkeypatch.setattr(checker, "flatten", counting)
+        records = check_all(coffee_dt, charts, [sd1, sd2, sd1])
+        assert [r.trace.accepted for r in records] == [True] * 9 and nested
+        assert calls == Counter(dict.fromkeys(nested, 1))
 
     def test_unmapped_objects_skipped(self, stepper_sd, stepper_dt, stepper_charts):
         records = check_all(stepper_dt, {"M": stepper_charts["M"]}, [stepper_sd])

@@ -1,7 +1,8 @@
 """Bounded-exhaustive checks at scope 1: every theory of one Boolean and two
 contexts against every diagram of up to three messages between two objects,
-for annotation, synthesis, replay and renaming; and repair on a slice of
-that scope (see ``test_scope_one_repair``).
+for annotation, synthesis, replay and renaming; the repair search's leaf
+test against every chart synthesized there; and repair on a slice of that
+scope (see ``test_scope_one_repair``).
 
 Defects that random corpora reach only by luck show first on small inputs
 checked exhaustively (the small-scope hypothesis, Jackson, *Software
@@ -15,9 +16,10 @@ from scdebug.annotator import annotate
 from scdebug.checker import repair, replay
 from scdebug.dsl import parse_domain_theory, print_sc
 from scdebug.model import Message, SequenceDiagram
-from scdebug.synthesizer import synthesize
+from scdebug.synthesizer import flatten, synthesize
 
-from oracles import annotate_eager, brute_force_min_cost
+from conftest import leaf_test
+from oracles import annotate_eager, brute_force_min_cost, leaf_verdicts
 
 CLAUSES = ("", " x = T ;", " x = F ;")  # none, x = T, x = F
 OBJECTS = ("P", "Q")
@@ -76,6 +78,29 @@ def test_scope_one():
             assert {obj: print_sc(chart) for obj, chart in renamed_charts.items()} == {
                 SWAP[obj]: print_sc(chart._replace(name=SWAP[obj])) for obj, chart in charts.items()}, (dt, sd)
     assert (pairs, conflict_free) == (6804, 4420)
+
+
+def test_scope_one_leaf_test():
+    # Against each distinct chart synthesized for Q at scope 1 (renaming P
+    # and Q gives those of P), the leaf test's verdict on every diagram of
+    # 1-2 messages, on each delete and on each insert equals replay_dfs's
+    # on the diagram the edit builds.
+    sds = list(diagrams())
+    charts = {}
+    for dt in theories():
+        for sd in sds:
+            if not annotate(sd, dt)[1]:
+                chart = flatten(synthesize(dt, [sd])[0]["Q"])
+                charts.setdefault((chart.initial, chart.transitions), (dt, chart))
+    short, seen = [sd for sd in sds if len(sd.messages) <= 2], Counter()
+    for dt, chart in charts.values():
+        for sd in short:
+            accepted, deletable, fitting = leaf_test(chart, sd, "Q")
+            expected, deletes, inserts = leaf_verdicts(sd, "Q", chart, dt)
+            assert (accepted, deletable) == (expected, deletes), (chart, sd)
+            assert [fitting(pos) for pos in range(1, len(sd.messages) + 2)] == inserts, (chart, sd)
+            seen[accepted, all(deletes), any(inserts)] += 1
+    assert len(charts) > 100 and len(seen) == 8, (len(charts), seen)
 
 
 def test_scope_one_repair():

@@ -8,14 +8,16 @@ from scdebug.annotator import annotate
 from scdebug.dsl import parse_domain_theory, parse_sc, parse_sd, print_sc
 from scdebug.model import Node, Statechart, Transition, unify, walk
 from scdebug.synthesizer import (
+    COMPLETION,
     ConflictedInputError,
     FlatChart,
     flatten,
     introduce_hierarchy,
     merge_charts,
-    receive_spans,
+    spans,
     synth_object_chart,
     synthesize,
+    takes_step,
     to_statechart,
 )
 
@@ -108,9 +110,11 @@ class TestObjectChart:
 class TestReceiveSpans:
     def test_spans_partition_the_lifeline(self):
         # Replay cases (self-messages, leading sends) and random diagrams of
-        # two or three objects: the spans' messages, in order, are the
-        # lifeline; span 0 has no received message and every later span
-        # opens with one; all other span messages go to another object.
+        # two or three objects: cut by the spans' message counts, the
+        # lifeline is the spans' received messages and sends, in order, with
+        # their events; span 0 is always there and has no received message,
+        # every later span opens with one; all other span messages go to
+        # another object; and only an empty span 0 takes no step.
         rng = random.Random(29)
         seen = Counter()
         for _ in range(800):
@@ -119,15 +123,23 @@ class TestReceiveSpans:
             else:
                 sd = gen_sd(rng, gen_theory(rng))
             for obj in sd.objects:
-                spans = receive_spans(sd.messages, obj)
-                assert spans[0][0] is None
-                assert all(received.receiver == obj for received, _ in spans[1:])
-                assert all(m.sender == obj != m.receiver for _, sends in spans for m in sends)
-                joined = [m for received, sends in spans for m in [received, *sends] if m is not None]
-                assert joined == list(lifeline(sd, obj))
+                line = list(lifeline(sd, obj))
+                start = 0
+                for k, (received, event, sends) in enumerate(spans(sd.messages, obj)):
+                    part = line[start:start + (received is not None) + len(sends)]
+                    start += len(part)
+                    assert (received is None) == (k == 0)
+                    if received is not None:
+                        assert part[0] is received and received.receiver == obj
+                    assert event == (COMPLETION if received is None else received.event())
+                    rest = part[received is not None:]
+                    assert tuple(m.event() for m in rest) == sends
+                    assert all(m.sender == obj != m.receiver for m in rest)
+                    assert takes_step(received, sends) == bool(part) and (part or k == 0)
+                assert start == len(line)
                 seen["self"] += any(m.sender == m.receiver == obj for m in sd.messages)
-                seen["leading"] += bool(spans[0][1])
-                seen["empty"] += not joined
+                seen["leading"] += bool(spans(sd.messages, obj)[0][2])
+                seen["empty"] += not line
         assert min(seen["self"], seen["leading"], seen["empty"]) > 20, seen
 
 
