@@ -3,12 +3,14 @@ and search for a fewest-edit repair when they no longer fit.
 
 Replay and the repair search cut a diagram into the object's spans
 (``synthesizer.spans``) and walk them in one place, ``forward``: per span,
-the flattened chart's states reachable after it, each with the first
-transition into it.  A transition takes a span on the span's event when
-the span's sends appear, in order, among its actions; missing sends are
-tolerated, alien sends are not.  Replay walks under a guard filter, a
-guard read on the pre face of the span's received message on the object's
-annotated ``Lifeline``, and recovers the first path.
+the states of a ``FlatChart`` reachable after it, each with the first
+transition into it.  Its state keys may be vectors, as synthesis builds
+it, or node names, as ``check_all`` flattens each parsed chart once.  A
+transition takes a span on the span's event when the span's sends appear,
+in order, among its actions; missing sends are tolerated, alien sends are
+not.  Replay walks under a guard filter, a guard read on the pre face of
+the span's received message on the object's annotated ``Lifeline``, and
+recovers the first path.
 
 Repair runs iterative deepening over message deletions and insertions of
 the events the chart receives, so the first solution found has minimal
@@ -28,6 +30,7 @@ remove transitions, so no repair is lost.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Hashable
 from functools import cache
 from itertools import chain
 from operator import attrgetter
@@ -40,20 +43,19 @@ from .model import (
     Lifeline,
     Message,
     SequenceDiagram,
-    Statechart,
     Transition,
     apply_edit,
 )
 from .annotator import AnnotationError, annotate, check_arguments
 from .dsl import _conjunction, split_label_args
-from .synthesizer import COMPLETION, flatten, spans, takes_step
+from .synthesizer import COMPLETION, FlatChart, flatten, spans, takes_step
 
 class ReplayStep(NamedTuple):
     """A span taken from ``from_state`` by ``transition``, which leads to the next
     step's state; a step no transition takes has ``mismatch`` say why instead."""
 
     message: Message | None  # the span's received message; None for the leading sends
-    from_state: str
+    from_state: Hashable  # a state key of the chart
     transition: Transition | None
     mismatch: str | None = None
 
@@ -149,7 +151,7 @@ def forward(by_source: dict, start: dict, cut, admits=None) -> list[dict]:
 def replay(
     sd: SequenceDiagram,
     obj: str,
-    chart: Statechart,
+    chart: FlatChart,
     dt: DomainTheory,
     strict_guards: bool = False,
     line: Lifeline | None = None,
@@ -160,13 +162,12 @@ def replay(
     deepest span reached, then the step no transition takes.  Guards are
     evaluated on ``line``, the object's annotated lifeline in the diagram,
     made here when not given."""
-    flat = flatten(chart)
     if obj not in sd.objects:
         return ReplayTrace(())
-    by_source = _by(flat.transitions, "source")
+    by_source = _by(chart.transitions, "source")
     cut = spans(sd.messages, obj)
     admits = None
-    if any(t.guard for t in flat.transitions):
+    if any(t.guard for t in chart.transitions):
         if line is None:
             line = annotate(sd, dt)[0][obj]
         vectors = [None if received is None  # the received message's pre face
@@ -176,7 +177,7 @@ def replay(
         def admits(i, t):
             return _guard_holds(t.guard, vectors[i], dt, strict_guards)
 
-    levels = forward(by_source, {flat.initial: None}, cut, admits)
+    levels = forward(by_source, {chart.initial: None}, cut, admits)
     depth = next((i for i, level in enumerate(levels) if not level), len(levels)) - 1
     state = next(iter(levels[depth]))
     path = []
@@ -209,18 +210,17 @@ def _mismatch_reason(candidates, event: str, sends) -> str:
 # Repair search
 
 
-def insert_candidates(chart: Statechart, sd: SequenceDiagram, obj: str):
+def insert_candidates(chart: FlatChart, sd: SequenceDiagram, obj: str):
     """Messages worth inserting: an inserted message is received by the
     object, so only the chart's own events, each once in transition order,
     sent by every other declared object in declaration order (by the object
     itself when it is alone)."""
-    events = dict.fromkeys(split_label_args(t.event) for t in flatten(chart).transitions
-                           if t.event != COMPLETION)
+    events = dict.fromkeys(split_label_args(t.event) for t in chart.transitions if t.event != COMPLETION)
     senders = [o for o in sd.objects if o != obj] or [obj]
     return [(label, args, sender) for label, args in events for sender in senders]
 
 
-def _leaf_test(chart: Statechart, by_source: dict, by_event: dict, diagram: SequenceDiagram, obj: str):
+def _leaf_test(chart: FlatChart, by_source: dict, by_event: dict, diagram: SequenceDiagram, obj: str):
     """Guard-blind verdicts: whether diagram fits, whether deleting message pos
     fits (listed by pos - 1), and pos -> the events whose insert at pos fits."""
     cut = spans(diagram.messages, obj)
@@ -271,7 +271,7 @@ def _moves(n: int, obj: str, candidates, test=None):
 def repair(
     sd: SequenceDiagram,
     obj: str,
-    chart: Statechart,
+    chart: FlatChart,
     dt: DomainTheory,
     max_edits: int = 4,
     strict_guards: bool = False,
@@ -279,7 +279,6 @@ def repair(
     """Fewest-edit repair by iterative deepening; raises NoRepairWithinBound."""
     if max_edits < 0:
         raise ValueError("max_edits must be >= 0")
-    chart = flatten(chart)
     candidates = [(*c, Message(0, *c, obj).event()) for c in insert_candidates(chart, sd, obj)]
     by_source, by_event = _by(chart.transitions, "source"), _by(chart.transitions, "event")
     guarded = any(t.guard for t in chart.transitions)

@@ -20,6 +20,7 @@ followed by ``dsl.parse_*`` gives it back unchanged.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Hashable
 from functools import cached_property
 from typing import NamedTuple
 
@@ -254,8 +255,8 @@ class Transition(NamedTuple):
     """``guard`` is a conjunction of ``(var, value)`` atoms, as a spec's
     conditions are; ``()`` is the one spelling of no guard."""
 
-    source: str
-    target: str
+    source: Hashable  # a state key: a node name, or a vector in a synthesized chart
+    target: Hashable
     event: str
     guard: tuple[tuple[str, str], ...] = ()
     actions: tuple[str, ...] = ()

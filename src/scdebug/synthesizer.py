@@ -6,9 +6,11 @@ whose actions are the span's sends.  ``spans`` is the one place a lifeline
 is cut into spans (a received message with the sends after it, or the
 leading sends), and ``takes_step`` the one place that says which spans a
 transition takes; replay and the repair search read the same cut and walk
-it with ``checker.forward``.  A chart is its initial state and its
-transitions; its states follow in first-visit order, the initial one
-first, so it is always ``N1``.
+it with ``checker.forward``.  A chart is a ``FlatChart``, its initial
+state and its ``Transition`` records, keyed by vector until
+``to_statechart`` names its states N1, N2, ... in first-visit order, the
+initial one first.  ``flatten`` gives a named chart back as a
+``FlatChart``, which replay and repair take with either kind of key.
 Vectors made equal by unification collapse into a single state, which is
 exactly where loops appear.  Charts from several diagrams are merged by
 unifying state keys.  States are then nested by state variable: the first
@@ -52,8 +54,10 @@ class ConflictedInputError(Exception):
 
 
 class FlatChart(namedtuple("FlatChart", "object initial transitions")):
-    """States are vectors (tuples of cells), transitions (from_key, to_key, event,
-    actions); ``states`` lists them in first-visit order, the initial one first."""
+    """A chart whose states are all simple: the initial state's key and the
+    ``Transition`` records between keys of any hashable type, vectors (tuples
+    of cells) when synthesized, node names when flattened; ``states`` lists
+    the keys in first-visit order, the initial one first."""
 
     __slots__ = ()
 
@@ -96,14 +100,14 @@ def synth_object_chart(sd: SequenceDiagram, obj: str, line: Lifeline, dt: Domain
     # gap's is the last post face.
     faces = line.faces
     gaps = faces[::2] + faces[-1:] or [(None,) * dt.width]
-    transitions = []
+    steps = {}  # distinct transitions' fields, so a record is built once per transition
     start = 0  # lifeline index of the span's first message
     for received, event, sends in spans(line.messages, obj):
         end = start + (received is not None) + len(sends)
         if takes_step(received, sends):
-            transitions.append((gaps[start], gaps[end], event, sends))
+            steps[gaps[start], gaps[end], event, (), sends] = None
         start = end
-    return FlatChart(obj, gaps[0], tuple(dict.fromkeys(transitions)))
+    return FlatChart(obj, gaps[0], tuple(map(Transition._make, steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +141,12 @@ def _merge_two(c1: FlatChart, c2: FlatChart) -> FlatChart:
     refined = {s: s for s in c1.states}  # c1 key -> refined key, in c1's state order
     refined[c1.initial] = init_join
     taken = {c1.initial}
-
-    for s2 in c2.states:
+    states2 = c2.states
+    for s2 in states2:
         if s2 not in match and s2 in refined and s2 not in taken:
             match[s2] = s2
             taken.add(s2)
-    for s2 in c2.states:
+    for s2 in states2:
         if s2 in match:
             continue
         for s1 in refined:
@@ -156,19 +160,20 @@ def _merge_two(c1: FlatChart, c2: FlatChart) -> FlatChart:
     def key2(s):
         return refined[match[s]] if s in match else s
 
+    def moved(t, frm, to):  # reused when its ends keep their value: a record costs more to build
+        return t if frm == t.source and to == t.target else Transition(frm, to, t.event, t.guard, t.actions)
+
     # Refinement can make two previously distinct keys coincide; collapse.
-    transitions = dict.fromkeys(
-        [(refined[frm], refined[to], event, actions) for frm, to, event, actions in c1.transitions]
-        + [(key2(frm), key2(to), event, actions) for frm, to, event, actions in c2.transitions]
-    )
+    transitions = dict.fromkeys([moved(t, refined[t.source], refined[t.target]) for t in c1.transitions]
+                                + [moved(t, key2(t.source), key2(t.target)) for t in c2.transitions])
     return FlatChart(c1.object, init_join, tuple(transitions))
 
 
 def nondeterminism_warnings(chart: FlatChart):
     """Same source state and event leading to different targets."""
     by_trigger = {}
-    for frm, to, event, actions in chart.transitions:
-        by_trigger.setdefault((frm, event), set()).add(to)
+    for t in chart.transitions:
+        by_trigger.setdefault((t.source, t.event), set()).add(t.target)
     return [
         f"{chart.object}: nondeterministic choice on event {event!r} "
         f"in state {format_vector(frm)}"
@@ -188,24 +193,20 @@ def to_statechart(chart: FlatChart) -> Statechart:
     first-visit order; vectors become comments."""
     names = {key: f"N{i}" for i, key in enumerate(chart.states, start=1)}
     nodes = tuple(Node(name, comment=format_vector(key)) for key, name in names.items())
-    transitions = tuple(
-        Transition(names[frm], names[to], event, (), actions)
-        for frm, to, event, actions in chart.transitions
-    )
+    transitions = tuple(Transition(names[frm], names[to], event, guard, actions)
+                        for frm, to, event, guard, actions in chart.transitions)
     return Statechart(chart.object, nodes, names[chart.initial], transitions)
 
 
-def flatten(chart: Statechart) -> Statechart:
-    """Inline all composite nodes; a chart without one is returned as is.
+def flatten(chart: Statechart) -> FlatChart:
+    """The chart with all composite nodes inlined, keyed by node name.
 
     A transition into a composite enters at its initial node; a transition
     out of a composite is expanded to one transition per inner node; a
     transition between two simple nodes is kept, the same object.  Equal
-    transitions are kept once, at the first.
+    transitions are kept once, at the first, with composites or without.
     """
-    if not any(n.is_composite for n in chart.nodes):
-        return chart
-    nodes: list[Node] = []
+    nodes: list[str] = []  # the simple nodes' names
     transitions: list[Transition] = []
     entry: dict[str, str] = {}
     members: dict[str, list[str]] = {}
@@ -216,11 +217,11 @@ def flatten(chart: Statechart) -> Statechart:
             if opened:
                 name, start = opened.pop()
                 entry[name] = entry.get(scope.initial, scope.initial)
-                members[name] = [m.name for m in nodes[start:]]
+                members[name] = nodes[start:]
         elif n.is_composite:
             opened.append((n.name, len(nodes)))
         else:
-            nodes.append(n)
+            nodes.append(n.name)
     # An entry is set once its scope is done, so entries and members are
     # simple nodes: one lookup resolves a target, one expansion a source.
     expanded = []
@@ -231,8 +232,7 @@ def flatten(chart: Statechart) -> Statechart:
                             else Transition(t.source, target, t.event, t.guard, t.actions))
         else:
             expanded += [Transition(src, target, t.event, t.guard, t.actions) for src in sources]
-    return Statechart(chart.name, tuple(nodes), entry.get(chart.initial, chart.initial),
-                      tuple(dict.fromkeys(expanded)))
+    return FlatChart(chart.name, entry.get(chart.initial, chart.initial), tuple(dict.fromkeys(expanded)))
 
 
 def introduce_hierarchy(chart: FlatChart) -> Statechart:
@@ -247,9 +247,9 @@ def introduce_hierarchy(chart: FlatChart) -> Statechart:
     composite enters at the node holding the chart's initial state, else at
     its first node, and its comment is the vector of the values fixed on
     its path.  Every transition stays at the top level between simple
-    states, so flattening the result gives back ``to_statechart(chart)``.
+    states, so flattening the result gives ``flatten(to_statechart(chart))``.
     """
-    flat = to_statechart(chart)
+    named = to_statechart(chart)
     states = chart.states  # the initial state is states[0]
     counter = itertools.count(1)
 
@@ -274,13 +274,13 @@ def introduce_hierarchy(chart: FlatChart) -> Statechart:
 
     # Open scopes, innermost last: name, path, unread entries, nodes so far. A
     # composite is numbered as it opens (so in pre-order), added as it closes.
-    holders = {flat.initial}  # the nodes holding the initial state
-    scopes = [(flat.name, None, split(range(len(states)), 0, (None,) * len(chart.initial)), [])]
+    holders = {named.initial}  # the nodes holding the initial state
+    scopes = [(named.name, None, split(range(len(states)), 0, (None,) * len(chart.initial)), [])]
     while True:
         comp, path, entries, nodes = scopes[-1]
         for group, start, inner_path in entries:
             if start is None:
-                nodes.append(flat.nodes[group])
+                nodes.append(named.nodes[group])
                 continue
             inner = f"G{next(counter)}"
             if 0 in group:
@@ -291,7 +291,7 @@ def introduce_hierarchy(chart: FlatChart) -> Statechart:
             scopes.pop()
             initial = next((n.name for n in nodes if n.name in holders), nodes[0].name)
             if not scopes:
-                return Statechart(flat.name, tuple(nodes), initial, flat.transitions)
+                return Statechart(named.name, tuple(nodes), initial, named.transitions)
             scopes[-1][3].append(Node(comp, Statechart(comp, tuple(nodes), initial, ()),
                                       comment=format_vector(path)))
 

@@ -6,7 +6,6 @@ import pytest
 import scdebug
 from scdebug.checker import _by, _leaf_test
 from scdebug.dsl import parse_domain_theory, parse_sd
-from scdebug.synthesizer import flatten
 
 FIXTURES = Path(__file__).parent / "fixtures"
 # Environment for `python -m scdebug.cli` children: they import the same
@@ -48,10 +47,9 @@ def known_cells(lines) -> dict:
 
 
 def leaf_test(chart, sd, obj):
-    """The repair search's ``_leaf_test`` of the flattened chart, as ``repair``
-    calls it: (accepted, deletable by position - 1, position -> fitting events)."""
-    flat = flatten(chart)
-    return _leaf_test(flat, _by(flat.transitions, "source"), _by(flat.transitions, "event"), sd, obj)
+    """The repair search's ``_leaf_test`` of a flat chart, as ``repair`` calls
+    it: (accepted, deletable by position - 1, position -> fitting events)."""
+    return _leaf_test(chart, _by(chart.transitions, "source"), _by(chart.transitions, "event"), sd, obj)
 
 
 def read(name: str) -> str:

@@ -15,9 +15,7 @@ from scdebug.model import (
     IntRangeDomain,
     Message,
     MessageSpec,
-    Node,
     SequenceDiagram,
-    Statechart,
     StateVariable,
     Transition,
 )
@@ -134,9 +132,9 @@ def gen_flat_chart(rng: random.Random, max_states=10) -> FlatChart:
         pairs += [(order[i], order[(i + 1) % n]) for i in range(n)]
     transitions = []
     for a, b in pairs:
-        quad = (a, b, rng.choice(CHART_EVENTS), rng.choice(((), ("x",))))
-        if quad not in transitions:
-            transitions.append(quad)
+        t = Transition(a, b, rng.choice(CHART_EVENTS), (), rng.choice(((), ("x",))))
+        if t not in transitions:
+            transitions.append(t)
     rng.shuffle(transitions)
     return FlatChart("X", rng.choice(states), tuple(transitions))
 
@@ -145,8 +143,8 @@ def gen_replay_case(rng: random.Random, max_states=4, max_msgs=8):
     """(theory, chart, diagram) for replaying object M.
 
     The theory specifies the chart's events over Boolean variables.  The
-    flat chart has parallel same-event edges, guards (completion edges
-    included), completion edges and actions.  The diagram mixes receives
+    ``FlatChart``, keyed by name, has parallel same-event edges, guards
+    (completion edges included), completion edges and actions.  The diagram mixes receives
     from Env, self-sends and sends to Env; half the time it follows a
     random walk of the chart, so many replays go deep or are accepted.
     """
@@ -167,7 +165,7 @@ def gen_replay_case(rng: random.Random, max_states=4, max_msgs=8):
         for _ in range(1 + (rng.random() < 0.4)):  # sometimes a parallel edge
             guard = gen_condition(rng, variables) if rng.random() < 0.3 else ()
             transitions.append(Transition(source, rng.choice(names), event, guard, actions))
-    chart = Statechart("M", tuple(Node(n) for n in names), rng.choice(names), tuple(transitions))
+    chart = FlatChart("M", rng.choice(names), tuple(transitions))
 
     msgs = []
 

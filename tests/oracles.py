@@ -1,4 +1,7 @@
-"""Independent brute-force oracles the implementation is checked against."""
+"""Independent brute-force oracles the implementation is checked against.
+
+The oracles that replay or repair take a ``synthesizer.FlatChart`` of
+either key type, vectors or node names, as ``checker`` does."""
 
 import itertools
 import re
@@ -32,14 +35,13 @@ from scdebug.model import (
     Insert,
     Lifeline,
     Message,
-    Statechart,
     Transition,
     Unified,
     apply_edit,
     unify,
     walk,
 )
-from scdebug.synthesizer import COMPLETION
+from scdebug.synthesizer import COMPLETION, FlatChart
 
 
 def participants(msg):
@@ -103,10 +105,10 @@ def edit_script_succeeds(sd, obj, chart, dt) -> bool:
 
 def theory_and_chart_messages(dt, chart):
     """(label, args) of every theory context over its parameter domains, in
-    declaration order, then every chart event not already listed."""
+    declaration order, then every event of the flat chart not already listed."""
     out = [(spec.name, combo) for spec in dt.specs
            for combo in itertools.product(*(dom.values() for _, dom in spec.params))]
-    out += [split_label_args(t.event) for t in flatten_rebuilt(chart).transitions if t.event != COMPLETION]
+    out += [split_label_args(t.event) for t in chart.transitions if t.event != COMPLETION]
     return list(dict.fromkeys(out))
 
 
@@ -158,7 +160,6 @@ def repair_dfs(sd, obj, chart, dt, max_edits=4, strict_guards=False):
     deletes, then inserts, lower positions first, candidates in
     insert_candidates order.  A leaf works when replay accepts it and it
     annotates without error or conflict."""
-    chart = flatten_rebuilt(chart)
     candidates = insert_candidates(chart, sd, obj)
     explored = 0
 
@@ -200,17 +201,16 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
     """Replay by depth-first backtracking, trying matching transitions in
     chart order: the first complete path found is accepted, else the first
     dead end at the greatest depth is reported.  Exponential in the number
-    of received messages on nondeterministic charts.  Reads the chart
-    through ``flatten_rebuilt`` and tests guards and words rejections
-    itself, so it shares no replay code with ``scdebug.checker``."""
-    flat = flatten_rebuilt(chart)
+    of received messages on nondeterministic charts.  Reads the flat chart,
+    of either key type, and tests guards and words rejections itself, so
+    it shares no replay code with ``scdebug.checker``."""
     if obj not in sd.objects:
         return ReplayTrace(())
     lines = None
-    if any(t.guard for t in flat.transitions):
+    if any(t.guard for t in chart.transitions):
         lines, _ = annotate(sd, dt)
     by_source = {}
-    for t in flat.transitions:
+    for t in chart.transitions:
         by_source.setdefault(t.source, []).append(t)
 
     line = lifeline(sd, obj)
@@ -251,7 +251,7 @@ def replay_dfs(sd, obj, chart, dt, strict_guards=False):
         return f"sends {list(sends)} not covered by actions of any {event!r} transition"
 
     best, path = [], []
-    stack = [[flat.initial, matches(flat.initial, 0), False]]
+    stack = [[chart.initial, matches(chart.initial, 0), False]]
     while stack:
         top = stack[-1]
         t = next(top[1], None)
@@ -279,12 +279,11 @@ def leaf_verdicts(sd, obj, chart, dt):
     is, by position, and the chart events whose insert at each position
     is, from position 1).  Inserts are sent by the first other object.
     The leaf test ignores guards, so ``chart`` should have none."""
-    flat = flatten_rebuilt(chart)
     sender = next((o for o in sd.objects if o != obj), obj)
-    events = dict.fromkeys(t.event for t in flat.transitions if t.event != COMPLETION)
+    events = dict.fromkeys(t.event for t in chart.transitions if t.event != COMPLETION)
 
     def accepted(diagram):
-        return replay_dfs(diagram, obj, flat, dt).accepted
+        return replay_dfs(diagram, obj, chart, dt).accepted
 
     n = len(sd.messages)
     fits = [{e for e in events
@@ -553,9 +552,7 @@ def annotate_eager(sd, dt):
 
 def flatten_rebuilt(chart):
     """``synthesizer.flatten`` building every transition anew, each one
-    between two simple nodes among them."""
-    if not any(n.is_composite for n in chart.nodes):
-        return chart
+    between two simple nodes among them, as a ``FlatChart``."""
     nodes, transitions, entry, members, opened = [], [], {}, {}, []
     for _, scope, n in walk(chart):
         if n is None:
@@ -573,8 +570,7 @@ def flatten_rebuilt(chart):
         for t in transitions
         for src in members.get(t.source, (t.source,))
     )
-    return Statechart(chart.name, tuple(nodes), entry.get(chart.initial, chart.initial),
-                      tuple(dict.fromkeys(expanded)))
+    return FlatChart(chart.name, entry.get(chart.initial, chart.initial), tuple(dict.fromkeys(expanded)))
 
 
 _ATOM_PART = re.compile(rf"({IDENT})\s*=\s*(-?\w+)")

@@ -134,9 +134,9 @@ def test_criterion_5_round_trip_suite():
             merged = merge_charts([flat])
             hier = introduce_hierarchy(merged)
             stages = {
-                "synthesized": to_statechart(flat),
-                "merged": to_statechart(merged),
-                "hierarchical": hier,
+                "synthesized": flat,
+                "merged": merged,
+                "named": flatten(to_statechart(merged)),
                 "flattened": flatten(hier),
             }
             for stage, chart in stages.items():
@@ -153,7 +153,7 @@ def test_criterion_6_repair_minimality(stepper_sd, stepper_dt):
     start = time.perf_counter()
 
     # The chart-refinement scenario: a single insertion repairs the diagram.
-    refined = parse_sc((FIXTURES / "stepper_refined/M.sc").read_text())
+    refined = flatten(parse_sc((FIXTURES / "stepper_refined/M.sc").read_text()))
     result = repair(stepper_sd, "M", refined, stepper_dt)
     assert result.cost == 1 and isinstance(result.edits[0], Insert)
     assert result.edits[0].message.label == "e3"
@@ -167,7 +167,7 @@ def test_criterion_6_repair_minimality(stepper_sd, stepper_dt):
             continue
         lines, _ = annotate(sd, dt)
         obj = max(sd.objects, key=lambda o: sum(1 for m in sd.messages if m.receiver == o))
-        chart = to_statechart(synth_object_chart(sd, obj, lines[obj], dt))
+        chart = synth_object_chart(sd, obj, lines[obj], dt)
         cands = mutation_candidates(dt, chart, sd, obj)
         mutated = sd
         for _ in range(rng.randint(1, 3)):

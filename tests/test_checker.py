@@ -15,7 +15,7 @@ from scdebug.checker import (
 )
 from scdebug.dsl import parse_domain_theory, parse_sc, parse_sd
 from scdebug.model import Delete, Insert, Message, SequenceDiagram, apply_edit
-from scdebug.synthesizer import flatten, synth_object_chart, synthesize, to_statechart
+from scdebug.synthesizer import flatten, introduce_hierarchy, synth_object_chart, synthesize, to_statechart
 
 from conftest import leaf_test, read
 from gen import conflict_free_pair, gen_replay_case
@@ -24,13 +24,13 @@ from oracles import brute_force_min_cost, leaf_verdicts, mutation_candidates, re
 
 @pytest.fixture(scope="module")
 def refined_chart():
-    return parse_sc(read("stepper_refined/M.sc"), "M.sc")
+    return flatten(parse_sc(read("stepper_refined/M.sc"), "M.sc"))
 
 
 @pytest.fixture(scope="module")
 def stepper_charts(stepper_dt, stepper_sd):
     charts, _ = synthesize(stepper_dt, [stepper_sd])
-    return charts
+    return {obj: flatten(chart) for obj, chart in charts.items()}
 
 
 class TestReplay:
@@ -38,7 +38,7 @@ class TestReplay:
         charts, _ = synthesize(coffee_dt, [sd1, sd2])
         for sd in (sd1, sd2):
             for obj in sd.objects:
-                assert replay(sd, obj, charts[obj], coffee_dt).accepted
+                assert replay(sd, obj, flatten(charts[obj]), coffee_dt).accepted
 
     def test_refined_chart_rejects(self, stepper_sd, stepper_dt, refined_chart):
         trace = replay(stepper_sd, "M", refined_chart, stepper_dt)
@@ -58,9 +58,9 @@ class TestReplay:
     def test_missing_send_tolerated_alien_send_rejected(self, stepper_dt):
         # Chart transition carries action a; a run without the send is fine,
         # a run sending something else is not.
-        chart = parse_sc(
+        chart = flatten(parse_sc(
             "statechart M\ninitial N1\nstate N1\nstate N2\nN1 -> N2 : e1 / a"
-        )
+        ))
         quiet = parse_sd("sd S\nobject Env\nobject M\nmsg 1 Env -> M : e1")
         assert replay(quiet, "M", chart, stepper_dt).accepted
         chatty = parse_sd(
@@ -70,9 +70,9 @@ class TestReplay:
 
     def test_guard_unknown_permissive_vs_strict(self):
         dt = parse_domain_theory("x : Boolean")
-        chart = parse_sc(
+        chart = flatten(parse_sc(
             "statechart M\ninitial N1\nstate N1\nstate N2\nN1 -> N2 : go [x = T]"
-        )
+        ))
         sd = parse_sd("sd S\nobject Env\nobject M\nmsg 1 Env -> M : go")
         assert replay(sd, "M", chart, dt).accepted  # x undetermined: permissive
         assert not replay(sd, "M", chart, dt, strict_guards=True).accepted
@@ -81,10 +81,10 @@ class TestReplay:
         dt = parse_domain_theory(
             "x : Boolean\ncontext set\n pre:\n post: x = T ;"
         )
-        chart = parse_sc(
+        chart = flatten(parse_sc(
             "statechart M\ninitial N1\nstate N1\nstate N2\nstate N3\n"
             "N1 -> N2 : set\nN2 -> N3 : go [x = F]"
-        )
+        ))
         sd = parse_sd(
             "sd S\nobject Env\nobject M\nmsg 1 Env -> M : set\nmsg 2 Env -> M : go"
         )
@@ -96,7 +96,7 @@ class TestReplay:
         # The .sc reader knows no theory; a guard naming a variable the
         # theory lacks rejects the step, permissive or strict.
         dt = parse_domain_theory("x : Boolean")
-        chart = parse_sc("statechart M\ninitial N1\nstate N1\nstate N2\nN1 -> N2 : go [y = T]")
+        chart = flatten(parse_sc("statechart M\ninitial N1\nstate N1\nstate N2\nN1 -> N2 : go [y = T]"))
         sd = parse_sd("sd S\nobject Env\nobject M\nmsg 1 Env -> M : go")
         for strict in (False, True):
             trace = replay(sd, "M", chart, dt, strict_guards=strict)
@@ -105,10 +105,10 @@ class TestReplay:
 
     def test_backtracks_over_nondeterminism(self, stepper_dt):
         # Two e1 transitions from N1; the greedy first choice dead-ends.
-        chart = parse_sc(
+        chart = flatten(parse_sc(
             "statechart M\ninitial N1\nstate N1\nstate N2\nstate N3\n"
             "N1 -> N2 : e1\nN1 -> N3 : e1\nN3 -> N3 : e2"
-        )
+        ))
         sd = parse_sd(
             "sd S\nobject Env\nobject M\nmsg 1 Env -> M : e1\nmsg 2 Env -> M : e2"
         )
@@ -117,11 +117,11 @@ class TestReplay:
     def test_long_ring_accepted(self, stepper_dt):
         # 1000 received messages: the walk must not recurse per message.
         k, n = 5, 1000
-        chart = parse_sc(
+        chart = flatten(parse_sc(
             "statechart M\ninitial N0\n"
             + "".join(f"state N{i}\n" for i in range(k))
             + "".join(f"N{i} -> N{(i + 1) % k} : e{i}\n" for i in range(k))
-        )
+        ))
         msgs = [Message(i, f"e{(i - 1) % k}", (), "Env", "M") for i in range(1, n + 1)]
         trace = replay(SequenceDiagram("Ring", ("Env", "M"), tuple(msgs)), "M", chart, stepper_dt)
         assert trace.accepted
@@ -144,10 +144,10 @@ class TestReplay:
     def test_nondeterministic_chain_is_not_exponential(self, stepper_dt):
         # Two e transitions out of each state: backtracking tries 2^60 paths
         # before it gives up on the final f.
-        chart = parse_sc(
+        chart = flatten(parse_sc(
             "statechart M\ninitial A\nstate A\nstate B\n"
             "A -> A : e\nA -> B : e\nB -> A : e\nB -> B : e"
-        )
+        ))
         msgs = [Message(i, "e", (), "Env", "M") for i in range(1, 61)] + [Message(61, "f", (), "Env", "M")]
         trace = replay(SequenceDiagram("Chain", ("Env", "M"), tuple(msgs)), "M", chart, stepper_dt)
         assert not trace.accepted
@@ -205,7 +205,7 @@ class TestRepair:
 
     def test_two_deletions_needed(self, stepper_dt, stepper_sd):
         charts, _ = synthesize(stepper_dt, [stepper_sd])
-        chart = charts["M"]
+        chart = flatten(charts["M"])
         # Append two junk receives the chart cannot consume; inserting can
         # never help, so the only fix is deleting both.
         sd = stepper_sd
@@ -237,7 +237,7 @@ class TestRepair:
         # Only the argument the chart receives is tried, not the whole
         # domain; each event comes from every other object in turn.
         charts, _ = synthesize(coffee_dt, [sd1])
-        cands = insert_candidates(charts["Coffee-UI"], sd1, "Coffee-UI")
+        cands = insert_candidates(flatten(charts["Coffee-UI"]), sd1, "Coffee-UI")
         events = [("Display Ready Light", ()), ("Insert coin", ()),
                   ("Enter Selection", ("Espresso",)), ("Cancel", ()), ("Release coin", ())]
         assert cands == [(label, args, sender) for label, args in events
@@ -248,7 +248,7 @@ class TestRepair:
         # other object, cannot send it without a conflict on its lifeline.
         charts, _ = synthesize(coffee_dt, [sd1, sd2])
         sd = apply_edit(sd1, Delete(4))
-        result = repair(sd, "Coffee-UI", charts["Coffee-UI"], coffee_dt, max_edits=1)
+        result = repair(sd, "Coffee-UI", flatten(charts["Coffee-UI"]), coffee_dt, max_edits=1)
         assert [e.describe() for e in result.edits] == [
             "insert Enter Selection(Espresso) (User -> Coffee-UI) at position 4"
         ]
@@ -290,7 +290,7 @@ class TestRepair:
         assert set(costs) == {0, 1, None}
 
     def test_single_deletions_match_oracle(self, coffee_dt, sd1, sd2):
-        charts, _ = synthesize(coffee_dt, [sd1, sd2])
+        charts = {obj: flatten(chart) for obj, chart in synthesize(coffee_dt, [sd1, sd2])[0].items()}
         rejected = 0
         for sd in (sd1, sd2):
             for pos in range(1, len(sd.messages) + 1):
@@ -311,7 +311,7 @@ class TestRepair:
         calls = Counter()
         for name in ("replay", "apply_edit"):
             monkeypatch.setattr(checker, name, _counting(calls, name, getattr(checker, name)))
-        found = repair(sd, "Coffee-UI", charts["Coffee-UI"], coffee_dt, max_edits=2)
+        found = repair(sd, "Coffee-UI", flatten(charts["Coffee-UI"]), coffee_dt, max_edits=2)
         assert [e.describe() for e in found.edits] == [
             "insert Enter Selection(Espresso) (User -> Coffee-UI) at position 4",
             "insert Cancel (Control -> Coffee-UI) at position 5",
@@ -321,7 +321,7 @@ class TestRepair:
     def test_leaves_no_reference_cycles(self, stepper_sd, stepper_dt, refined_chart, coffee_dt, sd1, sd2):
         # A search whose state reaches itself would leave it all as cyclic
         # garbage, which only the collector frees.
-        chart = synthesize(coffee_dt, [sd1, sd2])[0]["Coffee-UI"]
+        chart = flatten(synthesize(coffee_dt, [sd1, sd2])[0]["Coffee-UI"])
         sd = apply_edit(apply_edit(sd1, Delete(5)), Delete(4))
         gc.collect()
         enabled, flags = gc.isenabled(), gc.get_debug()
@@ -380,7 +380,7 @@ class TestRepair:
     def test_annotates_each_built_leaf_once(self, monkeypatch, stepper_sd, stepper_dt):
         # One edit deep every apply_edit call builds a leaf; replay reuses
         # the leaf's annotation for the guard.
-        chart = parse_sc(read("stepper_refined/M.sc").replace("N1 -> N2 : e1\n", "N1 -> N2 : e1 [Step = 0]\n"))
+        chart = flatten(parse_sc(read("stepper_refined/M.sc").replace("N1 -> N2 : e1\n", "N1 -> N2 : e1 [Step = 0]\n")))
         calls = Counter()
         for name in ("annotate", "apply_edit"):
             monkeypatch.setattr(checker, name, _counting(calls, name, getattr(checker, name)))
@@ -418,8 +418,8 @@ class TestCheckAll:
         assert all(r.trace.accepted and r.repair is None for r in records)
         assert len(records) == 6
 
-    def test_rejected_pair_repaired(self, stepper_sd, stepper_dt, refined_chart):
-        records = check_all(stepper_dt, {"M": refined_chart}, [stepper_sd])
+    def test_rejected_pair_repaired(self, stepper_sd, stepper_dt):
+        records = check_all(stepper_dt, {"M": parse_sc(read("stepper_refined/M.sc"), "M.sc")}, [stepper_sd])
         (rec,) = records
         assert not rec.trace.accepted
         assert rec.repair is not None and rec.repair.cost == 1
@@ -451,8 +451,22 @@ class TestCheckAll:
         assert [r.trace.accepted for r in records] == [True] * 9 and nested
         assert calls == Counter(dict.fromkeys(nested, 1))
 
-    def test_unmapped_objects_skipped(self, stepper_sd, stepper_dt, stepper_charts):
-        records = check_all(stepper_dt, {"M": stepper_charts["M"]}, [stepper_sd])
+    def test_repeated_transition_counts_once(self):
+        # A transition written twice is one transition, in a chart with a
+        # composite or without, so its failed guard is named once.
+        dt = parse_domain_theory("x : Boolean\ncontext go\n pre: x = F ;\n post: x = F ;")
+        sd = parse_sd("sd S\nobject Env\nobject M\nmsg 1 Env -> M : go")
+        twice = ["A -> B : go [x = T]"] * 2
+        flat = parse_sc("\n".join(["statechart M", "initial A", "state A", "state B", *twice]))
+        nested = parse_sc("\n".join(["statechart M", "initial G", "state G {", "initial A", "state A",
+                                     *twice, "}", "state B"]))
+        for chart in (flat, nested):
+            (rec,) = check_all(dt, {"M": chart}, [sd], max_edits=0)
+            assert rec.trace.steps[-1].mismatch == "guard [x = T] does not hold", chart
+
+    def test_unmapped_objects_skipped(self, stepper_sd, stepper_dt):
+        charts, _ = synthesize(stepper_dt, [stepper_sd])
+        records = check_all(stepper_dt, {"M": charts["M"]}, [stepper_sd])
         assert [r.object for r in records] == ["M"]
 
 
@@ -464,7 +478,7 @@ class TestMinimality:
             dt, sd = conflict_free_pair(rng, max_msgs=5, max_objs=2)
             lines, _ = annotate(sd, dt)
             obj = max(sd.objects, key=lambda o: sum(1 for m in sd.messages if m.receiver == o))
-            chart = to_statechart(synth_object_chart(sd, obj, lines[obj], dt))
+            chart = synth_object_chart(sd, obj, lines[obj], dt)
             mutated = _mutate(rng, sd, dt, chart, obj, rng.randint(1, 2))
             if mutated is None:
                 continue
@@ -482,7 +496,7 @@ class TestMinimality:
                 continue
             lines, _ = annotate(sd, dt)
             obj = max(sd.objects, key=lambda o: sum(1 for m in sd.messages if m.receiver == o))
-            chart = to_statechart(synth_object_chart(sd, obj, lines[obj], dt))
+            chart = synth_object_chart(sd, obj, lines[obj], dt)
             mutated = _mutate(rng, sd, dt, chart, obj, rng.randint(1, 2))
             found = repair(mutated, obj, chart, dt, max_edits=3)
             assert brute_force_min_cost(mutated, obj, chart, dt, found.cost) == found.cost
@@ -505,11 +519,40 @@ class TestMinimality:
             "msg 3 B -> M : go\nmsg 4 B -> M : fin\nmsg 5 B -> M : fin2"
         )
         lines, _ = annotate(sd, dt)
-        chart = to_statechart(synth_object_chart(sd, "M", lines["M"], dt))
+        chart = synth_object_chart(sd, "M", lines["M"], dt)
         mutated = apply_edit(sd, Delete(3))
         found = repair(mutated, "M", chart, dt, max_edits=2)
         assert [e.describe() for e in found.edits] == ["insert go (B -> M) at position 3"]
         assert brute_force_min_cost(mutated, "M", chart, dt, 2) == 1
+
+
+class TestKeyTypes:
+    def test_vector_and_name_keys_agree(self):
+        # A synthesized chart keyed by vector, by name, and by name after
+        # nesting and flattening: replay takes the same transitions from the
+        # same states, up to naming, and repair finds the same edits.
+        rng = random.Random(61)
+        seen = Counter()
+        for _ in range(200):
+            dt, sd = conflict_free_pair(rng, max_msgs=5, max_objs=2)
+            lines, _ = annotate(sd, dt)
+            obj = max(sd.objects, key=lambda o: sum(1 for m in sd.messages if m.receiver == o))
+            chart = synth_object_chart(sd, obj, lines[obj], dt)
+            named = to_statechart(chart)
+            name = dict(zip(chart.states, (n.name for n in named.nodes)))
+            forms = (chart, flatten(named), flatten(introduce_hierarchy(chart)))
+            mutated = _mutate(rng, sd, dt, chart, obj, rng.randint(1, 2))
+            by_vector, *by_name = [replay(mutated, obj, c, dt) for c in forms]
+            renamed = tuple(step._replace(
+                from_state=name[step.from_state],
+                transition=step.transition and step.transition._replace(
+                    source=name[step.transition.source], target=name[step.transition.target]))
+                for step in by_vector.steps)
+            assert by_name == [by_vector._replace(steps=renamed)] * 2, (sd, mutated)
+            found = [_outcome(repair, mutated, obj, c, dt, 2) for c in forms]
+            assert found == [found[0]] * 3, (sd, mutated)
+            seen[by_vector.accepted, getattr(found[0], "cost", None)] += 1
+        assert {(True, 0), (False, 1), (False, 2)} <= set(seen), seen
 
 
 def _outcome(search, *args):

@@ -270,7 +270,7 @@ class TestCheck:
         again = parse_sc(print_sc(chart))
         assert again == chart and not again != chart and hash(again) == hash(chart)
         flat = flatten(chart)
-        assert ([n.name for n in flat.nodes], flat.initial) == (["Leaf"], "Leaf")
+        assert (flat.states, flat.initial) == (("Leaf",), "Leaf")
         assert export_dot(chart).count("subgraph") == depth
         charts = tmp_path / "charts"
         charts.mkdir()

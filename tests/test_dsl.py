@@ -31,7 +31,7 @@ from scdebug.model import (
     apply_edit,
 )
 from scdebug.report import export_dot
-from scdebug.synthesizer import synthesize
+from scdebug.synthesizer import flatten, synthesize
 
 from conftest import read
 from gen import UNSPECIFIED, gen_theory, mergeable_corpus
@@ -626,7 +626,7 @@ def test_records_built_in_code_read_back():
         pair = frozenset(rng.sample(range(1, len(sd.messages) + 1), 2))
         sd = apply_edit(sd._replace(no_loop=frozenset({pair})), Delete(cut))
         try:
-            result = repair(sd, obj, built[obj], dt, max_edits=2)
+            result = repair(sd, obj, flatten(built[obj]), dt, max_edits=2)
         except NoRepairWithinBound:
             continue
         assert parse_sd(print_sd(result.repaired)) == result.repaired

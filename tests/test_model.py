@@ -207,7 +207,7 @@ def _chart(**changes):
 
 def _flat():
     a, b = ("T",), ("F",)
-    return FlatChart("O", a, ((a, b, "e", ()),))
+    return FlatChart("O", a, (Transition(a, b, "e"),))
 
 
 def _rejected():
@@ -241,7 +241,8 @@ def test_records_derive_what_their_fields_fix():
     assert ReplayStep._fields == ("message", "from_state", "transition", "mismatch")
     assert Insert._fields == ("message",)
     a, b, c = ("T",), ("F",), (None,)
-    assert FlatChart("O", c, ((a, b, "e", ()), (b, c, "f", ()))).states == (c, a, b)
+    assert FlatChart("O", c, (Transition(a, b, "e"), Transition(b, c, "f"))).states == (c, a, b)
+    assert FlatChart("O", "B", (Transition("A", "B", "e"),)).states == ("B", "A")
     assert FlatChart("O", a, ()).states == (a,)
     assert ReplayTrace(()).accepted and ReplayTrace(()).rejected_at is None
     assert not _rejected().accepted and _rejected().rejected_at == 0

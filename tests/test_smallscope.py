@@ -73,7 +73,7 @@ def test_scope_one():
             # A conflict-free diagram is accepted by the charts synthesized from it.
             charts, _ = synthesize(dt, [sd])
             for obj in OBJECTS:
-                assert replay(sd, obj, charts[obj], dt).accepted, (dt, sd, obj)
+                assert replay(sd, obj, flatten(charts[obj]), dt).accepted, (dt, sd, obj)
             renamed_charts, _ = synthesize(dt, [renamed])
             assert {obj: print_sc(chart) for obj, chart in renamed_charts.items()} == {
                 SWAP[obj]: print_sc(chart._replace(name=SWAP[obj])) for obj, chart in charts.items()}, (dt, sd)
@@ -118,7 +118,7 @@ def test_scope_one_repair():
         atoms = [atom for spec in dt.specs for cond in (spec.pre, spec.post) for atom in cond]
         if atoms[:1] == [("x", "F")] or annotate(first, dt)[1]:
             continue
-        charts, _ = synthesize(dt, [first])
+        charts = {obj: flatten(chart) for obj, chart in synthesize(dt, [first])[0].items()}
         for sd in sds:
             for obj in OBJECTS:
                 if replay(sd, obj, charts[obj], dt).accepted:

@@ -35,29 +35,33 @@ def transition_set(chart):
     return {(t.source, t.target, t.event, t.actions, t.guard) for t in flat.transitions}
 
 
+def simple_nodes(chart):
+    """A chart's simple nodes in document order, read along ``walk``."""
+    return [n for _, _, n in walk(chart) if n is not None and not n.is_composite]
+
+
 class TestObjectChart:
     def test_single_received_message(self):
         dt = parse_domain_theory("x : Boolean\ncontext m\n pre: x = F ;\n post: x = T ;")
         sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : m")
         chart = chart_for(sd, dt, "B")
         assert len(chart.states) == 2
-        assert chart.transitions == ((("F",), ("T",), "m", ()),)
+        assert chart.transitions == (Transition(("F",), ("T",), "m"),)
 
     def test_coffee_ui_loops_to_initial(self, sd1, coffee_dt):
         chart = chart_for(sd1, coffee_dt, "Coffee-UI")
-        back = [t for t in chart.transitions if "Take coin" in t[3]]
+        back = [t for t in chart.transitions if "Take coin" in t.actions]
         assert back, "the coin-return block must appear as actions"
-        frm, to, event, actions = back[0]
-        assert event == "Release coin"
-        assert to == chart.initial
+        assert back[0].event == "Release coin"
+        assert back[0].target == chart.initial
 
     def test_only_sender_gets_completion_transition(self):
         dt = parse_domain_theory("x : Boolean")
         sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : ping\nmsg 2 A -> B : pong")
         chart = chart_for(sd, dt, "A")
         assert len(chart.states) == 1
-        ((frm, to, event, actions),) = chart.transitions
-        assert event == "" and actions == ("ping", "pong")
+        (t,) = chart.transitions
+        assert t.event == "" and t.actions == ("ping", "pong")
 
     def test_conflicted_object_refused(self, sd1, coffee_dt_unfixed):
         # The clashing gap the chart would be built on names the object's conflicts.
@@ -169,9 +173,9 @@ class TestMerge:
         merged = merge_charts([c1, c2])
         # shared initial state and a branch on the two selections
         assert merged.initial == c1.initial
-        events = {t[2] for t in merged.transitions}
+        events = {t.event for t in merged.transitions}
         assert {"Enter Selection(Espresso)", "Enter Selection(Cappuchino)"} <= events
-        froms = {t[0] for t in merged.transitions if t[2].startswith("Enter Selection")}
+        froms = {t.source for t in merged.transitions if t.event.startswith("Enter Selection")}
         assert len(froms) == 1
 
     def test_commutative_on_fixtures(self, sd1, sd2, coffee_dt):
@@ -184,13 +188,16 @@ class TestMerge:
 
     def test_refined_keys_collapse(self):
         # c2's partial state W unifies with X, not with its exact twin Y;
-        # X then refines to Y's key and the two become one state.
+        # X then refines to Y's key and the two become one state.  A record
+        # whose ends equal their merged keys is kept, the same object.
         i, x, y, w, xy = ("F", "F"), ("T", None), ("T", "F"), (None, "F"), ("T", "F")
-        c1 = FlatChart("O", i, ((i, x, "a", ()), (i, y, "b", ())))
-        c2 = FlatChart("O", i, ((i, w, "a", ()), (w, i, "c", ("s",))))
+        c1 = FlatChart("O", i, (Transition(i, x, "a"), Transition(i, y, "b")))
+        c2 = FlatChart("O", i, (Transition(i, w, "a"), Transition(w, i, "c", (), ("s",))))
         merged = merge_charts([c1, c2])
-        assert merged == FlatChart("O", i, ((i, xy, "a", ()), (i, xy, "b", ()), (xy, i, "c", ("s",))))
+        assert merged == FlatChart("O", i, (Transition(i, xy, "a"), Transition(i, xy, "b"),
+                                            Transition(xy, i, "c", (), ("s",))))
         assert merged.states == (i, xy)
+        assert merged.transitions[1] is c1.transitions[1]
 
     def test_associative_on_fixtures(self, sd1, sd2, coffee_dt):
         c1 = chart_for(sd1, coffee_dt, "Coffee-UI")
@@ -209,7 +216,7 @@ class TestHierarchy:
         # Two states with different values: no value is shared by two
         # states short of the whole scope, so nothing is nested.
         a, b = ("A",), ("B",)
-        chart = introduce_hierarchy(self._flat(a, [(a, b, "x", ()), (b, a, "y", ())]))
+        chart = introduce_hierarchy(self._flat(a, [Transition(a, b, "x"), Transition(b, a, "y")]))
         assert not any(n.is_composite for n in chart.nodes)
 
     def test_theory_wider_than_the_recursion_limit(self):
@@ -217,10 +224,12 @@ class TestHierarchy:
         # variable, each holding every later state.
         n = 1100
         s = [("T",) * k + ("F",) * (n - k) for k in range(n + 1)]
-        ts = [(a, b, "e", ()) for a, b in zip(s, s[1:])]
+        ts = [Transition(a, b, "e") for a, b in zip(s, s[1:])]
         hier = introduce_hierarchy(self._flat(s[0], ts))
         assert print_sc(hier).count("{") == n - 1  # the last group is two states
-        assert flatten(hier) == to_statechart(self._flat(s[0], ts))
+        reference = to_statechart(self._flat(s[0], ts))
+        assert flatten(hier) == FlatChart(reference.name, reference.initial, reference.transitions)
+        assert simple_nodes(hier) == list(reference.nodes)
 
     def test_flatten_inverts_hierarchy_on_fixture(self, sd1, sd2, coffee_dt):
         merged = merge_charts(
@@ -231,7 +240,7 @@ class TestHierarchy:
         flat = flatten(hier)
         reference = to_statechart(merged)
         assert flat.transitions == reference.transitions
-        assert sorted(n.name for n in flat.nodes) == sorted(n.name for n in reference.nodes)
+        assert sorted(n.name for n in simple_nodes(hier)) == sorted(n.name for n in reference.nodes)
         assert flat.initial == reference.initial
 
     def test_flatten_inverts_hierarchy_on_random_corpus(self):
@@ -246,7 +255,7 @@ class TestHierarchy:
                 flat = flatten(hier)
                 reference = to_statechart(merged)
                 assert flat.transitions == reference.transitions
-                assert sorted(n.name for n in flat.nodes) == sorted(
+                assert sorted(n.name for n in simple_nodes(hier)) == sorted(
                     n.name for n in reference.nodes
                 )
                 assert flat.initial == reference.initial
@@ -261,15 +270,28 @@ class TestHierarchy:
             " state B\n D -> B : z\n}\n"
             "A -> G1 : go\nG1 -> A : reset / r\nB -> G2 : back [x = T]\n"
         )
-        assert flatten(hier) == parse_sc(
+        expected = parse_sc(
             "statechart M\ninitial C\nstate A\nstate C\nstate D\nstate B\n"
             "C -> D : y\nC -> A : reset / r\nD -> B : z\nA -> C : go\n"
             "D -> A : reset / r\nB -> A : reset / r\nB -> C : back [x = T]\n"
         )
+        assert flatten(hier) == FlatChart("M", "C", expected.transitions) == flatten(expected)
+        assert simple_nodes(hier) == list(expected.nodes)
+
+    def test_flatten_keeps_a_repeated_transition_once(self):
+        # With a composite or without, a transition written twice is one.
+        twice = ["A -> B : go [x = T]"] * 2
+        flat = parse_sc("\n".join(["statechart M", "initial A", "state A", "state B", *twice]))
+        nested = parse_sc("\n".join(["statechart M", "initial G", "state G {", "initial A", "state A",
+                                     *twice, "}", "state B"]))
+        once = FlatChart("M", "A", (Transition("A", "B", "go", (("x", "T"),)),))
+        assert len(flat.transitions) == 2 and flatten(flat) == once == flatten(nested)
 
     def test_flatten_matches_rebuilding_reference(self):
         # Each output transition is the first input transition making it
-        # when that one joins two simple nodes, else one built anew.
+        # when that one joins two simple nodes, else one built anew; a chart
+        # without composites takes the same walk, so a repeated transition
+        # is kept once there too.
         rng = random.Random(19)
         kept = built = 0
         for _ in range(400):
@@ -277,9 +299,6 @@ class TestHierarchy:
             flat = flatten(chart)
             assert flat == flatten_rebuilt(chart)
             composites = {n.name for _, _, n in walk(chart) if n is not None and n.is_composite}
-            if not composites:
-                assert flat is chart
-                continue
             bare = _without_transitions(chart)
             first = {}  # a transition of the flat chart -> the first input transition making it
             for t in (t for _, scope, n in walk(chart) if n is None for t in scope.transitions):
@@ -305,7 +324,7 @@ class TestHierarchy:
             flat, reference = flatten(hier), to_statechart(chart)
             assert flat.transitions == reference.transitions
             assert flat.initial == reference.initial
-            assert {n.name for n in flat.nodes} == {n.name for n in reference.nodes}
+            assert {n.name for n in simple_nodes(hier)} == {n.name for n in reference.nodes}
             composites, depth = check_variable_split(chart, hier)
             nested += composites > 0
             deepest = max(deepest, depth)
