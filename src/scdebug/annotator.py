@@ -53,7 +53,6 @@ from bisect import bisect_left
 from operator import attrgetter
 
 from .model import (
-    POST,
     Conflict,
     DomainTheory,
     Lifeline,
@@ -134,10 +133,11 @@ def initialize_vectors(dt: DomainTheory, messages) -> Lifeline:
     return Lifeline(list(messages), cells, cells[:], starts, {}, [])
 
 
-def missing_spec_warnings(sd: SequenceDiagram, dt: DomainTheory) -> list[str]:
-    """One warning per distinct message label the theory does not specify."""
-    return [f"{sd.name}: message {label!r} has no specification"
-            for label in dict.fromkeys(m.label for m in sd.messages) if dt.spec_for(label) is None]
+def missing_spec_warnings(dt: DomainTheory, sds) -> list[str]:
+    """One warning per distinct (diagram name, label) the theory does not specify."""
+    return list(dict.fromkeys(f"{sd.name}: message {label!r} has no specification" for sd in sds
+                              for label in dict.fromkeys(m.label for m in sd.messages)
+                              if dt.spec_for(label) is None))
 
 
 def _ground(line: Lifeline, i: int, j: int, value: str, prov: Unified) -> None:
@@ -184,12 +184,11 @@ def frame_propagate(line: Lifeline) -> bool:
 # State classes
 
 
-def class_state(faces: list, width: int):
+def class_state(faces: list):
     """(join of a class's faces, open) or None when two faces clash;
     ``open`` is true when some face lacks a value the join determines.
     The join is taken one column of cells at a time, unless the faces are
-    settled (all equal); a class with no faces has one undetermined face."""
-    faces = faces or [(None,) * width]
+    settled (all equal); every class has a face."""
     if faces.count(faces[0]) == len(faces):
         return faces[0], False
     state = []
@@ -236,9 +235,8 @@ def identification_candidates(line: Lifeline, no_loop) -> tuple | None:
     _, _, faces, starts, *_ = line
     if len(starts) < 3:
         return None
-    classes = list(zip(starts, starts[1:]))
-    width = len(faces[0])
-    states = [class_state(faces[lo:hi], width) for lo, hi in classes]
+    classes = list(zip(starts, starts[1:]))  # with 3 starts or more, every class holds a face
+    states = [class_state(faces[lo:hi]) for lo, hi in classes]
     by_key = {}  # (state, open) -> indices of the classes in it, ascending
     for c, key in enumerate(states):
         if key is not None:  # a clashing class has no partner
@@ -412,7 +410,7 @@ def derivation(line: Lifeline, conflict: Conflict) -> tuple:
 
 def conflict_view(line: Lifeline, conflict: Conflict) -> tuple:
     """(after cells, before cells, unified states) of a conflict on its
-    lifeline ``line``: the cells of its two faces, and (message, pre|post, cells) for each face of the
+    lifeline ``line``: the cells of its two faces, and (message, cells) for each post face of the
     unifications its ``derivation`` passes through, in step order, each
     face once; no unified states when its lifeline had no identification."""
     i = _after_face(line, conflict)
@@ -425,7 +423,7 @@ def conflict_view(line: Lifeline, conflict: Conflict) -> tuple:
         if isinstance(rule, Unified) and rule.event >= 0:
             for k in line.events[rule.event]:
                 if k not in out:
-                    out[k] = line.messages[k // 2], POST, faces[k]  # events hold post faces
+                    out[k] = line.messages[k // 2], faces[k]  # events hold post faces
     return after, before, tuple(out.values())
 
 

@@ -187,10 +187,6 @@ def format_vector(cells) -> str:
     return "<" + ",".join("?" if c is None else c for c in cells) + ">"
 
 
-PRE = "pre"
-POST = "post"
-
-
 # ---------------------------------------------------------------------------
 # Annotations
 

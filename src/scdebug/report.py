@@ -40,7 +40,7 @@ def annotation_bundle(dt: DomainTheory, results) -> ReportBundle:
     results = tuple(results)
     return ReportBundle(
         annotations=results,
-        warnings=tuple(dict.fromkeys(w for sd, *_ in results for w in missing_spec_warnings(sd, dt))),
+        warnings=tuple(missing_spec_warnings(dt, (sd for sd, *_ in results))),
         sds=len(results),
     )
 
@@ -76,8 +76,7 @@ def _conflict_block(line: Lifeline, c: Conflict) -> list[str]:
     out.append(f'  conflict in variable "{c.variable.name}"')
     if unified:
         out.append("  conflict occurred as consequence of unification of")
-        out += _vector_lines([("after" if which == "post" else "before", msg, cells)
-                              for msg, which, cells in unified], "   ")
+        out += _vector_lines([("after", msg, cells) for msg, cells in unified], "   ")
     return out
 
 
@@ -196,7 +195,7 @@ def _conflict_json(line: Lifeline, c: Conflict) -> _Raw:
     after, before, unified = conflict_view(line, c)
     # Indents of the conflict's keys and of a derivation step's keys.
     p, q = "\n      ", "\n          "
-    derivation = ("[" + ",".join(f"{p}  {_msg_json(msg, cells, q, which)}" for msg, which, cells in unified)
+    derivation = ("[" + ",".join(f"{p}  {_msg_json(msg, cells, q, 'post')}" for msg, cells in unified)
                   + p + "]") if unified else "[]"
     return _Raw(
         f'{{{p}"afterMsg": {_msg_json(c.after_message, after, p + "  ")},'

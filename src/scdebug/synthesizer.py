@@ -1,5 +1,7 @@
 """Statechart synthesis from annotated, conflict-free sequence diagrams.
 
+``synthesize`` alone refuses conflicted input, with every diagram's
+annotation; every later stage builds from the lifelines it cleared.
 Per object: the distinct state vectors along its ``Lifeline`` become states,
 and each span of the lifeline becomes a transition on the span's event
 whose actions are the span's sends.  ``spans`` is the one place a lifeline
@@ -25,30 +27,30 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from functools import reduce
 
 from .model import (
     DomainTheory,
     Lifeline,
     Node,
-    SequenceDiagram,
     Statechart,
     Transition,
     format_vector,
     unify,
     walk,
 )
-from .annotator import annotate, detect_conflicts, missing_spec_warnings
+from .annotator import annotate, missing_spec_warnings
 
 COMPLETION = ""  # event label of a completion (triggerless) transition
 
 
 class ConflictedInputError(Exception):
     """``results`` holds the (diagram, lifelines by object, conflicts) of
-    every diagram when the conflicts come from annotating the input."""
+    every diagram; ``conflicts`` lists every conflict among them."""
 
-    def __init__(self, conflicts, results=()):
-        self.conflicts = list(conflicts)
+    def __init__(self, results):
         self.results = list(results)
+        self.conflicts = [c for *_, conflicts in self.results for c in conflicts]
         names = {(c.sd_name, c.object) for c in self.conflicts}
         super().__init__(f"cannot synthesize from conflicted input: {sorted(names)}")
 
@@ -87,15 +89,11 @@ def takes_step(received, sends) -> bool:
     return received is not None or bool(sends)
 
 
-def synth_object_chart(sd: SequenceDiagram, obj: str, line: Lifeline, dt: DomainTheory) -> FlatChart:
-    """Build the object's flat chart from its lifeline ``line``: each span
-    that takes a step leads from the gap before its first message to the
-    gap after its last.  A gap's state is its last face, which the final
-    frame sweep left holding the join of its faces.
-    Raises ConflictedInputError with the object's conflicts when it has any."""
-    conflicts = detect_conflicts(sd, obj, line, dt)
-    if conflicts:
-        raise ConflictedInputError(conflicts)
+def synth_object_chart(obj: str, line: Lifeline, dt: DomainTheory) -> FlatChart:
+    """Build the object's flat chart from its conflict-free lifeline
+    ``line``: each span that takes a step leads from the gap before its
+    first message to the gap after its last.  A gap's state is its last
+    face, which the final frame sweep left holding the join of its faces."""
     # A gap's last face is the pre face of the message after it; the last
     # gap's is the last post face.
     faces = line.faces
@@ -120,13 +118,7 @@ def merge_charts(charts) -> FlatChart:
     Matching is exact-first and one to one, so merging a chart with itself
     returns it unchanged.  The result accepts every trace of every input.
     """
-    charts = list(charts)
-    if not charts:
-        raise ValueError("nothing to merge")
-    merged = charts[0]
-    for other in charts[1:]:
-        merged = _merge_two(merged, other)
-    return merged
+    return reduce(_merge_two, charts)
 
 
 def _merge_two(c1: FlatChart, c2: FlatChart) -> FlatChart:
@@ -303,20 +295,19 @@ def introduce_hierarchy(chart: FlatChart) -> Statechart:
 def synthesize(dt: DomainTheory, sds) -> tuple[dict, list]:
     """Charts for every object across all diagrams, plus warnings.
 
-    Raises ConflictedInputError carrying every conflict, and every
-    diagram's annotation, when any diagram conflicts with the theory:
-    synthesis requires debugged scenarios.
+    Raises ConflictedInputError carrying every diagram's annotation when
+    any diagram conflicts with the theory: synthesis requires debugged
+    scenarios, and every later stage builds from the lifelines cleared here.
     """
     sds = list(sds)
     results = [(sd, *annotate(sd, dt)) for sd in sds]
-    all_conflicts = [c for *_, conflicts in results for c in conflicts]
-    if all_conflicts:
-        raise ConflictedInputError(all_conflicts, results)
-    warnings = list(dict.fromkeys(w for sd in sds for w in missing_spec_warnings(sd, dt)))
+    if any(conflicts for *_, conflicts in results):
+        raise ConflictedInputError(results)
+    warnings = missing_spec_warnings(dt, sds)
 
     charts = {}
     for obj in dict.fromkeys(obj for sd in sds for obj in sd.objects):
-        parts = [synth_object_chart(sd, obj, lines[obj], dt) for sd, lines, _ in results if obj in lines]
+        parts = [synth_object_chart(obj, lines[obj], dt) for _, lines, _ in results if obj in lines]
         merged = merge_charts(parts)
         warnings.extend(nondeterminism_warnings(merged))
         charts[obj] = introduce_hierarchy(merged)

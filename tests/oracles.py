@@ -28,8 +28,6 @@ from scdebug.checker import (
 )
 from scdebug.dsl import IDENT, ParseError, split_label_args
 from scdebug.model import (
-    POST,
-    PRE,
     Conflict,
     Delete,
     Insert,
@@ -465,14 +463,15 @@ def trace_stored(lines, sources, obj, i, j):
 
 
 def unified_faces(line, chain):
-    """(message, pre|post, cells) of every post face of the identifications
-    the chain's ``Unified`` steps name, in step order, each face once."""
+    """(message, cells) of every face of the identifications the chain's
+    ``Unified`` steps name, in step order, each face once; every such face
+    is a post face (odd)."""
     out = {}
     for _, _, rule in chain:
         if isinstance(rule, Unified) and rule.event >= 0:
             for i in line.events[rule.event]:
-                out.setdefault(i, (line.messages[i // 2], POST if i % 2 else PRE,
-                                   tuple(line.faces[i])))
+                assert i % 2, f"face {i} of identification {rule.event} is a pre face"
+                out.setdefault(i, (line.messages[i // 2], tuple(line.faces[i])))
     return tuple(out.values())
 
 

@@ -92,11 +92,7 @@ def test_criterion_2_conflict_report(sd1, coffee_dt_unfixed, capsys):
     after, before, unified = conflict_view(lines[c.object], c)
     assert format_vector(after) == "<T,F,T,1,none>"
     assert format_vector(before) == "<T,F,F,1,none>"
-    assert [(m.id, which) for m, which, _ in unified] == [
-        (1, "post"),
-        (11, "post"),
-        (10, "post"),
-    ]
+    assert [m.id for m, _ in unified] == [1, 11, 10]
 
     main(["annotate", THEORY_UNFIXED, SD1])
     rendered = [re.sub(r"\s+", " ", l).strip() for l in capsys.readouterr().out.splitlines()]
@@ -130,7 +126,7 @@ def test_criterion_5_round_trip_suite():
         lines, conflicts = annotate(sd, dt)
         assert conflicts == []
         for obj in sd.objects:
-            flat = synth_object_chart(sd, obj, lines[obj], dt)
+            flat = synth_object_chart(obj, lines[obj], dt)
             merged = merge_charts([flat])
             hier = introduce_hierarchy(merged)
             stages = {
@@ -167,7 +163,7 @@ def test_criterion_6_repair_minimality(stepper_sd, stepper_dt):
             continue
         lines, _ = annotate(sd, dt)
         obj = max(sd.objects, key=lambda o: sum(1 for m in sd.messages if m.receiver == o))
-        chart = synth_object_chart(sd, obj, lines[obj], dt)
+        chart = synth_object_chart(obj, lines[obj], dt)
         cands = mutation_candidates(dt, chart, sd, obj)
         mutated = sd
         for _ in range(rng.randint(1, 3)):

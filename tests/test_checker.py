@@ -478,7 +478,7 @@ class TestMinimality:
             dt, sd = conflict_free_pair(rng, max_msgs=5, max_objs=2)
             lines, _ = annotate(sd, dt)
             obj = max(sd.objects, key=lambda o: sum(1 for m in sd.messages if m.receiver == o))
-            chart = synth_object_chart(sd, obj, lines[obj], dt)
+            chart = synth_object_chart(obj, lines[obj], dt)
             mutated = _mutate(rng, sd, dt, chart, obj, rng.randint(1, 2))
             if mutated is None:
                 continue
@@ -496,7 +496,7 @@ class TestMinimality:
                 continue
             lines, _ = annotate(sd, dt)
             obj = max(sd.objects, key=lambda o: sum(1 for m in sd.messages if m.receiver == o))
-            chart = synth_object_chart(sd, obj, lines[obj], dt)
+            chart = synth_object_chart(obj, lines[obj], dt)
             mutated = _mutate(rng, sd, dt, chart, obj, rng.randint(1, 2))
             found = repair(mutated, obj, chart, dt, max_edits=3)
             assert brute_force_min_cost(mutated, obj, chart, dt, found.cost) == found.cost
@@ -519,7 +519,7 @@ class TestMinimality:
             "msg 3 B -> M : go\nmsg 4 B -> M : fin\nmsg 5 B -> M : fin2"
         )
         lines, _ = annotate(sd, dt)
-        chart = synth_object_chart(sd, "M", lines["M"], dt)
+        chart = synth_object_chart("M", lines["M"], dt)
         mutated = apply_edit(sd, Delete(3))
         found = repair(mutated, "M", chart, dt, max_edits=2)
         assert [e.describe() for e in found.edits] == ["insert go (B -> M) at position 3"]
@@ -537,7 +537,7 @@ class TestKeyTypes:
             dt, sd = conflict_free_pair(rng, max_msgs=5, max_objs=2)
             lines, _ = annotate(sd, dt)
             obj = max(sd.objects, key=lambda o: sum(1 for m in sd.messages if m.receiver == o))
-            chart = synth_object_chart(sd, obj, lines[obj], dt)
+            chart = synth_object_chart(obj, lines[obj], dt)
             named = to_statechart(chart)
             name = dict(zip(chart.states, (n.name for n in named.nodes)))
             forms = (chart, flatten(named), flatten(introduce_hierarchy(chart)))

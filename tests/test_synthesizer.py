@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from scdebug.annotator import annotate
+from scdebug import annotator, synthesizer
+from scdebug.annotator import annotate, detect_conflicts
 from scdebug.dsl import parse_domain_theory, parse_sc, parse_sd, print_sc
 from scdebug.model import Node, Statechart, Transition, unify, walk
 from scdebug.synthesizer import (
@@ -27,7 +28,7 @@ from oracles import flatten_rebuilt, lifeline, lifeline_gaps_by_lifeline
 
 def chart_for(sd, dt, obj):
     lines, _ = annotate(sd, dt)
-    return synth_object_chart(sd, obj, lines[obj], dt)
+    return synth_object_chart(obj, lines[obj], dt)
 
 
 def transition_set(chart):
@@ -63,18 +64,36 @@ class TestObjectChart:
         (t,) = chart.transitions
         assert t.event == "" and t.actions == ("ping", "pong")
 
-    def test_conflicted_object_refused(self, sd1, coffee_dt_unfixed):
-        # The clashing gap the chart would be built on names the object's conflicts.
+    def test_conflicted_object_refused(self, sd1, coffee_dt_unfixed, monkeypatch):
+        # synthesize refuses the object whose gap clashes before any chart
+        # is built, and the error carries annotate's conflicts and lifelines.
         lines, conflicts = annotate(sd1, coffee_dt_unfixed)
         mine = [c for c in conflicts if c.object == "Coffee-UI"]
+        built = []
+        monkeypatch.setattr(synthesizer, "synth_object_chart", lambda *args: built.append(args))
         with pytest.raises(ConflictedInputError) as exc:
-            synth_object_chart(sd1, "Coffee-UI", lines["Coffee-UI"], coffee_dt_unfixed)
-        assert mine and exc.value.conflicts == mine
+            synthesize(coffee_dt_unfixed, [sd1])
+        assert mine and exc.value.conflicts == conflicts == mine
+        assert exc.value.results == [(sd1, lines, conflicts)] and built == []
+
+    def test_one_conflict_check_per_lifeline(self, sd1, sd2, coffee_dt, monkeypatch):
+        # Synthesis checks each (diagram, object) lifeline for conflicts
+        # once, when it annotates it; chart building trusts that check.
+        calls = []
+
+        def counted(sd, obj, line, dt):
+            calls.append((sd.name, obj))
+            return detect_conflicts(sd, obj, line, dt)
+
+        monkeypatch.setattr(annotator, "detect_conflicts", counted)
+        monkeypatch.setattr(synthesizer, "detect_conflicts", counted, raising=False)
+        charts, _ = synthesize(coffee_dt, [sd1, sd2])
+        assert sorted(calls) == sorted((sd.name, obj) for sd in (sd1, sd2) for obj in sd.objects)
+        assert set(charts) == {"Control", "Coffee-UI", "User"}
 
     def test_gap_states_are_last_faces(self):
-        # A chart is refused exactly when annotate's conflicts name its object;
-        # otherwise every gap's faces unify to its last face, so that face
-        # is the gap's state.  Every other diagram holds 1-3 no_loop pairs
+        # Unless annotate's conflicts name its object, every gap's faces
+        # unify to its last face, so that face is the gap's state.  Every other diagram holds 1-3 no_loop pairs
         # of adjacent messages, whose gaps are never joined, so their two
         # faces can differ.
         rng = random.Random(22)
@@ -91,9 +110,6 @@ class TestObjectChart:
             for obj in sd.objects:
                 mine = [c for c in conflicts if c.object == obj]
                 if mine:
-                    with pytest.raises(ConflictedInputError) as exc:
-                        synth_object_chart(sd, obj, lines[obj], dt)
-                    assert exc.value.conflicts == mine
                     refused += 1
                     continue
                 states = []
@@ -105,7 +121,7 @@ class TestObjectChart:
                     assert joined == (tuple(faces[gap[-1]]) if gap else (None,) * dt.width)
                     states.append(joined)
                     unequal += len(gap) == 2 and faces[gap[0]] != faces[gap[1]]
-                chart = synth_object_chart(sd, obj, lines[obj], dt)
+                chart = synth_object_chart(obj, lines[obj], dt)
                 assert chart.initial == states[0] and set(chart.states) <= set(states)
                 built += 1
         assert refused > 500 and built > 2_000 and unequal > 100
@@ -154,7 +170,7 @@ class TestMerge:
 
     def test_rejects_no_charts_and_mixed_objects(self, coffee_dt):
         sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : Insert coin")
-        with pytest.raises(ValueError, match="^nothing to merge$"):
+        with pytest.raises(TypeError, match="empty"):
             merge_charts([])
         with pytest.raises(ValueError, match="^cannot merge charts of 'A' and 'B'$"):
             merge_charts([chart_for(sd, coffee_dt, "A"), chart_for(sd, coffee_dt, "B")])
@@ -249,7 +265,7 @@ class TestHierarchy:
             dt, sd = conflict_free_pair(rng, max_msgs=8)
             lines, _ = annotate(sd, dt)
             for obj in sd.objects:
-                merged = synth_object_chart(sd, obj, lines[obj], dt)
+                merged = synth_object_chart(obj, lines[obj], dt)
                 hier = introduce_hierarchy(merged)
                 assert parse_sc(print_sc(hier)) == hier
                 flat = flatten(hier)
