@@ -20,11 +20,14 @@ is faces ``2g - 1`` and ``2g``, a class is a range of faces, and
 never a message id.  A round is linear in the lifeline: a class's state is
 joined a cell column at a time, and the loop search walks the lifeline's
 distinct (state, open) keys, not its pairs of classes.
-Faces are tuples, never written into: the spec vectors start them, and
-a sweep or a unification replaces a face, so equal faces are mostly one
-object.  Settled faces, which already agree with the rest of their class
-or gap, cost one tuple comparison: a class of equal faces is not joined,
-and gap joins and conflict detection skip a gap of equal faces.
+Faces are tuples, never written into: the spec vectors start them, and a
+sweep or a unification replaces a face, sharing equal faces by one rule.
+Equal spec vectors are one object per theory, the blank among them.  A
+sweep makes a blank face, and a face it fills to equal the face before
+it, that face; an identification leaves its two classes as one object,
+their join; a gap join that fills a post face to equal the pre face after
+it makes it that face.  So a settled class or gap costs an ``is``: its key
+needs no join, and gap joins and conflict detection skip it.
 
 Gap joins run once per lifeline, after its last frame sweep: a gap's pre
 face then holds every value of the post face before it, so a join only
@@ -104,11 +107,12 @@ def _condition_vector(atoms, binding: dict, dt: DomainTheory) -> tuple:
     Nothing is checked here: the ``.dt`` reader has refused every atom that
     names no variable, holds a literal outside its variable's domain or a
     parameter of another domain, and ``_parameter_binding`` every argument
-    outside its parameter's domain."""
+    outside its parameter's domain.  Equal vectors are one object per theory."""
     cells = [None] * dt.width
     for var_name, value in atoms:
         cells[dt.variable(var_name).index] = binding.get(value, value)
-    return tuple(cells)
+    cells = tuple(cells)
+    return dt._spec_vectors.setdefault(cells, cells)
 
 
 def initialize_vectors(dt: DomainTheory, messages) -> Lifeline:
@@ -116,9 +120,9 @@ def initialize_vectors(dt: DomainTheory, messages) -> Lifeline:
     straight from the specifications.  Both endpoints of a message receive
     the same cells: the conditions constrain the shared system state, not
     one object's view.  A message without a spec has undetermined faces.
-    Spec vectors are cached on the theory by (label, arguments), and shared
-    by every face they fix."""
-    vectors, blank = dt._spec_vectors, (None,) * dt.width
+    Spec vectors are cached on the theory by (label, arguments), one object
+    per distinct vector, and shared by every face they fix."""
+    vectors, blank = dt._spec_vectors, dt._blank
     cells = []
     for msg in messages:
         fixed = vectors.get((msg.label, msg.args))
@@ -129,7 +133,7 @@ def initialize_vectors(dt: DomainTheory, messages) -> Lifeline:
             fixed = vectors[msg.label, msg.args] = (_condition_vector(pre, binding, dt),
                                                     _condition_vector(post, binding, dt))
         cells += fixed
-    starts = [0, *(i for i in range(1, len(cells), 2) if cells[i] != blank), len(cells)]
+    starts = [0, *(i for i in range(1, len(cells), 2) if cells[i] is not blank), len(cells)]
     return Lifeline(list(messages), cells, cells[:], starts, {}, [])
 
 
@@ -160,19 +164,24 @@ def frame_propagate(line: Lifeline) -> bool:
     specification changes them.  Determined cells are never rewritten.  A
     lifeline's vectors are read and written only by its own sweep, front to
     back, so one sweep is a fixpoint.  Full faces take nothing and are
-    skipped; equal (face before, face) pairs give one filled tuple.
-    """
+    skipped, a blank face takes the face before it, equal (face before,
+    face) pairs give one filled tuple, and one equal to the face before it
+    is that face."""
     changed = False
     faces = line.faces
     filled = {}  # (face before, face) -> the face after the sweep
     prev = faces[0] if faces else None
     for i in range(1, len(faces)):
         cells = faces[i]
-        if None in cells and cells is not prev:
-            key = prev, cells
-            new = filled.get(key)
-            if new is None:
-                new = filled[key] = tuple([v if v is not None else p for v, p in zip(cells, prev)])
+        if cells is not prev and None in cells:
+            if cells.count(None) == len(cells):  # blank
+                new = prev
+            else:
+                new = filled.get(key := (prev, cells))
+                if new is None:
+                    new = filled[key] = tuple([v if v is not None else p for v, p in zip(cells, prev)])
+                if new == prev:
+                    new = prev
             if new != cells:
                 faces[i] = cells = new
                 changed = True
@@ -225,33 +234,41 @@ def identification_candidates(line: Lifeline, no_loop) -> tuple | None:
 
     Two compatible classes are a candidate when their join grounds some
     face cell: when either class is open or their states differ.  That
-    test depends only on the two classes' (state, open) keys, so each
-    earlier class is tested once per distinct key, and the key's latest
-    class after it that ``no_loop`` does not refuse is its partner.  Two
-    closed, fully determined states are compatible only when equal, and
-    then ground nothing, so such a class tests only the keys that are open
-    or partly undetermined.
+    test depends only on the two classes' (state, open) keys, so each pair
+    of distinct keys is tested once, and an earlier class's partner is the
+    latest class after it, of a key that passed, that ``no_loop`` does not
+    refuse.  Two closed, fully determined states are compatible only when
+    equal, and then ground nothing, so such a class pairs only with a
+    partial one (open or partly undetermined): no class before the first
+    partial class is a partner, and none after the last has one.
     """
     _, _, faces, starts, *_ = line
     if len(starts) < 3:
         return None
     classes = list(zip(starts, starts[1:]))  # with 3 starts or more, every class holds a face
-    states = [class_state(faces[lo:hi]) for lo, hi in classes]
-    by_key = {}  # (state, open) -> indices of the classes in it, ascending
-    for c, key in enumerate(states):
-        if key is not None:  # a clashing class has no partner
-            by_key.setdefault(key, []).append(c)
-    partial = {key: cs for key, cs in by_key.items() if key[1] or None in key[0]}
-    for a, key_a in enumerate(states):
-        if key_a is None:
+    states = [(f, False) if (f := faces[lo]) is faces[hi - 1] and (hi - lo < 3 or faces[lo:hi].count(f) == hi - lo)
+              else class_state(faces[lo:hi]) for lo, hi in classes]  # a class of one object is settled
+    partial = [c for c, key in enumerate(states) if key is not None and (key[1] or None in key[0])]
+    if not partial:
+        return None
+    by_key = {}  # (state, open) -> indices of the classes in it from the first partial one, ascending
+    for c in range(partial[0], len(states)):
+        if states[c] is not None:  # a clashing class has no partner
+            by_key.setdefault(states[c], []).append(c)
+    partial_keys = {key: cs for key, cs in by_key.items() if key[1] or None in key[0]}
+    joins = {}  # key -> (classes of each key it is a candidate with, their join), from its first class
+    for a in range(partial[-1] + 1):
+        if (key_a := states[a]) is None:
             continue
-        state_a, open_a = key_a
+        if (pairs := joins.get(key_a)) is None:
+            state_a, open_a = key_a
+            keys = by_key if open_a or None in state_a else partial_keys
+            pairs = joins[key_a] = [(cs, joined) for (state_b, open_b), cs in keys.items()
+                                    if cs[-1] > a and (joined := unify(state_a, state_b)) is not None
+                                    and (open_a or open_b or state_a != state_b)]
         b_max, found = a, None
-        for (state_b, open_b), cs in (by_key if open_a or None in state_a else partial).items():
+        for cs, joined in pairs:
             if cs[-1] <= b_max:
-                continue
-            joined = unify(state_a, state_b)
-            if joined is None or not (open_a or open_b or state_a != state_b):
                 continue
             for b in reversed(cs):
                 if b <= b_max:
@@ -287,6 +304,7 @@ def apply_identification(line: Lifeline, cand: tuple) -> None:
             if v is not None and cells[j] is None:
                 contributor = next(k for k in order if faces[k][j] == v)
                 _ground(line, i, j, v, Unified(event, contributor))
+        faces[i] = joined  # the cells it now holds: every face of either class is below the join
 
 
 def _unsettled_gaps(line: Lifeline):
@@ -294,7 +312,7 @@ def _unsettled_gaps(line: Lifeline):
     lifeline, front to back; the right face is the next one."""
     faces = line.faces
     for i in range(1, len(faces) - 1, 2):
-        if faces[i] != faces[i + 1]:
+        if faces[i] is not faces[i + 1] and faces[i] != faces[i + 1]:
             yield i
 
 
@@ -319,6 +337,8 @@ def _gap_joins_once(line: Lifeline, no_loop) -> bool:
             if v is not None and left[j] is None:
                 _ground(line, i, j, v, Unified(-1, i + 1))
                 changed = True
+        if joined == right:  # always so after a sweep: the gap becomes one object
+            faces[i] = right
     return changed
 
 

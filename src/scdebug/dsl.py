@@ -333,7 +333,7 @@ def parse_sc(text: str, filename: str = "<sc>", dt: DomainTheory | None = None) 
     atom is checked against it as a ``.dt`` clause's atom is: it must name
     a state variable and a value of its domain, or the transition's line is
     a ``ParseError``.  Without one, a guard atom is only parsed."""
-    variables = None if dt is None else {v.name: v for v in dt.variables}
+    variables = None if dt is None else dt._variable_index
     lines = _lines(text)
     no, body = next(lines, (1, ""))
     if not body.startswith("statechart "):

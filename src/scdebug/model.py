@@ -116,8 +116,12 @@ class DomainTheory(namedtuple("DomainTheory", "variables specs")):
         return {s.name: s for s in self.specs}
 
     @cached_property
-    def _spec_vectors(self) -> dict:  # (label, args) -> the annotator's (pre, post)
-        return {}
+    def _blank(self) -> tuple:  # the annotator's one vector that fixes no cell
+        return (None,) * len(self.variables)
+
+    @cached_property
+    def _spec_vectors(self) -> dict:  # (label, args) -> the annotator's (pre, post); a vector -> its one copy
+        return {self._blank: self._blank}
 
     def variable(self, name: str) -> StateVariable | None:
         return self._variable_index.get(name)
@@ -205,11 +209,15 @@ class Lifeline(NamedTuple):
     Faces run in lifeline order (pre m1, post m1, pre m2, ...): face ``2k``
     is the pre face of ``messages[k]``, counting from 0, and ``2k + 1`` its
     post face.  ``spec`` holds the cells each face's specification fixes,
-    ``faces`` its cells, both as tuples that equal faces share: annotation
-    starts ``faces`` as a copy of ``spec`` and replaces a face, never writes
-    into one.  State class ``c`` is the faces from ``starts[c]`` up to
-    ``starts[c + 1]``; a class opens at the post face of a message whose
-    postcondition is not empty, and the last entry is the face count.
+    ``faces`` its cells, both as tuples: annotation starts ``faces`` as a
+    copy of ``spec`` and replaces a face, never writes into one.  Equal
+    faces are shared by the rule in the ``annotator`` docstring: equal spec
+    vectors are one object, a face a frame sweep fills to equal the face
+    before it is that face, and unification leaves each class or gap it
+    settles as one object.  State class ``c`` is the faces from
+    ``starts[c]`` up to ``starts[c + 1]``; a class opens at the post face of
+    a message whose postcondition is not empty, and the last entry is the
+    face count.
     ``provenance``: (face, cell index) -> Unified; the rules of
     ``annotator._walk`` derive every other cell's.  ``events``: per applied
     identification, in order, its post faces, which conflict explanations

@@ -414,6 +414,18 @@ class TestFramePropagation:
         assert provenance_of(line, 0, 0) is None
         assert line.provenance == {}
 
+    def test_opening_unspecified_messages_ground_nothing(self):
+        # Faces that determine no cell take nothing from one another, so a
+        # sweep over them reports no change, whether they are one blank
+        # object or each its own blank tuple.
+        dt = parse_domain_theory("x : Boolean\ny : Boolean\ncontext w\n pre: x = T ;\n post: x = T and y = F ;")
+        sd = parse_sd("sd S\nobject A\nobject B\nmsg 1 A -> B : u\nmsg 2 A -> B : v\nmsg 3 A -> B : w")
+        shared = initialize_vectors(dt, sd.messages)
+        own = shared._replace(faces=[tuple([None] * dt.width) for _ in range(4)] + shared.faces[4:])
+        for line in (shared, own):
+            assert frame_propagate(line) is False
+            assert [format_vector(cells) for cells in line.faces] == ["<?,?>"] * 4 + ["<T,?>", "<T,F>"]
+
 
 class TestConflicts:
     def test_paper_conflict(self, sd1, coffee_dt_unfixed):
@@ -526,6 +538,26 @@ class TestInvariants:
             final = known_cells(final_lines)
             assert set(initial) <= set(final)
             assert all(final[c] == v for c, v in initial.items())
+
+    def test_equal_faces_are_shared(self, sd1, sd2, coffee_dt, coffee_dt_unfixed):
+        # Equal spec vectors are one object, and a face whose spec fixes no
+        # cell and that no unification grounded is the face before it.
+        cases = [(sd, dt) for sd in (sd1, sd2) for dt in (coffee_dt, coffee_dt_unfixed)]
+        cases += provenance_corpus(coffee_dt_unfixed)
+        shared = 0
+        for sd, dt in cases:
+            try:
+                lines, _ = annotate(sd, dt)
+            except AnnotationError:
+                continue
+            for line in lines.values():
+                assert len(set(map(id, line.spec))) == len(set(line.spec))
+                grounded = {i for i, _ in line.provenance}
+                for i in range(1, len(line.faces)):
+                    if i not in grounded and line.spec[i].count(None) == len(line.spec[i]):
+                        assert line.faces[i] is line.faces[i - 1], (sd.name, i)
+                        shared += 1
+        assert shared > 1000
 
     def test_frame_soundness(self, sd1, coffee_dt_unfixed):
         # Remove every frame-derived cell; re-propagation restores all of
