@@ -112,7 +112,7 @@ def _condition_vector(atoms, binding: dict, dt: DomainTheory) -> tuple:
     for var_name, value in atoms:
         cells[dt.variable(var_name).index] = binding.get(value, value)
     cells = tuple(cells)
-    return dt._spec_vectors.setdefault(cells, cells)
+    return dt._vectors.setdefault(cells, cells)
 
 
 def initialize_vectors(dt: DomainTheory, messages) -> Lifeline:
@@ -197,7 +197,8 @@ def class_state(faces: list):
     """(join of a class's faces, open) or None when two faces clash;
     ``open`` is true when some face lacks a value the join determines.
     The join is taken one column of cells at a time, unless the faces are
-    settled (all equal); every class has a face."""
+    settled (all equal: one object, by the sharing rule, which ``count``
+    tests by identity first); every class has a face."""
     if faces.count(faces[0]) == len(faces):
         return faces[0], False
     state = []
@@ -234,41 +235,35 @@ def identification_candidates(line: Lifeline, no_loop) -> tuple | None:
 
     Two compatible classes are a candidate when their join grounds some
     face cell: when either class is open or their states differ.  That
-    test depends only on the two classes' (state, open) keys, so each pair
-    of distinct keys is tested once, and an earlier class's partner is the
-    latest class after it, of a key that passed, that ``no_loop`` does not
-    refuse.  Two closed, fully determined states are compatible only when
-    equal, and then ground nothing, so such a class pairs only with a
-    partial one (open or partly undetermined): no class before the first
-    partial class is a partner, and none after the last has one.
+    test depends only on the two classes' (state, open) keys, so each
+    earlier class is tested once per distinct key, and the key's latest
+    class after it that ``no_loop`` does not refuse is its partner.  Two
+    closed, fully determined states are compatible only when equal, and
+    then ground nothing, so such a class tests only the keys that are open
+    or partly undetermined, and a lifeline without such a key has none.
     """
     _, _, faces, starts, *_ = line
     if len(starts) < 3:
         return None
     classes = list(zip(starts, starts[1:]))  # with 3 starts or more, every class holds a face
-    states = [(f, False) if (f := faces[lo]) is faces[hi - 1] and (hi - lo < 3 or faces[lo:hi].count(f) == hi - lo)
-              else class_state(faces[lo:hi]) for lo, hi in classes]  # a class of one object is settled
-    partial = [c for c, key in enumerate(states) if key is not None and (key[1] or None in key[0])]
+    states = [class_state(faces[lo:hi]) for lo, hi in classes]
+    by_key = {}  # (state, open) -> indices of the classes in it, ascending
+    for c, key in enumerate(states):
+        if key is not None:  # a clashing class has no partner
+            by_key.setdefault(key, []).append(c)
+    partial = {key: cs for key, cs in by_key.items() if key[1] or None in key[0]}
     if not partial:
         return None
-    by_key = {}  # (state, open) -> indices of the classes in it from the first partial one, ascending
-    for c in range(partial[0], len(states)):
-        if states[c] is not None:  # a clashing class has no partner
-            by_key.setdefault(states[c], []).append(c)
-    partial_keys = {key: cs for key, cs in by_key.items() if key[1] or None in key[0]}
-    joins = {}  # key -> (classes of each key it is a candidate with, their join), from its first class
-    for a in range(partial[-1] + 1):
-        if (key_a := states[a]) is None:
+    for a, key_a in enumerate(states):
+        if key_a is None:
             continue
-        if (pairs := joins.get(key_a)) is None:
-            state_a, open_a = key_a
-            keys = by_key if open_a or None in state_a else partial_keys
-            pairs = joins[key_a] = [(cs, joined) for (state_b, open_b), cs in keys.items()
-                                    if cs[-1] > a and (joined := unify(state_a, state_b)) is not None
-                                    and (open_a or open_b or state_a != state_b)]
+        state_a, open_a = key_a
         b_max, found = a, None
-        for cs, joined in pairs:
+        for (state_b, open_b), cs in (by_key if open_a or None in state_a else partial).items():
             if cs[-1] <= b_max:
+                continue
+            joined = unify(state_a, state_b)
+            if joined is None or not (open_a or open_b or state_a != state_b):
                 continue
             for b in reversed(cs):
                 if b <= b_max:

@@ -120,7 +120,11 @@ class DomainTheory(namedtuple("DomainTheory", "variables specs")):
         return (None,) * len(self.variables)
 
     @cached_property
-    def _spec_vectors(self) -> dict:  # (label, args) -> the annotator's (pre, post); a vector -> its one copy
+    def _spec_vectors(self) -> dict:  # (label, args) -> the annotator's (pre, post)
+        return {}
+
+    @cached_property
+    def _vectors(self) -> dict:  # each distinct spec vector -> its one copy, the blank among them
         return {self._blank: self._blank}
 
     def variable(self, name: str) -> StateVariable | None:
